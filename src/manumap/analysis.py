@@ -11,7 +11,7 @@ from .aggregation import (
     IndexReport,
     build_assembly_report,
 )
-from .errors import ProfileError
+from .errors import ParameterError, ProfileError
 from .fields import LocalIndexField
 from .mesh_io import DEFAULT_SEED, TriMesh
 from .profiles import MachineProfiles
@@ -38,6 +38,16 @@ class AnalysisParams:
     material: str | None = None
     required_ra_um: float | None = None
     height_reference: str = "top"
+
+    def __post_init__(self):
+        if self.samples < 2:
+            raise ParameterError(f"samples must be at least 2, got {self.samples!r}")
+        if not self.margin >= 0:
+            raise ParameterError(f"margin must be non-negative, got {self.margin!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed!r}")
+        if self.workers < 1:
+            raise ParameterError(f"workers must be at least 1, got {self.workers!r}")
 
     def to_dict(self) -> dict:
         out = {

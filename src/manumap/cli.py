@@ -8,14 +8,14 @@ arguments, 3 unusable mesh, 4 analysis failure, 5 report schema mismatch.
 
 All file output is atomic (write to temp, rename), so a failed run leaves
 no partial files, and results are byte-identical for a given input and
-configuration regardless of --workers.
+configuration.  Grading runs in one thread; --workers is accepted for
+compatibility and never changes results.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -41,8 +41,10 @@ from .errors import (
     NonPositiveVolumeError,
     NoSharedIndexesError,
     NotWatertightError,
+    ParameterError,
     ParseError,
     ProfileError,
+    RayParityError,
     ReportIOError,
     SchemaMismatchError,
     UnknownMaterialError,
@@ -71,6 +73,7 @@ _CONFIG_ERRORS = (
     UnknownMaterialError,
     NonPositiveRoughnessError,
     DepthRangeError,
+    ParameterError,
 )
 _MESH_ERRORS = (ParseError, EmptyMeshError, NotWatertightError)
 _ANALYSIS_ERRORS = (
@@ -83,6 +86,7 @@ _ANALYSIS_ERRORS = (
     NoSharedIndexesError,
     MeshMismatchError,
     FieldMismatchError,
+    RayParityError,
 )
 
 _MAP_INDEX_DEFAULT = {"machining": "tool_flexibility", "additive": "build_height"}
@@ -234,9 +238,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if len(processes) > 1 and args.out is None:
         raise _Exit(EXIT_CONFIG, "--process both needs --out DIR for its two reports")
 
+    params = _params(args)
     mesh = _load_mesh(args.mesh)
     profiles = _load_profiles(args.profile)
-    params = _params(args)
     octree = build_octree(
         mesh,
         max_depth=params.max_depth,
@@ -281,14 +285,13 @@ def _parse_module(spec: str, default_process: str) -> tuple[str, str, str]:
 
 
 def _cmd_assembly(args: argparse.Namespace) -> int:
+    params = _params(args)
     profiles = _load_profiles(args.profile)
     modules = []
     for spec in args.modules:
         module_id, path, process = _parse_module(spec, args.process)
         modules.append(ModuleSpec(module_id, _load_mesh(path), process))
-    report, results = analyze_assembly(
-        args.design_id, modules, profiles, params=_params(args)
-    )
+    report, results = analyze_assembly(args.design_id, modules, profiles, params=params)
     out = _out_dir(args)
     if out is not None:
         for name, res in sorted(results.items()):
@@ -346,8 +349,9 @@ def _add_analysis_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for local fields (never changes results)",
+        default=1,
+        help="accepted for compatibility (at least 1); grading is single-threaded "
+        "and results never depend on it",
     )
     p.add_argument("--out", help="directory for default-named report and map files")
     p.add_argument("--json", help="write the report as JSON to this exact path")

@@ -21,6 +21,14 @@ class DepthRangeError(ManumapError):
     """Requested octree depth is outside the supported range."""
 
 
+class ParameterError(ManumapError):
+    """Analysis parameter (samples, margin, seed, workers) is out of range."""
+
+
+class RayParityError(ManumapError):
+    """Ray casting could not decide whether a point off the surface is inside."""
+
+
 class MeshMismatchError(ManumapError):
     """Octree or field was built from a different mesh than the one supplied."""
 

@@ -9,7 +9,6 @@ whether any available tool can get there without colliding with the part.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +126,10 @@ def tool_flexibility_field(
     the part top.  The value is the reach of the largest qualifying tool in
     units of its allowed aspect ratio, clamped to 1; boxes no tool can reach
     from above score 1.
+
+    ``workers`` is accepted for compatibility and ignored: the probes run as
+    batched array kernels in one thread, which measured faster than a thread
+    pool and never changes the values.
     """
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")
@@ -134,18 +137,9 @@ def tool_flexibility_field(
     if not leaves:
         raise EmptyFieldError("no grey leaves to grade")
 
-    if workers <= 1 or len(leaves) < 64:
-        values = _solve_leaves(mesh, octree, profile, leaves)
-    else:
-        chunk = (len(leaves) + workers - 1) // workers
-        parts = [leaves[i : i + chunk] for i in range(0, len(leaves), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(lambda p: _solve_leaves(mesh, octree, profile, p), parts))
-        values = np.concatenate(out)
-
     return LocalIndexField(
         index_id="tool_flexibility",
-        values=values,
+        values=_solve_leaves(mesh, octree, profile, leaves),
         volumes=np.array([n.part_volume or 0.0 for n in leaves]),
         octree_hash=octree.fingerprint()["content_hash"],
         path_keys=tuple(n.path_key for n in leaves),
@@ -193,23 +187,22 @@ def _columns_blocked(
 ) -> np.ndarray:
     """True where part material occupies any of the open column (lo, hi) at xy.
 
-    Columns whose parity count is unreliable (grazing hits) are re-tried at
-    deterministically jittered xy; ones that never settle count as blocked.
+    Each column is cast once, with crossings counted above three heights:
+    just over ``lo``, just under ``hi`` and the middle.  Columns whose parity
+    count is unreliable (grazing hits) are re-tried at deterministically
+    jittered xy; ones that never settle count as blocked.
     """
     scale = mesh.metrics.max_dimension
     eps = _EPS_REL * scale
+    grid = mesh._column_grid()
     blocked = np.zeros(len(xy), dtype=bool)
     pend = np.arange(len(xy))
     pxy = xy.copy()
     for attempt in range(_MAX_COLUMN_ATTEMPTS):
-        pts_lo = np.column_stack([pxy[pend], lo[pend] + eps])
-        pts_hi = np.column_stack([pxy[pend], hi[pend] - eps])
-        pts_mid = np.column_stack([pxy[pend], 0.5 * (lo[pend] + hi[pend])])
-        grid = mesh._column_grid()
-        n_lo, s1 = grid.crossings_above(pts_lo)
-        n_hi, s2 = grid.crossings_above(pts_hi)
-        n_mid, s3 = grid.crossings_above(pts_mid)
-        suspect = s1 | s2 | s3
+        heights = np.column_stack([lo[pend] + eps, hi[pend] - eps, 0.5 * (lo[pend] + hi[pend])])
+        counts, graze = grid.crossings_above(pxy[pend], heights)
+        n_lo, n_hi, n_mid = counts.T
+        suspect = graze.any(axis=1)
         settled = ~suspect
         hit = (n_lo - n_hi > 0) | (n_mid % 2 == 1)
         blocked[pend[settled]] = hit[settled]

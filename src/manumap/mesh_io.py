@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMeshError, NotWatertightError, ParseError
+from .errors import EmptyMeshError, NotWatertightError, ParseError, RayParityError
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +35,8 @@ DEFAULT_SEED = 7919
 _REL_TOL = 1e-9
 _MAX_RAY_ATTEMPTS = 32
 _PAIR_BUDGET = 500_000  # point-triangle pairs per vectorized chunk
+_COLUMN_PAIR_BUDGET = 16_384  # (vertical line, bucket triangle) pairs per chunk
+_SAT_PAIR_BUDGET = 4_096  # (triangle, box group) pairs per SAT chunk
 
 
 class PointClass(enum.IntEnum):
@@ -440,7 +442,7 @@ def _points_inside(mesh: TriMesh, pts: np.ndarray, seed: int = DEFAULT_SEED) -> 
     if not mesh.metrics.watertight:
         raise NotWatertightError("point containment needs a watertight mesh")
     grid = mesh._column_grid()
-    counts, suspect = grid.crossings_above(pts)
+    counts, suspect = grid.crossings_above(pts[:, :2], pts[:, 2])
     inside = (counts % 2).astype(bool)
     if suspect.any():
         idx = np.nonzero(suspect)[0]
@@ -451,7 +453,7 @@ def _points_inside(mesh: TriMesh, pts: np.ndarray, seed: int = DEFAULT_SEED) -> 
             # the near ones as inside, refuse the rest loudly.
             dres = _min_distance_to_surface(mesh.tri_coords(), pts[idx][unresolved])
             if (dres > 1e-6 * mesh.metrics.max_dimension).any():
-                raise RuntimeError("ray parity failed to converge")
+                raise RayParityError("ray parity failed to converge")
             sub[unresolved] = True
         inside[idx] = sub
     return inside
@@ -564,11 +566,12 @@ class _ColumnGrid:
 
     Shared, read-only acceleration structure: the octree volume sampler and
     the tool-reach probes both cast vertical rays, and bucketing triangles by
-    xy footprint makes each ray O(local triangles) instead of O(all).
+    xy footprint makes each ray O(local triangles) instead of O(all).  The
+    buckets are stored CSR-style: cell ``c`` holds triangles
+    ``tids[ptr[c]:ptr[c + 1]]`` in ascending order.
     """
 
     def __init__(self, tc: np.ndarray, scale: float, res: int | None = None):
-        self._tc = tc
         self._scale = max(scale, 1.0)
         xy = tc[..., :2]
         pad = 1e-9 * self._scale
@@ -581,22 +584,24 @@ class _ColumnGrid:
 
         tmin = xy.min(axis=1)
         tmax = xy.max(axis=1)
-        i0 = np.clip(((tmin - self._lo) / self._cell).astype(int), 0, res - 1)
-        i1 = np.clip(((tmax - self._lo) / self._cell).astype(int), 0, res - 1)
-        buckets: list[list[int]] = [[] for _ in range(res * res)]
-        for t in range(len(tc)):
-            for ix in range(i0[t, 0], i1[t, 0] + 1):
-                base = ix * res
-                for iy in range(i0[t, 1], i1[t, 1] + 1):
-                    buckets[base + iy].append(t)
-        self._buckets = [np.array(b, dtype=np.int64) for b in buckets]
+        i0 = np.clip(((tmin - self._lo) / self._cell).astype(np.int64), 0, res - 1)
+        i1 = np.clip(((tmax - self._lo) / self._cell).astype(np.int64), 0, res - 1)
+        # one (triangle, cell) entry per cell of each footprint rectangle
+        ny = i1[:, 1] - i0[:, 1] + 1
+        per_tri = (i1[:, 0] - i0[:, 0] + 1) * ny
+        tri = np.repeat(np.arange(len(tc), dtype=np.int64), per_tri)
+        k = np.arange(len(tri)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
+        cells = (i0[tri, 0] + k // ny[tri]) * res + (i0[tri, 1] + k % ny[tri])
+        order = np.argsort(cells, kind="stable")
+        self._tids = tri[order]
+        self._ptr = np.zeros(res * res + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cells, minlength=res * res), out=self._ptr[1:])
 
-        # Precompute 2D edge setup per triangle.
+        # Per-triangle setup, one contiguous row per triangle so a gather by
+        # triangle id reads one row: A, B, C in xy, doubled signed area, vertex z.
         A, B, C = xy[:, 0], xy[:, 1], xy[:, 2]
-        self._A, self._B, self._C = A, B, C
-        self._denom = _cross2(B - A, C - A)
-        self._zcoef = tc[..., 2]  # (M, 3) vertex z values
-        self._flat2d = np.abs(self._denom) <= (1e-12 * self._scale**2)
+        self._tab = np.column_stack([A, B, C, _cross2(B - A, C - A), tc[..., 2]])
+        self._flat_tol = 1e-12 * self._scale**2
 
     def _cells_of(self, xy: np.ndarray) -> np.ndarray:
         ij = np.floor((xy - self._lo) / self._cell).astype(np.int64)
@@ -604,74 +609,86 @@ class _ColumnGrid:
         cell = np.where(valid, ij[:, 0] * self._res + ij[:, 1], -1)
         return cell
 
-    def _hits(self, pts_xy: np.ndarray, tids: np.ndarray):
-        """Barycentric evaluation of vertical lines against bucket triangles.
+    def _hits(self, px: np.ndarray, py: np.ndarray, tids: np.ndarray):
+        """Barycentric evaluation of vertical lines against triangles, pair by pair.
 
-        Returns ``(z, strict, suspect)`` with shapes (P, T): surface height
-        along each line, whether the line crosses the open triangle, and
-        whether the answer is too close to an edge (or a vertical triangle)
-        to trust.
+        Pair i is the line at (``px[i]``, ``py[i]``) and triangle ``tids[i]``.
+        Returns ``(z, strict, suspect)``, each (N,): surface height along the
+        line, whether the line crosses the open triangle, and whether the
+        answer is too close to an edge (or a vertical triangle) to trust.
         """
-        A, B, C = self._A[tids], self._B[tids], self._C[tids]
-        P = pts_xy[:, None, :]
-        la = _cross2(B - P, C - P)
-        lb = _cross2(C - P, A - P)
-        lc = _cross2(A - P, B - P)
-        denom = self._denom[tids][None, :]
-        flat = self._flat2d[tids][None, :]
-        zc = self._zcoef[tids]
+        t = self._tab.take(tids, axis=0).T.copy()  # (10, N), one row per quantity
+        ax, ay, bx, by, cx, cy, denom, z0, z1, z2 = t
+        flat = np.abs(denom) <= self._flat_tol
+        # offsets from the line, in place: t's rows 0-5 become A-P, B-P, C-P
+        t[0:6:2] -= px
+        t[1:6:2] -= py
+        la = bx * cy - by * cx
+        lb = cx * ay - cy * ax
+        lc = ax * by - ay * bx
         with np.errstate(divide="ignore", invalid="ignore"):
-            la, lb, lc = la / denom, lb / denom, lc / denom
-            z = la * zc[None, :, 0] + lb * zc[None, :, 1] + lc * zc[None, :, 2]
-        z = np.where(flat, 0.0, z)  # flat triangles never count as crossings
+            la /= denom
+            lb /= denom
+            lc /= denom
+            z = la * z0 + lb * z1 + lc * z2
+        z[flat] = 0.0  # flat triangles never count as crossings
         tol = 1e-9
         strict = ~flat & (la > tol) & (lb > tol) & (lc > tol)
         loose = ~flat & (la > -tol) & (lb > -tol) & (lc > -tol)
+        suspect = loose ^ strict
         # Vertical triangle whose footprint the point nearly touches: the
         # vertical ray runs inside its plane, so bail out to random casts.
         if flat.any():
-            near_flat = flat & _near_tri_edges(pts_xy, A, B, C, 1e-9 * self._scale)
-        else:
-            near_flat = flat
-        suspect = (loose ^ strict) | near_flat
+            f = np.flatnonzero(flat)
+            A, B, C = (self._tab[tids[f], r : r + 2] for r in (0, 2, 4))
+            P = np.column_stack([px[f], py[f]])
+            suspect[f] |= _near_tri_edges(P, A, B, C, 1e-9 * self._scale)
         return z, strict, suspect
 
-    def crossings_above(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Count surface crossings strictly above each point along +z."""
-        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        counts = np.zeros(len(pts), dtype=np.int64)
-        suspect = np.zeros(len(pts), dtype=bool)
-        if len(pts) == 0:
-            return counts, suspect
-        cells = self._cells_of(pts[:, :2])
-        order = np.argsort(cells, kind="stable")
-        sorted_cells = cells[order]
-        bounds = np.flatnonzero(np.diff(sorted_cells)) + 1
-        ztol = _REL_TOL * self._scale
-        for seg in np.split(order, bounds):
-            cell = cells[seg[0]]
-            if cell < 0:
-                continue  # outside the grid footprint: zero crossings
-            tids = self._buckets[cell]
-            if len(tids) == 0:
-                continue
-            z, strict, sus = self._hits(pts[seg][:, :2], tids)
-            dz = z - pts[seg][:, 2][:, None]
-            counts[seg] = (strict & (dz > ztol)).sum(axis=1)
-            suspect[seg] = sus.any(axis=1) | (strict & (np.abs(dz) <= ztol)).any(axis=1)
-        return counts, suspect
+    def crossings_above(self, xy: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Count surface crossings strictly above heights ``z`` along +z.
 
-    def z_crossings(self, x: float, y: float) -> tuple[np.ndarray, bool]:
-        """All surface heights pierced by the full vertical line at (x, y)."""
-        xy = np.array([[x, y]])
-        cell = self._cells_of(xy)[0]
-        if cell < 0:
-            return np.empty(0), False
-        tids = self._buckets[cell]
-        if len(tids) == 0:
-            return np.empty(0), False
-        z, strict, suspect = self._hits(xy, tids)
-        return np.sort(z[0][strict[0]]), bool(suspect[0].any())
+        ``xy`` (N, 2) places N vertical lines; ``z`` is (N,) or (N, K), K
+        heights per line.  Returns ``(counts, suspect)`` shaped like ``z``.
+        Every line is evaluated once against its cell's triangles, in chunks
+        of at most :data:`_COLUMN_PAIR_BUDGET` (line, triangle) pairs.
+        """
+        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        px, py = xy.T
+        z = np.asarray(z, dtype=np.float64)
+        zz = z.reshape(len(px), -1)
+        n, k = zz.shape
+        counts = np.zeros(n * k, dtype=np.int64)
+        suspect = np.zeros(n * k, dtype=bool)
+        cells = self._cells_of(xy)
+        valid = cells >= 0
+        first = np.where(valid, self._ptr[np.maximum(cells, 0)], 0)
+        num = np.where(valid, self._ptr[cells + 1] - first, 0)  # outside the grid: none
+        ends = np.cumsum(num)
+        ztol = _REL_TOL * self._scale
+        start = 0
+        while start < n:
+            done = ends[start - 1] if start else 0  # pairs before this chunk
+            stop = int(np.searchsorted(ends, done + _COLUMN_PAIR_BUDGET, side="right"))
+            stop = max(stop, start + 1)  # a line with a bigger bucket goes alone
+            m = num[start:stop]
+            total = int(ends[stop - 1] - done)
+            if total:
+                # pairs run line by line, each line through its cell's bucket
+                pair = np.arange(done, done + total)
+                slot = np.repeat(first[start:stop] - (ends[start:stop] - m), m) + pair
+                zt, strict, sus = self._hits(
+                    np.repeat(px[start:stop], m), np.repeat(py[start:stop], m), self._tids[slot]
+                )
+                dz = zt[:, None] - np.repeat(zz[start:stop], m, axis=0)
+                out = (np.repeat(np.arange(stop - start) * k, m)[:, None] + np.arange(k)).ravel()
+                above = (strict[:, None] & (dz > ztol)).ravel()
+                graze = (sus[:, None] | (strict[:, None] & (np.abs(dz) <= ztol))).ravel()
+                size = (stop - start) * k
+                counts[start * k : stop * k] = np.bincount(out[above], minlength=size)
+                suspect[start * k : stop * k] = np.bincount(out[graze], minlength=size) > 0
+            start = stop
+        return counts.reshape(z.shape), suspect.reshape(z.shape)
 
 
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -679,18 +696,18 @@ def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _near_tri_edges(pts_xy, A, B, C, pad):
-    """(P, T) mask: point within ``pad`` of any edge of the projected triangle.
+    """Per-pair mask: point within ``pad`` of any edge of its projected triangle.
 
     A degenerate 2D projection collapses to a segment covered by its edges,
     so edge distance is the exact footprint distance there.
     """
-    P = pts_xy[:, None, :]
+    P = pts_xy
     d2 = None
     for U, V in ((A, B), (B, C), (C, A)):
         e = V - U
-        ee = np.maximum((e * e).sum(axis=-1), 1e-300)[None, :]
-        t = np.clip(((P - U[None]) * e[None]).sum(axis=-1) / ee, 0.0, 1.0)
-        q = U[None] + t[..., None] * e[None]
+        ee = np.maximum((e * e).sum(axis=-1), 1e-300)
+        t = np.clip(((P - U) * e).sum(axis=-1) / ee, 0.0, 1.0)
+        q = U + t[..., None] * e
         dd = ((P - q) ** 2).sum(axis=-1)
         d2 = dd if d2 is None else np.minimum(d2, dd)
     return d2 <= pad * pad
@@ -711,36 +728,45 @@ def triangle_box_intersect(triangle, box_min, box_max) -> bool:
     hi = np.asarray(box_max, dtype=np.float64)
     center = (0.5 * (lo + hi)).reshape(1, 3)
     half = (0.5 * (hi - lo)).reshape(1, 3)
-    return bool(_tri_box_overlap(tri, center, half)[0, 0])
+    return bool(_tri_box_overlap(tri, center, half)[0])
 
 
 def _tri_box_overlap(tc: np.ndarray, centers: np.ndarray, halves: np.ndarray) -> np.ndarray:
-    """Batched SAT: triangles (M,3,3) against boxes (B,3)+(B,3) -> (B,M) bool."""
-    v = tc[None, :, :, :] - centers[:, None, None, :]  # (B, M, 3, 3)
-    h = halves[:, None, :]  # (B, 1, 3)
+    """SAT overlap of triangles ``tc`` (..., 3, 3) and boxes ``centers`` /
+    ``halves`` (..., 3); returns bool (...).
 
-    sep = (v.min(axis=2) > h) | (v.max(axis=2) < -h)
-    sep = sep.any(axis=2)
+    The leading axes have equal rank and broadcast against each other: one
+    box against many triangles is ``(M, 3, 3)`` against ``(1, 3)``, and the
+    octree pairs each triangle ``(P, 1, 3, 3)`` with its node's 8 children
+    ``(P, 8, 3)``.  Every axis test is elementwise over the leading axes, so
+    a pair's answer does not depend on what else is in the batch.
+    """
+    tri = np.moveaxis(tc, (-2, -1), (0, 1))  # (vertex, axis, ...)
+    hx, hy, hz = np.moveaxis(halves, -1, 0)
+    v = tri - np.moveaxis(centers, -1, 0)  # vertices relative to the box center
 
-    edges = (
-        tc[:, 1] - tc[:, 0],
-        tc[:, 2] - tc[:, 1],
-        tc[:, 0] - tc[:, 2],
-    )
-    n = np.cross(edges[0], edges[1])  # (M, 3)
-    d = np.einsum("mk,bmk->bm", n, v[:, :, 0, :])
-    r = np.einsum("bk,mk->bm", halves, np.abs(n))
-    sep |= np.abs(d) > r
+    def outside(p0, p1, p2, rad):
+        lo = np.minimum(np.minimum(p0, p1), p2)
+        hi = np.maximum(np.maximum(p0, p1), p2)
+        return (lo > rad) | (hi < -rad)
 
-    zero = np.zeros(len(tc))
-    for e in edges:
-        axes = (
-            np.stack([zero, -e[:, 2], e[:, 1]], axis=1),
-            np.stack([e[:, 2], zero, -e[:, 0]], axis=1),
-            np.stack([-e[:, 1], e[:, 0], zero], axis=1),
-        )
-        for a in axes:
-            proj = np.einsum("mk,bmik->bmi", a, v)  # (B, M, 3)
-            rad = np.einsum("bk,mk->bm", halves, np.abs(a))
-            sep |= (proj.min(axis=2) > rad) | (proj.max(axis=2) < -rad)
+    # box face normals
+    sep = outside(v[0, 0], v[1, 0], v[2, 0], hx)
+    sep |= outside(v[0, 1], v[1, 1], v[2, 1], hy)
+    sep |= outside(v[0, 2], v[1, 2], v[2, 2], hz)
+
+    # triangle normal
+    e0, e1, e2 = tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]
+    nx = e0[1] * e1[2] - e0[2] * e1[1]
+    ny = e0[2] * e1[0] - e0[0] * e1[2]
+    nz = e0[0] * e1[1] - e0[1] * e1[0]
+    d = nx * v[0, 0] + ny * v[0, 1] + nz * v[0, 2]
+    sep |= np.abs(d) > hx * np.abs(nx) + hy * np.abs(ny) + hz * np.abs(nz)
+
+    # axes (1,0,0) x e, (0,1,0) x e, (0,0,1) x e; their zero component is skipped
+    for ex, ey, ez in (e0, e1, e2):
+        ax, ay, az = np.abs(ex), np.abs(ey), np.abs(ez)
+        sep |= outside(*(-ez * v[i, 1] + ey * v[i, 2] for i in range(3)), hy * az + hz * ay)
+        sep |= outside(*(ez * v[i, 0] - ex * v[i, 2] for i in range(3)), hx * az + hz * ax)
+        sep |= outside(*(-ey * v[i, 0] + ex * v[i, 1] for i in range(3)), hx * ay + hy * ax)
     return ~sep

@@ -3,9 +3,10 @@
 The part's bounding box is cubified, inflated by a small margin, and split
 recursively: boxes fully inside the part are black, fully outside are white,
 and boxes crossed by the surface are grey and subdivided until ``max_depth``.
-Grey terminal boxes get their solid volume estimated by seeded jittered-grid
-sampling, so every value is reproducible run to run and across worker
-counts.  Leaves are always enumerated in Morton (z-curve) order.
+Grey terminal boxes get their solid volume estimated by jittered-grid
+sampling seeded by each box's path, so every value is reproducible run to
+run and independent of how boxes are batched.  Leaves are always
+enumerated in Morton (z-curve) order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DepthRangeError, MeshMismatchError, NotWatertightError
-from .mesh_io import DEFAULT_SEED, TriMesh, _points_inside, _tri_box_overlap
+from .mesh_io import _SAT_PAIR_BUDGET, DEFAULT_SEED, TriMesh, _points_inside, _tri_box_overlap
 
 DEFAULT_MAX_DEPTH = 5
 DEFAULT_SAMPLES = 4
@@ -242,7 +243,7 @@ def build_octree(
     all_ids = np.arange(len(tc), dtype=np.int64)
     root_hit = _tri_box_overlap(
         tc, root.center[None, :], ((root.box_max - root.box_min) * 0.5 * (1 - _SHRINK))[None, :]
-    )[0]
+    )
     terminal_grey: list[OctantNode] = []
     if not bool(root_hit.any()):
         inside = bool(_points_inside(mesh, root.center[None, :], seed=seed)[0])
@@ -256,7 +257,7 @@ def build_octree(
 
     _estimate_grey_volumes(mesh, terminal_grey, samples, seed)
 
-    return Octree(
+    tree = Octree(
         root=root,
         max_depth=max_depth,
         margin=margin,
@@ -267,6 +268,8 @@ def build_octree(
         mesh_bbox_max=metrics.bbox_max,
         mesh_volume=metrics.volume,
     )
+    tree.fingerprint()  # every report carries it: hash the leaves as part of the build
+    return tree
 
 
 _CHILD_BITS = np.array(
@@ -283,91 +286,103 @@ def _advance_wave(
 ) -> tuple[list[tuple[OctantNode, np.ndarray]], list[OctantNode]]:
     """Subdivide one level of grey nodes; returns (next wave, new terminal greys).
 
-    Children that the surface misses are center-classified in one batch per
-    level, which keeps the expensive parity casts vectorized.
+    Every (node, triangle) pair of the level is SAT-tested against the
+    node's 8 children in chunked batches, and children that the surface
+    misses are center-classified in one batch, which keeps both the
+    overlap tests and the parity casts vectorized.
     """
+    nodes = [node for node, _ in wave]
+    lo = np.array([node.box_min for node in nodes])
+    hi = np.array([node.box_max for node in nodes])
+    mid = 0.5 * (lo + hi)
+    cmin = np.where(_CHILD_BITS, mid[:, None, :], lo[:, None, :])  # (W, 8, 3)
+    cmax = np.where(_CHILD_BITS, hi[:, None, :], mid[:, None, :])
+    size = cmax - cmin
+    centers = 0.5 * (cmin + cmax)
+    halves = 0.5 * size * (1.0 - _SHRINK)
+    volume = size[..., 0] * size[..., 1] * size[..., 2]  # == OctantNode.box_volume
+
+    pair_tri = np.concatenate([tids for _, tids in wave])
+    pair_node = np.repeat(np.arange(len(nodes)), [len(tids) for _, tids in wave])
+    mask = np.empty((len(pair_tri), 8), dtype=bool)
+    for s in range(0, len(pair_tri), _SAT_PAIR_BUDGET):
+        tri, node_of = pair_tri[s : s + _SAT_PAIR_BUDGET], pair_node[s : s + _SAT_PAIR_BUDGET]
+        mask[s : s + _SAT_PAIR_BUDGET] = _tri_box_overlap(
+            tc[tri][:, None], centers[node_of], halves[node_of]
+        )
+
+    # group the hit pairs by (node, child), keeping each node's triangle order
+    pair, child = np.nonzero(mask)
+    group = pair_node[pair] * 8 + child
+    order = np.argsort(group, kind="stable")
+    hit_count = np.bincount(group, minlength=8 * len(nodes))
+    sub_ids = np.split(pair_tri[pair[order]], np.cumsum(hit_count)[:-1])
+
+    miss = hit_count == 0
+    inside = np.zeros(len(miss), dtype=bool)
+    if miss.any():
+        inside[miss] = _points_inside(mesh, centers.reshape(-1, 3)[miss], seed=seed)
+
     next_wave: list[tuple[OctantNode, np.ndarray]] = []
     terminal: list[OctantNode] = []
-    pending: list[tuple[int, int, np.ndarray, np.ndarray, int]] = []
-    slots_by_node: dict[int, list[OctantNode | None]] = {}
-
-    for node, tids in wave:
-        lo, hi = node.box_min, node.box_max
-        mid = 0.5 * (lo + hi)
-        cmin = np.where(_CHILD_BITS, mid, lo)
-        cmax = np.where(_CHILD_BITS, hi, mid)
-        centers = 0.5 * (cmin + cmax)
-        halves = 0.5 * (cmax - cmin)
-        mask = _tri_box_overlap(tc[tids], centers, halves * (1.0 - _SHRINK))
-
-        slots: list[OctantNode | None] = [None] * 8
+    for w, node in enumerate(nodes):
+        depth = node.depth + 1
+        kids = []
         for c in range(8):
-            key = node.path_key << 3 | c
-            hit = mask[c]
-            if bool(hit.any()):
-                child = OctantNode(
-                    box_min=cmin[c],
-                    box_max=cmax[c],
-                    depth=node.depth + 1,
-                    octant_class=OctantClass.GREY,
-                    path_key=key,
-                )
-                sub = tids[hit]
-                if node.depth + 1 >= terminal_depth:
-                    child.tri_ids = sub
-                    terminal.append(child)
-                else:
-                    next_wave.append((child, sub))
-                slots[c] = child
-            else:
-                pending.append((id(node), c, cmin[c], cmax[c], key))
-        slots_by_node[id(node)] = slots
-
-    if pending:
-        centers = np.array([0.5 * (p[2] + p[3]) for p in pending])
-        inside = _points_inside(mesh, centers, seed=seed)
-        for (nid, c, bmin, bmax, key), is_in in zip(pending, inside):
+            g = 8 * w + c
             child = OctantNode(
-                box_min=bmin,
-                box_max=bmax,
-                depth=_depth_of_key(key),
-                octant_class=OctantClass.BLACK if is_in else OctantClass.WHITE,
-                path_key=key,
+                box_min=cmin[w, c],
+                box_max=cmax[w, c],
+                depth=depth,
+                octant_class=OctantClass.GREY,
+                path_key=node.path_key << 3 | c,
             )
-            child.part_volume = child.box_volume if is_in else 0.0
-            slots_by_node[nid][c] = child
-
-    for node, _ in wave:
-        node.children = tuple(slots_by_node[id(node)])  # type: ignore[arg-type]
+            if miss[g]:
+                child.octant_class = OctantClass.BLACK if inside[g] else OctantClass.WHITE
+                child.part_volume = float(volume[w, c]) if inside[g] else 0.0
+            elif depth >= terminal_depth:
+                child.tri_ids = sub_ids[g]
+                terminal.append(child)
+            else:
+                next_wave.append((child, sub_ids[g]))
+            kids.append(child)
+        node.children = tuple(kids)
         node.part_volume = None
         node.tri_ids = None
     return next_wave, terminal
 
 
-def _depth_of_key(path_key: int) -> int:
-    return (path_key.bit_length() - 1) // 3
-
-
-def _jittered_points(node: OctantNode, n: int, seed: int) -> np.ndarray:
-    """n**3 stratified sample points inside the node's box, seeded by its path."""
-    rng = np.random.default_rng([seed, node.path_key])
-    ijk = np.stack(np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"), axis=-1)
-    offs = (ijk.reshape(-1, 3) + rng.random((n**3, 3))) / n
-    return node.box_min + offs * (node.box_max - node.box_min)
+def _sample_lattice(n: int) -> np.ndarray:
+    """The n**3 cell corners (i, j, k) of the stratified sampling grid, (n**3, 3)."""
+    axis = np.arange(n)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def _estimate_grey_volumes(mesh: TriMesh, leaves: list[OctantNode], samples: int, seed: int) -> None:
+    """Set ``part_volume`` of each grey leaf from n**3 jittered-grid samples.
+
+    Each leaf's jitter comes from its own stream ``(seed, path_key)``, so the
+    estimate does not depend on which leaves share a batch.
+    """
     if not leaves:
         return
     n3 = samples**3
     group = max(1, _SAMPLE_POINT_BUDGET // n3)
+    ijk = _sample_lattice(samples)
+    jitter = np.empty((min(group, len(leaves)), n3, 3))
     for s in range(0, len(leaves), group):
         batch = leaves[s : s + group]
-        pts = np.concatenate([_jittered_points(n, samples, seed) for n in batch])
+        for i, node in enumerate(batch):
+            np.random.default_rng([seed, node.path_key]).random(out=jitter[i])
+        lo = np.array([node.box_min for node in batch])
+        size = np.array([node.box_max for node in batch]) - lo
+        offs = (ijk + jitter[: len(batch)]) / samples
+        pts = (lo[:, None, :] + offs * size[:, None, :]).reshape(-1, 3)
         inside = _points_inside(mesh, pts, seed=seed)
-        counts = inside.reshape(len(batch), n3).sum(axis=1)
-        for node, k in zip(batch, counts):
-            node.part_volume = node.box_volume * (float(k) / n3)
+        fraction = inside.reshape(len(batch), n3).sum(axis=1) / n3
+        volume = size[:, 0] * size[:, 1] * size[:, 2]  # == OctantNode.box_volume
+        for node, v in zip(batch, volume * fraction):
+            node.part_volume = float(v)
 
 
 def estimate_part_volume(
@@ -391,11 +406,7 @@ def estimate_part_volume(
         return 0.0
     rng = np.random.default_rng([seed, 1])
     n3 = resolution**3
-    ijk = np.stack(
-        np.meshgrid(np.arange(resolution), np.arange(resolution), np.arange(resolution), indexing="ij"),
-        axis=-1,
-    )
-    offs = (ijk.reshape(-1, 3) + rng.random((n3, 3))) / resolution
+    offs = (_sample_lattice(resolution) + rng.random((n3, 3))) / resolution
     pts = lo + offs * (hi - lo)
     inside = _points_inside(mesh, pts, seed=seed)
     return box_volume * (float(inside.sum()) / n3)
@@ -454,7 +465,7 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
             children=kids,
         )
 
-    return Octree(
+    tree = Octree(
         root=rebuild(octree.root),
         max_depth=new_depth,
         margin=octree.margin,
@@ -465,3 +476,5 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
         mesh_bbox_max=octree.mesh_bbox_max,
         mesh_volume=octree.mesh_volume,
     )
+    tree.fingerprint()
+    return tree

@@ -144,6 +144,38 @@ def test_depth_out_of_range_exits_2(mesh_files):
     assert main(["analyze", str(mesh_files["pocket"]), "--depth", "11", "--workers", "1"]) == 2
 
 
+# Each documented failure exits with its code and a one-line message, never a
+# traceback.  The last case disables the random-direction retries, so a box
+# center whose vertical ray grazes a face diagonal cannot be decided.
+_NO_RAY_RETRIES = "import manumap.mesh_io as m; m._MAX_RAY_ATTEMPTS = 0; "
+
+
+@pytest.mark.parametrize(
+    "flags, prelude, code",
+    [
+        (["--samples", "1"], "", 2),
+        (["--margin", "-1"], "", 2),
+        (["--seed", "-5"], "", 2),
+        (["--workers", "0"], "", 2),
+        (["--workers", "-3"], "", 2),
+        ([], _NO_RAY_RETRIES, 4),
+    ],
+    ids=["samples-1", "margin-neg", "seed-neg", "workers-0", "workers-neg", "ray-parity"],
+)
+def test_failures_exit_with_code_and_no_traceback(tmp_path, flags, prelude, code):
+    mesh = tmp_path / "box.stl"
+    write_binary_stl(box_mesh((10.0, 10.0, 10.0)), mesh)
+    script = prelude + "import sys; from manumap.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "analyze", str(mesh), "--depth", "2", *flags],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_material_exits_2(mesh_files, capsys):
     code = main(["analyze", str(mesh_files["pocket"]), "--material", "unobtainium", *FAST])
     assert code == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manumap import mesh_io
 from manumap.errors import EmptyMeshError, NotWatertightError, ParseError
 from manumap.mesh_io import (
     PointClass,
@@ -292,3 +293,98 @@ def test_triangle_box_translation_covariance(shift):
     assert triangle_box_intersect(tri, lo, hi) == triangle_box_intersect(
         tri + d, lo + d, hi + d
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against one-at-a-time evaluation
+
+
+def _column_reference(grid, xy, z):
+    """Every line against every triangle, no buckets, one line at a time."""
+    m = len(grid._tab)
+    ztol = mesh_io._REL_TOL * grid._scale
+    counts = np.zeros(z.shape, dtype=np.int64)
+    suspect = np.zeros(z.shape, dtype=bool)
+    for i, (x, y) in enumerate(xy):
+        zt, strict, sus = grid._hits(np.full(m, x), np.full(m, y), np.arange(m))
+        for j, h in enumerate(z[i]):
+            dz = zt - h
+            counts[i, j] = (strict & (dz > ztol)).sum()
+            suspect[i, j] = (sus | (strict & (np.abs(dz) <= ztol))).any()
+    return counts, suspect
+
+
+def _column_queries(grid, rng, n=150):
+    """Random lines, lines on grid-cell boundaries, and lines on cell corners."""
+    lo, cell, res = grid._lo, grid._cell, grid._res
+    span = cell * res
+    rand = lo - 0.05 * span + rng.random((n, 2)) * 1.1 * span
+    on_x = rand[: n // 3].copy()
+    on_x[:, 0] = lo[0] + rng.integers(0, res + 1, len(on_x)) * cell[0]
+    corners = lo + rng.integers(0, res + 1, (n // 3, 2)) * cell
+    xy = np.concatenate([rand, on_x, corners])
+    return xy, rng.uniform(-40.0, 80.0, (len(xy), 3))
+
+
+@pytest.mark.parametrize("name", ["sphere", "pocket"])
+def test_column_kernel_matches_brute_force(name, sphere10, pocket_plate):
+    mesh = {"sphere": sphere10, "pocket": pocket_plate}[name]
+    grid = mesh._column_grid()
+    xy, z = _column_queries(grid, np.random.default_rng(17))
+    counts, suspect = grid.crossings_above(xy, z)
+    want_counts, want_suspect = _column_reference(grid, xy, z)
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(suspect, want_suspect)
+    assert counts.any() and (counts == 0).any()
+    if name == "pocket":
+        assert suspect.any()  # vertical pocket walls make grazing lines
+    # one height per line gives the same answer as a column of K heights
+    c0, s0 = grid.crossings_above(xy, z[:, 0])
+    assert np.array_equal(c0, counts[:, 0]) and np.array_equal(s0, suspect[:, 0])
+
+
+def test_column_kernel_chunk_seams(sphere10, monkeypatch):
+    grid = sphere10._column_grid()
+    xy, z = _column_queries(grid, np.random.default_rng(23), n=300)
+    want = grid.crossings_above(xy, z)
+    largest = int(np.diff(grid._ptr).max())
+    assert largest > 2
+    for budget in (1, largest - 1):
+        monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
+        got = grid.crossings_above(xy, z)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _boxes_touching(tc, rng):
+    """Boxes (P, 8) whose faces pass exactly through a vertex of the triangle."""
+    p = len(tc)
+    size = rng.integers(1, 5, (p, 8, 3)) / 4.0
+    vert = tc[np.arange(p)[:, None], rng.integers(0, 3, (p, 8))]  # (P, 8, 3)
+    below = rng.random((p, 8, 3)) < 0.5
+    lo = np.where(below, vert - size, vert)
+    return lo, lo + size
+
+
+def test_batched_sat_matches_single_box():
+    rng = np.random.default_rng(31)
+    p = 400
+    # dyadic coordinates keep centers and half-widths exact, so touching is exact
+    tc = rng.integers(-8, 9, (p, 3, 3)) / 4.0
+    tc[: p // 4, :, 2] = tc[: p // 4, :1, 2]  # some triangles lie in a z plane
+    rand_lo = rng.integers(-8, 8, (p, 8, 3)) / 4.0
+    cases = [
+        (rand_lo, rand_lo + rng.integers(1, 9, (p, 8, 3)) / 4.0),
+        _boxes_touching(tc, rng),
+    ]
+    for k, (lo, hi) in enumerate(cases):
+        got = mesh_io._tri_box_overlap(tc[:, None], 0.5 * (lo + hi), 0.5 * (hi - lo))
+        assert got.shape == (p, 8)
+        want = np.array(
+            [[triangle_box_intersect(tc[i], lo[i, c], hi[i, c]) for c in range(8)]
+             for i in range(p)]
+        )
+        assert np.array_equal(got, want)
+        if k == 0:
+            assert 0 < got.sum() < got.size
+        else:
+            assert got.all()  # a closed box touching a vertex intersects the triangle

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manumap import spatial
 from manumap.errors import DepthRangeError, MeshMismatchError, NotWatertightError
-from manumap.mesh_io import TriMesh
+from manumap.mesh_io import TriMesh, _points_inside
 from manumap.primitives import box_mesh, icosphere
 from manumap.spatial import (
     OctantClass,
@@ -165,6 +166,29 @@ def test_black_white_leaf_volumes(sphere_tree):
             assert leaf.part_volume == 0.0
         else:
             assert 0.0 <= leaf.part_volume <= leaf.box_volume
+
+
+def test_leaf_volumes_match_per_leaf_reference(sphere10, monkeypatch):
+    """Batched wave and sampling arithmetic, at any chunk size, equals the
+    one-leaf-at-a-time form."""
+    n, seed = 3, 5
+    whole = build_octree(sphere10, max_depth=3, samples=n, seed=seed)
+    # SAT chunks of 7 pairs and sampling batches of 3 leaves put seams everywhere
+    monkeypatch.setattr(spatial, "_SAT_PAIR_BUDGET", 7)
+    monkeypatch.setattr(spatial, "_SAMPLE_POINT_BUDGET", 3 * n**3 + 1)
+    tree = build_octree(sphere10, max_depth=3, samples=n, seed=seed)
+    assert tree.fingerprint() == whole.fingerprint()
+    ijk = np.stack(
+        np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"), axis=-1
+    ).reshape(-1, 3)
+    for leaf in tree.leaves():
+        if leaf.octant_class is OctantClass.GREY:
+            jitter = np.random.default_rng([seed, leaf.path_key]).random((n**3, 3))
+            pts = leaf.box_min + (ijk + jitter) / n * (leaf.box_max - leaf.box_min)
+            inside = _points_inside(sphere10, pts, seed=seed)
+            assert leaf.part_volume == leaf.box_volume * (float(inside.sum()) / n**3)
+        elif leaf.octant_class is OctantClass.BLACK:
+            assert leaf.part_volume == leaf.box_volume
 
 
 def test_grey_shell_volume_shrinks_with_depth(sphere10):
