@@ -54,7 +54,7 @@ from .mesh_io import load_mesh
 from .profiles import default_profiles, load_profiles
 from .reporting import (
     ColorScale,
-    _atomic_write_text,
+    _atomic_write_chunks,
     emit_report,
     export_difficulty_map,
     load_report,
@@ -262,7 +262,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.dump_octree:
             buf = io.StringIO()
             result.octree.dump_leaves(buf)
-            _atomic_write_text(Path(args.dump_octree), buf.getvalue())
+            _atomic_write_chunks(Path(args.dump_octree), [buf.getvalue()])
         if args.map:
             index_id = args.map_index or _MAP_INDEX_DEFAULT[process]
             _export_map(result, index_id, args.map, _parse_scale(args.scale))
@@ -335,7 +335,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     profiles = _load_profiles(args.profile_file)
     text = _json.dumps(profiles.to_dict(), sort_keys=True, indent=2)
     if args.json:
-        _atomic_write_text(Path(args.json), text + "\n")
+        _atomic_write_chunks(Path(args.json), [text + "\n"])
     print(text)
     return EXIT_OK
 

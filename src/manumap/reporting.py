@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from .aggregation import AssemblyReport, ComparisonReport, IndexReport
 from .errors import FieldMismatchError, ReportIOError, SchemaMismatchError
 from .fields import LocalIndexField
 from .mesh_io import TriMesh
-from .spatial import OctantClass, Octree
+from .spatial import OctantClass, OctantNode, Octree
 
 SCHEMA_VERSION = 1
 
@@ -72,28 +74,48 @@ class ColorScale:
 # Atomic text output
 
 
-def _atomic_write_text(path, text: str) -> Path:
+def _atomic_write_chunks(path, chunks: Iterable[str]) -> Path:
+    """Write the text pieces to ``path`` via a temporary file, replaced in at the end.
+
+    Nothing is left behind when writing fails, whether the file system or
+    the code producing ``chunks`` raises.
+    """
     out = Path(path)
     tmp = out.with_name(out.name + ".tmp")
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, out)
-    except OSError as exc:
+    except BaseException as exc:
         try:
             tmp.unlink(missing_ok=True)
         except OSError:
             pass
-        raise ReportIOError(f"cannot write {out}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise ReportIOError(f"cannot write {out}: {exc}") from exc
+        raise
     return out
+
+
+#: Rows formatted and joined per write, so no section is held in memory whole.
+_CHUNK_ROWS = 4096
+
+
+def _rows(fmt: str, *tables) -> Iterator[str]:
+    """``fmt`` filled from each row of the side-by-side 2-D ``tables``, in joined chunks."""
+    for s in range(0, len(tables[0]), _CHUNK_ROWS):
+        cols = [col for t in tables for col in t[s : s + _CHUNK_ROWS].T.tolist()]
+        yield "".join(map(fmt.format, *cols))
 
 
 # ---------------------------------------------------------------------------
 # Difficulty maps
 
 
-def _check_field(octree: Octree, index_field: LocalIndexField) -> dict[int, float]:
+def _check_field(octree: Octree, index_field: LocalIndexField) -> list[OctantNode]:
+    """The octree's grey leaves, after checking that the field was computed on them."""
     fp = octree.fingerprint()["content_hash"]
     if index_field.octree_hash and index_field.octree_hash != fp:
         raise FieldMismatchError(
@@ -109,7 +131,7 @@ def _check_field(octree: Octree, index_field: LocalIndexField) -> dict[int, floa
         raise FieldMismatchError(
             f"field {index_field.index_id!r} leaf order does not match the octree"
         )
-    return {n.path_key: float(v) for n, v in zip(greys, index_field.values)}
+    return greys
 
 
 def export_difficulty_map(
@@ -130,97 +152,111 @@ def export_difficulty_map(
     out = Path(path)
     kind = (fmt or out.suffix.lstrip(".")).lower()
     if kind == "ply":
-        text = _ply_text(mesh, octree, index_field, scale)
+        chunks = _ply_chunks(mesh, octree, index_field, scale)
     elif kind == "vtk":
-        text = _vtk_text(octree, index_field, scale)
+        chunks = _vtk_chunks(octree, index_field, scale)
     else:
         raise ValueError(f"unsupported difficulty-map format {kind!r} (use ply or vtk)")
-    return _atomic_write_text(out, text)
+    return _atomic_write_chunks(out, chunks)
 
 
-def _ply_text(
+#: Most (vertex, grey box) distances the PLY nearest-grey fallback holds at once.
+_NEAREST_PAIR_BUDGET = 1 << 18
+
+
+def _ply_chunks(
     mesh: TriMesh, octree: Octree, index_field: LocalIndexField, scale: ColorScale | None
-) -> str:
-    by_key = _check_field(octree, index_field)
+) -> Iterator[str]:
+    greys = _check_field(octree, index_field)
     scale = scale or ColorScale.auto(index_field.values)
-    greys = octree.grey_leaves()
-    grey_centers = np.array([n.center for n in greys])
-    grey_values = index_field.values
+    by_key = dict(zip((n.path_key for n in greys), index_field.values.tolist()))
 
     values = np.empty(len(mesh.vertices))
     misses = []
-    for i, v in enumerate(mesh.vertices):
-        leaf = octree.find_leaf(v)
-        if leaf is not None and leaf.path_key in by_key:
-            values[i] = by_key[leaf.path_key]
-        else:
+    for i, leaf in enumerate(octree.find_leaves(mesh.vertices)):
+        value = None if leaf is None else by_key.get(leaf.path_key)
+        if value is None:
             misses.append(i)
+        else:
+            values[i] = value
     if misses:
         # surface vertices can sit exactly on box faces and descend into a
         # white/black neighbor; grade those by the nearest grey box instead
-        pts = mesh.vertices[misses]
-        d2 = ((pts[:, None, :] - grey_centers[None, :, :]) ** 2).sum(axis=2)
-        values[misses] = grey_values[np.argmin(d2, axis=1)]
+        grey_centers = np.array([n.center for n in greys])
+        step = max(1, _NEAREST_PAIR_BUDGET // len(greys))
+        for s in range(0, len(misses), step):
+            rows = misses[s : s + step]
+            pts = mesh.vertices[rows]
+            d2 = ((pts[:, None, :] - grey_centers[None, :, :]) ** 2).sum(axis=2)
+            values[rows] = index_field.values[np.argmin(d2, axis=1)]
 
-    colors = scale.rgb(values)
-    buf = io.StringIO()
-    buf.write("ply\n")
-    buf.write("format ascii 1.0\n")
-    buf.write(f"comment difficulty map {index_field.index_id}\n")
-    buf.write(f"comment scale {scale.lo!r} {scale.hi!r}\n")
-    buf.write(f"element vertex {len(mesh.vertices)}\n")
-    buf.write("property float x\nproperty float y\nproperty float z\n")
-    buf.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-    buf.write(f"element face {len(mesh.triangles)}\n")
-    buf.write("property list uchar int vertex_indices\n")
-    buf.write("end_header\n")
-    for (x, y, z), (r, g, b) in zip(mesh.vertices, colors):
-        buf.write(f"{x:.9g} {y:.9g} {z:.9g} {r} {g} {b}\n")
-    for a, b, c in mesh.triangles:
-        buf.write(f"3 {a} {b} {c}\n")
-    return buf.getvalue()
+    header = (
+        "ply\n"
+        "format ascii 1.0\n"
+        f"comment difficulty map {index_field.index_id}\n"
+        f"comment scale {scale.lo!r} {scale.hi!r}\n"
+        f"element vertex {len(mesh.vertices)}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+        f"element face {len(mesh.triangles)}\n"
+        "property list uchar int vertex_indices\n"
+        "end_header\n"
+    )
+    return itertools.chain(
+        [header],
+        _rows("{:.9g} {:.9g} {:.9g} {} {} {}\n", mesh.vertices, scale.rgb(values)),
+        _rows("3 {} {} {}\n", mesh.triangles),
+    )
 
 
 # VTK point order for a hexahedron cell: bottom face counterclockwise from
 # (x-, y-, z-), then the top face in the same order.
 _HEX_CORNERS = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
 
+#: One cell's 8 point lines, filled from (x_lo, x_hi, y_lo, y_hi, z_lo, z_hi).
+_HEX_POINTS = "".join(f"{{{cx}}} {{{2 + cy}}} {{{4 + cz}}}\n" for cx, cy, cz in _HEX_CORNERS)
 
-def _vtk_text(octree: Octree, index_field: LocalIndexField, scale: ColorScale | None) -> str:
-    by_key = _check_field(octree, index_field)
+
+def _vtk_chunks(
+    octree: Octree, index_field: LocalIndexField, scale: ColorScale | None
+) -> Iterator[str]:
+    _check_field(octree, index_field)
     scale = scale or ColorScale.auto(index_field.values)
     cells = [
         n
         for n in octree.leaves()
         if n.octant_class in (OctantClass.BLACK, OctantClass.GREY)
     ]
-    buf = io.StringIO()
-    buf.write("# vtk DataFile Version 3.0\n")
-    buf.write(f"difficulty map {index_field.index_id}\n")
-    buf.write("ASCII\n")
-    buf.write("DATASET UNSTRUCTURED_GRID\n")
-    buf.write(f"POINTS {8 * len(cells)} float\n")
-    for n in cells:
-        lo, hi = n.box_min, n.box_max
-        for cx, cy, cz in _HEX_CORNERS:
-            x = hi[0] if cx else lo[0]
-            y = hi[1] if cy else lo[1]
-            z = hi[2] if cz else lo[2]
-            buf.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
-    buf.write(f"CELLS {len(cells)} {9 * len(cells)}\n")
-    for i in range(len(cells)):
-        base = 8 * i
-        buf.write("8 " + " ".join(str(base + k) for k in range(8)) + "\n")
-    buf.write(f"CELL_TYPES {len(cells)}\n")
-    for _ in cells:
-        buf.write("12\n")
-    buf.write(f"CELL_DATA {len(cells)}\n")
-    buf.write("SCALARS difficulty float 1\n")
-    buf.write("LOOKUP_TABLE default\n")
-    for n in cells:
-        value = by_key.get(n.path_key, scale.lo)  # black boxes grade easiest
-        buf.write(f"{value:.9g}\n")
-    return buf.getvalue()
+    n_cells = len(cells)
+    # a tree has few distinct box coordinates: format each once, keyed by
+    # its bits so that -0.0 and 0.0 keep their own spellings
+    bounds = np.array([(n.box_min, n.box_max) for n in cells])  # (C, 2, 3)
+    bits, which = np.unique(bounds.view(np.int64), return_inverse=True)
+    words = np.array([f"{v:.9g}" for v in bits.view(np.float64).tolist()], dtype=object)
+    ends = words[which.reshape(n_cells, 2, 3).transpose(0, 2, 1).reshape(n_cells, 6)]
+
+    # black boxes grade easiest; greys take the field in Morton order
+    grey = np.array([n.octant_class is OctantClass.GREY for n in cells])
+    values = np.full(n_cells, float(scale.lo))
+    values[grey] = index_field.values
+
+    header = (
+        "# vtk DataFile Version 3.0\n"
+        f"difficulty map {index_field.index_id}\n"
+        "ASCII\n"
+        "DATASET UNSTRUCTURED_GRID\n"
+        f"POINTS {8 * n_cells} float\n"
+    )
+    return itertools.chain(
+        [header],
+        _rows(_HEX_POINTS, ends),
+        [f"CELLS {n_cells} {9 * n_cells}\n"],
+        _rows("8" + " {}" * 8 + "\n", np.arange(8 * n_cells).reshape(n_cells, 8)),
+        [f"CELL_TYPES {n_cells}\n"],
+        ("12\n" * min(_CHUNK_ROWS, n_cells - s) for s in range(0, n_cells, _CHUNK_ROWS)),
+        [f"CELL_DATA {n_cells}\n", "SCALARS difficulty float 1\n", "LOOKUP_TABLE default\n"],
+        _rows("{:.9g}\n", values[:, None]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +308,9 @@ def emit_report(report, path, fmt: str | None = None) -> Path:
     out = Path(path)
     kind = (fmt or out.suffix.lstrip(".")).lower()
     if kind == "json":
-        return _atomic_write_text(out, _report_json(report))
+        return _atomic_write_chunks(out, [_report_json(report)])
     if kind == "csv":
-        return _atomic_write_text(out, _report_csv(report))
+        return _atomic_write_chunks(out, [_report_csv(report)])
     raise ValueError(f"unsupported report format {kind!r} (use json or csv)")
 
 

@@ -93,6 +93,7 @@ class Octree:
         self.mesh_bbox_max = mesh_bbox_max
         self.mesh_volume = mesh_volume
         self._leaves: list[OctantNode] | None = None
+        self._greys: list[OctantNode] | None = None
         self._fingerprint: dict | None = None
 
     def leaves(self) -> list[OctantNode]:
@@ -110,22 +111,50 @@ class Octree:
         return self._leaves
 
     def grey_leaves(self) -> list[OctantNode]:
-        return [n for n in self.leaves() if n.octant_class is OctantClass.GREY]
+        """The grey leaves in Morton order; one shared list, not to be mutated."""
+        if self._greys is None:
+            self._greys = [n for n in self.leaves() if n.octant_class is OctantClass.GREY]
+        return self._greys
 
     def total_part_volume(self) -> float:
         return float(sum(n.part_volume or 0.0 for n in self.leaves()))
 
     def find_leaf(self, point) -> OctantNode | None:
-        """Leaf whose half-open box contains ``point`` (None if outside the root)."""
-        p = np.asarray(point, dtype=np.float64)
-        node = self.root
-        if (p < node.box_min).any() or (p > node.box_max).any():
-            return None
-        while node.children is not None:
-            mid = 0.5 * (node.box_min + node.box_max)
-            idx = int(p[0] >= mid[0]) | int(p[1] >= mid[1]) << 1 | int(p[2] >= mid[2]) << 2
-            node = node.children[idx]
-        return node
+        """Leaf whose half-open box contains ``point``, or None outside the root.
+
+        The root's max faces belong to the root, so ``point == root.box_max``
+        still finds a leaf.  A one-point call of :meth:`find_leaves`.
+        """
+        return self.find_leaves(np.reshape(point, (1, 3)))[0]
+
+    def find_leaves(self, points) -> list[OctantNode | None]:
+        """Leaf containing each of the (N, 3) ``points``, None for points outside the root.
+
+        Boxes are half-open: at every node a point goes to the upper child
+        on an axis where ``p >= mid``, so a point on a split plane lands in
+        the box above it.  The root box itself is closed, so points on its
+        max faces (``p == root.box_max``) still find a leaf.  The descent
+        runs level by level over all points at once; its work grows with the
+        nodes the points visit, not with the number of leaves.
+        """
+        p = np.asarray(points, dtype=np.float64)
+        found: list[OctantNode | None] = [None] * len(p)
+        root = self.root
+        rows = np.flatnonzero(~((p < root.box_min) | (p > root.box_max)).any(axis=1))
+        nodes = [root]
+        at = np.zeros(len(rows), dtype=np.intp)  # node of each row, an index into nodes
+        while len(rows):
+            done = np.array([n.children is None for n in nodes])[at]
+            for r, k in zip(rows[done].tolist(), at[done].tolist()):
+                found[r] = nodes[k]
+            rows, at = rows[~done], at[~done]
+            lo = np.array([n.box_min for n in nodes])
+            hi = np.array([n.box_max for n in nodes])
+            upper = p[rows] >= (0.5 * (lo + hi))[at]
+            child = upper[:, 0] + 2 * upper[:, 1] + 4 * upper[:, 2]
+            step, at = np.unique(8 * at + child, return_inverse=True)
+            nodes = [nodes[k >> 3].children[k & 7] for k in step.tolist()]
+        return found
 
     def iter_leaf_records(self):
         for n in self.leaves():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,10 +8,12 @@ from manumap.aggregation import IndexReport, build_assembly_report, compare_repo
 from manumap.errors import FieldMismatchError, ReportIOError, SchemaMismatchError
 from manumap.fields import LocalIndexField
 from manumap.machining import SubtractiveProfile, tool_flexibility_field
-from manumap.primitives import box_mesh
+from manumap import reporting
+from manumap.primitives import box_mesh, icosphere
 from manumap.reporting import (
     ColorScale,
     SCHEMA_VERSION,
+    _atomic_write_chunks,
     emit_report,
     export_difficulty_map,
     load_report,
@@ -207,6 +210,77 @@ def test_map_bytes_stable_across_runs(unit_cube, cube_tree, tmp_path):
     va = export_difficulty_map(unit_cube, cube_tree, f, tmp_path / "a.vtk").read_bytes()
     vb = export_difficulty_map(unit_cube, cube_tree, f, tmp_path / "b.vtk").read_bytes()
     assert va == vb
+
+
+# SHA-256 of maps written by the per-leaf writers the array code replaced;
+# any change to the bytes of a map shows here.
+PINNED_MAP_DIGESTS = {
+    ("cube", "ply"): "bb6ab422ad952cecff46f52d3c0de5de9e1b993fc0db38b69630587e1c2474f9",
+    ("cube", "vtk"): "74d8c1754160394d6469bb2c24f1097b1dbffa69d6158008dcb35bee17a219fc",
+    ("plate", "ply"): "fab8f578218bb4e7e1ffd7d9c3403a166c1e3b8193dde19cd1c3584cde62e4dc",
+    ("plate", "vtk"): "b9eb2905b9365fccb7039a9bb42f30ebcac6abec137b4261eedeb03c54efee73",
+}
+
+
+@pytest.fixture(scope="module")
+def plate_reach(pocket_plate):
+    tree = build_octree(pocket_plate, max_depth=3)
+    return tree, tool_flexibility_field(pocket_plate, tree, SubtractiveProfile())
+
+
+@pytest.mark.parametrize("part, fmt", sorted(PINNED_MAP_DIGESTS))
+def test_map_bytes_pinned(part, fmt, unit_cube, cube_tree, pocket_plate, plate_reach, tmp_path):
+    if part == "cube":
+        mesh, tree = unit_cube, cube_tree
+        field = aligned_field(cube_tree, np.linspace(0, 1, len(cube_tree.grey_leaves())))
+    else:
+        mesh, (tree, field) = pocket_plate, plate_reach
+    out = export_difficulty_map(mesh, tree, field, tmp_path / f"{part}.{fmt}")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_MAP_DIGESTS[part, fmt]
+
+
+def test_nearest_grey_fallback_chunks_match_full_argmin(cube_tree, tmp_path, monkeypatch):
+    # a small ball inside the cube's black core: every vertex misses the greys
+    ball = icosphere(0.2, subdivisions=2, center=(0.5, 0.5, 0.5))
+    assert all(n.octant_class is OctantClass.BLACK for n in cube_tree.find_leaves(ball.vertices))
+    greys = cube_tree.grey_leaves()
+    values = np.random.default_rng(7).random(len(greys))
+    f = aligned_field(cube_tree, values)
+    scale = ColorScale(0.0, 1.0)
+
+    centers = np.array([n.center for n in greys])
+    d2 = ((ball.vertices[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    want = scale.rgb(values[np.argmin(d2, axis=1)])
+
+    maps = []
+    for budget in (1, 3 * len(greys) - 1, len(ball.vertices) * len(greys)):
+        monkeypatch.setattr(reporting, "_NEAREST_PAIR_BUDGET", budget)
+        out = export_difficulty_map(ball, cube_tree, f, tmp_path / f"b{budget}.ply", scale=scale)
+        maps.append(out.read_bytes())
+        np.testing.assert_array_equal(parse_ply_vertices(out.read_text())[:, 3:], want)
+    assert maps[0] == maps[1] == maps[2]
+
+
+def test_maps_span_several_write_chunks(unit_cube, cube_tree, tmp_path, monkeypatch):
+    f = aligned_field(cube_tree, np.linspace(0, 1, len(cube_tree.grey_leaves())))
+    whole = {
+        fmt: export_difficulty_map(unit_cube, cube_tree, f, tmp_path / f"a.{fmt}").read_bytes()
+        for fmt in ("ply", "vtk")
+    }
+    monkeypatch.setattr(reporting, "_CHUNK_ROWS", 5)
+    for fmt in ("ply", "vtk"):
+        out = export_difficulty_map(unit_cube, cube_tree, f, tmp_path / f"b.{fmt}")
+        assert out.read_bytes() == whole[fmt]
+
+
+def test_failed_chunk_leaves_no_partial_file(tmp_path):
+    def chunks():
+        yield "ply\n"
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError):
+        _atomic_write_chunks(tmp_path / "m.ply", chunks())
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

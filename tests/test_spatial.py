@@ -207,6 +207,61 @@ def test_find_leaf_locates_points(sphere_tree):
         assert np.all(p <= np.asarray(leaf.box_max))
 
 
+def _reference_find_leaf(tree, point):
+    """One point, one node per level: the scalar descent the batched one replaces."""
+    p = np.asarray(point, dtype=np.float64)
+    node = tree.root
+    if (p < node.box_min).any() or (p > node.box_max).any():
+        return None
+    while node.children is not None:
+        mid = 0.5 * (node.box_min + node.box_max)
+        idx = int(p[0] >= mid[0]) | int(p[1] >= mid[1]) << 1 | int(p[2] >= mid[2]) << 2
+        node = node.children[idx]
+    return node
+
+
+def _root_probes(tree):
+    """Every root corner (p == box_max included) and points one ulp outside each face."""
+    lo, hi = tree.root.box_min, tree.root.box_max
+    corners = np.where(spatial._CHILD_BITS, hi, lo)
+    outside = []
+    for axis in range(3):
+        for face, away in ((lo, -np.inf), (hi, np.inf)):
+            q = tree.root.center.copy()
+            q[axis] = np.nextafter(face[axis], away)
+            outside.append(q)
+    return corners, np.array(outside)
+
+
+def test_find_leaves_matches_scalar_descent(sphere10, sphere_tree, pocket_plate):
+    plate_tree = build_octree(pocket_plate, max_depth=3)
+    slab = box_mesh((2.0, 2.0, 1.0))  # unmargined: its faces lie on split planes and root faces
+    slab_tree = build_octree(slab, max_depth=3, margin=0.0)
+    cases = [
+        (sphere_tree, sphere10.vertices),
+        (plate_tree, pocket_plate.vertices),
+        (slab_tree, slab.vertices),
+    ]
+    for tree, vertices in cases:
+        corners, outside = _root_probes(tree)
+        leaf_corners = np.array([c for n in tree.leaves() for c in (n.box_min, n.box_max)])
+        points = np.concatenate([vertices, corners, outside, leaf_corners])
+        found = tree.find_leaves(points)
+        assert len(found) == len(points)
+        for p, leaf in zip(points, found):
+            assert leaf is _reference_find_leaf(tree, p)
+            assert tree.find_leaf(p) is leaf
+        assert all(found[len(vertices) + i] is not None for i in range(8))
+        assert all(found[len(vertices) + 8 + i] is None for i in range(6))
+    assert slab_tree.find_leaves(np.empty((0, 3))) == []
+
+
+def test_grey_leaves_built_once(sphere_tree):
+    greys = sphere_tree.grey_leaves()
+    assert sphere_tree.grey_leaves() is greys
+    assert greys == [n for n in sphere_tree.leaves() if n.octant_class is OctantClass.GREY]
+
+
 # ---------------------------------------------------------------------------
 # estimate_part_volume
 
