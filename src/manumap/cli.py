@@ -15,7 +15,7 @@ compatibility and never changes results.
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -53,13 +53,14 @@ from .errors import (
 from .mesh_io import load_mesh
 from .profiles import default_profiles, load_profiles
 from .reporting import (
+    _CHUNK_ROWS,
     ColorScale,
     _atomic_write_chunks,
     emit_report,
     export_difficulty_map,
     load_report,
 )
-from .spatial import build_octree
+from .spatial import _leaf_line, build_octree
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -260,9 +261,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.csv:
             emit_report(result.report, args.csv, fmt="csv")
         if args.dump_octree:
-            buf = io.StringIO()
-            result.octree.dump_leaves(buf)
-            _atomic_write_chunks(Path(args.dump_octree), [buf.getvalue()])
+            # streamed _CHUNK_ROWS leaves per write; an empty join ends the chunks
+            lines = map(_leaf_line, result.octree.iter_leaf_records())
+            chunks = iter(lambda: "".join(itertools.islice(lines, _CHUNK_ROWS)), "")
+            _atomic_write_chunks(Path(args.dump_octree), chunks)
         if args.map:
             index_id = args.map_index or _MAP_INDEX_DEFAULT[process]
             _export_map(result, index_id, args.map, _parse_scale(args.scale))

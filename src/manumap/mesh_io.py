@@ -324,8 +324,15 @@ def _weld(soup: np.ndarray, tol: float = WELD_TOLERANCE_MM) -> TriMesh:
     """Merge near-coincident vertices of a triangle soup and drop junk."""
     flat = soup.reshape(-1, 3)
     keys = np.round(flat / tol).astype(np.int64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    vertices = flat[first]
+    # rows in lexicographic key order (x first), equal keys in input order:
+    # the order and first occurrences of np.unique(keys, axis=0)
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    vertices = flat[order[start]]
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(start) - 1
     triangles = inverse.reshape(-1, 3)
 
     a, b, c = triangles[:, 0], triangles[:, 1], triangles[:, 2]
@@ -602,6 +609,14 @@ class _ColumnGrid:
         A, B, C = xy[:, 0], xy[:, 1], xy[:, 2]
         self._tab = np.column_stack([A, B, C, _cross2(B - A, C - A), tc[..., 2]])
         self._flat_tol = 1e-12 * self._scale**2
+        # Vertical-triangle footprint gate of _hits.  Every q = U + t*e that
+        # _near_tri_edges computes lies in its triangle's xy box up to a few
+        # ulps of the largest coordinate, and the offsets A - P that _hits
+        # compares are rounded by less: a point more than 2*pad plus that
+        # slack outside the box is more than pad from every q, so the edge
+        # test would return False there.
+        self._edge_pad = pad
+        self._gate = 2 * pad + 8 * np.spacing(np.abs(xy).max())
 
     def _cells_of(self, xy: np.ndarray) -> np.ndarray:
         ij = np.floor((xy - self._lo) / self._cell).astype(np.int64)
@@ -638,11 +653,14 @@ class _ColumnGrid:
         suspect = loose ^ strict
         # Vertical triangle whose footprint the point nearly touches: the
         # vertical ray runs inside its plane, so bail out to random casts.
+        # Only points within the gate of the footprint's xy box can be near it.
         if flat.any():
             f = np.flatnonzero(flat)
+            dx, dy = t[0:6:2, f], t[1:6:2, f]  # A-P, B-P, C-P per axis
+            f = f[~(_separated(*dx, self._gate) | _separated(*dy, self._gate))]
             A, B, C = (self._tab[tids[f], r : r + 2] for r in (0, 2, 4))
             P = np.column_stack([px[f], py[f]])
-            suspect[f] |= _near_tri_edges(P, A, B, C, 1e-9 * self._scale)
+            suspect[f] |= _near_tri_edges(P, A, B, C, self._edge_pad)
         return z, strict, suspect
 
     def crossings_above(self, xy: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -731,6 +749,14 @@ def triangle_box_intersect(triangle, box_min, box_max) -> bool:
     return bool(_tri_box_overlap(tri, center, half)[0])
 
 
+def _separated(p0, p1, p2, rad):
+    """One SAT axis: the projections ``p0, p1, p2`` of a triangle's vertices,
+    taken relative to the box center, all lie outside the box's ``[-rad, rad]``."""
+    lo = np.minimum(np.minimum(p0, p1), p2)
+    hi = np.maximum(np.maximum(p0, p1), p2)
+    return (lo > rad) | (hi < -rad)
+
+
 def _tri_box_overlap(tc: np.ndarray, centers: np.ndarray, halves: np.ndarray) -> np.ndarray:
     """SAT overlap of triangles ``tc`` (..., 3, 3) and boxes ``centers`` /
     ``halves`` (..., 3); returns bool (...).
@@ -740,20 +766,21 @@ def _tri_box_overlap(tc: np.ndarray, centers: np.ndarray, halves: np.ndarray) ->
     octree pairs each triangle ``(P, 1, 3, 3)`` with its node's 8 children
     ``(P, 8, 3)``.  Every axis test is elementwise over the leading axes, so
     a pair's answer does not depend on what else is in the batch.
+
+    The 3 box-normal axes come first, as in Akenine-Moller's ordering.  The
+    octree waves also run them alone, through the same :func:`_separated`
+    on the same ``vertex - center`` differences, to drop (pair, child)
+    entries before calling this test: an entry one of them separates would
+    be False here too, so skipping it changes no answer.
     """
     tri = np.moveaxis(tc, (-2, -1), (0, 1))  # (vertex, axis, ...)
     hx, hy, hz = np.moveaxis(halves, -1, 0)
     v = tri - np.moveaxis(centers, -1, 0)  # vertices relative to the box center
 
-    def outside(p0, p1, p2, rad):
-        lo = np.minimum(np.minimum(p0, p1), p2)
-        hi = np.maximum(np.maximum(p0, p1), p2)
-        return (lo > rad) | (hi < -rad)
-
     # box face normals
-    sep = outside(v[0, 0], v[1, 0], v[2, 0], hx)
-    sep |= outside(v[0, 1], v[1, 1], v[2, 1], hy)
-    sep |= outside(v[0, 2], v[1, 2], v[2, 2], hz)
+    sep = _separated(*v[:, 0], hx)
+    sep |= _separated(*v[:, 1], hy)
+    sep |= _separated(*v[:, 2], hz)
 
     # triangle normal
     e0, e1, e2 = tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]
@@ -766,7 +793,7 @@ def _tri_box_overlap(tc: np.ndarray, centers: np.ndarray, halves: np.ndarray) ->
     # axes (1,0,0) x e, (0,1,0) x e, (0,0,1) x e; their zero component is skipped
     for ex, ey, ez in (e0, e1, e2):
         ax, ay, az = np.abs(ex), np.abs(ey), np.abs(ez)
-        sep |= outside(*(-ez * v[i, 1] + ey * v[i, 2] for i in range(3)), hy * az + hz * ay)
-        sep |= outside(*(ez * v[i, 0] - ex * v[i, 2] for i in range(3)), hx * az + hz * ax)
-        sep |= outside(*(-ey * v[i, 0] + ex * v[i, 1] for i in range(3)), hx * ay + hy * ax)
+        sep |= _separated(*(-ez * v[i, 1] + ey * v[i, 2] for i in range(3)), hy * az + hz * ay)
+        sep |= _separated(*(ez * v[i, 0] - ex * v[i, 2] for i in range(3)), hx * az + hz * ax)
+        sep |= _separated(*(-ey * v[i, 0] + ex * v[i, 1] for i in range(3)), hx * ay + hy * ax)
     return ~sep

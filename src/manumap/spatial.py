@@ -21,7 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DepthRangeError, MeshMismatchError, NotWatertightError
-from .mesh_io import _SAT_PAIR_BUDGET, DEFAULT_SEED, TriMesh, _points_inside, _tri_box_overlap
+from .mesh_io import (
+    _SAT_PAIR_BUDGET,
+    DEFAULT_SEED,
+    TriMesh,
+    _points_inside,
+    _separated,
+    _tri_box_overlap,
+)
 
 DEFAULT_MAX_DEPTH = 5
 DEFAULT_SAMPLES = 4
@@ -170,7 +177,7 @@ class Octree:
         """Write one JSON object per leaf (Morton order) to a path or file."""
         if hasattr(target, "write"):
             for rec in self.iter_leaf_records():
-                target.write(json.dumps(rec, sort_keys=True) + "\n")
+                target.write(_leaf_line(rec))
         else:
             with open(Path(target), "w", encoding="utf-8") as fh:
                 self.dump_leaves(fh)
@@ -193,6 +200,11 @@ class Octree:
                 "content_hash": h.hexdigest(),
             }
         return self._fingerprint
+
+
+def _leaf_line(record: dict) -> str:
+    """One line of a leaf dump: a record of :meth:`Octree.iter_leaf_records` as JSON."""
+    return json.dumps(record, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +328,10 @@ def _advance_wave(
     """Subdivide one level of grey nodes; returns (next wave, new terminal greys).
 
     Every (node, triangle) pair of the level is SAT-tested against the
-    node's 8 children in chunked batches, and children that the surface
-    misses are center-classified in one batch, which keeps both the
-    overlap tests and the parity casts vectorized.
+    node's 8 children by :func:`_wave_mask` (box-normal axes first, the
+    full test only where they do not already separate, same hits), and
+    children that the surface misses are center-classified in one batch,
+    which keeps both the overlap tests and the parity casts vectorized.
     """
     nodes = [node for node, _ in wave]
     lo = np.array([node.box_min for node in nodes])
@@ -333,12 +346,7 @@ def _advance_wave(
 
     pair_tri = np.concatenate([tids for _, tids in wave])
     pair_node = np.repeat(np.arange(len(nodes)), [len(tids) for _, tids in wave])
-    mask = np.empty((len(pair_tri), 8), dtype=bool)
-    for s in range(0, len(pair_tri), _SAT_PAIR_BUDGET):
-        tri, node_of = pair_tri[s : s + _SAT_PAIR_BUDGET], pair_node[s : s + _SAT_PAIR_BUDGET]
-        mask[s : s + _SAT_PAIR_BUDGET] = _tri_box_overlap(
-            tc[tri][:, None], centers[node_of], halves[node_of]
-        )
+    mask = _wave_mask(tc, pair_tri, pair_node, centers, halves)
 
     # group the hit pairs by (node, child), keeping each node's triangle order
     pair, child = np.nonzero(mask)
@@ -381,6 +389,43 @@ def _advance_wave(
     return next_wave, terminal
 
 
+def _wave_mask(
+    tc: np.ndarray,
+    pair_tri: np.ndarray,
+    pair_node: np.ndarray,
+    centers: np.ndarray,
+    halves: np.ndarray,
+) -> np.ndarray:
+    """(P, 8) SAT hits of triangle ``pair_tri[p]`` against child c of node ``pair_node[p]``.
+
+    ``centers`` and ``halves`` are the (W, 8, 3) child boxes of the W nodes.
+    The box-normal axes run first, per pair rather than per child: along an
+    axis the 8 children share two slabs, the lower one of child 0 and the
+    upper one of child 7 (child c takes the upper slab where bit a of c is
+    set), with bit-identical center and half-width numbers.  Only the
+    (pair, child) entries no slab separates go through the full
+    :func:`_tri_box_overlap`; every skipped entry is one that test would
+    also call separated, on the same arithmetic, so the mask is unchanged.
+    Pairs run in chunks of :data:`_SAT_PAIR_BUDGET`, and a chunk's
+    surviving entries (at most 8 per pair) are tested together.
+    """
+    slab_c, slab_h = centers[:, [0, 7]], halves[:, [0, 7]]  # (W, lower/upper, 3)
+    mask = np.zeros((len(pair_tri), 8), dtype=bool)
+    for s in range(0, len(pair_tri), _SAT_PAIR_BUDGET):
+        tri = tc[pair_tri[s : s + _SAT_PAIR_BUDGET]]
+        node_of = pair_node[s : s + _SAT_PAIR_BUDGET]
+        keep = np.ones((len(tri), 8), dtype=bool)
+        for axis in range(3):
+            coord = tri[:, :, axis].T  # (vertex, pair)
+            c, h = slab_c[node_of, :, axis], slab_h[node_of, :, axis]
+            lower, upper = (~_separated(*(coord - c[:, k]), h[:, k]) for k in (0, 1))
+            keep &= np.where(_CHILD_BITS[:, axis], upper[:, None], lower[:, None])
+        pair, child = np.nonzero(keep)
+        box = node_of[pair], child
+        mask[s + pair, child] = _tri_box_overlap(tri[pair], centers[box], halves[box])
+    return mask
+
+
 def _sample_lattice(n: int) -> np.ndarray:
     """The n**3 cell corners (i, j, k) of the stratified sampling grid, (n**3, 3)."""
     axis = np.arange(n)
@@ -405,8 +450,12 @@ def _estimate_grey_volumes(mesh: TriMesh, leaves: list[OctantNode], samples: int
             np.random.default_rng([seed, node.path_key]).random(out=jitter[i])
         lo = np.array([node.box_min for node in batch])
         size = np.array([node.box_max for node in batch]) - lo
-        offs = (ijk + jitter[: len(batch)]) / samples
-        pts = (lo[:, None, :] + offs * size[:, None, :]).reshape(-1, 3)
+        # lo + (ijk + jitter) / n * size, in place: no batch-sized temporaries
+        pts = ijk + jitter[: len(batch)]
+        pts /= samples
+        pts *= size[:, None, :]
+        pts += lo[:, None, :]
+        pts = pts.reshape(-1, 3)
         inside = _points_inside(mesh, pts, seed=seed)
         fraction = inside.reshape(len(batch), n3).sum(axis=1) / n3
         volume = size[:, 0] * size[:, 1] * size[:, 2]  # == OctantNode.box_volume

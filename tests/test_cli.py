@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -6,9 +7,12 @@ import numpy as np
 import pytest
 
 from manumap.aggregation import IndexReport
+from manumap import cli
 from manumap.cli import main
+from manumap.mesh_io import load_mesh
 from manumap.primitives import box_mesh, write_binary_stl
 from manumap.reporting import SCHEMA_VERSION, emit_report, load_report
+from manumap.spatial import build_octree
 
 FAST = ["--depth", "2", "--workers", "1"]
 
@@ -84,6 +88,21 @@ def test_analyze_exact_path_flags(mesh_files, tmp_path):
     leaves = [json.loads(line) for line in d.read_text().splitlines()]
     assert leaves
     assert set(leaves[0]) == {"depth", "box_min", "box_max", "class", "part_volume"}
+
+
+def test_dump_octree_streams_the_leaf_dump(mesh_files, tmp_path, monkeypatch):
+    """The streamed CLI dump equals Octree.dump_leaves byte for byte, across write chunks."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
+    d = tmp_path / "leaves.jsonl"
+    seed = ["--seed", "3", "--samples", "3"]
+    assert main(["analyze", str(mesh_files["pocket"]), "--dump-octree", str(d),
+                 *seed, *FAST]) == 0
+    tree = build_octree(load_mesh(mesh_files["pocket"]), max_depth=2, samples=3, seed=3)
+    assert len(tree.leaves()) > 3 * 5  # several chunks, the last one partial
+    buf = io.StringIO()
+    tree.dump_leaves(buf)
+    assert d.read_bytes() == buf.getvalue().encode()
+    assert not (tmp_path / "leaves.jsonl.tmp").exists()
 
 
 def test_analyze_map_index_selection(mesh_files, tmp_path, capsys):

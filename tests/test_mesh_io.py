@@ -115,6 +115,48 @@ def test_degenerate_triangles_dropped():
     assert mesh.num_triangles == 2
 
 
+def _weld_with_unique(soup, tol=mesh_io.WELD_TOLERANCE_MM):
+    """The weld as first written, grouping keys with np.unique(axis=0); the reference."""
+    flat = soup.reshape(-1, 3)
+    keys = np.round(flat / tol).astype(np.int64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    vertices = flat[first]
+    triangles = inverse.reshape(-1, 3)
+    a, b, c = triangles[:, 0], triangles[:, 1], triangles[:, 2]
+    distinct = (a != b) & (b != c) & (c != a)
+    va, vb, vc = vertices[a], vertices[b], vertices[c]
+    area2 = np.linalg.norm(np.cross(vb - va, vc - va), axis=1)
+    span = float(np.ptp(flat, axis=0).max())
+    triangles = triangles[distinct & (area2 > 1e-12 * max(span, 1.0) ** 2)]
+    used = np.unique(triangles)
+    remap = np.full(len(vertices), -1, dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return TriMesh(vertices[used], remap[triangles])
+
+
+def test_weld_matches_unique_reference():
+    rng = np.random.default_rng(41)
+    tol = mesh_io.WELD_TOLERANCE_MM
+    # a closed mesh around the origin, its soup permuted, so coordinates are negative
+    # and every vertex is shared by several triangles (exact duplicates)
+    sphere = icosphere(3.0, subdivisions=2).tri_coords()
+    soups = {"sphere": sphere[rng.permutation(len(sphere))]}
+    # integer keys in a small negative-and-positive box: many exact and
+    # near duplicates (inside tol / 2), degenerate triangles among them
+    grid = rng.integers(-3, 4, (600, 3, 3)) * tol * 7
+    soups["grid"] = grid + rng.uniform(-0.4, 0.4, grid.shape) * tol
+    # vertices whose keys differ only in z, one tolerance step apart, in both z orders
+    base = rng.uniform(-5.0, 5.0, (200, 1, 3))
+    steps = rng.permutation(np.array([[0, 0, 0], [0, 0, 1], [0, 0, -1]] * 200).reshape(200, 3, 3))
+    soups["z-steps"] = base + steps * tol + np.array([[0, 0, 0], [0, 0, 0], [1e-2, 0, 0]])
+    for name, soup in soups.items():
+        got, want = _weld(soup.reshape(-1, 3)), _weld_with_unique(soup)
+        assert np.array_equal(got.vertices, want.vertices), name
+        assert np.array_equal(got.triangles, want.triangles), name
+        assert got.content_hash() == want.content_hash(), name
+    assert len(_weld(soups["grid"].reshape(-1, 3)).vertices) < 7**3
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -353,6 +395,58 @@ def test_column_kernel_chunk_seams(sphere10, monkeypatch):
         monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
         got = grid.crossings_above(xy, z)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _vertical_triangles(rng, n, offset):
+    """n triangles whose xy projection is a segment along ``d``, a third each along
+    x, along y and diagonal; dyadic xy keeps the projection exactly collinear at
+    any offset.  Returns (triangles, unit direction of each segment)."""
+    d = rng.integers(1, 5, (n, 2)) / 8.0 * rng.choice([-1.0, 1.0], (n, 2))
+    d[: n // 3, 1] = 0.0
+    d[n // 3 : 2 * n // 3, 0] = 0.0
+    t = rng.integers(-20, 21, (n, 3)).astype(float)
+    t[:, 1] = t[:, 0] + rng.integers(1, 20, n)  # at least two distinct vertices
+    xy = offset + rng.integers(-64, 64, (n, 1, 2)) / 4.0 + t[..., None] * d[:, None, :]
+    tri = np.concatenate([xy, rng.uniform(-10.0, 10.0, (n, 3, 1))], axis=2)
+    return tri, d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+def test_footprint_gate_matches_edge_test_on_every_flat_pair(offset):
+    """The gate in _hits skips only (point, vertical triangle) pairs whose edge
+    test is False: its suspect flags equal _near_tri_edges over every pair."""
+    rng = np.random.default_rng(47)
+    tc, along = _vertical_triangles(rng, 60, offset)
+    grid = mesh_io._ColumnGrid(tc, 50.0)
+    assert (np.abs(grid._tab[:, 6]) <= grid._flat_tol).all()  # every pair is flat
+    pad = grid._edge_pad
+
+    tid, pts = [], []
+    for i, tri in enumerate(tc[:, :, :2]):
+        lo, hi = tri.min(axis=0), tri.max(axis=0)
+        proj = tri @ along[i]
+        first, last = tri[np.argmin(proj)], tri[np.argmax(proj)]
+        normal = np.array([-along[i, 1], along[i, 0]])
+        probes = [
+            lo - 4.0 + rng.random((40, 2)) * (hi - lo + 8.0),  # around the footprint
+            lo - 2 * pad + rng.random((40, 2)) * (hi - lo + 4 * pad),  # hugging it
+        ]
+        for r in (pad, 2 * pad):  # exactly r from the segment, up to rounding
+            probes.append(
+                [0.5 * (first + last) + r * normal, 0.5 * (first + last) - r * normal,
+                 first - r * along[i], last + r * along[i]]
+            )
+        block = np.concatenate(probes)
+        pts.append(block)
+        tid.append(np.full(len(block), i))
+    tid, pts = np.concatenate(tid), np.concatenate(pts)
+
+    _, strict, suspect = grid._hits(pts[:, 0].copy(), pts[:, 1].copy(), tid)
+    A, B, C = (grid._tab[tid, r : r + 2] for r in (0, 2, 4))
+    want = mesh_io._near_tri_edges(pts, A, B, C, pad)
+    assert not strict.any()
+    assert np.array_equal(suspect, want)
+    assert want.any() and (~want).any()
 
 
 def _boxes_touching(tc, rng):

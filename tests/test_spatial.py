@@ -191,6 +191,91 @@ def test_leaf_volumes_match_per_leaf_reference(sphere10, monkeypatch):
             assert leaf.part_volume == leaf.box_volume
 
 
+def _child_boxes(lo, hi, shrink=spatial._SHRINK):
+    """(W, 8, 3) child centers and half-widths of nodes (W, 3), as a wave builds them."""
+    bits = spatial._CHILD_BITS
+    mid = 0.5 * (lo + hi)
+    cmin = np.where(bits, mid[:, None, :], lo[:, None, :])
+    cmax = np.where(bits, hi[:, None, :], mid[:, None, :])
+    return 0.5 * (cmin + cmax), 0.5 * (cmax - cmin) * (1.0 - shrink)
+
+
+def _wave_cases(rng, w=30, k=5):
+    """Dyadic nodes, each paired with k triangles of six kinds.
+
+    The kinds: lying in a child split plane; lying in a node face; touching a
+    node face from outside; every vertex on slab faces (each coordinate the
+    node's lo, mid or hi); needles; random.  Dyadic numbers keep centers,
+    half-widths and touching exact.
+    """
+    lo = rng.integers(-8, 8, (w, 3)) / 2.0
+    hi = lo + 2.0 ** rng.integers(-1, 3, (w, 1))
+    rows = np.arange(k)
+    tris = []
+    for n in range(w):
+        planes = np.stack([lo[n], 0.5 * (lo[n] + hi[n]), hi[n]])  # (lo, mid, hi) x axis
+        span = hi[n] - lo[n]
+        for kind in range(6):
+            t = lo[n] - span / 4 + rng.integers(0, 13, (k, 3, 3)) / 8.0 * span
+            a = rng.integers(0, 3, k)
+            side = rng.choice([0, 2], k)
+            if kind == 0:
+                t[rows, :, a] = planes[1, a][:, None]
+            elif kind == 1:
+                t[rows, :, a] = planes[side, a][:, None]
+            elif kind == 2:
+                beyond = rng.integers(0, 3, (k, 3)) / 8.0 * span[a][:, None]
+                beyond[:, 0] = 0.0  # vertex 0 on the face, the others outside
+                beyond[side == 0] *= -1.0
+                t[rows, :, a] = planes[side, a][:, None] + beyond
+            elif kind == 3:
+                t = planes[rng.integers(0, 3, (k, 3, 3)), np.arange(3)]
+            elif kind == 4:
+                t[:, 1] = t[:, 0] + 2.0**-20 * rng.integers(-2, 3, (k, 3))
+            tris.append(t)
+    tc = np.concatenate(tris)
+    return tc, np.arange(len(tc)), np.repeat(np.arange(w), 6 * k), lo, hi
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7])
+def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
+    """The box-axis prefilter changes no wave hit, and the full SAT test runs
+    on exactly the (pair, child) entries that no box-normal axis separates."""
+    rng = np.random.default_rng(43)
+    tc, pair_tri, pair_node, lo, hi = _wave_cases(rng)
+    centers, halves = _child_boxes(lo, hi)
+    if budget is not None:
+        monkeypatch.setattr(spatial, "_SAT_PAIR_BUDGET", budget)
+    tested = []
+    full_sat = spatial._tri_box_overlap
+
+    def recording(t, c, h):
+        tested.append(len(t))
+        return full_sat(t, c, h)
+
+    monkeypatch.setattr(spatial, "_tri_box_overlap", recording)
+    got = spatial._wave_mask(tc, pair_tri, pair_node, centers, halves)
+
+    # unfiltered reference: every pair against all 8 children, one pair at a time
+    want = np.array([
+        full_sat(tc[t][None, None], centers[n][None], halves[n][None])[0]
+        for t, n in zip(pair_tri, pair_node)
+    ])
+    assert np.array_equal(got, want)
+    assert 0 < want.sum() < want.size
+
+    def box_axes_separate(halves):
+        v = tc[pair_tri][:, None] - centers[pair_node][:, :, None, :]  # (P, 8, vertex, axis)
+        h = halves[pair_node]
+        return ((v.min(axis=2) > h) | (v.max(axis=2) < -h)).any(axis=2)
+
+    slab_sep = box_axes_separate(halves)
+    assert sum(tested) == int((~slab_sep).sum()) < want.size
+    assert (~slab_sep & ~want).any()  # the other 10 axes still decide some entries
+    # entries that only touch a closed child box are in the cases: the shrink separates them
+    assert (slab_sep & ~box_axes_separate(_child_boxes(lo, hi, shrink=0.0)[1])).any()
+
+
 def test_grey_shell_volume_shrinks_with_depth(sphere10):
     shells = []
     for depth in (2, 3, 4):
@@ -303,6 +388,36 @@ def test_refine_equals_deeper_build(sphere10):
     direct = build_octree(sphere10, max_depth=4)
     assert refined.fingerprint() == direct.fingerprint()
     assert _dump_text(refined) == _dump_text(direct)
+
+
+# content_hash of each tree, recorded before the SAT waves and the column
+# kernel gained their prefilters; a kernel change must not move a byte
+_PINNED_FINGERPRINTS = {
+    "sphere10-d5": "9c397b02caa501558ef5ff84760468db75d925c257bba4e7e1df4152187d6e2d",
+    "pocket-d5": "e1ab98bdc67dd880b51e69a2eaeff91fa66d476ae1c4e0c19708dcc4fd9469bc",
+    "ico20480-d4": "927ac6131a731badfe0b37f58cfc7aa3df1ccf84bf0904423cbb1b366ca7e9e5",
+}
+
+
+@pytest.mark.parametrize(
+    "case, depth",
+    [("sphere10-d5", 5), ("pocket-d5", 5), ("ico20480-d4", 4)],
+)
+def test_octree_fingerprint_pinned(case, depth, sphere10, pocket_plate):
+    # pocket walls are vertical (flat pairs in the column kernel); the
+    # 20,480-triangle sphere gives long triangle lists per node
+    mesh = {
+        "sphere10-d5": sphere10,
+        "pocket-d5": pocket_plate,
+        "ico20480-d4": icosphere(10.0, 5),
+    }[case]
+    tree = build_octree(mesh, max_depth=depth)
+    assert tree.fingerprint()["content_hash"] == _PINNED_FINGERPRINTS[case]
+
+
+def test_refine_fingerprint_pinned(pocket_plate):
+    refined = refine(build_octree(pocket_plate, max_depth=4), pocket_plate)
+    assert refined.fingerprint()["content_hash"] == _PINNED_FINGERPRINTS["pocket-d5"]
 
 
 def test_refine_all_black_tree_is_noop():
