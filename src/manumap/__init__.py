@@ -49,7 +49,6 @@ from .mesh_io import (
     TriMesh,
     as_metrics,
     classify_points,
-    compute_metrics,
     load_mesh,
     point_in_mesh,
     triangle_box_intersect,
@@ -111,7 +110,6 @@ __all__ = [
     "classify_box",
     "classify_points",
     "compare_reports",
-    "compute_metrics",
     "default_profiles",
     "emit_report",
     "estimate_part_volume",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyFieldError, NotWatertightError, ProfileError
-from .fields import LocalIndexField, clamp01, fit_ratio
+from .fields import LocalIndexField, clamp01, fit_ratio, grey_field
 from .mesh_io import as_metrics
 from .spatial import Octree
 
@@ -99,23 +99,17 @@ def build_height_field(
     """
     if reference not in ("top", "centroid"):
         raise ValueError(f"reference must be 'top' or 'centroid', got {reference!r}")
-    leaves = octree.grey_leaves()
-    if not leaves:
+    g = octree.grey_index
+    if not len(g):
         raise EmptyFieldError("no grey leaves to grade")
     bottom = octree.mesh_bbox_min[2]
     env_z = profile.envelope[2]
     if reference == "top":
-        zs = np.array([n.box_max[2] for n in leaves])
+        zs = octree.box_max[g, 2]
     else:
-        zs = np.array([n.center[2] for n in leaves])
+        zs = 0.5 * (octree.box_min[g, 2] + octree.box_max[g, 2])
     values = np.clip((zs - bottom) / env_z, 0.0, 1.0)
-    return LocalIndexField(
-        index_id="build_height",
-        values=values,
-        volumes=np.array([n.part_volume or 0.0 for n in leaves]),
-        octree_hash=octree.fingerprint()["content_hash"],
-        path_keys=tuple(n.path_key for n in leaves),
-    )
+    return grey_field("build_height", octree, values)
 
 
 def platform_distance_field(octree: Octree, profile: AdditiveProfile) -> LocalIndexField:
@@ -125,8 +119,7 @@ def platform_distance_field(octree: Octree, profile: AdditiveProfile) -> LocalIn
     envelope corner grades 1.  With no explicit platform_center the part's
     bounding-box center is taken as centered on the platform.
     """
-    leaves = octree.grey_leaves()
-    if not leaves:
+    if not len(octree.grey_index):
         raise EmptyFieldError("no grey leaves to grade")
     if profile.platform_center is not None:
         cx, cy = profile.platform_center
@@ -134,13 +127,8 @@ def platform_distance_field(octree: Octree, profile: AdditiveProfile) -> LocalIn
         cx = 0.5 * (octree.mesh_bbox_min[0] + octree.mesh_bbox_max[0])
         cy = 0.5 * (octree.mesh_bbox_min[1] + octree.mesh_bbox_max[1])
     half_diag = 0.5 * math.hypot(profile.envelope[0], profile.envelope[1])
-    centers = np.array([n.center[:2] for n in leaves])
+    g = octree.grey_index
+    centers = 0.5 * (octree.box_min[g, :2] + octree.box_max[g, :2])
     dist = np.hypot(centers[:, 0] - cx, centers[:, 1] - cy)
     values = np.clip(dist / half_diag, 0.0, 1.0)
-    return LocalIndexField(
-        index_id="platform_distance",
-        values=values,
-        volumes=np.array([n.part_volume or 0.0 for n in leaves]),
-        octree_hash=octree.fingerprint()["content_hash"],
-        path_keys=tuple(n.path_key for n in leaves),
-    )
+    return grey_field("platform_distance", octree, values)

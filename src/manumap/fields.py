@@ -82,3 +82,15 @@ class LocalIndexField:
     @property
     def max_value(self) -> float:
         return float(self.values.max())
+
+
+def grey_field(index_id: str, octree, values) -> LocalIndexField:
+    """A field of ``values`` over ``octree``'s grey leaves, tied to that octree."""
+    g = octree.grey_index
+    return LocalIndexField(
+        index_id=index_id,
+        values=values,
+        volumes=octree.part_volume[g],
+        octree_hash=octree.fingerprint()["content_hash"],
+        path_keys=tuple(octree.path_key[g].tolist()),
+    )

@@ -20,7 +20,7 @@ from .errors import (
     NotWatertightError,
     ProfileError,
 )
-from .fields import LocalIndexField, clamp01, fit_ratio
+from .fields import LocalIndexField, clamp01, fit_ratio, grey_field
 from .mesh_io import TriMesh, as_metrics
 from .spatial import Octree
 
@@ -133,35 +133,26 @@ def tool_flexibility_field(
     """
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")
-    leaves = octree.grey_leaves()
-    if not leaves:
+    if not len(octree.grey_index):
         raise EmptyFieldError("no grey leaves to grade")
-
-    return LocalIndexField(
-        index_id="tool_flexibility",
-        values=_solve_leaves(mesh, octree, profile, leaves),
-        volumes=np.array([n.part_volume or 0.0 for n in leaves]),
-        octree_hash=octree.fingerprint()["content_hash"],
-        path_keys=tuple(n.path_key for n in leaves),
-    )
+    return grey_field("tool_flexibility", octree, _solve_leaves(mesh, octree, profile))
 
 
 _PROBE_DIRS = np.array([(0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
 
 
-def _solve_leaves(
-    mesh: TriMesh, octree: Octree, profile: SubtractiveProfile, leaves
-) -> np.ndarray:
+def _solve_leaves(mesh: TriMesh, octree: Octree, profile: SubtractiveProfile) -> np.ndarray:
     metrics = mesh.metrics
     part_top = metrics.bbox_max[2]
     eps = _EPS_REL * metrics.max_dimension
 
-    tops = np.array([n.box_max[2] for n in leaves])
-    centers = np.array([n.center[:2] for n in leaves])
-    keys = np.array([n.path_key for n in leaves], dtype=np.int64)
+    g = octree.grey_index
+    tops = octree.box_max[g, 2]
+    centers = 0.5 * (octree.box_min[g, :2] + octree.box_max[g, :2])
+    keys = octree.path_key[g]
     reach = part_top - tops
 
-    values = np.full(len(leaves), 1.0)  # unreachable until proven otherwise
+    values = np.full(len(g), 1.0)  # unreachable until proven otherwise
     values[reach <= eps] = 0.0  # top-plane boxes need no descent
     unresolved = reach > eps
 

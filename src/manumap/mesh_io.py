@@ -355,11 +355,6 @@ def _weld(soup: np.ndarray, tol: float = WELD_TOLERANCE_MM) -> TriMesh:
 # Metrics
 
 
-def compute_metrics(mesh: TriMesh) -> MeshMetrics:
-    """Measurements of ``mesh``; cached on the mesh after the first call."""
-    return mesh.metrics
-
-
 def _measure(mesh: TriMesh) -> MeshMetrics:
     tc = mesh.vertices[mesh.triangles]
     bbox_min = mesh.vertices.min(axis=0)

@@ -22,7 +22,7 @@ from .aggregation import AssemblyReport, ComparisonReport, IndexReport
 from .errors import FieldMismatchError, ReportIOError, SchemaMismatchError
 from .fields import LocalIndexField
 from .mesh_io import TriMesh
-from .spatial import OctantClass, OctantNode, Octree
+from .spatial import _GREY, _WHITE, Octree
 
 SCHEMA_VERSION = 1
 
@@ -114,24 +114,23 @@ def _rows(fmt: str, *tables) -> Iterator[str]:
 # Difficulty maps
 
 
-def _check_field(octree: Octree, index_field: LocalIndexField) -> list[OctantNode]:
-    """The octree's grey leaves, after checking that the field was computed on them."""
+def _check_field(octree: Octree, index_field: LocalIndexField) -> None:
+    """Check that the field was computed on the octree's grey leaves."""
     fp = octree.fingerprint()["content_hash"]
     if index_field.octree_hash and index_field.octree_hash != fp:
         raise FieldMismatchError(
             f"field {index_field.index_id!r} was computed on a different octree"
         )
-    greys = octree.grey_leaves()
-    if len(greys) != len(index_field):
+    g = octree.grey_index
+    if len(g) != len(index_field):
         raise FieldMismatchError(
             f"field {index_field.index_id!r} has {len(index_field)} values "
-            f"for {len(greys)} grey leaves"
+            f"for {len(g)} grey leaves"
         )
-    if index_field.path_keys and tuple(n.path_key for n in greys) != index_field.path_keys:
+    if index_field.path_keys and tuple(octree.path_key[g].tolist()) != index_field.path_keys:
         raise FieldMismatchError(
             f"field {index_field.index_id!r} leaf order does not match the octree"
         )
-    return greys
 
 
 def export_difficulty_map(
@@ -167,23 +166,22 @@ _NEAREST_PAIR_BUDGET = 1 << 18
 def _ply_chunks(
     mesh: TriMesh, octree: Octree, index_field: LocalIndexField, scale: ColorScale | None
 ) -> Iterator[str]:
-    greys = _check_field(octree, index_field)
+    _check_field(octree, index_field)
     scale = scale or ColorScale.auto(index_field.values)
-    by_key = dict(zip((n.path_key for n in greys), index_field.values.tolist()))
+    g = octree.grey_index
 
-    values = np.empty(len(mesh.vertices))
-    misses = []
-    for i, leaf in enumerate(octree.find_leaves(mesh.vertices)):
-        value = None if leaf is None else by_key.get(leaf.path_key)
-        if value is None:
-            misses.append(i)
-        else:
-            values[i] = value
-    if misses:
+    # each vertex's leaf as a rank among the greys: -1 off them, and through
+    # the extra last slot also for vertices outside the root (leaf index -1)
+    grey_rank = np.full(len(octree.path_key) + 1, -1)
+    grey_rank[g] = np.arange(len(g))
+    rank = grey_rank[octree.find_leaves(mesh.vertices)]
+    values = index_field.values[rank]
+    misses = np.flatnonzero(rank < 0)
+    if len(misses):
         # surface vertices can sit exactly on box faces and descend into a
         # white/black neighbor; grade those by the nearest grey box instead
-        grey_centers = np.array([n.center for n in greys])
-        step = max(1, _NEAREST_PAIR_BUDGET // len(greys))
+        grey_centers = 0.5 * (octree.box_min[g] + octree.box_max[g])
+        step = max(1, _NEAREST_PAIR_BUDGET // len(g))
         for s in range(0, len(misses), step):
             rows = misses[s : s + step]
             pts = mesh.vertices[rows]
@@ -222,21 +220,17 @@ def _vtk_chunks(
 ) -> Iterator[str]:
     _check_field(octree, index_field)
     scale = scale or ColorScale.auto(index_field.values)
-    cells = [
-        n
-        for n in octree.leaves()
-        if n.octant_class in (OctantClass.BLACK, OctantClass.GREY)
-    ]
+    cells = np.flatnonzero(octree.class_code != _WHITE)
     n_cells = len(cells)
     # a tree has few distinct box coordinates: format each once, keyed by
     # its bits so that -0.0 and 0.0 keep their own spellings
-    bounds = np.array([(n.box_min, n.box_max) for n in cells])  # (C, 2, 3)
+    bounds = np.stack([octree.box_min[cells], octree.box_max[cells]], axis=1)  # (C, 2, 3)
     bits, which = np.unique(bounds.view(np.int64), return_inverse=True)
     words = np.array([f"{v:.9g}" for v in bits.view(np.float64).tolist()], dtype=object)
     ends = words[which.reshape(n_cells, 2, 3).transpose(0, 2, 1).reshape(n_cells, 6)]
 
     # black boxes grade easiest; greys take the field in Morton order
-    grey = np.array([n.octant_class is OctantClass.GREY for n in cells])
+    grey = octree.class_code[cells] == _GREY
     values = np.full(n_cells, float(scale.lo))
     values[grey] = index_field.values
 

@@ -5,8 +5,8 @@ recursively: boxes fully inside the part are black, fully outside are white,
 and boxes crossed by the surface are grey and subdivided until ``max_depth``.
 Grey terminal boxes get their solid volume estimated by jittered-grid
 sampling seeded by each box's path, so every value is reproducible run to
-run and independent of how boxes are batched.  Leaves are always
-enumerated in Morton (z-curve) order.
+run and independent of how boxes are batched.  The tree is linear: it keeps
+only its leaves, as arrays in Morton (z-curve) order.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,22 +48,28 @@ class OctantClass(enum.Enum):
     GREY = "grey"  # crossed by the surface
 
 
-@dataclass(eq=False, slots=True)
+#: Leaf class codes in ``Octree.class_code``, and the class each code stands for.
+_BLACK, _WHITE, _GREY = 0, 1, 2
+_CLASSES = (OctantClass.BLACK, OctantClass.WHITE, OctantClass.GREY)
+
+#: One leaf of the fingerprint's hash input: depth, box corners, class name
+#: (5 bytes, of which "grey" uses 4), part volume; packed, little-endian.
+_FINGERPRINT_RECORD = np.dtype(
+    [("depth", "<i4"), ("box", "<f8", (6,)), ("class", "S5"), ("volume", "<f8")]
+)
+_CLASS_NAMES = np.array([c.value.encode() for c in _CLASSES], dtype="S5")
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class OctantNode:
-    """One octree box.  ``part_volume`` is set on black and grey leaves only."""
+    """One leaf box of an :class:`Octree`: a read-only record of one row of its arrays."""
 
     box_min: np.ndarray
     box_max: np.ndarray
     depth: int
     octant_class: OctantClass
     path_key: int
-    children: tuple["OctantNode", ...] | None = None
-    part_volume: float | None = None
-    tri_ids: np.ndarray | None = None  # grey terminal leaves keep theirs for refine()
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
+    part_volume: float
 
     @property
     def center(self) -> np.ndarray:
@@ -75,102 +80,133 @@ class OctantNode:
         return float(np.prod(self.box_max - self.box_min))
 
 
-class Octree:
-    """Result of :func:`build_octree`; treat as immutable once built."""
+#: The leaf columns of an :class:`Octree`; a tuple of leaf arrays comes in this order.
+_LEAF_COLUMNS = ("path_key", "depth", "class_code", "box_min", "box_max", "part_volume")
 
-    def __init__(
-        self,
-        root: OctantNode,
-        max_depth: int,
-        margin: float,
-        samples: int,
-        seed: int,
-        mesh_hash: str,
-        mesh_bbox_min: tuple[float, float, float],
-        mesh_bbox_max: tuple[float, float, float],
-        mesh_volume: float,
-    ):
-        self.root = root
-        self.max_depth = max_depth
-        self.margin = margin
-        self.samples = samples
-        self.seed = seed
-        self.mesh_hash = mesh_hash
-        self.mesh_bbox_min = mesh_bbox_min
-        self.mesh_bbox_max = mesh_bbox_max
-        self.mesh_volume = mesh_volume
+
+@dataclass(eq=False, repr=False)
+class Octree:
+    """Result of :func:`build_octree`: a linear octree, its leaves as arrays.
+
+    Row i of ``path_key``, ``depth``, ``class_code``, ``box_min``,
+    ``box_max`` and ``part_volume`` describes leaf i, and the rows are in
+    Morton (z-curve) order.  The boxes are the ones the subdivision computed
+    (``mid = 0.5 * (lo + hi)`` at each level), not re-derived from the key,
+    which would round differently.  ``grey_index`` lists the grey rows;
+    every grey leaf sits at ``max_depth``, and grey leaf g keeps the
+    triangles crossing it, ``grey_tri_ids[grey_tri_ptr[g]:grey_tri_ptr[g + 1]]``,
+    for :func:`refine`.  All arrays are read-only.
+    """
+
+    path_key: np.ndarray  # (L,) int64: 1, then 3 bits (x + 2y + 4z) per level
+    depth: np.ndarray  # (L,) int32
+    class_code: np.ndarray  # (L,) int8, an index into _CLASSES
+    box_min: np.ndarray  # (L, 3) float64
+    box_max: np.ndarray  # (L, 3) float64
+    part_volume: np.ndarray  # (L,) float64
+    grey_tri_ptr: np.ndarray  # (G + 1,) offsets into grey_tri_ids
+    grey_tri_ids: np.ndarray
+    max_depth: int
+    margin: float
+    samples: int
+    seed: int
+    mesh_hash: str
+    mesh_bbox_min: tuple[float, float, float]
+    mesh_bbox_max: tuple[float, float, float]
+    mesh_volume: float
+
+    def __post_init__(self):
+        for name in (*_LEAF_COLUMNS, "grey_tri_ptr", "grey_tri_ids"):
+            getattr(self, name).setflags(write=False)
+        self.grey_index = np.flatnonzero(self.class_code == _GREY)
+        self.grey_index.setflags(write=False)
         self._leaves: list[OctantNode] | None = None
         self._greys: list[OctantNode] | None = None
         self._fingerprint: dict | None = None
+        self._by_key: tuple[np.ndarray, np.ndarray] | None = None  # sorted keys, leaf of each
 
     def leaves(self) -> list[OctantNode]:
-        """All leaf boxes in Morton order (depth-first, child index 0..7)."""
+        """A record per leaf, in Morton order; one shared list, built on first use."""
         if self._leaves is None:
-            out: list[OctantNode] = []
-            stack = [self.root]
-            while stack:
-                node = stack.pop()
-                if node.children is None:
-                    out.append(node)
-                else:
-                    stack.extend(reversed(node.children))
-            self._leaves = out
+            self._leaves = [
+                OctantNode(lo, hi, d, _CLASSES[c], k, v)
+                for lo, hi, d, c, k, v in zip(
+                    self.box_min,
+                    self.box_max,
+                    self.depth.tolist(),
+                    self.class_code.tolist(),
+                    self.path_key.tolist(),
+                    self.part_volume.tolist(),
+                )
+            ]
         return self._leaves
 
     def grey_leaves(self) -> list[OctantNode]:
-        """The grey leaves in Morton order; one shared list, not to be mutated."""
+        """The grey leaves' records in Morton order; one shared list, not to be mutated."""
         if self._greys is None:
-            self._greys = [n for n in self.leaves() if n.octant_class is OctantClass.GREY]
+            leaves = self.leaves()
+            self._greys = [leaves[i] for i in self.grey_index.tolist()]
         return self._greys
 
     def total_part_volume(self) -> float:
-        return float(sum(n.part_volume or 0.0 for n in self.leaves()))
+        return float(sum(self.part_volume.tolist()))
 
     def find_leaf(self, point) -> OctantNode | None:
-        """Leaf whose half-open box contains ``point``, or None outside the root.
+        """Record of the leaf whose half-open box contains ``point``, or None outside the root.
 
-        The root's max faces belong to the root, so ``point == root.box_max``
-        still finds a leaf.  A one-point call of :meth:`find_leaves`.
+        The root's max faces belong to the root, so a point on them still
+        finds a leaf.  A one-point call of :meth:`find_leaves`.
         """
-        return self.find_leaves(np.reshape(point, (1, 3)))[0]
+        i = int(self.find_leaves(np.reshape(point, (1, 3)))[0])
+        return None if i < 0 else self.leaves()[i]
 
-    def find_leaves(self, points) -> list[OctantNode | None]:
-        """Leaf containing each of the (N, 3) ``points``, None for points outside the root.
+    def find_leaves(self, points) -> np.ndarray:
+        """Index of the leaf containing each of the (N, 3) ``points``, -1 outside the root.
 
-        Boxes are half-open: at every node a point goes to the upper child
-        on an axis where ``p >= mid``, so a point on a split plane lands in
-        the box above it.  The root box itself is closed, so points on its
-        max faces (``p == root.box_max``) still find a leaf.  The descent
-        runs level by level over all points at once; its work grows with the
-        nodes the points visit, not with the number of leaves.
+        Boxes are half-open: at every level a point goes to the upper child
+        on an axis where ``p >= mid``, with ``mid = 0.5 * (lo + hi)`` of the
+        box it is in, so a point on a split plane lands in the box above it.
+        The root box itself is closed, so points on its max faces still find
+        a leaf.  All points descend level by level at once, each stopping
+        when its path key is a leaf's.
         """
-        p = np.asarray(points, dtype=np.float64)
-        found: list[OctantNode | None] = [None] * len(p)
-        root = self.root
-        rows = np.flatnonzero(~((p < root.box_min) | (p > root.box_max)).any(axis=1))
-        nodes = [root]
-        at = np.zeros(len(rows), dtype=np.intp)  # node of each row, an index into nodes
+        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        found = np.full(len(p), -1, dtype=np.intp)
+        # Morton order starts with the all-lower corner leaf and ends with the all-upper one
+        lo, hi = self.box_min[0], self.box_max[-1]
+        rows = np.flatnonzero(~((p < lo) | (p > hi)).any(axis=1))
+        lo = np.broadcast_to(lo, (len(rows), 3))
+        hi = np.broadcast_to(hi, (len(rows), 3))
+        key = np.ones(len(rows), dtype=np.int64)
+        if self._by_key is None:
+            order = np.argsort(self.path_key)
+            self._by_key = self.path_key[order], order
+        sorted_keys, leaf_of = self._by_key
         while len(rows):
-            done = np.array([n.children is None for n in nodes])[at]
-            for r, k in zip(rows[done].tolist(), at[done].tolist()):
-                found[r] = nodes[k]
-            rows, at = rows[~done], at[~done]
-            lo = np.array([n.box_min for n in nodes])
-            hi = np.array([n.box_max for n in nodes])
-            upper = p[rows] >= (0.5 * (lo + hi))[at]
-            child = upper[:, 0] + 2 * upper[:, 1] + 4 * upper[:, 2]
-            step, at = np.unique(8 * at + child, return_inverse=True)
-            nodes = [nodes[k >> 3].children[k & 7] for k in step.tolist()]
+            at = np.minimum(np.searchsorted(sorted_keys, key), len(sorted_keys) - 1)
+            leaf = sorted_keys[at] == key
+            found[rows[leaf]] = leaf_of[at[leaf]]
+            rows, key, lo, hi = rows[~leaf], key[~leaf], lo[~leaf], hi[~leaf]
+            mid = 0.5 * (lo + hi)
+            upper = p[rows] >= mid
+            key = key << 3 | (upper[:, 0] + 2 * upper[:, 1] + 4 * upper[:, 2])
+            lo, hi = np.where(upper, mid, lo), np.where(upper, hi, mid)
         return found
 
     def iter_leaf_records(self):
-        for n in self.leaves():
+        for depth, lo, hi, code, volume in zip(
+            self.depth.tolist(),
+            self.box_min.tolist(),
+            self.box_max.tolist(),
+            self.class_code.tolist(),
+            self.part_volume.tolist(),
+        ):
             yield {
-                "depth": n.depth,
-                "box_min": [float(v) for v in n.box_min],
-                "box_max": [float(v) for v in n.box_max],
-                "class": n.octant_class.value,
-                "part_volume": None if n.part_volume is None else float(n.part_volume),
+                "depth": depth,
+                "box_min": lo,
+                "box_max": hi,
+                "class": _CLASSES[code].value,
+                "part_volume": volume,
             }
 
     def dump_leaves(self, target) -> None:
@@ -183,21 +219,25 @@ class Octree:
                 self.dump_leaves(fh)
 
     def fingerprint(self) -> dict:
-        """Stable identity of the decomposition: depth, leaf count, content hash."""
+        """Stable identity of the decomposition: depth, leaf count, content hash.
+
+        The hash runs over one record per leaf in Morton order: depth as
+        int32, box_min and box_max as float64, the class name in ASCII and
+        the part volume as float64.
+        """
         if self._fingerprint is None:
-            h = hashlib.sha256()
-            count = 0
-            for n in self.leaves():
-                h.update(struct.pack("<i", n.depth))
-                h.update(np.asarray(n.box_min).tobytes())
-                h.update(np.asarray(n.box_max).tobytes())
-                h.update(n.octant_class.value.encode())
-                h.update(struct.pack("<d", -1.0 if n.part_volume is None else n.part_volume))
-                count += 1
+            rec = np.empty(len(self.path_key), dtype=_FINGERPRINT_RECORD)
+            rec["depth"] = self.depth
+            rec["box"] = np.hstack([self.box_min, self.box_max])
+            rec["class"] = _CLASS_NAMES[self.class_code]
+            rec["volume"] = self.part_volume
+            raw = rec.view(np.uint8).reshape(len(rec), -1)
+            keep = np.ones(raw.shape, dtype=bool)
+            keep[self.grey_index, _FINGERPRINT_RECORD.fields["class"][1] + 4] = False
             self._fingerprint = {
                 "max_depth": self.max_depth,
-                "leaf_count": count,
-                "content_hash": h.hexdigest(),
+                "leaf_count": len(rec),
+                "content_hash": hashlib.sha256(raw[keep].tobytes()).hexdigest(),
             }
         return self._fingerprint
 
@@ -272,34 +312,27 @@ def build_octree(
     bbox_max = np.array(metrics.bbox_max)
     center = 0.5 * (bbox_min + bbox_max)
     half = 0.5 * metrics.max_dimension * (1.0 + margin)
-    root = OctantNode(
-        box_min=center - half,
-        box_max=center + half,
-        depth=0,
-        octant_class=OctantClass.GREY,
-        path_key=1,
-    )
+    lo, hi = (center - half)[None, :], (center + half)[None, :]
+    root_key = np.ones(1, dtype=np.int64)
 
-    tc = mesh.tri_coords()
-    all_ids = np.arange(len(tc), dtype=np.int64)
-    root_hit = _tri_box_overlap(
-        tc, root.center[None, :], ((root.box_max - root.box_min) * 0.5 * (1 - _SHRINK))[None, :]
-    )
-    terminal_grey: list[OctantNode] = []
-    if not bool(root_hit.any()):
-        inside = bool(_points_inside(mesh, root.center[None, :], seed=seed)[0])
-        root.octant_class = OctantClass.BLACK if inside else OctantClass.WHITE
-        root.part_volume = root.box_volume if inside else 0.0
+    root_hit = _tri_box_overlap(mesh.tri_coords(), 0.5 * (lo + hi), (hi - lo) * 0.5 * (1 - _SHRINK))
+    if root_hit.any():
+        tri_ids = np.flatnonzero(root_hit)
+        root_of = np.zeros(len(tri_ids), dtype=np.intp)
+        leaves, tri_ptr, tri_ids = _grow(
+            mesh, [], lo, hi, root_key, root_of, tri_ids, 0, max_depth, samples, seed
+        )
     else:
-        wave = [(root, all_ids[root_hit])]
-        while wave:
-            wave, newly_terminal = _advance_wave(mesh, tc, wave, max_depth, seed)
-            terminal_grey.extend(newly_terminal)
-
-    _estimate_grey_volumes(mesh, terminal_grey, samples, seed)
+        inside = bool(_points_inside(mesh, 0.5 * (lo + hi), seed=seed)[0])
+        code = np.array([_BLACK if inside else _WHITE], dtype=np.int8)
+        volume = np.array([float(np.prod(hi - lo)) if inside else 0.0])
+        leaves = (root_key, np.zeros(1, dtype=np.int32), code, lo, hi, volume)
+        tri_ptr, tri_ids = np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)
 
     tree = Octree(
-        root=root,
+        *leaves,
+        grey_tri_ptr=tri_ptr,
+        grey_tri_ids=tri_ids,
         max_depth=max_depth,
         margin=margin,
         samples=samples,
@@ -318,14 +351,72 @@ _CHILD_BITS = np.array(
 )
 
 
+def _grow(
+    mesh: TriMesh,
+    done: list[tuple[np.ndarray, ...]],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    keys: np.ndarray,
+    pair_node: np.ndarray,
+    pair_tri: np.ndarray,
+    depth: int,
+    max_depth: int,
+    samples: int,
+    seed: int,
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Subdivide grey nodes level by level down to ``max_depth``; the finished leaves.
+
+    The W nodes at ``depth`` have boxes ``lo``/``hi`` (W, 3) and path keys
+    ``keys``, in Morton order, and triangle ``pair_tri[p]`` crosses node
+    ``pair_node[p]``.  The leaves of ``done``, tuples of leaf arrays as in
+    :data:`_LEAF_COLUMNS`, are kept as they are.  Returns all leaves in
+    Morton order and the grey leaves' triangle lists as a CSR (offsets,
+    triangle ids).  Children of Morton-ordered nodes come out Morton-ordered,
+    so the greys, all made by the last wave, keep their order through the
+    final sort and stay aligned with the CSR.
+    """
+    while True:
+        depth += 1
+        lo, hi, keys, code, volume, pair_child, pair_tri = _advance_wave(
+            mesh, lo, hi, keys, pair_node, pair_tri, seed
+        )
+        wave = (keys, np.full(len(keys), depth, dtype=np.int32), code, lo, hi, volume)
+        grey = code == _GREY
+        grey_of = np.cumsum(grey) - 1  # a grey child's index among the grey children
+        if depth == max_depth or not grey.any():
+            break
+        done.append(tuple(column[~grey] for column in wave))
+        lo, hi, keys = lo[grey], hi[grey], keys[grey]
+        pair_node = grey_of[pair_child]
+
+    volume[grey] = _estimate_grey_volumes(mesh, lo[grey], hi[grey], keys[grey], samples, seed)
+    done.append(wave)
+    key, depth, *rest = (np.concatenate(column) for column in zip(*done))
+    # left-aligned keys: drop the leading 1 and pad every key to max_depth levels
+    shift = 3 * depth.astype(np.int64)
+    morton = (key ^ (1 << shift)) << (3 * max_depth - shift)
+    order = np.argsort(morton)
+    counts = np.bincount(grey_of[pair_child], minlength=int(grey.sum()))
+    tri_ptr = np.concatenate([[0], np.cumsum(counts)])
+    return tuple(column[order] for column in (key, depth, *rest)), tri_ptr, pair_tri
+
+
 def _advance_wave(
     mesh: TriMesh,
-    tc: np.ndarray,
-    wave: list[tuple[OctantNode, np.ndarray]],
-    terminal_depth: int,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    keys: np.ndarray,
+    pair_node: np.ndarray,
+    pair_tri: np.ndarray,
     seed: int,
-) -> tuple[list[tuple[OctantNode, np.ndarray]], list[OctantNode]]:
-    """Subdivide one level of grey nodes; returns (next wave, new terminal greys).
+) -> tuple[np.ndarray, ...]:
+    """Split W grey nodes into their 8 children each; returns the 8W children.
+
+    Children come node by node, child c of a node taking the upper half on
+    axis a where bit a of c is set.  Returns their boxes (8W, 3), path keys,
+    class codes, part volumes (NaN on grey children, which are sampled
+    later), and the (child, triangle) hit pairs ordered by child, each
+    child's triangles in its node's order.
 
     Every (node, triangle) pair of the level is SAT-tested against the
     node's 8 children by :func:`_wave_mask` (box-normal axes first, the
@@ -333,60 +424,29 @@ def _advance_wave(
     children that the surface misses are center-classified in one batch,
     which keeps both the overlap tests and the parity casts vectorized.
     """
-    nodes = [node for node, _ in wave]
-    lo = np.array([node.box_min for node in nodes])
-    hi = np.array([node.box_max for node in nodes])
     mid = 0.5 * (lo + hi)
-    cmin = np.where(_CHILD_BITS, mid[:, None, :], lo[:, None, :])  # (W, 8, 3)
-    cmax = np.where(_CHILD_BITS, hi[:, None, :], mid[:, None, :])
+    cmin = np.where(_CHILD_BITS, mid[:, None, :], lo[:, None, :]).reshape(-1, 3)
+    cmax = np.where(_CHILD_BITS, hi[:, None, :], mid[:, None, :]).reshape(-1, 3)
     size = cmax - cmin
     centers = 0.5 * (cmin + cmax)
     halves = 0.5 * size * (1.0 - _SHRINK)
-    volume = size[..., 0] * size[..., 1] * size[..., 2]  # == OctantNode.box_volume
+    mask = _wave_mask(
+        mesh.tri_coords(), pair_tri, pair_node, centers.reshape(-1, 8, 3), halves.reshape(-1, 8, 3)
+    )
 
-    pair_tri = np.concatenate([tids for _, tids in wave])
-    pair_node = np.repeat(np.arange(len(nodes)), [len(tids) for _, tids in wave])
-    mask = _wave_mask(tc, pair_tri, pair_node, centers, halves)
-
-    # group the hit pairs by (node, child), keeping each node's triangle order
     pair, child = np.nonzero(mask)
     group = pair_node[pair] * 8 + child
     order = np.argsort(group, kind="stable")
-    hit_count = np.bincount(group, minlength=8 * len(nodes))
-    sub_ids = np.split(pair_tri[pair[order]], np.cumsum(hit_count)[:-1])
 
-    miss = hit_count == 0
-    inside = np.zeros(len(miss), dtype=bool)
+    code = np.full(len(cmin), _GREY, dtype=np.int8)
+    volume = np.full(len(cmin), np.nan)
+    miss = np.bincount(group, minlength=len(cmin)) == 0
     if miss.any():
-        inside[miss] = _points_inside(mesh, centers.reshape(-1, 3)[miss], seed=seed)
-
-    next_wave: list[tuple[OctantNode, np.ndarray]] = []
-    terminal: list[OctantNode] = []
-    for w, node in enumerate(nodes):
-        depth = node.depth + 1
-        kids = []
-        for c in range(8):
-            g = 8 * w + c
-            child = OctantNode(
-                box_min=cmin[w, c],
-                box_max=cmax[w, c],
-                depth=depth,
-                octant_class=OctantClass.GREY,
-                path_key=node.path_key << 3 | c,
-            )
-            if miss[g]:
-                child.octant_class = OctantClass.BLACK if inside[g] else OctantClass.WHITE
-                child.part_volume = float(volume[w, c]) if inside[g] else 0.0
-            elif depth >= terminal_depth:
-                child.tri_ids = sub_ids[g]
-                terminal.append(child)
-            else:
-                next_wave.append((child, sub_ids[g]))
-            kids.append(child)
-        node.children = tuple(kids)
-        node.part_volume = None
-        node.tri_ids = None
-    return next_wave, terminal
+        inside = _points_inside(mesh, centers[miss], seed=seed)
+        code[miss] = np.where(inside, _BLACK, _WHITE)
+        volume[miss] = np.where(inside, size[miss, 0] * size[miss, 1] * size[miss, 2], 0.0)
+    child_keys = (keys[:, None] << 3 | np.arange(8)).ravel()
+    return cmin, cmax, child_keys, code, volume, group[order], pair_tri[pair[order]]
 
 
 def _wave_mask(
@@ -426,41 +486,34 @@ def _wave_mask(
     return mask
 
 
-def _sample_lattice(n: int) -> np.ndarray:
-    """The n**3 cell corners (i, j, k) of the stratified sampling grid, (n**3, 3)."""
-    axis = np.arange(n)
-    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+def _estimate_grey_volumes(
+    mesh: TriMesh, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray, samples: int, seed: int
+) -> np.ndarray:
+    """Part volume in each box (lo, hi) (G, 3) from n**3 jittered-grid samples.
 
-
-def _estimate_grey_volumes(mesh: TriMesh, leaves: list[OctantNode], samples: int, seed: int) -> None:
-    """Set ``part_volume`` of each grey leaf from n**3 jittered-grid samples.
-
-    Each leaf's jitter comes from its own stream ``(seed, path_key)``, so the
-    estimate does not depend on which leaves share a batch.
+    Box g's jitter comes from its own stream ``(seed, keys[g])``, so the
+    estimate does not depend on which boxes share a batch.
     """
-    if not leaves:
-        return
     n3 = samples**3
     group = max(1, _SAMPLE_POINT_BUDGET // n3)
-    ijk = _sample_lattice(samples)
-    jitter = np.empty((min(group, len(leaves)), n3, 3))
-    for s in range(0, len(leaves), group):
-        batch = leaves[s : s + group]
-        for i, node in enumerate(batch):
-            np.random.default_rng([seed, node.path_key]).random(out=jitter[i])
-        lo = np.array([node.box_min for node in batch])
-        size = np.array([node.box_max for node in batch]) - lo
+    axis = np.arange(samples)  # the n**3 cell corners (i, j, k) of the stratified grid
+    ijk = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    jitter = np.empty((min(group, len(keys)), n3, 3))
+    size = hi - lo
+    volumes = size[:, 0] * size[:, 1] * size[:, 2]
+    for s in range(0, len(keys), group):
+        batch = slice(s, s + group)
+        for i, key in enumerate(keys[batch].tolist()):
+            np.random.default_rng([seed, key]).random(out=jitter[i])
+        count = len(keys[batch])
         # lo + (ijk + jitter) / n * size, in place: no batch-sized temporaries
-        pts = ijk + jitter[: len(batch)]
+        pts = ijk + jitter[:count]
         pts /= samples
-        pts *= size[:, None, :]
-        pts += lo[:, None, :]
-        pts = pts.reshape(-1, 3)
-        inside = _points_inside(mesh, pts, seed=seed)
-        fraction = inside.reshape(len(batch), n3).sum(axis=1) / n3
-        volume = size[:, 0] * size[:, 1] * size[:, 2]  # == OctantNode.box_volume
-        for node, v in zip(batch, volume * fraction):
-            node.part_volume = float(v)
+        pts *= size[batch, None, :]
+        pts += lo[batch, None, :]
+        inside = _points_inside(mesh, pts.reshape(-1, 3), seed=seed)
+        volumes[batch] *= inside.reshape(count, n3).sum(axis=1) / n3
+    return volumes
 
 
 def estimate_part_volume(
@@ -469,25 +522,21 @@ def estimate_part_volume(
     """Solid part volume inside one box.
 
     Black boxes short-circuit to the full box volume and white boxes to zero;
-    grey boxes are sampled on a seeded jittered n**3 grid, so the relative
-    error on a surface-crossing box falls off roughly like 1/n.
+    grey boxes are sampled on a seeded jittered n**3 grid, as an octree's
+    root would be, so the relative error on a surface-crossing box falls
+    off roughly like 1/n.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     cls = classify_box(mesh, box_min, box_max)
     lo = np.asarray(box_min, dtype=np.float64)
     hi = np.asarray(box_max, dtype=np.float64)
-    box_volume = float(np.prod(hi - lo))
     if cls is OctantClass.BLACK:
-        return box_volume
+        return float(np.prod(hi - lo))
     if cls is OctantClass.WHITE:
         return 0.0
-    rng = np.random.default_rng([seed, 1])
-    n3 = resolution**3
-    offs = (_sample_lattice(resolution) + rng.random((n3, 3))) / resolution
-    pts = lo + offs * (hi - lo)
-    inside = _points_inside(mesh, pts, seed=seed)
-    return box_volume * (float(inside.sum()) / n3)
+    root_key = np.ones(1, dtype=np.int64)
+    return float(_estimate_grey_volumes(mesh, lo[None], hi[None], root_key, resolution, seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +546,8 @@ def estimate_part_volume(
 def refine(octree: Octree, mesh: TriMesh) -> Octree:
     """One more subdivision level: equivalent to rebuilding at max_depth + 1.
 
-    Black and white leaves are untouched; every terminal grey leaf is split
-    and its children classified and sampled exactly as a fresh build would,
+    Black and white leaves are untouched; every grey leaf is replaced by its
+    8 children, classified and sampled exactly as a fresh build would,
     because all seeds derive from leaf paths.
     """
     if mesh.content_hash() != octree.mesh_hash:
@@ -507,52 +556,15 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     if new_depth > 10:
         raise DepthRangeError("refinement would exceed the maximum depth of 10")
 
-    tc = mesh.tri_coords()
-    replaced: dict[int, OctantNode] = {}
-    wave: list[tuple[OctantNode, np.ndarray]] = []
-    for leaf in octree.leaves():
-        if leaf.octant_class is not OctantClass.GREY:
-            continue
-        twin = OctantNode(
-            box_min=leaf.box_min,
-            box_max=leaf.box_max,
-            depth=leaf.depth,
-            octant_class=OctantClass.GREY,
-            path_key=leaf.path_key,
-        )
-        replaced[id(leaf)] = twin
-        wave.append((twin, leaf.tri_ids))
-
-    if wave:
-        rest, terminal = _advance_wave(mesh, tc, wave, new_depth, octree.seed)
-        assert not rest  # grey leaves sit at max_depth, one step reaches new_depth
-        _estimate_grey_volumes(mesh, terminal, octree.samples, octree.seed)
-
-    def rebuild(node: OctantNode) -> OctantNode:
-        if node.children is None:
-            return replaced.get(id(node), node)
-        kids = tuple(rebuild(c) for c in node.children)
-        if all(k is c for k, c in zip(kids, node.children)):
-            return node
-        return OctantNode(
-            box_min=node.box_min,
-            box_max=node.box_max,
-            depth=node.depth,
-            octant_class=node.octant_class,
-            path_key=node.path_key,
-            children=kids,
-        )
-
-    tree = Octree(
-        root=rebuild(octree.root),
-        max_depth=new_depth,
-        margin=octree.margin,
-        samples=octree.samples,
-        seed=octree.seed,
-        mesh_hash=octree.mesh_hash,
-        mesh_bbox_min=octree.mesh_bbox_min,
-        mesh_bbox_max=octree.mesh_bbox_max,
-        mesh_volume=octree.mesh_volume,
+    rest = octree.class_code != _GREY
+    kept = tuple(getattr(octree, name)[rest] for name in _LEAF_COLUMNS)
+    g = octree.grey_index
+    pair_node = np.repeat(np.arange(len(g)), np.diff(octree.grey_tri_ptr))
+    leaves, tri_ptr, tri_ids = _grow(
+        mesh, [kept], octree.box_min[g], octree.box_max[g], octree.path_key[g],
+        pair_node, octree.grey_tri_ids, octree.max_depth, new_depth, octree.samples, octree.seed,
     )
+    columns = dict(zip(_LEAF_COLUMNS, leaves))
+    tree = replace(octree, **columns, grey_tri_ptr=tri_ptr, grey_tri_ids=tri_ids, max_depth=new_depth)
     tree.fingerprint()
     return tree

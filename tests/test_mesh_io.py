@@ -11,7 +11,6 @@ from manumap.mesh_io import (
     PointClass,
     TriMesh,
     classify_points,
-    compute_metrics,
     load_mesh,
     point_in_mesh,
     triangle_box_intersect,

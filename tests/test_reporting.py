@@ -242,7 +242,8 @@ def test_map_bytes_pinned(part, fmt, unit_cube, cube_tree, pocket_plate, plate_r
 def test_nearest_grey_fallback_chunks_match_full_argmin(cube_tree, tmp_path, monkeypatch):
     # a small ball inside the cube's black core: every vertex misses the greys
     ball = icosphere(0.2, subdivisions=2, center=(0.5, 0.5, 0.5))
-    assert all(n.octant_class is OctantClass.BLACK for n in cube_tree.find_leaves(ball.vertices))
+    found = cube_tree.find_leaves(ball.vertices)
+    assert all(cube_tree.leaves()[i].octant_class is OctantClass.BLACK for i in found)
     greys = cube_tree.grey_leaves()
     values = np.random.default_rng(7).random(len(greys))
     f = aligned_field(cube_tree, values)

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manumap import spatial
+from manumap.additive import build_height_field
 from manumap.errors import DepthRangeError, MeshMismatchError, NotWatertightError
+from manumap.machining import tool_flexibility_field
 from manumap.mesh_io import TriMesh, _points_inside
 from manumap.primitives import box_mesh, icosphere
+from manumap.profiles import default_profiles
 from manumap.spatial import (
     OctantClass,
     build_octree,
@@ -71,8 +74,9 @@ def test_face_coincident_boxes_resolve_by_center(unit_cube):
 
 def test_sphere_depth1_gives_8_grey(sphere10):
     tree = build_octree(sphere10, max_depth=1)
-    kids = tree.root.children
+    kids = tree.leaves()
     assert len(kids) == 8
+    assert [k.path_key for k in kids] == list(range(8, 16))
     assert all(k.octant_class is OctantClass.GREY for k in kids)
     # cross-check against the standalone classifier
     for k in kids:
@@ -82,18 +86,20 @@ def test_sphere_depth1_gives_8_grey(sphere10):
 def test_box_part_with_zero_margin_is_black_root():
     mesh = box_mesh((2.0, 2.0, 2.0))
     tree = build_octree(mesh, max_depth=3, margin=0.0)
-    assert tree.root.is_leaf
-    assert tree.root.octant_class is OctantClass.BLACK
-    assert tree.root.part_volume == pytest.approx(8.0)
+    (root,) = tree.leaves()
+    assert (root.depth, root.path_key) == (0, 1)
+    assert root.octant_class is OctantClass.BLACK
+    assert root.part_volume == pytest.approx(8.0)
 
 
 def test_root_is_inflated_cube(pocket_plate):
     tree = build_octree(pocket_plate, max_depth=1, margin=0.01)
-    ext = np.asarray(tree.root.box_max) - np.asarray(tree.root.box_min)
+    lo, hi = _root_box(tree)
+    ext = hi - lo
     assert ext[0] == ext[1] == ext[2]
     assert ext[0] == pytest.approx(64.0 * 1.01)
-    assert np.all(np.asarray(tree.root.box_min) <= tree.mesh_bbox_min)
-    assert np.all(np.asarray(tree.root.box_max) >= tree.mesh_bbox_max)
+    assert np.all(lo <= tree.mesh_bbox_min)
+    assert np.all(hi >= tree.mesh_bbox_max)
 
 
 def test_depth_out_of_range(unit_cube):
@@ -129,33 +135,37 @@ def test_rebuild_is_byte_identical(pocket_plate):
     assert _dump_text(a) == _dump_text(b)
 
 
-def test_children_partition_parent_exactly(sphere_tree):
-    def walk(node):
-        if node.is_leaf:
-            return
-        los = sorted(tuple(c.box_min) for c in node.children)
-        his = sorted(tuple(c.box_max) for c in node.children)
-        mid = tuple((a + b) / 2.0 for a, b in zip(node.box_min, node.box_max))
-        # exact bound sharing: child corners are built from parent bounds + midpoint
-        xs = sorted({node.box_min[0], mid[0], node.box_max[0]})
-        assert {lo[0] for lo in los} == set(xs[:2])
-        assert {hi[0] for hi in his} == set(xs[1:])
-        child_vol = sum(c.box_volume for c in node.children)
-        assert child_vol == pytest.approx(node.box_volume, rel=1e-12)
-        for c in node.children:
-            walk(c)
+def _root_box(tree):
+    """The root box: the union of the leaf boxes."""
+    return tree.box_min.min(axis=0), tree.box_max.max(axis=0)
 
-    walk(sphere_tree.root)
+
+def _descend(lo, hi, key, depth):
+    """Box of path ``key`` at ``depth``, by halving the root box (lo, hi) at each midpoint."""
+    for level in reversed(range(depth)):
+        upper = spatial._CHILD_BITS[(key >> 3 * level) & 7]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.where(upper, mid, lo), np.where(upper, hi, mid)
+    return lo, hi
+
+
+def test_children_partition_parent_exactly(sphere_tree):
+    # exact bound sharing: every box is built from its parent's bounds and midpoint
+    root_lo, root_hi = _root_box(sphere_tree)
+    for leaf in sphere_tree.leaves():
+        lo, hi = _descend(root_lo, root_hi, leaf.path_key, leaf.depth)
+        assert lo.tobytes() == leaf.box_min.tobytes()
+        assert hi.tobytes() == leaf.box_max.tobytes()
+    leaf_vol = sum(leaf.box_volume for leaf in sphere_tree.leaves())
+    assert leaf_vol == pytest.approx(float(np.prod(root_hi - root_lo)), rel=1e-12)
 
 
 def test_only_grey_nodes_subdivided(sphere_tree):
-    def walk(node):
-        if node.children:
-            assert node.octant_class is OctantClass.GREY
-            for c in node.children:
-                walk(c)
-
-    walk(sphere_tree.root)
+    # a leaf above max_depth is one the subdivision stopped at: never grey
+    for leaf in sphere_tree.leaves():
+        if leaf.depth < sphere_tree.max_depth:
+            assert leaf.octant_class in (OctantClass.BLACK, OctantClass.WHITE)
+    assert {leaf.depth for leaf in sphere_tree.grey_leaves()} == {sphere_tree.max_depth}
 
 
 def test_black_white_leaf_volumes(sphere_tree):
@@ -287,32 +297,38 @@ def test_grey_shell_volume_shrinks_with_depth(sphere10):
 def test_find_leaf_locates_points(sphere_tree):
     for p in [(0.0, 0.0, 0.0), (9.5, 0.0, 0.0), (-7.0, 3.0, 2.0)]:
         leaf = sphere_tree.find_leaf(p)
-        assert leaf.is_leaf
+        assert leaf in sphere_tree.leaves()
         assert np.all(np.asarray(leaf.box_min) <= p)
         assert np.all(p <= np.asarray(leaf.box_max))
 
 
-def _reference_find_leaf(tree, point):
-    """One point, one node per level: the scalar descent the batched one replaces."""
+def _reference_find_leaf(root, index, point):
+    """One point, one box per level: the scalar descent; the leaf's index or -1.
+
+    ``root`` is the root box (lo, hi) and ``index`` maps each leaf's path key
+    to its index.
+    """
     p = np.asarray(point, dtype=np.float64)
-    node = tree.root
-    if (p < node.box_min).any() or (p > node.box_max).any():
-        return None
-    while node.children is not None:
-        mid = 0.5 * (node.box_min + node.box_max)
-        idx = int(p[0] >= mid[0]) | int(p[1] >= mid[1]) << 1 | int(p[2] >= mid[2]) << 2
-        node = node.children[idx]
-    return node
+    lo, hi = root
+    if (p < lo).any() or (p > hi).any():
+        return -1
+    key = 1
+    while key not in index:
+        mid = 0.5 * (lo + hi)
+        upper = p >= mid
+        lo, hi = np.where(upper, mid, lo), np.where(upper, hi, mid)
+        key = key << 3 | int(upper[0]) | int(upper[1]) << 1 | int(upper[2]) << 2
+    return index[key]
 
 
 def _root_probes(tree):
     """Every root corner (p == box_max included) and points one ulp outside each face."""
-    lo, hi = tree.root.box_min, tree.root.box_max
+    lo, hi = _root_box(tree)
     corners = np.where(spatial._CHILD_BITS, hi, lo)
     outside = []
     for axis in range(3):
         for face, away in ((lo, -np.inf), (hi, np.inf)):
-            q = tree.root.center.copy()
+            q = 0.5 * (lo + hi)
             q[axis] = np.nextafter(face[axis], away)
             outside.append(q)
     return corners, np.array(outside)
@@ -333,18 +349,22 @@ def test_find_leaves_matches_scalar_descent(sphere10, sphere_tree, pocket_plate)
         points = np.concatenate([vertices, corners, outside, leaf_corners])
         found = tree.find_leaves(points)
         assert len(found) == len(points)
-        for p, leaf in zip(points, found):
-            assert leaf is _reference_find_leaf(tree, p)
-            assert tree.find_leaf(p) is leaf
-        assert all(found[len(vertices) + i] is not None for i in range(8))
-        assert all(found[len(vertices) + 8 + i] is None for i in range(6))
-    assert slab_tree.find_leaves(np.empty((0, 3))) == []
+        root = _root_box(tree)
+        index = {key: i for i, key in enumerate(tree.path_key.tolist())}
+        for p, i in zip(points, found.tolist()):
+            assert i == _reference_find_leaf(root, index, p)
+            assert tree.find_leaf(p) is (None if i < 0 else tree.leaves()[i])
+        assert (found[len(vertices) : len(vertices) + 8] >= 0).all()
+        assert (found[len(vertices) + 8 : len(vertices) + 14] == -1).all()
+    assert len(slab_tree.find_leaves(np.empty((0, 3)))) == 0
 
 
 def test_grey_leaves_built_once(sphere_tree):
     greys = sphere_tree.grey_leaves()
     assert sphere_tree.grey_leaves() is greys
     assert greys == [n for n in sphere_tree.leaves() if n.octant_class is OctantClass.GREY]
+    with pytest.raises(ValueError):  # records are views of the tree's read-only arrays
+        greys[0].box_min[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +435,32 @@ def test_octree_fingerprint_pinned(case, depth, sphere10, pocket_plate):
     assert tree.fingerprint()["content_hash"] == _PINNED_FINGERPRINTS[case]
 
 
-def test_refine_fingerprint_pinned(pocket_plate):
-    refined = refine(build_octree(pocket_plate, max_depth=4), pocket_plate)
-    assert refined.fingerprint()["content_hash"] == _PINNED_FINGERPRINTS["pocket-d5"]
+@pytest.mark.parametrize("case", ["pocket-d5", "sphere10-d5"])
+def test_refine_fingerprint_pinned(case, sphere10, pocket_plate):
+    mesh = {"pocket-d5": pocket_plate, "sphere10-d5": sphere10}[case]
+    refined = refine(build_octree(mesh, max_depth=4), mesh)
+    assert refined.fingerprint()["content_hash"] == _PINNED_FINGERPRINTS[case]
+
+
+@pytest.mark.parametrize("case", ["sphere10", "pocket"])
+def test_triangle_order_changes_nothing_but_mesh_hash(case, sphere10, pocket_plate):
+    """Permuting a mesh's triangles leaves the octree and the local fields unchanged."""
+    mesh = {"sphere10": sphere10, "pocket": pocket_plate}[case]
+    perm = np.random.default_rng(11).permutation(len(mesh.triangles))
+    shuffled = TriMesh(mesh.vertices, mesh.triangles[perm])
+    profiles = default_profiles()
+    results = []
+    for m in (mesh, shuffled):
+        tree = build_octree(m, max_depth=4)
+        reach = tool_flexibility_field(m, tree, profiles.subtractive)
+        height = build_height_field(tree, profiles.additive)
+        results.append((tree, _dump_text(tree), reach.values, height.values))
+    (a, dump_a, reach_a, height_a), (b, dump_b, reach_b, height_b) = results
+    assert a.mesh_hash != b.mesh_hash
+    assert a.fingerprint() == b.fingerprint()
+    assert dump_a == dump_b
+    assert np.array_equal(reach_a, reach_b)
+    assert np.array_equal(height_a, height_b)
 
 
 def test_refine_all_black_tree_is_noop():
