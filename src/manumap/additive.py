@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFieldError, NotWatertightError, ProfileError
+from .errors import NotWatertightError, ParameterError, ProfileError
 from .fields import LocalIndexField, clamp01, fit_ratio, grey_field
 from .mesh_io import as_metrics
 from .spatial import Octree
@@ -39,7 +39,7 @@ class AdditiveProfile:
 
     def __post_init__(self):
         env = tuple(float(v) for v in self.envelope)
-        if len(env) != 3 or any(v <= 0 for v in env):
+        if len(env) != 3 or any(not v > 0 for v in env):
             raise ProfileError(f"envelope must be three positive extents, got {self.envelope!r}")
         object.__setattr__(self, "envelope", env)
         if self.platform_center is not None:
@@ -47,7 +47,7 @@ class AdditiveProfile:
             if len(pc) != 2:
                 raise ProfileError("platform_center must be an xy pair")
             object.__setattr__(self, "platform_center", pc)
-        if self.reference_area is not None and self.reference_area <= 0:
+        if self.reference_area is not None and not self.reference_area > 0:
             raise ProfileError(f"reference_area must be positive, got {self.reference_area!r}")
 
     @property
@@ -98,10 +98,8 @@ def build_height_field(
     box must be recoated up to its top) or its centroid ("centroid").
     """
     if reference not in ("top", "centroid"):
-        raise ValueError(f"reference must be 'top' or 'centroid', got {reference!r}")
+        raise ParameterError(f"reference must be 'top' or 'centroid', got {reference!r}")
     g = octree.grey_index
-    if not len(g):
-        raise EmptyFieldError("no grey leaves to grade")
     bottom = octree.mesh_bbox_min[2]
     env_z = profile.envelope[2]
     if reference == "top":
@@ -119,8 +117,6 @@ def platform_distance_field(octree: Octree, profile: AdditiveProfile) -> LocalIn
     envelope corner grades 1.  With no explicit platform_center the part's
     bounding-box center is taken as centered on the platform.
     """
-    if not len(octree.grey_index):
-        raise EmptyFieldError("no grey leaves to grade")
     if profile.platform_center is not None:
         cx, cy = profile.platform_center
     else:

@@ -9,6 +9,7 @@ totals of everything else while the worst spot stays visible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     LengthMismatchError,
     NonPositiveVolumeError,
     NoSharedIndexesError,
+    SchemaMismatchError,
     ZeroTotalVolumeError,
 )
 from .fields import LocalIndexField
@@ -115,6 +117,22 @@ def _field_to_dict(f: LocalIndexField) -> dict:
     }
 
 
+def _obj(data: dict, key: str, optional: bool = False) -> dict:
+    """``data[key]``, which must be a JSON object; an absent optional key gives ``{}``."""
+    value = data.get(key, {}) if optional else data[key]
+    if not isinstance(value, dict):
+        raise TypeError(f"{key} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _numbers(data: dict, key: str) -> dict[str, float]:
+    """``data[key]``, a JSON object of finite numbers (a NaN grade would reach every total)."""
+    out = {k: float(v) for k, v in _obj(data, key).items()}
+    if not all(map(math.isfinite, out.values())):
+        raise ValueError(f"{key} must hold finite numbers")
+    return out
+
+
 def _field_from_dict(data: dict) -> LocalIndexField:
     return LocalIndexField(
         index_id=data["index_id"],
@@ -189,13 +207,14 @@ class IndexReport:
         return IndexReport(
             design_id=data["design_id"],
             process=data["process"],
-            global_indexes={k: float(v) for k, v in data["global_indexes"].items()},
+            global_indexes=_numbers(data, "global_indexes"),
             local_fields={
-                k: _field_from_dict(v) for k, v in data.get("local_fields", {}).items()
+                k: _field_from_dict(v)
+                for k, v in _obj(data, "local_fields", optional=True).items()
             },
             mesh_hash=data.get("mesh_hash", ""),
-            octree_fingerprint=data.get("octree_fingerprint", {}),
-            params=data.get("params", {}),
+            octree_fingerprint=_obj(data, "octree_fingerprint", optional=True),
+            params=_obj(data, "params", optional=True),
             part_volume=float(data.get("part_volume", 0.0)),
         )
 
@@ -259,12 +278,10 @@ class AssemblyReport:
         return AssemblyReport(
             design_id=data["design_id"],
             module_reports={
-                k: IndexReport.from_dict(v) for k, v in data["module_reports"].items()
+                k: IndexReport.from_dict(v) for k, v in _obj(data, "module_reports").items()
             },
-            weights={k: float(v) for k, v in data["weights"].items()},
-            totals=None
-            if data.get("totals") is None
-            else {k: float(v) for k, v in data["totals"].items()},
+            weights=_numbers(data, "weights"),
+            totals=None if data.get("totals") is None else _numbers(data, "totals"),
             process=data.get("process"),
             warnings=tuple(data.get("warnings", ())),
         )
@@ -366,7 +383,7 @@ class ComparisonReport:
             notes=tuple(data.get("notes", ())),
             field_deltas={
                 k: tuple(float(v) for v in vs)
-                for k, vs in data.get("field_deltas", {}).items()
+                for k, vs in _obj(data, "field_deltas", optional=True).items()
             },
         )
 
@@ -417,6 +434,11 @@ def compare_reports(baseline, candidate) -> ComparisonReport:
     When both sides carry local fields over identical octrees, their
     per-leaf deltas ride along in ``field_deltas``.
     """
+    for rep in (baseline, candidate):
+        if not isinstance(rep, (IndexReport, AssemblyReport)):
+            raise SchemaMismatchError(
+                f"cannot compare a {type(rep).__name__}; compare reads part and assembly reports"
+            )
     notes: list[str] = []
     base_metrics = baseline.scalar_metrics()
 

@@ -20,6 +20,7 @@ from .spatial import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_SAMPLES,
     Octree,
+    _check_build_params,
     build_octree,
 )
 
@@ -40,12 +41,7 @@ class AnalysisParams:
     height_reference: str = "top"
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise ParameterError(f"samples must be at least 2, got {self.samples!r}")
-        if not self.margin >= 0:
-            raise ParameterError(f"margin must be non-negative, got {self.margin!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed!r}")
+        _check_build_params(self.max_depth, self.margin, self.samples, self.seed)
         if self.workers < 1:
             raise ParameterError(f"workers must be at least 1, got {self.workers!r}")
 

@@ -3,8 +3,13 @@
 Subcommands: analyze (one mesh under one process, or both processes over a
 shared decomposition), analyze-assembly (modules combined by volume
 weights), compare (two saved reports), profile-validate (parse and echo a
-machine profile).  Exit codes: 0 ok, 1 I/O trouble, 2 bad configuration or
-arguments, 3 unusable mesh, 4 analysis failure, 5 report schema mismatch.
+machine profile).
+
+Exit codes: 0 ok, 1 I/O trouble, 2 bad configuration or arguments,
+3 unusable mesh, 4 analysis failure, 5 report schema mismatch.  Each error
+class carries its code (``manumap.errors``); ``main`` prints any
+``ManumapError`` as one ``error:`` line and returns that code, and any
+other ``OSError`` exits 1.  Anything else is a bug and keeps its traceback.
 
 All file output is atomic (write to temp, rename), so a failed run leaves
 no partial files, and results are byte-identical for a given input and
@@ -29,26 +34,12 @@ from .analysis import (
     analyze_mesh,
 )
 from .errors import (
-    BadWeightsError,
-    DepthRangeError,
-    EmptyFieldError,
-    EmptyInputError,
-    EmptyMeshError,
-    FieldMismatchError,
-    LengthMismatchError,
-    MeshMismatchError,
-    NonPositiveRoughnessError,
-    NonPositiveVolumeError,
-    NoSharedIndexesError,
-    NotWatertightError,
+    ConfigError,
+    ManumapError,
+    MeshError,
     ParameterError,
-    ParseError,
     ProfileError,
-    RayParityError,
     ReportIOError,
-    SchemaMismatchError,
-    UnknownMaterialError,
-    ZeroTotalVolumeError,
 )
 from .mesh_io import load_mesh
 from .profiles import default_profiles, load_profiles
@@ -63,58 +54,22 @@ from .reporting import (
 from .spatial import _leaf_line, build_octree
 
 EXIT_OK = 0
-EXIT_IO = 1
-EXIT_CONFIG = 2
-EXIT_MESH = 3
-EXIT_ANALYSIS = 4
-EXIT_SCHEMA = 5
-
-_CONFIG_ERRORS = (
-    ProfileError,
-    UnknownMaterialError,
-    NonPositiveRoughnessError,
-    DepthRangeError,
-    ParameterError,
-)
-_MESH_ERRORS = (ParseError, EmptyMeshError, NotWatertightError)
-_ANALYSIS_ERRORS = (
-    ZeroTotalVolumeError,
-    NonPositiveVolumeError,
-    EmptyFieldError,
-    EmptyInputError,
-    LengthMismatchError,
-    BadWeightsError,
-    NoSharedIndexesError,
-    MeshMismatchError,
-    FieldMismatchError,
-    RayParityError,
-)
 
 _MAP_INDEX_DEFAULT = {"machining": "tool_flexibility", "additive": "build_height"}
 
 
-class _Exit(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _load_mesh(path: str):
+def _read(load, path: str, error: type[ManumapError], what: str):
+    """``load(path)``, with a missing file raised as ``error`` (and so its exit code)."""
     try:
-        return load_mesh(path)
+        return load(path)
     except FileNotFoundError:
-        raise _Exit(EXIT_MESH, f"mesh file not found: {path}")
-    except _MESH_ERRORS as exc:
-        raise _Exit(EXIT_MESH, str(exc))
+        raise error(f"{what} file not found: {path}") from None
 
 
 def _load_profiles(path: str | None):
     if path is None:
         return default_profiles()
-    try:
-        return load_profiles(path)
-    except FileNotFoundError:
-        raise _Exit(EXIT_CONFIG, f"profile file not found: {path}")
+    return _read(load_profiles, path, ProfileError, "profile")
 
 
 def _parse_scale(text: str) -> ColorScale | None:
@@ -127,7 +82,9 @@ def _parse_scale(text: str) -> ColorScale | None:
             raise ValueError
         return ColorScale(float(lo), float(hi))
     except ValueError:
-        raise _Exit(EXIT_CONFIG, f"--scale must be 'auto' or LO:HI with LO < HI, got {text!r}")
+        raise ParameterError(
+            f"--scale must be 'auto' or LO:HI with finite LO < HI, got {text!r}"
+        ) from None
 
 
 def _params(args: argparse.Namespace) -> AnalysisParams:
@@ -195,27 +152,19 @@ def _print_comparison(report: ComparisonReport, out) -> None:
 
 def _export_map(result: AnalysisResult, index_id: str, path, scale) -> None:
     if index_id not in result.fields:
-        raise _Exit(
-            EXIT_CONFIG,
+        raise ParameterError(
             f"no local index {index_id!r} under process {result.report.process}; "
-            f"have: {', '.join(sorted(result.fields))}",
+            f"have: {', '.join(sorted(result.fields))}"
         )
-    try:
-        export_difficulty_map(
-            result.mesh, result.octree, result.fields[index_id], path, scale=scale
-        )
-    except ValueError as exc:
-        raise _Exit(EXIT_CONFIG, str(exc))
+    export_difficulty_map(result.mesh, result.octree, result.fields[index_id], path, scale=scale)
 
 
-def _write_default_outputs(result: AnalysisResult, out: Path, args) -> None:
+def _write_default_outputs(result: AnalysisResult, out: Path, args, scale) -> None:
     """--out naming: {design}.{process}.report.json plus one signature map."""
     stem = f"{result.report.design_id}.{result.report.process}"
     emit_report(result.report, out / f"{stem}.report.json", fmt="json")
     index_id = args.map_index or _MAP_INDEX_DEFAULT[result.report.process]
-    _export_map(
-        result, index_id, out / f"{stem}.{index_id}.{args.format}", _parse_scale(args.scale)
-    )
+    _export_map(result, index_id, out / f"{stem}.{index_id}.{args.format}", scale)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -231,16 +180,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if value
     ]
     if len(processes) > 1 and single_path_flags:
-        raise _Exit(
-            EXIT_CONFIG,
+        raise ParameterError(
             f"--process both writes default-named files under --out; "
-            f"{', '.join(single_path_flags)} name a single file and would be ambiguous",
+            f"{', '.join(single_path_flags)} name a single file and would be ambiguous"
         )
     if len(processes) > 1 and args.out is None:
-        raise _Exit(EXIT_CONFIG, "--process both needs --out DIR for its two reports")
+        raise ParameterError("--process both needs --out DIR for its two reports")
 
     params = _params(args)
-    mesh = _load_mesh(args.mesh)
+    scale = _parse_scale(args.scale)
+    mesh = _read(load_mesh, args.mesh, MeshError, "mesh")
     profiles = _load_profiles(args.profile)
     octree = build_octree(
         mesh,
@@ -255,7 +204,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             mesh, process, profiles, params=params, design_id=args.design_id, octree=octree
         )
         if out is not None:
-            _write_default_outputs(result, out, args)
+            _write_default_outputs(result, out, args, scale)
         if args.json:
             emit_report(result.report, args.json, fmt="json")
         if args.csv:
@@ -267,14 +216,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             _atomic_write_chunks(Path(args.dump_octree), chunks)
         if args.map:
             index_id = args.map_index or _MAP_INDEX_DEFAULT[process]
-            _export_map(result, index_id, args.map, _parse_scale(args.scale))
+            _export_map(result, index_id, args.map, scale)
         _print_part(result.report, sys.stdout)
     return EXIT_OK
 
 
 def _parse_module(spec: str, default_process: str) -> tuple[str, str, str]:
     if "=" not in spec:
-        raise _Exit(EXIT_CONFIG, f"module spec {spec!r} is not ID=PATH[:PROCESS]")
+        raise ParameterError(f"module spec {spec!r} is not ID=PATH[:PROCESS]")
     module_id, rest = spec.split("=", 1)
     process = default_process
     if ":" in rest:
@@ -282,7 +231,7 @@ def _parse_module(spec: str, default_process: str) -> tuple[str, str, str]:
         if tail in PROCESSES:
             rest, process = head, tail
     if not module_id or not rest:
-        raise _Exit(EXIT_CONFIG, f"module spec {spec!r} is not ID=PATH[:PROCESS]")
+        raise ParameterError(f"module spec {spec!r} is not ID=PATH[:PROCESS]")
     return module_id, rest, process
 
 
@@ -292,7 +241,7 @@ def _cmd_assembly(args: argparse.Namespace) -> int:
     modules = []
     for spec in args.modules:
         module_id, path, process = _parse_module(spec, args.process)
-        modules.append(ModuleSpec(module_id, _load_mesh(path), process))
+        modules.append(ModuleSpec(module_id, _read(load_mesh, path, MeshError, "mesh"), process))
     report, results = analyze_assembly(args.design_id, modules, profiles, params=params)
     out = _out_dir(args)
     if out is not None:
@@ -307,16 +256,9 @@ def _cmd_assembly(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_report(path: str):
-    try:
-        return load_report(path)
-    except FileNotFoundError:
-        raise _Exit(EXIT_IO, f"report file not found: {path}")
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
-    baseline = _load_report(args.baseline)
-    candidate = _load_report(args.candidate)
+    baseline = _read(load_report, args.baseline, ReportIOError, "report")
+    candidate = _read(load_report, args.candidate, ReportIOError, "report")
     report = compare_reports(baseline, candidate)
     out = _out_dir(args)
     if out is not None:
@@ -435,27 +377,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+        return ConfigError.exit_code if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _Exit as exc:
+    except ManumapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except _CONFIG_ERRORS as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _MESH_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MESH
-    except SchemaMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except _ANALYSIS_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
-    except (ReportIOError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return ReportIOError.exit_code
 
 
 if __name__ == "__main__":

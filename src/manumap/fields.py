@@ -7,7 +7,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import EmptyFieldError
+from .errors import EmptyFieldError, FieldValueError
 
 
 def clamp01(value: float) -> float:
@@ -64,13 +64,14 @@ class LocalIndexField:
         vals = np.asarray(self.values, dtype=np.float64)
         vols = np.asarray(self.volumes, dtype=np.float64)
         if vals.ndim != 1 or vols.shape != vals.shape:
-            raise ValueError("values and volumes must be 1-D arrays of equal length")
+            raise FieldValueError("values and volumes must be 1-D arrays of equal length")
         if len(vals) == 0:
             raise EmptyFieldError(f"field {self.index_id!r} has no grey leaves")
-        if (vals < 0).any() or (vals > 1).any():
-            raise ValueError("field values must lie in [0, 1]")
-        if (vols < 0).any():
-            raise ValueError("leaf volumes cannot be negative")
+        # written so that NaN fails: a NaN value or volume would reach every total
+        if not ((vals >= 0) & (vals <= 1)).all():
+            raise FieldValueError(f"field {self.index_id!r} values must lie in [0, 1]")
+        if not ((vols >= 0) & (vols < np.inf)).all():
+            raise FieldValueError(f"field {self.index_id!r} volumes must be finite and >= 0")
         vals.setflags(write=False)
         vols.setflags(write=False)
         object.__setattr__(self, "values", vals)

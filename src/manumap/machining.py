@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    EmptyFieldError,
+    DegenerateMeshError,
     MeshMismatchError,
     NonPositiveRoughnessError,
     NotWatertightError,
@@ -54,16 +54,16 @@ class SubtractiveProfile:
 
     def __post_init__(self):
         ws = tuple(float(v) for v in self.workspace)
-        if len(ws) != 3 or any(v <= 0 for v in ws):
+        if len(ws) != 3 or any(not v > 0 for v in ws):
             raise ProfileError(f"workspace must be three positive extents, got {self.workspace!r}")
         tools = tuple(sorted(float(d) for d in self.tool_diameters))
-        if not tools or any(d <= 0 for d in tools):
+        if not tools or any(not d > 0 for d in tools):
             raise ProfileError("tool_diameters must be a non-empty list of positive diameters")
-        if self.max_aspect <= 1:
+        if not self.max_aspect > 1:
             raise ProfileError(
                 f"max_aspect must exceed 1 (a tool shorter than its diameter cannot plunge), got {self.max_aspect!r}"
             )
-        if self.hardness_limit_hb <= 0:
+        if not self.hardness_limit_hb > 0:
             raise ProfileError("hardness_limit_hb must be positive")
         if not 0 < self.roughness_best_um < self.roughness_coarse_um:
             raise ProfileError(
@@ -85,13 +85,13 @@ def chip_volume_index(mesh) -> float:
     if not m.watertight:
         raise NotWatertightError("chip volume needs a closed mesh with a trustworthy volume")
     if m.bbox_volume <= 0:
-        raise ValueError("degenerate bounding box, cannot grade chip volume")
+        raise DegenerateMeshError("flat bounding box: the mesh encloses no volume to machine")
     return clamp01((m.bbox_volume - abs(m.volume)) / m.bbox_volume)
 
 
 def hardness_index(hardness_hb: float, profile: SubtractiveProfile) -> float:
     """Material hardness relative to the hardest the setup can cut."""
-    if hardness_hb <= 0:
+    if not hardness_hb > 0:
         raise ProfileError(f"hardness must be positive, got {hardness_hb!r}")
     return clamp01(hardness_hb / profile.hardness_limit_hb)
 
@@ -99,7 +99,7 @@ def hardness_index(hardness_hb: float, profile: SubtractiveProfile) -> float:
 def roughness_index(required_ra_um: float, profile: SubtractiveProfile) -> float:
     """Difficulty of hitting the required finish, log-scaled between the
     no-effort roughness (0) and the finest the setup can do (1)."""
-    if required_ra_um <= 0:
+    if not required_ra_um > 0:
         raise NonPositiveRoughnessError(f"required Ra must be positive, got {required_ra_um!r}")
     coarse = profile.roughness_coarse_um
     best = profile.roughness_best_um
@@ -133,8 +133,6 @@ def tool_flexibility_field(
     """
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")
-    if not len(octree.grey_index):
-        raise EmptyFieldError("no grey leaves to grade")
     return grey_field("tool_flexibility", octree, _solve_leaves(mesh, octree, profile))
 
 
@@ -202,7 +200,7 @@ def _columns_blocked(
             return blocked
         step = _JITTER_REL * scale * (attempt + 1)
         for k in pend:
-            rng = np.random.default_rng([max(seed, 0), int(probe_keys[k]), attempt])
+            rng = np.random.default_rng([seed, int(probe_keys[k]), attempt])
             pxy[k] = xy[k] + rng.uniform(-step, step, 2)
     blocked[pend] = True
     return blocked

@@ -26,6 +26,7 @@ loudly instead of silently grading with defaults.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,6 +99,8 @@ def _floats(section: str, key: str, raw: str, count: int | None = None) -> tuple
         raise ProfileError(f"[{section}] {key} = {raw!r} is not a number list") from exc
     if count is not None and len(vals) != count:
         raise ProfileError(f"[{section}] {key} needs {count} numbers, got {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ProfileError(f"[{section}] {key} = {raw!r} holds a value that is not finite")
     return vals
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import AssemblyReport, ComparisonReport, IndexReport
-from .errors import FieldMismatchError, ReportIOError, SchemaMismatchError
+from .errors import FieldMismatchError, ParameterError, ReportIOError, SchemaMismatchError
 from .fields import LocalIndexField
 from .mesh_io import TriMesh
 from .spatial import _GREY, _WHITE, Octree
@@ -46,8 +46,8 @@ class ColorScale:
     hi: float = 1.0
 
     def __post_init__(self):
-        if not self.hi > self.lo:
-            raise ValueError(f"need hi > lo, got [{self.lo!r}, {self.hi!r}]")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ParameterError(f"need finite lo < hi, got [{self.lo!r}, {self.hi!r}]")
 
     @staticmethod
     def auto(values) -> "ColorScale":
@@ -155,7 +155,7 @@ def export_difficulty_map(
     elif kind == "vtk":
         chunks = _vtk_chunks(octree, index_field, scale)
     else:
-        raise ValueError(f"unsupported difficulty-map format {kind!r} (use ply or vtk)")
+        raise ParameterError(f"unsupported difficulty-map format {kind!r} (use ply or vtk)")
     return _atomic_write_chunks(out, chunks)
 
 
@@ -305,7 +305,7 @@ def emit_report(report, path, fmt: str | None = None) -> Path:
         return _atomic_write_chunks(out, [_report_json(report)])
     if kind == "csv":
         return _atomic_write_chunks(out, [_report_csv(report)])
-    raise ValueError(f"unsupported report format {kind!r} (use json or csv)")
+    raise ParameterError(f"unsupported report format {kind!r} (use json or csv)")
 
 
 _KINDS = {

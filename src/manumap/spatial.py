@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DepthRangeError, MeshMismatchError, NotWatertightError
+from .errors import DepthRangeError, MeshMismatchError, NotWatertightError, ParameterError
 from .mesh_io import (
     _SAT_PAIR_BUDGET,
     DEFAULT_SEED,
@@ -263,7 +263,7 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
     lo = np.asarray(box_min, dtype=np.float64)
     hi = np.asarray(box_max, dtype=np.float64)
     if (hi <= lo).any():
-        raise ValueError("box_max must exceed box_min on every axis")
+        raise ParameterError("box_max must exceed box_min on every axis")
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     hits = _tri_box_overlap(mesh.tri_coords(), center[None, :], (half * (1.0 - _SHRINK))[None, :])
@@ -275,6 +275,27 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
 
 # ---------------------------------------------------------------------------
 # Construction
+
+
+def _check_build_params(
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    margin: float = DEFAULT_MARGIN,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+) -> None:
+    """Reject octree build parameters out of range; NaN fails every test.
+
+    The one check behind build_octree, refine, estimate_part_volume and
+    AnalysisParams, so the CLI rejects a bad flag before it loads a mesh.
+    """
+    if not 1 <= max_depth <= 10:
+        raise DepthRangeError(f"max_depth must be in [1, 10], got {max_depth!r}")
+    if not samples >= 2:
+        raise ParameterError(f"samples must be at least 2, got {samples!r}")
+    if not 0 <= margin < np.inf:
+        raise ParameterError(f"margin must be finite and non-negative, got {margin!r}")
+    if not seed >= 0:
+        raise ParameterError(f"seed must be non-negative, got {seed!r}")
 
 
 def build_octree(
@@ -301,12 +322,7 @@ def build_octree(
     metrics = mesh.metrics
     if not metrics.watertight:
         raise NotWatertightError("octree decomposition needs a watertight mesh")
-    if not 1 <= max_depth <= 10:
-        raise DepthRangeError(f"max_depth must be in [1, 10], got {max_depth}")
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
+    _check_build_params(max_depth, margin, samples, seed)
 
     bbox_min = np.array(metrics.bbox_min)
     bbox_max = np.array(metrics.bbox_max)
@@ -526,8 +542,7 @@ def estimate_part_volume(
     root would be, so the relative error on a surface-crossing box falls
     off roughly like 1/n.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    _check_build_params(samples=resolution, seed=seed)
     cls = classify_box(mesh, box_min, box_max)
     lo = np.asarray(box_min, dtype=np.float64)
     hi = np.asarray(box_max, dtype=np.float64)
@@ -553,8 +568,7 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")
     new_depth = octree.max_depth + 1
-    if new_depth > 10:
-        raise DepthRangeError("refinement would exceed the maximum depth of 10")
+    _check_build_params(new_depth, octree.margin, octree.samples, octree.seed)
 
     rest = octree.class_code != _GREY
     kept = tuple(getattr(octree, name)[rest] for name in _LEAF_COLUMNS)

@@ -44,6 +44,13 @@ def test_profile_rejects_bad_envelope():
         AdditiveProfile(envelope=(400.0, -1.0, 400.0))
 
 
+def test_profile_rejects_nan():
+    with pytest.raises(ProfileError):
+        AdditiveProfile(envelope=(400.0, math.nan, 400.0))
+    with pytest.raises(ProfileError):
+        AdditiveProfile(reference_area=math.nan)
+
+
 def test_profile_rejects_bad_center():
     with pytest.raises(ProfileError):
         AdditiveProfile(platform_center=(1.0, 2.0, 3.0))

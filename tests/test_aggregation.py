@@ -20,6 +20,7 @@ from manumap.errors import (
     BadWeightsError,
     EmptyFieldError,
     EmptyInputError,
+    FieldValueError,
     LengthMismatchError,
     NonPositiveVolumeError,
     NoSharedIndexesError,
@@ -80,6 +81,14 @@ def test_field_validation():
         field([0.5], [-1.0])  # negative volume
     with pytest.raises(ValueError):
         LocalIndexField("x", np.array([0.5, 0.5]), np.array([1.0]))
+
+
+def test_field_rejects_non_finite_values_and_volumes():
+    with pytest.raises(FieldValueError):
+        LocalIndexField("x", np.array([np.nan, 0.5]), np.array([1.0, np.nan]))
+    for values, volumes in [([np.nan], [1.0]), ([np.inf], [1.0]), ([0.5], [np.nan]), ([0.5], [np.inf])]:
+        with pytest.raises(ValueError):
+            field(values, volumes)
 
 
 def test_field_arrays_read_only():

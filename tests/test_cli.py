@@ -164,9 +164,27 @@ def test_depth_out_of_range_exits_2(mesh_files):
 
 
 # Each documented failure exits with its code and a one-line message, never a
-# traceback.  The last case disables the random-direction retries, so a box
-# center whose vertical ray grazes a face diagonal cannot be decided.
+# traceback.  The ray-parity case disables the random-direction retries, so a
+# box center whose vertical ray grazes a face diagonal cannot be decided.
 _NO_RAY_RETRIES = "import manumap.mesh_io as m; m._MAX_RAY_ATTEMPTS = 0; "
+
+# A closed mesh that encloses no volume: one triangle, both windings.
+FLAT_STL = (
+    "solid flat\n"
+    "facet normal 0 0 1\nouter loop\nvertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\n"
+    "endloop\nendfacet\n"
+    "facet normal 0 0 -1\nouter loop\nvertex 0 0 0\nvertex 0 1 0\nvertex 1 0 0\n"
+    "endloop\nendfacet\n"
+    "endsolid flat\n"
+)
+# Preludes that change the inputs in the child, where argv[2] is the mesh path:
+# overwrite the box with the flat sheet, or add a profile holding a NaN.
+_FLAT_MESH = f"import sys; open(sys.argv[2], 'w').write({FLAT_STL!r}); "
+_NAN_PROFILE = (
+    "import sys; cfg = sys.argv[2] + '.cfg'; "
+    "open(cfg, 'w').write('[machining]\\nmax_aspect = nan\\n'); "
+    "sys.argv += ['--profile', cfg]; "
+)
 
 
 @pytest.mark.parametrize(
@@ -178,8 +196,16 @@ _NO_RAY_RETRIES = "import manumap.mesh_io as m; m._MAX_RAY_ATTEMPTS = 0; "
         (["--workers", "0"], "", 2),
         (["--workers", "-3"], "", 2),
         ([], _NO_RAY_RETRIES, 4),
+        (["--margin", "inf"], "", 2),
+        (["--required-ra", "nan"], "", 2),
+        (["--map", "unwritten.ply", "--scale=-inf:inf"], "", 2),
+        ([], _NAN_PROFILE, 2),
+        ([], _FLAT_MESH, 3),
     ],
-    ids=["samples-1", "margin-neg", "seed-neg", "workers-0", "workers-neg", "ray-parity"],
+    ids=[
+        "samples-1", "margin-neg", "seed-neg", "workers-0", "workers-neg", "ray-parity",
+        "margin-inf", "required-ra-nan", "scale-inf", "profile-nan", "flat-mesh",
+    ],
 )
 def test_failures_exit_with_code_and_no_traceback(tmp_path, flags, prelude, code):
     mesh = tmp_path / "box.stl"
@@ -336,6 +362,36 @@ def test_compare_schema_mismatch_exits_5(tmp_path, capsys):
     stale.write_text(json.dumps(doc))
     assert main(["compare", str(good), str(stale)]) == 5
     assert "schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("global_indexes", [0.5]),
+        ("local_fields", [0.5]),
+        ("octree_fingerprint", [0.5]),
+        ("global_indexes", {"reach": float("nan")}),
+    ],
+    ids=["global-list", "fields-list", "fingerprint-list", "global-nan"],
+)
+def test_compare_malformed_body_exits_5(tmp_path, capsys, key, value):
+    good = saved_report(tmp_path, "a", "machining", {"reach": 0.5})
+    bad = tmp_path / "bad.json"
+    doc = json.loads(good.read_text())
+    doc["report"][key] = value
+    bad.write_text(json.dumps(doc))
+    assert main(["compare", str(good), str(bad)]) == 5
+    assert main(["compare", str(bad), str(good)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_compare_of_comparisons_exits_5(tmp_path, capsys):
+    good = saved_report(tmp_path, "a", "machining", {"reach": 0.5})
+    cmp_json = tmp_path / "cmp.json"
+    assert main(["compare", str(good), str(good), "--json", str(cmp_json)]) == 0
+    assert main(["compare", str(cmp_json), str(good)]) == 5
+    assert "ComparisonReport" in capsys.readouterr().err
 
 
 def test_compare_missing_report_exits_1(tmp_path, capsys):

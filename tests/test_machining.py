@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manumap.errors import (
+    DegenerateMeshError,
     MeshMismatchError,
     NonPositiveRoughnessError,
     NotWatertightError,
@@ -60,6 +61,22 @@ def test_profile_rejects_aspect_at_most_one():
 def test_profile_rejects_inverted_roughness():
     with pytest.raises(ProfileError):
         SubtractiveProfile(roughness_best_um=6.4, roughness_coarse_um=0.4)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"workspace": (math.nan, 10.0, 10.0)},
+        {"tool_diameters": (2.0, math.nan)},
+        {"max_aspect": math.nan},
+        {"hardness_limit_hb": math.nan},
+        {"roughness_best_um": math.nan},
+        {"roughness_coarse_um": math.nan},
+    ],
+)
+def test_profile_rejects_nan(kwargs):
+    with pytest.raises(ProfileError):
+        SubtractiveProfile(**kwargs)
 
 
 def test_profile_sorts_tools():
@@ -150,6 +167,15 @@ def test_chips_need_watertight_mesh(unit_cube):
         chip_volume_index(open_mesh)
 
 
+def test_chips_need_a_mesh_that_encloses_volume():
+    # one triangle, both windings: closed, but its bounding box is flat
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    flat = TriMesh(verts, np.array([[0, 1, 2], [0, 2, 1]]))
+    assert flat.metrics.watertight
+    with pytest.raises(DegenerateMeshError):
+        chip_volume_index(flat)
+
+
 # ---------------------------------------------------------------------------
 # Hardness and roughness
 
@@ -186,6 +212,15 @@ def test_roughness_log_midpoint():
 def test_roughness_rejects_nonpositive():
     with pytest.raises(NonPositiveRoughnessError):
         roughness_index(0.0, SubtractiveProfile())
+
+
+def test_hardness_and_roughness_reject_nan():
+    prof = SubtractiveProfile()
+    with pytest.raises(ProfileError):
+        hardness_index(math.nan, prof)
+    with pytest.raises(NonPositiveRoughnessError):
+        roughness_index(math.nan, prof)
+    assert roughness_index(math.inf, prof) == 0.0  # any finish meets an infinite Ra
 
 
 @settings(max_examples=100, deadline=None)

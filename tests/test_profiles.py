@@ -118,6 +118,22 @@ def test_malformed_numbers_rejected(tmp_path):
         load_profiles(write(tmp_path, "not an ini file ["))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[machining]\nmax_aspect = nan\n",
+        "[machining]\nworkspace_mm = 800 inf 500\n",
+        "[machining]\nroughness_coarse_um = NaN\n",
+        "[machining.hardness_hb]\nsteel = nan\n",
+        "[additive]\nplatform_center_mm = 0 -inf\n",
+        "[additive]\nreference_area_mm2 = infinity\n",
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, text):
+    with pytest.raises(ProfileError, match="not finite"):
+        load_profiles(write(tmp_path, text))
+
+
 def test_constraint_violations_surface_as_profile_errors(tmp_path):
     with pytest.raises(ProfileError):
         load_profiles(write(tmp_path, "[machining]\nmax_aspect = 1\n"))

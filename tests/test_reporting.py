@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from manumap.aggregation import IndexReport, build_assembly_report, compare_reports
-from manumap.errors import FieldMismatchError, ReportIOError, SchemaMismatchError
+from manumap.errors import (
+    FieldMismatchError,
+    ParameterError,
+    ReportIOError,
+    SchemaMismatchError,
+)
 from manumap.fields import LocalIndexField
 from manumap.machining import SubtractiveProfile, tool_flexibility_field
 from manumap import reporting
@@ -194,6 +199,12 @@ def test_map_rejects_foreign_field(unit_cube, cube_tree, tmp_path):
     )
     with pytest.raises(FieldMismatchError):
         export_difficulty_map(unit_cube, cube_tree, foreign, tmp_path / "x.ply")
+
+
+@pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)])
+def test_fixed_scale_needs_finite_bounds(lo, hi):
+    with pytest.raises(ParameterError):
+        ColorScale(lo, hi)
 
 
 def test_map_format_must_be_known(unit_cube, cube_tree, tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from manumap import spatial
 from manumap.additive import build_height_field
-from manumap.errors import DepthRangeError, MeshMismatchError, NotWatertightError
+from manumap.analysis import AnalysisParams
+from manumap.errors import ConfigError, DepthRangeError, MeshMismatchError, NotWatertightError
 from manumap.machining import tool_flexibility_field
 from manumap.mesh_io import TriMesh, _points_inside
 from manumap.primitives import box_mesh, icosphere
@@ -120,6 +121,23 @@ def test_samples_validation(unit_cube):
         build_octree(unit_cube, max_depth=2, samples=1)
     with pytest.raises(ValueError):
         build_octree(unit_cube, max_depth=2, margin=-0.5)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"max_depth": 11}, {"samples": 1}, {"margin": np.inf}, {"margin": np.nan}, {"seed": -1}],
+)
+def test_every_entry_point_checks_build_params(unit_cube, bad):
+    with pytest.raises(ConfigError):
+        build_octree(unit_cube, **{"max_depth": 2, **bad})
+    with pytest.raises(ConfigError):
+        AnalysisParams(**bad)
+
+
+def test_estimate_checks_resolution_and_seed(unit_cube):
+    for kwargs in [{"resolution": 1}, {"seed": -1}]:
+        with pytest.raises(ConfigError):
+            estimate_part_volume(unit_cube, (0, 0, 0), (1, 1, 1), **kwargs)
 
 
 def _dump_text(tree) -> str:
