@@ -42,7 +42,6 @@ def corner_share_of_top_decile(octree, field) -> float:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--depth", type=int, default=5, help="octree depth")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="out/die", help="output directory")
     args = ap.parse_args()
     out = Path(args.out)
@@ -50,11 +49,8 @@ def main() -> None:
 
     mesh = slab_with_pockets(EXTENTS, POCKETS)
     profiles = default_profiles()
-    params = AnalysisParams(max_depth=args.depth, workers=args.workers)
-    octree = build_octree(
-        mesh, max_depth=params.max_depth, margin=params.margin,
-        samples=params.samples, seed=params.seed,
-    )
+    params = AnalysisParams(max_depth=args.depth)
+    octree = build_octree(mesh, **params.octree_params())
 
     for process, index_id in [("machining", "tool_flexibility"), ("additive", "build_height")]:
         res = analyze_mesh(mesh, process, profiles, params=params, design_id="die", octree=octree)

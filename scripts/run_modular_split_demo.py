@@ -44,14 +44,13 @@ def pocket_floor_stats(result) -> tuple[float, float]:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--depth", type=int, default=5, help="octree depth")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="out/modular_split", help="output directory")
     args = ap.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     profiles = default_profiles()
-    params = AnalysisParams(max_depth=args.depth, workers=args.workers)
+    params = AnalysisParams(max_depth=args.depth)
 
     one_piece = analyze_mesh(
         slab_with_pockets((80.0, 80.0, 60.0), [(POCKET_RECT, 50.0)]),

@@ -18,6 +18,9 @@ from .fields import LocalIndexField, clamp01, fit_ratio, grey_field
 from .mesh_io import as_metrics
 from .spatial import Octree
 
+#: Leaf points that build_height_field measures a leaf's height at.
+HEIGHT_REFERENCES = ("top", "centroid")
+
 
 @dataclass(frozen=True)
 class AdditiveProfile:
@@ -97,8 +100,9 @@ def build_height_field(
     picks the leaf's top face ("top", the default: material anywhere in the
     box must be recoated up to its top) or its centroid ("centroid").
     """
-    if reference not in ("top", "centroid"):
-        raise ParameterError(f"reference must be 'top' or 'centroid', got {reference!r}")
+    if reference not in HEIGHT_REFERENCES:
+        choices = " or ".join(map(repr, HEIGHT_REFERENCES))
+        raise ParameterError(f"reference must be {choices}, got {reference!r}")
     g = octree.grey_index
     bottom = octree.mesh_bbox_min[2]
     env_z = profile.envelope[2]

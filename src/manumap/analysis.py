@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import additive as am
 from . import machining as mc
@@ -11,7 +11,7 @@ from .aggregation import (
     IndexReport,
     build_assembly_report,
 )
-from .errors import ParameterError, ProfileError
+from .errors import MeshMismatchError, ParameterError, ProfileError
 from .fields import LocalIndexField
 from .mesh_io import DEFAULT_SEED, TriMesh
 from .profiles import MachineProfiles
@@ -29,35 +29,25 @@ PROCESSES = ("machining", "additive")
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    """Knobs shared by every analysis run."""
+    """Knobs shared by every analysis run; a report's ``params`` lists each one set."""
 
     max_depth: int = DEFAULT_MAX_DEPTH
     samples: int = DEFAULT_SAMPLES
     margin: float = DEFAULT_MARGIN
     seed: int = DEFAULT_SEED
-    workers: int = 1
     material: str | None = None
     required_ra_um: float | None = None
     height_reference: str = "top"
 
     def __post_init__(self):
-        _check_build_params(self.max_depth, self.margin, self.samples, self.seed)
-        if self.workers < 1:
-            raise ParameterError(f"workers must be at least 1, got {self.workers!r}")
+        _check_build_params(**self.octree_params())
+
+    def octree_params(self) -> dict:
+        """The build_octree keyword arguments these params ask for."""
+        return {k: getattr(self, k) for k in ("max_depth", "margin", "samples", "seed")}
 
     def to_dict(self) -> dict:
-        out = {
-            "max_depth": self.max_depth,
-            "samples": self.samples,
-            "margin": self.margin,
-            "seed": self.seed,
-            "height_reference": self.height_reference,
-        }
-        if self.material is not None:
-            out["material"] = self.material
-        if self.required_ra_um is not None:
-            out["required_ra_um"] = self.required_ra_um
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -81,18 +71,20 @@ def analyze_mesh(
     """Grade one watertight mesh under one process.
 
     Pass a prebuilt ``octree`` to share the decomposition between processes;
-    it must have been built from the same mesh with the same parameters.
+    it must have been built from the same mesh with the same parameters
+    (``MeshMismatchError`` or ``ParameterError`` otherwise).
     """
     if process not in PROCESSES:
         raise ProfileError(f"unknown process {process!r}; expected one of {PROCESSES}")
+    wanted = params.octree_params()
     if octree is None:
-        octree = build_octree(
-            mesh,
-            max_depth=params.max_depth,
-            margin=params.margin,
-            samples=params.samples,
-            seed=params.seed,
-        )
+        octree = build_octree(mesh, **wanted)
+    elif octree.mesh_hash != mesh.content_hash():
+        raise MeshMismatchError("octree was built from a different mesh")
+    else:
+        built = {k: getattr(octree, k) for k in wanted}
+        if built != wanted:
+            raise ParameterError(f"octree was built with {built}, params ask for {wanted}")
 
     fields: dict[str, LocalIndexField] = {}
     if process == "machining":
@@ -106,9 +98,7 @@ def analyze_mesh(
             global_indexes["hardness"] = mc.hardness_index(hb, prof)
         if params.required_ra_um is not None:
             global_indexes["roughness"] = mc.roughness_index(params.required_ra_um, prof)
-        fields["tool_flexibility"] = mc.tool_flexibility_field(
-            mesh, octree, prof, workers=params.workers
-        )
+        fields["tool_flexibility"] = mc.tool_flexibility_field(mesh, octree, prof)
     else:
         prof = profiles.additive
         global_indexes = {

@@ -11,10 +11,11 @@ class carries its code (``manumap.errors``); ``main`` prints any
 ``ManumapError`` as one ``error:`` line and returns that code, and any
 other ``OSError`` exits 1.  Anything else is a bug and keeps its traceback.
 
-All file output is atomic (write to temp, rename), so a failed run leaves
-no partial files, and results are byte-identical for a given input and
-configuration.  Grading runs in one thread; --workers is accepted for
-compatibility and never changes results.
+Each analysis option is declared once, in ``_add_analysis_options``, with
+the defaults of ``AnalysisParams``.  All file output is atomic (write to
+temp, rename), so a failed run leaves no partial files, and results are
+byte-identical for a given input and configuration.  Grading runs in one
+thread; --workers must be at least 1 and never changes results.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import itertools
 import sys
 from pathlib import Path
 
+from .additive import HEIGHT_REFERENCES
 from .aggregation import AssemblyReport, ComparisonReport, compare_reports
 from .analysis import (
     PROCESSES,
@@ -51,7 +53,7 @@ from .reporting import (
     export_difficulty_map,
     load_report,
 )
-from .spatial import _leaf_line, build_octree
+from .spatial import MAX_DEPTH_LIMIT, _leaf_line, build_octree
 
 EXIT_OK = 0
 
@@ -88,15 +90,16 @@ def _parse_scale(text: str) -> ColorScale | None:
 
 
 def _params(args: argparse.Namespace) -> AnalysisParams:
+    if not args.workers >= 1:
+        raise ParameterError(f"workers must be at least 1, got {args.workers!r}")
     return AnalysisParams(
         max_depth=args.depth,
         samples=args.samples,
         margin=args.margin,
         seed=args.seed,
-        workers=args.workers,
-        material=getattr(args, "material", None),
-        required_ra_um=getattr(args, "required_ra", None),
-        height_reference=getattr(args, "height_reference", "top"),
+        material=args.material,
+        required_ra_um=args.required_ra,
+        height_reference=args.height_reference,
     )
 
 
@@ -159,6 +162,14 @@ def _export_map(result: AnalysisResult, index_id: str, path, scale) -> None:
     export_difficulty_map(result.mesh, result.octree, result.fields[index_id], path, scale=scale)
 
 
+def _write_exact_paths(report, args: argparse.Namespace) -> None:
+    """--json/--csv: the report written to exactly the paths given."""
+    if args.json:
+        emit_report(report, args.json, fmt="json")
+    if args.csv:
+        emit_report(report, args.csv, fmt="csv")
+
+
 def _write_default_outputs(result: AnalysisResult, out: Path, args, scale) -> None:
     """--out naming: {design}.{process}.report.json plus one signature map."""
     stem = f"{result.report.design_id}.{result.report.process}"
@@ -191,13 +202,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     scale = _parse_scale(args.scale)
     mesh = _read(load_mesh, args.mesh, MeshError, "mesh")
     profiles = _load_profiles(args.profile)
-    octree = build_octree(
-        mesh,
-        max_depth=params.max_depth,
-        margin=params.margin,
-        samples=params.samples,
-        seed=params.seed,
-    )
+    octree = build_octree(mesh, **params.octree_params())
     out = _out_dir(args)
     for process in processes:
         result = analyze_mesh(
@@ -205,10 +210,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         if out is not None:
             _write_default_outputs(result, out, args, scale)
-        if args.json:
-            emit_report(result.report, args.json, fmt="json")
-        if args.csv:
-            emit_report(result.report, args.csv, fmt="csv")
+        _write_exact_paths(result.report, args)
         if args.dump_octree:
             # streamed _CHUNK_ROWS leaves per write; an empty join ends the chunks
             lines = map(_leaf_line, result.octree.iter_leaf_records())
@@ -248,10 +250,7 @@ def _cmd_assembly(args: argparse.Namespace) -> int:
         for name, res in sorted(results.items()):
             emit_report(res.report, out / f"{args.design_id}.{name}.report.json", fmt="json")
         emit_report(report, out / f"{args.design_id}.assembly.report.json", fmt="json")
-    if args.json:
-        emit_report(report, args.json, fmt="json")
-    if args.csv:
-        emit_report(report, args.csv, fmt="csv")
+    _write_exact_paths(report, args)
     _print_assembly(report, sys.stdout)
     return EXIT_OK
 
@@ -265,10 +264,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         stem = f"{report.baseline_id}_vs_{report.candidate_id}"
         emit_report(report, out / f"{stem}.comparison.json", fmt="json")
         emit_report(report, out / f"{stem}.comparison.csv", fmt="csv")
-    if args.json:
-        emit_report(report, args.json, fmt="json")
-    if args.csv:
-        emit_report(report, args.csv, fmt="csv")
+    _write_exact_paths(report, args)
     _print_comparison(report, sys.stdout)
     return EXIT_OK
 
@@ -285,11 +281,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _add_analysis_options(p: argparse.ArgumentParser) -> None:
+    """Options of analyze and analyze-assembly; AnalysisParams supplies the defaults."""
+    defaults = AnalysisParams()
     p.add_argument("--profile", help="machine profile file (INI)")
-    p.add_argument("--depth", type=int, default=5, help="octree depth, 1..10")
-    p.add_argument("--samples", type=int, default=4, help="volume sampling grid n (n^3 points)")
-    p.add_argument("--margin", type=float, default=0.01, help="root box inflation fraction")
-    p.add_argument("--seed", type=int, default=7919, help="base seed for all sampling")
+    p.add_argument("--depth", type=int, default=defaults.max_depth,
+                   help=f"octree depth, 1..{MAX_DEPTH_LIMIT}")
+    p.add_argument("--samples", type=int, default=defaults.samples,
+                   help="volume sampling grid n (n^3 points)")
+    p.add_argument("--margin", type=float, default=defaults.margin,
+                   help="root box inflation fraction")
+    p.add_argument("--seed", type=int, default=defaults.seed, help="base seed for all sampling")
+    p.add_argument("--material", help="material name from the profile's hardness table")
+    p.add_argument("--required-ra", type=float, help="required surface roughness Ra (um)")
+    p.add_argument("--height-reference", choices=HEIGHT_REFERENCES,
+                   default=defaults.height_reference,
+                   help="leaf reference for the build-height field")
     p.add_argument(
         "--workers",
         type=int,
@@ -318,14 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'both' grades under each process over one shared decomposition",
     )
     p.add_argument("--design-id", default="part")
-    p.add_argument("--material", help="material name from the profile's hardness table")
-    p.add_argument("--required-ra", type=float, help="required surface roughness Ra (um)")
-    p.add_argument(
-        "--height-reference",
-        choices=("top", "centroid"),
-        default="top",
-        help="leaf reference for the build-height field",
-    )
     p.add_argument("--map", help="write a difficulty map to this exact path (.ply or .vtk)")
     p.add_argument("--map-index", help="local index to map (default: process signature field)")
     p.add_argument(
@@ -348,11 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design-id", default="assembly")
     p.add_argument("--process", choices=PROCESSES, default="machining",
                    help="process for modules that do not name one")
-    p.add_argument("--material", help="material name for machining modules")
-    p.add_argument("--required-ra", type=float, help="required surface roughness Ra (um)")
-    p.add_argument(
-        "--height-reference", choices=("top", "centroid"), default="top"
-    )
     _add_analysis_options(p)
     p.set_defaults(func=_cmd_assembly)
 

@@ -127,9 +127,10 @@ def tool_flexibility_field(
     units of its allowed aspect ratio, clamped to 1; boxes no tool can reach
     from above score 1.
 
-    ``workers`` is accepted for compatibility and ignored: the probes run as
-    batched array kernels in one thread, which measured faster than a thread
-    pool and never changes the values.
+    ``workers`` is ignored: the probes run as batched array kernels in one
+    thread, which measured faster than a thread pool.  It stays because the
+    benchmark harness calls this function with ``workers=1`` to check that
+    the value never depends on it.
     """
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")

@@ -171,25 +171,19 @@ class TriMesh:
 # Loading
 
 
-def load_mesh(path: str | Path, fmt: str | None = None) -> TriMesh:
+def load_mesh(path: str | Path) -> TriMesh:
     """Load a binary STL, ASCII STL, or OFF file into a welded TriMesh.
 
-    Parameters
-    ----------
-    path:
-        Mesh file to read.
-    fmt:
-        One of ``"stl"``, ``"stl-binary"``, ``"stl-ascii"``, ``"off"``.
-        ``None`` picks by file suffix and content sniffing.
-
-    Vertices closer than :data:`WELD_TOLERANCE_MM` are merged, degenerate
-    triangles are dropped, and unused vertices are discarded.  Raises
-    :class:`ParseError` for malformed files and :class:`EmptyMeshError` when
-    nothing usable remains.
+    The file suffix (``.stl``, ``.off``) or, failing that, the content picks
+    the format; an STL is ASCII when it starts with ``solid`` and holds a
+    ``facet`` token.  Vertices closer than :data:`WELD_TOLERANCE_MM` are
+    merged, degenerate triangles are dropped, and unused vertices are
+    discarded.  Raises :class:`ParseError` for malformed files and
+    :class:`EmptyMeshError` when nothing usable remains.
     """
     path = Path(path)
     data = path.read_bytes()
-    fmt = _resolve_format(path, data, fmt)
+    fmt = _resolve_format(path, data)
     if fmt == "off":
         raw_vertices, raw_faces = _parse_off(data)
         soup = raw_vertices[raw_faces]
@@ -207,21 +201,10 @@ def load_mesh(path: str | Path, fmt: str | None = None) -> TriMesh:
     return mesh
 
 
-def _resolve_format(path: Path, data: bytes, fmt: str | None) -> str:
-    if fmt is not None:
-        fmt = fmt.lower()
-        if fmt == "stl":
-            return _sniff_stl(data)
-        if fmt in ("stl-binary", "stl-ascii", "off"):
-            return fmt
-        raise ValueError(f"unknown mesh format {fmt!r}")
+def _resolve_format(path: Path, data: bytes) -> str:
+    """The format by file suffix; without a known suffix, by content."""
     suffix = path.suffix.lower()
-    if suffix == ".off":
-        return "off"
-    if suffix == ".stl":
-        return _sniff_stl(data)
-    # no recognizable suffix: sniff the content itself
-    if data[:3] == b"OFF":
+    if suffix == ".off" or (suffix != ".stl" and data[:3] == b"OFF"):
         return "off"
     return _sniff_stl(data)
 
@@ -320,10 +303,10 @@ def _parse_off(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     return vertices, face_arr
 
 
-def _weld(soup: np.ndarray, tol: float = WELD_TOLERANCE_MM) -> TriMesh:
+def _weld(soup: np.ndarray) -> TriMesh:
     """Merge near-coincident vertices of a triangle soup and drop junk."""
     flat = soup.reshape(-1, 3)
-    keys = np.round(flat / tol).astype(np.int64)
+    keys = np.round(flat / WELD_TOLERANCE_MM).astype(np.int64)
     # rows in lexicographic key order (x first), equal keys in input order:
     # the order and first occurrences of np.unique(keys, axis=0)
     order = np.lexsort(keys.T[::-1])
@@ -390,30 +373,19 @@ def _is_watertight(mesh: TriMesh) -> bool:
 # Point classification
 
 
-def point_in_mesh(
-    mesh: TriMesh,
-    point,
-    boundary_eps: float | None = None,
-    seed: int = DEFAULT_SEED,
-) -> PointClass:
+def point_in_mesh(mesh: TriMesh, point) -> PointClass:
     """Classify one point as inside, outside, or on the surface of ``mesh``.
 
     The mesh must be watertight.  Parity is decided by ray casting; rays that
-    graze an edge or vertex are retried along fresh seeded-random directions,
-    so the result is deterministic for a fixed seed.  ``boundary_eps``
-    defaults to ``BOUNDARY_EPS_REL * max_dimension``.
+    graze an edge or vertex are retried along fresh seeded-random directions
+    (seed ``DEFAULT_SEED``), so the result is deterministic.  Points within
+    ``BOUNDARY_EPS_REL * max_dimension`` of the surface are on it.
     """
-    res = classify_points(mesh, np.asarray(point, dtype=np.float64).reshape(1, 3),
-                          boundary_eps=boundary_eps, seed=seed)
+    res = classify_points(mesh, np.asarray(point, dtype=np.float64).reshape(1, 3))
     return PointClass(int(res[0]))
 
 
-def classify_points(
-    mesh: TriMesh,
-    points: np.ndarray,
-    boundary_eps: float | None = None,
-    seed: int = DEFAULT_SEED,
-) -> np.ndarray:
+def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
     """Vectorized :func:`point_in_mesh` over an (N, 3) array.
 
     Returns an int8 array of :class:`PointClass` values.
@@ -422,13 +394,11 @@ def classify_points(
     if not metrics.watertight:
         raise NotWatertightError("point containment needs a watertight mesh")
     pts = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
-    if boundary_eps is None:
-        boundary_eps = BOUNDARY_EPS_REL * metrics.max_dimension
 
     dmin = _min_distance_to_surface(mesh.tri_coords(), pts)
-    on = dmin <= boundary_eps
+    on = dmin <= BOUNDARY_EPS_REL * metrics.max_dimension
 
-    inside = _points_inside(mesh, pts, seed=seed)
+    inside = _points_inside(mesh, pts)
     out = np.where(inside, np.int8(PointClass.INSIDE), np.int8(PointClass.OUTSIDE))
     out[on] = np.int8(PointClass.ON_BOUNDARY)
     return out
@@ -573,15 +543,13 @@ class _ColumnGrid:
     ``tids[ptr[c]:ptr[c + 1]]`` in ascending order.
     """
 
-    def __init__(self, tc: np.ndarray, scale: float, res: int | None = None):
+    def __init__(self, tc: np.ndarray, scale: float):
         self._scale = max(scale, 1.0)
         xy = tc[..., :2]
         pad = 1e-9 * self._scale
         self._lo = xy.reshape(-1, 2).min(axis=0) - pad
         hi = xy.reshape(-1, 2).max(axis=0) + pad
-        if res is None:
-            res = int(np.clip(np.sqrt(len(tc) / 2.0), 4, 128))
-        self._res = res
+        self._res = res = int(np.clip(np.sqrt(len(tc) / 2.0), 4, 128))
         self._cell = np.maximum((hi - self._lo) / res, 1e-12)
 
         tmin = xy.min(axis=1)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .additive import AdditiveProfile
@@ -42,15 +42,25 @@ DEFAULT_HARDNESS_HB = {
     "tool-steel-hardened": 600.0,
 }
 
-_MACHINING_KEYS = {
-    "workspace_mm",
-    "tool_diameters_mm",
-    "max_aspect",
-    "hardness_limit_hb",
-    "roughness_best_um",
-    "roughness_coarse_um",
+#: (INI section, MachineProfiles field) -> {INI key: (profile field, count)}.
+#: The count is how many numbers the key takes; None means a list of any length.
+_SECTIONS = {
+    ("machining", "subtractive"): {
+        "workspace_mm": ("workspace", 3),
+        "tool_diameters_mm": ("tool_diameters", None),
+        "max_aspect": ("max_aspect", 1),
+        "hardness_limit_hb": ("hardness_limit_hb", 1),
+        "roughness_best_um": ("roughness_best_um", 1),
+        "roughness_coarse_um": ("roughness_coarse_um", 1),
+    },
+    ("additive", "additive"): {
+        "envelope_mm": ("envelope", 3),
+        "platform_center_mm": ("platform_center", 2),
+        "reference_area_mm2": ("reference_area", 1),
+    },
 }
-_ADDITIVE_KEYS = {"envelope_mm", "platform_center_mm", "reference_area_mm2"}
+#: Material name -> Brinell hardness; replaces DEFAULT_HARDNESS_HB when present.
+_HARDNESS_SECTION = "machining.hardness_hb"
 
 
 @dataclass(frozen=True)
@@ -67,31 +77,27 @@ class MachineProfiles:
         return self.hardness_hb[key]
 
     def to_dict(self) -> dict:
-        return {
-            "machining": {
-                "workspace_mm": list(self.subtractive.workspace),
-                "tool_diameters_mm": list(self.subtractive.tool_diameters),
-                "max_aspect": self.subtractive.max_aspect,
-                "hardness_limit_hb": self.subtractive.hardness_limit_hb,
-                "roughness_best_um": self.subtractive.roughness_best_um,
-                "roughness_coarse_um": self.subtractive.roughness_coarse_um,
-            },
-            "machining.hardness_hb": dict(sorted(self.hardness_hb.items())),
-            "additive": {
-                "envelope_mm": list(self.additive.envelope),
-                "platform_center_mm": None
-                if self.additive.platform_center is None
-                else list(self.additive.platform_center),
-                "reference_area_mm2": self.additive.reference_area,
-            },
+        out = {
+            section: {
+                key: _json_value(getattr(getattr(self, attr), name))
+                for key, (name, _) in keys.items()
+            }
+            for (section, attr), keys in _SECTIONS.items()
         }
+        out[_HARDNESS_SECTION] = dict(sorted(self.hardness_hb.items()))
+        return out
+
+
+def _json_value(value):
+    return list(value) if isinstance(value, tuple) else value
 
 
 def default_profiles() -> MachineProfiles:
     return MachineProfiles()
 
 
-def _floats(section: str, key: str, raw: str, count: int | None = None) -> tuple[float, ...]:
+def _numbers(section: str, key: str, raw: str, count: int | None) -> float | tuple[float, ...]:
+    """Parse ``raw`` as ``count`` numbers (any number when None); one number is a float."""
     parts = raw.replace(",", " ").split()
     try:
         vals = tuple(float(p) for p in parts)
@@ -101,11 +107,7 @@ def _floats(section: str, key: str, raw: str, count: int | None = None) -> tuple
         raise ProfileError(f"[{section}] {key} needs {count} numbers, got {len(vals)}")
     if not all(math.isfinite(v) for v in vals):
         raise ProfileError(f"[{section}] {key} = {raw!r} holds a value that is not finite")
-    return vals
-
-
-def _float(section: str, key: str, raw: str) -> float:
-    return _floats(section, key, raw, 1)[0]
+    return vals[0] if count == 1 else vals
 
 
 def load_profiles(path) -> MachineProfiles:
@@ -123,62 +125,35 @@ def load_profiles(path) -> MachineProfiles:
     except configparser.Error as exc:
         raise ProfileError(f"bad profile file {p}: {exc}") from exc
 
-    known_sections = {"machining", "machining.hardness_hb", "additive"}
-    unknown = set(parser.sections()) - known_sections
+    unknown = set(parser.sections()) - {section for section, _ in _SECTIONS} - {_HARDNESS_SECTION}
     if unknown:
         raise ProfileError(f"unknown profile sections: {', '.join(sorted(unknown))}")
 
-    sub_kwargs: dict = {}
-    if parser.has_section("machining"):
-        sec = parser["machining"]
-        bad = set(sec) - _MACHINING_KEYS
+    defaults = default_profiles()
+    machines = {}
+    for (section, attr), keys in _SECTIONS.items():
+        sec = parser[section] if parser.has_section(section) else {}
+        bad = set(sec) - set(keys)
         if bad:
-            raise ProfileError(f"unknown [machining] keys: {', '.join(sorted(bad))}")
-        if "workspace_mm" in sec:
-            sub_kwargs["workspace"] = _floats("machining", "workspace_mm", sec["workspace_mm"], 3)
-        if "tool_diameters_mm" in sec:
-            sub_kwargs["tool_diameters"] = _floats(
-                "machining", "tool_diameters_mm", sec["tool_diameters_mm"]
-            )
-        for key, attr in [
-            ("max_aspect", "max_aspect"),
-            ("hardness_limit_hb", "hardness_limit_hb"),
-            ("roughness_best_um", "roughness_best_um"),
-            ("roughness_coarse_um", "roughness_coarse_um"),
-        ]:
-            if key in sec:
-                sub_kwargs[attr] = _float("machining", key, sec[key])
-
-    add_kwargs: dict = {}
-    if parser.has_section("additive"):
-        sec = parser["additive"]
-        bad = set(sec) - _ADDITIVE_KEYS
-        if bad:
-            raise ProfileError(f"unknown [additive] keys: {', '.join(sorted(bad))}")
-        if "envelope_mm" in sec:
-            add_kwargs["envelope"] = _floats("additive", "envelope_mm", sec["envelope_mm"], 3)
-        if "platform_center_mm" in sec:
-            add_kwargs["platform_center"] = _floats(
-                "additive", "platform_center_mm", sec["platform_center_mm"], 2
-            )
-        if "reference_area_mm2" in sec:
-            add_kwargs["reference_area"] = _float(
-                "additive", "reference_area_mm2", sec["reference_area_mm2"]
-            )
+            raise ProfileError(f"unknown [{section}] keys: {', '.join(sorted(bad))}")
+        machines[attr] = {
+            name: _numbers(section, key, sec[key], count)
+            for key, (name, count) in keys.items()
+            if key in sec
+        }
 
     hardness = dict(DEFAULT_HARDNESS_HB)
-    if parser.has_section("machining.hardness_hb"):
+    if parser.has_section(_HARDNESS_SECTION):
         hardness = {}
-        for name, raw in parser["machining.hardness_hb"].items():
-            value = _float("machining.hardness_hb", name, raw)
+        for name, raw in parser[_HARDNESS_SECTION].items():
+            value = _numbers(_HARDNESS_SECTION, name, raw, 1)
             if value <= 0:
                 raise ProfileError(f"hardness for {name!r} must be positive, got {value!r}")
             hardness[name.strip().lower()] = value
         if not hardness:
-            raise ProfileError("[machining.hardness_hb] lists no materials")
+            raise ProfileError(f"[{_HARDNESS_SECTION}] lists no materials")
 
     return MachineProfiles(
-        subtractive=SubtractiveProfile(**sub_kwargs),
-        additive=AdditiveProfile(**add_kwargs),
         hardness_hb=hardness,
+        **{attr: replace(getattr(defaults, attr), **kw) for attr, kw in machines.items()},
     )

@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DepthRangeError, MeshMismatchError, NotWatertightError, ParameterError
+from .errors import (
+    DegenerateMeshError,
+    DepthRangeError,
+    MeshMismatchError,
+    NotWatertightError,
+    ParameterError,
+)
 from .mesh_io import (
     _SAT_PAIR_BUDGET,
     DEFAULT_SEED,
@@ -32,6 +38,8 @@ from .mesh_io import (
 DEFAULT_MAX_DEPTH = 5
 DEFAULT_SAMPLES = 4
 DEFAULT_MARGIN = 0.01
+#: Deepest octree a build or refine may ask for.
+MAX_DEPTH_LIMIT = 10
 
 #: Relative inward shrink applied to a box before the surface-crossing test.
 #: A triangle that merely touches the closed box (no transversal crossing)
@@ -288,8 +296,8 @@ def _check_build_params(
     The one check behind build_octree, refine, estimate_part_volume and
     AnalysisParams, so the CLI rejects a bad flag before it loads a mesh.
     """
-    if not 1 <= max_depth <= 10:
-        raise DepthRangeError(f"max_depth must be in [1, 10], got {max_depth!r}")
+    if not 1 <= max_depth <= MAX_DEPTH_LIMIT:
+        raise DepthRangeError(f"max_depth must be in [1, {MAX_DEPTH_LIMIT}], got {max_depth!r}")
     if not samples >= 2:
         raise ParameterError(f"samples must be at least 2, got {samples!r}")
     if not 0 <= margin < np.inf:
@@ -318,10 +326,15 @@ def build_octree(
     seed:
         Base seed; each leaf derives its own stream from (seed, leaf path),
         so estimates are independent of evaluation order.
+
+    An open mesh raises ``NotWatertightError``; a closed one whose bounding
+    box has no volume (a flat sheet) raises ``DegenerateMeshError``.
     """
     metrics = mesh.metrics
     if not metrics.watertight:
         raise NotWatertightError("octree decomposition needs a watertight mesh")
+    if metrics.bbox_volume <= 0:
+        raise DegenerateMeshError("flat bounding box: the mesh encloses no volume to decompose")
     _check_build_params(max_depth, margin, samples, seed)
 
     bbox_min = np.array(metrics.bbox_min)

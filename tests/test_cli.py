@@ -8,6 +8,7 @@ import pytest
 
 from manumap.aggregation import IndexReport
 from manumap import cli
+from manumap.analysis import AnalysisParams
 from manumap.cli import main
 from manumap.mesh_io import load_mesh
 from manumap.primitives import box_mesh, write_binary_stl
@@ -201,10 +202,12 @@ _NAN_PROFILE = (
         (["--map", "unwritten.ply", "--scale=-inf:inf"], "", 2),
         ([], _NAN_PROFILE, 2),
         ([], _FLAT_MESH, 3),
+        (["--process", "additive"], _FLAT_MESH, 3),
     ],
     ids=[
         "samples-1", "margin-neg", "seed-neg", "workers-0", "workers-neg", "ray-parity",
         "margin-inf", "required-ra-nan", "scale-inf", "profile-nan", "flat-mesh",
+        "flat-mesh-additive",
     ],
 )
 def test_failures_exit_with_code_and_no_traceback(tmp_path, flags, prelude, code):
@@ -219,6 +222,11 @@ def test_failures_exit_with_code_and_no_traceback(tmp_path, flags, prelude, code
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["analyze", "m.stl"], ["analyze-assembly", "a=m.stl"]])
+def test_bare_command_grades_with_library_defaults(argv):
+    assert cli._params(cli.build_parser().parse_args(argv)) == AnalysisParams()
 
 
 def test_unknown_material_exits_2(mesh_files, capsys):

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from manumap.additive import AdditiveProfile
 from manumap.errors import ProfileError, UnknownMaterialError
+from manumap.machining import SubtractiveProfile
 from manumap.profiles import (
     DEFAULT_HARDNESS_HB,
     MachineProfiles,
@@ -160,3 +164,48 @@ def test_to_dict_round_trips_through_sections(tmp_path):
     assert d["additive"]["platform_center_mm"] == [3.0, 4.0]
     assert d["machining.hardness_hb"]["steel-c45"] == 207.0
     assert MachineProfiles().to_dict()["additive"]["platform_center_mm"] is None
+
+
+def _ini(profile: MachineProfiles) -> str:
+    """An INI file holding every value of ``profile.to_dict()``."""
+    lines = []
+    for section, values in profile.to_dict().items():
+        lines.append(f"[{section}]")
+        for key, value in values.items():
+            if isinstance(value, list):
+                lines.append(f"{key} = {' '.join(map(repr, value))}")
+            elif value is not None:
+                lines.append(f"{key} = {value!r}")
+    return "\n".join(lines) + "\n"
+
+
+_positive = st.floats(min_value=1e-3, max_value=1e6)
+_profiles = st.builds(
+    MachineProfiles,
+    subtractive=st.builds(
+        SubtractiveProfile,
+        workspace=st.tuples(_positive, _positive, _positive),
+        tool_diameters=st.lists(_positive, min_size=1, max_size=6).map(tuple),
+        max_aspect=st.floats(min_value=1.5, max_value=50.0),
+        hardness_limit_hb=_positive,
+        roughness_best_um=st.floats(min_value=0.01, max_value=1.0),
+        roughness_coarse_um=st.floats(min_value=2.0, max_value=50.0),
+    ),
+    additive=st.builds(
+        AdditiveProfile,
+        envelope=st.tuples(_positive, _positive, _positive),
+        platform_center=st.none() | st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        reference_area=st.none() | _positive,
+    ),
+    hardness_hb=st.dictionaries(
+        st.from_regex(r"[a-z][a-z0-9-]{0,12}", fullmatch=True), _positive, min_size=1
+    ),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(profile=_profiles)
+def test_profile_round_trips_through_its_ini_file(tmp_path_factory, profile):
+    path = tmp_path_factory.mktemp("ini") / "machines.cfg"
+    path.write_text(_ini(profile))
+    assert load_profiles(path) == profile
