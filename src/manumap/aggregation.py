@@ -10,7 +10,7 @@ totals of everything else while the worst spot stays visible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,13 +88,7 @@ class LocalFieldSummary:
     grey_volume: float
 
     def to_dict(self) -> dict:
-        return {
-            "index_id": self.index_id,
-            "mean": self.mean,
-            "max": self.max,
-            "leaf_count": self.leaf_count,
-            "grey_volume": self.grey_volume,
-        }
+        return asdict(self)
 
 
 def summarize_field(index_field: LocalIndexField) -> LocalFieldSummary:
@@ -218,11 +212,6 @@ class IndexReport:
             part_volume=float(data.get("part_volume", 0.0)),
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IndexReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
 
 @dataclass(frozen=True)
 class AssemblyReport:
@@ -286,11 +275,6 @@ class AssemblyReport:
             warnings=tuple(data.get("warnings", ())),
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AssemblyReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
 
 def build_assembly_report(
     design_id: str,
@@ -308,38 +292,33 @@ def build_assembly_report(
     weights = {n: float(w) for n, w in zip(names, weights_arr)}
 
     processes = {r.process for r in module_reports.values()}
+    process = totals = None
+    warnings: tuple[str, ...] = ()
     if len(processes) > 1:
-        return AssemblyReport(
-            design_id=design_id,
-            module_reports=dict(module_reports),
-            weights=weights,
-            totals=None,
-            process=None,
-            warnings=(
-                "modules are graded under different processes; "
-                "no combined totals can be formed",
-            ),
+        warnings = (
+            "modules are graded under different processes; no combined totals can be formed",
         )
-
-    process = processes.pop()
-    prefix = f"{process}."
-    per_module = {n: module_reports[n].scalar_metrics() for n in names}
-    shared = set.intersection(*(set(m) for m in per_module.values()))
-    shared.discard(f"{process}.total")
-    totals = {}
-    for key in sorted(shared):
-        vals = [per_module[n][key] for n in names]
-        short = key[len(prefix):]
-        if short.endswith("_max"):
-            totals[short] = max_rule_total(vals)
-        else:
-            totals[short] = weighted_total(vals, weights_arr)
+    else:
+        (process,) = processes
+        prefix = f"{process}."
+        per_module = {n: module_reports[n].scalar_metrics() for n in names}
+        shared = set.intersection(*(set(m) for m in per_module.values()))
+        shared.discard(f"{process}.total")
+        totals = {}
+        for key in sorted(shared):
+            vals = [per_module[n][key] for n in names]
+            short = key[len(prefix):]
+            if short.endswith("_max"):
+                totals[short] = max_rule_total(vals)
+            else:
+                totals[short] = weighted_total(vals, weights_arr)
     return AssemblyReport(
         design_id=design_id,
         module_reports=dict(module_reports),
         weights=weights,
         totals=totals,
         process=process,
+        warnings=warnings,
     )
 
 
@@ -386,11 +365,6 @@ class ComparisonReport:
                 for k, vs in _obj(data, "field_deltas", optional=True).items()
             },
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComparisonReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
 
 
 def _row(metric: str, base: float | None, cand: float | None) -> dict:
@@ -439,39 +413,28 @@ def compare_reports(baseline, candidate) -> ComparisonReport:
             raise SchemaMismatchError(
                 f"cannot compare a {type(rep).__name__}; compare reads part and assembly reports"
             )
-    notes: list[str] = []
+    notes: tuple[str, ...] = ()
     base_metrics = baseline.scalar_metrics()
 
-    mixed = isinstance(candidate, AssemblyReport) and candidate.totals is None
-    if mixed:
-        notes.append(
-            "candidate assembly mixes processes; each module is compared separately"
-        )
-        rows = []
-        for name, rep in sorted(candidate.module_reports.items()):
-            for key, val in rep.scalar_metrics().items():
-                rows.append(_row(f"{name}:{key}", base_metrics.get(key), val))
-        return ComparisonReport(
-            baseline_id=baseline.design_id,
-            candidate_id=candidate.design_id,
-            rows=tuple(rows),
-            notes=tuple(notes),
-        )
-
-    cand_metrics = candidate.scalar_metrics()
-    keys = sorted(set(base_metrics) | set(cand_metrics))
-    shared = set(base_metrics) & set(cand_metrics)
-    if not shared:
-        if baseline.process == candidate.process:
-            raise NoSharedIndexesError(
-                "reports grade the same process but share no metrics"
-            )
-        notes.append("reports grade different processes; values shown side by side")
-    rows = [_row(k, base_metrics.get(k), cand_metrics.get(k)) for k in keys]
+    if isinstance(candidate, AssemblyReport) and candidate.totals is None:
+        notes = ("candidate assembly mixes processes; each module is compared separately",)
+        rows = [
+            _row(f"{name}:{key}", base_metrics.get(key), val)
+            for name, rep in sorted(candidate.module_reports.items())
+            for key, val in rep.scalar_metrics().items()
+        ]
+    else:
+        cand_metrics = candidate.scalar_metrics()
+        if not set(base_metrics) & set(cand_metrics):
+            if baseline.process == candidate.process:
+                raise NoSharedIndexesError("reports grade the same process but share no metrics")
+            notes = ("reports grade different processes; values shown side by side",)
+        keys = sorted(set(base_metrics) | set(cand_metrics))
+        rows = [_row(k, base_metrics.get(k), cand_metrics.get(k)) for k in keys]
     return ComparisonReport(
         baseline_id=baseline.design_id,
         candidate_id=candidate.design_id,
         rows=tuple(rows),
-        notes=tuple(notes),
+        notes=notes,
         field_deltas=_shared_field_deltas(baseline, candidate),
     )

@@ -56,8 +56,12 @@ class AnalysisResult:
 
     report: IndexReport
     octree: Octree
-    fields: dict[str, LocalIndexField]
     mesh: TriMesh
+
+    @property
+    def fields(self) -> dict[str, LocalIndexField]:
+        """The report's local fields, by index id."""
+        return self.report.local_fields
 
 
 def analyze_mesh(
@@ -115,13 +119,13 @@ def analyze_mesh(
         design_id=design_id,
         process=process,
         global_indexes=global_indexes,
-        local_fields=dict(fields),
+        local_fields=fields,
         mesh_hash=mesh.content_hash(),
         octree_fingerprint=octree.fingerprint(),
         params=params.to_dict(),
         part_volume=abs(mesh.metrics.volume),
     )
-    return AnalysisResult(report=report, octree=octree, fields=fields, mesh=mesh)
+    return AnalysisResult(report=report, octree=octree, mesh=mesh)
 
 
 @dataclass(frozen=True)

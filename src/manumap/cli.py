@@ -21,7 +21,6 @@ thread; --workers must be at least 1 and never changes results.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
@@ -53,7 +52,7 @@ from .reporting import (
     export_difficulty_map,
     load_report,
 )
-from .spatial import MAX_DEPTH_LIMIT, _leaf_line, build_octree
+from .spatial import MAX_DEPTH_LIMIT, build_octree
 
 EXIT_OK = 0
 
@@ -212,9 +211,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             _write_default_outputs(result, out, args, scale)
         _write_exact_paths(result.report, args)
         if args.dump_octree:
-            # streamed _CHUNK_ROWS leaves per write; an empty join ends the chunks
-            lines = map(_leaf_line, result.octree.iter_leaf_records())
-            chunks = iter(lambda: "".join(itertools.islice(lines, _CHUNK_ROWS)), "")
+            # streamed, _CHUNK_ROWS leaves per write
+            lines, n = result.octree.dump_lines(), len(result.octree.path_key)
+            chunks = (
+                "".join(next(lines) for _ in range(min(_CHUNK_ROWS, n - s)))
+                for s in range(0, n, _CHUNK_ROWS)
+            )
             _atomic_write_chunks(Path(args.dump_octree), chunks)
         if args.map:
             index_id = args.map_index or _MAP_INDEX_DEFAULT[process]

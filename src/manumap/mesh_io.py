@@ -1,7 +1,7 @@
 """Triangle-mesh loading, measurement, and the geometric predicates used everywhere else.
 
-All lengths are millimeters.  A :class:`TriMesh` is immutable after load, so
-every function in this module is safe to call from concurrent workers.
+All lengths are millimeters.  A :class:`TriMesh` is immutable after load;
+its derived data is computed on first use and cached.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import hashlib
 import logging
 import re
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,11 +88,11 @@ class TriMesh:
     """Indexed triangle mesh.
 
     Arrays are made read-only on construction; derived data (metrics, the
-    ray-cast acceleration grid, the content hash) is computed once under a
-    lock and cached.
+    ray-cast acceleration grid, the content hash) is computed on first use
+    and cached.
     """
 
-    __slots__ = ("vertices", "triangles", "_lock", "_metrics", "_tri_coords", "_grid", "_hash")
+    __slots__ = ("vertices", "triangles", "_metrics", "_tri_coords", "_grid", "_hash")
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
@@ -110,7 +109,6 @@ class TriMesh:
         triangles.setflags(write=False)
         self.vertices = vertices
         self.triangles = triangles
-        self._lock = threading.Lock()
         self._metrics: MeshMetrics | None = None
         self._tri_coords: np.ndarray | None = None
         self._grid: _ColumnGrid | None = None
@@ -127,40 +125,29 @@ class TriMesh:
     def tri_coords(self) -> np.ndarray:
         """Per-triangle vertex coordinates, shape (M, 3, 3)."""
         if self._tri_coords is None:
-            with self._lock:
-                if self._tri_coords is None:
-                    tc = self.vertices[self.triangles]
-                    tc.setflags(write=False)
-                    self._tri_coords = tc
+            tc = self.vertices[self.triangles]
+            tc.setflags(write=False)
+            self._tri_coords = tc
         return self._tri_coords
 
     @property
     def metrics(self) -> MeshMetrics:
         if self._metrics is None:
-            with self._lock:
-                if self._metrics is None:
-                    self._metrics = _measure(self)
+            self._metrics = _measure(self)
         return self._metrics
 
     def content_hash(self) -> str:
         """Hash of the exact vertex/triangle data, for provenance checks."""
         if self._hash is None:
-            with self._lock:
-                if self._hash is None:
-                    h = hashlib.sha256()
-                    h.update(self.vertices.tobytes())
-                    h.update(self.triangles.tobytes())
-                    self._hash = h.hexdigest()
+            h = hashlib.sha256()
+            h.update(self.vertices.tobytes())
+            h.update(self.triangles.tobytes())
+            self._hash = h.hexdigest()
         return self._hash
 
     def _column_grid(self) -> "_ColumnGrid":
         if self._grid is None:
-            # resolve dependencies before locking: both take the same lock
-            tc = self.tri_coords()
-            scale = self.metrics.max_dimension
-            with self._lock:
-                if self._grid is None:
-                    self._grid = _ColumnGrid(tc, scale)
+            self._grid = _ColumnGrid(self.tri_coords(), self.metrics.max_dimension)
         return self._grid
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -409,7 +396,7 @@ def _points_inside(mesh: TriMesh, pts: np.ndarray, seed: int = DEFAULT_SEED) -> 
 
     Points whose vertical ray grazes an edge fall back to seeded random-
     direction casts; the outcome depends only on (mesh, point, seed), never
-    on batch composition, which keeps parallel callers deterministic.
+    on batch composition, so any batching of the points gives the same answers.
     """
     if not mesh.metrics.watertight:
         raise NotWatertightError("point containment needs a watertight mesh")
@@ -637,8 +624,8 @@ class _ColumnGrid:
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         px, py = xy.T
         z = np.asarray(z, dtype=np.float64)
-        zz = z.reshape(len(px), -1)
-        n, k = zz.shape
+        n, k = len(px), (z.shape[1] if z.ndim == 2 else 1)
+        zz = z.reshape(n, k)
         counts = np.zeros(n * k, dtype=np.int64)
         suspect = np.zeros(n * k, dtype=bool)
         cells = self._cells_of(xy)

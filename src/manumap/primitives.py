@@ -192,30 +192,23 @@ def _triangulate_polygon(poly: np.ndarray) -> list[tuple[int, int, int]]:
     return tris
 
 
-def extrude_polygon(profile, length: float, axis: str = "y") -> TriMesh:
+def extrude_polygon(profile, length: float) -> TriMesh:
     """Extrude a simple polygon into a prism.
 
-    ``profile`` is a sequence of (a, b) pairs.  With ``axis="y"`` the profile
-    lives in the xz plane (a is x, b is z) and is swept from y=0 to
-    y=length; with ``axis="z"`` the profile is xy swept along z.  Handy for
-    L-sections, T-sections, and other constant-cross-section parts.
+    ``profile`` is a sequence of (x, z) pairs in the xz plane, swept from
+    y=0 to y=length.  Handy for L-sections, T-sections, and other
+    constant-cross-section parts.
     """
     poly = np.asarray(profile, dtype=np.float64)
     if poly.ndim != 2 or poly.shape[1] != 2 or len(poly) < 3:
-        raise ValueError("profile must be a sequence of at least 3 (a, b) pairs")
+        raise ValueError("profile must be a sequence of at least 3 (x, z) pairs")
     if length <= 0:
         raise ValueError("length must be positive")
-    if axis not in ("y", "z"):
-        raise ValueError("axis must be 'y' or 'z'")
 
     cap = _triangulate_polygon(poly)
     n = len(poly)
-    if axis == "y":
-        near = np.column_stack([poly[:, 0], np.zeros(n), poly[:, 1]])
-        far = np.column_stack([poly[:, 0], np.full(n, length), poly[:, 1]])
-    else:
-        near = np.column_stack([poly, np.zeros(n)])
-        far = np.column_stack([poly, np.full(n, length)])
+    near = np.column_stack([poly[:, 0], np.zeros(n), poly[:, 1]])
+    far = np.column_stack([poly[:, 0], np.full(n, length), poly[:, 1]])
     verts = np.vstack([near, far])
 
     tris: list[tuple[int, int, int]] = []

@@ -15,7 +15,6 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -201,7 +200,8 @@ class Octree:
             lo, hi = np.where(upper, mid, lo), np.where(upper, hi, mid)
         return found
 
-    def iter_leaf_records(self):
+    def dump_lines(self):
+        """The leaf dump: one JSON object per leaf, in Morton order, one line each."""
         for depth, lo, hi, code, volume in zip(
             self.depth.tolist(),
             self.box_min.tolist(),
@@ -209,22 +209,18 @@ class Octree:
             self.class_code.tolist(),
             self.part_volume.tolist(),
         ):
-            yield {
+            record = {
                 "depth": depth,
                 "box_min": lo,
                 "box_max": hi,
                 "class": _CLASSES[code].value,
                 "part_volume": volume,
             }
+            yield json.dumps(record, sort_keys=True) + "\n"
 
-    def dump_leaves(self, target) -> None:
-        """Write one JSON object per leaf (Morton order) to a path or file."""
-        if hasattr(target, "write"):
-            for rec in self.iter_leaf_records():
-                target.write(_leaf_line(rec))
-        else:
-            with open(Path(target), "w", encoding="utf-8") as fh:
-                self.dump_leaves(fh)
+    def dump_leaves(self, fh) -> None:
+        """Write the leaf dump (:meth:`dump_lines`) to the text file ``fh``."""
+        fh.writelines(self.dump_lines())
 
     def fingerprint(self) -> dict:
         """Stable identity of the decomposition: depth, leaf count, content hash.
@@ -250,11 +246,6 @@ class Octree:
         return self._fingerprint
 
 
-def _leaf_line(record: dict) -> str:
-    """One line of a leaf dump: a record of :meth:`Octree.iter_leaf_records` as JSON."""
-    return json.dumps(record, sort_keys=True) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Classification
 
@@ -272,13 +263,21 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
     hi = np.asarray(box_max, dtype=np.float64)
     if (hi <= lo).any():
         raise ParameterError("box_max must exceed box_min on every axis")
+    return _CLASSES[_classify(mesh, lo[None], hi[None], DEFAULT_SEED)[1]]
+
+
+def _classify(mesh: TriMesh, lo: np.ndarray, hi: np.ndarray, seed: int) -> tuple[np.ndarray, int]:
+    """The triangles crossing the (1, 3) box ``lo``/``hi`` and the box's class code.
+
+    The box is shrunk by :data:`_SHRINK` for the SAT test; a box no triangle
+    crosses is black or white by the parity of its center, cast with ``seed``.
+    """
     center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    hits = _tri_box_overlap(mesh.tri_coords(), center[None, :], (half * (1.0 - _SHRINK))[None, :])
-    if bool(hits.any()):
-        return OctantClass.GREY
-    inside = _points_inside(mesh, center[None, :])
-    return OctantClass.BLACK if bool(inside[0]) else OctantClass.WHITE
+    half = 0.5 * (hi - lo) * (1 - _SHRINK)
+    hits = np.flatnonzero(_tri_box_overlap(mesh.tri_coords(), center, half))
+    if len(hits):
+        return hits, _GREY
+    return hits, _BLACK if _points_inside(mesh, center, seed=seed)[0] else _WHITE
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +343,17 @@ def build_octree(
     lo, hi = (center - half)[None, :], (center + half)[None, :]
     root_key = np.ones(1, dtype=np.int64)
 
-    root_hit = _tri_box_overlap(mesh.tri_coords(), 0.5 * (lo + hi), (hi - lo) * 0.5 * (1 - _SHRINK))
-    if root_hit.any():
-        tri_ids = np.flatnonzero(root_hit)
+    tri_ids, code = _classify(mesh, lo, hi, seed)
+    if code == _GREY:
         root_of = np.zeros(len(tri_ids), dtype=np.intp)
         leaves, tri_ptr, tri_ids = _grow(
             mesh, [], lo, hi, root_key, root_of, tri_ids, 0, max_depth, samples, seed
         )
     else:
-        inside = bool(_points_inside(mesh, 0.5 * (lo + hi), seed=seed)[0])
-        code = np.array([_BLACK if inside else _WHITE], dtype=np.int8)
-        volume = np.array([float(np.prod(hi - lo)) if inside else 0.0])
+        volume = np.array([float(np.prod(hi - lo)) if code == _BLACK else 0.0])
+        code = np.array([code], dtype=np.int8)
         leaves = (root_key, np.zeros(1, dtype=np.int32), code, lo, hi, volume)
-        tri_ptr, tri_ids = np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        tri_ptr = np.zeros(1, dtype=np.intp)
 
     tree = Octree(
         *leaves,

@@ -69,7 +69,7 @@ def t_slot_part():
         (18.0, 30.0),
         (0.0, 30.0),
     ]
-    return extrude_polygon(profile, 20.0, axis="y")
+    return extrude_polygon(profile, 20.0)
 
 
 @pytest.fixture(scope="session")

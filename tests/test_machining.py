@@ -14,13 +14,14 @@ from manumap.errors import (
 )
 from manumap.machining import (
     SubtractiveProfile,
+    _columns_blocked,
     chip_volume_index,
     hardness_index,
     max_dimension_index,
     roughness_index,
     tool_flexibility_field,
 )
-from manumap.mesh_io import TriMesh
+from manumap.mesh_io import DEFAULT_SEED, TriMesh
 from manumap.primitives import box_mesh, extrude_polygon, slab_with_pockets
 from manumap.spatial import build_octree
 
@@ -32,9 +33,7 @@ def profile():
 
 def l_bracket():
     # L cross-section filling 3 of the 4 quadrants of its 2x2 bbox, depth 1
-    return extrude_polygon(
-        [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], 1.0, axis="y"
-    )
+    return extrude_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,3 +331,36 @@ def test_deeper_pocket_is_harder():
         ]
         values.append(min(by_key[n.path_key] for n in floor))
     assert values[0] < values[1] < values[2]
+
+
+@pytest.mark.parametrize(
+    "case, xy, lo, hi, blocked",
+    [("cube", (5.0, 5.0), 4.0, 10.0, True), ("pocket", (32.0, 32.0), 30.0, 64.0, False)],
+)
+def test_grazing_column_settles_on_retry(case, xy, lo, hi, blocked, pocket_plate, monkeypatch):
+    """A column on the diagonal edge of a face (the cube's top and bottom, the
+    pocket's floor) grazes on its first cast; the retry at a jittered xy must
+    give the true answer, whatever else is in the batch, every time."""
+    mesh = {"cube": box_mesh((10.0, 10.0, 10.0)), "pocket": pocket_plate}[case]
+    grid_cls = type(mesh._column_grid())
+    original = grid_cls.crossings_above
+    casts = []  # the graze flags of every cast
+
+    def spy(self, xy, z):
+        out = original(self, xy, z)
+        casts.append(out[1])
+        return out
+
+    monkeypatch.setattr(grid_cls, "crossings_above", spy)
+
+    def run(columns, keys):
+        n = len(columns)
+        return _columns_blocked(
+            mesh, np.array(columns), np.full(n, lo), np.full(n, hi), DEFAULT_SEED, np.array(keys)
+        )
+
+    alone = run([xy], [9])
+    assert casts[0].any() and len(casts) > 1  # the first cast grazes, so a retry decides
+    assert alone[0] == blocked
+    assert run([(1.0, 2.0), xy, (3.0, 7.0), (5.0, 5.0)], [3, 9, 11, 12])[1] == alone[0]
+    assert run([xy], [9])[0] == alone[0]

@@ -396,6 +396,15 @@ def test_column_kernel_chunk_seams(sphere10, monkeypatch):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_column_kernel_and_classify_points_take_zero_inputs(unit_cube):
+    grid = unit_cube._column_grid()
+    for shape in [(0,), (0, 3)]:
+        counts, suspect = grid.crossings_above(np.empty((0, 2)), np.empty(shape))
+        assert counts.shape == shape and suspect.shape == shape
+    out = classify_points(unit_cube, np.empty((0, 3)))
+    assert out.shape == (0,) and out.dtype == np.int8
+
+
 def _vertical_triangles(rng, n, offset):
     """n triangles whose xy projection is a segment along ``d``, a third each along
     x, along y and diagonal; dyadic xy keeps the projection exactly collinear at
