@@ -151,25 +151,62 @@ def _solve_leaves(mesh: TriMesh, octree: Octree, profile: SubtractiveProfile) ->
     keys = octree.path_key[g]
     reach = part_top - tops
 
+    def blocked(rows, diameter, dirs):
+        """(len(rows), len(dirs)): probe columns ``dirs`` of the leaves ``rows`` blocked."""
+        spread = diameter / (2.0 * math.sqrt(2.0))
+        xy = centers[rows][:, None, :] + spread * _PROBE_DIRS[None, dirs, :]
+        lo = np.repeat(tops[rows], len(dirs))
+        hi = np.full(len(lo), part_top)
+        probe_keys = (keys[rows][:, None] * 8 + dirs).ravel()
+        out = _shared_columns_blocked(mesh, xy.reshape(-1, 2), lo, hi, octree.seed, probe_keys)
+        return out.reshape(len(rows), len(dirs))
+
     values = np.full(len(g), 1.0)  # unreachable until proven otherwise
     values[reach <= eps] = 0.0  # top-plane boxes need no descent
-    unresolved = reach > eps
-
-    for diameter in sorted(profile.tool_diameters, reverse=True):
-        if not unresolved.any():
+    tools = sorted(profile.tool_diameters, reverse=True)
+    idx = np.flatnonzero(reach > eps)
+    # The center probe's column, heights and key are the same for every tool:
+    # cast it once.  A leaf it blocks no tool can reach, so it stays at 1.
+    idx = idx[~blocked(idx, tools[0], [0])[:, 0]]
+    for diameter in tools:
+        if not len(idx):
             break
-        idx = np.flatnonzero(unresolved)
-        spread = diameter / (2.0 * math.sqrt(2.0))
-        xy = centers[idx][:, None, :] + spread * _PROBE_DIRS[None, :, :]
-        lo = np.repeat(tops[idx], len(_PROBE_DIRS))
-        hi = np.full(len(lo), part_top)
-        probe_keys = (keys[idx][:, None] * 8 + np.arange(len(_PROBE_DIRS))[None, :]).ravel()
-        blocked = _columns_blocked(mesh, xy.reshape(-1, 2), lo, hi, octree.seed, probe_keys)
-        free = ~blocked.reshape(len(idx), len(_PROBE_DIRS)).any(axis=1)
+        free = ~blocked(idx, diameter, [1, 2, 3, 4]).any(axis=1)
         ok = idx[free]
         values[ok] = np.minimum(1.0, reach[ok] / diameter / profile.max_aspect)
-        unresolved[ok] = False
+        idx = idx[~free]
     return values
+
+
+def _shared_columns_blocked(
+    mesh: TriMesh, xy: np.ndarray, lo: np.ndarray, hi: np.ndarray, seed: int, probe_keys: np.ndarray
+) -> np.ndarray:
+    """:func:`_columns_blocked`, casting each distinct line once.
+
+    Grey leaves stacked in one column have bitwise-equal centers, so their
+    probe columns share lines.  Each distinct xy (by bit pattern) is cast
+    once, with the three heights of every column on it.  A column whose cast
+    grazes goes through :func:`_columns_blocked` with its own key, which
+    casts it alone and retries it at the same jittered xy as it would have
+    unshared, so every answer equals :func:`_columns_blocked`'s.
+    """
+    eps = _EPS_REL * mesh.metrics.max_dimension
+    bits = np.ascontiguousarray(xy).view(np.int64)
+    order = np.lexsort(bits.T)  # the columns, line by line
+    step = (np.diff(bits[order], axis=0) != 0).any(axis=1)
+    starts = np.flatnonzero(np.r_[len(xy) > 0, step])
+    hptr = 3 * np.r_[starts, len(xy)]
+    heights = np.column_stack([lo + eps, hi - eps, 0.5 * (lo + hi)])
+    counts, graze = mesh._column_grid().crossings(xy[order[starts]], heights[order].ravel(), hptr)
+    n_lo, n_hi, n_mid = counts.reshape(-1, 3).T
+    blocked = np.empty(len(xy), dtype=bool)
+    blocked[order] = (n_lo - n_hi > 0) | (n_mid % 2 == 1)
+    retry = np.empty(len(xy), dtype=bool)
+    retry[order] = graze.reshape(-1, 3).any(axis=1)
+    r = np.flatnonzero(retry)
+    if len(r):
+        blocked[r] = _columns_blocked(mesh, xy[r], lo[r], hi[r], seed, probe_keys[r])
+    return blocked
 
 
 def _columns_blocked(

@@ -617,17 +617,40 @@ class _ColumnGrid:
         """Count surface crossings strictly above heights ``z`` along +z.
 
         ``xy`` (N, 2) places N vertical lines; ``z`` is (N,) or (N, K), K
-        heights per line.  Returns ``(counts, suspect)`` shaped like ``z``.
+        heights per line.  Returns ``(counts, suspect)`` shaped like ``z``:
+        :meth:`crossings` with the same K heights on every line.
+        """
+        z = np.asarray(z, dtype=np.float64)
+        n = len(z)
+        k = z.shape[1] if z.ndim == 2 else 1
+        counts, suspect = self.crossings(xy, z.ravel(), np.arange(n + 1) * k)
+        return counts.reshape(z.shape), suspect.reshape(z.shape)
+
+    def crossings(
+        self, xy: np.ndarray, hz: np.ndarray, hptr: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Count surface crossings strictly above many heights per vertical line.
+
+        ``xy`` (N, 2) places N lines; line i is asked about the heights
+        ``hz[hptr[i]:hptr[i + 1]]`` (a CSR: one flat array of heights, one
+        offset per line).  Returns ``(counts, suspect)`` shaped like ``hz``:
+        the crossings above each height, and whether that count is too close
+        to an edge or a crossing to trust.
+
         Every line is evaluated once against its cell's triangles, in chunks
-        of at most :data:`_COLUMN_PAIR_BUDGET` (line, triangle) pairs.
+        of at most :data:`_COLUMN_PAIR_BUDGET` (line, triangle) pairs, and
+        only the pairs that cross or graze are tested against the line's
+        heights: any other pair adds to no count and no flag.  Each
+        (pair, height) test is ``dz = zt - z``, elementwise, so a height's
+        answer does not depend on what else its line or its batch asks.
         """
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         px, py = xy.T
-        z = np.asarray(z, dtype=np.float64)
-        n, k = len(px), (z.shape[1] if z.ndim == 2 else 1)
-        zz = z.reshape(n, k)
-        counts = np.zeros(n * k, dtype=np.int64)
-        suspect = np.zeros(n * k, dtype=bool)
+        hz = np.asarray(hz, dtype=np.float64)
+        hptr = np.asarray(hptr, dtype=np.int64)
+        n = len(px)
+        counts = np.zeros(len(hz), dtype=np.int64)
+        suspect = np.zeros(len(hz), dtype=bool)
         cells = self._cells_of(xy)
         valid = cells >= 0
         first = np.where(valid, self._ptr[np.maximum(cells, 0)], 0)
@@ -645,18 +668,22 @@ class _ColumnGrid:
                 # pairs run line by line, each line through its cell's bucket
                 pair = np.arange(done, done + total)
                 slot = np.repeat(first[start:stop] - (ends[start:stop] - m), m) + pair
-                zt, strict, sus = self._hits(
-                    np.repeat(px[start:stop], m), np.repeat(py[start:stop], m), self._tids[slot]
-                )
-                dz = zt[:, None] - np.repeat(zz[start:stop], m, axis=0)
-                out = (np.repeat(np.arange(stop - start) * k, m)[:, None] + np.arange(k)).ravel()
-                above = (strict[:, None] & (dz > ztol)).ravel()
-                graze = (sus[:, None] | (strict[:, None] & (np.abs(dz) <= ztol))).ravel()
-                size = (stop - start) * k
-                counts[start * k : stop * k] = np.bincount(out[above], minlength=size)
-                suspect[start * k : stop * k] = np.bincount(out[graze], minlength=size) > 0
+                line = np.repeat(np.arange(start, stop), m)
+                zt, strict, sus = self._hits(px[line], py[line], self._tids[slot])
+                keep = np.flatnonzero(strict | sus)
+                line, zt, strict, sus = line[keep], zt[keep], strict[keep], sus[keep]
+                # one (pair, height) entry per height of the pair's line
+                k = hptr[line + 1] - hptr[line]
+                h = np.arange(int(k.sum())) + np.repeat(hptr[line] - (np.cumsum(k) - k), k)
+                dz = np.repeat(zt, k) - hz[h]
+                strict, sus = np.repeat(strict, k), np.repeat(sus, k)
+                above = strict & (dz > ztol)
+                graze = sus | (strict & (np.abs(dz) <= ztol))
+                base, size = hptr[start], hptr[stop] - hptr[start]
+                counts[base : base + size] = np.bincount(h[above] - base, minlength=size)
+                suspect[base : base + size] = np.bincount(h[graze] - base, minlength=size) > 0
             start = stop
-        return counts.reshape(z.shape), suspect.reshape(z.shape)
+        return counts, suspect
 
 
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manumap import machining
 from manumap.errors import (
     DegenerateMeshError,
     MeshMismatchError,
@@ -364,3 +365,73 @@ def test_grazing_column_settles_on_retry(case, xy, lo, hi, blocked, pocket_plate
     assert alone[0] == blocked
     assert run([(1.0, 2.0), xy, (3.0, 7.0), (5.0, 5.0)], [3, 9, 11, 12])[1] == alone[0]
     assert run([xy], [9])[0] == alone[0]
+
+
+def _per_leaf_reach(mesh, octree, profile):
+    """Tool reach as it was computed leaf by leaf: for every tool, the 5 probe
+    columns of every unresolved leaf cast through _columns_blocked."""
+    metrics = mesh.metrics
+    part_top = metrics.bbox_max[2]
+    eps = machining._EPS_REL * metrics.max_dimension
+    g = octree.grey_index
+    tops = octree.box_max[g, 2]
+    centers = 0.5 * (octree.box_min[g, :2] + octree.box_max[g, :2])
+    keys = octree.path_key[g]
+    reach = part_top - tops
+    dirs = machining._PROBE_DIRS
+    values = np.full(len(g), 1.0)
+    values[reach <= eps] = 0.0
+    unresolved = reach > eps
+    for diameter in sorted(profile.tool_diameters, reverse=True):
+        if not unresolved.any():
+            break
+        idx = np.flatnonzero(unresolved)
+        spread = diameter / (2.0 * math.sqrt(2.0))
+        xy = centers[idx][:, None, :] + spread * dirs[None, :, :]
+        lo = np.repeat(tops[idx], len(dirs))
+        hi = np.full(len(lo), part_top)
+        probe_keys = (keys[idx][:, None] * 8 + np.arange(len(dirs))[None, :]).ravel()
+        blocked = _columns_blocked(mesh, xy.reshape(-1, 2), lo, hi, octree.seed, probe_keys)
+        free = ~blocked.reshape(len(idx), len(dirs)).any(axis=1)
+        ok = idx[free]
+        values[ok] = np.minimum(1.0, reach[ok] / diameter / profile.max_aspect)
+        unresolved[ok] = False
+    return values
+
+
+# a pocket whose walls (x, y = 24 and 40) lie on depth-4 leaf faces of the
+# margin-0 root [0, 64]^3; tools of diameter 2*sqrt(2)*s put the probes of a
+# floor leaf (center x = 26) exactly on the wall at x = 24 when s = 2
+_WALL_TOOLS = tuple(2.0 * math.sqrt(2.0) * s for s in (2.0, 8.0))
+
+
+@pytest.mark.parametrize("case", ["sphere", "pocket", "wall"])
+def test_grouped_reach_matches_per_leaf_probes(case, sphere10, pocket_plate, monkeypatch):
+    """Casting each distinct probe line once, with the heights of every leaf
+    stacked on it, gives the values of the per-leaf casts bit for bit; a
+    column that grazes a wall retries alone through _columns_blocked."""
+    if case == "wall":
+        mesh = slab_with_pockets((64.0, 64.0, 64.0), [((24.0, 24.0, 40.0, 40.0), 30.0)])
+        tree = build_octree(mesh, max_depth=4, margin=0.0)
+        prof = SubtractiveProfile(tool_diameters=_WALL_TOOLS)
+    else:
+        mesh = {"sphere": sphere10, "pocket": pocket_plate}[case]
+        tree = build_octree(mesh, max_depth=4)
+        prof = SubtractiveProfile()
+        g = tree.grey_index
+        centers = 0.5 * (tree.box_min[g, :2] + tree.box_max[g, :2])
+        assert len(np.unique(centers, axis=0)) < len(g)  # some leaves are stacked
+    want = _per_leaf_reach(mesh, tree, prof)
+    retried = []
+    unshared = machining._columns_blocked
+
+    def spy(mesh, xy, lo, hi, seed, probe_keys):
+        retried.append(len(xy))
+        return unshared(mesh, xy, lo, hi, seed, probe_keys)
+
+    monkeypatch.setattr(machining, "_columns_blocked", spy)
+    got = tool_flexibility_field(mesh, tree, prof).values
+    assert np.array_equal(got, want)
+    assert len(np.unique(want)) > 1
+    if case == "wall":
+        assert sum(retried) > 0  # the wall on a probe line forces a retry

@@ -396,6 +396,58 @@ def test_column_kernel_chunk_seams(sphere10, monkeypatch):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def _csr_queries(grid, rng):
+    """Lines for the CSR kernel, each with its own number of heights (zero for some).
+
+    Random lines and lines outside the grid get random heights; lines on
+    triangle vertices and edge midpoints, and random lines through the
+    footprint, get heights on and within a few ``ztol`` of their crossings.
+    """
+    ztol = mesh_io._REL_TOL * grid._scale
+    tri_xy = grid._tab[:, :6].reshape(-1, 3, 2)
+    pick = rng.integers(0, len(tri_xy), 40)
+    on_edges = np.concatenate(
+        [tri_xy[pick[:20], 0], 0.5 * (tri_xy[pick[20:], 0] + tri_xy[pick[20:], 1])]
+    )
+    lo, span = grid._lo, grid._cell * grid._res
+    inside = lo + rng.random((60, 2)) * span
+    outside = lo + span * np.array([[-0.5, 0.5], [0.5, 1.5], [2.0, 2.0], [-1.0, -1.0]])
+    xy = np.concatenate([inside, on_edges, outside])
+    m = len(grid._tab)
+    heights = []
+    for x, y in xy:
+        zt, strict, _ = grid._hits(np.full(m, x), np.full(m, y), np.arange(m))
+        near = zt[strict][:, None] + ztol * np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+        h = np.concatenate([near.ravel(), rng.uniform(-40.0, 80.0, rng.integers(0, 6))])
+        heights.append(rng.permutation(h)[: rng.integers(0, len(h) + 1)])
+    perm = rng.permutation(len(xy))
+    return xy[perm], [heights[i] for i in perm]
+
+
+@pytest.mark.parametrize("name", ["sphere", "pocket"])
+@pytest.mark.parametrize("budget", [None, 1, 7])
+def test_csr_column_kernel_matches_per_line_calls(name, budget, sphere10, pocket_plate, monkeypatch):
+    """crossings(xy, hz, hptr) answers each line's heights as a one-line
+    crossings_above call does, at any chunk size."""
+    mesh = {"sphere": sphere10, "pocket": pocket_plate}[name]
+    grid = mesh._column_grid()
+    xy, heights = _csr_queries(grid, np.random.default_rng(31))
+    sizes = np.array([len(h) for h in heights])
+    assert (sizes == 0).any() and (sizes > 10).any()
+    want = [grid.crossings_above(xy[i : i + 1], h[None, :]) for i, h in enumerate(heights)]
+    if budget is not None:
+        monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
+    hptr = np.concatenate([[0], np.cumsum(sizes)])
+    counts, suspect = grid.crossings(xy, np.concatenate(heights), hptr)
+    assert counts.shape == suspect.shape == (hptr[-1],)
+    for i, (c, s) in enumerate(want):
+        assert np.array_equal(counts[hptr[i] : hptr[i + 1]], c[0])
+        assert np.array_equal(suspect[hptr[i] : hptr[i + 1]], s[0])
+    assert counts.any() and suspect.any() and not suspect.all()
+    empty = grid.crossings(np.empty((0, 2)), np.empty(0), np.zeros(1, dtype=np.int64))
+    assert empty[0].shape == empty[1].shape == (0,)
+
+
 def test_column_kernel_and_classify_points_take_zero_inputs(unit_cube):
     grid = unit_cube._column_grid()
     for shape in [(0,), (0, 3)]:
