@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -154,8 +155,9 @@ class IndexReport:
     params: dict = field(default_factory=dict)
     part_volume: float = 0.0
 
-    @property
+    @cached_property
     def local_summaries(self) -> dict[str, LocalFieldSummary]:
+        """One summary per local field, computed on first use and kept with the report."""
         return {k: summarize_field(f) for k, f in self.local_fields.items()}
 
     @property

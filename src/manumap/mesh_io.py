@@ -404,17 +404,25 @@ def _points_inside(mesh: TriMesh, pts: np.ndarray, seed: int = DEFAULT_SEED) -> 
     counts, suspect = grid.crossings_above(pts[:, :2], pts[:, 2])
     inside = (counts % 2).astype(bool)
     if suspect.any():
-        idx = np.nonzero(suspect)[0]
-        sub, unresolved = _ray_parity(mesh.tri_coords(), pts[idx],
-                                      mesh.metrics.max_dimension, seed)
-        if unresolved.any():
-            # Pathological points sitting essentially on the surface: count
-            # the near ones as inside, refuse the rest loudly.
-            dres = _min_distance_to_surface(mesh.tri_coords(), pts[idx][unresolved])
-            if (dres > 1e-6 * mesh.metrics.max_dimension).any():
-                raise RayParityError("ray parity failed to converge")
-            sub[unresolved] = True
-        inside[idx] = sub
+        inside[suspect] = _grazed_inside(mesh, pts[suspect], seed)
+    return inside
+
+
+def _grazed_inside(mesh: TriMesh, pts: np.ndarray, seed: int) -> np.ndarray:
+    """Inside flags of points whose vertical line grazed: seeded random-direction casts.
+
+    Each point's answer depends only on (mesh, point, seed).  Points no cast
+    settles sit essentially on the surface: the near ones count as inside,
+    and any other raises ``RayParityError``.
+    """
+    tc = mesh.tri_coords()
+    scale = mesh.metrics.max_dimension
+    inside, unresolved = _ray_parity(tc, pts, scale, seed)
+    if unresolved.any():
+        dres = _min_distance_to_surface(tc, pts[unresolved])
+        if (dres > 1e-6 * scale).any():
+            raise RayParityError("ray parity failed to converge")
+        inside[unresolved] = True
     return inside
 
 

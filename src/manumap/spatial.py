@@ -29,6 +29,7 @@ from .mesh_io import (
     _SAT_PAIR_BUDGET,
     DEFAULT_SEED,
     TriMesh,
+    _grazed_inside,
     _points_inside,
     _separated,
     _tri_box_overlap,
@@ -512,33 +513,117 @@ def _wave_mask(
     return mask
 
 
+def _column_keys(keys: np.ndarray) -> np.ndarray:
+    """Path keys with the z bit of every level dropped: 1, then 2 bits (x + 2y) per level.
+
+    Boxes of one depth share a column key exactly when they are stacked in
+    one xy column, and then their x and y bounds are bitwise equal, because
+    the subdivision computes each axis from that axis's bits alone.
+    """
+    column = np.zeros_like(keys)
+    shift = np.zeros_like(keys)
+    rest = keys.copy()
+    while (rest > 1).any():
+        level = rest > 1
+        column[level] |= (rest[level] & 3) << shift[level]
+        shift[level] += 2
+        rest[level] >>= 3
+    return column | (1 << shift)
+
+
+#: Stream tags of the sampler: a column's line jitter and a box's height jitter.
+_LINE_STREAM, _HEIGHT_STREAM = 1, 2
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment, 2**64 / golden ratio
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on a uint64 array (array arithmetic wraps)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(seed: int, keys: np.ndarray, stream: int, count: int) -> np.ndarray:
+    """(len(keys), count) floats in [0, 1); entry (r, c) hashes (seed, keys[r], stream, c).
+
+    A counter-based SplitMix64 stream: the seed, the key and the stream tag
+    are mixed into a 64-bit state one after another, each through the
+    output function, and value c is the output function of state + (c + 1)
+    * gamma.  Mixing the seed first keeps streams of nearby seeds from
+    coinciding under some other key.  No generator object exists and no
+    loop runs per key.  The seed enters modulo 2**64.
+    """
+    state = np.zeros(len(keys), dtype=np.uint64)
+    for word in (np.uint64(seed % 2**64), keys.astype(np.uint64), np.uint64(stream)):
+        state = _mix64((state ^ word) + _GAMMA)
+    z = state[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    return (_mix64(z) >> np.uint64(11)) * 2.0**-53
+
+
 def _estimate_grey_volumes(
     mesh: TriMesh, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray, samples: int, seed: int
 ) -> np.ndarray:
-    """Part volume in each box (lo, hi) (G, 3) from n**3 jittered-grid samples.
+    """Part volume in each box (lo, hi) (G, 3) from n**3 stratified samples.
 
-    Box g's jitter comes from its own stream ``(seed, keys[g])``, so the
-    estimate does not depend on which boxes share a batch.
+    Boxes stacked in one xy column (one :func:`_column_keys` value) share
+    its n**2 vertical lines: line (i, j) is jittered within xy stratum
+    (i, j) by the column's stream.  Box g puts n heights on each line,
+    height k jittered within z stratum k by the box's own stream, so point
+    (i, j, k) of a box is ``lo + (ijk + jitter) / n * size`` as on a
+    jittered grid.  Each line is cast once against the heights of every box
+    on it, and a height whose count grazes is settled as
+    :func:`_points_inside` settles a point.  Every sample depends only on
+    the mesh, the seed and a key, so no estimate depends on which boxes
+    share a batch.  Whole columns go in batches of about
+    :data:`_SAMPLE_POINT_BUDGET` points.
     """
-    n3 = samples**3
-    group = max(1, _SAMPLE_POINT_BUDGET // n3)
-    axis = np.arange(samples)  # the n**3 cell corners (i, j, k) of the stratified grid
-    ijk = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    jitter = np.empty((min(group, len(keys)), n3, 3))
+    n = samples
+    n2, n3 = n * n, n**3
+    axis = np.arange(n)
+    ij = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(n2, 2)
     size = hi - lo
     volumes = size[:, 0] * size[:, 1] * size[:, 2]
-    for s in range(0, len(keys), group):
-        batch = slice(s, s + group)
-        for i, key in enumerate(keys[batch].tolist()):
-            np.random.default_rng([seed, key]).random(out=jitter[i])
-        count = len(keys[batch])
-        # lo + (ijk + jitter) / n * size, in place: no batch-sized temporaries
-        pts = ijk + jitter[:count]
-        pts /= samples
-        pts *= size[batch, None, :]
-        pts += lo[batch, None, :]
-        inside = _points_inside(mesh, pts.reshape(-1, 3), seed=seed)
-        volumes[batch] *= inside.reshape(count, n3).sum(axis=1) / n3
+    columns = _column_keys(keys)
+    order = np.argsort(columns, kind="stable")  # the boxes, column by column
+    heads = np.flatnonzero(np.r_[len(keys) > 0, np.diff(columns[order]) != 0])
+    ends = np.r_[heads[1:], len(keys)]  # each column's boxes are order[heads[c]:ends[c]]
+    grid = mesh._column_grid()
+    c0 = 0
+    while c0 < len(heads):
+        c1 = int(np.searchsorted(ends, heads[c0] + _SAMPLE_POINT_BUDGET // n3, side="right"))
+        c1 = max(c1, c0 + 1)  # a column with more points goes alone
+        first, count = heads[c0:c1], ends[c0:c1] - heads[c0:c1]
+        rows = order[first[0] : ends[c1 - 1]]
+        col = np.repeat(np.arange(c1 - c0), count)  # the column of each box in the batch
+
+        head = order[first]  # lines: lo + (ij + jitter) / n * size in x and y
+        xy = ij + _uniforms(seed, columns[head], _LINE_STREAM, 2 * n2).reshape(-1, n2, 2)
+        xy /= n
+        xy *= size[head, None, :2]
+        xy += lo[head, None, :2]
+        z = _uniforms(seed, keys[rows], _HEIGHT_STREAM, n3).reshape(-1, n2, n)
+        z += axis  # heights: lo + (k + jitter) / n * size in z
+        z /= n
+        z *= size[rows, 2, None, None]
+        z += lo[rows, 2, None, None]
+
+        # CSR: column by column, line by line, then the boxes of the column, n heights each
+        width = count * n
+        line_start = ((first - first[0]) * n3)[:, None] + np.arange(n2) * width[:, None]
+        rank = np.arange(len(rows)) - np.repeat(first - first[0], count)
+        slot = line_start[col][:, :, None] + (rank * n)[:, None, None] + axis
+        hptr = np.r_[line_start.ravel(), len(rows) * n3]
+        hz = np.empty(len(rows) * n3)
+        hz[slot] = z
+        xy = xy.reshape(-1, 2)
+        counts, suspect = grid.crossings(xy, hz, hptr)
+        inside = (counts % 2).astype(bool)
+        if suspect.any():
+            at = np.flatnonzero(suspect)
+            line = np.searchsorted(hptr, at, side="right") - 1
+            inside[at] = _grazed_inside(mesh, np.column_stack([xy[line], hz[at]]), seed)
+        volumes[rows] *= inside[slot].reshape(len(rows), n3).sum(axis=1) / n3
+        c0 = c1
     return volumes
 
 

@@ -426,7 +426,9 @@ def _csr_queries(grid, rng):
 
 @pytest.mark.parametrize("name", ["sphere", "pocket"])
 @pytest.mark.parametrize("budget", [None, 1, 7])
-def test_csr_column_kernel_matches_per_line_calls(name, budget, sphere10, pocket_plate, monkeypatch):
+def test_csr_column_kernel_matches_per_line_calls(
+    name, budget, sphere10, pocket_plate, monkeypatch
+):
     """crossings(xy, hz, hptr) answers each line's heights as a one-line
     crossings_above call does, at any chunk size."""
     mesh = {"sphere": sphere10, "pocket": pocket_plate}[name]

@@ -13,7 +13,7 @@ from manumap.errors import (
 )
 from manumap.fields import LocalIndexField
 from manumap.machining import SubtractiveProfile, tool_flexibility_field
-from manumap import reporting
+from manumap import aggregation, reporting
 from manumap.primitives import box_mesh, icosphere
 from manumap.reporting import (
     ColorScale,
@@ -314,6 +314,27 @@ def part_report():
         local_fields={"tool_flexibility": field},
         octree_fingerprint={"max_depth": 3, "leaf_count": 8, "content_hash": "h"},
     )
+
+
+def test_field_summaries_computed_once_per_report(tmp_path, monkeypatch):
+    """A report summarizes each local field once, however often it is
+    emitted, and the bytes are those of fresh summaries."""
+    fresh = {
+        fmt: emit_report(part_report(), tmp_path / f"fresh.{fmt}").read_bytes()
+        for fmt in ("json", "csv")
+    }
+    calls = []
+    summarize = aggregation.summarize_field
+
+    def counting(f):
+        calls.append(f.index_id)
+        return summarize(f)
+
+    monkeypatch.setattr(aggregation, "summarize_field", counting)
+    rep = part_report()
+    for fmt in ("json", "csv", "json"):
+        assert emit_report(rep, tmp_path / f"r.{fmt}").read_bytes() == fresh[fmt]
+    assert calls == ["tool_flexibility"]
 
 
 def test_part_csv_lists_every_index_then_total(tmp_path):
