@@ -204,8 +204,7 @@ def _shared_columns_blocked(
     retry = np.empty(len(xy), dtype=bool)
     retry[order] = graze.reshape(-1, 3).any(axis=1)
     r = np.flatnonzero(retry)
-    if len(r):
-        blocked[r] = _columns_blocked(mesh, xy[r], lo[r], hi[r], seed, probe_keys[r])
+    blocked[r] = _columns_blocked(mesh, xy[r], lo[r], hi[r], seed, probe_keys[r])
     return blocked
 
 

@@ -531,11 +531,14 @@ def _min_distance_to_surface(tc: np.ndarray, pts: np.ndarray) -> np.ndarray:
 class _ColumnGrid:
     """2D bucket grid over the xy plane for vertical (+z) ray parity.
 
-    Shared, read-only acceleration structure: the octree volume sampler and
-    the tool-reach probes both cast vertical rays, and bucketing triangles by
-    xy footprint makes each ray O(local triangles) instead of O(all).  The
-    buckets are stored CSR-style: cell ``c`` holds triangles
-    ``tids[ptr[c]:ptr[c + 1]]`` in ascending order.
+    Shared, read-only acceleration structure: point classification, the
+    octree volume sampler and the tool-reach probes all cast vertical lines,
+    and bucketing triangles by xy footprint makes each line O(local
+    triangles) instead of O(all).  The buckets are stored CSR-style: cell
+    ``c`` holds triangles ``tids[ptr[c]:ptr[c + 1]]`` in ascending order.
+    :meth:`crossings` is the one entry point: it casts each line once and
+    answers any number of heights on it, so callers whose points share
+    lines (stacked octree boxes) pass each line once.
     """
 
     def __init__(self, tc: np.ndarray, scale: float):

@@ -4,9 +4,12 @@ The part's bounding box is cubified, inflated by a small margin, and split
 recursively: boxes fully inside the part are black, fully outside are white,
 and boxes crossed by the surface are grey and subdivided until ``max_depth``.
 Grey terminal boxes get their solid volume estimated by jittered-grid
-sampling seeded by each box's path, so every value is reproducible run to
-run and independent of how boxes are batched.  The tree is linear: it keeps
-only its leaves, as arrays in Morton (z-curve) order.
+sampling by column parity: the grey boxes stacked in one xy column share
+that column's jittered vertical lines, each line is cast once, and each box
+reads its own jittered heights off the line's crossings.  Every jitter is a
+hash of the seed and a box or column path, so every value is reproducible
+run to run and independent of how boxes are batched.  The tree is linear:
+it keeps only its leaves, as arrays in Morton (z-curve) order.
 """
 
 from __future__ import annotations
@@ -324,8 +327,9 @@ def build_octree(
     samples:
         Grid resolution n for grey-leaf volume sampling (n**3 points, n >= 2).
     seed:
-        Base seed; each leaf derives its own stream from (seed, leaf path),
-        so estimates are independent of evaluation order.
+        Base seed; each grey leaf's sample heights hash (seed, leaf path)
+        and its column's sample lines hash (seed, column path), so
+        estimates are independent of evaluation order.
 
     An open mesh raises ``NotWatertightError``; a closed one whose bounding
     box has no volume (a flat sheet) raises ``DegenerateMeshError``.
@@ -633,9 +637,10 @@ def estimate_part_volume(
     """Solid part volume inside one box.
 
     Black boxes short-circuit to the full box volume and white boxes to zero;
-    grey boxes are sampled on a seeded jittered n**3 grid, as an octree's
-    root would be, so the relative error on a surface-crossing box falls
-    off roughly like 1/n.
+    grey boxes are sampled on a seeded jittered n**3 grid (n**2 lines of n
+    heights, the box being its own column), as an octree's root would be,
+    so the relative error on a surface-crossing box falls off roughly like
+    1/n.
     """
     _check_build_params(samples=resolution, seed=seed)
     cls = classify_box(mesh, box_min, box_max)
