@@ -536,9 +536,10 @@ class _ColumnGrid:
     and bucketing triangles by xy footprint makes each line O(local
     triangles) instead of O(all).  The buckets are stored CSR-style: cell
     ``c`` holds triangles ``tids[ptr[c]:ptr[c + 1]]`` in ascending order.
-    :meth:`crossings` is the one entry point: it casts each line once and
+    :meth:`crossings` is the one kernel: it casts each line once and
     answers any number of heights on it, so callers whose points share
     lines (stacked octree boxes) pass each line once.
+    :meth:`crossings_above` is its form with K heights on every line.
     """
 
     def __init__(self, tc: np.ndarray, scale: float):
