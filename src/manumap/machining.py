@@ -158,7 +158,7 @@ def _solve_leaves(mesh: TriMesh, octree: Octree, profile: SubtractiveProfile) ->
         lo = np.repeat(tops[rows], len(dirs))
         hi = np.full(len(lo), part_top)
         probe_keys = (keys[rows][:, None] * 8 + dirs).ravel()
-        out = _shared_columns_blocked(mesh, xy.reshape(-1, 2), lo, hi, octree.seed, probe_keys)
+        out = _columns_blocked(mesh, xy.reshape(-1, 2), lo, hi, octree.seed, probe_keys)
         return out.reshape(len(rows), len(dirs))
 
     values = np.full(len(g), 1.0)  # unreachable until proven otherwise
@@ -178,61 +178,39 @@ def _solve_leaves(mesh: TriMesh, octree: Octree, profile: SubtractiveProfile) ->
     return values
 
 
-def _shared_columns_blocked(
-    mesh: TriMesh, xy: np.ndarray, lo: np.ndarray, hi: np.ndarray, seed: int, probe_keys: np.ndarray
-) -> np.ndarray:
-    """:func:`_columns_blocked`, casting each distinct line once.
-
-    Grey leaves stacked in one column have bitwise-equal centers, so their
-    probe columns share lines.  Each distinct xy (by bit pattern) is cast
-    once, with the three heights of every column on it.  A column whose cast
-    grazes goes through :func:`_columns_blocked` with its own key, which
-    casts it alone and retries it at the same jittered xy as it would have
-    unshared, so every answer equals :func:`_columns_blocked`'s.
-    """
-    eps = _EPS_REL * mesh.metrics.max_dimension
-    bits = np.ascontiguousarray(xy).view(np.int64)
-    order = np.lexsort(bits.T)  # the columns, line by line
-    step = (np.diff(bits[order], axis=0) != 0).any(axis=1)
-    starts = np.flatnonzero(np.r_[len(xy) > 0, step])
-    hptr = 3 * np.r_[starts, len(xy)]
-    heights = np.column_stack([lo + eps, hi - eps, 0.5 * (lo + hi)])
-    counts, graze = mesh._column_grid().crossings(xy[order[starts]], heights[order].ravel(), hptr)
-    n_lo, n_hi, n_mid = counts.reshape(-1, 3).T
-    blocked = np.empty(len(xy), dtype=bool)
-    blocked[order] = (n_lo - n_hi > 0) | (n_mid % 2 == 1)
-    retry = np.empty(len(xy), dtype=bool)
-    retry[order] = graze.reshape(-1, 3).any(axis=1)
-    r = np.flatnonzero(retry)
-    blocked[r] = _columns_blocked(mesh, xy[r], lo[r], hi[r], seed, probe_keys[r])
-    return blocked
-
-
 def _columns_blocked(
     mesh: TriMesh, xy: np.ndarray, lo: np.ndarray, hi: np.ndarray, seed: int, probe_keys: np.ndarray
 ) -> np.ndarray:
     """True where part material occupies any of the open column (lo, hi) at xy.
 
-    Each column is cast once, with crossings counted above three heights:
-    just over ``lo``, just under ``hi`` and the middle.  Columns whose parity
-    count is unreliable (grazing hits) are re-tried at deterministically
-    jittered xy; ones that never settle count as blocked.
+    Each column asks about three heights: just over ``lo``, just under ``hi``
+    and the middle.  Columns at bitwise-equal xy (the probe columns of grey
+    leaves stacked in one column) share a line, and each distinct line is
+    cast once with the heights of every column on it; a height's answer does
+    not depend on what else its line or its cast asks.  Columns whose parity
+    count is unreliable (grazing hits) are re-tried at xy jittered by
+    ``(seed, probe key, attempt)``; ones that never settle count as blocked.
     """
     scale = mesh.metrics.max_dimension
     eps = _EPS_REL * scale
     grid = mesh._column_grid()
+    heights = np.column_stack([lo + eps, hi - eps, 0.5 * (lo + hi)])
     blocked = np.zeros(len(xy), dtype=bool)
     pend = np.arange(len(xy))
     pxy = xy.copy()
     for attempt in range(_MAX_COLUMN_ATTEMPTS):
-        heights = np.column_stack([lo[pend] + eps, hi[pend] - eps, 0.5 * (lo[pend] + hi[pend])])
-        counts, graze = grid.crossings_above(pxy[pend], heights)
-        n_lo, n_hi, n_mid = counts.T
-        suspect = graze.any(axis=1)
-        settled = ~suspect
+        bits = pxy[pend].view(np.int64)
+        order = np.lexsort(bits.T)  # the pending columns, line by line
+        new_line = (np.diff(bits[order], axis=0) != 0).any(axis=1)
+        starts = np.flatnonzero(np.r_[len(pend) > 0, new_line])
+        cast = pend[order]
+        hptr = 3 * np.r_[starts, len(pend)]
+        counts, graze = grid.crossings(pxy[cast[starts]], heights[cast].ravel(), hptr)
+        n_lo, n_hi, n_mid = counts.reshape(-1, 3).T
+        settled = ~graze.reshape(-1, 3).any(axis=1)
         hit = (n_lo - n_hi > 0) | (n_mid % 2 == 1)
-        blocked[pend[settled]] = hit[settled]
-        pend = pend[suspect]
+        blocked[cast[settled]] = hit[settled]
+        pend = cast[~settled]
         if len(pend) == 0:
             return blocked
         step = _JITTER_REL * scale * (attempt + 1)

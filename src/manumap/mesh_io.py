@@ -392,37 +392,40 @@ def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
 
 
 def _points_inside(mesh: TriMesh, pts: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """Parity-only inside test (no boundary band).  Internal workhorse.
-
-    Points whose vertical ray grazes an edge fall back to seeded random-
-    direction casts; the outcome depends only on (mesh, point, seed), never
-    on batch composition, so any batching of the points gives the same answers.
-    """
-    if not mesh.metrics.watertight:
-        raise NotWatertightError("point containment needs a watertight mesh")
-    grid = mesh._column_grid()
-    counts, suspect = grid.crossings_above(pts[:, :2], pts[:, 2])
-    inside = (counts % 2).astype(bool)
-    if suspect.any():
-        inside[suspect] = _grazed_inside(mesh, pts[suspect], seed)
-    return inside
+    """Parity-only inside test (no boundary band): :func:`_heights_inside`, one line per point."""
+    return _heights_inside(mesh, pts[:, :2], pts[:, 2], np.arange(len(pts) + 1), seed)
 
 
-def _grazed_inside(mesh: TriMesh, pts: np.ndarray, seed: int) -> np.ndarray:
-    """Inside flags of points whose vertical line grazed: seeded random-direction casts.
+def _heights_inside(
+    mesh: TriMesh, xy: np.ndarray, hz: np.ndarray, hptr: np.ndarray, seed: int
+) -> np.ndarray:
+    """Inside flags of heights on vertical lines, by parity.  Internal workhorse.
 
-    Each point's answer depends only on (mesh, point, seed).  Points no cast
+    Line i at ``xy[i]`` carries the heights ``hz[hptr[i]:hptr[i + 1]]``, as
+    in :meth:`_ColumnGrid.crossings`, which casts each line once.  Heights
+    whose count grazes fall back to seeded random-direction casts.  Each
+    answer depends only on (mesh, point, seed), never on batch composition,
+    so any batching of the points gives the same answers.  Points no cast
     settles sit essentially on the surface: the near ones count as inside,
     and any other raises ``RayParityError``.
     """
-    tc = mesh.tri_coords()
-    scale = mesh.metrics.max_dimension
-    inside, unresolved = _ray_parity(tc, pts, scale, seed)
-    if unresolved.any():
-        dres = _min_distance_to_surface(tc, pts[unresolved])
-        if (dres > 1e-6 * scale).any():
-            raise RayParityError("ray parity failed to converge")
-        inside[unresolved] = True
+    if not mesh.metrics.watertight:
+        raise NotWatertightError("point containment needs a watertight mesh")
+    counts, suspect = mesh._column_grid().crossings(xy, hz, hptr)
+    inside = (counts % 2).astype(bool)
+    if suspect.any():
+        at = np.flatnonzero(suspect)
+        line = np.searchsorted(hptr, at, side="right") - 1
+        pts = np.column_stack([xy[line], hz[at]])
+        tc = mesh.tri_coords()
+        scale = mesh.metrics.max_dimension
+        grazed, unresolved = _ray_parity(tc, pts, scale, seed)
+        if unresolved.any():
+            dres = _min_distance_to_surface(tc, pts[unresolved])
+            if (dres > 1e-6 * scale).any():
+                raise RayParityError("ray parity failed to converge")
+            grazed[unresolved] = True
+        inside[at] = grazed
     return inside
 
 
@@ -539,7 +542,6 @@ class _ColumnGrid:
     :meth:`crossings` is the one kernel: it casts each line once and
     answers any number of heights on it, so callers whose points share
     lines (stacked octree boxes) pass each line once.
-    :meth:`crossings_above` is its form with K heights on every line.
     """
 
     def __init__(self, tc: np.ndarray, scale: float):
@@ -624,19 +626,6 @@ class _ColumnGrid:
             P = np.column_stack([px[f], py[f]])
             suspect[f] |= _near_tri_edges(P, A, B, C, self._edge_pad)
         return z, strict, suspect
-
-    def crossings_above(self, xy: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Count surface crossings strictly above heights ``z`` along +z.
-
-        ``xy`` (N, 2) places N vertical lines; ``z`` is (N,) or (N, K), K
-        heights per line.  Returns ``(counts, suspect)`` shaped like ``z``:
-        :meth:`crossings` with the same K heights on every line.
-        """
-        z = np.asarray(z, dtype=np.float64)
-        n = len(z)
-        k = z.shape[1] if z.ndim == 2 else 1
-        counts, suspect = self.crossings(xy, z.ravel(), np.arange(n + 1) * k)
-        return counts.reshape(z.shape), suspect.reshape(z.shape)
 
     def crossings(
         self, xy: np.ndarray, hz: np.ndarray, hptr: np.ndarray

@@ -32,7 +32,7 @@ from .mesh_io import (
     _SAT_PAIR_BUDGET,
     DEFAULT_SEED,
     TriMesh,
-    _grazed_inside,
+    _heights_inside,
     _points_inside,
     _separated,
     _tri_box_overlap,
@@ -574,12 +574,11 @@ def _estimate_grey_volumes(
     (i, j) by the column's stream.  Box g puts n heights on each line,
     height k jittered within z stratum k by the box's own stream, so point
     (i, j, k) of a box is ``lo + (ijk + jitter) / n * size`` as on a
-    jittered grid.  Each line is cast once against the heights of every box
-    on it, and a height whose count grazes is settled as
-    :func:`_points_inside` settles a point.  Every sample depends only on
-    the mesh, the seed and a key, so no estimate depends on which boxes
-    share a batch.  Whole columns go in batches of about
-    :data:`_SAMPLE_POINT_BUDGET` points.
+    jittered grid.  :func:`_heights_inside` casts each line once against
+    the heights of every box on it and settles the heights whose count
+    grazes.  Every sample depends only on the mesh, the seed and a key, so
+    no estimate depends on which boxes share a batch.  Whole columns go in
+    batches of about :data:`_SAMPLE_POINT_BUDGET` points.
     """
     n = samples
     n2, n3 = n * n, n**3
@@ -591,7 +590,6 @@ def _estimate_grey_volumes(
     order = np.argsort(columns, kind="stable")  # the boxes, column by column
     heads = np.flatnonzero(np.r_[len(keys) > 0, np.diff(columns[order]) != 0])
     ends = np.r_[heads[1:], len(keys)]  # each column's boxes are order[heads[c]:ends[c]]
-    grid = mesh._column_grid()
     c0 = 0
     while c0 < len(heads):
         c1 = int(np.searchsorted(ends, heads[c0] + _SAMPLE_POINT_BUDGET // n3, side="right"))
@@ -620,12 +618,7 @@ def _estimate_grey_volumes(
         hz = np.empty(len(rows) * n3)
         hz[slot] = z
         xy = xy.reshape(-1, 2)
-        counts, suspect = grid.crossings(xy, hz, hptr)
-        inside = (counts % 2).astype(bool)
-        if suspect.any():
-            at = np.flatnonzero(suspect)
-            line = np.searchsorted(hptr, at, side="right") - 1
-            inside[at] = _grazed_inside(mesh, np.column_stack([xy[line], hz[at]]), seed)
+        inside = _heights_inside(mesh, xy, hz, hptr, seed)
         volumes[rows] *= inside[slot].reshape(len(rows), n3).sum(axis=1) / n3
         c0 = c1
     return volumes

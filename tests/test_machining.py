@@ -344,15 +344,15 @@ def test_grazing_column_settles_on_retry(case, xy, lo, hi, blocked, pocket_plate
     give the true answer, whatever else is in the batch, every time."""
     mesh = {"cube": box_mesh((10.0, 10.0, 10.0)), "pocket": pocket_plate}[case]
     grid_cls = type(mesh._column_grid())
-    original = grid_cls.crossings_above
+    original = grid_cls.crossings
     casts = []  # the graze flags of every cast
 
-    def spy(self, xy, z):
-        out = original(self, xy, z)
+    def spy(self, xy, hz, hptr):
+        out = original(self, xy, hz, hptr)
         casts.append(out[1])
         return out
 
-    monkeypatch.setattr(grid_cls, "crossings_above", spy)
+    monkeypatch.setattr(grid_cls, "crossings", spy)
 
     def run(columns, keys):
         n = len(columns)
@@ -367,9 +367,37 @@ def test_grazing_column_settles_on_retry(case, xy, lo, hi, blocked, pocket_plate
     assert run([xy], [9])[0] == alone[0]
 
 
+def _unshared_columns_blocked(mesh, xy, lo, hi, seed, probe_keys):
+    """Column occupancy as it was computed before columns shared lines: each
+    column cast as its own line, and re-cast at the same jittered xy while it
+    grazes."""
+    scale = mesh.metrics.max_dimension
+    eps = machining._EPS_REL * scale
+    grid = mesh._column_grid()
+    blocked = np.zeros(len(xy), dtype=bool)
+    pend = np.arange(len(xy))
+    pxy = xy.copy()
+    for attempt in range(machining._MAX_COLUMN_ATTEMPTS):
+        heights = np.column_stack([lo[pend] + eps, hi[pend] - eps, 0.5 * (lo[pend] + hi[pend])])
+        counts, graze = grid.crossings(pxy[pend], heights.ravel(), 3 * np.arange(len(pend) + 1))
+        n_lo, n_hi, n_mid = counts.reshape(-1, 3).T
+        settled = ~graze.reshape(-1, 3).any(axis=1)
+        hit = (n_lo - n_hi > 0) | (n_mid % 2 == 1)
+        blocked[pend[settled]] = hit[settled]
+        pend = pend[~settled]
+        if len(pend) == 0:
+            return blocked
+        step = machining._JITTER_REL * scale * (attempt + 1)
+        for k in pend:
+            rng = np.random.default_rng([seed, int(probe_keys[k]), attempt])
+            pxy[k] = xy[k] + rng.uniform(-step, step, 2)
+    blocked[pend] = True
+    return blocked
+
+
 def _per_leaf_reach(mesh, octree, profile):
     """Tool reach as it was computed leaf by leaf: for every tool, the 5 probe
-    columns of every unresolved leaf cast through _columns_blocked."""
+    columns of every unresolved leaf, each cast alone."""
     metrics = mesh.metrics
     part_top = metrics.bbox_max[2]
     eps = machining._EPS_REL * metrics.max_dimension
@@ -391,7 +419,9 @@ def _per_leaf_reach(mesh, octree, profile):
         lo = np.repeat(tops[idx], len(dirs))
         hi = np.full(len(lo), part_top)
         probe_keys = (keys[idx][:, None] * 8 + np.arange(len(dirs))[None, :]).ravel()
-        blocked = _columns_blocked(mesh, xy.reshape(-1, 2), lo, hi, octree.seed, probe_keys)
+        blocked = _unshared_columns_blocked(
+            mesh, xy.reshape(-1, 2), lo, hi, octree.seed, probe_keys
+        )
         free = ~blocked.reshape(len(idx), len(dirs)).any(axis=1)
         ok = idx[free]
         values[ok] = np.minimum(1.0, reach[ok] / diameter / profile.max_aspect)
@@ -405,15 +435,40 @@ def _per_leaf_reach(mesh, octree, profile):
 _WALL_TOOLS = tuple(2.0 * math.sqrt(2.0) * s for s in (2.0, 8.0))
 
 
+def _wall_part():
+    """The pocket plate with walls on probe lines, its octree and its tools."""
+    mesh = slab_with_pockets((64.0, 64.0, 64.0), [((24.0, 24.0, 40.0, 40.0), 30.0)])
+    tree = build_octree(mesh, max_depth=4, margin=0.0)
+    return mesh, tree, SubtractiveProfile(tool_diameters=_WALL_TOOLS)
+
+
+def _spy_casts(monkeypatch, mesh):
+    """Record every column cast as (its lines, the lines of it that grazed)."""
+    grid_cls = type(mesh._column_grid())
+    original = grid_cls.crossings
+    casts = []
+
+    def spy(self, xy, hz, hptr):
+        counts, graze = original(self, xy, hz, hptr)
+        line = np.repeat(np.arange(len(xy)), np.diff(hptr))
+        casts.append((xy, xy[np.unique(line[graze])]))
+        return counts, graze
+
+    monkeypatch.setattr(grid_cls, "crossings", spy)
+    return casts
+
+
+def _rows(xy):
+    return {row.tobytes() for row in np.asarray(xy)}
+
+
 @pytest.mark.parametrize("case", ["sphere", "pocket", "wall"])
 def test_grouped_reach_matches_per_leaf_probes(case, sphere10, pocket_plate, monkeypatch):
     """Casting each distinct probe line once, with the heights of every leaf
-    stacked on it, gives the values of the per-leaf casts bit for bit; a
-    column that grazes a wall retries alone through _columns_blocked."""
+    stacked on it, gives the values of the per-leaf casts bit for bit, also
+    where a column grazes a wall and retries at jittered xy."""
     if case == "wall":
-        mesh = slab_with_pockets((64.0, 64.0, 64.0), [((24.0, 24.0, 40.0, 40.0), 30.0)])
-        tree = build_octree(mesh, max_depth=4, margin=0.0)
-        prof = SubtractiveProfile(tool_diameters=_WALL_TOOLS)
+        mesh, tree, prof = _wall_part()
     else:
         mesh = {"sphere": sphere10, "pocket": pocket_plate}[case]
         tree = build_octree(mesh, max_depth=4)
@@ -422,16 +477,34 @@ def test_grouped_reach_matches_per_leaf_probes(case, sphere10, pocket_plate, mon
         centers = 0.5 * (tree.box_min[g, :2] + tree.box_max[g, :2])
         assert len(np.unique(centers, axis=0)) < len(g)  # some leaves are stacked
     want = _per_leaf_reach(mesh, tree, prof)
-    retried = []
-    unshared = machining._columns_blocked
-
-    def spy(mesh, xy, lo, hi, seed, probe_keys):
-        retried.append(len(xy))
-        return unshared(mesh, xy, lo, hi, seed, probe_keys)
-
-    monkeypatch.setattr(machining, "_columns_blocked", spy)
+    casts = _spy_casts(monkeypatch, mesh)
     got = tool_flexibility_field(mesh, tree, prof).values
     assert np.array_equal(got, want)
     assert len(np.unique(want)) > 1
     if case == "wall":
-        assert sum(retried) > 0  # the wall on a probe line forces a retry
+        assert any(len(grazed) for _, grazed in casts)  # the wall on a probe line forces a retry
+
+
+def test_grazed_columns_are_recast_only_jittered(monkeypatch):
+    """Tool reach casts a probe line at its own xy once per _columns_blocked
+    call: only the call's first cast holds any of its input xy, and no cast
+    repeats a line that grazed in the cast just before it."""
+    mesh, tree, prof = _wall_part()
+    casts = _spy_casts(monkeypatch, mesh)
+    calls = []  # (input xy, the casts made) of every _columns_blocked call
+    columns_blocked = machining._columns_blocked
+
+    def spy(mesh, xy, lo, hi, seed, probe_keys):
+        first = len(casts)
+        out = columns_blocked(mesh, xy, lo, hi, seed, probe_keys)
+        calls.append((xy, casts[first:]))
+        return out
+
+    monkeypatch.setattr(machining, "_columns_blocked", spy)
+    tool_flexibility_field(mesh, tree, prof)
+    assert any(len(made) > 1 for _, made in calls)  # the wall forces retries
+    for xy, made in calls:
+        own = [bool(_rows(xy) & _rows(lines)) for lines, _ in made]
+        assert own == [True] + [False] * (len(made) - 1)
+    for (_, grazed), (lines, _) in zip(casts, casts[1:]):
+        assert not _rows(grazed) & _rows(lines)

@@ -355,6 +355,11 @@ def _column_reference(grid, xy, z):
     return counts, suspect
 
 
+def _k_per_line(xy, k):
+    """The crossings offsets of k heights on every line of ``xy``."""
+    return k * np.arange(len(xy) + 1)
+
+
 def _column_queries(grid, rng, n=150):
     """Random lines, lines on grid-cell boundaries, and lines on cell corners."""
     lo, cell, res = grid._lo, grid._cell, grid._res
@@ -372,7 +377,8 @@ def test_column_kernel_matches_brute_force(name, sphere10, pocket_plate):
     mesh = {"sphere": sphere10, "pocket": pocket_plate}[name]
     grid = mesh._column_grid()
     xy, z = _column_queries(grid, np.random.default_rng(17))
-    counts, suspect = grid.crossings_above(xy, z)
+    counts, suspect = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
+    counts, suspect = counts.reshape(z.shape), suspect.reshape(z.shape)
     want_counts, want_suspect = _column_reference(grid, xy, z)
     assert np.array_equal(counts, want_counts)
     assert np.array_equal(suspect, want_suspect)
@@ -380,19 +386,19 @@ def test_column_kernel_matches_brute_force(name, sphere10, pocket_plate):
     if name == "pocket":
         assert suspect.any()  # vertical pocket walls make grazing lines
     # one height per line gives the same answer as a column of K heights
-    c0, s0 = grid.crossings_above(xy, z[:, 0])
+    c0, s0 = grid.crossings(xy, z[:, 0], _k_per_line(xy, 1))
     assert np.array_equal(c0, counts[:, 0]) and np.array_equal(s0, suspect[:, 0])
 
 
 def test_column_kernel_chunk_seams(sphere10, monkeypatch):
     grid = sphere10._column_grid()
     xy, z = _column_queries(grid, np.random.default_rng(23), n=300)
-    want = grid.crossings_above(xy, z)
+    want = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
     largest = int(np.diff(grid._ptr).max())
     assert largest > 2
     for budget in (1, largest - 1):
         monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
-        got = grid.crossings_above(xy, z)
+        got = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -430,21 +436,21 @@ def test_csr_column_kernel_matches_per_line_calls(
     name, budget, sphere10, pocket_plate, monkeypatch
 ):
     """crossings(xy, hz, hptr) answers each line's heights as a one-line
-    crossings_above call does, at any chunk size."""
+    call does, at any chunk size."""
     mesh = {"sphere": sphere10, "pocket": pocket_plate}[name]
     grid = mesh._column_grid()
     xy, heights = _csr_queries(grid, np.random.default_rng(31))
     sizes = np.array([len(h) for h in heights])
     assert (sizes == 0).any() and (sizes > 10).any()
-    want = [grid.crossings_above(xy[i : i + 1], h[None, :]) for i, h in enumerate(heights)]
+    want = [grid.crossings(xy[i : i + 1], h, [0, len(h)]) for i, h in enumerate(heights)]
     if budget is not None:
         monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
     hptr = np.concatenate([[0], np.cumsum(sizes)])
     counts, suspect = grid.crossings(xy, np.concatenate(heights), hptr)
     assert counts.shape == suspect.shape == (hptr[-1],)
     for i, (c, s) in enumerate(want):
-        assert np.array_equal(counts[hptr[i] : hptr[i + 1]], c[0])
-        assert np.array_equal(suspect[hptr[i] : hptr[i + 1]], s[0])
+        assert np.array_equal(counts[hptr[i] : hptr[i + 1]], c)
+        assert np.array_equal(suspect[hptr[i] : hptr[i + 1]], s)
     assert counts.any() and suspect.any() and not suspect.all()
     empty = grid.crossings(np.empty((0, 2)), np.empty(0), np.zeros(1, dtype=np.int64))
     assert empty[0].shape == empty[1].shape == (0,)
@@ -452,9 +458,9 @@ def test_csr_column_kernel_matches_per_line_calls(
 
 def test_column_kernel_and_classify_points_take_zero_inputs(unit_cube):
     grid = unit_cube._column_grid()
-    for shape in [(0,), (0, 3)]:
-        counts, suspect = grid.crossings_above(np.empty((0, 2)), np.empty(shape))
-        assert counts.shape == shape and suspect.shape == shape
+    for k in (1, 3):
+        counts, suspect = grid.crossings(np.empty((0, 2)), np.empty(0), _k_per_line([], k))
+        assert counts.shape == (0,) and suspect.shape == (0,)
     out = classify_points(unit_cube, np.empty((0, 3)))
     assert out.shape == (0,) and out.dtype == np.int8
 

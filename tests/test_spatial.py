@@ -251,14 +251,14 @@ def test_grazing_samples_settle_as_points_do(monkeypatch):
         return random(seed, keys, stream, count)
 
     grazed = []
-    fallback = spatial._grazed_inside
+    fallback = mesh_io._ray_parity
 
-    def spy(mesh, pts, seed):
+    def spy(tc, pts, scale, seed):
         grazed.append(len(pts))
-        return fallback(mesh, pts, seed)
+        return fallback(tc, pts, scale, seed)
 
     monkeypatch.setattr(spatial, "_uniforms", centered_lines)
-    monkeypatch.setattr(spatial, "_grazed_inside", spy)
+    monkeypatch.setattr(mesh_io, "_ray_parity", spy)
     tree = build_octree(mesh, max_depth=3, samples=n, seed=seed)
     assert sum(grazed) > 0
     _assert_leaf_volumes_match_points(tree, mesh, n, seed)
@@ -553,12 +553,27 @@ def test_refine_fingerprint_pinned(case, sphere10, pocket_plate):
     assert refined.fingerprint()["content_hash"] == _PINNED_FINGERPRINTS[case]
 
 
-@pytest.mark.parametrize("case", ["sphere10", "pocket"])
+def _permute_triangles(mesh, rng):
+    return TriMesh(mesh.vertices, mesh.triangles[rng.permutation(len(mesh.triangles))])
+
+
+def _permute_vertices(mesh, rng):
+    """The vertex array permuted, and each triangle's corners rotated by 0-2
+    steps, which keeps its orientation."""
+    perm = rng.permutation(len(mesh.vertices))
+    triangles = np.argsort(perm)[mesh.triangles]  # old vertex i is now at argsort(perm)[i]
+    turn = (np.arange(3) + rng.integers(0, 3, (len(triangles), 1))) % 3
+    return TriMesh(mesh.vertices[perm], np.take_along_axis(triangles, turn, axis=1))
+
+
+@pytest.mark.parametrize("case", ["sphere10", "pocket", "sphere10-vertices", "pocket-vertices"])
 def test_triangle_order_changes_nothing_but_mesh_hash(case, sphere10, pocket_plate):
-    """Permuting a mesh's triangles leaves the octree and the local fields unchanged."""
-    mesh = {"sphere10": sphere10, "pocket": pocket_plate}[case]
-    perm = np.random.default_rng(11).permutation(len(mesh.triangles))
-    shuffled = TriMesh(mesh.vertices, mesh.triangles[perm])
+    """Permuting a mesh's triangles, or its vertices and each triangle's
+    corners, leaves the octree and the local fields unchanged."""
+    name, _, vertices = case.partition("-")
+    mesh = {"sphere10": sphere10, "pocket": pocket_plate}[name]
+    reorder = _permute_vertices if vertices else _permute_triangles
+    shuffled = reorder(mesh, np.random.default_rng(11))
     profiles = default_profiles()
     results = []
     for m in (mesh, shuffled):
@@ -659,9 +674,10 @@ def test_build_depth_and_seed_always_valid(depth, seed):
     Leaf by leaf, at every depth: a black leaf holds its whole box, a white
     leaf nothing, a grey leaf between the two.  The 15 % bound on the total
     holds only from depth 2 on.  At depth 1 all 8 leaves of this box are
-    grey, so the whole 6.0 rests on 8 x 64 jittered samples, and over seeds
-    0-299 and 500 that estimate misses by up to 15.9 % (2 of 301 seeds);
-    depth 2 misses by at most 3.5 %, depth 3 by at most 1.0 %.
+    grey, so the whole 6.0 rests on 8 x 64 jittered samples (each pair of
+    stacked leaves shares its column's 16 lines), and over seeds 0-299 and
+    500 that estimate misses by up to 15.0 % (3 of 301 seeds land just over
+    15 %); depth 2 misses by at most 6.4 %, depth 3 by at most 2.2 %.
     """
     mesh = box_mesh((3.0, 2.0, 1.0))
     tree = build_octree(mesh, max_depth=depth, seed=seed)
