@@ -240,7 +240,9 @@ def test_leaf_volumes_match_per_leaf_reference(sphere10, monkeypatch):
 def test_grazing_samples_settle_as_points_do(monkeypatch):
     """Sample heights whose line grazes an edge take the fallback of
     _points_inside.  Lines pinned to their strata's centers run along the
-    cube's face diagonals (x = y) and graze there."""
+    cube's face diagonals (x = y) and graze there.  Only casts made inside
+    the sampler's own call count, since box classification grazes there too,
+    and each one must sit on its own line's xy."""
     n, seed = 4, 3
     mesh = box_mesh((10.0, 10.0, 10.0))
     random = spatial._uniforms
@@ -250,15 +252,28 @@ def test_grazing_samples_settle_as_points_do(monkeypatch):
             return np.full((len(keys), count), 0.5)
         return random(seed, keys, stream, count)
 
-    grazed = []
-    fallback = mesh_io._ray_parity
+    grazed, sampling = [], []
+    fallback, sampler = mesh_io._ray_parity, spatial._heights_inside
 
-    def spy(tc, pts, scale, seed):
-        grazed.append(len(pts))
+    def spy_parity(tc, pts, scale, seed):
+        if sampling:
+            assert (pts[:, 0] == pts[:, 1]).all()  # heights mapped to their own lines
+            grazed.append(len(pts))
         return fallback(tc, pts, scale, seed)
 
+    def spy_sampler(mesh, xy, hz, hptr, seed):
+        # several heights share each line, so the graze branch must map
+        # heights back to their lines through hptr
+        assert (np.diff(hptr) > 1).all()
+        sampling.append(True)
+        try:
+            return sampler(mesh, xy, hz, hptr, seed)
+        finally:
+            sampling.pop()
+
     monkeypatch.setattr(spatial, "_uniforms", centered_lines)
-    monkeypatch.setattr(mesh_io, "_ray_parity", spy)
+    monkeypatch.setattr(mesh_io, "_ray_parity", spy_parity)
+    monkeypatch.setattr(spatial, "_heights_inside", spy_sampler)
     tree = build_octree(mesh, max_depth=3, samples=n, seed=seed)
     assert sum(grazed) > 0
     _assert_leaf_volumes_match_points(tree, mesh, n, seed)
