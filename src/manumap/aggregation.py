@@ -105,8 +105,8 @@ def summarize_field(index_field: LocalIndexField) -> LocalFieldSummary:
 def _field_to_dict(f: LocalIndexField) -> dict:
     return {
         "index_id": f.index_id,
-        "values": [float(v) for v in f.values],
-        "volumes": [float(v) for v in f.volumes],
+        "values": f.values.tolist(),
+        "volumes": f.volumes.tolist(),
         "octree_hash": f.octree_hash,
         "path_keys": list(f.path_keys),
     }

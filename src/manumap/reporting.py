@@ -104,10 +104,16 @@ _CHUNK_ROWS = 4096
 
 
 def _rows(fmt: str, *tables) -> Iterator[str]:
-    """``fmt`` filled from each row of the side-by-side 2-D ``tables``, in joined chunks."""
+    """``%``-style ``fmt`` filled from each row of the side-by-side 2-D ``tables``.
+
+    Each chunk of rows is one ``%`` operation on ``fmt`` repeated once per
+    row.  Several tables are joined as object arrays, so a uint8 table beside
+    a float one still fills its ``%d`` fields with Python ints.
+    """
     for s in range(0, len(tables[0]), _CHUNK_ROWS):
-        cols = [col for t in tables for col in t[s : s + _CHUNK_ROWS].T.tolist()]
-        yield "".join(map(fmt.format, *cols))
+        parts = [t[s : s + _CHUNK_ROWS] for t in tables]
+        rows = parts[0] if len(parts) == 1 else np.hstack([p.astype(object) for p in parts])
+        yield (fmt * len(rows)) % tuple(rows.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +208,16 @@ def _ply_chunks(
     )
     return itertools.chain(
         [header],
-        _rows("{:.9g} {:.9g} {:.9g} {} {} {}\n", mesh.vertices, scale.rgb(values)),
-        _rows("3 {} {} {}\n", mesh.triangles),
+        _rows("%.9g %.9g %.9g %d %d %d\n", mesh.vertices, scale.rgb(values)),
+        _rows("3 %d %d %d\n", mesh.triangles),
     )
 
 
 # VTK point order for a hexahedron cell: bottom face counterclockwise from
 # (x-, y-, z-), then the top face in the same order.
-_HEX_CORNERS = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
-
-#: One cell's 8 point lines, filled from (x_lo, x_hi, y_lo, y_hi, z_lo, z_hi).
-_HEX_POINTS = "".join(f"{{{cx}}} {{{2 + cy}}} {{{4 + cz}}}\n" for cx, cy, cz in _HEX_CORNERS)
+_HEX_CORNERS = np.array(
+    ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
+)
 
 
 def _vtk_chunks(
@@ -223,11 +228,20 @@ def _vtk_chunks(
     cells = np.flatnonzero(octree.class_code != _WHITE)
     n_cells = len(cells)
     # a tree has few distinct box coordinates: format each once, keyed by
-    # its bits so that -0.0 and 0.0 keep their own spellings
+    # its bits so that -0.0 and 0.0 keep their own spellings, then rank the
+    # distinct spellings
     bounds = np.stack([octree.box_min[cells], octree.box_max[cells]], axis=1)  # (C, 2, 3)
     bits, which = np.unique(bounds.view(np.int64), return_inverse=True)
-    words = np.array([f"{v:.9g}" for v in bits.view(np.float64).tolist()], dtype=object)
-    ends = words[which.reshape(n_cells, 2, 3).transpose(0, 2, 1).reshape(n_cells, 6)]
+    words, rank = np.unique(
+        [f"{v:.9g}" for v in bits.view(np.float64).tolist()], return_inverse=True
+    )
+    end_rank = rank[which].reshape(n_cells, 2, 3)
+    # each corner keyed by its three spelling ranks: boxes sharing a corner
+    # share one point line, listed in key order
+    k = len(words)
+    ix, iy, iz = (end_rank[:, _HEX_CORNERS[:, a], a] for a in range(3))  # (C, 8) each
+    keys, corner_point = np.unique(((ix * k + iy) * k + iz).ravel(), return_inverse=True)
+    points = words[np.stack([keys // (k * k), keys // k % k, keys % k], axis=1)]
 
     # black boxes grade easiest; greys take the field in Morton order
     grey = octree.class_code[cells] == _GREY
@@ -239,17 +253,17 @@ def _vtk_chunks(
         f"difficulty map {index_field.index_id}\n"
         "ASCII\n"
         "DATASET UNSTRUCTURED_GRID\n"
-        f"POINTS {8 * n_cells} float\n"
+        f"POINTS {len(points)} float\n"
     )
     return itertools.chain(
         [header],
-        _rows(_HEX_POINTS, ends),
+        _rows("%s %s %s\n", points),
         [f"CELLS {n_cells} {9 * n_cells}\n"],
-        _rows("8" + " {}" * 8 + "\n", np.arange(8 * n_cells).reshape(n_cells, 8)),
+        _rows("8" + " %d" * 8 + "\n", corner_point.reshape(n_cells, 8)),
         [f"CELL_TYPES {n_cells}\n"],
         ("12\n" * min(_CHUNK_ROWS, n_cells - s) for s in range(0, n_cells, _CHUNK_ROWS)),
         [f"CELL_DATA {n_cells}\n", "SCALARS difficulty float 1\n", "LOOKUP_TABLE default\n"],
-        _rows("{:.9g}\n", values[:, None]),
+        _rows("%.9g\n", values[:, None]),
     )
 
 
@@ -259,7 +273,7 @@ def _vtk_chunks(
 
 def _report_json(report) -> str:
     doc = {"schema_version": SCHEMA_VERSION, "report": report.to_dict()}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _csv_cell(value) -> str:

@@ -1,17 +1,22 @@
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from manumap.aggregation import IndexReport, build_assembly_report, compare_reports
+from manumap.cli import main
 from manumap.errors import (
     FieldMismatchError,
     ParameterError,
     ReportIOError,
     SchemaMismatchError,
 )
-from manumap.fields import LocalIndexField
+from manumap.fields import LocalIndexField, grey_field
 from manumap.machining import SubtractiveProfile, tool_flexibility_field
 from manumap import aggregation, reporting
 from manumap.primitives import box_mesh, icosphere
@@ -19,11 +24,12 @@ from manumap.reporting import (
     ColorScale,
     SCHEMA_VERSION,
     _atomic_write_chunks,
+    _rows,
     emit_report,
     export_difficulty_map,
     load_report,
 )
-from manumap.spatial import OctantClass, build_octree
+from manumap.spatial import _GREY, _WHITE, OctantClass, build_octree
 
 BLUE = (40, 70, 190)
 RED = (250, 40, 40)
@@ -49,6 +55,21 @@ def parse_ply_vertices(text):
     start = lines.index("end_header") + 1
     rows = [tuple(float(t) for t in l.split()) for l in lines[start : start + n]]
     return np.array(rows)
+
+
+def parse_vtk(text):
+    """(head through POINTS, point lines, (C, 8) CELLS indices, tail from CELL_TYPES on)."""
+    lines = text.split("\n")
+    pts_at = next(i for i, l in enumerate(lines) if l.startswith("POINTS"))
+    n_pts = int(lines[pts_at].split()[1])
+    cells_at = pts_at + 1 + n_pts
+    n_cells = int(lines[cells_at].split()[1])
+    assert lines[cells_at] == f"CELLS {n_cells} {9 * n_cells}"
+    rows = [l.split() for l in lines[cells_at + 1 : cells_at + 1 + n_cells]]
+    assert all(r[0] == "8" and len(r) == 9 for r in rows)
+    cells = np.array([[int(t) for t in r[1:]] for r in rows], dtype=np.int64).reshape(-1, 8)
+    tail = "\n".join(lines[cells_at + 1 + n_cells :])
+    return lines[: pts_at + 1], lines[pts_at + 1 : cells_at], cells, tail
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +185,10 @@ def test_vtk_cells_and_black_boxes(unit_cube, cube_tree, tmp_path):
     n_cells = len(blacks) + len(greys)
     assert len(blacks) == 8  # inner core of the depth-2 margined cube
 
-    pts_at = lines.index(next(l for l in lines if l.startswith("POINTS")))
-    n_pts = int(lines[pts_at].split()[1])
-    assert n_pts == 8 * n_cells
-    pts = np.array([[float(t) for t in lines[pts_at + 1 + i].split()] for i in range(n_pts)])
+    _, point_lines, cell_pts, _ = parse_vtk(text)
+    assert cell_pts.shape == (n_cells, 8)
+    assert len(point_lines) < 8 * n_cells  # neighboring boxes share corners
+    pts = np.array([[float(t) for t in l.split()] for l in point_lines])
 
     types_at = lines.index(f"CELL_TYPES {n_cells}")
     assert all(lines[types_at + 1 + i] == "12" for i in range(n_cells))
@@ -176,7 +197,7 @@ def test_vtk_cells_and_black_boxes(unit_cube, cube_tree, tmp_path):
     scalars = np.array([float(lines[table_at + 1 + i]) for i in range(n_cells)])
 
     # match file cells to octree leaves by geometry, not by write order
-    cell_mins = pts.reshape(n_cells, 8, 3).min(axis=1)
+    cell_mins = pts[cell_pts].min(axis=1)
     for node in blacks:
         hits = np.where(np.abs(cell_mins - node.box_min).max(axis=1) < 1e-9)[0]
         assert len(hits) == 1
@@ -223,13 +244,20 @@ def test_map_bytes_stable_across_runs(unit_cube, cube_tree, tmp_path):
     assert va == vb
 
 
-# SHA-256 of maps written by the per-leaf writers the array code replaced;
+# SHA-256 of maps written by the per-leaf writers the array code replaced
+# (PLY), and by the VTK writer that lists each distinct box corner once;
 # any change to the bytes of a map shows here.
 PINNED_MAP_DIGESTS = {
     ("cube", "ply"): "bb6ab422ad952cecff46f52d3c0de5de9e1b993fc0db38b69630587e1c2474f9",
-    ("cube", "vtk"): "74d8c1754160394d6469bb2c24f1097b1dbffa69d6158008dcb35bee17a219fc",
+    ("cube", "vtk"): "3c14e0d0b811619a97d7442422d427127ff498465268474f5af1fddaad5516d3",
     ("plate", "ply"): "fab8f578218bb4e7e1ffd7d9c3403a166c1e3b8193dde19cd1c3584cde62e4dc",
-    ("plate", "vtk"): "b9eb2905b9365fccb7039a9bb42f30ebcac6abec137b4261eedeb03c54efee73",
+    ("plate", "vtk"): "ac2d7b48bfc6818114195b481b9b7dafb0d1d92bf9faace83f5bda1c235e7829",
+}
+
+#: The per-cell writer's VTK digests, the old pins of the maps above.
+PER_CELL_VTK_DIGESTS = {
+    "cube": "74d8c1754160394d6469bb2c24f1097b1dbffa69d6158008dcb35bee17a219fc",
+    "plate": "b9eb2905b9365fccb7039a9bb42f30ebcac6abec137b4261eedeb03c54efee73",
 }
 
 
@@ -248,6 +276,90 @@ def test_map_bytes_pinned(part, fmt, unit_cube, cube_tree, pocket_plate, plate_r
         mesh, (tree, field) = pocket_plate, plate_reach
     out = export_difficulty_map(mesh, tree, field, tmp_path / f"{part}.{fmt}")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_MAP_DIGESTS[part, fmt]
+
+
+# VTK point order for a hexahedron cell, as the writer uses it.
+HEX_CORNERS = (
+    (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)
+)
+#: One cell's 8 point lines, filled from (x_lo, x_hi, y_lo, y_hi, z_lo, z_hi).
+HEX_POINTS = "".join(f"{{{cx}}} {{{2 + cy}}} {{{4 + cz}}}\n" for cx, cy, cz in HEX_CORNERS)
+
+
+def per_cell_vtk(octree, field, scale):
+    """The VTK map as first written, 8 point lines for every cell; the reference."""
+    cells = np.flatnonzero(octree.class_code != _WHITE)
+    n = len(cells)
+    points = [
+        HEX_POINTS.format(*(f"{v:.9g}" for pair in zip(lo, hi) for v in pair))
+        for lo, hi in zip(octree.box_min[cells].tolist(), octree.box_max[cells].tolist())
+    ]
+    values = np.full(n, float(scale.lo))
+    values[octree.class_code[cells] == _GREY] = field.values
+    return "".join(
+        [
+            "# vtk DataFile Version 3.0\n",
+            f"difficulty map {field.index_id}\n",
+            "ASCII\n",
+            "DATASET UNSTRUCTURED_GRID\n",
+            f"POINTS {8 * n} float\n",
+            *points,
+            f"CELLS {n} {9 * n}\n",
+            *("8" + "".join(f" {8 * c + j}" for j in range(8)) + "\n" for c in range(n)),
+            f"CELL_TYPES {n}\n",
+            "12\n" * n,
+            f"CELL_DATA {n}\n",
+            "SCALARS difficulty float 1\n",
+            "LOOKUP_TABLE default\n",
+            *(f"{v:.9g}\n" for v in values.tolist()),
+        ]
+    )
+
+
+def origin_part_with_signed_zeros():
+    """A box centred on the origin, its tree's 0.0 box bounds made -0.0 on every
+    other leaf: the writer keys coordinates by their bits, and the two zeros
+    print as "0" and "-0"."""
+    tree = build_octree(box_mesh((2.0, 2.0, 2.0), origin=(-1.0, -1.0, -1.0)), max_depth=3)
+    odd = (np.arange(len(tree.path_key)) % 2 == 1)[:, None]
+    box_min = np.where(odd & (tree.box_min == 0.0), -0.0, tree.box_min)
+    box_max = np.where(~odd & (tree.box_max == 0.0), -0.0, tree.box_max)
+    return dataclasses.replace(tree, box_min=box_min, box_max=box_max)
+
+
+@pytest.mark.parametrize("part", ["cube", "plate", "sphere", "origin"])
+def test_vtk_shares_corners_matches_per_cell_reference(part, cube_tree, plate_reach, tmp_path):
+    if part == "cube":
+        tree = cube_tree
+        field = aligned_field(tree, np.linspace(0, 1, len(tree.grey_leaves())))
+    elif part == "plate":
+        tree, field = plate_reach
+    else:
+        if part == "sphere":
+            tree = build_octree(icosphere(10.0, subdivisions=4), max_depth=5)
+        else:
+            tree = origin_part_with_signed_zeros()
+        field = grey_field("synthetic", tree, np.linspace(0, 1, len(tree.grey_index)))
+    scale = ColorScale.auto(field.values)
+    want = per_cell_vtk(tree, field, scale)
+    if part in PER_CELL_VTK_DIGESTS:
+        assert hashlib.sha256(want.encode()).hexdigest() == PER_CELL_VTK_DIGESTS[part]
+    got = export_difficulty_map(None, tree, field, tmp_path / "m.vtk").read_text()
+
+    head, points, cell_pts, tail = parse_vtk(got)
+    want_head, want_points, _, want_tail = parse_vtk(want)
+    n_cells = len(cell_pts)
+    assert head[:-1] == want_head[:-1]
+    assert head[-1] == f"POINTS {len(points)} float"
+    assert len(set(points)) == len(points)
+    assert 0 <= cell_pts.min() and cell_pts.max() < len(points)
+    assert len(points) < len(want_points) == 8 * n_cells
+    corners = np.array(points, dtype=object)[cell_pts]
+    assert corners.tolist() == np.array(want_points, dtype=object).reshape(n_cells, 8).tolist()
+    assert tail == want_tail
+    if part == "origin":
+        words = {w for line in points for w in line.split()}
+        assert {"0", "-0"} <= words
 
 
 def test_nearest_grey_fallback_chunks_match_full_argmin(cube_tree, tmp_path, monkeypatch):
@@ -283,6 +395,47 @@ def test_maps_span_several_write_chunks(unit_cube, cube_tree, tmp_path, monkeypa
     for fmt in ("ply", "vtk"):
         out = export_difficulty_map(unit_cube, cube_tree, f, tmp_path / f"b.{fmt}")
         assert out.read_bytes() == whole[fmt]
+
+
+def format_rows(fmt, *tables):
+    """``_rows`` as first written, with ``str.format`` per row; the reference."""
+    for s in range(0, len(tables[0]), reporting._CHUNK_ROWS):
+        cols = [col for t in tables for col in t[s : s + reporting._CHUNK_ROWS].T.tolist()]
+        yield "".join(map(fmt.format, *cols))
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e300, -1e300, 0.1]),
+)
+
+
+@st.composite
+def row_tables(draw):
+    """Equally long (n, 3) float64, uint8 and int64 tables, as the map writers pass."""
+    n = draw(st.integers(0, 12))
+    return (
+        draw(arrays(np.float64, (n, 3), elements=FLOATS)),
+        draw(arrays(np.uint8, (n, 3))),
+        draw(arrays(np.int64, (n, 3), elements=st.integers(-(2**40), 2**40))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=row_tables())
+def test_rows_percent_format_matches_str_format(tables):
+    xyz, rgb, ints = tables
+    calls = [
+        ("%.9g %.9g %.9g\n", "{:.9g} {:.9g} {:.9g}\n", (xyz,)),
+        ("%.9g\n", "{:.9g}\n", (xyz[:, :1],)),
+        ("3 %d %d %d\n", "3 {} {} {}\n", (ints,)),
+        ("%.9g %.9g %.9g %d %d %d\n", "{:.9g} {:.9g} {:.9g} {} {} {}\n", (xyz, rgb)),
+    ]
+    for chunk_rows in (1, 5, reporting._CHUNK_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
+            for percent, brace, args in calls:
+                assert "".join(_rows(percent, *args)) == "".join(format_rows(brace, *args))
 
 
 def test_failed_chunk_leaves_no_partial_file(tmp_path):
@@ -421,7 +574,45 @@ def test_json_is_sorted_and_versioned(tmp_path):
     path = emit_report(part_report(), tmp_path / "r.json")
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == SCHEMA_VERSION
-    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert path.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_text().count("\n") == 1
+
+
+def write_indented(report, path):
+    """A report as written before reports were compact: the same keys, indent=2."""
+    doc = {"schema_version": SCHEMA_VERSION, "report": report.to_dict()}
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return path
+
+
+def test_indented_reports_load_equal_to_compact(tmp_path):
+    rep = part_report()
+    asm = build_assembly_report("asm", {"core": rep}, {"core": 1.0})
+    for name, doc in [("p", rep), ("a", asm), ("c", compare_reports(rep, rep))]:
+        compact = emit_report(doc, tmp_path / f"{name}.json")
+        indented = write_indented(doc, tmp_path / f"{name}.indented.json")
+        assert indented.read_text() != compact.read_text()
+        assert load_report(indented) == load_report(compact) == doc
+
+
+def test_compare_reads_indented_reports_like_compact(tmp_path, capsys):
+    base = part_report()
+    cand = dataclasses.replace(
+        base, design_id="plate2", global_indexes={"max_dimension": 0.2, "chip_volume": 0.1}
+    )
+    outputs = {}
+    for style, write in (("compact", emit_report), ("indented", write_indented)):
+        (tmp_path / style).mkdir()
+        paths = [str(write(r, tmp_path / style / f"{r.design_id}.json")) for r in (base, cand)]
+        out = tmp_path / f"{style}.out"
+        assert main(["compare", *paths, "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        outputs[style] = (capsys.readouterr().out, files)
+    assert outputs["compact"] == outputs["indented"]
+    assert sorted(outputs["compact"][1]) == [
+        "plate_vs_plate2.comparison.csv",
+        "plate_vs_plate2.comparison.json",
+    ]
 
 
 def test_report_bytes_stable_across_runs(tmp_path):
