@@ -88,11 +88,13 @@ class TriMesh:
     """Indexed triangle mesh.
 
     Arrays are made read-only on construction; derived data (metrics, the
-    ray-cast acceleration grid, the content hash) is computed on first use
-    and cached.
+    per-triangle vertex coordinates and bounds, the ray-cast acceleration
+    grid, the content hash) is computed on first use, cached and read-only.
     """
 
-    __slots__ = ("vertices", "triangles", "_metrics", "_tri_coords", "_grid", "_hash")
+    __slots__ = (
+        "vertices", "triangles", "_metrics", "_tri_coords", "_tri_bounds", "_grid", "_hash"
+    )
 
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
@@ -111,6 +113,7 @@ class TriMesh:
         self.triangles = triangles
         self._metrics: MeshMetrics | None = None
         self._tri_coords: np.ndarray | None = None
+        self._tri_bounds: tuple[np.ndarray, np.ndarray] | None = None
         self._grid: _ColumnGrid | None = None
         self._hash: str | None = None
 
@@ -130,6 +133,23 @@ class TriMesh:
             self._tri_coords = tc
         return self._tri_coords
 
+    def tri_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-triangle bounding boxes ``(tmin, tmax)``, each (M, 3).
+
+        Bitwise equal to ``tri_coords().min(axis=1)`` and ``.max(axis=1)``,
+        built from the three vertex slices, which is faster than that
+        strided reduction.
+        """
+        if self._tri_bounds is None:
+            a, b, c = np.moveaxis(self.tri_coords(), 1, 0)
+            tmin, tmax = np.minimum(a, b), np.maximum(a, b)
+            np.minimum(tmin, c, out=tmin)
+            np.maximum(tmax, c, out=tmax)
+            tmin.setflags(write=False)
+            tmax.setflags(write=False)
+            self._tri_bounds = tmin, tmax
+        return self._tri_bounds
+
     @property
     def metrics(self) -> MeshMetrics:
         if self._metrics is None:
@@ -147,7 +167,9 @@ class TriMesh:
 
     def _column_grid(self) -> "_ColumnGrid":
         if self._grid is None:
-            self._grid = _ColumnGrid(self.tri_coords(), self.metrics.max_dimension)
+            self._grid = _ColumnGrid(
+                self.tri_coords(), self.tri_bounds(), self.metrics.max_dimension
+            )
         return self._grid
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -326,7 +348,7 @@ def _weld(soup: np.ndarray) -> TriMesh:
 
 
 def _measure(mesh: TriMesh) -> MeshMetrics:
-    tc = mesh.vertices[mesh.triangles]
+    tc = mesh.tri_coords()
     bbox_min = mesh.vertices.min(axis=0)
     bbox_max = mesh.vertices.max(axis=0)
     area = 0.5 * np.linalg.norm(
@@ -544,17 +566,21 @@ class _ColumnGrid:
     lines (stacked octree boxes) pass each line once.
     """
 
-    def __init__(self, tc: np.ndarray, scale: float):
+    def __init__(
+        self, tc: np.ndarray, bounds: tuple[np.ndarray, np.ndarray], scale: float
+    ):
+        """Bucket the triangles ``tc`` (M, 3, 3) by the xy part of their
+        ``bounds``, the ``(tmin, tmax)`` of :meth:`TriMesh.tri_bounds`."""
         self._scale = max(scale, 1.0)
         xy = tc[..., :2]
+        tmin, tmax = bounds[0][:, :2], bounds[1][:, :2]
+        xy_min, xy_max = tmin.min(axis=0), tmax.max(axis=0)
         pad = 1e-9 * self._scale
-        self._lo = xy.reshape(-1, 2).min(axis=0) - pad
-        hi = xy.reshape(-1, 2).max(axis=0) + pad
+        self._lo = xy_min - pad
+        hi = xy_max + pad
         self._res = res = int(np.clip(np.sqrt(len(tc) / 2.0), 4, 128))
         self._cell = np.maximum((hi - self._lo) / res, 1e-12)
 
-        tmin = xy.min(axis=1)
-        tmax = xy.max(axis=1)
         i0 = np.clip(((tmin - self._lo) / self._cell).astype(np.int64), 0, res - 1)
         i1 = np.clip(((tmax - self._lo) / self._cell).astype(np.int64), 0, res - 1)
         # one (triangle, cell) entry per cell of each footprint rectangle
@@ -563,6 +589,7 @@ class _ColumnGrid:
         tri = np.repeat(np.arange(len(tc), dtype=np.int64), per_tri)
         k = np.arange(len(tri)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
         cells = (i0[tri, 0] + k // ny[tri]) * res + (i0[tri, 1] + k % ny[tri])
+        cells = cells.astype(np.uint16)  # res <= 128: a stable sort of uint16 is a radix sort
         order = np.argsort(cells, kind="stable")
         self._tids = tri[order]
         self._ptr = np.zeros(res * res + 1, dtype=np.int64)
@@ -580,7 +607,7 @@ class _ColumnGrid:
         # slack outside the box is more than pad from every q, so the edge
         # test would return False there.
         self._edge_pad = pad
-        self._gate = 2 * pad + 8 * np.spacing(np.abs(xy).max())
+        self._gate = 2 * pad + 8 * np.spacing(np.abs(np.r_[xy_min, xy_max]).max())
 
     def _cells_of(self, xy: np.ndarray) -> np.ndarray:
         ij = np.floor((xy - self._lo) / self._cell).astype(np.int64)
@@ -746,10 +773,15 @@ def _tri_box_overlap(tc: np.ndarray, centers: np.ndarray, halves: np.ndarray) ->
     a pair's answer does not depend on what else is in the batch.
 
     The 3 box-normal axes come first, as in Akenine-Moller's ordering.  The
-    octree waves also run them alone, through the same :func:`_separated`
-    on the same ``vertex - center`` differences, to drop (pair, child)
-    entries before calling this test: an entry one of them separates would
-    be False here too, so skipping it changes no answer.
+    octree runs them alone first, on each triangle's bounds less the box
+    center: ``fl(min(p) - c) == min(fl(p - c))`` because rounding is
+    monotone, so an entry they separate would be False here too.  A
+    triangle whose offsets ``v = fl(p - c)`` all lie in ``[-h, h]`` would be
+    True here, bit for bit, so the octree counts it a hit without this test:
+    every projection below is built from products ``|fl(x * v)| = fl(|x| *
+    |v|) <= fl(|x| * h)`` and sums taken in the same order as its radius's.
+    Needles and zero-area triangles included, neither shortcut changes an
+    answer.
     """
     tri = np.moveaxis(tc, (-2, -1), (0, 1))  # (vertex, axis, ...)
     hx, hy, hz = np.moveaxis(halves, -1, 0)

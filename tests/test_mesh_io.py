@@ -179,6 +179,21 @@ def test_icosphere_metrics_near_analytic():
     assert m.volume < sphere_volume(10.0)
 
 
+@pytest.mark.parametrize("name", ["sphere", "pocket", "torus"])
+def test_tri_bounds_are_the_vertex_min_and_max(name, sphere10, pocket_plate, torus):
+    """tri_bounds() is bitwise the per-triangle min and max of tri_coords(),
+    read-only, and computed once per mesh."""
+    shape = {"sphere": sphere10, "pocket": pocket_plate, "torus": torus}[name]
+    mesh = TriMesh(shape.vertices, shape.triangles)  # nothing cached yet
+    bounds = mesh.tri_bounds()
+    tc = mesh.tri_coords()
+    assert bounds[0].tobytes() == tc.min(axis=1).tobytes()
+    assert bounds[1].tobytes() == tc.max(axis=1).tobytes()
+    assert bounds[0].shape == bounds[1].shape == (mesh.num_triangles, 3)
+    assert not bounds[0].flags.writeable and not bounds[1].flags.writeable
+    assert mesh.tri_bounds() is bounds
+
+
 def test_open_mesh_flagged_not_fatal(unit_cube):
     open_mesh = TriMesh(unit_cube.vertices, unit_cube.triangles[:-2])  # drop one face
     m = open_mesh.metrics
@@ -336,6 +351,39 @@ def test_triangle_box_translation_covariance(shift):
     )
 
 
+def _wide_coordinates():
+    """Coordinates of magnitude 1e-6 to 1e6, of either sign, or zero."""
+    return st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    center=st.tuples(*[_wide_coordinates()] * 3),
+    vertices=st.tuples(*[st.tuples(*[_wide_coordinates()] * 3)] * 3),
+    kind=st.sampled_from(["any", "needle", "repeated vertex", "midpoint", "one point"]),
+    slack=st.sampled_from([1.0, 1.0 + 2.0**-52, 1.5]),
+)
+def test_triangle_with_offsets_inside_box_always_overlaps(center, vertices, kind, slack):
+    """Every vertex offset fl(p - c) in [-h, h] on every axis makes the SAT test
+    True, bit for bit, so the octree may count such a triangle as a hit
+    without it.  Each of the 13 projections is rounded from products no
+    larger than the ones its radius is rounded from, summed in the same
+    order.  With slack 1, some vertex sits exactly at -h or h on each axis."""
+    c = np.array(center)
+    tri = np.array(vertices)
+    if kind == "needle":  # one edge a few ulps long
+        tri[1] = np.nextafter(np.nextafter(tri[0], np.inf), np.inf)
+    elif kind == "repeated vertex":
+        tri[2] = tri[0]
+    elif kind == "midpoint":  # collinear up to rounding
+        tri[2] = 0.5 * (tri[0] + tri[1])
+    elif kind == "one point":
+        tri[:] = tri[0]
+    h = np.abs(tri - c).max(axis=0) * slack
+    assert ((tri - c >= -h) & (tri - c <= h)).all()
+    assert mesh_io._tri_box_overlap(tri[None], c[None], h[None])[0]
+
+
 # ---------------------------------------------------------------------------
 # Batched kernels against one-at-a-time evaluation
 
@@ -465,6 +513,22 @@ def test_column_kernel_and_classify_points_take_zero_inputs(unit_cube):
     assert out.shape == (0,) and out.dtype == np.int8
 
 
+@pytest.mark.parametrize("shift", [(-(2.0**20), 3.0), (2.0, 2.0**20)])
+def test_column_grid_extent_and_gate_follow_the_vertices(shift, torus):
+    """The grid takes its extent and footprint gate from the triangle bounds;
+    they equal the vertex-wise formulas.  The shifted torus straddles 2**20
+    in magnitude, so only its most negative, or only its most positive,
+    coordinate gives the gate's spacing."""
+    mesh = TriMesh(torus.vertices + (*shift, 0.0), torus.triangles)
+    grid = mesh._column_grid()
+    xy = mesh.tri_coords()[..., :2].reshape(-1, 2)
+    pad = grid._edge_pad
+    assert grid._lo.tobytes() == (xy.min(axis=0) - pad).tobytes()
+    res = grid._res
+    assert grid._cell.tobytes() == ((xy.max(axis=0) + pad - grid._lo) / res).tobytes()
+    assert grid._gate == 2 * pad + 8 * np.spacing(np.abs(xy).max())
+
+
 def _vertical_triangles(rng, n, offset):
     """n triangles whose xy projection is a segment along ``d``, a third each along
     x, along y and diagonal; dyadic xy keeps the projection exactly collinear at
@@ -485,7 +549,7 @@ def test_footprint_gate_matches_edge_test_on_every_flat_pair(offset):
     test is False: its suspect flags equal _near_tri_edges over every pair."""
     rng = np.random.default_rng(47)
     tc, along = _vertical_triangles(rng, 60, offset)
-    grid = mesh_io._ColumnGrid(tc, 50.0)
+    grid = mesh_io._ColumnGrid(tc, (tc.min(axis=1), tc.max(axis=1)), 50.0)
     assert (np.abs(grid._tab[:, 6]) <= grid._flat_tol).all()  # every pair is flat
     pad = grid._edge_pad
 

@@ -337,21 +337,24 @@ def _child_boxes(lo, hi, shrink=spatial._SHRINK):
 
 
 def _wave_cases(rng, w=30, k=5):
-    """Dyadic nodes, each paired with k triangles of six kinds.
+    """Dyadic nodes, each paired with k triangles of eight kinds.
 
     The kinds: lying in a child split plane; lying in a node face; touching a
     node face from outside; every vertex on slab faces (each coordinate the
-    node's lo, mid or hi); needles; random.  Dyadic numbers keep centers,
-    half-widths and touching exact.
+    node's lo, mid or hi); needles; random; strictly inside one child; inside
+    one child but for one vertex coordinate at ``c - h`` or ``c + h`` of that
+    child's shrunk box, as the wave computes c and h.  Dyadic numbers keep
+    the node centers, half-widths and touching exact.
     """
     lo = rng.integers(-8, 8, (w, 3)) / 2.0
     hi = lo + 2.0 ** rng.integers(-1, 3, (w, 1))
+    centers, halves = _child_boxes(lo, hi)
     rows = np.arange(k)
     tris = []
     for n in range(w):
         planes = np.stack([lo[n], 0.5 * (lo[n] + hi[n]), hi[n]])  # (lo, mid, hi) x axis
         span = hi[n] - lo[n]
-        for kind in range(6):
+        for kind in range(8):
             t = lo[n] - span / 4 + rng.integers(0, 13, (k, 3, 3)) / 8.0 * span
             a = rng.integers(0, 3, k)
             side = rng.choice([0, 2], k)
@@ -368,15 +371,23 @@ def _wave_cases(rng, w=30, k=5):
                 t = planes[rng.integers(0, 3, (k, 3, 3)), np.arange(3)]
             elif kind == 4:
                 t[:, 1] = t[:, 0] + 2.0**-20 * rng.integers(-2, 3, (k, 3))
+            elif kind >= 6:
+                child = rng.integers(0, 8, k)
+                c, h = centers[n, child][:, None], halves[n, child][:, None]  # (k, 1, 3)
+                t = c + rng.integers(-7, 8, (k, 3, 3)) / 8.0 * h
+                if kind == 7:
+                    face = np.where(side == 0, -1.0, 1.0) * h[rows, 0, a]
+                    t[rows, rng.integers(0, 3, k), a] = c[rows, 0, a] + face
             tris.append(t)
     tc = np.concatenate(tris)
-    return tc, np.arange(len(tc)), np.repeat(np.arange(w), 6 * k), lo, hi
+    return tc, np.arange(len(tc)), np.repeat(np.arange(w), 8 * k), lo, hi
 
 
 @pytest.mark.parametrize("budget", [None, 1, 7])
 def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
-    """The box-axis prefilter changes no wave hit, and the full SAT test runs
-    on exactly the (pair, child) entries that no box-normal axis separates."""
+    """The slab prefilter changes no wave hit: the full SAT test runs on
+    exactly the (pair, child) entries that no box-normal axis separates and
+    that do not lie inside the child box, and every entry inside is a hit."""
     rng = np.random.default_rng(43)
     tc, pair_tri, pair_node, lo, hi = _wave_cases(rng)
     centers, halves = _child_boxes(lo, hi)
@@ -390,7 +401,8 @@ def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
         return full_sat(t, c, h)
 
     monkeypatch.setattr(spatial, "_tri_box_overlap", recording)
-    got = spatial._wave_mask(tc, pair_tri, pair_node, centers, halves)
+    bounds = tc.min(axis=1), tc.max(axis=1)
+    got = spatial._wave_mask(tc, bounds, pair_tri, pair_node, centers, halves)
 
     # unfiltered reference: every pair against all 8 children, one pair at a time
     want = np.array([
@@ -400,16 +412,57 @@ def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
     assert np.array_equal(got, want)
     assert 0 < want.sum() < want.size
 
-    def box_axes_separate(halves):
+    def offsets(halves):
+        """Per (pair, child, axis): the least and greatest vertex offset, and h."""
         v = tc[pair_tri][:, None] - centers[pair_node][:, :, None, :]  # (P, 8, vertex, axis)
-        h = halves[pair_node]
-        return ((v.min(axis=2) > h) | (v.max(axis=2) < -h)).any(axis=2)
+        return v.min(axis=2), v.max(axis=2), halves[pair_node]
 
+    def box_axes_separate(halves):
+        vmin, vmax, h = offsets(halves)
+        return ((vmin > h) | (vmax < -h)).any(axis=2)
+
+    vmin, vmax, h = offsets(halves)
     slab_sep = box_axes_separate(halves)
-    assert sum(tested) == int((~slab_sep).sum()) < want.size
+    contained = ((vmin >= -h) & (vmax <= h)).all(axis=2)
+    assert sum(tested) == int((~slab_sep & ~contained).sum()) < int((~slab_sep).sum())
+    assert want[contained].all()
+    # entries inside with a vertex offset exactly -h or h are in the cases
+    assert (contained & ((vmin == -h) | (vmax == h)).any(axis=2)).any()
     assert (~slab_sep & ~want).any()  # the other 10 axes still decide some entries
     # entries that only touch a closed child box are in the cases: the shrink separates them
     assert (slab_sep & ~box_axes_separate(_child_boxes(lo, hi, shrink=0.0)[1])).any()
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.01])
+@pytest.mark.parametrize("name", ["box", "pocket"])
+def test_root_classify_matches_sat_over_all_triangles(name, margin, pocket_plate, monkeypatch):
+    """The root box's hits are the full SAT test's over every triangle.  At a
+    positive margin every triangle lies inside the root box and none takes
+    the full test; at margin 0 the triangles touching the root's faces take
+    it."""
+    mesh = {"box": box_mesh((3.0, 2.0, 1.0)), "pocket": pocket_plate}[name]
+    m = mesh.metrics
+    center = 0.5 * (np.array(m.bbox_min) + np.array(m.bbox_max))
+    half = 0.5 * m.max_dimension * (1.0 + margin)
+    lo, hi = (center - half)[None], (center + half)[None]
+    shrunk = 0.5 * (hi - lo) * (1 - spatial._SHRINK)
+    want = np.flatnonzero(
+        mesh_io._tri_box_overlap(mesh.tri_coords(), 0.5 * (lo + hi), shrunk)
+    )
+    tested = []
+    full_sat = spatial._tri_box_overlap
+
+    def recording(t, c, h):
+        tested.append(len(t))
+        return full_sat(t, c, h)
+
+    monkeypatch.setattr(spatial, "_tri_box_overlap", recording)
+    hits, code = spatial._classify(mesh, lo, hi, seed=1)
+    assert np.array_equal(hits, want) and code == spatial._GREY
+    if margin:
+        assert len(want) == mesh.num_triangles and sum(tested) == 0
+    else:  # the shrink separates the faces lying on the root's faces
+        assert 0 < len(want) < mesh.num_triangles and sum(tested) > 0
 
 
 def test_grey_shell_volume_shrinks_with_depth(sphere10):
