@@ -331,13 +331,15 @@ def _weld(soup: np.ndarray) -> TriMesh:
     distinct = (a != b) & (b != c) & (c != a)
     va, vb, vc = vertices[a], vertices[b], vertices[c]
     area2 = np.linalg.norm(np.cross(vb - va, vc - va), axis=1)
-    span = float(np.ptp(flat, axis=0).max()) if len(flat) else 0.0
+    # per-axis 1-D reductions: bitwise equal to np.ptp(flat, axis=0).max(), and faster
+    span = max(flat[:, a].max() - flat[:, a].min() for a in range(3)) if len(flat) else 0.0
     keep = distinct & (area2 > 1e-12 * max(span, 1.0) ** 2)
     triangles = triangles[keep]
     if len(triangles) == 0:
         raise EmptyMeshError("no non-degenerate triangles after welding")
 
-    used = np.unique(triangles)
+    # the used vertex ids in ascending order, as np.unique(triangles) but without its sort
+    used = np.flatnonzero(np.bincount(triangles.ravel(), minlength=len(vertices)))
     remap = np.full(len(vertices), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
     return TriMesh(vertices[used], remap[triangles])
@@ -564,6 +566,23 @@ class _ColumnGrid:
     :meth:`crossings` is the one kernel: it casts each line once and
     answers any number of heights on it, so callers whose points share
     lines (stacked octree boxes) pass each line once.
+
+    Resolution: ``sqrt(8 M)`` cells per axis for M triangles, clipped to
+    [4, 128] (128 keeps a cell id in a uint16).  A line evaluates every
+    triangle of its cell, and most of them cannot cross it; finer cells
+    cut those pairs, while buckets grow only where triangles span several
+    cells.  Measured on octree builds (seed 101, one line per box center),
+    ``sqrt(M / 2)`` -> ``sqrt(8 M)`` cells per axis:
+
+    - the 68-triangle split-redesign block at depth 5, res 5 -> 23:
+      center casts 56,640 -> 31,216 pairs, grey sampling 166,942 ->
+      83,202; of these, the same 43,918 cross or graze, so the share of
+      wasted pairs fell from 80 % to 62 %;
+    - ``icosphere(10, 4)`` at depth 6, res 50 -> 128 (29,588 -> 106,960
+      bucket entries): 369,400 -> 193,560 and 742,098 -> 416,291.
+
+    The resolution decides only which pairs a line evaluates, never what
+    an evaluated pair answers.
     """
 
     def __init__(
@@ -578,7 +597,7 @@ class _ColumnGrid:
         pad = 1e-9 * self._scale
         self._lo = xy_min - pad
         hi = xy_max + pad
-        self._res = res = int(np.clip(np.sqrt(len(tc) / 2.0), 4, 128))
+        self._res = res = int(np.clip(np.sqrt(8.0 * len(tc)), 4, 128))
         self._cell = np.maximum((hi - self._lo) / res, 1e-12)
 
         i0 = np.clip(((tmin - self._lo) / self._cell).astype(np.int64), 0, res - 1)

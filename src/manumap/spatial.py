@@ -459,9 +459,12 @@ def _advance_wave(
     Every (node, triangle) pair of the level is SAT-tested against the
     node's 8 children by :func:`_wave_mask` (box-normal slabs from the
     triangles' bounds first, the full test only where they neither separate
-    nor contain, same hits), and children that the surface misses are
-    center-classified in one batch, which keeps both the overlap tests and
-    the parity casts vectorized.
+    nor contain, same hits).  Children that the surface misses are
+    center-classified in one :func:`_heights_inside` call with one line per
+    xy column (one :func:`_column_keys` value), carrying the center heights
+    of every missed child stacked in that column.  A height's answer
+    depends only on the mesh, the point and the seed, so sharing lines
+    changes no class.
     """
     mid = 0.5 * (lo + hi)
     cmin = np.where(_CHILD_BITS, mid[:, None, :], lo[:, None, :]).reshape(-1, 3)
@@ -485,12 +488,18 @@ def _advance_wave(
 
     code = np.full(len(cmin), _GREY, dtype=np.int8)
     volume = np.full(len(cmin), np.nan)
-    miss = np.bincount(group, minlength=len(cmin)) == 0
-    if miss.any():
-        inside = _points_inside(mesh, centers[miss], seed=seed)
+    child_keys = (keys[:, None] << 3 | np.arange(8)).ravel()
+    miss = np.flatnonzero(np.bincount(group, minlength=len(cmin)) == 0)
+    if len(miss):
+        # the missed centers column by column: stacked centers share x and y bitwise
+        columns = _column_keys(child_keys[miss])
+        by_column = np.argsort(columns, kind="stable")
+        miss = miss[by_column]
+        heads = np.flatnonzero(np.r_[True, np.diff(columns[by_column]) != 0])
+        hptr = np.r_[heads, len(miss)]
+        inside = _heights_inside(mesh, centers[miss[heads], :2], centers[miss, 2], hptr, seed)
         code[miss] = np.where(inside, _BLACK, _WHITE)
         volume[miss] = np.where(inside, size[miss, 0] * size[miss, 1] * size[miss, 2], 0.0)
-    child_keys = (keys[:, None] << 3 | np.arange(8)).ravel()
     return cmin, cmax, child_keys, code, volume, group[order], pair_tri[pair[order]]
 
 

@@ -39,6 +39,14 @@ def pocket_plate():
 
 
 @pytest.fixture(scope="session")
+def split_block():
+    """The modular-split demo's one-piece block: 80 x 80 x 60 mm with a
+    12 x 12 mm pocket 50 mm deep, 68 triangles.  Its box centers on the
+    x = y diagonal graze the diagonal edges of its faces."""
+    return slab_with_pockets((80.0, 80.0, 60.0), [((34.0, 34.0, 46.0, 46.0), 50.0)])
+
+
+@pytest.fixture(scope="session")
 def torus():
     return torus_mesh(20.0, 8.0, segments_major=24, segments_minor=12)
 

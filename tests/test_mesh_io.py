@@ -420,10 +420,14 @@ def _column_queries(grid, rng, n=150):
     return xy, rng.uniform(-40.0, 80.0, (len(xy), 3))
 
 
-@pytest.mark.parametrize("name", ["sphere", "pocket"])
-def test_column_kernel_matches_brute_force(name, sphere10, pocket_plate):
-    mesh = {"sphere": sphere10, "pocket": pocket_plate}[name]
+@pytest.mark.parametrize("name", ["sphere", "pocket", "cube", "block"])
+def test_column_kernel_matches_brute_force(name, sphere10, pocket_plate, unit_cube, split_block):
+    """Bucketed casts equal every line against every triangle.  The cube's
+    and the block's few triangles each span many cells of the grid."""
+    mesh = {"sphere": sphere10, "pocket": pocket_plate, "cube": unit_cube, "block": split_block}[name]
     grid = mesh._column_grid()
+    if name in ("cube", "block"):
+        assert np.diff(grid._ptr).sum() > 4 * len(grid._tab)
     xy, z = _column_queries(grid, np.random.default_rng(17))
     counts, suspect = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
     counts, suspect = counts.reshape(z.shape), suspect.reshape(z.shape)
@@ -431,23 +435,28 @@ def test_column_kernel_matches_brute_force(name, sphere10, pocket_plate):
     assert np.array_equal(counts, want_counts)
     assert np.array_equal(suspect, want_suspect)
     assert counts.any() and (counts == 0).any()
-    if name == "pocket":
-        assert suspect.any()  # vertical pocket walls make grazing lines
+    if name != "sphere":
+        assert suspect.any()  # vertical walls make grazing lines
     # one height per line gives the same answer as a column of K heights
     c0, s0 = grid.crossings(xy, z[:, 0], _k_per_line(xy, 1))
     assert np.array_equal(c0, counts[:, 0]) and np.array_equal(s0, suspect[:, 0])
 
 
-def test_column_kernel_chunk_seams(sphere10, monkeypatch):
-    grid = sphere10._column_grid()
-    xy, z = _column_queries(grid, np.random.default_rng(23), n=300)
-    want = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
-    largest = int(np.diff(grid._ptr).max())
-    assert largest > 2
-    for budget in (1, largest - 1):
-        monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
-        got = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+def test_column_kernel_chunk_seams(sphere10, unit_cube, split_block, monkeypatch):
+    """Every chunk size gives the brute-force answers, on the sphere and on
+    the cube and the block, whose triangles each span many cells."""
+    for mesh in (sphere10, unit_cube, split_block):
+        grid = mesh._column_grid()
+        xy, z = _column_queries(grid, np.random.default_rng(23), n=300)
+        want_counts, want_suspect = _column_reference(grid, xy, z)
+        largest = int(np.diff(grid._ptr).max())
+        assert largest > 2
+        for budget in (mesh_io._COLUMN_PAIR_BUDGET, 1, largest - 1):
+            monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
+            counts, suspect = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
+            assert np.array_equal(counts.reshape(z.shape), want_counts)
+            assert np.array_equal(suspect.reshape(z.shape), want_suspect)
+        monkeypatch.undo()
 
 
 def _csr_queries(grid, rng):

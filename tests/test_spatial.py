@@ -279,6 +279,56 @@ def test_grazing_samples_settle_as_points_do(monkeypatch):
     _assert_leaf_volumes_match_points(tree, mesh, n, seed)
 
 
+@pytest.mark.parametrize("name", ["block", "pocket", "sphere10"])
+def test_grouped_center_casts_match_one_point_calls(name, split_block, pocket_plate, sphere10, monkeypatch):
+    """Each wave casts its missed children's centers with one line per xy
+    column.  Every black or white leaf still has the class of a one-point
+    _points_inside call on its center, and permuting the triangles changes
+    no byte.  The block's centers on the x = y diagonal graze the diagonal
+    edges of its faces inside those grouped casts; _ray_parity settles
+    them."""
+    mesh = {"block": split_block, "pocket": pocket_plate, "sphere10": sphere10}[name]
+    seed = 101
+    casts, grazed, in_wave = [], [], []
+    advance, sampler, fallback = spatial._advance_wave, spatial._heights_inside, mesh_io._ray_parity
+
+    def spy_wave(*args):
+        in_wave.append(True)
+        try:
+            return advance(*args)
+        finally:
+            in_wave.pop()
+
+    def spy_cast(mesh, xy, hz, hptr, seed):
+        if in_wave:
+            assert len(np.unique(xy, axis=0)) == len(xy)  # one line per column
+            casts.append(np.diff(hptr))
+        return sampler(mesh, xy, hz, hptr, seed)
+
+    def spy_parity(tc, pts, scale, seed):
+        if in_wave:
+            grazed.append(len(pts))
+        return fallback(tc, pts, scale, seed)
+
+    monkeypatch.setattr(spatial, "_advance_wave", spy_wave)
+    monkeypatch.setattr(spatial, "_heights_inside", spy_cast)
+    monkeypatch.setattr(mesh_io, "_ray_parity", spy_parity)
+    tree = build_octree(mesh, max_depth=4, seed=seed)
+    monkeypatch.undo()
+
+    solid = np.flatnonzero(tree.class_code != spatial._GREY)
+    assert sum(int(k.sum()) for k in casts) == len(solid)  # every black or white leaf, once
+    assert max(int(k.max()) for k in casts) > 1  # stacked centers share a line
+    centers = 0.5 * (tree.box_min[solid] + tree.box_max[solid])
+    for center, code in zip(centers, tree.class_code[solid]):
+        inside = _points_inside(mesh, center[None], seed=seed)[0]
+        assert code == (spatial._BLACK if inside else spatial._WHITE)
+    if name == "block":
+        assert sum(grazed) > 0
+    shuffled = _permute_triangles(mesh, np.random.default_rng(13))
+    assert build_octree(shuffled, max_depth=4, seed=seed).fingerprint() == tree.fingerprint()
+
+
 def test_sample_streams_are_counter_hashes():
     """The sampler's jitter: a pure function of (seed, key, stream, counter),
     in [0, 1), with separate line and height streams even for the root box."""
