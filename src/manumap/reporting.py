@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import os
+import weakref
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,7 +100,8 @@ def _atomic_write_chunks(path, chunks: Iterable[str]) -> Path:
     return out
 
 
-#: Rows formatted and joined per write, so no section is held in memory whole.
+#: Rows formatted and joined per write, so no section is held in memory whole;
+#: only each octree's VTK geometry is kept, formatted, in :data:`_VTK_GEOMETRY`.
 _CHUNK_ROWS = 4096
 
 
@@ -220,11 +222,15 @@ _HEX_CORNERS = np.array(
 )
 
 
-def _vtk_chunks(
-    octree: Octree, index_field: LocalIndexField, scale: ColorScale | None
-) -> Iterator[str]:
-    _check_field(octree, index_field)
-    scale = scale or ColorScale.auto(index_field.values)
+#: Each octree's VTK geometry, from :func:`_vtk_geometry`, shared by every map of
+#: that octree.  The keys are weak, so an entry dies with its octree, and the
+#: octree's arrays are read-only, so the text cannot go stale.
+_VTK_GEOMETRY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _vtk_geometry(octree: Octree) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The grey mask of the non-white boxes, and the text from ``POINTS`` through
+    the ``CELL_TYPES`` rows, in write-sized chunks."""
     cells = np.flatnonzero(octree.class_code != _WHITE)
     n_cells = len(cells)
     # a tree has few distinct box coordinates: format each once, keyed by
@@ -232,19 +238,47 @@ def _vtk_chunks(
     # distinct spellings
     bounds = np.stack([octree.box_min[cells], octree.box_max[cells]], axis=1)  # (C, 2, 3)
     bits, which = np.unique(bounds.view(np.int64), return_inverse=True)
+    del bounds
     words, rank = np.unique(
         [f"{v:.9g}" for v in bits.view(np.float64).tolist()], return_inverse=True
     )
     end_rank = rank[which].reshape(n_cells, 2, 3)
+    del which
     # each corner keyed by its three spelling ranks: boxes sharing a corner
     # share one point line, listed in key order
     k = len(words)
-    ix, iy, iz = (end_rank[:, _HEX_CORNERS[:, a], a] for a in range(3))  # (C, 8) each
-    keys, corner_point = np.unique(((ix * k + iy) * k + iz).ravel(), return_inverse=True)
-    points = words[np.stack([keys // (k * k), keys // k % k, keys % k], axis=1)]
+    key = end_rank[:, _HEX_CORNERS[:, 0], 0]  # (C, 8)
+    for a in (1, 2):
+        key *= k
+        key += end_rank[:, _HEX_CORNERS[:, a], a]
+    del end_rank
+    keys, corner_point = np.unique(key.ravel(), return_inverse=True)
+    del key
+    # Python strs, not a <U table, which would hold 4 bytes per character
+    points = words.astype(object)[np.stack([keys // (k * k), keys // k % k, keys % k], axis=1)]
+    text = (
+        f"POINTS {len(points)} float\n",
+        *_rows("%s %s %s\n", points),
+        f"CELLS {n_cells} {9 * n_cells}\n",
+        *_rows("8" + " %d" * 8 + "\n", corner_point.reshape(n_cells, 8)),
+        f"CELL_TYPES {n_cells}\n",
+        *("12\n" * min(_CHUNK_ROWS, n_cells - s) for s in range(0, n_cells, _CHUNK_ROWS)),
+    )
+    return octree.class_code[cells] == _GREY, text
+
+
+def _vtk_chunks(
+    octree: Octree, index_field: LocalIndexField, scale: ColorScale | None
+) -> Iterator[str]:
+    _check_field(octree, index_field)
+    scale = scale or ColorScale.auto(index_field.values)
+    geometry = _VTK_GEOMETRY.get(octree)
+    if geometry is None:
+        geometry = _VTK_GEOMETRY[octree] = _vtk_geometry(octree)
+    grey, text = geometry
 
     # black boxes grade easiest; greys take the field in Morton order
-    grey = octree.class_code[cells] == _GREY
+    n_cells = len(grey)
     values = np.full(n_cells, float(scale.lo))
     values[grey] = index_field.values
 
@@ -253,15 +287,10 @@ def _vtk_chunks(
         f"difficulty map {index_field.index_id}\n"
         "ASCII\n"
         "DATASET UNSTRUCTURED_GRID\n"
-        f"POINTS {len(points)} float\n"
     )
     return itertools.chain(
         [header],
-        _rows("%s %s %s\n", points),
-        [f"CELLS {n_cells} {9 * n_cells}\n"],
-        _rows("8" + " %d" * 8 + "\n", corner_point.reshape(n_cells, 8)),
-        [f"CELL_TYPES {n_cells}\n"],
-        ("12\n" * min(_CHUNK_ROWS, n_cells - s) for s in range(0, n_cells, _CHUNK_ROWS)),
+        text,
         [f"CELL_DATA {n_cells}\n", "SCALARS difficulty float 1\n", "LOOKUP_TABLE default\n"],
         _rows("%.9g\n", values[:, None]),
     )

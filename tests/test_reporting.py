@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from manumap.additive import AdditiveProfile, build_height_field
 from manumap.aggregation import IndexReport, build_assembly_report, compare_reports
 from manumap.cli import main
 from manumap.errors import (
@@ -239,9 +241,10 @@ def test_map_bytes_stable_across_runs(unit_cube, cube_tree, tmp_path):
     a = export_difficulty_map(unit_cube, cube_tree, f, tmp_path / "a.ply").read_bytes()
     b = export_difficulty_map(unit_cube, cube_tree, f, tmp_path / "b.ply").read_bytes()
     assert a == b
-    va = export_difficulty_map(unit_cube, cube_tree, f, tmp_path / "a.vtk").read_bytes()
-    vb = export_difficulty_map(unit_cube, cube_tree, f, tmp_path / "b.vtk").read_bytes()
-    assert va == vb
+    # a copy of the tree is a new key of the VTK geometry cache: each write formats it anew
+    va = export_difficulty_map(unit_cube, dataclasses.replace(cube_tree), f, tmp_path / "a.vtk")
+    vb = export_difficulty_map(unit_cube, dataclasses.replace(cube_tree), f, tmp_path / "b.vtk")
+    assert va.read_bytes() == vb.read_bytes()
 
 
 # SHA-256 of maps written by the per-leaf writers the array code replaced
@@ -362,6 +365,42 @@ def test_vtk_shares_corners_matches_per_cell_reference(part, cube_tree, plate_re
         assert {"0", "-0"} <= words
 
 
+def test_vtk_maps_of_one_octree_share_geometry(pocket_plate, tmp_path, monkeypatch):
+    """Maps of one octree format its geometry once and write the bytes of maps
+    written alone; the cached geometry goes with the octree."""
+    monkeypatch.setattr(reporting, "_VTK_GEOMETRY", type(reporting._VTK_GEOMETRY)())
+    built = []
+    geometry = reporting._vtk_geometry
+    monkeypatch.setattr(reporting, "_vtk_geometry", lambda t: built.append(id(t)) or geometry(t))
+    tree = build_octree(pocket_plate, max_depth=3)
+    fields = (
+        tool_flexibility_field(pocket_plate, tree, SubtractiveProfile()),
+        build_height_field(tree, AdditiveProfile()),
+    )
+    # dataclasses.replace gives each map written alone a tree no cache entry knows
+    alone = [
+        export_difficulty_map(None, dataclasses.replace(tree), f, tmp_path / "alone.vtk").read_bytes()
+        for f in fields
+    ]
+    for order in ((0, 1), (1, 0)):
+        shared = dataclasses.replace(tree)
+        built.clear()
+        texts = {}
+        for i in order:
+            out = export_difficulty_map(None, shared, fields[i], tmp_path / f"{i}.vtk")
+            texts[i] = out.read_text()
+            assert out.read_bytes() == alone[i]
+        assert built == [id(shared)]
+        geometries = {t[t.index("POINTS") : t.index("CELL_DATA")] for t in texts.values()}
+        assert len(geometries) == 1
+        a, b = (t[: t.index("POINTS")].splitlines() for t in texts.values())
+        assert len(a) == len(b) and [n for n in range(len(a)) if a[n] != b[n]] == [1]
+    assert shared in reporting._VTK_GEOMETRY
+    del tree, shared
+    gc.collect()
+    assert len(reporting._VTK_GEOMETRY) == 0
+
+
 def test_nearest_grey_fallback_chunks_match_full_argmin(cube_tree, tmp_path, monkeypatch):
     # a small ball inside the cube's black core: every vertex misses the greys
     ball = icosphere(0.2, subdivisions=2, center=(0.5, 0.5, 0.5))
@@ -392,8 +431,9 @@ def test_maps_span_several_write_chunks(unit_cube, cube_tree, tmp_path, monkeypa
         for fmt in ("ply", "vtk")
     }
     monkeypatch.setattr(reporting, "_CHUNK_ROWS", 5)
+    tree = dataclasses.replace(cube_tree)  # no VTK geometry cached at the default chunk size
     for fmt in ("ply", "vtk"):
-        out = export_difficulty_map(unit_cube, cube_tree, f, tmp_path / f"b.{fmt}")
+        out = export_difficulty_map(unit_cube, tree, f, tmp_path / f"b.{fmt}")
         assert out.read_bytes() == whole[fmt]
 
 
