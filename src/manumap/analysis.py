@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from . import additive as am
 from . import machining as mc
@@ -143,16 +143,36 @@ def analyze_assembly(
     profiles: MachineProfiles,
     params: AnalysisParams = AnalysisParams(),
 ) -> tuple[AssemblyReport, dict[str, AnalysisResult]]:
-    """Grade each module under its own process and combine by part volume."""
+    """Grade each module under its own process and combine by part volume.
+
+    A module's analysis depends only on its mesh content, process, profiles
+    and params, so modules of equal ``content_hash()`` share one octree, and
+    those also of equal process share one analysis: their reports differ
+    only in ``design_id``.
+    """
     if len({m.module_id for m in modules}) != len(modules):
         raise ProfileError("module ids must be unique")
+    octrees: dict[str, Octree] = {}
+    graded: dict[tuple[str, str], AnalysisResult] = {}
     results: dict[str, AnalysisResult] = {}
     volumes: dict[str, float] = {}
     for spec in modules:
-        res = analyze_mesh(
-            spec.mesh, spec.process, profiles, params=params, design_id=spec.module_id
+        content = spec.mesh.content_hash()
+        first = graded.get((content, spec.process))
+        if first is None:
+            first = graded[content, spec.process] = analyze_mesh(
+                spec.mesh, spec.process, profiles, params=params,
+                design_id=spec.module_id, octree=octrees.get(content),
+            )
+            octrees[content] = first.octree
+        results[spec.module_id] = AnalysisResult(
+            report=replace(
+                first.report, design_id=spec.module_id,
+                local_fields=dict(first.report.local_fields),
+            ),
+            octree=first.octree,
+            mesh=spec.mesh,
         )
-        results[spec.module_id] = res
         volumes[spec.module_id] = abs(spec.mesh.metrics.volume)
     report = build_assembly_report(
         design_id,
