@@ -146,30 +146,23 @@ def analyze_assembly(
     """Grade each module under its own process and combine by part volume.
 
     A module's analysis depends only on its mesh content, process, profiles
-    and params, so modules of equal ``content_hash()`` share one octree, and
-    those also of equal process share one analysis: their reports differ
-    only in ``design_id``.
+    and params, so modules of equal ``content_hash()`` and process share one
+    analysis: their reports differ only in ``design_id``.
     """
     if len({m.module_id for m in modules}) != len(modules):
         raise ProfileError("module ids must be unique")
-    octrees: dict[str, Octree] = {}
     graded: dict[tuple[str, str], AnalysisResult] = {}
     results: dict[str, AnalysisResult] = {}
     volumes: dict[str, float] = {}
     for spec in modules:
-        content = spec.mesh.content_hash()
-        first = graded.get((content, spec.process))
+        key = (spec.mesh.content_hash(), spec.process)
+        first = graded.get(key)
         if first is None:
-            first = graded[content, spec.process] = analyze_mesh(
-                spec.mesh, spec.process, profiles, params=params,
-                design_id=spec.module_id, octree=octrees.get(content),
+            first = graded[key] = analyze_mesh(
+                spec.mesh, spec.process, profiles, params=params, design_id=spec.module_id
             )
-            octrees[content] = first.octree
         results[spec.module_id] = AnalysisResult(
-            report=replace(
-                first.report, design_id=spec.module_id,
-                local_fields=dict(first.report.local_fields),
-            ),
+            report=replace(first.report, design_id=spec.module_id),
             octree=first.octree,
             mesh=spec.mesh,
         )

@@ -243,13 +243,9 @@ def _cmd_assembly(args: argparse.Namespace) -> int:
     params = _params(args)
     profiles = _load_profiles(args.profile)
     modules = []
-    meshes = {}  # resolved path -> its mesh, so a repeated module file is read once
     for spec in args.modules:
         module_id, path, process = _parse_module(spec, args.process)
-        key = Path(path).resolve()
-        if key not in meshes:
-            meshes[key] = _read(load_mesh, path, MeshError, "mesh")
-        modules.append(ModuleSpec(module_id, meshes[key], process))
+        modules.append(ModuleSpec(module_id, _read(load_mesh, path, MeshError, "mesh"), process))
     report, results = analyze_assembly(args.design_id, modules, profiles, params=params)
     out = _out_dir(args)
     if out is not None:

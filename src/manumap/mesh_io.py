@@ -319,11 +319,10 @@ def _weld(soup: np.ndarray) -> TriMesh:
     # rows in lexicographic key order (x first), equal keys in input order:
     # the order and first occurrences of np.unique(keys, axis=0)
     order = np.lexsort(keys.T[::-1])
-    # take(axis=0) gathers the same rows as fancy indexing, about 3x faster
-    ranked = keys.take(order, axis=0)
+    ranked = keys[order]
     start = np.ones(len(order), dtype=bool)
     start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    vertices = flat.take(order[start], axis=0)
+    vertices = flat[order[start]]
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(start) - 1
     triangles = inverse.reshape(-1, 3)

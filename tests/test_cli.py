@@ -320,19 +320,11 @@ def test_assembly_hybrid_has_no_cross_process_totals(two_boxes, tmp_path, capsys
     assert asm.module_reports["lid"].process == "additive"
 
 
-def test_assembly_reads_and_grades_a_repeated_module_once(mesh_files, tmp_path, monkeypatch):
+def test_assembly_grades_a_repeated_module_once(mesh_files, tmp_path):
     pocket = str(mesh_files["pocket"])
-    loads = []
-
-    def spy(path):
-        loads.append(path)
-        return load_mesh(path)
-
-    monkeypatch.setattr(cli, "load_mesh", spy)
     out = tmp_path / "asm"
     assert main(["analyze-assembly", f"a={pocket}", f"b={pocket}",
                  "--depth", "3", "--out", str(out)]) == 0
-    assert loads == [pocket]
     a = (out / "assembly.a.report.json").read_bytes()
     b = (out / "assembly.b.report.json").read_bytes()
     doc_a, doc_b = json.loads(a), json.loads(b)
