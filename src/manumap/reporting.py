@@ -3,6 +3,9 @@
 Everything written here is byte-deterministic for a given input (stable key
 order, repr floats, RFC 4180 line endings) and lands on disk atomically, so
 reruns can be diffed and interrupted runs never leave half-written files.
+Outputs hold few distinct numbers among many, so the writers spell each
+distinct float once (:func:`_spell`) and gather the spellings: report JSON
+keeps the bytes of the stdlib encoder, and maps keep their ``%.9g`` text.
 """
 
 from __future__ import annotations
@@ -105,12 +108,27 @@ def _atomic_write_chunks(path, chunks: Iterable[str]) -> Path:
 _CHUNK_ROWS = 4096
 
 
+def _spell(fmt: str, values) -> tuple[np.ndarray, np.ndarray]:
+    """``fmt % v`` for each float64 ``v`` of ``values``, formatted once per distinct value.
+
+    Returns the object array of distinct spellings and, in the shape of
+    ``values``, each element's index into it, so ``words[which]`` spells
+    ``values``.  Values are told apart by their bits: -0.0 and 0.0 keep their
+    own spellings, and so does every NaN payload.
+    """
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    bits, which = np.unique(v.view(np.int64), return_inverse=True)
+    words = np.array([fmt % x for x in bits.view(np.float64).tolist()], dtype=object)
+    return words, which.reshape(v.shape)
+
+
 def _rows(fmt: str, *tables) -> Iterator[str]:
     """``%``-style ``fmt`` filled from each row of the side-by-side 2-D ``tables``.
 
     Each chunk of rows is one ``%`` operation on ``fmt`` repeated once per
     row.  Several tables are joined as object arrays, so a uint8 table beside
-    a float one still fills its ``%d`` fields with Python ints.
+    a float one still fills its ``%d`` fields with Python ints.  The map
+    writers pass floats already spelled by :func:`_spell`, to ``%s`` fields.
     """
     for s in range(0, len(tables[0]), _CHUNK_ROWS):
         parts = [t[s : s + _CHUNK_ROWS] for t in tables]
@@ -208,9 +226,10 @@ def _ply_chunks(
         "property list uchar int vertex_indices\n"
         "end_header\n"
     )
+    words, which = _spell("%.9g", mesh.vertices)
     return itertools.chain(
         [header],
-        _rows("%.9g %.9g %.9g %d %d %d\n", mesh.vertices, scale.rgb(values)),
+        _rows("%s %s %s %d %d %d\n", words[which], scale.rgb(values)),
         _rows("3 %d %d %d\n", mesh.triangles),
     )
 
@@ -230,22 +249,18 @@ _VTK_GEOMETRY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _vtk_geometry(octree: Octree) -> tuple[np.ndarray, tuple[str, ...]]:
     """The grey mask of the non-white boxes, and the text from ``POINTS`` through
-    the ``CELL_TYPES`` rows, in write-sized chunks."""
+    the ``CELL_TYPES`` rows, in write-sized chunks.
+
+    Each distinct box coordinate is spelled once, and the distinct spellings
+    are ranked; each corner is keyed by the ranks of its three spellings, so
+    boxes sharing a corner share one point line, listed in key order.
+    """
     cells = np.flatnonzero(octree.class_code != _WHITE)
     n_cells = len(cells)
-    # a tree has few distinct box coordinates: format each once, keyed by
-    # its bits so that -0.0 and 0.0 keep their own spellings, then rank the
-    # distinct spellings
-    bounds = np.stack([octree.box_min[cells], octree.box_max[cells]], axis=1)  # (C, 2, 3)
-    bits, which = np.unique(bounds.view(np.int64), return_inverse=True)
-    del bounds
-    words, rank = np.unique(
-        [f"{v:.9g}" for v in bits.view(np.float64).tolist()], return_inverse=True
-    )
-    end_rank = rank[which].reshape(n_cells, 2, 3)
+    words, which = _spell("%.9g", np.stack([octree.box_min[cells], octree.box_max[cells]], axis=1))
+    words, rank = np.unique(words, return_inverse=True)
+    end_rank = rank[which]  # (C, 2, 3)
     del which
-    # each corner keyed by its three spelling ranks: boxes sharing a corner
-    # share one point line, listed in key order
     k = len(words)
     key = end_rank[:, _HEX_CORNERS[:, 0], 0]  # (C, 8)
     for a in (1, 2):
@@ -254,8 +269,7 @@ def _vtk_geometry(octree: Octree) -> tuple[np.ndarray, tuple[str, ...]]:
     del end_rank
     keys, corner_point = np.unique(key.ravel(), return_inverse=True)
     del key
-    # Python strs, not a <U table, which would hold 4 bytes per character
-    points = words.astype(object)[np.stack([keys // (k * k), keys // k % k, keys % k], axis=1)]
+    points = words[np.stack([keys // (k * k), keys // k % k, keys % k], axis=1)]
     text = (
         f"POINTS {len(points)} float\n",
         *_rows("%s %s %s\n", points),
@@ -281,6 +295,7 @@ def _vtk_chunks(
     n_cells = len(grey)
     values = np.full(n_cells, float(scale.lo))
     values[grey] = index_field.values
+    words, which = _spell("%.9g", values)
 
     header = (
         "# vtk DataFile Version 3.0\n"
@@ -292,7 +307,7 @@ def _vtk_chunks(
         [header],
         text,
         [f"CELL_DATA {n_cells}\n", "SCALARS difficulty float 1\n", "LOOKUP_TABLE default\n"],
-        _rows("%.9g\n", values[:, None]),
+        _rows("%s\n", words[which][:, None]),
     )
 
 
@@ -300,9 +315,40 @@ def _vtk_chunks(
 # Report files
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _json_parts(obj, out: list[str]) -> None:
+    """Append to ``out`` the text ``_encode(obj)`` gives.
+
+    Dicts with ``str`` keys are walked here, and lists of finite floats are
+    spelled with ``repr``, as the encoder writes them, one spelling per
+    distinct value; everything else goes to the encoder itself.
+    """
+    if type(obj) is dict and all(type(k) is str for k in obj):
+        sep = "{"
+        for key in sorted(obj):
+            out.append(sep + _encode(key) + ":")
+            _json_parts(obj[key], out)
+            sep = ","
+        out.append("}" if obj else "{}")
+        return
+    if type(obj) is list and set(map(type, obj)) == {float}:
+        values = np.array(obj, dtype=np.float64)
+        if np.isfinite(values).all():
+            words, which = _spell("%r", values)
+            out.append("[" + ",".join(words[which].tolist()) + "]")
+            return
+    out.append(_encode(obj))
+
+
 def _report_json(report) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "report": report.to_dict()}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """The report as compact JSON with sorted keys, the bytes of
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, and a newline."""
+    out: list[str] = []
+    _json_parts({"schema_version": SCHEMA_VERSION, "report": report.to_dict()}, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _csv_cell(value) -> str:

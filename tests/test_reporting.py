@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from manumap.additive import AdditiveProfile, build_height_field
+from manumap.analysis import AnalysisParams, analyze_mesh
 from manumap.aggregation import IndexReport, build_assembly_report, compare_reports
 from manumap.cli import main
 from manumap.errors import (
@@ -22,6 +23,7 @@ from manumap.fields import LocalIndexField, grey_field
 from manumap.machining import SubtractiveProfile, tool_flexibility_field
 from manumap import aggregation, reporting
 from manumap.primitives import box_mesh, icosphere
+from manumap.profiles import MachineProfiles
 from manumap.reporting import (
     ColorScale,
     SCHEMA_VERSION,
@@ -478,6 +480,41 @@ def test_rows_percent_format_matches_str_format(tables):
                 assert "".join(_rows(percent, *args)) == "".join(format_rows(brace, *args))
 
 
+def bits_to_float(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64).item()
+
+
+#: Values whose spellings a bit-keyed table could confuse: both zeros, NaNs
+#: with other payloads and signs, infinities, and subnormals.
+SPELLING_CASES = [
+    0.0, -0.0, float("nan"), bits_to_float(0x7FF8000000000001),
+    bits_to_float(0xFFF8000000000000), bits_to_float(0x7FF0000000000001),
+    float("inf"), float("-inf"), 5e-324, -5e-324, 2.225073858507201e-308, 1e-310,
+]  # fmt: skip
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=row_tables(), order=st.permutations(range(len(SPELLING_CASES))))
+def test_spelled_rows_match_str_format(tables, order):
+    """The map writers' rows, floats spelled once per distinct value, equal
+    ``str.format`` of every value."""
+    xyz, rgb, _ = tables
+    cases = np.array(SPELLING_CASES)[list(order)]
+    xyz = np.vstack([xyz, cases.reshape(-1, 3)])
+    rgb = np.vstack([rgb, np.arange(len(cases), dtype=np.uint8).reshape(-1, 3)])
+    words, which = reporting._spell("%.9g", xyz)
+    assert which.shape == xyz.shape
+    assert len(words) == len(np.unique(xyz.view(np.int64)))
+    for chunk_rows in (1, 5, reporting._CHUNK_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
+            ply = _rows("%s %s %s %d %d %d\n", words[which], rgb)
+            want = format_rows("{:.9g} {:.9g} {:.9g} {} {} {}\n", xyz, rgb)
+            assert "".join(ply) == "".join(want)
+            cell_data = _rows("%s\n", words[which].reshape(-1, 1))
+            assert "".join(cell_data) == "".join(format_rows("{:.9g}\n", xyz.reshape(-1, 1)))
+
+
 def test_failed_chunk_leaves_no_partial_file(tmp_path):
     def chunks():
         yield "ply\n"
@@ -616,6 +653,79 @@ def test_json_is_sorted_and_versioned(tmp_path):
     assert doc["schema_version"] == SCHEMA_VERSION
     assert path.read_text() == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert path.read_text().count("\n") == 1
+
+
+def dumps(doc):
+    """The stdlib encoder's compact, key-sorted text; the report writer's reference."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, 1e16, 1e22, 0.1, float("nan"), float("inf"), float("-inf")]
+    ),
+)
+
+
+def random_floats(seed):
+    """100 finite floats of many magnitudes, nearly all distinct."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(100) * 10.0 ** rng.integers(-300, 300, 100)).tolist()
+
+
+#: Short lists, and long ones with few distinct values (as report fields
+#: have), with many, or with ints among the floats.
+JSON_LISTS = st.one_of(
+    st.lists(JSON_FLOATS, max_size=4),
+    st.lists(JSON_FLOATS, min_size=1, max_size=4).map(lambda v: v * 40),
+    st.integers(0, 2**32).map(random_floats),
+    st.lists(st.one_of(st.integers(), JSON_FLOATS), max_size=4),
+    st.lists(st.one_of(st.integers(), JSON_FLOATS), min_size=2, max_size=4).map(lambda v: v * 40),
+)
+#: Strings that need escapes or are not ASCII, among any others.
+JSON_TEXT = st.one_of(
+    st.text(), st.sampled_from(["é", "\u2603 \U0001f600", '"\\/\n\t', "\x00\x7f"])
+)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), JSON_FLOATS, JSON_TEXT, JSON_LISTS
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(JSON_TEXT, children, max_size=5),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_DOCS)
+def test_report_writer_matches_json_dumps(doc):
+    out = []
+    reporting._json_parts(doc, out)
+    assert "".join(out) == dumps(doc)
+
+
+def test_every_report_kind_written_as_json_dumps(pocket_plate, tmp_path):
+    """Part, assembly and comparison reports of a graded fixture, whose fields
+    hold long float lists of few distinct values, carry the encoder's bytes."""
+    params = AnalysisParams(max_depth=3)
+    parts = [
+        analyze_mesh(pocket_plate, process, MachineProfiles(), params).report
+        for process in ("machining", "additive")
+    ]
+    asm = build_assembly_report("asm", {"a": parts[0], "b": parts[1]}, {"a": 2.0, "b": 1.0})
+    reports = [*parts, asm, compare_reports(parts[0], parts[0]), compare_reports(parts[0], asm)]
+    assert any(len(f.values) > 64 for f in parts[0].local_fields.values())
+    assert reports[3].field_deltas
+    for rep in reports:
+        doc = {"schema_version": SCHEMA_VERSION, "report": rep.to_dict()}
+        text = emit_report(rep, tmp_path / "r.json").read_text()
+        assert text == reporting._report_json(rep) == dumps(doc) + "\n"
 
 
 def write_indented(report, path):
