@@ -13,12 +13,13 @@ from .aggregation import (
 )
 from .errors import MeshMismatchError, ParameterError, ProfileError
 from .fields import LocalIndexField
-from .mesh_io import DEFAULT_SEED, TriMesh
+from .mesh_io import TriMesh
 from .profiles import MachineProfiles
 from .spatial import (
     DEFAULT_MARGIN,
     DEFAULT_MAX_DEPTH,
     DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     Octree,
     _check_build_params,
     build_octree,

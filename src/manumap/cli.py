@@ -292,7 +292,8 @@ def _add_analysis_options(p: argparse.ArgumentParser) -> None:
                    help="volume sampling grid n (n^3 points)")
     p.add_argument("--margin", type=float, default=defaults.margin,
                    help="root box inflation fraction")
-    p.add_argument("--seed", type=int, default=defaults.seed, help="base seed for all sampling")
+    p.add_argument("--seed", type=int, default=defaults.seed,
+                   help="seed of grey-leaf volume sampling (its only use)")
     p.add_argument("--material", help="material name from the profile's hardness table")
     p.add_argument("--required-ra", type=float, help="required surface roughness Ra (um)")
     p.add_argument("--height-reference", choices=HEIGHT_REFERENCES,

@@ -80,7 +80,11 @@ class DegenerateMeshError(MeshError):
 
 
 class RayParityError(AnalysisError):
-    """Ray casting could not decide whether a point off the surface is inside."""
+    """Ray casting could not decide whether a point off the surface is inside.
+
+    No longer raised: the vertical-ray kernel decides every point exactly.
+    The class stays so that callers which catch it keep working.
+    """
 
 
 class MeshMismatchError(AnalysisError):

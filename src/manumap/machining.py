@@ -25,8 +25,6 @@ from .mesh_io import TriMesh, as_metrics
 from .spatial import Octree
 
 _EPS_REL = 1e-6
-_JITTER_REL = 1e-5
-_MAX_COLUMN_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,6 @@ def _solve_leaves(mesh: TriMesh, octree: Octree, profile: SubtractiveProfile) ->
     g = octree.grey_index
     tops = octree.box_max[g, 2]
     centers = 0.5 * (octree.box_min[g, :2] + octree.box_max[g, :2])
-    keys = octree.path_key[g]
     reach = part_top - tops
 
     def blocked(rows, diameter, dirs):
@@ -157,15 +154,13 @@ def _solve_leaves(mesh: TriMesh, octree: Octree, profile: SubtractiveProfile) ->
         xy = centers[rows][:, None, :] + spread * _PROBE_DIRS[None, dirs, :]
         lo = np.repeat(tops[rows], len(dirs))
         hi = np.full(len(lo), part_top)
-        probe_keys = (keys[rows][:, None] * 8 + dirs).ravel()
-        out = _columns_blocked(mesh, xy.reshape(-1, 2), lo, hi, octree.seed, probe_keys)
-        return out.reshape(len(rows), len(dirs))
+        return _columns_blocked(mesh, xy.reshape(-1, 2), lo, hi).reshape(len(rows), len(dirs))
 
     values = np.full(len(g), 1.0)  # unreachable until proven otherwise
     values[reach <= eps] = 0.0  # top-plane boxes need no descent
     tools = sorted(profile.tool_diameters, reverse=True)
     idx = np.flatnonzero(reach > eps)
-    # The center probe's column, heights and key are the same for every tool:
+    # The center probe's column and heights are the same for every tool:
     # cast it once.  A leaf it blocks no tool can reach, so it stays at 1.
     idx = idx[~blocked(idx, tools[0], [0])[:, 0]]
     for diameter in tools:
@@ -178,44 +173,27 @@ def _solve_leaves(mesh: TriMesh, octree: Octree, profile: SubtractiveProfile) ->
     return values
 
 
-def _columns_blocked(
-    mesh: TriMesh, xy: np.ndarray, lo: np.ndarray, hi: np.ndarray, seed: int, probe_keys: np.ndarray
-) -> np.ndarray:
+def _columns_blocked(mesh: TriMesh, xy: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """True where part material occupies any of the open column (lo, hi) at xy.
 
     Each column asks about three heights: just over ``lo``, just under ``hi``
     and the middle.  Columns at bitwise-equal xy (the probe columns of grey
     leaves stacked in one column) share a line, and each distinct line is
-    cast once with the heights of every column on it; a height's answer does
-    not depend on what else its line or its cast asks.  Columns whose parity
-    count is unreliable (grazing hits) are re-tried at xy jittered by
-    ``(seed, probe key, attempt)``; ones that never settle count as blocked.
+    cast once, in one :meth:`~manumap.mesh_io._ColumnGrid.crossings` call,
+    with the heights of every column on it.  The kernel's counts are exact,
+    also on lines that run through an edge or along a wall, so every
+    column is settled by that one cast, and a height's answer does not
+    depend on what else its line or its cast asks.
     """
-    scale = mesh.metrics.max_dimension
-    eps = _EPS_REL * scale
-    grid = mesh._column_grid()
+    eps = _EPS_REL * mesh.metrics.max_dimension
     heights = np.column_stack([lo + eps, hi - eps, 0.5 * (lo + hi)])
-    blocked = np.zeros(len(xy), dtype=bool)
-    pend = np.arange(len(xy))
-    pxy = xy.copy()
-    for attempt in range(_MAX_COLUMN_ATTEMPTS):
-        bits = pxy[pend].view(np.int64)
-        order = np.lexsort(bits.T)  # the pending columns, line by line
-        new_line = (np.diff(bits[order], axis=0) != 0).any(axis=1)
-        starts = np.flatnonzero(np.r_[len(pend) > 0, new_line])
-        cast = pend[order]
-        hptr = 3 * np.r_[starts, len(pend)]
-        counts, graze = grid.crossings(pxy[cast[starts]], heights[cast].ravel(), hptr)
-        n_lo, n_hi, n_mid = counts.reshape(-1, 3).T
-        settled = ~graze.reshape(-1, 3).any(axis=1)
-        hit = (n_lo - n_hi > 0) | (n_mid % 2 == 1)
-        blocked[cast[settled]] = hit[settled]
-        pend = cast[~settled]
-        if len(pend) == 0:
-            return blocked
-        step = _JITTER_REL * scale * (attempt + 1)
-        for k in pend:
-            rng = np.random.default_rng([seed, int(probe_keys[k]), attempt])
-            pxy[k] = xy[k] + rng.uniform(-step, step, 2)
-    blocked[pend] = True
+    bits = np.ascontiguousarray(xy).view(np.int64)
+    order = np.lexsort(bits.T)  # the columns, line by line
+    new_line = (np.diff(bits[order], axis=0) != 0).any(axis=1)
+    starts = np.flatnonzero(np.r_[len(xy) > 0, new_line])
+    hptr = 3 * np.r_[starts, len(xy)]
+    counts = mesh._column_grid().crossings(xy[order[starts]], heights[order].ravel(), hptr)
+    n_lo, n_hi, n_mid = counts.reshape(-1, 3).T
+    blocked = np.empty(len(xy), dtype=bool)
+    blocked[order] = (n_lo - n_hi > 0) | (n_mid % 2 == 1)
     return blocked

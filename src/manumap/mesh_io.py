@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMeshError, NotWatertightError, ParseError, RayParityError
+from .errors import EmptyMeshError, NotWatertightError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -27,14 +27,16 @@ WELD_TOLERANCE_MM = 1e-4
 #: as on-boundary.
 BOUNDARY_EPS_REL = 1e-6
 
-#: Seed used whenever a caller does not pin one.  Randomness here only breaks
-#: geometric ties; results are deterministic for a fixed seed.
-DEFAULT_SEED = 7919
-
-_REL_TOL = 1e-9
-_MAX_RAY_ATTEMPTS = 32
 _PAIR_BUDGET = 500_000  # point-triangle pairs per vectorized chunk
 _COLUMN_PAIR_BUDGET = 16_384  # (vertical line, bucket triangle) pairs per chunk
+#: Shewchuk's orient2d error bound, (3 + 16 u) u for the unit roundoff
+#: u = 2**-53 ("Adaptive Precision Floating-Point Arithmetic and Fast Robust
+#: Geometric Predicates", 1997).  With ``U - P`` and ``V - P`` rounded, the
+#: float ``l - r`` of the orientation ``(U - P) x (V - P)``, ``l`` and ``r``
+#: its two rounded products, has the exact sign whenever ``|l - r|`` exceeds
+#: this times ``|l| + |r|``.  It is a proven bound, not a tolerance: it only
+#: picks which signs :func:`_exact_det` decides, never a sign.
+_CCW_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _SAT_PAIR_BUDGET = 4_096  # (triangle, box group) pairs per SAT chunk
 
 
@@ -387,10 +389,10 @@ def _is_watertight(mesh: TriMesh) -> bool:
 def point_in_mesh(mesh: TriMesh, point) -> PointClass:
     """Classify one point as inside, outside, or on the surface of ``mesh``.
 
-    The mesh must be watertight.  Parity is decided by ray casting; rays that
-    graze an edge or vertex are retried along fresh seeded-random directions
-    (seed ``DEFAULT_SEED``), so the result is deterministic.  Points within
-    ``BOUNDARY_EPS_REL * max_dimension`` of the surface are on it.
+    The mesh must be watertight.  Parity is decided by the exact vertical-ray
+    kernel of :class:`_ColumnGrid`, so the result is deterministic and needs
+    no seed.  Points within ``BOUNDARY_EPS_REL * max_dimension`` of the
+    surface are on it.
     """
     res = classify_points(mesh, np.asarray(point, dtype=np.float64).reshape(1, 3))
     return PointClass(int(res[0]))
@@ -399,7 +401,9 @@ def point_in_mesh(mesh: TriMesh, point) -> PointClass:
 def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
     """Vectorized :func:`point_in_mesh` over an (N, 3) array.
 
-    Returns an int8 array of :class:`PointClass` values.
+    Returns an int8 array of :class:`PointClass` values.  Off the boundary
+    band, a point is inside when its vertical line crosses the surface an
+    odd number of times above it (:meth:`_ColumnGrid.crossings`).
     """
     metrics = mesh.metrics
     if not metrics.watertight:
@@ -415,96 +419,22 @@ def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _points_inside(mesh: TriMesh, pts: np.ndarray, seed: int = DEFAULT_SEED) -> np.ndarray:
+def _points_inside(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
     """Parity-only inside test (no boundary band): :func:`_heights_inside`, one line per point."""
-    return _heights_inside(mesh, pts[:, :2], pts[:, 2], np.arange(len(pts) + 1), seed)
+    return _heights_inside(mesh, pts[:, :2], pts[:, 2], np.arange(len(pts) + 1))
 
 
-def _heights_inside(
-    mesh: TriMesh, xy: np.ndarray, hz: np.ndarray, hptr: np.ndarray, seed: int
-) -> np.ndarray:
+def _heights_inside(mesh: TriMesh, xy: np.ndarray, hz: np.ndarray, hptr: np.ndarray) -> np.ndarray:
     """Inside flags of heights on vertical lines, by parity.  Internal workhorse.
 
     Line i at ``xy[i]`` carries the heights ``hz[hptr[i]:hptr[i + 1]]``, as
-    in :meth:`_ColumnGrid.crossings`, which casts each line once.  Heights
-    whose count grazes fall back to seeded random-direction casts.  Each
-    answer depends only on (mesh, point, seed), never on batch composition,
-    so any batching of the points gives the same answers.  Points no cast
-    settles sit essentially on the surface: the near ones count as inside,
-    and any other raises ``RayParityError``.
+    in :meth:`_ColumnGrid.crossings`, which casts each line once.  Each
+    answer depends only on (mesh, point), never on batch composition, so
+    any batching of the points gives the same answers.
     """
     if not mesh.metrics.watertight:
         raise NotWatertightError("point containment needs a watertight mesh")
-    counts, suspect = mesh._column_grid().crossings(xy, hz, hptr)
-    inside = (counts % 2).astype(bool)
-    if suspect.any():
-        at = np.flatnonzero(suspect)
-        line = np.searchsorted(hptr, at, side="right") - 1
-        pts = np.column_stack([xy[line], hz[at]])
-        tc = mesh.tri_coords()
-        scale = mesh.metrics.max_dimension
-        grazed, unresolved = _ray_parity(tc, pts, scale, seed)
-        if unresolved.any():
-            dres = _min_distance_to_surface(tc, pts[unresolved])
-            if (dres > 1e-6 * scale).any():
-                raise RayParityError("ray parity failed to converge")
-            grazed[unresolved] = True
-        inside[at] = grazed
-    return inside
-
-
-def _ray_parity(
-    tc: np.ndarray, pts: np.ndarray, scale: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Robust parity via Moller-Trumbore along shared random directions.
-
-    Every unresolved point is retried with the same per-attempt direction, so
-    results do not depend on which points share a batch.  Returns
-    ``(inside, still_unresolved)``.
-    """
-    v0 = tc[:, 0]
-    e1 = tc[:, 1] - tc[:, 0]
-    e2 = tc[:, 2] - tc[:, 0]
-    inside = np.zeros(len(pts), dtype=bool)
-    open_mask = np.ones(len(pts), dtype=bool)
-    rng = np.random.default_rng(seed)
-    bar_tol = 1e-9
-    t_tol = _REL_TOL * max(scale, 1.0)
-
-    for _ in range(_MAX_RAY_ATTEMPTS):
-        if not open_mask.any():
-            break
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        pvec = np.cross(d, e2)
-        det = (e1 * pvec).sum(axis=1)
-        live = np.abs(det) > 1e-14  # direction parallel to triangle: no crossing
-        inv_det = np.zeros_like(det)
-        inv_det[live] = 1.0 / det[live]
-
-        sel = np.nonzero(open_mask)[0]
-        chunk = max(1, _PAIR_BUDGET // max(len(tc), 1))
-        for s in range(0, len(sel), chunk):
-            rows = sel[s : s + chunk]
-            tvec = pts[rows][:, None, :] - v0[None, :, :]
-            u = (tvec * pvec[None, :, :]).sum(axis=2) * inv_det[None, :]
-            qvec = np.cross(tvec, e1[None, :, :])
-            v = (qvec @ d) * inv_det[None, :]
-            t = (qvec * e2[None, :, :]).sum(axis=2) * inv_det[None, :]
-            w = 1.0 - u - v
-            strict = (
-                live[None, :]
-                & (u > bar_tol) & (v > bar_tol) & (w > bar_tol) & (t > t_tol)
-            )
-            loose = (
-                live[None, :]
-                & (u > -bar_tol) & (v > -bar_tol) & (w > -bar_tol) & (t > -t_tol)
-            )
-            grazed = (loose ^ strict).any(axis=1)
-            ok = ~grazed
-            inside[rows[ok]] = (strict[ok].sum(axis=1) % 2).astype(bool)
-            open_mask[rows[ok]] = False
-    return inside, open_mask
+    return mesh._column_grid().crossings(xy, hz, hptr) % 2 == 1
 
 
 def _min_distance_to_surface(tc: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -567,6 +497,11 @@ class _ColumnGrid:
     answers any number of heights on it, so callers whose points share
     lines (stacked octree boxes) pass each line once.
 
+    Whether a line crosses a triangle is decided exactly (:meth:`_hits`),
+    with ties broken by one symbolic perturbation of the line, so every
+    line through a closed mesh crosses it an even number of times, edges
+    and vertices included.
+
     Resolution: ``sqrt(8 M)`` cells per axis for M triangles, clipped to
     [4, 128] (128 keeps a cell id in a uint16).  A line evaluates every
     triangle of its cell, and most of them cannot cross it; finer cells
@@ -590,13 +525,11 @@ class _ColumnGrid:
     ):
         """Bucket the triangles ``tc`` (M, 3, 3) by the xy part of their
         ``bounds``, the ``(tmin, tmax)`` of :meth:`TriMesh.tri_bounds`."""
-        self._scale = max(scale, 1.0)
         xy = tc[..., :2]
         tmin, tmax = bounds[0][:, :2], bounds[1][:, :2]
-        xy_min, xy_max = tmin.min(axis=0), tmax.max(axis=0)
-        pad = 1e-9 * self._scale
-        self._lo = xy_min - pad
-        hi = xy_max + pad
+        pad = 1e-9 * max(scale, 1.0)
+        self._lo = tmin.min(axis=0) - pad
+        hi = tmax.max(axis=0) + pad
         self._res = res = int(np.clip(np.sqrt(8.0 * len(tc)), 4, 128))
         self._cell = np.maximum((hi - self._lo) / res, 1e-12)
 
@@ -617,16 +550,15 @@ class _ColumnGrid:
         # Per-triangle setup, one contiguous row per triangle so a gather by
         # triangle id reads one row: A, B, C in xy, doubled signed area, vertex z.
         A, B, C = xy[:, 0], xy[:, 1], xy[:, 2]
-        self._tab = np.column_stack([A, B, C, _cross2(B - A, C - A), tc[..., 2]])
-        self._flat_tol = 1e-12 * self._scale**2
-        # Vertical-triangle footprint gate of _hits.  Every q = U + t*e that
-        # _near_tri_edges computes lies in its triangle's xy box up to a few
-        # ulps of the largest coordinate, and the offsets A - P that _hits
-        # compares are rounded by less: a point more than 2*pad plus that
-        # slack outside the box is more than pad from every q, so the edge
-        # test would return False there.
-        self._edge_pad = pad
-        self._gate = 2 * pad + 8 * np.spacing(np.abs(np.r_[xy_min, xy_max]).max())
+        u, v = B - A, C - A
+        l, r = u[:, 0] * v[:, 1], u[:, 1] * v[:, 0]
+        area = l - r
+        self._tab = np.column_stack([A, B, C, area, tc[..., 2]])
+        # the exact sign of each projected area; 0 marks a vertical triangle
+        self._side = np.sign(area)
+        for i in np.flatnonzero(~(np.abs(area) > _CCW_ERRBOUND * (np.abs(l) + np.abs(r)))):
+            det = _exact_det(*B[i], *C[i], *A[i])
+            self._side[i] = (det > 0) - (det < 0)
 
     def _cells_of(self, xy: np.ndarray) -> np.ndarray:
         ij = np.floor((xy - self._lo) / self._cell).astype(np.int64)
@@ -634,62 +566,81 @@ class _ColumnGrid:
         cell = np.where(valid, ij[:, 0] * self._res + ij[:, 1], -1)
         return cell
 
-    def _hits(self, px: np.ndarray, py: np.ndarray, tids: np.ndarray):
-        """Barycentric evaluation of vertical lines against triangles, pair by pair.
+    def _hits(
+        self, px: np.ndarray, py: np.ndarray, tids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Which vertical lines cross which triangles, pair by pair, exactly.
 
-        Pair i is the line at (``px[i]``, ``py[i]``) and triangle ``tids[i]``.
-        Returns ``(z, strict, suspect)``, each (N,): surface height along the
-        line, whether the line crosses the open triangle, and whether the
-        answer is too close to an edge (or a vertical triangle) to trust.
+        Pair i is the line P = (``px[i]``, ``py[i]``) and triangle
+        ``tids[i]``, ABC in xy.  The pair crosses when the orientations of P
+        against the edges BC, CA and AB, ``(U - P) x (V - P)`` for edge UV,
+        all have the exact sign of the triangle's area; a vertical triangle
+        (area 0) never crosses.  An orientation that is exactly 0 takes its
+        sign for the line at (x + e, y + e**2), e -> 0: that of the edge's
+        ``-dy``, else of its ``dx`` (Simulation of Simplicity).  Two
+        triangles on an edge see it in opposite directions, so they get
+        opposite signs, and a line through a closed mesh crosses it an even
+        number of times.
+
+        The orientations are floats, filtered by :data:`_CCW_ERRBOUND`.
+        Only those the filter leaves open, in pairs that no sure
+        orientation already rules out, are evaluated on integers
+        (:func:`_exact_det`).  Returns ``(hit, z)``: the indices of the
+        crossing pairs and the barycentric surface height of each.
         """
         t = self._tab.take(tids, axis=0).T.copy()  # (10, N), one row per quantity
-        ax, ay, bx, by, cx, cy, denom, z0, z1, z2 = t
-        flat = np.abs(denom) <= self._flat_tol
         # offsets from the line, in place: t's rows 0-5 become A-P, B-P, C-P
         t[0:6:2] -= px
         t[1:6:2] -= py
-        la = bx * cy - by * cx
-        lb = cx * ay - cy * ax
-        lc = ax * by - ay * bx
-        with np.errstate(divide="ignore", invalid="ignore"):
-            la /= denom
-            lb /= denom
-            lc /= denom
-            z = la * z0 + lb * z1 + lc * z2
-        z[flat] = 0.0  # flat triangles never count as crossings
-        tol = 1e-9
-        strict = ~flat & (la > tol) & (lb > tol) & (lc > tol)
-        loose = ~flat & (la > -tol) & (lb > -tol) & (lc > -tol)
-        suspect = loose ^ strict
-        # Vertical triangle whose footprint the point nearly touches: the
-        # vertical ray runs inside its plane, so bail out to random casts.
-        # Only points within the gate of the footprint's xy box can be near it.
-        if flat.any():
-            f = np.flatnonzero(flat)
-            dx, dy = t[0:6:2, f], t[1:6:2, f]  # A-P, B-P, C-P per axis
-            f = f[~(_separated(*dx, self._gate) | _separated(*dy, self._gate))]
-            A, B, C = (self._tab[tids[f], r : r + 2] for r in (0, 2, 4))
-            P = np.column_stack([px[f], py[f]])
-            suspect[f] |= _near_tri_edges(P, A, B, C, self._edge_pad)
-        return z, strict, suspect
+        ax, ay, bx, by, cx, cy, denom, z0, z1, z2 = t
+        # orientation k = l[k] - r[k], for the edges BC, CA, AB
+        l, r = np.empty((3, len(tids))), np.empty((3, len(tids)))
+        edges = ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))
+        for k, (ux, uy, vx, vy) in enumerate(edges):
+            np.multiply(ux, vy, out=l[k])
+            np.multiply(uy, vx, out=r[k])
+        det = l - r
+        bound = np.abs(l)
+        bound += np.abs(r)
+        bound *= _CCW_ERRBOUND
+        side = self._side.take(tids)
+        agree = det * side  # past +bound: surely the area's sign; past -bound: surely not
+        hit = (agree[0] > bound[0]) & (agree[1] > bound[1]) & (agree[2] > bound[2])
+        np.negative(bound, out=bound)
+        out = (agree[0] < bound[0]) | (agree[1] < bound[1]) | (agree[2] < bound[2]) | (side == 0)
+        for i in np.flatnonzero(~(hit | out)):
+            row = self._tab[tids[i]]
+            for k in range(3):
+                if agree[k, i] > -bound[k, i]:
+                    continue  # this orientation is sure
+                u, v = 2 * ((k + 1) % 3), 2 * ((k + 2) % 3)  # edge k: BC, CA, AB
+                ux, uy, vx, vy = row[u], row[u + 1], row[v], row[v + 1]
+                d = _exact_det(ux, uy, vx, vy, px[i], py[i]) or uy - vy or vx - ux
+                if (d > 0) != (side[i] > 0):
+                    break
+            else:
+                hit[i] = True
+        hit = np.flatnonzero(hit)
+        la, lb, lc = det[:, hit] / denom[hit]
+        return hit, la * z0[hit] + lb * z1[hit] + lc * z2[hit]
 
-    def crossings(
-        self, xy: np.ndarray, hz: np.ndarray, hptr: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def crossings(self, xy: np.ndarray, hz: np.ndarray, hptr: np.ndarray) -> np.ndarray:
         """Count surface crossings strictly above many heights per vertical line.
 
         ``xy`` (N, 2) places N lines; line i is asked about the heights
         ``hz[hptr[i]:hptr[i + 1]]`` (a CSR: one flat array of heights, one
-        offset per line).  Returns ``(counts, suspect)`` shaped like ``hz``:
-        the crossings above each height, and whether that count is too close
-        to an edge or a crossing to trust.
+        offset per line).  Returns the number of crossings above each
+        height, shaped like ``hz``.  A crossing is above a height when its
+        barycentric surface height (:meth:`_hits`) is greater, so a height
+        on the surface counts the crossing there as not above; that point
+        is on the boundary, where either parity is a right answer.
 
         Every line is evaluated once against its cell's triangles, in chunks
         of at most :data:`_COLUMN_PAIR_BUDGET` (line, triangle) pairs, and
-        only the pairs that cross or graze are tested against the line's
-        heights: any other pair adds to no count and no flag.  Each
-        (pair, height) test is ``dz = zt - z``, elementwise, so a height's
-        answer does not depend on what else its line or its batch asks.
+        only the pairs that cross are tested against the line's heights:
+        any other pair adds to no count.  Each (pair, height) test is
+        ``zt > z``, elementwise, so a height's answer does not depend on
+        what else its line or its batch asks.
         """
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         px, py = xy.T
@@ -697,13 +648,11 @@ class _ColumnGrid:
         hptr = np.asarray(hptr, dtype=np.int64)
         n = len(px)
         counts = np.zeros(len(hz), dtype=np.int64)
-        suspect = np.zeros(len(hz), dtype=bool)
         cells = self._cells_of(xy)
         valid = cells >= 0
         first = np.where(valid, self._ptr[np.maximum(cells, 0)], 0)
         num = np.where(valid, self._ptr[cells + 1] - first, 0)  # outside the grid: none
         ends = np.cumsum(num)
-        ztol = _REL_TOL * self._scale
         start = 0
         while start < n:
             done = ends[start - 1] if start else 0  # pairs before this chunk
@@ -716,43 +665,29 @@ class _ColumnGrid:
                 pair = np.arange(done, done + total)
                 slot = np.repeat(first[start:stop] - (ends[start:stop] - m), m) + pair
                 line = np.repeat(np.arange(start, stop), m)
-                zt, strict, sus = self._hits(px[line], py[line], self._tids[slot])
-                keep = np.flatnonzero(strict | sus)
-                line, zt, strict, sus = line[keep], zt[keep], strict[keep], sus[keep]
+                hit, zt = self._hits(px[line], py[line], self._tids[slot])
+                line = line[hit]
                 # one (pair, height) entry per height of the pair's line
                 k = hptr[line + 1] - hptr[line]
                 h = np.arange(int(k.sum())) + np.repeat(hptr[line] - (np.cumsum(k) - k), k)
-                dz = np.repeat(zt, k) - hz[h]
-                strict, sus = np.repeat(strict, k), np.repeat(sus, k)
-                above = strict & (dz > ztol)
-                graze = sus | (strict & (np.abs(dz) <= ztol))
+                above = np.repeat(zt, k) > hz[h]
                 base, size = hptr[start], hptr[stop] - hptr[start]
                 counts[base : base + size] = np.bincount(h[above] - base, minlength=size)
-                suspect[base : base + size] = np.bincount(h[graze] - base, minlength=size) > 0
             start = stop
-        return counts, suspect
+        return counts
 
 
-def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+def _exact_det(ux, uy, vx, vy, px, py) -> int:
+    """``(U - P) x (V - P)`` on integers, exactly, times a positive power of two.
 
-
-def _near_tri_edges(pts_xy, A, B, C, pad):
-    """Per-pair mask: point within ``pad`` of any edge of its projected triangle.
-
-    A degenerate 2D projection collapses to a segment covered by its edges,
-    so edge distance is the exact footprint distance there.
+    Every float is an integer times a power of two
+    (``float.as_integer_ratio``); scaling all six coordinates to their
+    finest power of two keeps them exact integers.
     """
-    P = pts_xy
-    d2 = None
-    for U, V in ((A, B), (B, C), (C, A)):
-        e = V - U
-        ee = np.maximum((e * e).sum(axis=-1), 1e-300)
-        t = np.clip(((P - U) * e).sum(axis=-1) / ee, 0.0, 1.0)
-        q = U + t[..., None] * e
-        dd = ((P - q) ** 2).sum(axis=-1)
-        d2 = dd if d2 is None else np.minimum(d2, dd)
-    return d2 <= pad * pad
+    ratios = [float(c).as_integer_ratio() for c in (ux, uy, vx, vy, px, py)]
+    d = max(q for _, q in ratios)
+    ux, uy, vx, vy, px, py = (n * (d // q) for n, q in ratios)
+    return (ux - px) * (vy - py) - (uy - py) * (vx - px)
 
 
 # ---------------------------------------------------------------------------

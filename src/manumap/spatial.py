@@ -3,13 +3,16 @@
 The part's bounding box is cubified, inflated by a small margin, and split
 recursively: boxes fully inside the part are black, fully outside are white,
 and boxes crossed by the surface are grey and subdivided until ``max_depth``.
-Grey terminal boxes get their solid volume estimated by jittered-grid
+A box the surface misses is black or white by the exact parity of its
+center's vertical line, so the boxes and their classes do not depend on the
+seed.  Grey terminal boxes get their solid volume estimated by jittered-grid
 sampling by column parity: the grey boxes stacked in one xy column share
 that column's jittered vertical lines, each line is cast once, and each box
 reads its own jittered heights off the line's crossings.  Every jitter is a
-hash of the seed and a box or column path, so every value is reproducible
-run to run and independent of how boxes are batched.  The tree is linear:
-it keeps only its leaves, as arrays in Morton (z-curve) order.
+hash of the seed and a box or column path, and the sampler is the seed's
+only reader, so every value is reproducible run to run and independent of
+how boxes are batched.  The tree is linear: it keeps only its leaves, as
+arrays in Morton (z-curve) order.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .errors import (
 )
 from .mesh_io import (
     _SAT_PAIR_BUDGET,
-    DEFAULT_SEED,
     TriMesh,
     _heights_inside,
     _points_inside,
@@ -40,6 +42,9 @@ from .mesh_io import (
 DEFAULT_MAX_DEPTH = 5
 DEFAULT_SAMPLES = 4
 DEFAULT_MARGIN = 0.01
+#: Seed of the grey-leaf volume sampler whenever a caller does not pin one;
+#: nothing else in the package is random.
+DEFAULT_SEED = 7919
 #: Deepest octree a build or refine may ask for.
 MAX_DEPTH_LIMIT = 10
 
@@ -266,16 +271,16 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
     hi = np.asarray(box_max, dtype=np.float64)
     if (hi <= lo).any():
         raise ParameterError("box_max must exceed box_min on every axis")
-    return _CLASSES[_classify(mesh, lo[None], hi[None], DEFAULT_SEED)[1]]
+    return _CLASSES[_classify(mesh, lo[None], hi[None])[1]]
 
 
-def _classify(mesh: TriMesh, lo: np.ndarray, hi: np.ndarray, seed: int) -> tuple[np.ndarray, int]:
+def _classify(mesh: TriMesh, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
     """The triangles crossing the (1, 3) box ``lo``/``hi`` and the box's class code.
 
     The box is shrunk by :data:`_SHRINK` for the SAT test; a box no triangle
-    crosses is black or white by the parity of its center, cast with ``seed``.
-    A triangle whose bounds (:meth:`TriMesh.tri_bounds`) lie inside the
-    shrunk box is a hit without the full test, which would say the same (see
+    crosses is black or white by the exact parity of its center.  A
+    triangle whose bounds (:meth:`TriMesh.tri_bounds`) lie inside the shrunk
+    box is a hit without the full test, which would say the same (see
     :func:`_tri_box_overlap`); for an octree's root at a positive margin,
     that is every triangle.
     """
@@ -288,7 +293,7 @@ def _classify(mesh: TriMesh, lo: np.ndarray, hi: np.ndarray, seed: int) -> tuple
     hits = np.flatnonzero(hit)
     if len(hits):
         return hits, _GREY
-    return hits, _BLACK if _points_inside(mesh, center, seed=seed)[0] else _WHITE
+    return hits, _BLACK if _points_inside(mesh, center)[0] else _WHITE
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +339,11 @@ def build_octree(
     samples:
         Grid resolution n for grey-leaf volume sampling (n**3 points, n >= 2).
     seed:
-        Base seed; each grey leaf's sample heights hash (seed, leaf path)
-        and its column's sample lines hash (seed, column path), so
-        estimates are independent of evaluation order.
+        Seed of the grey-leaf volume sampler, its only reader: each grey
+        leaf's sample heights hash (seed, leaf path) and its column's
+        sample lines hash (seed, column path), so estimates are independent
+        of evaluation order.  The tree's boxes and classes do not depend on
+        it.
 
     An open mesh raises ``NotWatertightError``; a closed one whose bounding
     box has no volume (a flat sheet) raises ``DegenerateMeshError``.
@@ -355,7 +362,7 @@ def build_octree(
     lo, hi = (center - half)[None, :], (center + half)[None, :]
     root_key = np.ones(1, dtype=np.int64)
 
-    tri_ids, code = _classify(mesh, lo, hi, seed)
+    tri_ids, code = _classify(mesh, lo, hi)
     if code == _GREY:
         root_of = np.zeros(len(tri_ids), dtype=np.intp)
         leaves, tri_ptr, tri_ids = _grow(
@@ -416,7 +423,7 @@ def _grow(
     while True:
         depth += 1
         lo, hi, keys, code, volume, pair_child, pair_tri = _advance_wave(
-            mesh, lo, hi, keys, pair_node, pair_tri, seed
+            mesh, lo, hi, keys, pair_node, pair_tri
         )
         wave = (keys, np.full(len(keys), depth, dtype=np.int32), code, lo, hi, volume)
         grey = code == _GREY
@@ -446,7 +453,6 @@ def _advance_wave(
     keys: np.ndarray,
     pair_node: np.ndarray,
     pair_tri: np.ndarray,
-    seed: int,
 ) -> tuple[np.ndarray, ...]:
     """Split W grey nodes into their 8 children each; returns the 8W children.
 
@@ -463,8 +469,8 @@ def _advance_wave(
     center-classified in one :func:`_heights_inside` call with one line per
     xy column (one :func:`_column_keys` value), carrying the center heights
     of every missed child stacked in that column.  A height's answer
-    depends only on the mesh, the point and the seed, so sharing lines
-    changes no class.
+    depends only on the mesh and the point, so sharing lines changes no
+    class.
     """
     mid = 0.5 * (lo + hi)
     cmin = np.where(_CHILD_BITS, mid[:, None, :], lo[:, None, :]).reshape(-1, 3)
@@ -497,7 +503,7 @@ def _advance_wave(
         miss = miss[by_column]
         heads = np.flatnonzero(np.r_[True, np.diff(columns[by_column]) != 0])
         hptr = np.r_[heads, len(miss)]
-        inside = _heights_inside(mesh, centers[miss[heads], :2], centers[miss, 2], hptr, seed)
+        inside = _heights_inside(mesh, centers[miss[heads], :2], centers[miss, 2], hptr)
         code[miss] = np.where(inside, _BLACK, _WHITE)
         volume[miss] = np.where(inside, size[miss, 0] * size[miss, 1] * size[miss, 2], 0.0)
     return cmin, cmax, child_keys, code, volume, group[order], pair_tri[pair[order]]
@@ -630,10 +636,9 @@ def _estimate_grey_volumes(
     height k jittered within z stratum k by the box's own stream, so point
     (i, j, k) of a box is ``lo + (ijk + jitter) / n * size`` as on a
     jittered grid.  :func:`_heights_inside` casts each line once against
-    the heights of every box on it and settles the heights whose count
-    grazes.  Every sample depends only on the mesh, the seed and a key, so
-    no estimate depends on which boxes share a batch.  Whole columns go in
-    batches of about :data:`_SAMPLE_POINT_BUDGET` points.
+    the heights of every box on it.  Every sample depends only on the mesh,
+    the seed and a key, so no estimate depends on which boxes share a batch.
+    Whole columns go in batches of about :data:`_SAMPLE_POINT_BUDGET` points.
     """
     n = samples
     n2, n3 = n * n, n**3
@@ -673,7 +678,7 @@ def _estimate_grey_volumes(
         hz = np.empty(len(rows) * n3)
         hz[slot] = z
         xy = xy.reshape(-1, 2)
-        inside = _heights_inside(mesh, xy, hz, hptr, seed)
+        inside = _heights_inside(mesh, xy, hz, hptr)
         volumes[rows] *= inside[slot].reshape(len(rows), n3).sum(axis=1) / n3
         c0 = c1
     return volumes
@@ -711,7 +716,7 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
 
     Black and white leaves are untouched; every grey leaf is replaced by its
     8 children, classified and sampled exactly as a fresh build would,
-    because all seeds derive from leaf paths.
+    because every sample's jitter derives from a leaf or column path.
     """
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")

@@ -165,9 +165,7 @@ def test_depth_out_of_range_exits_2(mesh_files):
 
 
 # Each documented failure exits with its code and a one-line message, never a
-# traceback.  The ray-parity case disables the random-direction retries, so a
-# box center whose vertical ray grazes a face diagonal cannot be decided.
-_NO_RAY_RETRIES = "import manumap.mesh_io as m; m._MAX_RAY_ATTEMPTS = 0; "
+# traceback.
 
 # A closed mesh that encloses no volume: one triangle, both windings.
 FLAT_STL = (
@@ -196,7 +194,6 @@ _NAN_PROFILE = (
         (["--seed", "-5"], "", 2),
         (["--workers", "0"], "", 2),
         (["--workers", "-3"], "", 2),
-        ([], _NO_RAY_RETRIES, 4),
         (["--margin", "inf"], "", 2),
         (["--required-ra", "nan"], "", 2),
         (["--map", "unwritten.ply", "--scale=-inf:inf"], "", 2),
@@ -205,7 +202,7 @@ _NAN_PROFILE = (
         (["--process", "additive"], _FLAT_MESH, 3),
     ],
     ids=[
-        "samples-1", "margin-neg", "seed-neg", "workers-0", "workers-neg", "ray-parity",
+        "samples-1", "margin-neg", "seed-neg", "workers-0", "workers-neg",
         "margin-inf", "required-ra-nan", "scale-inf", "profile-nan", "flat-mesh",
         "flat-mesh-additive",
     ],
@@ -221,6 +218,23 @@ def test_failures_exit_with_code_and_no_traceback(tmp_path, flags, prelude, code
     )
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_analysis_failure_exits_4_and_no_traceback(tmp_path):
+    """An AnalysisError exits 4 with a one-line message: comparing two
+    machining reports that share no metric (the second holds none) raises
+    NoSharedIndexesError."""
+    base = saved_report(tmp_path, "a", "machining", {"reach": 0.5})
+    cand = saved_report(tmp_path, "b", "machining", {})
+    script = "import sys; from manumap.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "compare", str(base), str(cand)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: ") and "share no metrics" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

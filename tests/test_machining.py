@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manumap import machining
+from manumap import machining, mesh_io
 from manumap.errors import (
     DegenerateMeshError,
     MeshMismatchError,
@@ -22,7 +22,7 @@ from manumap.machining import (
     roughness_index,
     tool_flexibility_field,
 )
-from manumap.mesh_io import DEFAULT_SEED, TriMesh
+from manumap.mesh_io import TriMesh
 from manumap.primitives import box_mesh, extrude_polygon, slab_with_pockets
 from manumap.spatial import build_octree
 
@@ -334,65 +334,62 @@ def test_deeper_pocket_is_harder():
     assert values[0] < values[1] < values[2]
 
 
+def _count_exact_orientations(monkeypatch):
+    """Count the orientations the column kernel evaluates on integers."""
+    calls = []
+    exact = mesh_io._exact_det
+
+    def counted(*coords):
+        calls.append(coords)
+        return exact(*coords)
+
+    monkeypatch.setattr(mesh_io, "_exact_det", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "case, xy, lo, hi, blocked",
     [("cube", (5.0, 5.0), 4.0, 10.0, True), ("pocket", (32.0, 32.0), 30.0, 64.0, False)],
 )
 def test_grazing_column_settles_on_retry(case, xy, lo, hi, blocked, pocket_plate, monkeypatch):
     """A column on the diagonal edge of a face (the cube's top and bottom, the
-    pocket's floor) grazes on its first cast; the retry at a jittered xy must
-    give the true answer, whatever else is in the batch, every time."""
+    pocket's floor) used to graze and settle on a jittered retry.  Its line
+    runs exactly through that edge, so the exact stage decides it, and its
+    one cast gives the true answer, whatever else is in the batch, every
+    time."""
     mesh = {"cube": box_mesh((10.0, 10.0, 10.0)), "pocket": pocket_plate}[case]
     grid_cls = type(mesh._column_grid())
     original = grid_cls.crossings
-    casts = []  # the graze flags of every cast
+    casts = []  # the lines of every cast
 
     def spy(self, xy, hz, hptr):
-        out = original(self, xy, hz, hptr)
-        casts.append(out[1])
-        return out
+        casts.append(np.array(xy))
+        return original(self, xy, hz, hptr)
 
     monkeypatch.setattr(grid_cls, "crossings", spy)
+    exact = _count_exact_orientations(monkeypatch)
 
-    def run(columns, keys):
+    def run(columns):
         n = len(columns)
-        return _columns_blocked(
-            mesh, np.array(columns), np.full(n, lo), np.full(n, hi), DEFAULT_SEED, np.array(keys)
-        )
+        return _columns_blocked(mesh, np.array(columns), np.full(n, lo), np.full(n, hi))
 
-    alone = run([xy], [9])
-    assert casts[0].any() and len(casts) > 1  # the first cast grazes, so a retry decides
+    alone = run([xy])
+    assert len(casts) == 1 and casts[0].tolist() == [list(xy)]
+    assert len(exact) > 0  # the line meets the diagonal edge exactly
     assert alone[0] == blocked
-    assert run([(1.0, 2.0), xy, (3.0, 7.0), (5.0, 5.0)], [3, 9, 11, 12])[1] == alone[0]
-    assert run([xy], [9])[0] == alone[0]
+    assert run([(1.0, 2.0), xy, (3.0, 7.0), (5.0, 5.0)])[1] == blocked
+    assert run([xy])[0] == blocked
+    assert len(casts) == 3
 
 
-def _unshared_columns_blocked(mesh, xy, lo, hi, seed, probe_keys):
+def _unshared_columns_blocked(mesh, xy, lo, hi):
     """Column occupancy as it was computed before columns shared lines: each
-    column cast as its own line, and re-cast at the same jittered xy while it
-    grazes."""
-    scale = mesh.metrics.max_dimension
-    eps = machining._EPS_REL * scale
-    grid = mesh._column_grid()
-    blocked = np.zeros(len(xy), dtype=bool)
-    pend = np.arange(len(xy))
-    pxy = xy.copy()
-    for attempt in range(machining._MAX_COLUMN_ATTEMPTS):
-        heights = np.column_stack([lo[pend] + eps, hi[pend] - eps, 0.5 * (lo[pend] + hi[pend])])
-        counts, graze = grid.crossings(pxy[pend], heights.ravel(), 3 * np.arange(len(pend) + 1))
-        n_lo, n_hi, n_mid = counts.reshape(-1, 3).T
-        settled = ~graze.reshape(-1, 3).any(axis=1)
-        hit = (n_lo - n_hi > 0) | (n_mid % 2 == 1)
-        blocked[pend[settled]] = hit[settled]
-        pend = pend[~settled]
-        if len(pend) == 0:
-            return blocked
-        step = machining._JITTER_REL * scale * (attempt + 1)
-        for k in pend:
-            rng = np.random.default_rng([seed, int(probe_keys[k]), attempt])
-            pxy[k] = xy[k] + rng.uniform(-step, step, 2)
-    blocked[pend] = True
-    return blocked
+    column cast once, as its own line."""
+    eps = machining._EPS_REL * mesh.metrics.max_dimension
+    heights = np.column_stack([lo + eps, hi - eps, 0.5 * (lo + hi)])
+    counts = mesh._column_grid().crossings(xy, heights.ravel(), 3 * np.arange(len(xy) + 1))
+    n_lo, n_hi, n_mid = counts.reshape(-1, 3).T
+    return (n_lo - n_hi > 0) | (n_mid % 2 == 1)
 
 
 def _per_leaf_reach(mesh, octree, profile):
@@ -404,7 +401,6 @@ def _per_leaf_reach(mesh, octree, profile):
     g = octree.grey_index
     tops = octree.box_max[g, 2]
     centers = 0.5 * (octree.box_min[g, :2] + octree.box_max[g, :2])
-    keys = octree.path_key[g]
     reach = part_top - tops
     dirs = machining._PROBE_DIRS
     values = np.full(len(g), 1.0)
@@ -418,10 +414,7 @@ def _per_leaf_reach(mesh, octree, profile):
         xy = centers[idx][:, None, :] + spread * dirs[None, :, :]
         lo = np.repeat(tops[idx], len(dirs))
         hi = np.full(len(lo), part_top)
-        probe_keys = (keys[idx][:, None] * 8 + np.arange(len(dirs))[None, :]).ravel()
-        blocked = _unshared_columns_blocked(
-            mesh, xy.reshape(-1, 2), lo, hi, octree.seed, probe_keys
-        )
+        blocked = _unshared_columns_blocked(mesh, xy.reshape(-1, 2), lo, hi)
         free = ~blocked.reshape(len(idx), len(dirs)).any(axis=1)
         ok = idx[free]
         values[ok] = np.minimum(1.0, reach[ok] / diameter / profile.max_aspect)
@@ -443,16 +436,14 @@ def _wall_part():
 
 
 def _spy_casts(monkeypatch, mesh):
-    """Record every column cast as (its lines, the lines of it that grazed)."""
+    """Record the lines of every column cast."""
     grid_cls = type(mesh._column_grid())
     original = grid_cls.crossings
     casts = []
 
     def spy(self, xy, hz, hptr):
-        counts, graze = original(self, xy, hz, hptr)
-        line = np.repeat(np.arange(len(xy)), np.diff(hptr))
-        casts.append((xy, xy[np.unique(line[graze])]))
-        return counts, graze
+        casts.append(np.array(xy))
+        return original(self, xy, hz, hptr)
 
     monkeypatch.setattr(grid_cls, "crossings", spy)
     return casts
@@ -466,7 +457,8 @@ def _rows(xy):
 def test_grouped_reach_matches_per_leaf_probes(case, sphere10, pocket_plate, monkeypatch):
     """Casting each distinct probe line once, with the heights of every leaf
     stacked on it, gives the values of the per-leaf casts bit for bit, also
-    where a column grazes a wall and retries at jittered xy."""
+    where a probe line runs along a pocket wall and the exact stage decides
+    it."""
     if case == "wall":
         mesh, tree, prof = _wall_part()
     else:
@@ -477,34 +469,60 @@ def test_grouped_reach_matches_per_leaf_probes(case, sphere10, pocket_plate, mon
         centers = 0.5 * (tree.box_min[g, :2] + tree.box_max[g, :2])
         assert len(np.unique(centers, axis=0)) < len(g)  # some leaves are stacked
     want = _per_leaf_reach(mesh, tree, prof)
-    casts = _spy_casts(monkeypatch, mesh)
+    exact = _count_exact_orientations(monkeypatch)
     got = tool_flexibility_field(mesh, tree, prof).values
     assert np.array_equal(got, want)
     assert len(np.unique(want)) > 1
     if case == "wall":
-        assert any(len(grazed) for _, grazed in casts)  # the wall on a probe line forces a retry
+        assert len(exact) > 0  # the wall on a probe line meets its floor's edges exactly
 
 
-def test_grazed_columns_are_recast_only_jittered(monkeypatch):
-    """Tool reach casts a probe line at its own xy once per _columns_blocked
-    call: only the call's first cast holds any of its input xy, and no cast
-    repeats a line that grazed in the cast just before it."""
+def test_columns_blocked_casts_each_call_once(monkeypatch):
+    """Each _columns_blocked call of tool reach makes exactly one cast, whose
+    lines are the distinct xy of its columns, also on the part whose probe
+    lines lie on pocket walls."""
     mesh, tree, prof = _wall_part()
     casts = _spy_casts(monkeypatch, mesh)
     calls = []  # (input xy, the casts made) of every _columns_blocked call
     columns_blocked = machining._columns_blocked
 
-    def spy(mesh, xy, lo, hi, seed, probe_keys):
+    def spy(mesh, xy, lo, hi):
         first = len(casts)
-        out = columns_blocked(mesh, xy, lo, hi, seed, probe_keys)
+        out = columns_blocked(mesh, xy, lo, hi)
         calls.append((xy, casts[first:]))
         return out
 
     monkeypatch.setattr(machining, "_columns_blocked", spy)
+    exact = _count_exact_orientations(monkeypatch)
     tool_flexibility_field(mesh, tree, prof)
-    assert any(len(made) > 1 for _, made in calls)  # the wall forces retries
+    assert len(calls) > 1 and len(exact) > 0
     for xy, made in calls:
-        own = [bool(_rows(xy) & _rows(lines)) for lines, _ in made]
-        assert own == [True] + [False] * (len(made) - 1)
-    for (_, grazed), (lines, _) in zip(casts, casts[1:]):
-        assert not _rows(grazed) & _rows(lines)
+        assert len(made) == 1
+        assert len(made[0]) == len(_rows(made[0])) and _rows(made[0]) == _rows(xy)
+
+
+@pytest.mark.parametrize("name", ["block", "wall"])
+def test_seed_reaches_only_the_sampler(name):
+    """The seed jitters grey-leaf volume samples and nothing else: trees
+    built at seeds 1 and 2 have the same leaves and classes, and the same
+    tool reach.  Reordering the wall part's triangles moves no reach value."""
+    if name == "block":
+        mesh = slab_with_pockets((80.0, 80.0, 60.0), [((34.0, 34.0, 46.0, 46.0), 50.0)])
+        prof = SubtractiveProfile()
+        trees = [build_octree(mesh, max_depth=4, seed=s) for s in (1, 2)]
+    else:
+        mesh, _, prof = _wall_part()
+        trees = [build_octree(mesh, max_depth=4, margin=0.0, seed=s) for s in (1, 2)]
+    a, b = trees
+    for column in ("path_key", "class_code", "box_min", "box_max"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+    if name == "block":  # the wall part's grey leaves are cut by walls on their faces
+        assert not np.array_equal(a.part_volume, b.part_volume)  # the sampler reads the seed
+    reach = tool_flexibility_field(mesh, a, prof).values
+    assert np.array_equal(tool_flexibility_field(mesh, b, prof).values, reach)
+    assert len(np.unique(reach)) > 1
+    if name == "wall":
+        perm = np.random.default_rng(19).permutation(mesh.num_triangles)
+        shuffled = TriMesh(mesh.vertices, mesh.triangles[perm])
+        tree = build_octree(shuffled, max_depth=4, margin=0.0, seed=1)
+        assert np.array_equal(tool_flexibility_field(shuffled, tree, prof).values, reach)

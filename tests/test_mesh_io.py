@@ -1,4 +1,5 @@
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -388,19 +389,52 @@ def test_triangle_with_offsets_inside_box_always_overlaps(center, vertices, kind
 # Batched kernels against one-at-a-time evaluation
 
 
-def _column_reference(grid, xy, z):
-    """Every line against every triangle, no buckets, one line at a time."""
-    m = len(grid._tab)
-    ztol = mesh_io._REL_TOL * grid._scale
+def _exact_crossings(tc, x, y):
+    """The surface heights, as Fractions, where the vertical line at (x, y)
+    crosses the triangles ``tc`` (M, 3, 3): every triangle, no buckets, in
+    exact rational arithmetic.
+
+    A triangle is crossed when its projected area is not 0 and each edge
+    orientation ``(U - P) x (V - P)`` (edges BC, CA, AB) has the area's
+    sign.  An orientation that is exactly 0 takes the sign it has for the
+    line at (x + e, y + e**2) as e -> 0: the orientation grows by
+    ``e * (U.y - V.y) + e**2 * (V.x - U.x)``, so the sign of ``U.y - V.y``,
+    or of ``V.x - U.x`` when that is 0 too.
+    """
+    # a triangle whose closed xy bounds miss (x, y) also misses the perturbed line
+    lo, hi = tc[..., :2].min(axis=1), tc[..., :2].max(axis=1)
+    near = (lo <= (x, y)).all(axis=1) & ((x, y) <= hi).all(axis=1)
+    P = (Fraction(x), Fraction(y))
+
+    def orient(U, V, P):
+        return (U[0] - P[0]) * (V[1] - P[1]) - (U[1] - P[1]) * (V[0] - P[0])
+
+    heights = []
+    for tri in tc[near]:
+        A, B, C = [tuple(Fraction(float(c)) for c in v) for v in tri]
+        area = orient(B, C, A)
+        if area == 0:  # vertical: never crossed
+            continue
+        edges = [orient(U, V, P) for U, V in ((B, C), (C, A), (A, B))]
+        signs = [
+            d or (U[1] - V[1]) or (V[0] - U[0])
+            for d, (U, V) in zip(edges, ((B, C), (C, A), (A, B)))
+        ]
+        if all((d > 0) == (area > 0) and d != 0 for d in signs):
+            heights.append(sum(d * v[2] for d, v in zip(edges, (A, B, C))) / area)
+    return heights
+
+
+def _column_reference(mesh, xy, z):
+    """Crossings above each height ``z[i, j]`` of line ``xy[i]``, from
+    :func:`_exact_crossings`."""
+    tc = mesh.tri_coords()
     counts = np.zeros(z.shape, dtype=np.int64)
-    suspect = np.zeros(z.shape, dtype=bool)
     for i, (x, y) in enumerate(xy):
-        zt, strict, sus = grid._hits(np.full(m, x), np.full(m, y), np.arange(m))
+        zt = _exact_crossings(tc, x, y)
         for j, h in enumerate(z[i]):
-            dz = zt - h
-            counts[i, j] = (strict & (dz > ztol)).sum()
-            suspect[i, j] = (sus | (strict & (np.abs(dz) <= ztol))).any()
-    return counts, suspect
+            counts[i, j] = sum(c > Fraction(h) for c in zt)
+    return counts
 
 
 def _k_per_line(xy, k):
@@ -422,41 +456,95 @@ def _column_queries(grid, rng, n=150):
 
 @pytest.mark.parametrize("name", ["sphere", "pocket", "cube", "block"])
 def test_column_kernel_matches_brute_force(name, sphere10, pocket_plate, unit_cube, split_block):
-    """Bucketed casts equal every line against every triangle.  The cube's
-    and the block's few triangles each span many cells of the grid."""
+    """Bucketed casts equal the exact rational crossings of every line with
+    every triangle.  The cube's and the block's few triangles each span many
+    cells of the grid."""
     mesh = {"sphere": sphere10, "pocket": pocket_plate, "cube": unit_cube, "block": split_block}[name]
     grid = mesh._column_grid()
     if name in ("cube", "block"):
         assert np.diff(grid._ptr).sum() > 4 * len(grid._tab)
     xy, z = _column_queries(grid, np.random.default_rng(17))
-    counts, suspect = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
-    counts, suspect = counts.reshape(z.shape), suspect.reshape(z.shape)
-    want_counts, want_suspect = _column_reference(grid, xy, z)
-    assert np.array_equal(counts, want_counts)
-    assert np.array_equal(suspect, want_suspect)
+    counts = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3)).reshape(z.shape)
+    assert np.array_equal(counts, _column_reference(mesh, xy, z))
     assert counts.any() and (counts == 0).any()
-    if name != "sphere":
-        assert suspect.any()  # vertical walls make grazing lines
     # one height per line gives the same answer as a column of K heights
-    c0, s0 = grid.crossings(xy, z[:, 0], _k_per_line(xy, 1))
-    assert np.array_equal(c0, counts[:, 0]) and np.array_equal(s0, suspect[:, 0])
+    assert np.array_equal(grid.crossings(xy, z[:, 0], _k_per_line(xy, 1)), counts[:, 0])
 
 
 def test_column_kernel_chunk_seams(sphere10, unit_cube, split_block, monkeypatch):
-    """Every chunk size gives the brute-force answers, on the sphere and on
-    the cube and the block, whose triangles each span many cells."""
+    """Every chunk size gives the exact answers, on the sphere and on the
+    cube and the block, whose triangles each span many cells."""
     for mesh in (sphere10, unit_cube, split_block):
         grid = mesh._column_grid()
         xy, z = _column_queries(grid, np.random.default_rng(23), n=300)
-        want_counts, want_suspect = _column_reference(grid, xy, z)
+        want = _column_reference(mesh, xy, z)
         largest = int(np.diff(grid._ptr).max())
         assert largest > 2
         for budget in (mesh_io._COLUMN_PAIR_BUDGET, 1, largest - 1):
             monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
-            counts, suspect = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
-            assert np.array_equal(counts.reshape(z.shape), want_counts)
-            assert np.array_equal(suspect.reshape(z.shape), want_suspect)
+            counts = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
+            assert np.array_equal(counts.reshape(z.shape), want)
         monkeypatch.undo()
+
+
+def _lines_through_features(mesh):
+    """Lines through every vertex, every edge midpoint and the point a third
+    along every edge; the edges include the diagonals of the boxes' split
+    quad faces."""
+    tc = mesh.tri_coords()[..., :2]
+    ends = np.concatenate([tc[:, [0, 1]], tc[:, [1, 2]], tc[:, [2, 0]]])
+    xy = np.concatenate(
+        [tc.reshape(-1, 2), ends.mean(axis=1), ends[:, 0] + (ends[:, 1] - ends[:, 0]) / 3.0]
+    )
+    return np.unique(xy, axis=0)
+
+
+@pytest.mark.parametrize("name", ["cube", "block", "pocket", "torus"])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_lines_through_vertices_and_edges_cross_evenly(
+    name, seed, unit_cube, split_block, pocket_plate, torus
+):
+    """A line through a vertex or along an edge of a closed mesh crosses it
+    an even number of times, and the parity above a height agrees with the
+    winding-number oracle at every point outside the boundary band."""
+    mesh = {"cube": unit_cube, "block": split_block, "pocket": pocket_plate, "torus": torus}[name]
+    grid = mesh._column_grid()
+    xy = _lines_through_features(mesh)
+    below = mesh.metrics.bbox_min[2] - 1.0
+    total = grid.crossings(xy, np.full(len(xy), below), _k_per_line(xy, 1))
+    assert (total % 2 == 0).all() and total.any()
+
+    rng = np.random.default_rng(seed)
+    lo, hi = mesh.metrics.bbox_min[2], mesh.metrics.bbox_max[2]
+    z = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (len(xy), 2))
+    inside = grid.crossings(xy, z.ravel(), _k_per_line(xy, 2)) % 2 == 1
+    pts = np.column_stack([np.repeat(xy, 2, axis=0), z.ravel()])
+    w = winding_numbers(mesh, pts)
+    # many of these lines run along a vertical edge or wall, and the points on
+    # them lie on the surface: the band is the one _agreement_check uses
+    away = (classify_points(mesh, pts) != PointClass.ON_BOUNDARY) & (np.abs(w - 0.5) >= 0.4)
+    assert away.any()
+    assert np.array_equal(inside[away], w[away] > 0.5)
+
+
+def test_orientation_filter_decides_no_sign(unit_cube, split_block, pocket_plate, monkeypatch):
+    """With an error bound of 1 every orientation and area goes to the exact
+    stage, and the grid's area signs and every count stay the same: the
+    bound only picks which signs the integers decide."""
+    for mesh in (unit_cube, split_block, pocket_plate):
+        grid = mesh._column_grid()
+        xy, z = _column_queries(grid, np.random.default_rng(29), n=60)
+        xy = np.concatenate([xy, _lines_through_features(mesh)[:200]])
+        z = np.resize(z, (len(xy), 3))
+        want = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
+        with monkeypatch.context() as m:
+            m.setattr(mesh_io, "_CCW_ERRBOUND", 1.0)  # |l - r| <= |l| + |r|: none is sure
+            exact = mesh_io._ColumnGrid(
+                mesh.tri_coords(), mesh.tri_bounds(), mesh.metrics.max_dimension
+            )
+            assert np.array_equal(exact._side, grid._side)
+            assert np.array_equal(exact.crossings(xy, z.ravel(), _k_per_line(xy, 3)), want)
 
 
 def _csr_queries(grid, rng):
@@ -464,9 +552,9 @@ def _csr_queries(grid, rng):
 
     Random lines and lines outside the grid get random heights; lines on
     triangle vertices and edge midpoints, and random lines through the
-    footprint, get heights on and within a few ``ztol`` of their crossings.
+    footprint, get heights on their crossings and a few ulps or 1e-9
+    relative from them.
     """
-    ztol = mesh_io._REL_TOL * grid._scale
     tri_xy = grid._tab[:, :6].reshape(-1, 3, 2)
     pick = rng.integers(0, len(tri_xy), 40)
     on_edges = np.concatenate(
@@ -479,8 +567,10 @@ def _csr_queries(grid, rng):
     m = len(grid._tab)
     heights = []
     for x, y in xy:
-        zt, strict, _ = grid._hits(np.full(m, x), np.full(m, y), np.arange(m))
-        near = zt[strict][:, None] + ztol * np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+        _, zt = grid._hits(np.full(m, x), np.full(m, y), np.arange(m))
+        ulps = np.spacing(zt)[:, None] * [-3.0, -1.0, 0.0, 1.0, 3.0]
+        rel = np.full((len(zt), 2), [-1e-9, 1e-9]) * span.max()
+        near = zt[:, None] + np.column_stack([ulps, rel])
         h = np.concatenate([near.ravel(), rng.uniform(-40.0, 80.0, rng.integers(0, 6))])
         heights.append(rng.permutation(h)[: rng.integers(0, len(h) + 1)])
     perm = rng.permutation(len(xy))
@@ -503,39 +593,42 @@ def test_csr_column_kernel_matches_per_line_calls(
     if budget is not None:
         monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
     hptr = np.concatenate([[0], np.cumsum(sizes)])
-    counts, suspect = grid.crossings(xy, np.concatenate(heights), hptr)
-    assert counts.shape == suspect.shape == (hptr[-1],)
-    for i, (c, s) in enumerate(want):
+    counts = grid.crossings(xy, np.concatenate(heights), hptr)
+    assert counts.shape == (hptr[-1],)
+    for i, c in enumerate(want):
         assert np.array_equal(counts[hptr[i] : hptr[i + 1]], c)
-        assert np.array_equal(suspect[hptr[i] : hptr[i + 1]], s)
-    assert counts.any() and suspect.any() and not suspect.all()
+    assert counts.any() and (counts == 0).any()
     empty = grid.crossings(np.empty((0, 2)), np.empty(0), np.zeros(1, dtype=np.int64))
-    assert empty[0].shape == empty[1].shape == (0,)
+    assert empty.shape == (0,)
 
 
 def test_column_kernel_and_classify_points_take_zero_inputs(unit_cube):
     grid = unit_cube._column_grid()
     for k in (1, 3):
-        counts, suspect = grid.crossings(np.empty((0, 2)), np.empty(0), _k_per_line([], k))
-        assert counts.shape == (0,) and suspect.shape == (0,)
+        counts = grid.crossings(np.empty((0, 2)), np.empty(0), _k_per_line([], k))
+        assert counts.shape == (0,)
     out = classify_points(unit_cube, np.empty((0, 3)))
     assert out.shape == (0,) and out.dtype == np.int8
 
 
 @pytest.mark.parametrize("shift", [(-(2.0**20), 3.0), (2.0, 2.0**20)])
 def test_column_grid_extent_and_gate_follow_the_vertices(shift, torus):
-    """The grid takes its extent and footprint gate from the triangle bounds;
-    they equal the vertex-wise formulas.  The shifted torus straddles 2**20
-    in magnitude, so only its most negative, or only its most positive,
-    coordinate gives the gate's spacing."""
+    """The grid takes its extent from the triangle bounds; it equals the
+    vertex-wise formula, and it gates the lines: the vertex bounds' corners
+    find a cell, and a line past them by twice the pad finds none, so it
+    meets no triangle.  The shifted torus straddles 2**20 in magnitude."""
     mesh = TriMesh(torus.vertices + (*shift, 0.0), torus.triangles)
     grid = mesh._column_grid()
     xy = mesh.tri_coords()[..., :2].reshape(-1, 2)
-    pad = grid._edge_pad
+    pad = 1e-9 * mesh.metrics.max_dimension
     assert grid._lo.tobytes() == (xy.min(axis=0) - pad).tobytes()
     res = grid._res
     assert grid._cell.tobytes() == ((xy.max(axis=0) + pad - grid._lo) / res).tobytes()
-    assert grid._gate == 2 * pad + 8 * np.spacing(np.abs(xy).max())
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    assert (grid._cells_of(np.array([lo, hi])) >= 0).all()
+    past = np.array([lo - 2 * pad, hi + 2 * pad, [lo[0] - 2 * pad, hi[1]]])
+    assert (grid._cells_of(past) == -1).all()
+    assert not grid.crossings(past, np.zeros(3), _k_per_line(past, 1)).any()
 
 
 def _vertical_triangles(rng, n, offset):
@@ -553,14 +646,15 @@ def _vertical_triangles(rng, n, offset):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
-def test_footprint_gate_matches_edge_test_on_every_flat_pair(offset):
-    """The gate in _hits skips only (point, vertical triangle) pairs whose edge
-    test is False: its suspect flags equal _near_tri_edges over every pair."""
+def test_vertical_triangles_never_count(offset):
+    """A vertical triangle has projected area exactly 0, and no line crosses
+    it: not around its footprint, not within a hair of it, and not on it
+    (its vertices, edge midpoints and segment ends)."""
     rng = np.random.default_rng(47)
     tc, along = _vertical_triangles(rng, 60, offset)
     grid = mesh_io._ColumnGrid(tc, (tc.min(axis=1), tc.max(axis=1)), 50.0)
-    assert (np.abs(grid._tab[:, 6]) <= grid._flat_tol).all()  # every pair is flat
-    pad = grid._edge_pad
+    assert (grid._side == 0).all()
+    pad = 1e-9 * 50.0
 
     tid, pts = [], []
     for i, tri in enumerate(tc[:, :, :2]):
@@ -571,8 +665,9 @@ def test_footprint_gate_matches_edge_test_on_every_flat_pair(offset):
         probes = [
             lo - 4.0 + rng.random((40, 2)) * (hi - lo + 8.0),  # around the footprint
             lo - 2 * pad + rng.random((40, 2)) * (hi - lo + 4 * pad),  # hugging it
+            tri, 0.5 * (tri + np.roll(tri, 1, axis=0)),  # on it
         ]
-        for r in (pad, 2 * pad):  # exactly r from the segment, up to rounding
+        for r in (0.0, pad, 2 * pad):  # r from the segment, up to rounding
             probes.append(
                 [0.5 * (first + last) + r * normal, 0.5 * (first + last) - r * normal,
                  first - r * along[i], last + r * along[i]]
@@ -582,12 +677,9 @@ def test_footprint_gate_matches_edge_test_on_every_flat_pair(offset):
         tid.append(np.full(len(block), i))
     tid, pts = np.concatenate(tid), np.concatenate(pts)
 
-    _, strict, suspect = grid._hits(pts[:, 0].copy(), pts[:, 1].copy(), tid)
-    A, B, C = (grid._tab[tid, r : r + 2] for r in (0, 2, 4))
-    want = mesh_io._near_tri_edges(pts, A, B, C, pad)
-    assert not strict.any()
-    assert np.array_equal(suspect, want)
-    assert want.any() and (~want).any()
+    hit, z = grid._hits(pts[:, 0].copy(), pts[:, 1].copy(), tid)
+    assert len(hit) == 0 and len(z) == 0
+    assert not grid.crossings(pts, np.full(len(pts), -20.0), _k_per_line(pts, 1)).any()
 
 
 def _boxes_touching(tc, rng):

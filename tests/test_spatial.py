@@ -15,6 +15,7 @@ from manumap.machining import tool_flexibility_field
 from manumap.mesh_io import TriMesh, _points_inside
 from manumap.primitives import box_mesh, icosphere
 from manumap.profiles import default_profiles
+from oracles import winding_numbers
 from manumap.spatial import (
     OctantClass,
     build_octree,
@@ -213,7 +214,7 @@ def _leaf_points(leaf, n, seed):
 def _assert_leaf_volumes_match_points(tree, mesh, n, seed):
     for leaf in tree.leaves():
         if leaf.octant_class is OctantClass.GREY:
-            inside = _points_inside(mesh, _leaf_points(leaf, n, seed), seed=seed)
+            inside = _points_inside(mesh, _leaf_points(leaf, n, seed))
             assert leaf.part_volume == leaf.box_volume * (float(inside.sum()) / n**3)
         elif leaf.octant_class is OctantClass.BLACK:
             assert leaf.part_volume == leaf.box_volume
@@ -237,12 +238,27 @@ def test_leaf_volumes_match_per_leaf_reference(sphere10, monkeypatch):
     _assert_leaf_volumes_match_points(tree, sphere10, n, seed)
 
 
+def _count_exact_orientations(monkeypatch, active):
+    """Count the orientations the column kernel evaluates on integers while
+    ``active`` is non-empty."""
+    calls = []
+    exact = mesh_io._exact_det
+
+    def counted(*coords):
+        if active:
+            calls.append(coords)
+        return exact(*coords)
+
+    monkeypatch.setattr(mesh_io, "_exact_det", counted)
+    return calls
+
+
 def test_grazing_samples_settle_as_points_do(monkeypatch):
-    """Sample heights whose line grazes an edge take the fallback of
-    _points_inside.  Lines pinned to their strata's centers run along the
-    cube's face diagonals (x = y) and graze there.  Only casts made inside
-    the sampler's own call count, since box classification grazes there too,
-    and each one must sit on its own line's xy."""
+    """Sample heights whose line runs through an edge get the answer of
+    _points_inside, and the true one.  Lines pinned to their strata's
+    centers run along the cube's face diagonals (x = y), where the exact
+    stage decides them.  Only orientations evaluated inside the sampler's
+    own call count, since box classification meets those edges too."""
     n, seed = 4, 3
     mesh = box_mesh((10.0, 10.0, 10.0))
     random = spatial._uniforms
@@ -252,45 +268,48 @@ def test_grazing_samples_settle_as_points_do(monkeypatch):
             return np.full((len(keys), count), 0.5)
         return random(seed, keys, stream, count)
 
-    grazed, sampling = [], []
-    fallback, sampler = mesh_io._ray_parity, spatial._heights_inside
+    sampling = []
+    sampler = spatial._heights_inside
 
-    def spy_parity(tc, pts, scale, seed):
-        if sampling:
-            assert (pts[:, 0] == pts[:, 1]).all()  # heights mapped to their own lines
-            grazed.append(len(pts))
-        return fallback(tc, pts, scale, seed)
-
-    def spy_sampler(mesh, xy, hz, hptr, seed):
-        # several heights share each line, so the graze branch must map
-        # heights back to their lines through hptr
+    def spy_sampler(mesh, xy, hz, hptr):
+        # several heights share each line
         assert (np.diff(hptr) > 1).all()
         sampling.append(True)
         try:
-            return sampler(mesh, xy, hz, hptr, seed)
+            return sampler(mesh, xy, hz, hptr)
         finally:
             sampling.pop()
 
     monkeypatch.setattr(spatial, "_uniforms", centered_lines)
-    monkeypatch.setattr(mesh_io, "_ray_parity", spy_parity)
     monkeypatch.setattr(spatial, "_heights_inside", spy_sampler)
+    mesh._column_grid()  # its area signs are exact too: build it before counting
+    exact = _count_exact_orientations(monkeypatch, sampling)
     tree = build_octree(mesh, max_depth=3, samples=n, seed=seed)
-    assert sum(grazed) > 0
+    assert len(exact) > 0
+    assert all(x == y for _, _, _, _, x, y in exact)  # on the lines x = y
     _assert_leaf_volumes_match_points(tree, mesh, n, seed)
+    # every sample off the surface has the winding-number oracle's answer
+    pts = np.concatenate([_leaf_points(leaf, n, seed) for leaf in tree.grey_leaves()])
+    on_diagonal = pts[:, 0] == pts[:, 1]
+    assert on_diagonal.any()
+    w = winding_numbers(mesh, pts)
+    away = np.abs(w - 0.5) >= 0.4
+    assert np.array_equal(_points_inside(mesh, pts)[away], w[away] > 0.5)
+    assert (away & on_diagonal).any()
 
 
 @pytest.mark.parametrize("name", ["block", "pocket", "sphere10"])
 def test_grouped_center_casts_match_one_point_calls(name, split_block, pocket_plate, sphere10, monkeypatch):
     """Each wave casts its missed children's centers with one line per xy
     column.  Every black or white leaf still has the class of a one-point
-    _points_inside call on its center, and permuting the triangles changes
-    no byte.  The block's centers on the x = y diagonal graze the diagonal
-    edges of its faces inside those grouped casts; _ray_parity settles
-    them."""
+    _points_inside call on its center, and the winding-number oracle's, and
+    permuting the triangles changes no byte.  The block's centers on the
+    x = y diagonal meet the diagonal edges of its faces inside those
+    grouped casts, where the exact stage decides them."""
     mesh = {"block": split_block, "pocket": pocket_plate, "sphere10": sphere10}[name]
     seed = 101
-    casts, grazed, in_wave = [], [], []
-    advance, sampler, fallback = spatial._advance_wave, spatial._heights_inside, mesh_io._ray_parity
+    casts, in_wave = [], []
+    advance, sampler = spatial._advance_wave, spatial._heights_inside
 
     def spy_wave(*args):
         in_wave.append(True)
@@ -299,20 +318,15 @@ def test_grouped_center_casts_match_one_point_calls(name, split_block, pocket_pl
         finally:
             in_wave.pop()
 
-    def spy_cast(mesh, xy, hz, hptr, seed):
+    def spy_cast(mesh, xy, hz, hptr):
         if in_wave:
             assert len(np.unique(xy, axis=0)) == len(xy)  # one line per column
             casts.append(np.diff(hptr))
-        return sampler(mesh, xy, hz, hptr, seed)
-
-    def spy_parity(tc, pts, scale, seed):
-        if in_wave:
-            grazed.append(len(pts))
-        return fallback(tc, pts, scale, seed)
+        return sampler(mesh, xy, hz, hptr)
 
     monkeypatch.setattr(spatial, "_advance_wave", spy_wave)
     monkeypatch.setattr(spatial, "_heights_inside", spy_cast)
-    monkeypatch.setattr(mesh_io, "_ray_parity", spy_parity)
+    exact = _count_exact_orientations(monkeypatch, in_wave)
     tree = build_octree(mesh, max_depth=4, seed=seed)
     monkeypatch.undo()
 
@@ -320,11 +334,15 @@ def test_grouped_center_casts_match_one_point_calls(name, split_block, pocket_pl
     assert sum(int(k.sum()) for k in casts) == len(solid)  # every black or white leaf, once
     assert max(int(k.max()) for k in casts) > 1  # stacked centers share a line
     centers = 0.5 * (tree.box_min[solid] + tree.box_max[solid])
-    for center, code in zip(centers, tree.class_code[solid]):
-        inside = _points_inside(mesh, center[None], seed=seed)[0]
+    black = tree.class_code[solid] == spatial._BLACK
+    assert np.array_equal(black, _points_inside(mesh, centers))
+    for center, code in zip(centers[:50], tree.class_code[solid][:50]):
+        inside = _points_inside(mesh, center[None])[0]
         assert code == (spatial._BLACK if inside else spatial._WHITE)
+    # a box the surface misses has its center at least half a box from it
+    assert np.array_equal(black, winding_numbers(mesh, centers) > 0.5)
     if name == "block":
-        assert sum(grazed) > 0
+        assert len(exact) > 0
     shuffled = _permute_triangles(mesh, np.random.default_rng(13))
     assert build_octree(shuffled, max_depth=4, seed=seed).fingerprint() == tree.fingerprint()
 
@@ -507,7 +525,7 @@ def test_root_classify_matches_sat_over_all_triangles(name, margin, pocket_plate
         return full_sat(t, c, h)
 
     monkeypatch.setattr(spatial, "_tri_box_overlap", recording)
-    hits, code = spatial._classify(mesh, lo, hi, seed=1)
+    hits, code = spatial._classify(mesh, lo, hi)
     assert np.array_equal(hits, want) and code == spatial._GREY
     if margin:
         assert len(want) == mesh.num_triangles and sum(tested) == 0
