@@ -30,7 +30,11 @@ PROCESSES = ("machining", "additive")
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    """Knobs shared by every analysis run; a report's ``params`` lists each one set."""
+    """Knobs shared by every analysis run; a report's ``params`` lists each one set.
+
+    ``samples`` and ``seed`` are checked and recorded but change nothing:
+    grey-leaf volumes are exact and no part of an analysis is random.
+    """
 
     max_depth: int = DEFAULT_MAX_DEPTH
     samples: int = DEFAULT_SAMPLES

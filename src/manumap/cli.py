@@ -289,11 +289,11 @@ def _add_analysis_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, default=defaults.max_depth,
                    help=f"octree depth, 1..{MAX_DEPTH_LIMIT}")
     p.add_argument("--samples", type=int, default=defaults.samples,
-                   help="volume sampling grid n (n^3 points)")
+                   help="accepted and checked (at least 2) but no effect: grey volumes are exact")
     p.add_argument("--margin", type=float, default=defaults.margin,
                    help="root box inflation fraction")
     p.add_argument("--seed", type=int, default=defaults.seed,
-                   help="seed of grey-leaf volume sampling (its only use)")
+                   help="accepted and checked (non-negative) but no effect: nothing is random")
     p.add_argument("--material", help="material name from the profile's hardness table")
     p.add_argument("--required-ra", type=float, help="required surface roughness Ra (um)")
     p.add_argument("--height-reference", choices=HEIGHT_REFERENCES,

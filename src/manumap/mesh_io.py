@@ -27,7 +27,7 @@ WELD_TOLERANCE_MM = 1e-4
 #: as on-boundary.
 BOUNDARY_EPS_REL = 1e-6
 
-_PAIR_BUDGET = 500_000  # point-triangle pairs per vectorized chunk
+_PAIR_BUDGET = 500_000  # (point, triangle) pairs per chunk of the boundary band
 _COLUMN_PAIR_BUDGET = 16_384  # (vertical line, bucket triangle) pairs per chunk
 #: Shewchuk's orient2d error bound, (3 + 16 u) u for the unit roundoff
 #: u = 2**-53 ("Adaptive Precision Floating-Point Arithmetic and Fast Robust
@@ -410,8 +410,7 @@ def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
         raise NotWatertightError("point containment needs a watertight mesh")
     pts = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
 
-    dmin = _min_distance_to_surface(mesh.tri_coords(), pts)
-    on = dmin <= BOUNDARY_EPS_REL * metrics.max_dimension
+    on = _near_surface(mesh, pts, BOUNDARY_EPS_REL * metrics.max_dimension)
 
     inside = _points_inside(mesh, pts)
     out = np.where(inside, np.int8(PointClass.INSIDE), np.int8(PointClass.OUTSIDE))
@@ -437,61 +436,93 @@ def _heights_inside(mesh: TriMesh, xy: np.ndarray, hz: np.ndarray, hptr: np.ndar
     return mesh._column_grid().crossings(xy, hz, hptr) % 2 == 1
 
 
-def _min_distance_to_surface(tc: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Smallest distance from each point to any triangle (Ericson's method)."""
-    m = len(tc)
-    out = np.empty(len(pts))
-    chunk = max(1, _PAIR_BUDGET // max(m, 1))
+def _near_surface(mesh: TriMesh, pts: np.ndarray, eps: float) -> np.ndarray:
+    """Whether each of the (N, 3) ``pts`` lies within ``eps`` of some triangle.
+
+    Only a triangle whose bounds come within ``eps`` of a point can be that
+    close, so each point meets only the triangles of the column grid's
+    cells under its ``2 eps`` square whose bounds lie within ``2 eps`` of
+    it (the margin absorbs the distance's rounding), and each such pair
+    takes :func:`_point_triangle_distance`.  That is the distance the pair
+    would have against every triangle, so the answer is the brute force's.
+    Points go in chunks of ``_PAIR_BUDGET // 64``, a few bucket entries each.
+    """
+    grid = mesh._column_grid()
+    tc, (tmin, tmax) = mesh.tri_coords(), mesh.tri_bounds()
+    band, res = 2.0 * eps, grid._res
+    on = np.zeros(len(pts), dtype=bool)
+    for s in range(0, len(pts), _PAIR_BUDGET // 64):
+        q = pts[s : s + _PAIR_BUDGET // 64]
+        i0 = np.floor((q[:, :2] - band - grid._lo) / grid._cell).astype(np.int64)
+        i1 = np.floor((q[:, :2] + band - grid._lo) / grid._cell).astype(np.int64)
+        hit = ((i1 >= 0) & (i0 < res)).all(axis=1)
+        i0, i1 = np.clip(i0, 0, res - 1), np.clip(i1, 0, res - 1)
+        # (point, cell) pairs: each point's square of cells, row by row
+        nx, ny = i1[:, 0] - i0[:, 0] + 1, i1[:, 1] - i0[:, 1] + 1
+        per = np.where(hit, nx * ny, 0)
+        point = np.repeat(np.arange(len(q)), per)
+        k = np.arange(len(point)) - np.repeat(np.cumsum(per) - per, per)
+        cell = (i0[point, 0] + k // ny[point]) * res + i0[point, 1] + k % ny[point]
+        # (point, triangle) pairs: each cell's bucket, then the triangles near the point
+        size = grid._ptr[cell + 1] - grid._ptr[cell]
+        slot = np.repeat(grid._ptr[cell] - (np.cumsum(size) - size), size) + np.arange(int(size.sum()))
+        point, tri = np.repeat(point, size), grid._tids[slot]
+        near = ((tmin[tri] - band <= q[point]) & (q[point] <= tmax[tri] + band)).all(axis=1)
+        point, tri = point[near], tri[near]
+        on[s + point[_point_triangle_distance(tc[tri], q[point]) <= eps]] = True
+    return on
+
+
+def _point_triangle_distance(tc: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Distance from each point ``p`` (K, 3) to its triangle ``tc`` (K, 3, 3) (Ericson's method)."""
     a, b, c = tc[:, 0], tc[:, 1], tc[:, 2]
     ab = b - a
     ac = c - a
     bc = c - b
-    for s in range(0, len(pts), chunk):
-        p = pts[s : s + chunk][:, None, :]
-        ap = p - a
-        bp = p - b
-        cp = p - c
-        d1 = (ab * ap).sum(axis=2)
-        d2 = (ac * ap).sum(axis=2)
-        d3 = (ab * bp).sum(axis=2)
-        d4 = (ac * bp).sum(axis=2)
-        d5 = (ab * cp).sum(axis=2)
-        d6 = (ac * cp).sum(axis=2)
+    ap = p - a
+    bp = p - b
+    cp = p - c
+    d1 = (ab * ap).sum(axis=1)
+    d2 = (ac * ap).sum(axis=1)
+    d3 = (ab * bp).sum(axis=1)
+    d4 = (ac * bp).sum(axis=1)
+    d5 = (ab * cp).sum(axis=1)
+    d6 = (ac * cp).sum(axis=1)
 
-        va = d3 * d6 - d5 * d4
-        vb = d5 * d2 - d1 * d6
-        vc = d1 * d4 - d3 * d2
+    va = d3 * d6 - d5 * d4
+    vb = d5 * d2 - d1 * d6
+    vc = d1 * d4 - d3 * d2
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_ab = np.nan_to_num(d1 / (d1 - d3))
-            t_ac = np.nan_to_num(d2 / (d2 - d6))
-            t_bc = np.nan_to_num((d4 - d3) / ((d4 - d3) + (d5 - d6)))
-            denom = va + vb + vc
-            v_in = np.where(denom != 0.0, vb / denom, 0.0)
-            w_in = np.where(denom != 0.0, vc / denom, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ab = np.nan_to_num(d1 / (d1 - d3))
+        t_ac = np.nan_to_num(d2 / (d2 - d6))
+        t_bc = np.nan_to_num((d4 - d3) / ((d4 - d3) + (d5 - d6)))
+        denom = va + vb + vc
+        v_in = np.where(denom != 0.0, vb / denom, 0.0)
+        w_in = np.where(denom != 0.0, vc / denom, 0.0)
 
-        closest = a + v_in[..., None] * ab + w_in[..., None] * ac
-        on_bc = (vc <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-        closest = np.where(on_bc[..., None], b + np.clip(t_bc, 0, 1)[..., None] * bc, closest)
-        on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-        closest = np.where(on_ac[..., None], a + np.clip(t_ac, 0, 1)[..., None] * ac, closest)
-        on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-        closest = np.where(on_ab[..., None], a + np.clip(t_ab, 0, 1)[..., None] * ab, closest)
-        closest = np.where(((d6 >= 0) & (d5 <= d6))[..., None], c, closest)
-        closest = np.where(((d3 >= 0) & (d4 <= d3))[..., None], b, closest)
-        closest = np.where(((d1 <= 0) & (d2 <= 0))[..., None], a, closest)
-
-        out[s : s + chunk] = np.linalg.norm(p - closest, axis=2).min(axis=1)
-    return out
+    closest = a + v_in[..., None] * ab + w_in[..., None] * ac
+    on_bc = (vc <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
+    closest = np.where(on_bc[..., None], b + np.clip(t_bc, 0, 1)[..., None] * bc, closest)
+    on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
+    closest = np.where(on_ac[..., None], a + np.clip(t_ac, 0, 1)[..., None] * ac, closest)
+    on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
+    closest = np.where(on_ab[..., None], a + np.clip(t_ab, 0, 1)[..., None] * ab, closest)
+    closest = np.where(((d6 >= 0) & (d5 <= d6))[..., None], c, closest)
+    closest = np.where(((d3 >= 0) & (d4 <= d3))[..., None], b, closest)
+    closest = np.where(((d1 <= 0) & (d2 <= 0))[..., None], a, closest)
+    return np.linalg.norm(p - closest, axis=1)
 
 
 class _ColumnGrid:
     """2D bucket grid over the xy plane for vertical (+z) ray parity.
 
     Shared, read-only acceleration structure: point classification, the
-    octree volume sampler and the tool-reach probes all cast vertical lines,
-    and bucketing triangles by xy footprint makes each line O(local
-    triangles) instead of O(all).  The buckets are stored CSR-style: cell
+    octree's box-center casts and the tool-reach probes all cast vertical
+    lines, and bucketing triangles by xy footprint makes each line O(local
+    triangles) instead of O(all).  The boundary band of
+    :func:`classify_points` reads the buckets too, and the octree's volume
+    kernel reads the exact area signs.  The buckets are stored CSR-style: cell
     ``c`` holds triangles ``tids[ptr[c]:ptr[c + 1]]`` in ascending order.
     :meth:`crossings` is the one kernel: it casts each line once and
     answers any number of heights on it, so callers whose points share
@@ -507,7 +538,8 @@ class _ColumnGrid:
     triangle of its cell, and most of them cannot cross it; finer cells
     cut those pairs, while buckets grow only where triangles span several
     cells.  Measured on octree builds (seed 101, one line per box center),
-    ``sqrt(M / 2)`` -> ``sqrt(8 M)`` cells per axis:
+    ``sqrt(M / 2)`` -> ``sqrt(8 M)`` cells per axis, when grey leaves were
+    still volume-sampled on vertical lines:
 
     - the 68-triangle split-redesign block at depth 5, res 5 -> 23:
       center casts 56,640 -> 31,216 pairs, grey sampling 166,942 ->

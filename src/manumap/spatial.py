@@ -4,15 +4,14 @@ The part's bounding box is cubified, inflated by a small margin, and split
 recursively: boxes fully inside the part are black, fully outside are white,
 and boxes crossed by the surface are grey and subdivided until ``max_depth``.
 A box the surface misses is black or white by the exact parity of its
-center's vertical line, so the boxes and their classes do not depend on the
-seed.  Grey terminal boxes get their solid volume estimated by jittered-grid
-sampling by column parity: the grey boxes stacked in one xy column share
-that column's jittered vertical lines, each line is cast once, and each box
-reads its own jittered heights off the line's crossings.  Every jitter is a
-hash of the seed and a box or column path, and the sampler is the seed's
-only reader, so every value is reproducible run to run and independent of
-how boxes are batched.  The tree is linear: it keeps only its leaves, as
-arrays in Morton (z-curve) order.
+center's vertical line.  Grey terminal boxes get their exact solid volume
+by the divergence theorem (:func:`_grey_volumes`): each triangle's part in
+a box is integrated in closed form, and the grey boxes stacked in one xy
+column are swept top down, each passing the part's cross-section area at
+its floor to the box below.  Nothing is sampled and nothing is random, so
+every value is reproducible and independent of how boxes are batched.  The
+tree is linear: it keeps only its leaves, as arrays in Morton (z-curve)
+order.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from .mesh_io import (
 DEFAULT_MAX_DEPTH = 5
 DEFAULT_SAMPLES = 4
 DEFAULT_MARGIN = 0.01
-#: Seed of the grey-leaf volume sampler whenever a caller does not pin one;
-#: nothing else in the package is random.
+#: Default of the ``seed`` setting, which is accepted and validated but read
+#: by nothing: no part of the package is random.
 DEFAULT_SEED = 7919
 #: Deepest octree a build or refine may ask for.
 MAX_DEPTH_LIMIT = 10
@@ -54,7 +53,8 @@ MAX_DEPTH_LIMIT = 10
 #: Keeps axis-aligned parts from producing infinitely thin grey shells.
 _SHRINK = 1e-9
 
-_SAMPLE_POINT_BUDGET = 200_000
+_CLIP_PAIR_BUDGET = 16_384  # (triangle, box) pairs per chunk of the volume kernel
+_CLIP_ENTRY_BUDGET = 65_536  # (constraint, line, pair) entries per call of _clipped_fans
 
 
 class OctantClass(enum.Enum):
@@ -108,9 +108,15 @@ class Octree:
     Morton (z-curve) order.  The boxes are the ones the subdivision computed
     (``mid = 0.5 * (lo + hi)`` at each level), not re-derived from the key,
     which would round differently.  ``grey_index`` lists the grey rows;
-    every grey leaf sits at ``max_depth``, and grey leaf g keeps the
-    triangles crossing it, ``grey_tri_ids[grey_tri_ptr[g]:grey_tri_ptr[g + 1]]``,
-    for :func:`refine`.  All arrays are read-only.
+    every grey leaf sits at ``max_depth``.  Grey leaf g keeps the triangles
+    near it, ``grey_tri_ids[grey_tri_ptr[g]:grey_tri_ptr[g + 1]]``: every
+    triangle that crosses its box shrunk by :data:`_SHRINK` (these made it
+    grey, and ``grey_tri_cross`` marks them) and every other triangle that
+    meets its box inflated by ``2 * _SHRINK`` root half-widths (the volume
+    kernel's ties need those), with some whose bounds merely reach that
+    box.  :func:`refine` starts from these lists.  ``samples`` and
+    ``seed`` are recorded settings that nothing reads.  All arrays are
+    read-only.
     """
 
     path_key: np.ndarray  # (L,) int64: 1, then 3 bits (x + 2y + 4z) per level
@@ -121,6 +127,7 @@ class Octree:
     part_volume: np.ndarray  # (L,) float64
     grey_tri_ptr: np.ndarray  # (G + 1,) offsets into grey_tri_ids
     grey_tri_ids: np.ndarray
+    grey_tri_cross: np.ndarray  # (T,) bool, aligned with grey_tri_ids
     max_depth: int
     margin: float
     samples: int
@@ -131,14 +138,14 @@ class Octree:
     mesh_volume: float
 
     def __post_init__(self):
-        for name in (*_LEAF_COLUMNS, "grey_tri_ptr", "grey_tri_ids"):
+        for name in (*_LEAF_COLUMNS, "grey_tri_ptr", "grey_tri_ids", "grey_tri_cross"):
             getattr(self, name).setflags(write=False)
         self.grey_index = np.flatnonzero(self.class_code == _GREY)
         self.grey_index.setflags(write=False)
         self._leaves: list[OctantNode] | None = None
         self._greys: list[OctantNode] | None = None
         self._fingerprint: dict | None = None
-        self._by_key: tuple[np.ndarray, np.ndarray] | None = None  # sorted keys, leaf of each
+        self._by_key: tuple[np.ndarray, np.ndarray] | None = None  # see _key_index
 
     def leaves(self) -> list[OctantNode]:
         """A record per leaf, in Morton order; one shared list, built on first use."""
@@ -185,28 +192,10 @@ class Octree:
         a leaf.  All points descend level by level at once, each stopping
         when its path key is a leaf's.
         """
-        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        found = np.full(len(p), -1, dtype=np.intp)
-        # Morton order starts with the all-lower corner leaf and ends with the all-upper one
-        lo, hi = self.box_min[0], self.box_max[-1]
-        rows = np.flatnonzero(~((p < lo) | (p > hi)).any(axis=1))
-        lo = np.broadcast_to(lo, (len(rows), 3))
-        hi = np.broadcast_to(hi, (len(rows), 3))
-        key = np.ones(len(rows), dtype=np.int64)
         if self._by_key is None:
-            order = np.argsort(self.path_key)
-            self._by_key = self.path_key[order], order
-        sorted_keys, leaf_of = self._by_key
-        while len(rows):
-            at = np.minimum(np.searchsorted(sorted_keys, key), len(sorted_keys) - 1)
-            leaf = sorted_keys[at] == key
-            found[rows[leaf]] = leaf_of[at[leaf]]
-            rows, key, lo, hi = rows[~leaf], key[~leaf], lo[~leaf], hi[~leaf]
-            mid = 0.5 * (lo + hi)
-            upper = p[rows] >= mid
-            key = key << 3 | (upper[:, 0] + 2 * upper[:, 1] + 4 * upper[:, 2])
-            lo, hi = np.where(upper, mid, lo), np.where(upper, hi, mid)
-        return found
+            self._by_key = _key_index(self.path_key)
+        # Morton order starts with the all-lower corner leaf and ends with the all-upper one
+        return _locate(self._by_key, self.box_min[0], self.box_max[-1], points)
 
     def dump_lines(self):
         """The leaf dump: one JSON object per leaf, in Morton order, one line each."""
@@ -252,6 +241,34 @@ class Octree:
                 "content_hash": hashlib.sha256(raw[keep].tobytes()).hexdigest(),
             }
         return self._fingerprint
+
+
+def _key_index(path_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves' path keys sorted, and the leaf of each sorted key: :func:`_locate`'s index."""
+    order = np.argsort(path_key)
+    return path_key[order], order
+
+
+def _locate(by_key, lo: np.ndarray, hi: np.ndarray, points) -> np.ndarray:
+    """:meth:`Octree.find_leaves` over the leaves indexed by ``by_key``
+    (:func:`_key_index`), in the root box ``lo``/``hi``."""
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    found = np.full(len(p), -1, dtype=np.intp)
+    rows = np.flatnonzero(~((p < lo) | (p > hi)).any(axis=1))
+    lo = np.broadcast_to(lo, (len(rows), 3))
+    hi = np.broadcast_to(hi, (len(rows), 3))
+    key = np.ones(len(rows), dtype=np.int64)
+    sorted_keys, leaf_of = by_key
+    while len(rows):
+        at = np.minimum(np.searchsorted(sorted_keys, key), len(sorted_keys) - 1)
+        leaf = sorted_keys[at] == key
+        found[rows[leaf]] = leaf_of[at[leaf]]
+        rows, key, lo, hi = rows[~leaf], key[~leaf], lo[~leaf], hi[~leaf]
+        mid = 0.5 * (lo + hi)
+        upper = p[rows] >= mid
+        key = key << 3 | (upper[:, 0] + 2 * upper[:, 1] + 4 * upper[:, 2])
+        lo, hi = np.where(upper, mid, lo), np.where(upper, hi, mid)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +354,16 @@ def build_octree(
     margin:
         Relative inflation of the cubified root box (0.01 = 1%).
     samples:
-        Grid resolution n for grey-leaf volume sampling (n**3 points, n >= 2).
+        Accepted, validated (n >= 2) and recorded; it has no effect, since
+        grey-leaf volumes are exact.
     seed:
-        Seed of the grey-leaf volume sampler, its only reader: each grey
-        leaf's sample heights hash (seed, leaf path) and its column's
-        sample lines hash (seed, column path), so estimates are independent
-        of evaluation order.  The tree's boxes and classes do not depend on
-        it.
+        Accepted, validated (non-negative) and recorded; it has no effect,
+        since nothing in a build is random.
 
-    An open mesh raises ``NotWatertightError``; a closed one whose bounding
-    box has no volume (a flat sheet) raises ``DegenerateMeshError``.
+    Every grey leaf's ``part_volume`` is its exact solid volume, up to
+    rounding (:func:`_grey_volumes`).  An open mesh raises
+    ``NotWatertightError``; a closed one whose bounding box has no volume
+    (a flat sheet) raises ``DegenerateMeshError``.
     """
     metrics = mesh.metrics
     if not metrics.watertight:
@@ -362,22 +379,28 @@ def build_octree(
     lo, hi = (center - half)[None, :], (center + half)[None, :]
     root_key = np.ones(1, dtype=np.int64)
 
-    tri_ids, code = _classify(mesh, lo, hi)
+    hits, code = _classify(mesh, lo, hi)
     if code == _GREY:
-        root_of = np.zeros(len(tri_ids), dtype=np.intp)
-        leaves, tri_ptr, tri_ids = _grow(
-            mesh, [], lo, hi, root_key, root_of, tri_ids, 0, max_depth, samples, seed
+        # the root keeps every triangle; those that cross it start the classification
+        cross = np.zeros(mesh.num_triangles, dtype=bool)
+        cross[hits] = True
+        tris = np.arange(mesh.num_triangles)
+        root_of = np.zeros(len(tris), dtype=np.intp)
+        leaves, tri_ptr, tri_ids, cross = _grow(
+            mesh, [], lo, hi, root_key, root_of, tris, cross, 0, max_depth, margin
         )
+        _grey_volumes(mesh, leaves, tri_ptr, tri_ids, margin)
     else:
         volume = np.array([float(np.prod(hi - lo)) if code == _BLACK else 0.0])
         code = np.array([code], dtype=np.int8)
         leaves = (root_key, np.zeros(1, dtype=np.int32), code, lo, hi, volume)
-        tri_ptr = np.zeros(1, dtype=np.intp)
+        tri_ptr, tri_ids, cross = np.zeros(1, dtype=np.intp), hits, np.zeros(0, dtype=bool)
 
     tree = Octree(
         *leaves,
         grey_tri_ptr=tri_ptr,
         grey_tri_ids=tri_ids,
+        grey_tri_cross=cross,
         max_depth=max_depth,
         margin=margin,
         samples=samples,
@@ -404,37 +427,41 @@ def _grow(
     keys: np.ndarray,
     pair_node: np.ndarray,
     pair_tri: np.ndarray,
+    pair_cross: np.ndarray,
     depth: int,
     max_depth: int,
-    samples: int,
-    seed: int,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    margin: float,
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Subdivide grey nodes level by level down to ``max_depth``; the finished leaves.
 
     The W nodes at ``depth`` have boxes ``lo``/``hi`` (W, 3) and path keys
-    ``keys``, in Morton order, and triangle ``pair_tri[p]`` crosses node
-    ``pair_node[p]``.  The leaves of ``done``, tuples of leaf arrays as in
-    :data:`_LEAF_COLUMNS`, are kept as they are.  Returns all leaves in
-    Morton order and the grey leaves' triangle lists as a CSR (offsets,
-    triangle ids).  Children of Morton-ordered nodes come out Morton-ordered,
-    so the greys, all made by the last wave, keep their order through the
-    final sort and stay aligned with the CSR.
+    ``keys``, in Morton order, and triangle ``pair_tri[p]`` is near node
+    ``pair_node[p]``, crossing it where ``pair_cross[p]``.  The leaves of
+    ``done``, tuples of leaf arrays as in :data:`_LEAF_COLUMNS`, are kept
+    as they are.  Returns all leaves in Morton order, grey volumes NaN for
+    :func:`_grey_volumes` to fill, and the grey leaves' triangle lists as a
+    CSR (offsets, triangle ids, crossing flags).  Children of
+    Morton-ordered nodes come out Morton-ordered, so the greys, all made by
+    the last wave, keep their order through the final sort and stay
+    aligned with the CSR.
     """
+    pad = _reach(mesh, margin)
     while True:
         depth += 1
-        lo, hi, keys, code, volume, pair_child, pair_tri = _advance_wave(
-            mesh, lo, hi, keys, pair_node, pair_tri
+        lo, hi, keys, code, volume, pair_child, pair_tri, pair_cross = _advance_wave(
+            mesh, lo, hi, keys, pair_node, pair_tri, pair_cross, pad
         )
         wave = (keys, np.full(len(keys), depth, dtype=np.int32), code, lo, hi, volume)
         grey = code == _GREY
         grey_of = np.cumsum(grey) - 1  # a grey child's index among the grey children
+        on_grey = grey[pair_child]  # only grey children keep their triangles
+        pair_child, pair_tri, pair_cross = pair_child[on_grey], pair_tri[on_grey], pair_cross[on_grey]
         if depth == max_depth or not grey.any():
             break
         done.append(tuple(column[~grey] for column in wave))
         lo, hi, keys = lo[grey], hi[grey], keys[grey]
         pair_node = grey_of[pair_child]
 
-    volume[grey] = _estimate_grey_volumes(mesh, lo[grey], hi[grey], keys[grey], samples, seed)
     done.append(wave)
     key, depth, *rest = (np.concatenate(column) for column in zip(*done))
     # left-aligned keys: drop the leading 1 and pad every key to max_depth levels
@@ -443,7 +470,15 @@ def _grow(
     order = np.argsort(morton)
     counts = np.bincount(grey_of[pair_child], minlength=int(grey.sum()))
     tri_ptr = np.concatenate([[0], np.cumsum(counts)])
-    return tuple(column[order] for column in (key, depth, *rest)), tri_ptr, pair_tri
+    leaves = tuple(column[order] for column in (key, depth, *rest))
+    return leaves, tri_ptr, pair_tri, pair_cross
+
+
+def _reach(mesh: TriMesh, margin: float) -> float:
+    """How far past a box a near triangle may lie: ``2 * _SHRINK`` root
+    half-widths, from the mesh and ``margin`` as the root box is, so that a
+    build and a refine agree bit for bit."""
+    return _SHRINK * mesh.metrics.max_dimension * (1.0 + margin)
 
 
 def _advance_wave(
@@ -453,24 +488,26 @@ def _advance_wave(
     keys: np.ndarray,
     pair_node: np.ndarray,
     pair_tri: np.ndarray,
+    pair_cross: np.ndarray,
+    pad: float,
 ) -> tuple[np.ndarray, ...]:
     """Split W grey nodes into their 8 children each; returns the 8W children.
 
     Children come node by node, child c of a node taking the upper half on
     axis a where bit a of c is set.  Returns their boxes (8W, 3), path keys,
-    class codes, part volumes (NaN on grey children, which are sampled
-    later), and the (child, triangle) hit pairs ordered by child, each
-    child's triangles in its node's order.
+    class codes, part volumes (NaN on grey children, which
+    :func:`_grey_volumes` fills), and the (child, triangle) near pairs
+    ordered by child, each child's triangles in its node's order, with
+    their crossing flags.
 
-    Every (node, triangle) pair of the level is SAT-tested against the
-    node's 8 children by :func:`_wave_mask` (box-normal slabs from the
-    triangles' bounds first, the full test only where they neither separate
-    nor contain, same hits).  Children that the surface misses are
-    center-classified in one :func:`_heights_inside` call with one line per
-    xy column (one :func:`_column_keys` value), carrying the center heights
-    of every missed child stacked in that column.  A height's answer
-    depends only on the mesh and the point, so sharing lines changes no
-    class.
+    Every (node, triangle) pair of the level is tested against the node's
+    8 children by :func:`_wave_mask`.  Only crossing pairs decide classes:
+    a child is grey when a crossing pair's triangle crosses it.  Children
+    that the surface misses are center-classified in one
+    :func:`_heights_inside` call with one line per xy column (one
+    :func:`_column_keys` value), carrying the center heights of every
+    missed child stacked in that column.  A height's answer depends only on
+    the mesh and the point, so sharing lines changes no class.
     """
     mid = 0.5 * (lo + hi)
     cmin = np.where(_CHILD_BITS, mid[:, None, :], lo[:, None, :]).reshape(-1, 3)
@@ -478,16 +515,19 @@ def _advance_wave(
     size = cmax - cmin
     centers = 0.5 * (cmin + cmax)
     halves = 0.5 * size * (1.0 - _SHRINK)
-    mask = _wave_mask(
+    hit, near = _wave_mask(
         mesh.tri_coords(),
         mesh.tri_bounds(),
         pair_tri,
+        pair_cross,
         pair_node,
         centers.reshape(-1, 8, 3),
         halves.reshape(-1, 8, 3),
+        (0.5 * size + pad).reshape(-1, 8, 3),
     )
 
-    entry = np.flatnonzero(mask)  # 8 * pair + child; faster than a 2-D nonzero
+    entry = np.flatnonzero(hit | near)  # 8 * pair + child; faster than a 2-D nonzero
+    cross = hit.reshape(-1)[entry]
     pair = entry >> 3
     group = pair_node[pair] * 8 + (entry & 7)
     order = np.argsort(group, kind="stable")
@@ -495,7 +535,7 @@ def _advance_wave(
     code = np.full(len(cmin), _GREY, dtype=np.int8)
     volume = np.full(len(cmin), np.nan)
     child_keys = (keys[:, None] << 3 | np.arange(8)).ravel()
-    miss = np.flatnonzero(np.bincount(group, minlength=len(cmin)) == 0)
+    miss = np.flatnonzero(np.bincount(group[cross], minlength=len(cmin)) == 0)
     if len(miss):
         # the missed centers column by column: stacked centers share x and y bitwise
         columns = _column_keys(child_keys[miss])
@@ -506,7 +546,7 @@ def _advance_wave(
         inside = _heights_inside(mesh, centers[miss[heads], :2], centers[miss, 2], hptr)
         code[miss] = np.where(inside, _BLACK, _WHITE)
         volume[miss] = np.where(inside, size[miss, 0] * size[miss, 1] * size[miss, 2], 0.0)
-    return cmin, cmax, child_keys, code, volume, group[order], pair_tri[pair[order]]
+    return cmin, cmax, child_keys, code, volume, group[order], pair_tri[pair[order]], cross[order]
 
 
 #: The children a set of six slab flags keeps: flag bit ``3 * s + a`` marks
@@ -525,57 +565,83 @@ def _wave_mask(
     tc: np.ndarray,
     bounds: tuple[np.ndarray, np.ndarray],
     pair_tri: np.ndarray,
+    pair_cross: np.ndarray,
     pair_node: np.ndarray,
     centers: np.ndarray,
     halves: np.ndarray,
-) -> np.ndarray:
-    """(P, 8) SAT hits of triangle ``pair_tri[p]`` against child c of node ``pair_node[p]``.
+    reach: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P, 8) hits and near entries of triangle ``pair_tri[p]`` and child c of node ``pair_node[p]``.
 
     ``tc`` holds the triangles' vertices and ``bounds`` their ``(tmin,
-    tmax)`` as in :meth:`TriMesh.tri_bounds`; ``centers`` and ``halves`` are
-    the (W, 8, 3) child boxes of the W nodes.  The box-normal axes run
-    first, per pair rather than per child: along an axis the 8 children
-    share two slabs, the lower one of child 0 and the upper one of child 7
-    (child c takes the upper slab where bit a of c is set), with
-    bit-identical center and half-width numbers.  A slab takes the
-    triangle's bounds less its center, ``lo`` and ``hi``: ``lo <= h and hi
-    >= -h`` is exactly "not separated" in :func:`_tri_box_overlap`, because
-    ``fl(min(p) - c) == min(fl(p - c))``, and ``lo >= -h and hi <= h`` is
-    "contained".  The six flags of a pair index :data:`_SLAB_CHILDREN`,
-    which ANDs each child's three slabs.  A contained child is a hit, as the
-    full test would also say (see its docstring); only the entries that no
-    slab separates and that are not contained gather their vertices and go
-    through :func:`_tri_box_overlap`, so the mask is the full test's.
-    Pairs run in chunks of :data:`_SAT_PAIR_BUDGET`, and a chunk's remaining
-    entries (at most 8 per pair) are tested together.
+    tmax)`` as in :meth:`TriMesh.tri_bounds`; ``centers``, ``halves`` and
+    ``reach`` are the (W, 8, 3) child boxes of the W nodes, shrunk and
+    inflated.  A hit is an entry of a crossing pair (``pair_cross[p]``)
+    that the SAT test finds crossing the shrunk child box; a near entry is
+    any other entry that reaches the inflated child box: by its bounds
+    alone, but by the full test where the entry took it and was rejected.
+    Hits alone make a child grey, so near entries change no class.
+
+    The box-normal axes run first, per pair rather than per child: along
+    an axis the 8 children share two slabs, the lower one of child 0 and
+    the upper one of child 7 (child c takes the upper slab where bit a of c
+    is set), with bit-identical center and half-width numbers.  A slab
+    takes the triangle's bounds less its center, ``lo`` and ``hi``: ``lo
+    <= h and hi >= -h`` is exactly "not separated" in
+    :func:`_tri_box_overlap`, because ``fl(min(p) - c) == min(fl(p - c))``,
+    and ``lo >= -h and hi <= h`` is "contained".  The six flags of a pair
+    index :data:`_SLAB_CHILDREN`, which ANDs each child's three slabs.  A
+    contained child is a hit, as the full test would also say (see its
+    docstring); only the entries that no slab separates and that are not
+    contained gather their vertices and go through :func:`_tri_box_overlap`,
+    so the hits are the full test's.  Pairs run in chunks of
+    :data:`_SAT_PAIR_BUDGET`, and a chunk's remaining entries (at most 8
+    per pair) are tested together; the rejected ones of all chunks then
+    take the test against the inflated box together.
     """
     tmin, tmax = bounds
-    slab_c, slab_h = centers[:, [0, 7]], halves[:, [0, 7]]  # (W, lower/upper, 3)
-    centers, halves = centers.reshape(-1, 3), halves.reshape(-1, 3)  # child 8 * node + c
-    mask = np.zeros((len(pair_tri), 8), dtype=bool)
-    entries = mask.reshape(-1)  # entry 8 * p + c is pair p, child c
+    # (W, lower/upper, 3) slabs of the shrunk and the inflated children
+    slab_c, slab_h, slab_r = centers[:, [0, 7]], halves[:, [0, 7]], reach[:, [0, 7]]
+    centers, halves, reach = (a.reshape(-1, 3) for a in (centers, halves, reach))  # child 8 * node + c
+    hit = np.zeros((len(pair_tri), 8), dtype=bool)
+    near = np.zeros((len(pair_tri), 8), dtype=bool)
+    hits, nears = hit.reshape(-1), near.reshape(-1)  # entry 8 * p + c is pair p, child c
+    missed = [np.zeros(0, dtype=np.intp)]
     # Row gathers use take(axis=0), and bit masks unpack to flat entries: both
     # several times faster than fancy indexing, 2-D unpackbits and 2-D nonzero.
     for s in range(0, len(pair_tri), _SAT_PAIR_BUDGET):
         tri = pair_tri[s : s + _SAT_PAIR_BUDGET]
         node_of = pair_node[s : s + _SAT_PAIR_BUDGET]
-        c, h = slab_c.take(node_of, axis=0), slab_h.take(node_of, axis=0)  # (P, 2, 3)
+        c = slab_c.take(node_of, axis=0)  # (P, 2, 3)
+        h, r = slab_h.take(node_of, axis=0), slab_r.take(node_of, axis=0)
         lo = tmin.take(tri, axis=0)[:, None] - c
         hi = tmax.take(tri, axis=0)[:, None] - c
-        touch = (lo <= h) & (hi >= -h)
-        inside = (lo >= -h) & (hi <= h)
-        keep, contained = (
+        keep, contained, close = (
             _SLAB_CHILDREN.take(flag.reshape(-1, 6).view(np.uint8) @ _FLAG_BITS)
-            for flag in (touch, inside)
+            for flag in ((lo <= h) & (hi >= -h), (lo >= -h) & (hi <= h), (lo <= r) & (hi >= -r))
         )
-        entries[8 * s : 8 * (s + len(tri))] = np.unpackbits(contained, bitorder="little")
+        crossing = pair_cross[s : s + _SAT_PAIR_BUDGET].view(np.uint8) * np.uint8(255)
+        keep &= crossing
+        contained &= crossing
+        nears[8 * s : 8 * (s + len(tri))] = np.unpackbits(close & ~keep, bitorder="little")
+        hits[8 * s : 8 * (s + len(tri))] = np.unpackbits(contained, bitorder="little")
         entry = np.flatnonzero(np.unpackbits(keep & ~contained, bitorder="little"))
         pair = entry >> 3
         box = node_of[pair] * 8 + (entry & 7)
-        entries[8 * s + entry] = _tri_box_overlap(
+        crossed = _tri_box_overlap(
             tc.take(tri[pair], axis=0), centers.take(box, axis=0), halves.take(box, axis=0)
         )
-    return mask
+        hits[8 * s + entry] = crossed
+        missed.append(8 * s + entry[~crossed])
+    # an entry that the slabs keep and the full test rejects is near if it meets the inflated box
+    missed = np.concatenate(missed)
+    for s in range(0, len(missed), 8 * _SAT_PAIR_BUDGET):
+        entry = missed[s : s + 8 * _SAT_PAIR_BUDGET]
+        box = pair_node[entry >> 3] * 8 + (entry & 7)
+        nears[entry] = _tri_box_overlap(
+            tc.take(pair_tri[entry >> 3], axis=0), centers.take(box, axis=0), reach.take(box, axis=0)
+        )
+    return hit, near
 
 
 def _column_keys(keys: np.ndarray) -> np.ndarray:
@@ -596,92 +662,291 @@ def _column_keys(keys: np.ndarray) -> np.ndarray:
     return column | (1 << shift)
 
 
-#: Stream tags of the sampler: a column's line jitter and a box's height jitter.
-_LINE_STREAM, _HEIGHT_STREAM = 1, 2
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment, 2**64 / golden ratio
+#: Rows of :func:`_corners`.
+_TAB_A = slice(0, 3)  # the first vertex, A, in canonical rotation
+_TAB_B, _TAB_C = slice(3, 6), slice(6, 9)  # B - A and C - A, ABC turning counterclockwise in xy
+_TAB_AREA = 9  # (B - A) x (C - A) in xy
+#: The corners in turn from each first one on, counterclockwise and then clockwise.
+_TURNS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [2, 1, 0]])
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function on a uint64 array (array arithmetic wraps)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _turns(mesh: TriMesh) -> np.ndarray:
+    """Each triangle's row of :data:`_TURNS`: its corners in canonical order.
 
-
-def _uniforms(seed: int, keys: np.ndarray, stream: int, count: int) -> np.ndarray:
-    """(len(keys), count) floats in [0, 1); entry (r, c) hashes (seed, keys[r], stream, c).
-
-    A counter-based SplitMix64 stream: the seed, the key and the stream tag
-    are mixed into a 64-bit state one after another, each through the
-    output function, and value c is the output function of state + (c + 1)
-    * gamma.  Mixing the seed first keeps streams of nearby seeds from
-    coinciding under some other key.  No generator object exists and no
-    loop runs per key.  The seed enters modulo 2**64.
+    The first corner A is the lexicographically least (x, y, z) one, and B
+    and C follow it counterclockwise in xy, by the exact sign of the
+    projected area that the column grid keeps.  So a rotation of the
+    corners changes no value computed from A, B and C.
     """
-    state = np.zeros(len(keys), dtype=np.uint64)
-    for word in (np.uint64(seed % 2**64), keys.astype(np.uint64), np.uint64(stream)):
-        state = _mix64((state ^ word) + _GAMMA)
-    z = state[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
-    return (_mix64(z) >> np.uint64(11)) * 2.0**-53
+    x, y, z = np.moveaxis(mesh.tri_coords(), 2, 0)  # (M, 3) each
+
+    def less(i, j):
+        return (x[:, i] < x[:, j]) | (x[:, i] == x[:, j]) & (
+            (y[:, i] < y[:, j]) | (y[:, i] == y[:, j]) & (z[:, i] < z[:, j])
+        )
+
+    first = np.where(less(2, 0) & less(2, 1), 2, less(1, 0).astype(np.int8))
+    return (first + 3 * (mesh._column_grid()._side < 0)).astype(np.int8)
 
 
-def _estimate_grey_volumes(
-    mesh: TriMesh, lo: np.ndarray, hi: np.ndarray, keys: np.ndarray, samples: int, seed: int
-) -> np.ndarray:
-    """Part volume in each box (lo, hi) (G, 3) from n**3 stratified samples.
+def _corners(tc: np.ndarray, ids: np.ndarray, turns: np.ndarray, side: np.ndarray):
+    """Rows A, B - A, C - A and the doubled projected area of the triangles
+    ``ids``, corners in canonical order (:func:`_turns`), their n_z signs,
+    and their bounds, the bits of :meth:`TriMesh.tri_bounds`, as (3, P) rows.
 
-    Boxes stacked in one xy column (one :func:`_column_keys` value) share
-    its n**2 vertical lines: line (i, j) is jittered within xy stratum
-    (i, j) by the column's stream.  Box g puts n heights on each line,
-    height k jittered within z stratum k by the box's own stream, so point
-    (i, j, k) of a box is ``lo + (ijk + jitter) / n * size`` as on a
-    jittered grid.  :func:`_heights_inside` casts each line once against
-    the heights of every box on it.  Every sample depends only on the mesh,
-    the seed and a key, so no estimate depends on which boxes share a batch.
-    Whole columns go in batches of about :data:`_SAMPLE_POINT_BUDGET` points.
+    A sign is the exact one of the column grid, ``side``, but 0 where the
+    rounded area is not positive, as on a vertical triangle.
     """
-    n = samples
-    n2, n3 = n * n, n**3
-    axis = np.arange(n)
-    ij = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(n2, 2)
+    corner = _TURNS.take(turns.take(ids), axis=0) + 3 * ids[:, None]
+    t = np.empty((10, len(ids)))
+    t[:9] = tc.reshape(-1, 3).take(corner, axis=0).reshape(-1, 9).T
+    a, b, c = t[_TAB_A], t[_TAB_B], t[_TAB_C]
+    bounds = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+    b -= a
+    c -= a
+    t[_TAB_AREA] = t[3] * t[7] - t[4] * t[6]
+    return t, np.where(t[_TAB_AREA] > 0, side.take(ids), 0.0), bounds
+
+
+def _pair_integrals(
+    mesh: TriMesh, turns: np.ndarray, tri: np.ndarray, box_of: np.ndarray, boxes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(P1, Pz)`` of each pair of triangle ``tri[k]`` and box ``box_of[k]``.
+
+    ``turns`` is :func:`_turns` of the mesh, and ``boxes`` holds the
+    boxes' (lo, hi) corners, one row of 6 per box.  Over the xy projection
+    of the part of the triangle inside the box, ``P1`` integrates 1 and
+    ``Pz`` the triangle's height above the box floor, both signed by the
+    triangle's n_z (positive facing up).  A vertical triangle adds 0.  A
+    horizontal one counts only at a height in ``(z0, z1]``: one on a box
+    plane belongs to the box below it.
+
+    A pair whose triangle no box plane cuts takes the whole triangle in
+    closed form; the others go to :func:`_clipped_fans` in groups with
+    equal numbers of cutting planes.  Only a plane strictly inside the
+    triangle's bounds cuts it, so no cutting plane holds an edge of it.
+    Pairs run in chunks of :data:`_CLIP_PAIR_BUDGET`, and a group in calls
+    of at most :data:`_CLIP_ENTRY_BUDGET` entries.
+    """
+    tc, side = mesh.tri_coords(), mesh._column_grid()._side
+    p1, pz = np.zeros(len(tri)), np.zeros(len(tri))
+    for s in range(0, len(tri), _CLIP_PAIR_BUDGET):
+        ids = tri[s : s + _CLIP_PAIR_BUDGET]
+        t, sign, (bmin, bmax) = _corners(tc, ids, turns, side)
+        box = boxes.take(box_of[s : s + _CLIP_PAIR_BUDGET], axis=0).T.copy()
+        blo, bhi = box[:3], box[3:]
+        gone = (bmax[:2] <= blo[:2]).any(axis=0) | (bmin[:2] >= bhi[:2]).any(axis=0)
+        gone |= (sign == 0) | (bmax[2] <= blo[2])
+        gone |= np.where(bmin[2] == bmax[2], bmax[2] > bhi[2], bmin[2] >= bhi[2])
+        # the planes x0, x1, y0, y1, z0, z1 that cut each triangle's bounds
+        cuts = np.empty((6, len(ids)), dtype=bool)
+        cuts[0::2] = (bmin < blo) & (blo < bmax)
+        cuts[1::2] = (bmin < bhi) & (bhi < bmax)
+        count = np.where(gone, -1, cuts.sum(axis=0))
+
+        floor = t[2] - blo[2]  # the height of A above the box floor
+        flags = cuts.T.astype(np.uint8) @ _CUT_BITS
+        whole = np.flatnonzero(count == 0)
+        area = t[_TAB_AREA, whole]
+        p1[s + whole] = 0.5 * area
+        pz[s + whole] = 0.5 * area * (floor[whole] + (t[5, whole] + t[8, whole]) / 3.0)
+        for n in np.unique(count[count > 0]).tolist():
+            group = np.flatnonzero(count == n)
+            step = _CLIP_ENTRY_BUDGET // ((n + 1) * (n + 3))  # _clipped_fans' entries per pair
+            for rows in np.split(group, range(step, len(group), step)):
+                planes = _box_planes(t[:, rows], box[:, rows], _CUT_PLANES.take(flags[rows], axis=0)[:, :n].T)
+                p1[s + rows], pz[s + rows] = _clipped_fans(t[:, rows], floor[rows], planes)
+        p1[s : s + len(ids)] *= sign
+        pz[s : s + len(ids)] *= sign
+    return p1, pz
+
+
+def _box_planes(t: np.ndarray, box: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(3, n, P) half-planes ``nx x + ny y + d >= 0``, in A's frame, of the
+    box planes ``q`` (n, P) of each pair, numbered x0, x1, y0, y1, z0, z1.
+
+    A z plane is ``z0 <= z`` or ``z <= z1`` on the triangle's plane, times
+    the doubled area: its normal is the height gradient times that area.
+    """
+    b, c, area = t[_TAB_B], t[_TAB_C], t[_TAB_AREA]
+    axis, upper = q >> 1, q & 1
+    sign = 1.0 - 2.0 * upper  # +1 on a lower plane, -1 on an upper one
+    col = np.arange(q.shape[1])
+    d = sign * (t[axis, col] - box[axis + 3 * upper, col])  # t's rows 0-2 are A
+    z = axis == 2
+    nx = np.where(z, sign * (b[2] * c[1] - c[2] * b[1]), np.where(axis == 0, sign, 0.0))
+    ny = np.where(z, sign * (c[2] * b[0] - b[2] * c[0]), np.where(axis == 1, sign, 0.0))
+    return np.array([nx, ny, np.where(z, d * area, d)])
+
+
+#: The planes that a set of cut flags names: flag bit q marks plane q of x0,
+#: x1, y0, y1, z0, z1, and row ``flags`` lists the marked planes, ascending.
+_CUT_BITS = np.uint8(1) << np.arange(6, dtype=np.uint8)
+_CUT_PLANES = np.array([([q for q in range(6) if flags >> q & 1] + [0] * 6)[:6] for flags in range(64)])
+
+
+def _clipped_fans(t: np.ndarray, floor: np.ndarray, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unsigned ``(P1, Pz)`` of P pairs whose triangles are cut by n box planes each.
+
+    ``t`` holds the triangles' rows of :func:`_corners`, ``floor`` A's
+    height above the box floor, and ``planes`` the (3, n, P) cutting
+    planes of :func:`_box_planes`.  By Green's theorem the projected
+    area is a sum of fan triangles (A, p, q), one per outline segment pq;
+    segments on edges AB and CA run through A and add nothing.  So only
+    edge BC and the n cutting planes are outline lines, each clipped
+    (Liang-Barsky) by the other n + 2 half-planes.  A line's segment from
+    ``p0 + t0 u`` to ``p0 + t1 u``, with ``p0`` the line's foot from A and
+    ``u = (n_y, -n_x)``, spans the fan area ``d (t1 - t0) / 2``.  Of two
+    parallel constraints facing one way, only the tighter one can carry a
+    segment, the lower index when they coincide; two coincident ones
+    facing opposite ways both carry it, so their fans cancel.
+    """
+    b, c, area = t[_TAB_B], t[_TAB_C], t[_TAB_AREA]
+    n = planes.shape[1]
+    gx, gy = b[2] * c[1] - c[2] * b[1], c[2] * b[0] - b[2] * c[0]  # as in _box_planes
+    zero = np.zeros(t.shape[1])
+    # constraint rows: edges AB, BC and CA, then the cutting planes
+    nx = np.concatenate([[-b[1], b[1] - c[1], c[1]], planes[0]])
+    ny = np.concatenate([[b[0], c[0] - b[0], -c[0]], planes[1]])
+    d = np.concatenate([[zero, area, zero], planes[2]])
+    lines = np.r_[1, 3 : 3 + n]  # the outline lines: BC and the planes
+    lx, ly, ld = nx[lines], ny[lines], d[lines]
+    norm = lx * lx + ly * ly
+    foot = -ld / norm
+    px, py = foot * lx, foot * ly  # p0, each line's foot from A
+    ux, uy = ly, -lx
+    # (constraint j, line i, P): the point where line i meets j's line, by
+    # Cramer's rule, which gives (i, j) and (j, i) the same bits, so that
+    # two lines hand the outline over at one point however ill-conditioned
+    # their crossing; then its parameter t along u.  j bounds t from below
+    # where n_i x n_j < 0 and from above where it is > 0.
+    cx, cy, cd = nx[:, None], ny[:, None], d[:, None]
+    det = lx * cy - ly * cx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut_t = (cd * ly - ld * cy) / det * ux
+        cut_t += (ld * cx - cd * lx) / det * uy
+    cut_t /= norm
+    parallel = det == 0
+    parallel[lines, np.arange(n + 1)] = False  # a line never clips itself
+    out = np.zeros(det.shape[1:], dtype=bool)
+    j, i, p = np.nonzero(parallel)
+    # Parallel constraints, by their offsets d / |n|: of two facing one way,
+    # the one with the greater offset is redundant, and of two equal ones
+    # the higher index; two facing opposite ways leave an empty strip when
+    # their offsets add up below 0.  Each test is antisymmetric, so exactly
+    # one line of a same-facing pair carries the segment.
+    off_j = d[j, p] / np.hypot(nx[j, p], ny[j, p])
+    off_i = ld[i, p] / np.hypot(lx[i, p], ly[i, p])
+    same = nx[j, p] * lx[i, p] + ny[j, p] * ly[i, p] > 0
+    shut = np.where(same, (off_j < off_i) | (off_j == off_i) & (j < lines[i]), off_i + off_j < 0)
+    out[i[shut], p[shut]] = True
+    t0 = np.where(det < 0, cut_t, -np.inf).max(axis=0)
+    t1 = np.where(det > 0, cut_t, np.inf).min(axis=0)
+    span = np.where(out | ~(t1 > t0), 0.0, t1 - t0)
+    fan = 0.5 * ld * span
+    mid = np.where(span > 0, t0 + t1, 0.0)  # twice the midpoint parameter
+    # the height above the floor, averaged over the fan's three corners
+    rise = (gx * (2.0 * px + mid * ux) + gy * (2.0 * py + mid * uy)) / area
+    return fan.sum(axis=0), (fan * (floor + rise / 3.0)).sum(axis=0)
+
+
+def _sorted_sum(group: np.ndarray, count: int, values: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` per group 0..count - 1, each group's terms added
+    one by one in ascending order, so that no reordering of the terms
+    changes a bit: ``np.bincount`` adds in input order, here sorted by value."""
+    o = np.argsort(values)
+    return np.bincount(group[o], weights=values[o], minlength=count)
+
+
+def _rises_over(mesh: TriMesh, turns: np.ndarray, tri: np.ndarray, box: np.ndarray, slack: float):
+    """Whether the plane of each triangle ``tri[k]`` rises above the floor of
+    ``box[k]``, less ``slack``, somewhere over the box's xy rectangle; a
+    pair for which it does not has nothing in the box.
+
+    The plane's highest point over the rectangle is at a corner, which the
+    gradient's signs pick axis by axis.  A vertical triangle never rises.
+    """
+    t, sign, _ = _corners(mesh.tri_coords(), tri, turns, mesh._column_grid()._side)
+    b, c, area = t[_TAB_B], t[_TAB_C], t[_TAB_AREA]
+    gx = b[2] * c[1] - c[2] * b[1]  # the height gradient times the doubled area, as in _box_planes
+    gy = c[2] * b[0] - b[2] * c[0]
+    rel = box.T - np.concatenate([t[_TAB_A], t[_TAB_A]])  # the box corners less A
+    rise = np.maximum(gx * rel[0], gx * rel[3]) + np.maximum(gy * rel[1], gy * rel[4])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = t[2] + rise / area
+    return (sign != 0) & (top > box[:, 2] - slack)
+
+
+def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarray, margin: float) -> None:
+    """Fill in the exact part volume of every grey leaf of ``leaves``, in place.
+
+    ``leaves`` are the tree's leaf arrays as in :data:`_LEAF_COLUMNS`, in
+    Morton order, and grey leaf g's triangles are ``tri_ids[tri_ptr[g]:
+    tri_ptr[g + 1]]``: at least every triangle that meets its box
+    inflated by ``pad`` (:func:`_reach`).  For a grey box R x [z0, z1] with
+    h = z1 - z0, let A(z) be the area of the part's cross-section with R
+    just above height z.  By the divergence theorem (:func:`_pair_integrals`)
+
+        V = h A(z1) + sum Pz,    A(z0) = A(z1) + sum P1
+
+    over the box's triangles.  The grey leaves stacked in one xy column
+    (one :func:`_column_keys` value, each one's z0 bitwise the z1 of the
+    one below) form runs, swept top down: each leaf's A(z1) is the A(z0)
+    of the leaf above.  The top of a run reads its A(z1) off the leaf that
+    holds the same-size box above it, black (R's area) or white or outside
+    the root (0), plus the P1 of its own triangles in the slab R x (z1, z1
+    + pad], which covers the shrink of any box above; only triangles whose
+    plane rises into the slab over R (:func:`_rises_over`) are clipped.
+    Each sum adds its terms in sorted order (:func:`_sorted_sum`), and
+    each volume is clamped to [0, box volume].
+    """
+    key, _, code, lo, hi, volume = leaves
+    g = np.flatnonzero(code == _GREY)
+    if not len(g):
+        return
+    pad = _reach(mesh, margin)
+    root_lo, root_hi = lo[0], hi[-1]  # Morton order: the all-lower and the all-upper corner
+    lo, hi = lo[g], hi[g]
     size = hi - lo
-    volumes = size[:, 0] * size[:, 1] * size[:, 2]
-    columns = _column_keys(keys)
-    order = np.argsort(columns, kind="stable")  # the boxes, column by column
-    heads = np.flatnonzero(np.r_[len(keys) > 0, np.diff(columns[order]) != 0])
-    ends = np.r_[heads[1:], len(keys)]  # each column's boxes are order[heads[c]:ends[c]]
-    c0 = 0
-    while c0 < len(heads):
-        c1 = int(np.searchsorted(ends, heads[c0] + _SAMPLE_POINT_BUDGET // n3, side="right"))
-        c1 = max(c1, c0 + 1)  # a column with more points goes alone
-        first, count = heads[c0:c1], ends[c0:c1] - heads[c0:c1]
-        rows = order[first[0] : ends[c1 - 1]]
-        col = np.repeat(np.arange(c1 - c0), count)  # the column of each box in the batch
+    pair_leaf = np.repeat(np.arange(len(g)), np.diff(tri_ptr))
+    turns = _turns(mesh)
+    p1, pz = _pair_integrals(mesh, turns, tri_ids, pair_leaf, np.hstack([lo, hi]))
+    sum_p1, sum_pz = _sorted_sum(pair_leaf, len(g), p1), _sorted_sum(pair_leaf, len(g), pz)
 
-        head = order[first]  # lines: lo + (ij + jitter) / n * size in x and y
-        xy = ij + _uniforms(seed, columns[head], _LINE_STREAM, 2 * n2).reshape(-1, n2, 2)
-        xy /= n
-        xy *= size[head, None, :2]
-        xy += lo[head, None, :2]
-        z = _uniforms(seed, keys[rows], _HEIGHT_STREAM, n3).reshape(-1, n2, n)
-        z += axis  # heights: lo + (k + jitter) / n * size in z
-        z /= n
-        z *= size[rows, 2, None, None]
-        z += lo[rows, 2, None, None]
+    columns = _column_keys(key[g])
+    order = np.lexsort((-lo[:, 2], columns))  # column by column, top down
+    upper, lower = order[:-1], order[1:]
+    top = np.r_[True, (columns[lower] != columns[upper]) | (hi[lower, 2] != lo[upper, 2])]
+    heads = np.sort(order[top])  # ascending, as the pairs go
 
-        # CSR: column by column, line by line, then the boxes of the column, n heights each
-        width = count * n
-        line_start = ((first - first[0]) * n3)[:, None] + np.arange(n2) * width[:, None]
-        rank = np.arange(len(rows)) - np.repeat(first - first[0], count)
-        slot = line_start[col][:, :, None] + (rank * n)[:, None, None] + axis
-        hptr = np.r_[line_start.ravel(), len(rows) * n3]
-        hz = np.empty(len(rows) * n3)
-        hz[slot] = z
-        xy = xy.reshape(-1, 2)
-        inside = _heights_inside(mesh, xy, hz, hptr)
-        volumes[rows] *= inside[slot].reshape(len(rows), n3).sum(axis=1) / n3
-        c0 = c1
-    return volumes
+    # A(z1) at the top of each run: the class of the box above, and the slab under it
+    above = 0.5 * (lo[heads] + hi[heads])
+    above[:, 2] = hi[heads, 2] + 0.5 * size[heads, 2]
+    leaf = _locate(_key_index(key), root_lo, root_hi, above)
+    black = (leaf >= 0) & (code[leaf] == _BLACK)
+    head_of = np.full(len(g), -1)
+    head_of[heads] = np.arange(len(heads))
+    slab = np.flatnonzero((head_of[pair_leaf] >= 0) & (mesh.tri_bounds()[1][tri_ids, 2] > hi[pair_leaf, 2]))
+    slab_box = np.hstack([lo[heads], hi[heads]])
+    slab_box[:, 2] = slab_box[:, 5]
+    slab_box[:, 5] += pad
+    slab = slab[_rises_over(mesh, turns, tri_ids[slab], slab_box[head_of[pair_leaf[slab]]], pad)]
+    slab_of = head_of[pair_leaf[slab]]
+    slab_p1, _ = _pair_integrals(mesh, turns, tri_ids[slab], slab_of, slab_box)
+    area_top = np.empty(len(g))
+    area_top[heads] = np.where(black, size[heads, 0] * size[heads, 1], 0.0)
+    area_top[heads] += _sorted_sum(slab_of, len(heads), slab_p1)
+
+    # the sweep: one step down every run at a time
+    rank = np.arange(len(g)) - np.maximum.accumulate(np.where(top, np.arange(len(g)), 0))
+    by_rank = np.argsort(rank, kind="stable")
+    steps = np.searchsorted(rank[by_rank], np.arange(1, rank.max() + 2))
+    for i0, i1 in zip(steps[:-1].tolist(), steps[1:].tolist()):
+        step = by_rank[i0:i1]
+        below, over = order[step], order[step - 1]
+        area_top[below] = area_top[over] + sum_p1[over]
+    box = size[:, 0] * size[:, 1] * size[:, 2]
+    volume[g] = np.clip(size[:, 2] * area_top + sum_pz, 0.0, box)
 
 
 def estimate_part_volume(
@@ -690,10 +955,10 @@ def estimate_part_volume(
     """Solid part volume inside one box.
 
     Black boxes short-circuit to the full box volume and white boxes to zero;
-    grey boxes are sampled on a seeded jittered n**3 grid (n**2 lines of n
-    heights, the box being its own column), as an octree's root would be,
-    so the relative error on a surface-crossing box falls off roughly like
-    1/n.
+    a grey box gets its exact volume by the kernel of :func:`_grey_volumes`,
+    its cross-section at the top from the P1 of every triangle over the
+    prism from the box up to the mesh's top.  ``resolution`` and ``seed``
+    are accepted and validated but have no effect.
     """
     _check_build_params(samples=resolution, seed=seed)
     cls = classify_box(mesh, box_min, box_max)
@@ -703,8 +968,14 @@ def estimate_part_volume(
         return float(np.prod(hi - lo))
     if cls is OctantClass.WHITE:
         return 0.0
-    root_key = np.ones(1, dtype=np.int64)
-    return float(_estimate_grey_volumes(mesh, lo[None], hi[None], root_key, resolution, seed)[0])
+    prism = np.r_[lo[:2], hi[2], hi[:2], max(hi[2], mesh.metrics.bbox_max[2])]
+    tris = np.tile(np.arange(mesh.num_triangles), 2)
+    box_of = np.repeat([0, 1], mesh.num_triangles)  # the prism, then the box
+    p1, pz = _pair_integrals(
+        mesh, _turns(mesh), tris, box_of, np.array([prism, np.r_[lo, hi]])
+    )
+    volume = (hi[2] - lo[2]) * _sorted_sum(box_of, 2, p1)[0] + _sorted_sum(box_of, 2, pz)[1]
+    return float(np.clip(volume, 0.0, np.prod(hi - lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +986,9 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     """One more subdivision level: equivalent to rebuilding at max_depth + 1.
 
     Black and white leaves are untouched; every grey leaf is replaced by its
-    8 children, classified and sampled exactly as a fresh build would,
-    because every sample's jitter derives from a leaf or column path.
+    8 children, classified from its crossing triangles and its near ones
+    carried on, exactly as a fresh build would, and the new grey leaves get
+    their exact volumes.
     """
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")
@@ -727,11 +999,15 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     kept = tuple(getattr(octree, name)[rest] for name in _LEAF_COLUMNS)
     g = octree.grey_index
     pair_node = np.repeat(np.arange(len(g)), np.diff(octree.grey_tri_ptr))
-    leaves, tri_ptr, tri_ids = _grow(
-        mesh, [kept], octree.box_min[g], octree.box_max[g], octree.path_key[g],
-        pair_node, octree.grey_tri_ids, octree.max_depth, new_depth, octree.samples, octree.seed,
+    leaves, tri_ptr, tri_ids, cross = _grow(
+        mesh, [kept], octree.box_min[g], octree.box_max[g], octree.path_key[g], pair_node,
+        octree.grey_tri_ids, octree.grey_tri_cross, octree.max_depth, new_depth, octree.margin,
     )
+    _grey_volumes(mesh, leaves, tri_ptr, tri_ids, octree.margin)
     columns = dict(zip(_LEAF_COLUMNS, leaves))
-    tree = replace(octree, **columns, grey_tri_ptr=tri_ptr, grey_tri_ids=tri_ids, max_depth=new_depth)
+    tree = replace(
+        octree, **columns, grey_tri_ptr=tri_ptr, grey_tri_ids=tri_ids, grey_tri_cross=cross,
+        max_depth=new_depth,
+    )
     tree.fingerprint()
     return tree

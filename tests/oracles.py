@@ -10,6 +10,7 @@ geometry code beyond the mesh container.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,6 +83,73 @@ def triangle_box_overlap(triangle, box_min, box_max) -> bool:
         if not poly:
             return False
     return True
+
+
+def box_clip_integrals(triangle, box_min, box_max) -> tuple[float, float]:
+    """The part of a triangle inside a closed box, in exact rational arithmetic.
+
+    Returns its xy-projected area, signed by the triangle's n_z (positive
+    facing up), and the integral over that projection of the triangle's
+    height above the box floor.  The triangle is clipped against the six
+    box planes with Fractions (Sutherland-Hodgman) and the projection
+    summed as a fan.  A horizontal triangle counts only at heights in
+    (z0, z1], the tie rule the octree keeps.
+    """
+    poly = [tuple(Fraction(float(c)) for c in v) for v in triangle]
+    lo = [Fraction(float(c)) for c in box_min]
+    hi = [Fraction(float(c)) for c in box_max]
+    if len({v[2] for v in poly}) == 1 and not lo[2] < poly[0][2] <= hi[2]:
+        return 0.0, 0.0
+    for axis in range(3):
+        for bound, sign in ((lo[axis], 1), (hi[axis], -1)):
+            out = []
+            for cur, nxt in zip(poly, poly[1:] + poly[:1]):
+                d0, d1 = sign * (cur[axis] - bound), sign * (nxt[axis] - bound)
+                if d0 >= 0:
+                    out.append(cur)
+                if (d0 < 0) != (d1 < 0):
+                    t = d0 / (d0 - d1)
+                    out.append(tuple(p + t * (q - p) for p, q in zip(cur, nxt)))
+            poly = out
+            if not poly:
+                return 0.0, 0.0
+    area = height = Fraction(0)
+    a = poly[0]
+    for b, c in zip(poly[1:], poly[2:]):
+        fan = ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])) / 2
+        area += fan
+        height += fan * ((a[2] + b[2] + c[2]) / 3 - lo[2])
+    return float(area), float(height)
+
+
+def ramp_prism_volume(box_min, box_max, rect, floor, top, slope) -> float:
+    """Volume inside a closed box of the solid over ``rect`` (x0, y0, x1, y1)
+    between the heights ``floor`` and ``top + slope * x``, in exact rational
+    arithmetic.
+
+    Across x the solid's height inside the box is a linear ramp clamped to
+    the box's z range; the clamps' kinks split x into pieces on which a
+    trapezoid is exact.
+    """
+    lo = [Fraction(float(c)) for c in box_min]
+    hi = [Fraction(float(c)) for c in box_max]
+    x0, y0, x1, y1 = (Fraction(float(c)) for c in rect)
+    x0, x1 = max(x0, lo[0]), min(x1, hi[0])
+    y0, y1 = max(y0, lo[1]), min(y1, hi[1])
+    z0, z1 = max(Fraction(float(floor)), lo[2]), hi[2]
+    if x1 <= x0 or y1 <= y0 or z1 <= z0:
+        return 0.0
+    a, s = Fraction(float(top)), Fraction(float(slope))
+
+    def height(x):
+        return min(max(a + s * x, z0), z1) - z0
+
+    kinks = {x0, x1}
+    if s:
+        kinks |= {x for x in ((z0 - a) / s, (z1 - a) / s) if x0 < x < x1}
+    xs = sorted(kinks)
+    area = sum((q - p) * (height(p) + height(q)) / 2 for p, q in zip(xs, xs[1:]))
+    return float(area * (y1 - y0))
 
 
 def triangle_sample_points(triangle, per_edge: int = 40) -> np.ndarray:

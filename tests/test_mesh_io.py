@@ -235,6 +235,36 @@ def test_volume_additive_under_planar_split():
 # Point containment
 
 
+def test_boundary_band_matches_brute_force():
+    """classify_points meets only the triangles whose bounds lie near a
+    point, and finds on-boundary exactly where the distance to every
+    triangle does: at vertices, on edges, on faces, within and beyond the
+    band on either side of the surface, and outside the column grid."""
+    mesh = icosphere(10.0, 6)
+    eps = mesh_io.BOUNDARY_EPS_REL * mesh.metrics.max_dimension
+    rng = np.random.default_rng(5)
+    tc = mesh.tri_coords()[rng.choice(mesh.num_triangles, 4, replace=False)]
+    normal = np.cross(tc[:, 1] - tc[:, 0], tc[:, 2] - tc[:, 0])
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    centroid = tc.mean(axis=1)
+    offsets = [centroid + s * eps * normal for s in (-3.0, -1.5, -0.5, 0.5, 1.5, 3.0)]
+    top = np.array(mesh.metrics.bbox_max)
+    beyond = top * np.array([[1, 0, 0], [0, 1, 0]]) + np.array([[0.5, 0, 0], [0, 3.0, 0]]) * eps
+    pts = np.concatenate([tc[:, 0], 0.5 * (tc[:, 0] + tc[:, 1]), centroid, *offsets, beyond])
+    pairs = np.stack(np.meshgrid(np.arange(len(pts)), np.arange(mesh.num_triangles), indexing="ij"), -1)
+    pairs = pairs.reshape(-1, 2)
+    dist = np.concatenate([
+        mesh_io._point_triangle_distance(mesh.tri_coords()[chunk[:, 1]], pts[chunk[:, 0]])
+        for chunk in np.array_split(pairs, 64)
+    ])
+    want = dist.reshape(len(pts), -1).min(axis=1) <= eps
+    assert np.array_equal(mesh_io._near_surface(mesh, pts, eps), want)
+    # on: corners, edge midpoints, centroids, |s| < 1 and the point 0.5 eps past (10, 0, 0)
+    assert want[:12].all() and want.sum() == 12 + 8 + 1
+    got = classify_points(mesh, pts)
+    assert np.array_equal(got == PointClass.ON_BOUNDARY, want)
+
+
 def test_point_in_cube(unit_cube):
     assert point_in_mesh(unit_cube, (0.5, 0.5, 0.5)) is PointClass.INSIDE
     assert point_in_mesh(unit_cube, (2.0, 0.0, 0.0)) is PointClass.OUTSIDE

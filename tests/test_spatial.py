@@ -13,9 +13,9 @@ from manumap.analysis import AnalysisParams
 from manumap.errors import ConfigError, DepthRangeError, MeshMismatchError, NotWatertightError
 from manumap.machining import tool_flexibility_field
 from manumap.mesh_io import TriMesh, _points_inside
-from manumap.primitives import box_mesh, icosphere
+from manumap.primitives import box_mesh, icosphere, slab_with_pockets
 from manumap.profiles import default_profiles
-from oracles import winding_numbers
+from oracles import box_clip_integrals, ramp_prism_volume, winding_numbers
 from manumap.spatial import (
     OctantClass,
     build_octree,
@@ -198,44 +198,70 @@ def test_black_white_leaf_volumes(sphere_tree):
             assert 0.0 <= leaf.part_volume <= leaf.box_volume
 
 
-def _leaf_points(leaf, n, seed):
-    """A grey leaf's n**3 sample points, rebuilt alone from its column's line
-    stream and its own height stream: lo + (ijk + jitter) / n * size."""
-    ijk = np.stack(
-        np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-    key = np.array([leaf.path_key])
-    lines = spatial._uniforms(seed, spatial._column_keys(key), spatial._LINE_STREAM, 2 * n * n)
-    heights = spatial._uniforms(seed, key, spatial._HEIGHT_STREAM, n**3)
-    jitter = np.column_stack([np.repeat(lines.reshape(n * n, 2), n, axis=0), heights[0]])
-    return leaf.box_min + (ijk + jitter) / n * (leaf.box_max - leaf.box_min)
-
-
-def _assert_leaf_volumes_match_points(tree, mesh, n, seed):
-    for leaf in tree.leaves():
-        if leaf.octant_class is OctantClass.GREY:
-            inside = _points_inside(mesh, _leaf_points(leaf, n, seed))
-            assert leaf.part_volume == leaf.box_volume * (float(inside.sum()) / n**3)
-        elif leaf.octant_class is OctantClass.BLACK:
-            assert leaf.part_volume == leaf.box_volume
-
-
 def test_leaf_volumes_match_per_leaf_reference(sphere10, monkeypatch):
-    """Batched wave and column sampling arithmetic, at any chunk size, equals
-    the one-leaf-at-a-time form: a grey leaf's n**3 points rebuilt from its
-    column's line stream and its own height stream, through _points_inside."""
-    n, seed = 3, 5
-    whole = build_octree(sphere10, max_depth=3, samples=n, seed=seed)
-    # SAT chunks of 7 pairs, sampling batches of at most 3 leaves (a taller
-    # column goes alone) and column-kernel chunks of 5 pairs put seams everywhere
+    """Batched wave and volume arithmetic, at any chunk size, gives the tree
+    of the default sizes.  Each grey leaf's volume is the one
+    estimate_part_volume finds for the leaf's box alone, whose top
+    cross-section comes from the prism above the box instead of the column
+    sweep, to within 1e-12 of the box volume."""
+    whole = build_octree(sphere10, max_depth=3)
+    # SAT chunks of 7 pairs, volume-kernel chunks of 5 pairs and column-kernel
+    # chunks of 5 pairs put seams everywhere
     monkeypatch.setattr(spatial, "_SAT_PAIR_BUDGET", 7)
-    monkeypatch.setattr(spatial, "_SAMPLE_POINT_BUDGET", 3 * n**3 + 1)
+    monkeypatch.setattr(spatial, "_CLIP_PAIR_BUDGET", 5)
     monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", 5)
-    tree = build_octree(sphere10, max_depth=3, samples=n, seed=seed)
+    tree = build_octree(sphere10, max_depth=3)
+    monkeypatch.undo()
     assert tree.fingerprint() == whole.fingerprint()
     columns = spatial._column_keys(tree.path_key[tree.grey_index])
-    assert len(np.unique(columns)) < len(columns)  # stacked leaves share lines
-    _assert_leaf_volumes_match_points(tree, sphere10, n, seed)
+    assert len(np.unique(columns)) < len(columns)  # stacked leaves share one sweep
+    for leaf in tree.grey_leaves():
+        alone = estimate_part_volume(sphere10, leaf.box_min, leaf.box_max)
+        assert abs(leaf.part_volume - alone) <= 1e-12 * leaf.box_volume
+
+
+def _exact_cases():
+    """Every shared fixture part, and the benchmark meshes."""
+    from conftest import die_plate, t_slot_part
+
+    return {
+        "unit_cube": lambda r: r.getfixturevalue("unit_cube"),
+        "cube100": lambda r: r.getfixturevalue("cube100"),
+        "pocket_plate": lambda r: r.getfixturevalue("pocket_plate"),
+        "split_block": lambda r: r.getfixturevalue("split_block"),
+        "torus": lambda r: r.getfixturevalue("torus"),
+        "sphere10": lambda r: r.getfixturevalue("sphere10"),
+        "t_slot": lambda r: t_slot_part(),
+        "die_plate": lambda r: die_plate(),
+        "half_slab": lambda r: slab_with_pockets((80.0, 80.0, 30.0), [((34.0, 34.0, 46.0, 46.0), 20.0)]),
+        "ico5120": lambda r: icosphere(10.0, 4),
+        "ico81920": lambda r: icosphere(10.0, 6),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_exact_cases()))
+def test_volumes_exact_at_every_depth(name, request):
+    """At depths 1-6, black box volumes plus grey volumes equal the mesh
+    volume to within 1e-12, every grey volume lies in [0, box volume], and
+    the 8 children of each refined grey leaf hold its volume to within
+    1e-12 of its box volume."""
+    mesh = _exact_cases()[name](request)
+    truth = abs(mesh.metrics.volume)
+    for depth in range(1, 7):
+        tree = build_octree(mesh, max_depth=depth)
+        assert tree.total_part_volume() == pytest.approx(truth, rel=1e-12), depth
+        g = tree.grey_index
+        box = np.prod(tree.box_max - tree.box_min, axis=1)
+        assert (tree.part_volume[g] >= 0).all() and (tree.part_volume[g] <= box[g]).all()
+    base = build_octree(mesh, max_depth=4)
+    refined = refine(base, mesh)
+    keys, order = np.sort(refined.path_key), np.argsort(refined.path_key)
+    g = base.grey_index
+    children = order[np.searchsorted(keys, (base.path_key[g, None] << 3) | np.arange(8))]
+    assert (refined.path_key[children] >> 3 == base.path_key[g, None]).all()
+    sums = refined.part_volume[children].sum(axis=1)
+    box = np.prod(base.box_max[g] - base.box_min[g], axis=1)
+    assert (np.abs(sums - base.part_volume[g]) <= 1e-12 * box).all()
 
 
 def _count_exact_orientations(monkeypatch, active):
@@ -253,49 +279,127 @@ def _count_exact_orientations(monkeypatch, active):
     return calls
 
 
-def test_grazing_samples_settle_as_points_do(monkeypatch):
-    """Sample heights whose line runs through an edge get the answer of
-    _points_inside, and the true one.  Lines pinned to their strata's
-    centers run along the cube's face diagonals (x = y), where the exact
-    stage decides them.  Only orientations evaluated inside the sampler's
-    own call count, since box classification meets those edges too."""
-    n, seed = 4, 3
-    mesh = box_mesh((10.0, 10.0, 10.0))
-    random = spatial._uniforms
+def _kernel_cases(rng, count=100):
+    """Triangles of six kinds against the unit box: random; every coordinate
+    on a coarse grid that includes the box planes (vertices, edges and faces
+    on them); horizontal at a grid height; one edge in an axis plane;
+    grid points nudged by 1e-15 or 1e-12 (near ties); and triangles 20 times
+    the box."""
+    grid = np.array([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5])
+    tris = []
+    for kind in range(6):
+        t = rng.uniform(-0.5, 1.5, (count, 3, 3))
+        if kind == 1:
+            t = rng.choice(grid, (count, 3, 3))
+        elif kind == 2:
+            t[:, :, 2] = rng.choice(grid, (count, 1))
+        elif kind == 3:
+            axis = rng.integers(0, 3, count)
+            t[np.arange(count), :2, axis] = rng.choice(grid, (count, 1))
+        elif kind == 4:
+            t = rng.choice(grid, (count, 3, 3)) + rng.choice([0.0, 1e-15, -1e-15, 1e-12], (count, 3, 3))
+        elif kind == 5:
+            t = rng.uniform(-20.0, 20.0, (count, 3, 3))
+        tris.append(t)
+    tc = np.concatenate(tris)
+    return tc[np.linalg.norm(np.cross(tc[:, 1] - tc[:, 0], tc[:, 2] - tc[:, 0]), axis=1) > 1e-9]
 
-    def centered_lines(seed, keys, stream, count):
-        if stream == spatial._LINE_STREAM:
-            return np.full((len(keys), count), 0.5)
-        return random(seed, keys, stream, count)
 
-    sampling = []
-    sampler = spatial._heights_inside
+def test_pair_integrals_match_exact_clipping():
+    """The volume kernel's P1 and Pz of each (triangle, box) pair equal the
+    exact rational clip of the triangle by the box, to within 1e-12, for
+    triangles with corners, edges and faces on or next to the box planes
+    and for triangles far larger than the box."""
+    tc = _kernel_cases(np.random.default_rng(29))
+    mesh = TriMesh(tc.reshape(-1, 3), np.arange(3 * len(tc)).reshape(-1, 3))
+    tri = np.arange(len(tc))
+    box = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
+    p1, pz = spatial._pair_integrals(mesh, spatial._turns(mesh), tri, np.zeros_like(tri), box)
+    want = np.array([box_clip_integrals(t, box[0, :3], box[0, 3:]) for t in tc])
+    scale = np.maximum(1.0, np.abs(want))
+    assert (np.abs(np.column_stack([p1, pz]) - want) <= 1e-12 * scale).all()
+    assert (want[:, 0] != 0).sum() > len(tc) // 2
 
-    def spy_sampler(mesh, xy, hz, hptr):
-        # several heights share each line
-        assert (np.diff(hptr) > 1).all()
-        sampling.append(True)
-        try:
-            return sampler(mesh, xy, hz, hptr)
-        finally:
-            sampling.pop()
 
-    monkeypatch.setattr(spatial, "_uniforms", centered_lines)
-    monkeypatch.setattr(spatial, "_heights_inside", spy_sampler)
-    mesh._column_grid()  # its area signs are exact too: build it before counting
-    exact = _count_exact_orientations(monkeypatch, sampling)
-    tree = build_octree(mesh, max_depth=3, samples=n, seed=seed)
-    assert len(exact) > 0
-    assert all(x == y for _, _, _, _, x, y in exact)  # on the lines x = y
-    _assert_leaf_volumes_match_points(tree, mesh, n, seed)
-    # every sample off the surface has the winding-number oracle's answer
-    pts = np.concatenate([_leaf_points(leaf, n, seed) for leaf in tree.grey_leaves()])
-    on_diagonal = pts[:, 0] == pts[:, 1]
-    assert on_diagonal.any()
-    w = winding_numbers(mesh, pts)
-    away = np.abs(w - 0.5) >= 0.4
-    assert np.array_equal(_points_inside(mesh, pts)[away], w[away] > 0.5)
-    assert (away & on_diagonal).any()
+def _tie_block(ulps, slope=0.0):
+    """The split-redesign block, 80 x 80 x 60 mm with a 12 x 12 mm pocket
+    50 mm deep, its top (z = 60) and pocket floor (z = 10) moved by
+    ``ulps`` units in the last place, and its top then tilted to
+    ``z + slope * x``.  At margin 0 the root box is [0, 80] x [0, 80] x
+    [-10, 70], so both lie on split planes from depth 3 on."""
+    mesh = slab_with_pockets((80.0, 80.0, 60.0), [((34.0, 34.0, 46.0, 46.0), 50.0)])
+    v = mesh.vertices.copy()
+    for z in (60.0, 10.0):
+        moved = z
+        for _ in range(abs(ulps)):
+            moved = np.nextafter(moved, np.inf if ulps > 0 else -np.inf)
+        v[v[:, 2] == z, 2] = moved
+    top = mesh.vertices[:, 2] == 60.0
+    v[top, 2] += slope * v[top, 0]
+    return TriMesh(v, mesh.triangles), v[:, 2].max(), v[mesh.vertices[:, 2] == 10.0, 2][0]
+
+
+def _overlap(lo, hi, box_lo, box_hi):
+    """Volume of each box (lo, hi) (N, 3) inside the box (box_lo, box_hi)."""
+    return np.prod(np.clip(np.minimum(hi, box_hi) - np.maximum(lo, box_lo), 0.0, None), axis=1)
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.01])
+@pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+def test_tie_fixture_volumes_exact(ulps, margin):
+    """Faces on split planes, and 1 and 2 ulps off them, count once.
+
+    The block's top and pocket floor are horizontal faces that lie on, or
+    next to, the planes between stacked leaves (and its sides on the root's
+    faces at margin 0).  Every leaf holds the exact volume of the slab less
+    the pocket inside its box, to within 1e-12 of the box volume, and the
+    leaves add up to the mesh volume to within 1e-12, at depths 1-6.
+    """
+    mesh, top, floor = _tie_block(ulps)
+    assert (top == 60.0) == (ulps == 0) and (floor == 10.0) == (ulps == 0)
+    truth = 80.0 * 80.0 * top - 12.0 * 12.0 * (top - floor)
+    assert mesh.metrics.volume == pytest.approx(truth, rel=1e-15)
+    for depth in range(1, 7):
+        tree = build_octree(mesh, max_depth=depth, margin=margin)
+        box = np.prod(tree.box_max - tree.box_min, axis=1)
+        want = _overlap(tree.box_min, tree.box_max, (0.0, 0.0, 0.0), (80.0, 80.0, top))
+        want -= _overlap(tree.box_min, tree.box_max, (34.0, 34.0, floor), (46.0, 46.0, top))
+        assert (np.abs(tree.part_volume - want) <= 1e-12 * box).all(), depth
+        assert tree.total_part_volume() == pytest.approx(truth, rel=1e-12)
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.01])
+def test_tilted_top_volumes_exact(margin):
+    """A top face tilted by 2^-33 (about 1e-10) across a split plane.
+
+    The block's top falls from z = 60, a split plane from depth 3 on at
+    margin 0, by x / 2^33, so that it drops 9.3e-9 mm below the plane at
+    x = 80 but stays within the 5e-9 mm shrink of the depth-3 boxes under
+    the pocket wall at x = 34.  The top's triangles then reach below such
+    boxes' shrunk tops while crossing none of them, and must still be kept
+    in the grey leaves' lists.  Every grey leaf holds the exact volume of
+    the block inside its box, to within 1e-12 of the box volume, at depths
+    1-6.  A black or white leaf may miss it by the part between its faces
+    and a surface that some ancestor's shrink kept from crossing, which
+    lies within 2 _SHRINK root half-widths of those faces.
+    """
+    slope = -(2.0**-33)  # 60 + slope * x is exact: every x is a small integer
+    mesh, top, floor = _tie_block(0, slope)
+    assert (top, floor) == (60.0, 10.0)
+    for depth in range(1, 7):
+        tree = build_octree(mesh, max_depth=depth, margin=margin)
+        want = np.array([
+            ramp_prism_volume(lo, hi, (0.0, 0.0, 80.0, 80.0), 0.0, 60.0, slope)
+            - ramp_prism_volume(lo, hi, (34.0, 34.0, 46.0, 46.0), 10.0, 60.0, slope)
+            for lo, hi in zip(tree.box_min, tree.box_max)
+        ])
+        size = tree.box_max - tree.box_min
+        box = np.prod(size, axis=1)
+        faces = 2 * (size[:, 0] * size[:, 1] + size[:, 1] * size[:, 2] + size[:, 2] * size[:, 0])
+        err = np.abs(tree.part_volume - want)
+        g = tree.grey_index
+        assert (err[g] <= 1e-12 * box[g]).all(), depth
+        assert (err <= spatial._reach(mesh, margin) * faces).all(), depth
 
 
 @pytest.mark.parametrize("name", ["block", "pocket", "sphere10"])
@@ -347,28 +451,10 @@ def test_grouped_center_casts_match_one_point_calls(name, split_block, pocket_pl
     assert build_octree(shuffled, max_depth=4, seed=seed).fingerprint() == tree.fingerprint()
 
 
-def test_sample_streams_are_counter_hashes():
-    """The sampler's jitter: a pure function of (seed, key, stream, counter),
-    in [0, 1), with separate line and height streams even for the root box."""
-    keys = np.array([1, 8, 9, 4681, 2**30], dtype=np.int64)
-    line = spatial._uniforms(7, keys, spatial._LINE_STREAM, 64)
-    assert ((line >= 0.0) & (line < 1.0)).all()
-    assert np.array_equal(line, spatial._uniforms(7, keys, spatial._LINE_STREAM, 64))
-    assert np.array_equal(line[2:3], spatial._uniforms(7, keys[2:3], spatial._LINE_STREAM, 64))
-    assert np.array_equal(line[:, :5], spatial._uniforms(7, keys, spatial._LINE_STREAM, 5))
-    assert not np.array_equal(line, spatial._uniforms(8, keys, spatial._LINE_STREAM, 64))
-    # estimate_part_volume samples its box as key 1 in column 1
-    root = np.ones(1, dtype=np.int64)
-    assert spatial._column_keys(root).tolist() == [1]
-    height = spatial._uniforms(7, root, spatial._HEIGHT_STREAM, 64)
-    assert not np.intersect1d(line[0], height[0]).size
-    # nearby seeds never share a stream under other keys
-    first = [spatial._uniforms(s, np.arange(1, 4097), spatial._LINE_STREAM, 1) for s in range(8)]
-    assert len(np.unique(np.concatenate(first))) == 8 * 4096
-    big = spatial._uniforms(2**70 + 3, np.arange(1, 2001), spatial._HEIGHT_STREAM, 50).ravel()
-    counts, _ = np.histogram(big, bins=10, range=(0.0, 1.0))
-    assert np.abs(counts / len(big) - 0.1).max() < 0.005
-    # a column key drops each level's z bit: 1, then x + 2y per level
+def test_column_keys_drop_each_level_z_bit():
+    """A column key drops each level's z bit: 1, then x + 2y per level; the
+    root box is its own column."""
+    assert spatial._column_keys(np.ones(1, dtype=np.int64)).tolist() == [1]
     assert spatial._column_keys(np.array([8, 9, 15, 71])).tolist() == [4, 5, 7, 19]
 
 
@@ -382,17 +468,15 @@ def test_stacked_leaves_share_their_column_bounds(pocket_plate):
 
 
 def test_walled_part_volume_error_bound(pocket_plate):
-    """Vertical walls correlate the estimates of leaves stacked on shared
-    lines, so the error spreads wider than with lines per leaf.  Over seeds
-    0-19 the pocket plate at depth 5 missed its volume by at most 1.5e-3,
-    sd 7.4e-4 (1.1e-4 and 6.1e-5 with one line per sample point); the
-    bound is 3e-3."""
+    """Vertical walls put long runs of stacked grey leaves in one column;
+    the sweep down each run keeps the pocket plate's volume exact to
+    1e-12 at every depth, and the seed moves no byte."""
     truth = pocket_plate.metrics.volume
-    errors = [
-        abs(build_octree(pocket_plate, max_depth=5, seed=s).total_part_volume() / truth - 1.0)
-        for s in range(20)
-    ]
-    assert max(errors) <= 3e-3
+    for depth in range(1, 7):
+        tree = build_octree(pocket_plate, max_depth=depth)
+        assert tree.total_part_volume() == pytest.approx(truth, rel=1e-12)
+    other = build_octree(pocket_plate, max_depth=6, seed=1)
+    assert other.fingerprint()["content_hash"] == tree.fingerprint()["content_hash"]
 
 
 def _child_boxes(lo, hi, shrink=spatial._SHRINK):
@@ -454,11 +538,21 @@ def _wave_cases(rng, w=30, k=5):
 @pytest.mark.parametrize("budget", [None, 1, 7])
 def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
     """The slab prefilter changes no wave hit: the full SAT test runs on
-    exactly the (pair, child) entries that no box-normal axis separates and
-    that do not lie inside the child box, and every entry inside is a hit."""
+    exactly the (pair, child) entries of crossing pairs that no box-normal
+    axis separates and that do not lie inside the child box, and every
+    entry inside is a hit.  The near entries are every entry within reach
+    of the inflated box that is not a hit: those that the shrunk box's
+    slabs separate and the inflated box's do not, those that the full test
+    rejects and the full test against the inflated box keeps (each
+    rejected entry goes through it once more), and every such entry of a
+    pair that does not cross; such a pair has no hit."""
     rng = np.random.default_rng(43)
     tc, pair_tri, pair_node, lo, hi = _wave_cases(rng)
     centers, halves = _child_boxes(lo, hi)
+    pad = 2.0**-12  # a dyadic reach, so that the cases' touching stays exact
+    reach = _child_boxes(lo, hi, shrink=0.0)[1] + pad
+    pair_cross = rng.random(len(pair_tri)) < 0.8
+    pair_tri_all, pair_node_all = pair_tri, pair_node
     if budget is not None:
         monkeypatch.setattr(spatial, "_SAT_PAIR_BUDGET", budget)
     tested = []
@@ -470,7 +564,12 @@ def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
 
     monkeypatch.setattr(spatial, "_tri_box_overlap", recording)
     bounds = tc.min(axis=1), tc.max(axis=1)
-    got = spatial._wave_mask(tc, bounds, pair_tri, pair_node, centers, halves)
+    got, near = spatial._wave_mask(
+        tc, bounds, pair_tri, pair_cross, pair_node, centers, halves, reach
+    )
+    assert not got[~pair_cross].any()
+    crossing = np.flatnonzero(pair_cross)
+    got, pair_tri, pair_node = got[crossing], pair_tri[crossing], pair_node[crossing]
 
     # unfiltered reference: every pair against all 8 children, one pair at a time
     want = np.array([
@@ -492,13 +591,28 @@ def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
     vmin, vmax, h = offsets(halves)
     slab_sep = box_axes_separate(halves)
     contained = ((vmin >= -h) & (vmax <= h)).all(axis=2)
-    assert sum(tested) == int((~slab_sep & ~contained).sum()) < int((~slab_sep).sum())
+    missed = ~slab_sep & ~want
+    assert sum(tested) == int((~slab_sep & ~contained).sum() + missed.sum())
+    assert int((~slab_sep & ~contained).sum()) < int((~slab_sep).sum())
     assert want[contained].all()
     # entries inside with a vertex offset exactly -h or h are in the cases
     assert (contained & ((vmin == -h) | (vmax == h)).any(axis=2)).any()
     assert (~slab_sep & ~want).any()  # the other 10 axes still decide some entries
     # entries that only touch a closed child box are in the cases: the shrink separates them
     assert (slab_sep & ~box_axes_separate(_child_boxes(lo, hi, shrink=0.0)[1])).any()
+    # near entries: within the reach of a child box that the shrunk slabs keep
+    # apart, or rejected by the full test and kept by it on the inflated box
+    close = ~box_axes_separate(reach)
+    inflated = np.array([
+        full_sat(tc[t][None, None], centers[n][None], reach[n][None])[0]
+        for t, n in zip(pair_tri, pair_node)
+    ])
+    assert np.array_equal(near[crossing], slab_sep & close | missed & inflated)
+    assert (slab_sep & close).any() and (missed & inflated).any() and (missed & ~inflated).any()
+    every = np.flatnonzero(~pair_cross)
+    v = tc[pair_tri_all[every]][:, None] - centers[pair_node_all[every]][:, :, None, :]
+    r = reach[pair_node_all[every]]
+    assert np.array_equal(near[every], ~((v.min(axis=2) > r) | (v.max(axis=2) < -r)).any(axis=2))
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.01])
@@ -631,6 +745,7 @@ def test_estimate_half_overlap(unit_cube):
     # box [0.5, 1.5] x [0,1]^2 overlaps the part in exactly half its volume
     v = estimate_part_volume(unit_cube, (0.5, 0.0, 0.0), (1.5, 1.0, 1.0), resolution=8)
     assert v == pytest.approx(0.5, abs=0.05)
+    assert v == pytest.approx(0.5, rel=1e-12)
 
 
 def test_estimate_needs_two_samples(unit_cube):
@@ -657,12 +772,12 @@ def test_refine_equals_deeper_build(sphere10):
     assert _dump_text(refined) == _dump_text(direct)
 
 
-# content_hash of each tree, recorded when grey leaves took their samples on
-# shared column lines; a kernel change must not move a byte
+# content_hash of each tree, recorded when grey leaves got their exact
+# volumes from the column sweep; a kernel change must not move a byte
 _PINNED_FINGERPRINTS = {
-    "sphere10-d5": "a48698b0093752263c96bfcd764765c19a72de8b678b0516fc2be978367c8ffd",
-    "pocket-d5": "abb83bcf43d3da90949805c55c9be460e74d33bb5210e948c9a789c43b161eb8",
-    "ico20480-d4": "b42261cf2ca61698b24e3f8e644a834b562b091b9fe4d3400cf13423d4251c53",
+    "sphere10-d5": "e823aecca981e7535ec2318f264f50345468c168393d4fab2dfb9e2eb52a1920",
+    "pocket-d5": "5149da1a7d17400ae27d186bec589078707b5dbb7bec82df408b8df79ef37660",
+    "ico20480-d4": "b4923ec99aedd5c729275c029b892c72a8bf9a7da2f022fd037230fccadecd4d",
 }
 
 
@@ -773,14 +888,14 @@ def test_dump_leaves_schema(sphere_tree):
     assert seen == {"black", "white", "grey"}
 
 
-# sha256 of each tree's leaf dump, recorded when grey leaves took their
-# samples on shared column lines (the cube's, which has no grey leaf, is
+# sha256 of each tree's leaf dump, recorded when grey leaves got their exact
+# volumes from the column sweep (the cube's, which has no grey leaf, is
 # older); with margin 0 the cube's root box is the cube, so the root is a
 # black leaf
 _PINNED_DUMPS = {
-    "sphere10-d3": "835b3c95e1b34756ef7b32764a5ee9252488c9e2493ed9013f2b24961e71e7ec",
-    "pocket-d3": "f4861debdf65bfbca052e69dc34dad2046ecbad9e169a730261a1e32b0992728",
-    "box-d1": "6737982d96d0921a46504872e5e6e9e469e4242d3b546b72a6b642d6eaf79087",
+    "sphere10-d3": "d8166295a1557dbd66f00fbd2a80a8410567b554c805ead5c040a24b8bd714ec",
+    "pocket-d3": "8e6730cfaca8f50c19ceeb0015ae7e8dc2c4b946d41273d6c8abfc93466b0cc8",
+    "box-d1": "0ff0fcdf2776279dda786d6ea5a8a798c9b120b3fc85b7fa7b25d7913839c6f9",
     "cube-root": "6cf09b2ba32518da4a1da40cd0931d58ea315420ee82e5c44beb892a3347c06d",
 }
 
@@ -809,11 +924,9 @@ def test_build_depth_and_seed_always_valid(depth, seed):
 
     Leaf by leaf, at every depth: a black leaf holds its whole box, a white
     leaf nothing, a grey leaf between the two.  The 15 % bound on the total
-    holds only from depth 2 on.  At depth 1 all 8 leaves of this box are
-    grey, so the whole 6.0 rests on 8 x 64 jittered samples (each pair of
-    stacked leaves shares its column's 16 lines), and over seeds 0-299 and
-    500 that estimate misses by up to 15.0 % (3 of 301 seeds land just over
-    15 %); depth 2 misses by at most 6.4 %, depth 3 by at most 2.2 %.
+    dates from sampled grey volumes, which missed by up to 15.0 % at depth 1
+    (all 8 leaves of this box are grey); volumes are exact now, so the total
+    is 6.0 to within 1e-12 at every depth and seed.
     """
     mesh = box_mesh((3.0, 2.0, 1.0))
     tree = build_octree(mesh, max_depth=depth, seed=seed)
@@ -827,3 +940,4 @@ def test_build_depth_and_seed_always_valid(depth, seed):
             assert 0.0 <= leaf.part_volume <= leaf.box_volume
     if depth >= 2:
         assert tree.total_part_volume() == pytest.approx(6.0, rel=0.15)
+    assert tree.total_part_volume() == pytest.approx(6.0, rel=1e-12)
