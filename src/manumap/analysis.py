@@ -18,8 +18,6 @@ from .profiles import MachineProfiles
 from .spatial import (
     DEFAULT_MARGIN,
     DEFAULT_MAX_DEPTH,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
     Octree,
     _check_build_params,
     build_octree,
@@ -32,14 +30,12 @@ PROCESSES = ("machining", "additive")
 class AnalysisParams:
     """Knobs shared by every analysis run; a report's ``params`` lists each one set.
 
-    ``samples`` and ``seed`` are checked and recorded but change nothing:
-    grey-leaf volumes are exact and no part of an analysis is random.
+    Of the octree settings only ``max_depth`` and ``margin`` exist: nothing
+    in a build is sampled or random, so no other setting could change it.
     """
 
     max_depth: int = DEFAULT_MAX_DEPTH
-    samples: int = DEFAULT_SAMPLES
     margin: float = DEFAULT_MARGIN
-    seed: int = DEFAULT_SEED
     material: str | None = None
     required_ra_um: float | None = None
     height_reference: str = "top"
@@ -49,7 +45,7 @@ class AnalysisParams:
 
     def octree_params(self) -> dict:
         """The build_octree keyword arguments these params ask for."""
-        return {k: getattr(self, k) for k in ("max_depth", "margin", "samples", "seed")}
+        return {k: getattr(self, k) for k in ("max_depth", "margin")}
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}

@@ -35,7 +35,6 @@ from .analysis import (
     analyze_mesh,
 )
 from .errors import (
-    ConfigError,
     ManumapError,
     MeshError,
     ParameterError,
@@ -91,11 +90,11 @@ def _parse_scale(text: str) -> ColorScale | None:
 def _params(args: argparse.Namespace) -> AnalysisParams:
     if not args.workers >= 1:
         raise ParameterError(f"workers must be at least 1, got {args.workers!r}")
+    if not args.seed >= 0:
+        raise ParameterError(f"seed must be non-negative, got {args.seed!r}")
     return AnalysisParams(
         max_depth=args.depth,
-        samples=args.samples,
         margin=args.margin,
-        seed=args.seed,
         material=args.material,
         required_ra_um=args.required_ra,
         height_reference=args.height_reference,
@@ -288,12 +287,10 @@ def _add_analysis_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--profile", help="machine profile file (INI)")
     p.add_argument("--depth", type=int, default=defaults.max_depth,
                    help=f"octree depth, 1..{MAX_DEPTH_LIMIT}")
-    p.add_argument("--samples", type=int, default=defaults.samples,
-                   help="accepted and checked (at least 2) but no effect: grey volumes are exact")
     p.add_argument("--margin", type=float, default=defaults.margin,
                    help="root box inflation fraction")
-    p.add_argument("--seed", type=int, default=defaults.seed,
-                   help="accepted and checked (non-negative) but no effect: nothing is random")
+    p.add_argument("--seed", type=int, default=0, help="checked (non-negative), then unused: "
+                   "only bench/harness.py passes it; nothing is random")
     p.add_argument("--material", help="material name from the profile's hardness table")
     p.add_argument("--required-ra", type=float, help="required surface roughness Ra (um)")
     p.add_argument("--height-reference", choices=HEIGHT_REFERENCES,
@@ -311,8 +308,15 @@ def _add_analysis_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", help="write flat metrics as CSV to this exact path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises an argument error as a ParameterError, which main prints as one line."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="manumap",
         description="Grade how hard a part is to machine or to build additively.",
     )
@@ -369,12 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return ConfigError.exit_code if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # --help, after printing its text
+            return EXIT_OK
         return args.func(args)
     except ManumapError as exc:
         print(f"error: {exc}", file=sys.stderr)

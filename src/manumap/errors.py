@@ -60,7 +60,7 @@ class DepthRangeError(ConfigError):
 
 
 class ParameterError(ConfigError):
-    """Argument or parameter (samples, margin, seed, format, scale, ...) is invalid."""
+    """Argument or parameter (unknown flag, margin, format, scale, ...) is invalid."""
 
 
 class ParseError(MeshError):

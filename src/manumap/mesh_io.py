@@ -390,9 +390,8 @@ def point_in_mesh(mesh: TriMesh, point) -> PointClass:
     """Classify one point as inside, outside, or on the surface of ``mesh``.
 
     The mesh must be watertight.  Parity is decided by the exact vertical-ray
-    kernel of :class:`_ColumnGrid`, so the result is deterministic and needs
-    no seed.  Points within ``BOUNDARY_EPS_REL * max_dimension`` of the
-    surface are on it.
+    kernel of :class:`_ColumnGrid`, so the result is deterministic.  Points
+    within ``BOUNDARY_EPS_REL * max_dimension`` of the surface are on it.
     """
     res = classify_points(mesh, np.asarray(point, dtype=np.float64).reshape(1, 3))
     return PointClass(int(res[0]))
@@ -537,9 +536,9 @@ class _ColumnGrid:
     [4, 128] (128 keeps a cell id in a uint16).  A line evaluates every
     triangle of its cell, and most of them cannot cross it; finer cells
     cut those pairs, while buckets grow only where triangles span several
-    cells.  Measured on octree builds (seed 101, one line per box center),
-    ``sqrt(M / 2)`` -> ``sqrt(8 M)`` cells per axis, when grey leaves were
-    still volume-sampled on vertical lines:
+    cells.  Measured on octree builds of the benchmark fixtures (run 101,
+    one line per box center), ``sqrt(M / 2)`` -> ``sqrt(8 M)`` cells per
+    axis, when grey leaves were still volume-sampled on vertical lines:
 
     - the 68-triangle split-redesign block at depth 5, res 5 -> 23:
       center casts 56,640 -> 31,216 pairs, grey sampling 166,942 ->
@@ -548,7 +547,7 @@ class _ColumnGrid:
     - ``icosphere(10, 4)`` at depth 6, res 50 -> 128 (29,588 -> 106,960
       bucket entries): 369,400 -> 193,560 and 742,098 -> 416,291.
 
-    The resolution decides only which pairs a line evaluates, never what
+    The cell count decides only which pairs a line evaluates, never what
     an evaluated pair answers.
     """
 

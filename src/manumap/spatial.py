@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,11 +40,7 @@ from .mesh_io import (
 )
 
 DEFAULT_MAX_DEPTH = 5
-DEFAULT_SAMPLES = 4
 DEFAULT_MARGIN = 0.01
-#: Default of the ``seed`` setting, which is accepted and validated but read
-#: by nothing: no part of the package is random.
-DEFAULT_SEED = 7919
 #: Deepest octree a build or refine may ask for.
 MAX_DEPTH_LIMIT = 10
 
@@ -114,8 +111,7 @@ class Octree:
     grey, and ``grey_tri_cross`` marks them) and every other triangle that
     meets its box inflated by ``2 * _SHRINK`` root half-widths (the volume
     kernel's ties need those), with some whose bounds merely reach that
-    box.  :func:`refine` starts from these lists.  ``samples`` and
-    ``seed`` are recorded settings that nothing reads.  All arrays are
+    box.  :func:`refine` starts from these lists.  All arrays are
     read-only.
     """
 
@@ -130,8 +126,6 @@ class Octree:
     grey_tri_cross: np.ndarray  # (T,) bool, aligned with grey_tri_ids
     max_depth: int
     margin: float
-    samples: int
-    seed: int
     mesh_hash: str
     mesh_bbox_min: tuple[float, float, float]
     mesh_bbox_max: tuple[float, float, float]
@@ -171,7 +165,7 @@ class Octree:
         return self._greys
 
     def total_part_volume(self) -> float:
-        return float(sum(self.part_volume.tolist()))
+        return math.fsum(self.part_volume.tolist())
 
     def find_leaf(self, point) -> OctantNode | None:
         """Record of the leaf whose half-open box contains ``point``, or None outside the root.
@@ -317,33 +311,24 @@ def _classify(mesh: TriMesh, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray
 # Construction
 
 
-def _check_build_params(
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    margin: float = DEFAULT_MARGIN,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-) -> None:
+def _check_build_params(max_depth: int, margin: float = DEFAULT_MARGIN) -> None:
     """Reject octree build parameters out of range; NaN fails every test.
 
-    The one check behind build_octree, refine, estimate_part_volume and
-    AnalysisParams, so the CLI rejects a bad flag before it loads a mesh.
+    The one check behind build_octree, refine and AnalysisParams, so the CLI
+    rejects a bad flag before it loads a mesh.
     """
     if not 1 <= max_depth <= MAX_DEPTH_LIMIT:
         raise DepthRangeError(f"max_depth must be in [1, {MAX_DEPTH_LIMIT}], got {max_depth!r}")
-    if not samples >= 2:
-        raise ParameterError(f"samples must be at least 2, got {samples!r}")
     if not 0 <= margin < np.inf:
         raise ParameterError(f"margin must be finite and non-negative, got {margin!r}")
-    if not seed >= 0:
-        raise ParameterError(f"seed must be non-negative, got {seed!r}")
 
 
 def build_octree(
     mesh: TriMesh,
     max_depth: int = DEFAULT_MAX_DEPTH,
     margin: float = DEFAULT_MARGIN,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
+    *,
+    samples=None,
 ) -> Octree:
     """Decompose ``mesh`` into an octree of black/white/grey boxes.
 
@@ -354,11 +339,8 @@ def build_octree(
     margin:
         Relative inflation of the cubified root box (0.01 = 1%).
     samples:
-        Accepted, validated (n >= 2) and recorded; it has no effect, since
-        grey-leaf volumes are exact.
-    seed:
-        Accepted, validated (non-negative) and recorded; it has no effect,
-        since nothing in a build is random.
+        Ignored: neither checked nor stored.  Grey-leaf volumes are exact,
+        and the keyword stays only so that older calls that pass it still run.
 
     Every grey leaf's ``part_volume`` is its exact solid volume, up to
     rounding (:func:`_grey_volumes`).  An open mesh raises
@@ -370,7 +352,7 @@ def build_octree(
         raise NotWatertightError("octree decomposition needs a watertight mesh")
     if metrics.bbox_volume <= 0:
         raise DegenerateMeshError("flat bounding box: the mesh encloses no volume to decompose")
-    _check_build_params(max_depth, margin, samples, seed)
+    _check_build_params(max_depth, margin)
 
     bbox_min = np.array(metrics.bbox_min)
     bbox_max = np.array(metrics.bbox_max)
@@ -403,8 +385,6 @@ def build_octree(
         grey_tri_cross=cross,
         max_depth=max_depth,
         margin=margin,
-        samples=samples,
-        seed=seed,
         mesh_hash=mesh.content_hash(),
         mesh_bbox_min=metrics.bbox_min,
         mesh_bbox_max=metrics.bbox_max,
@@ -949,18 +929,14 @@ def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarra
     volume[g] = np.clip(size[:, 2] * area_top + sum_pz, 0.0, box)
 
 
-def estimate_part_volume(
-    mesh: TriMesh, box_min, box_max, resolution: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> float:
+def estimate_part_volume(mesh: TriMesh, box_min, box_max) -> float:
     """Solid part volume inside one box.
 
     Black boxes short-circuit to the full box volume and white boxes to zero;
     a grey box gets its exact volume by the kernel of :func:`_grey_volumes`,
     its cross-section at the top from the P1 of every triangle over the
-    prism from the box up to the mesh's top.  ``resolution`` and ``seed``
-    are accepted and validated but have no effect.
+    prism from the box up to the mesh's top.
     """
-    _check_build_params(samples=resolution, seed=seed)
     cls = classify_box(mesh, box_min, box_max)
     lo = np.asarray(box_min, dtype=np.float64)
     hi = np.asarray(box_max, dtype=np.float64)
@@ -993,7 +969,7 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")
     new_depth = octree.max_depth + 1
-    _check_build_params(new_depth, octree.margin, octree.samples, octree.seed)
+    _check_build_params(new_depth)  # the margin was checked by the build
 
     rest = octree.class_code != _GREY
     kept = tuple(getattr(octree, name)[rest] for name in _LEAF_COLUMNS)

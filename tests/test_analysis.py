@@ -28,7 +28,7 @@ def test_prebuilt_octree_of_another_mesh_is_refused(sphere, process):
 
 @pytest.mark.parametrize("process", ["machining", "additive"])
 @pytest.mark.parametrize(
-    "other", [{"max_depth": 2}, {"margin": 0.05}, {"samples": 3}, {"seed": 1}]
+    "other", [{"max_depth": 2}, {"margin": 0.05}, {"max_depth": 4}, {"margin": 0.0}]
 )
 def test_prebuilt_octree_built_with_other_settings_is_refused(sphere, process, other):
     tree = build_octree(sphere, **{"max_depth": 3, **other})

@@ -95,10 +95,9 @@ def test_dump_octree_streams_the_leaf_dump(mesh_files, tmp_path, monkeypatch):
     """The streamed CLI dump equals Octree.dump_leaves byte for byte, across write chunks."""
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
     d = tmp_path / "leaves.jsonl"
-    seed = ["--seed", "3", "--samples", "3"]
     assert main(["analyze", str(mesh_files["pocket"]), "--dump-octree", str(d),
-                 *seed, *FAST]) == 0
-    tree = build_octree(load_mesh(mesh_files["pocket"]), max_depth=2, samples=3, seed=3)
+                 "--seed", "3", *FAST]) == 0
+    tree = build_octree(load_mesh(mesh_files["pocket"]), max_depth=2)
     assert len(tree.leaves()) > 3 * 5  # several chunks, the last one partial
     buf = io.StringIO()
     tree.dump_leaves(buf)
@@ -186,10 +185,19 @@ _NAN_PROFILE = (
 )
 
 
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["analyze", "--help"]) == 0
+    assert capsys.readouterr().out.count("usage: manumap") == 2
+
+
 @pytest.mark.parametrize(
     "flags, prelude, code",
     [
-        (["--samples", "1"], "", 2),
+        (["--samples", "3"], "", 2),
+        (["--depth", "x"], "", 2),
+        (["--no-such-flag"], "", 2),
+        (["--format", "obj"], "", 2),
         (["--margin", "-1"], "", 2),
         (["--seed", "-5"], "", 2),
         (["--workers", "0"], "", 2),
@@ -202,9 +210,9 @@ _NAN_PROFILE = (
         (["--process", "additive"], _FLAT_MESH, 3),
     ],
     ids=[
-        "samples-1", "margin-neg", "seed-neg", "workers-0", "workers-neg",
-        "margin-inf", "required-ra-nan", "scale-inf", "profile-nan", "flat-mesh",
-        "flat-mesh-additive",
+        "samples-flag", "depth-x", "unknown-flag", "format-obj", "margin-neg", "seed-neg",
+        "workers-0", "workers-neg", "margin-inf", "required-ra-nan", "scale-inf",
+        "profile-nan", "flat-mesh", "flat-mesh-additive",
     ],
 )
 def test_failures_exit_with_code_and_no_traceback(tmp_path, flags, prelude, code):
@@ -218,7 +226,8 @@ def test_failures_exit_with_code_and_no_traceback(tmp_path, flags, prelude, code
     )
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1  # one line: no usage block, no traceback
+    assert "usage:" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_analysis_failure_exits_4_and_no_traceback(tmp_path):

@@ -745,6 +745,23 @@ def test_indented_reports_load_equal_to_compact(tmp_path):
         assert load_report(indented) == load_report(compact) == doc
 
 
+def test_reports_with_the_old_build_settings_still_load(pocket_plate, tmp_path):
+    """Reports once recorded ``samples`` and ``seed`` in their params, which
+    changed nothing; such a report still loads, keeps its params as written,
+    and compares with a fresh one at zero delta on every row."""
+    fresh = analyze_mesh(
+        pocket_plate, "machining", MachineProfiles(), AnalysisParams(max_depth=3)
+    ).report
+    doc = json.loads(emit_report(fresh, tmp_path / "new.json").read_text())
+    assert not {"samples", "seed"} & set(doc["report"]["params"])
+    doc["report"]["params"].update(samples=4, seed=7919)
+    (tmp_path / "old.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+    old = load_report(tmp_path / "old.json")
+    assert old.params == {**fresh.params, "samples": 4, "seed": 7919}
+    rows = compare_reports(old, fresh).rows
+    assert rows and all(r["delta"] == 0.0 for r in rows)
+
+
 def test_compare_reads_indented_reports_like_compact(tmp_path, capsys):
     base = part_report()
     cand = dataclasses.replace(
