@@ -79,14 +79,6 @@ class DegenerateMeshError(MeshError):
     """Mesh is closed but flat: its bounding box encloses no volume."""
 
 
-class RayParityError(AnalysisError):
-    """Ray casting could not decide whether a point off the surface is inside.
-
-    No longer raised: the vertical-ray kernel decides every point exactly.
-    The class stays so that callers which catch it keep working.
-    """
-
-
 class MeshMismatchError(AnalysisError):
     """Octree or field was built from a different mesh than the one supplied."""
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import logging
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -355,10 +356,10 @@ def _measure(mesh: TriMesh) -> MeshMetrics:
     tc = mesh.tri_coords()
     bbox_min = mesh.vertices.min(axis=0)
     bbox_max = mesh.vertices.max(axis=0)
-    area = 0.5 * np.linalg.norm(
-        np.cross(tc[:, 1] - tc[:, 0], tc[:, 2] - tc[:, 0]), axis=1
-    ).sum()
-    volume = np.linalg.det(tc).sum() / 6.0
+    # fsum: the totals do not depend on the order of the triangles
+    cross = np.cross(tc[:, 1] - tc[:, 0], tc[:, 2] - tc[:, 0])
+    area = 0.5 * math.fsum(np.linalg.norm(cross, axis=1).tolist())
+    volume = math.fsum(np.linalg.det(tc).tolist()) / 6.0
     return MeshMetrics(
         bbox_min=tuple(bbox_min),
         bbox_max=tuple(bbox_max),

@@ -107,12 +107,11 @@ class Octree:
     which would round differently.  ``grey_index`` lists the grey rows;
     every grey leaf sits at ``max_depth``.  Grey leaf g keeps the triangles
     near it, ``grey_tri_ids[grey_tri_ptr[g]:grey_tri_ptr[g + 1]]``: every
-    triangle that crosses its box shrunk by :data:`_SHRINK` (these made it
-    grey, and ``grey_tri_cross`` marks them) and every other triangle that
-    meets its box inflated by ``2 * _SHRINK`` root half-widths (the volume
-    kernel's ties need those), with some whose bounds merely reach that
-    box.  :func:`refine` starts from these lists.  All arrays are
-    read-only.
+    triangle that meets its box inflated by ``2 * _SHRINK`` root
+    half-widths (:func:`_reach`), with some whose bounds merely reach that
+    box.  Those that cross its box shrunk by :data:`_SHRINK` made it grey;
+    the volume kernel's ties need the others.  :func:`refine` starts from
+    these lists.  All arrays are read-only.
     """
 
     path_key: np.ndarray  # (L,) int64: 1, then 3 bits (x + 2y + 4z) per level
@@ -123,7 +122,6 @@ class Octree:
     part_volume: np.ndarray  # (L,) float64
     grey_tri_ptr: np.ndarray  # (G + 1,) offsets into grey_tri_ids
     grey_tri_ids: np.ndarray
-    grey_tri_cross: np.ndarray  # (T,) bool, aligned with grey_tri_ids
     max_depth: int
     margin: float
     mesh_hash: str
@@ -132,7 +130,7 @@ class Octree:
     mesh_volume: float
 
     def __post_init__(self):
-        for name in (*_LEAF_COLUMNS, "grey_tri_ptr", "grey_tri_ids", "grey_tri_cross"):
+        for name in (*_LEAF_COLUMNS, "grey_tri_ptr", "grey_tri_ids"):
             getattr(self, name).setflags(write=False)
         self.grey_index = np.flatnonzero(self.class_code == _GREY)
         self.grey_index.setflags(write=False)
@@ -327,8 +325,6 @@ def build_octree(
     mesh: TriMesh,
     max_depth: int = DEFAULT_MAX_DEPTH,
     margin: float = DEFAULT_MARGIN,
-    *,
-    samples=None,
 ) -> Octree:
     """Decompose ``mesh`` into an octree of black/white/grey boxes.
 
@@ -338,9 +334,6 @@ def build_octree(
         Subdivision levels below the root, in [1, 10].
     margin:
         Relative inflation of the cubified root box (0.01 = 1%).
-    samples:
-        Ignored: neither checked nor stored.  Grey-leaf volumes are exact,
-        and the keyword stays only so that older calls that pass it still run.
 
     Every grey leaf's ``part_volume`` is its exact solid volume, up to
     rounding (:func:`_grey_volumes`).  An open mesh raises
@@ -363,26 +356,21 @@ def build_octree(
 
     hits, code = _classify(mesh, lo, hi)
     if code == _GREY:
-        # the root keeps every triangle; those that cross it start the classification
-        cross = np.zeros(mesh.num_triangles, dtype=bool)
-        cross[hits] = True
+        # the root keeps every triangle
         tris = np.arange(mesh.num_triangles)
         root_of = np.zeros(len(tris), dtype=np.intp)
-        leaves, tri_ptr, tri_ids, cross = _grow(
-            mesh, [], lo, hi, root_key, root_of, tris, cross, 0, max_depth, margin
-        )
+        leaves, tri_ptr, tri_ids = _grow(mesh, [], lo, hi, root_key, root_of, tris, 0, max_depth, margin)
         _grey_volumes(mesh, leaves, tri_ptr, tri_ids, margin)
     else:
         volume = np.array([float(np.prod(hi - lo)) if code == _BLACK else 0.0])
         code = np.array([code], dtype=np.int8)
         leaves = (root_key, np.zeros(1, dtype=np.int32), code, lo, hi, volume)
-        tri_ptr, tri_ids, cross = np.zeros(1, dtype=np.intp), hits, np.zeros(0, dtype=bool)
+        tri_ptr, tri_ids = np.zeros(1, dtype=np.intp), hits
 
     tree = Octree(
         *leaves,
         grey_tri_ptr=tri_ptr,
         grey_tri_ids=tri_ids,
-        grey_tri_cross=cross,
         max_depth=max_depth,
         margin=margin,
         mesh_hash=mesh.content_hash(),
@@ -407,35 +395,34 @@ def _grow(
     keys: np.ndarray,
     pair_node: np.ndarray,
     pair_tri: np.ndarray,
-    pair_cross: np.ndarray,
     depth: int,
     max_depth: int,
     margin: float,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """Subdivide grey nodes level by level down to ``max_depth``; the finished leaves.
 
     The W nodes at ``depth`` have boxes ``lo``/``hi`` (W, 3) and path keys
     ``keys``, in Morton order, and triangle ``pair_tri[p]`` is near node
-    ``pair_node[p]``, crossing it where ``pair_cross[p]``.  The leaves of
-    ``done``, tuples of leaf arrays as in :data:`_LEAF_COLUMNS`, are kept
-    as they are.  Returns all leaves in Morton order, grey volumes NaN for
-    :func:`_grey_volumes` to fill, and the grey leaves' triangle lists as a
-    CSR (offsets, triangle ids, crossing flags).  Children of
-    Morton-ordered nodes come out Morton-ordered, so the greys, all made by
-    the last wave, keep their order through the final sort and stay
-    aligned with the CSR.
+    ``pair_node[p]``: the pairs hold every triangle that meets a node's box
+    inflated by :func:`_reach`.  The leaves of ``done``, tuples of leaf
+    arrays as in :data:`_LEAF_COLUMNS`, are kept as they are.  Returns all
+    leaves in Morton order, grey volumes NaN for :func:`_grey_volumes` to
+    fill, and the grey leaves' triangle lists as a CSR (offsets, triangle
+    ids).  Children of Morton-ordered nodes come out Morton-ordered, so the
+    greys, all made by the last wave, keep their order through the final
+    sort and stay aligned with the CSR.
     """
     pad = _reach(mesh, margin)
     while True:
         depth += 1
-        lo, hi, keys, code, volume, pair_child, pair_tri, pair_cross = _advance_wave(
-            mesh, lo, hi, keys, pair_node, pair_tri, pair_cross, pad
+        lo, hi, keys, code, volume, pair_child, pair_tri = _advance_wave(
+            mesh, lo, hi, keys, pair_node, pair_tri, pad
         )
         wave = (keys, np.full(len(keys), depth, dtype=np.int32), code, lo, hi, volume)
         grey = code == _GREY
         grey_of = np.cumsum(grey) - 1  # a grey child's index among the grey children
         on_grey = grey[pair_child]  # only grey children keep their triangles
-        pair_child, pair_tri, pair_cross = pair_child[on_grey], pair_tri[on_grey], pair_cross[on_grey]
+        pair_child, pair_tri = pair_child[on_grey], pair_tri[on_grey]
         if depth == max_depth or not grey.any():
             break
         done.append(tuple(column[~grey] for column in wave))
@@ -451,7 +438,7 @@ def _grow(
     counts = np.bincount(grey_of[pair_child], minlength=int(grey.sum()))
     tri_ptr = np.concatenate([[0], np.cumsum(counts)])
     leaves = tuple(column[order] for column in (key, depth, *rest))
-    return leaves, tri_ptr, pair_tri, pair_cross
+    return leaves, tri_ptr, pair_tri
 
 
 def _reach(mesh: TriMesh, margin: float) -> float:
@@ -468,7 +455,6 @@ def _advance_wave(
     keys: np.ndarray,
     pair_node: np.ndarray,
     pair_tri: np.ndarray,
-    pair_cross: np.ndarray,
     pad: float,
 ) -> tuple[np.ndarray, ...]:
     """Split W grey nodes into their 8 children each; returns the 8W children.
@@ -477,12 +463,13 @@ def _advance_wave(
     axis a where bit a of c is set.  Returns their boxes (8W, 3), path keys,
     class codes, part volumes (NaN on grey children, which
     :func:`_grey_volumes` fills), and the (child, triangle) near pairs
-    ordered by child, each child's triangles in its node's order, with
-    their crossing flags.
+    ordered by child, each child's triangles in its node's order.
 
     Every (node, triangle) pair of the level is tested against the node's
-    8 children by :func:`_wave_mask`.  Only crossing pairs decide classes:
-    a child is grey when a crossing pair's triangle crosses it.  Children
+    8 children by :func:`_wave_mask`: a child is grey exactly when a
+    triangle of its node's list crosses its shrunk box.  That is
+    :func:`classify_box` on the child, because the list holds every
+    triangle that meets the node's box inflated by ``pad``.  Children
     that the surface misses are center-classified in one
     :func:`_heights_inside` call with one line per xy column (one
     :func:`_column_keys` value), carrying the center heights of every
@@ -499,7 +486,6 @@ def _advance_wave(
         mesh.tri_coords(),
         mesh.tri_bounds(),
         pair_tri,
-        pair_cross,
         pair_node,
         centers.reshape(-1, 8, 3),
         halves.reshape(-1, 8, 3),
@@ -507,7 +493,6 @@ def _advance_wave(
     )
 
     entry = np.flatnonzero(hit | near)  # 8 * pair + child; faster than a 2-D nonzero
-    cross = hit.reshape(-1)[entry]
     pair = entry >> 3
     group = pair_node[pair] * 8 + (entry & 7)
     order = np.argsort(group, kind="stable")
@@ -515,7 +500,7 @@ def _advance_wave(
     code = np.full(len(cmin), _GREY, dtype=np.int8)
     volume = np.full(len(cmin), np.nan)
     child_keys = (keys[:, None] << 3 | np.arange(8)).ravel()
-    miss = np.flatnonzero(np.bincount(group[cross], minlength=len(cmin)) == 0)
+    miss = np.flatnonzero(np.bincount(group[hit.reshape(-1)[entry]], minlength=len(cmin)) == 0)
     if len(miss):
         # the missed centers column by column: stacked centers share x and y bitwise
         columns = _column_keys(child_keys[miss])
@@ -526,7 +511,7 @@ def _advance_wave(
         inside = _heights_inside(mesh, centers[miss[heads], :2], centers[miss, 2], hptr)
         code[miss] = np.where(inside, _BLACK, _WHITE)
         volume[miss] = np.where(inside, size[miss, 0] * size[miss, 1] * size[miss, 2], 0.0)
-    return cmin, cmax, child_keys, code, volume, group[order], pair_tri[pair[order]], cross[order]
+    return cmin, cmax, child_keys, code, volume, group[order], pair_tri[pair[order]]
 
 
 #: The children a set of six slab flags keeps: flag bit ``3 * s + a`` marks
@@ -545,7 +530,6 @@ def _wave_mask(
     tc: np.ndarray,
     bounds: tuple[np.ndarray, np.ndarray],
     pair_tri: np.ndarray,
-    pair_cross: np.ndarray,
     pair_node: np.ndarray,
     centers: np.ndarray,
     halves: np.ndarray,
@@ -556,11 +540,11 @@ def _wave_mask(
     ``tc`` holds the triangles' vertices and ``bounds`` their ``(tmin,
     tmax)`` as in :meth:`TriMesh.tri_bounds`; ``centers``, ``halves`` and
     ``reach`` are the (W, 8, 3) child boxes of the W nodes, shrunk and
-    inflated.  A hit is an entry of a crossing pair (``pair_cross[p]``)
-    that the SAT test finds crossing the shrunk child box; a near entry is
-    any other entry that reaches the inflated child box: by its bounds
-    alone, but by the full test where the entry took it and was rejected.
-    Hits alone make a child grey, so near entries change no class.
+    inflated.  A hit is an entry that the SAT test finds crossing the
+    shrunk child box.  A near entry is one that the shrunk box's slabs
+    separate and the inflated box's slabs do not, or one that the full
+    test rejects and the full test against the inflated box keeps.  Hits
+    alone make a child grey, so near entries change no class.
 
     The box-normal axes run first, per pair rather than per child: along
     an axis the 8 children share two slabs, the lower one of child 0 and
@@ -600,9 +584,6 @@ def _wave_mask(
             _SLAB_CHILDREN.take(flag.reshape(-1, 6).view(np.uint8) @ _FLAG_BITS)
             for flag in ((lo <= h) & (hi >= -h), (lo >= -h) & (hi <= h), (lo <= r) & (hi >= -r))
         )
-        crossing = pair_cross[s : s + _SAT_PAIR_BUDGET].view(np.uint8) * np.uint8(255)
-        keep &= crossing
-        contained &= crossing
         nears[8 * s : 8 * (s + len(tri))] = np.unpackbits(close & ~keep, bitorder="little")
         hits[8 * s : 8 * (s + len(tri))] = np.unpackbits(contained, bitorder="little")
         entry = np.flatnonzero(np.unpackbits(keep & ~contained, bitorder="little"))
@@ -962,9 +943,8 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     """One more subdivision level: equivalent to rebuilding at max_depth + 1.
 
     Black and white leaves are untouched; every grey leaf is replaced by its
-    8 children, classified from its crossing triangles and its near ones
-    carried on, exactly as a fresh build would, and the new grey leaves get
-    their exact volumes.
+    8 children, classified from its triangle list exactly as a fresh build
+    would, and the new grey leaves get their exact volumes.
     """
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")
@@ -975,15 +955,12 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     kept = tuple(getattr(octree, name)[rest] for name in _LEAF_COLUMNS)
     g = octree.grey_index
     pair_node = np.repeat(np.arange(len(g)), np.diff(octree.grey_tri_ptr))
-    leaves, tri_ptr, tri_ids, cross = _grow(
+    leaves, tri_ptr, tri_ids = _grow(
         mesh, [kept], octree.box_min[g], octree.box_max[g], octree.path_key[g], pair_node,
-        octree.grey_tri_ids, octree.grey_tri_cross, octree.max_depth, new_depth, octree.margin,
+        octree.grey_tri_ids, octree.max_depth, new_depth, octree.margin,
     )
     _grey_volumes(mesh, leaves, tri_ptr, tri_ids, octree.margin)
     columns = dict(zip(_LEAF_COLUMNS, leaves))
-    tree = replace(
-        octree, **columns, grey_tri_ptr=tri_ptr, grey_tri_ids=tri_ids, grey_tri_cross=cross,
-        max_depth=new_depth,
-    )
+    tree = replace(octree, **columns, grey_tri_ptr=tri_ptr, grey_tri_ids=tri_ids, max_depth=new_depth)
     tree.fingerprint()
     return tree

@@ -114,7 +114,7 @@ def test_02_comparison_percent_deltas():
 def test_03_octree_volume_conservation():
     mesh = icosphere(10.0, subdivisions=4)
     t0 = time.perf_counter()
-    tree = build_octree(mesh, max_depth=6, samples=4)
+    tree = build_octree(mesh, max_depth=6)
     total = tree.total_part_volume()
     elapsed = time.perf_counter() - t0
     analytic = sphere_volume(10.0)  # 4188.79 mm^3

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from manumap import analysis, machining
 from manumap.analysis import AnalysisParams, ModuleSpec, analyze_assembly, analyze_mesh
 from manumap.errors import MeshMismatchError, ParameterError
 from manumap.mesh_io import TriMesh
-from manumap.primitives import box_mesh, icosphere
+from manumap.primitives import box_mesh, icosphere, slab_with_pockets
 from manumap.profiles import default_profiles
 from manumap.spatial import build_octree
 
@@ -101,3 +102,26 @@ def test_assembly_grades_each_distinct_module_once(sphere, monkeypatch):
     tree = results["same_a"].octree
     assert all(results[m].octree is tree for m in ("same_b", "copy"))
     assert results["permuted"].octree is not tree
+
+
+@pytest.mark.parametrize("process", ["machining", "additive"])
+@pytest.mark.parametrize("case", ["block-4", "sphere-0"])
+def test_triangle_order_changes_no_report_but_mesh_hash(case, process):
+    """The mesh's volume and surface area are exactly rounded sums, so a
+    report of the triangles in another order differs only in ``mesh_hash``.
+    With numpy's pairwise sums, the block at permutation seed 4 moved
+    ``part_volume`` in its last bit, and the sphere at seed 0 its area."""
+    name, seed = case.split("-")
+    mesh = {
+        "block": slab_with_pockets((80.0, 80.0, 60.0), [((34.0, 34.0, 46.0, 46.0), 50.0)]),
+        "sphere": icosphere(10.0, subdivisions=3),
+    }[name]
+    order = np.random.default_rng(int(seed)).permutation(mesh.num_triangles)
+    permuted = TriMesh(mesh.vertices, mesh.triangles[order])
+    assert permuted.metrics == mesh.metrics
+    docs = [
+        analyze_mesh(m, process, default_profiles(), params=PARAMS).report.to_dict()
+        for m in (mesh, permuted)
+    ]
+    differ = sorted(k for k in docs[0] if json.dumps(docs[0][k]) != json.dumps(docs[1][k]))
+    assert differ == ["mesh_hash"]

@@ -17,7 +17,7 @@ ERROR_CLASSES = [
 
 
 def test_every_error_carries_a_documented_exit_code():
-    assert len(ERROR_CLASSES) >= 25
+    assert len(ERROR_CLASSES) >= 24
     for cls in ERROR_CLASSES:
         assert cls.exit_code in {1, 2, 3, 4, 5}, cls.__name__
 

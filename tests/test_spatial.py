@@ -119,13 +119,10 @@ def test_open_mesh_rejected(unit_cube):
         build_octree(open_mesh, max_depth=2)
 
 
-def test_samples_validation(unit_cube):
-    """``samples`` is accepted and ignored, whatever its value; the margin is checked."""
-    tree = build_octree(unit_cube, max_depth=2)
-    for samples in (1, 4, "x"):
-        assert build_octree(unit_cube, max_depth=2, samples=samples).fingerprint() == (
-            tree.fingerprint()
-        )
+def test_margin_validation(unit_cube):
+    """A negative margin is refused, and ``samples`` is no keyword of the build."""
+    with pytest.raises(TypeError):
+        build_octree(unit_cube, max_depth=2, samples=4)
     with pytest.raises(ValueError):
         build_octree(unit_cube, max_depth=2, margin=-0.5)
 
@@ -380,8 +377,8 @@ def test_tilted_top_volumes_exact(margin):
     in the grey leaves' lists.  Every grey leaf holds the exact volume of
     the block inside its box, to within 1e-12 of the box volume, at depths
     1-6.  A black or white leaf may miss it by the part between its faces
-    and a surface that some ancestor's shrink kept from crossing, which
-    lies within 2 _SHRINK root half-widths of those faces.
+    and a surface that its own shrink kept from crossing, which lies
+    within 2 _SHRINK root half-widths of those faces.
     """
     slope = -(2.0**-33)  # 60 + slope * x is exact: every x is a small integer
     mesh, top, floor = _tie_block(0, slope)
@@ -400,6 +397,77 @@ def test_tilted_top_volumes_exact(margin):
         g = tree.grey_index
         assert (err[g] <= 1e-12 * box[g]).all(), depth
         assert (err <= spatial._reach(mesh, margin) * faces).all(), depth
+
+
+def _sat_pairs(mesh, center, half):
+    """The (box, triangle) pairs of every triangle of ``mesh`` and each box
+    ``center`` +- ``half`` (N, 3) that the full SAT test finds meeting: the
+    pairs that no box-normal slab separates, tested in full."""
+    tmin, tmax = mesh.tri_bounds()
+    box, tri = [], []
+    for s in range(0, len(center), 1024):
+        c, h = center[s : s + 1024, None], half[s : s + 1024, None]
+        b, t = np.nonzero(((tmin - c <= h) & (tmax - c >= -h)).all(axis=2))
+        meet = mesh_io._tri_box_overlap(mesh.tri_coords()[t], c[b, 0], h[b, 0])
+        box.append(s + b[meet])
+        tri.append(t[meet])
+    return np.concatenate(box), np.concatenate(tri)
+
+
+def _own_box_classes(mesh, tree):
+    """:func:`classify_box` of every leaf's own box, all leaves at once: grey
+    where a triangle crosses the box shrunk by _SHRINK, else black or white
+    by its center."""
+    center = 0.5 * (tree.box_min + tree.box_max)
+    half = 0.5 * (tree.box_max - tree.box_min) * (1 - spatial._SHRINK)
+    crossed = np.zeros(len(center), dtype=bool)
+    crossed[_sat_pairs(mesh, center, half)[0]] = True
+    inside = _points_inside(mesh, center)
+    return np.where(crossed, spatial._GREY, np.where(inside, spatial._BLACK, spatial._WHITE))
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.01])
+@pytest.mark.parametrize(
+    "ulps, slope",
+    [(0, -(2.0**-33)), (-2, 0.0), (-1, 0.0), (0, 0.0), (1, 0.0), (2, 0.0)],
+    ids=["tilted", "ulps-2", "ulps-1", "ulps0", "ulps1", "ulps2"],
+)
+def test_every_leaf_has_its_own_box_class(ulps, slope, margin):
+    """Every leaf's class is :func:`classify_box`'s on its own box, at depths
+    1-6, on the tilted-top block and the split-plane blocks.  A child is
+    tested against every triangle near its parent, not only those that
+    crossed the parent's shrunk box: the tilted top crosses some depth-5
+    and depth-6 boxes under the pocket wall within the shrink of their
+    ancestors' tops, and those boxes are grey."""
+    mesh, _, _ = _tie_block(ulps, slope)
+    for depth in range(1, 7):
+        tree = build_octree(mesh, max_depth=depth, margin=margin)
+        want = _own_box_classes(mesh, tree)
+        assert np.array_equal(tree.class_code, want), (depth, int((tree.class_code != want).sum()))
+    # the helper is classify_box: check it box by box on the depth-6 leaves
+    # below the split plane z = 60 and on 100 others
+    below = np.flatnonzero((tree.box_max[:, 2] == 60.0) & (tree.box_min[:, 0] < 40.0))
+    others = np.random.default_rng(5).choice(len(want), 100, replace=False)
+    for i in np.union1d(below[:300], others).tolist():
+        assert classify_box(mesh, tree.box_min[i], tree.box_max[i]) is spatial._CLASSES[want[i]], i
+
+
+@pytest.mark.parametrize("name", ["tilted", "sphere10"])
+def test_grey_lists_hold_every_triangle_in_reach(name, sphere10):
+    """Each grey leaf's list holds every triangle that the full SAT test finds
+    meeting its box inflated by _reach, as the volume kernel needs."""
+    for margin in (0.0, 0.01):
+        mesh = {"tilted": lambda: _tie_block(0, -(2.0**-33))[0], "sphere10": lambda: sphere10}[name]()
+        tree = build_octree(mesh, max_depth=4, margin=margin)
+        g = tree.grey_index
+        size = tree.box_max[g] - tree.box_min[g]
+        center = 0.5 * (tree.box_min[g] + tree.box_max[g])
+        leaf, tri = _sat_pairs(mesh, center, 0.5 * size + spatial._reach(mesh, margin))
+        listed = np.repeat(np.arange(len(g)), np.diff(tree.grey_tri_ptr))
+        have = set(zip(listed.tolist(), tree.grey_tri_ids.tolist()))
+        need = set(zip(leaf.tolist(), tri.tolist()))
+        assert need <= have
+        assert len(need) > len(g)  # every grey leaf has a triangle crossing it, and more
 
 
 @pytest.mark.parametrize("name", ["block", "pocket", "sphere10"])
@@ -535,21 +603,18 @@ def _wave_cases(rng, w=30, k=5):
 @pytest.mark.parametrize("budget", [None, 1, 7])
 def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
     """The slab prefilter changes no wave hit: the full SAT test runs on
-    exactly the (pair, child) entries of crossing pairs that no box-normal
-    axis separates and that do not lie inside the child box, and every
-    entry inside is a hit.  The near entries are every entry within reach
-    of the inflated box that is not a hit: those that the shrunk box's
-    slabs separate and the inflated box's do not, those that the full test
-    rejects and the full test against the inflated box keeps (each
-    rejected entry goes through it once more), and every such entry of a
-    pair that does not cross; such a pair has no hit."""
+    exactly the (pair, child) entries that no box-normal axis separates and
+    that do not lie inside the child box, and every entry inside is a hit.
+    The near entries are every entry within reach of the inflated box that
+    is not a hit: those that the shrunk box's slabs separate and the
+    inflated box's do not, and those that the full test rejects and the
+    full test against the inflated box keeps (each rejected entry goes
+    through it once more)."""
     rng = np.random.default_rng(43)
     tc, pair_tri, pair_node, lo, hi = _wave_cases(rng)
     centers, halves = _child_boxes(lo, hi)
     pad = 2.0**-12  # a dyadic reach, so that the cases' touching stays exact
     reach = _child_boxes(lo, hi, shrink=0.0)[1] + pad
-    pair_cross = rng.random(len(pair_tri)) < 0.8
-    pair_tri_all, pair_node_all = pair_tri, pair_node
     if budget is not None:
         monkeypatch.setattr(spatial, "_SAT_PAIR_BUDGET", budget)
     tested = []
@@ -561,18 +626,16 @@ def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
 
     monkeypatch.setattr(spatial, "_tri_box_overlap", recording)
     bounds = tc.min(axis=1), tc.max(axis=1)
-    got, near = spatial._wave_mask(
-        tc, bounds, pair_tri, pair_cross, pair_node, centers, halves, reach
-    )
-    assert not got[~pair_cross].any()
-    crossing = np.flatnonzero(pair_cross)
-    got, pair_tri, pair_node = got[crossing], pair_tri[crossing], pair_node[crossing]
+    got, near = spatial._wave_mask(tc, bounds, pair_tri, pair_node, centers, halves, reach)
 
     # unfiltered reference: every pair against all 8 children, one pair at a time
-    want = np.array([
-        full_sat(tc[t][None, None], centers[n][None], halves[n][None])[0]
-        for t, n in zip(pair_tri, pair_node)
-    ])
+    def sat(halves):
+        return np.array([
+            full_sat(tc[t][None, None], centers[n][None], halves[n][None])[0]
+            for t, n in zip(pair_tri, pair_node)
+        ])
+
+    want = sat(halves)
     assert np.array_equal(got, want)
     assert 0 < want.sum() < want.size
 
@@ -594,22 +657,15 @@ def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
     assert want[contained].all()
     # entries inside with a vertex offset exactly -h or h are in the cases
     assert (contained & ((vmin == -h) | (vmax == h)).any(axis=2)).any()
-    assert (~slab_sep & ~want).any()  # the other 10 axes still decide some entries
+    assert missed.any()  # the other 10 axes still decide some entries
     # entries that only touch a closed child box are in the cases: the shrink separates them
     assert (slab_sep & ~box_axes_separate(_child_boxes(lo, hi, shrink=0.0)[1])).any()
     # near entries: within the reach of a child box that the shrunk slabs keep
     # apart, or rejected by the full test and kept by it on the inflated box
     close = ~box_axes_separate(reach)
-    inflated = np.array([
-        full_sat(tc[t][None, None], centers[n][None], reach[n][None])[0]
-        for t, n in zip(pair_tri, pair_node)
-    ])
-    assert np.array_equal(near[crossing], slab_sep & close | missed & inflated)
+    inflated = sat(reach)
+    assert np.array_equal(near, slab_sep & close | missed & inflated)
     assert (slab_sep & close).any() and (missed & inflated).any() and (missed & ~inflated).any()
-    every = np.flatnonzero(~pair_cross)
-    v = tc[pair_tri_all[every]][:, None] - centers[pair_node_all[every]][:, :, None, :]
-    r = reach[pair_node_all[every]]
-    assert np.array_equal(near[every], ~((v.min(axis=2) > r) | (v.max(axis=2) < -r)).any(axis=2))
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.01])
