@@ -51,7 +51,6 @@ from .mesh_io import (
     classify_points,
     load_mesh,
     point_in_mesh,
-    triangle_box_intersect,
 )
 from .profiles import MachineProfiles, default_profiles, load_profiles
 from .reporting import (
@@ -128,7 +127,6 @@ __all__ = [
     "skin_surface_index",
     "summarize_field",
     "tool_flexibility_field",
-    "triangle_box_intersect",
     "volume_index",
     "volume_weighted_mean",
     "volume_weights",

@@ -723,73 +723,147 @@ def _exact_det(ux, uy, vx, vy, px, py) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Triangle / box intersection
+# Triangle / box contact
+
+#: Proven error bounds of :func:`_tri_box_overlap`'s float gaps, as
+#: multiples of E K for an edge axis and of E**2 K for the triangle normal.
+#: E is the entry's largest edge component and K = V + H + C, with V its
+#: largest vertex offset from the rounded box center, H the largest half
+#: width and C the largest center coordinate.  An edge gap is orient2d's
+#: form, (3 + 16 u) u (|l| + |r|) for u = 2**-53, plus the center's and
+#: half-width's rounding: at most 11 u E K.  The normal's rounded components
+#: add at most 67 u E**2 K.  Both are powers of two, so scaling by them
+#: rounds nothing; like :data:`_CCW_ERRBOUND`, they only pick which entries
+#: :func:`_exact_contacts` decides, never an answer.
+_EDGE_ERRBOUND = 2.0**-49  # 16 u
+_NORMAL_ERRBOUND = 2.0**-46  # 128 u
 
 
-def triangle_box_intersect(triangle, box_min, box_max) -> bool:
-    """Exact separating-axis test between one triangle and a closed AABB.
+def _tri_box_overlap(tc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Exact contact of triangles ``tc`` (..., 3, 3) and boxes ``lo``/``hi``
+    (..., 3) displaced by a symbolic (e, e**2, e**3), e -> 0+; bool (...).
 
-    Touching contact counts as intersection.  13 axes: 3 box normals, the
-    triangle normal, and the 9 edge cross-products.
+    Contact is decided on the 13 separating axes of Akenine-Moller's test
+    ("Fast 3D Triangle-Box Overlap Testing", 2001): the 3 box normals, the
+    triangle normal, and the 9 products of a box normal and an edge.  Axis
+    ``a`` separates when ``a . (p - q) < a . d`` for every vertex p and the
+    box corner q that minimises ``a . q``, or ``> a . d`` for the one that
+    maximises it, ``d`` being the displacement.  A nonzero value decides by
+    its sign, a 0 (a tie) by the sign of ``a . d``: that of ``a``'s first
+    nonzero component, x, then y, then z (Simulation of Simplicity,
+    Edelsbrunner and Mucke, 1990).  So a face on a box plane meets the box
+    on its lower side (below, left or in front) and not the one on its
+    upper side, and no contact is a mere touch.  A zero axis never
+    separates.
+
+    The box normals compare the triangle's bounds with ``lo`` and ``hi``,
+    exactly: axis k separates when ``tmax <= lo`` or ``tmin > hi``.  Every
+    other axis takes its gap in floats, Akenine-Moller's radius less the
+    vertices' reach past the box center, the least of ``a . (p - q)`` over
+    the minimising corner and ``-a . (p - q)`` over the maximising one.  It
+    lies within a proven bound (:data:`_EDGE_ERRBOUND`,
+    :data:`_NORMAL_ERRBOUND`) of the exact gap: below minus the bound, the
+    axis separates; above it, it does not.  An edge axis with a zero
+    component, and the normal of a triangle in an axis plane, repeat a box
+    normal's verdict and are skipped.  An entry that no axis separates
+    and whose gaps the bounds leave open on some axes goes to
+    :func:`_exact_contacts`, which decides those axes.  The leading axes
+    broadcast against each other, and every test is elementwise, so an
+    entry's answer does not depend on what else is in the batch.
     """
-    tri = np.asarray(triangle, dtype=np.float64).reshape(1, 3, 3)
-    lo = np.asarray(box_min, dtype=np.float64)
-    hi = np.asarray(box_max, dtype=np.float64)
-    center = (0.5 * (lo + hi)).reshape(1, 3)
-    half = (0.5 * (hi - lo)).reshape(1, 3)
-    return bool(_tri_box_overlap(tri, center, half)[0])
+    tri = np.ascontiguousarray(np.moveaxis(tc, (-2, -1), (0, 1)))  # (vertex, axis, ...)
+    blo, bhi = (np.ascontiguousarray(np.moveaxis(x, -1, 0)) for x in (lo, hi))
+    tmin = np.minimum(np.minimum(tri[0], tri[1]), tri[2])
+    tmax = np.maximum(np.maximum(tri[0], tri[1]), tri[2])
+    sep = ((tmax <= blo) | (tmin > bhi)).any(axis=0)
+    c, h = 0.5 * (blo + bhi), 0.5 * (bhi - blo)
+    v = tri - c  # vertex offsets from the box center
+    e = np.empty_like(tri)  # edge j runs from vertex j to vertex j + 1
+    for j in range(3):
+        np.subtract(tri[(j + 1) % 3], tri[j], out=e[j])
+    ae = np.abs(e)
+    emax = ae.reshape((9,) + ae.shape[2:]).max(axis=0)
+    vmax = np.maximum(np.abs(tmin - c), np.abs(tmax - c)).max(axis=0)  # V
+    ek = emax * (vmax + h.max(axis=0) + np.abs(c).max(axis=0))
+
+    # the triangle normal: every vertex projects like vertex 0
+    n = [e[0, 1] * e[1, 2] - e[0, 2] * e[1, 1], e[0, 2] * e[1, 0] - e[0, 0] * e[1, 2],
+         e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]]
+    radius = np.abs(n[0]) * h[0] + np.abs(n[1]) * h[1] + np.abs(n[2]) * h[2]
+    normal = radius - np.abs(n[0] * v[0, 0] + n[1] * v[0, 1] + n[2] * v[0, 2])
+    np.copyto(normal, np.inf, where=(tmin == tmax).any(axis=0))  # n along a box normal
+    # box normal k x edge j is (.., -e_w, e_u, ..) on the axes u, w after k;
+    # vertices j and j + 1 project alike, so j and j + 2 bound the triangle
+    edges = np.empty((9,) + sep.shape)  # axis 3 j + k
+    live = e != 0
+    dead = ~(live[:, [1, 2, 0]] & live[:, [2, 0, 1]])  # (j, k): a zero component
+    for j in range(3):
+        o = (j + 2) % 3
+        for k in range(3):
+            u, w = (k + 1) % 3, (k + 2) % 3
+            p = e[j, u] * v[j, w] - e[j, w] * v[j, u]
+            q = e[j, u] * v[o, w] - e[j, w] * v[o, u]
+            g = edges[3 * j + k]
+            reach = np.maximum(np.minimum(p, q), -np.maximum(p, q))
+            np.subtract(ae[j, u] * h[w] + ae[j, w] * h[u], reach, out=g)
+            np.copyto(g, np.inf, where=dead[j, k])
+    normal_bound, edge_bound = _NORMAL_ERRBOUND * emax * ek, _EDGE_ERRBOUND * ek
+    least = edges.min(axis=0)
+    sep |= (normal < -normal_bound) | (least < -edge_bound)
+    hit = ~sep & (normal > normal_bound) & (least > edge_bound)
+    ask = np.nonzero(~sep & ~hit)
+    if len(ask[0]):
+        flat = tc.reshape(tc.shape[:-2] + (9,))
+        rows = [np.broadcast_to(x, sep.shape + x.shape[-1:])[ask] for x in (flat, lo, hi)]
+        # the axes each entry leaves open: 0 the normal, 1 + 3 j + k the edge axes
+        open_axes = np.vstack([
+            np.abs(normal[ask]) <= np.broadcast_to(normal_bound, sep.shape)[ask],
+            np.abs(edges[(slice(None),) + ask]) <= np.broadcast_to(edge_bound, sep.shape)[ask],
+        ])
+        hit[ask] = _exact_contacts(np.hstack(rows).tolist(), open_axes.T.tolist())
+    return hit
 
 
-def _separated(p0, p1, p2, rad):
-    """One SAT axis: the projections ``p0, p1, p2`` of a triangle's vertices,
-    taken relative to the box center, all lie outside the box's ``[-rad, rad]``."""
-    lo = np.minimum(np.minimum(p0, p1), p2)
-    hi = np.maximum(np.maximum(p0, p1), p2)
-    return (lo > rad) | (hi < -rad)
+def _exact_contacts(rows: list, open_axes: list) -> list[bool]:
+    """Whether no open axis separates each triangle and box of ``rows`` in
+    :func:`_tri_box_overlap`, on integers.
 
-
-def _tri_box_overlap(tc: np.ndarray, centers: np.ndarray, halves: np.ndarray) -> np.ndarray:
-    """SAT overlap of triangles ``tc`` (..., 3, 3) and boxes ``centers`` /
-    ``halves`` (..., 3); returns bool (...).
-
-    The leading axes have equal rank and broadcast against each other: one
-    box against many triangles is ``(M, 3, 3)`` against ``(1, 3)``, and the
-    octree pairs each triangle ``(P, 1, 3, 3)`` with its node's 8 children
-    ``(P, 8, 3)``.  Every axis test is elementwise over the leading axes, so
-    a pair's answer does not depend on what else is in the batch.
-
-    The 3 box-normal axes come first, as in Akenine-Moller's ordering.  The
-    octree runs them alone first, on each triangle's bounds less the box
-    center: ``fl(min(p) - c) == min(fl(p - c))`` because rounding is
-    monotone, so an entry they separate would be False here too.  A
-    triangle whose offsets ``v = fl(p - c)`` all lie in ``[-h, h]`` would be
-    True here, bit for bit, so the octree counts it a hit without this test:
-    every projection below is built from products ``|fl(x * v)| = fl(|x| *
-    |v|) <= fl(|x| * h)`` and sums taken in the same order as its radius's.
-    Needles and zero-area triangles included, neither shortcut changes an
-    answer.
+    A row holds the 9 vertex coordinates, then ``lo`` and ``hi``; its flags
+    in ``open_axes`` mark axis 0, the triangle normal, and 1 + 3 j + k, box
+    normal k x edge j.  With every flag set it is that function's answer
+    wherever no box normal separates the two.  Every coordinate is scaled
+    to an integer by the batch's finest power of two (each float is an
+    integer times a power of two, ``float.as_integer_ratio``), and each
+    axis is tested with Akenine-Moller's projection and radius, doubled so
+    that the box center is an integer too, and the tie rule.
     """
-    tri = np.moveaxis(tc, (-2, -1), (0, 1))  # (vertex, axis, ...)
-    hx, hy, hz = np.moveaxis(halves, -1, 0)
-    v = tri - np.moveaxis(centers, -1, 0)  # vertices relative to the box center
-
-    # box face normals
-    sep = _separated(*v[:, 0], hx)
-    sep |= _separated(*v[:, 1], hy)
-    sep |= _separated(*v[:, 2], hz)
-
-    # triangle normal
-    e0, e1, e2 = tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]
-    nx = e0[1] * e1[2] - e0[2] * e1[1]
-    ny = e0[2] * e1[0] - e0[0] * e1[2]
-    nz = e0[0] * e1[1] - e0[1] * e1[0]
-    d = nx * v[0, 0] + ny * v[0, 1] + nz * v[0, 2]
-    sep |= np.abs(d) > hx * np.abs(nx) + hy * np.abs(ny) + hz * np.abs(nz)
-
-    # axes (1,0,0) x e, (0,1,0) x e, (0,0,1) x e; their zero component is skipped
-    for ex, ey, ez in (e0, e1, e2):
-        ax, ay, az = np.abs(ex), np.abs(ey), np.abs(ez)
-        sep |= _separated(*(-ez * v[i, 1] + ey * v[i, 2] for i in range(3)), hy * az + hz * ay)
-        sep |= _separated(*(ez * v[i, 0] - ex * v[i, 2] for i in range(3)), hx * az + hz * ax)
-        sep |= _separated(*(-ey * v[i, 0] + ex * v[i, 1] for i in range(3)), hx * ay + hy * ax)
-    return ~sep
+    ratios = {c: c.as_integer_ratio() for row in rows for c in row}
+    d = max(q for _, q in ratios.values())
+    scaled = {c: n * (d // q) for c, (n, q) in ratios.items()}
+    found = []
+    for row, flags in zip(rows, open_axes):
+        x0, y0, z0, x1, y1, z1, x2, y2, z2, lx, ly, lz, hx, hy, hz = map(scaled.__getitem__, row)
+        cx, cy, cz = lx + hx, ly + hy, lz + hz
+        r = ((2 * x0 - cx, 2 * y0 - cy, 2 * z0 - cz), (2 * x1 - cx, 2 * y1 - cy, 2 * z1 - cz),
+             (2 * x2 - cx, 2 * y2 - cy, 2 * z2 - cz))  # twice each vertex less the box center
+        h = (hx - lx, hy - ly, hz - lz)  # twice the half widths
+        e = ((x1 - x0, y1 - y0, z1 - z0), (x2 - x1, y2 - y1, z2 - z1), (x0 - x2, y0 - y2, z0 - z2))
+        contact = True
+        for i in (i for i, flag in enumerate(flags) if flag):
+            if i == 0:
+                (ax, ay, az), (bx, by, bz) = e[0], e[1]
+                a = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+            else:
+                ex, ey, ez = e[(i - 1) // 3]
+                a = ((0, -ez, ey), (ez, 0, -ex), (-ey, ex, 0))[(i - 1) % 3]  # box normal k x edge j
+            lead = a[0] or a[1] or a[2]
+            if not lead:
+                continue  # a zero axis never separates
+            proj = [a[0] * q[0] + a[1] * q[1] + a[2] * q[2] for q in r]
+            radius = abs(a[0]) * h[0] + abs(a[1]) * h[1] + abs(a[2]) * h[2]
+            low, high = max(proj) + radius, min(proj) - radius
+            if low < 0 or high > 0 or low == 0 < lead or high == 0 > lead:
+                contact = False
+                break
+        found.append(contact)
+    return found

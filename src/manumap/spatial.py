@@ -2,7 +2,7 @@
 
 The part's bounding box is cubified, inflated by a small margin, and split
 recursively: boxes fully inside the part are black, fully outside are white,
-and boxes crossed by the surface are grey and subdivided until ``max_depth``.
+and boxes the surface meets are grey and subdivided until ``max_depth``.
 A box the surface misses is black or white by the exact parity of its
 center's vertical line.  Grey terminal boxes get their exact solid volume
 by the divergence theorem (:func:`_grey_volumes`): each triangle's part in
@@ -43,12 +43,6 @@ DEFAULT_MAX_DEPTH = 5
 DEFAULT_MARGIN = 0.01
 #: Deepest octree a build or refine may ask for.
 MAX_DEPTH_LIMIT = 10
-
-#: Relative inward shrink applied to a box before the surface-crossing test.
-#: A triangle that merely touches the closed box (no transversal crossing)
-#: then does not count, and the box classifies by its center point instead.
-#: Keeps axis-aligned parts from producing infinitely thin grey shells.
-_SHRINK = 1e-9
 
 _CLIP_PAIR_BUDGET = 16_384  # (triangle, box) pairs per chunk of the volume kernel
 _CLIP_ENTRY_BUDGET = 65_536  # (constraint, line, pair) entries per call of _clipped_fans
@@ -106,11 +100,9 @@ class Octree:
     (``mid = 0.5 * (lo + hi)`` at each level), not re-derived from the key,
     which would round differently.  ``grey_index`` lists the grey rows;
     every grey leaf sits at ``max_depth``.  Grey leaf g keeps the triangles
-    near it, ``grey_tri_ids[grey_tri_ptr[g]:grey_tri_ptr[g + 1]]``: every
-    triangle that meets its box inflated by ``2 * _SHRINK`` root
-    half-widths (:func:`_reach`), with some whose bounds merely reach that
-    box.  Those that cross its box shrunk by :data:`_SHRINK` made it grey;
-    the volume kernel's ties need the others.  :func:`refine` starts from
+    in contact with its box, ``grey_tri_ids[grey_tri_ptr[g]:grey_tri_ptr[g +
+    1]]``, in the sense of :func:`classify_box`: exactly those made it grey,
+    and they are all the volume kernel needs.  :func:`refine` starts from
     these lists.  All arrays are read-only.
     """
 
@@ -165,21 +157,13 @@ class Octree:
     def total_part_volume(self) -> float:
         return math.fsum(self.part_volume.tolist())
 
-    def find_leaf(self, point) -> OctantNode | None:
-        """Record of the leaf whose half-open box contains ``point``, or None outside the root.
-
-        The root's max faces belong to the root, so a point on them still
-        finds a leaf.  A one-point call of :meth:`find_leaves`.
-        """
-        i = int(self.find_leaves(np.reshape(point, (1, 3)))[0])
-        return None if i < 0 else self.leaves()[i]
-
     def find_leaves(self, points) -> np.ndarray:
         """Index of the leaf containing each of the (N, 3) ``points``, -1 outside the root.
 
         Boxes are half-open: at every level a point goes to the upper child
         on an axis where ``p >= mid``, with ``mid = 0.5 * (lo + hi)`` of the
-        box it is in, so a point on a split plane lands in the box above it.
+        box it is in, so a point on a split plane lands in the box above it
+        (where a face on that plane meets the box below, :func:`classify_box`).
         The root box itself is closed, so points on its max faces still find
         a leaf.  All points descend level by level at once, each stopping
         when its path key is a leaf's.
@@ -270,9 +254,12 @@ def _locate(by_key, lo: np.ndarray, hi: np.ndarray, points) -> np.ndarray:
 def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
     """Classify one axis-aligned box against a watertight mesh.
 
-    Grey means the surface crosses the open box; a surface that only touches
-    the box's boundary does not count, and such boxes classify black or
-    white by their center point.
+    Grey means a triangle is in contact with the box displaced by a
+    symbolic (e, e**2, e**3), e -> 0+ (:func:`_tri_box_overlap`): a face on
+    one of the box's planes counts for the box below, left of or in front
+    of that plane, never for both.  A box the surface misses is black or
+    white by its center point, whose answer then holds for the whole open
+    box.
     """
     if not mesh.metrics.watertight:
         raise NotWatertightError("box classification needs a watertight mesh")
@@ -284,25 +271,22 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
 
 
 def _classify(mesh: TriMesh, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
-    """The triangles crossing the (1, 3) box ``lo``/``hi`` and the box's class code.
+    """The triangles in contact with the (1, 3) box ``lo``/``hi`` and the box's class code.
 
-    The box is shrunk by :data:`_SHRINK` for the SAT test; a box no triangle
-    crosses is black or white by the exact parity of its center.  A
-    triangle whose bounds (:meth:`TriMesh.tri_bounds`) lie inside the shrunk
-    box is a hit without the full test, which would say the same (see
-    :func:`_tri_box_overlap`); for an octree's root at a positive margin,
-    that is every triangle.
+    A box no triangle meets is black or white by the exact parity of its
+    center.  A triangle whose bounds (:meth:`TriMesh.tri_bounds`) lie in
+    ``(lo, hi]`` on every axis is a hit without the full test
+    (:func:`_tri_box_overlap`), which would say the same; for an octree's
+    root at a positive margin, that is every triangle.
     """
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * (1 - _SHRINK)
     tmin, tmax = mesh.tri_bounds()
-    hit = ((tmin - center >= -half) & (tmax - center <= half)).all(axis=1)
+    hit = ((tmin > lo) & (tmax <= hi)).all(axis=1)
     rest = np.flatnonzero(~hit)
-    hit[rest] = _tri_box_overlap(mesh.tri_coords()[rest], center, half)
+    hit[rest] = _tri_box_overlap(mesh.tri_coords()[rest], lo, hi)
     hits = np.flatnonzero(hit)
     if len(hits):
         return hits, _GREY
-    return hits, _BLACK if _points_inside(mesh, center)[0] else _WHITE
+    return hits, _BLACK if _points_inside(mesh, 0.5 * (lo + hi))[0] else _WHITE
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +340,9 @@ def build_octree(
 
     hits, code = _classify(mesh, lo, hi)
     if code == _GREY:
-        # the root keeps every triangle
-        tris = np.arange(mesh.num_triangles)
-        root_of = np.zeros(len(tris), dtype=np.intp)
-        leaves, tri_ptr, tri_ids = _grow(mesh, [], lo, hi, root_key, root_of, tris, 0, max_depth, margin)
-        _grey_volumes(mesh, leaves, tri_ptr, tri_ids, margin)
+        root_of = np.zeros(len(hits), dtype=np.intp)
+        leaves, tri_ptr, tri_ids = _grow(mesh, [], lo, hi, root_key, root_of, hits, 0, max_depth)
+        _grey_volumes(mesh, leaves, tri_ptr, tri_ids)
     else:
         volume = np.array([float(np.prod(hi - lo)) if code == _BLACK else 0.0])
         code = np.array([code], dtype=np.int8)
@@ -397,26 +379,26 @@ def _grow(
     pair_tri: np.ndarray,
     depth: int,
     max_depth: int,
-    margin: float,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
     """Subdivide grey nodes level by level down to ``max_depth``; the finished leaves.
 
     The W nodes at ``depth`` have boxes ``lo``/``hi`` (W, 3) and path keys
-    ``keys``, in Morton order, and triangle ``pair_tri[p]`` is near node
-    ``pair_node[p]``: the pairs hold every triangle that meets a node's box
-    inflated by :func:`_reach`.  The leaves of ``done``, tuples of leaf
-    arrays as in :data:`_LEAF_COLUMNS`, are kept as they are.  Returns all
+    ``keys``, in Morton order, and triangle ``pair_tri[p]`` is in contact
+    with node ``pair_node[p]``: the pairs hold every triangle in contact
+    with a node's box (:func:`classify_box`), and only those.  A triangle
+    in contact with a child is in contact with its parent, so each child's
+    list is its node's list tested against it.  The leaves of ``done``,
+    tuples of leaf arrays as in :data:`_LEAF_COLUMNS`, are kept as they are.  Returns all
     leaves in Morton order, grey volumes NaN for :func:`_grey_volumes` to
     fill, and the grey leaves' triangle lists as a CSR (offsets, triangle
     ids).  Children of Morton-ordered nodes come out Morton-ordered, so the
     greys, all made by the last wave, keep their order through the final
     sort and stay aligned with the CSR.
     """
-    pad = _reach(mesh, margin)
     while True:
         depth += 1
         lo, hi, keys, code, volume, pair_child, pair_tri = _advance_wave(
-            mesh, lo, hi, keys, pair_node, pair_tri, pad
+            mesh, lo, hi, keys, pair_node, pair_tri
         )
         wave = (keys, np.full(len(keys), depth, dtype=np.int32), code, lo, hi, volume)
         grey = code == _GREY
@@ -441,13 +423,6 @@ def _grow(
     return leaves, tri_ptr, pair_tri
 
 
-def _reach(mesh: TriMesh, margin: float) -> float:
-    """How far past a box a near triangle may lie: ``2 * _SHRINK`` root
-    half-widths, from the mesh and ``margin`` as the root box is, so that a
-    build and a refine agree bit for bit."""
-    return _SHRINK * mesh.metrics.max_dimension * (1.0 + margin)
-
-
 def _advance_wave(
     mesh: TriMesh,
     lo: np.ndarray,
@@ -455,25 +430,23 @@ def _advance_wave(
     keys: np.ndarray,
     pair_node: np.ndarray,
     pair_tri: np.ndarray,
-    pad: float,
 ) -> tuple[np.ndarray, ...]:
     """Split W grey nodes into their 8 children each; returns the 8W children.
 
     Children come node by node, child c of a node taking the upper half on
     axis a where bit a of c is set.  Returns their boxes (8W, 3), path keys,
     class codes, part volumes (NaN on grey children, which
-    :func:`_grey_volumes` fills), and the (child, triangle) near pairs
+    :func:`_grey_volumes` fills), and the (child, triangle) contact pairs
     ordered by child, each child's triangles in its node's order.
 
     Every (node, triangle) pair of the level is tested against the node's
     8 children by :func:`_wave_mask`: a child is grey exactly when a
-    triangle of its node's list crosses its shrunk box.  That is
+    triangle of its node's list is in contact with it.  That is
     :func:`classify_box` on the child, because the list holds every
-    triangle that meets the node's box inflated by ``pad``.  Children
-    that the surface misses are center-classified in one
-    :func:`_heights_inside` call with one line per xy column (one
-    :func:`_column_keys` value), carrying the center heights of every
-    missed child stacked in that column.  A height's answer depends only on
+    triangle in contact with the node.  Children that the surface misses
+    are center-classified in one :func:`_heights_inside` call with one
+    line per xy column (one :func:`_column_keys` value), carrying the
+    center heights of every missed child stacked in that column.  A height's answer depends only on
     the mesh and the point, so sharing lines changes no class.
     """
     mid = 0.5 * (lo + hi)
@@ -481,18 +454,12 @@ def _advance_wave(
     cmax = np.where(_CHILD_BITS, hi[:, None, :], mid[:, None, :]).reshape(-1, 3)
     size = cmax - cmin
     centers = 0.5 * (cmin + cmax)
-    halves = 0.5 * size * (1.0 - _SHRINK)
-    hit, near = _wave_mask(
-        mesh.tri_coords(),
-        mesh.tri_bounds(),
-        pair_tri,
-        pair_node,
-        centers.reshape(-1, 8, 3),
-        halves.reshape(-1, 8, 3),
-        (0.5 * size + pad).reshape(-1, 8, 3),
+    hit = _wave_mask(
+        mesh.tri_coords(), mesh.tri_bounds(), pair_tri, pair_node,
+        cmin.reshape(-1, 8, 3), cmax.reshape(-1, 8, 3),
     )
 
-    entry = np.flatnonzero(hit | near)  # 8 * pair + child; faster than a 2-D nonzero
+    entry = np.flatnonzero(hit)  # 8 * pair + child; faster than a 2-D nonzero
     pair = entry >> 3
     group = pair_node[pair] * 8 + (entry & 7)
     order = np.argsort(group, kind="stable")
@@ -500,7 +467,7 @@ def _advance_wave(
     code = np.full(len(cmin), _GREY, dtype=np.int8)
     volume = np.full(len(cmin), np.nan)
     child_keys = (keys[:, None] << 3 | np.arange(8)).ravel()
-    miss = np.flatnonzero(np.bincount(group[hit.reshape(-1)[entry]], minlength=len(cmin)) == 0)
+    miss = np.flatnonzero(np.bincount(group, minlength=len(cmin)) == 0)
     if len(miss):
         # the missed centers column by column: stacked centers share x and y bitwise
         columns = _column_keys(child_keys[miss])
@@ -531,78 +498,51 @@ def _wave_mask(
     bounds: tuple[np.ndarray, np.ndarray],
     pair_tri: np.ndarray,
     pair_node: np.ndarray,
-    centers: np.ndarray,
-    halves: np.ndarray,
-    reach: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P, 8) hits and near entries of triangle ``pair_tri[p]`` and child c of node ``pair_node[p]``.
+    cmin: np.ndarray,
+    cmax: np.ndarray,
+) -> np.ndarray:
+    """(P, 8) contacts of triangle ``pair_tri[p]`` and child c of node ``pair_node[p]``.
 
     ``tc`` holds the triangles' vertices and ``bounds`` their ``(tmin,
-    tmax)`` as in :meth:`TriMesh.tri_bounds`; ``centers``, ``halves`` and
-    ``reach`` are the (W, 8, 3) child boxes of the W nodes, shrunk and
-    inflated.  A hit is an entry that the SAT test finds crossing the
-    shrunk child box.  A near entry is one that the shrunk box's slabs
-    separate and the inflated box's slabs do not, or one that the full
-    test rejects and the full test against the inflated box keeps.  Hits
-    alone make a child grey, so near entries change no class.
+    tmax)`` as in :meth:`TriMesh.tri_bounds`; ``cmin`` and ``cmax`` are the
+    (W, 8, 3) child boxes of the W nodes.  An entry is a contact when
+    :func:`_tri_box_overlap` says so.
 
     The box-normal axes run first, per pair rather than per child: along
     an axis the 8 children share two slabs, the lower one of child 0 and
     the upper one of child 7 (child c takes the upper slab where bit a of c
-    is set), with bit-identical center and half-width numbers.  A slab
-    takes the triangle's bounds less its center, ``lo`` and ``hi``: ``lo
-    <= h and hi >= -h`` is exactly "not separated" in
-    :func:`_tri_box_overlap`, because ``fl(min(p) - c) == min(fl(p - c))``,
-    and ``lo >= -h and hi <= h`` is "contained".  The six flags of a pair
-    index :data:`_SLAB_CHILDREN`, which ANDs each child's three slabs.  A
-    contained child is a hit, as the full test would also say (see its
-    docstring); only the entries that no slab separates and that are not
-    contained gather their vertices and go through :func:`_tri_box_overlap`,
-    so the hits are the full test's.  Pairs run in chunks of
-    :data:`_SAT_PAIR_BUDGET`, and a chunk's remaining entries (at most 8
-    per pair) are tested together; the rejected ones of all chunks then
-    take the test against the inflated box together.
+    is set).  A slab ``[lo, hi]`` keeps a triangle unless ``tmax <= lo`` or
+    ``tmin > hi``, exactly the kernel's box-normal test, and contains it
+    when ``tmin > lo`` and ``tmax <= hi``, where the kernel would find
+    contact.  The six flags of a pair index :data:`_SLAB_CHILDREN`, which
+    ANDs each child's three slabs.  Only the entries that every slab keeps
+    and that are not contained gather their vertices and go through the
+    kernel.  Pairs run in chunks of :data:`_SAT_PAIR_BUDGET`, and a chunk's
+    remaining entries (at most 8 per pair) are tested together.
     """
     tmin, tmax = bounds
-    # (W, lower/upper, 3) slabs of the shrunk and the inflated children
-    slab_c, slab_h, slab_r = centers[:, [0, 7]], halves[:, [0, 7]], reach[:, [0, 7]]
-    centers, halves, reach = (a.reshape(-1, 3) for a in (centers, halves, reach))  # child 8 * node + c
+    slab_lo, slab_hi = cmin[:, [0, 7]], cmax[:, [0, 7]]  # (W, lower/upper, 3)
+    cmin, cmax = cmin.reshape(-1, 3), cmax.reshape(-1, 3)  # child 8 * node + c
     hit = np.zeros((len(pair_tri), 8), dtype=bool)
-    near = np.zeros((len(pair_tri), 8), dtype=bool)
-    hits, nears = hit.reshape(-1), near.reshape(-1)  # entry 8 * p + c is pair p, child c
-    missed = [np.zeros(0, dtype=np.intp)]
+    hits = hit.reshape(-1)  # entry 8 * p + c is pair p, child c
     # Row gathers use take(axis=0), and bit masks unpack to flat entries: both
     # several times faster than fancy indexing, 2-D unpackbits and 2-D nonzero.
     for s in range(0, len(pair_tri), _SAT_PAIR_BUDGET):
         tri = pair_tri[s : s + _SAT_PAIR_BUDGET]
         node_of = pair_node[s : s + _SAT_PAIR_BUDGET]
-        c = slab_c.take(node_of, axis=0)  # (P, 2, 3)
-        h, r = slab_h.take(node_of, axis=0), slab_r.take(node_of, axis=0)
-        lo = tmin.take(tri, axis=0)[:, None] - c
-        hi = tmax.take(tri, axis=0)[:, None] - c
-        keep, contained, close = (
+        lo, hi = slab_lo.take(node_of, axis=0), slab_hi.take(node_of, axis=0)  # (P, 2, 3)
+        bot, top = tmin.take(tri, axis=0)[:, None], tmax.take(tri, axis=0)[:, None]
+        keep, contained = (
             _SLAB_CHILDREN.take(flag.reshape(-1, 6).view(np.uint8) @ _FLAG_BITS)
-            for flag in ((lo <= h) & (hi >= -h), (lo >= -h) & (hi <= h), (lo <= r) & (hi >= -r))
+            for flag in ((top > lo) & (bot <= hi), (bot > lo) & (top <= hi))
         )
-        nears[8 * s : 8 * (s + len(tri))] = np.unpackbits(close & ~keep, bitorder="little")
         hits[8 * s : 8 * (s + len(tri))] = np.unpackbits(contained, bitorder="little")
         entry = np.flatnonzero(np.unpackbits(keep & ~contained, bitorder="little"))
-        pair = entry >> 3
-        box = node_of[pair] * 8 + (entry & 7)
-        crossed = _tri_box_overlap(
-            tc.take(tri[pair], axis=0), centers.take(box, axis=0), halves.take(box, axis=0)
+        box = node_of[entry >> 3] * 8 + (entry & 7)
+        hits[8 * s + entry] = _tri_box_overlap(
+            tc.take(tri[entry >> 3], axis=0), cmin.take(box, axis=0), cmax.take(box, axis=0)
         )
-        hits[8 * s + entry] = crossed
-        missed.append(8 * s + entry[~crossed])
-    # an entry that the slabs keep and the full test rejects is near if it meets the inflated box
-    missed = np.concatenate(missed)
-    for s in range(0, len(missed), 8 * _SAT_PAIR_BUDGET):
-        entry = missed[s : s + 8 * _SAT_PAIR_BUDGET]
-        box = pair_node[entry >> 3] * 8 + (entry & 7)
-        nears[entry] = _tri_box_overlap(
-            tc.take(pair_tri[entry >> 3], axis=0), centers.take(box, axis=0), reach.take(box, axis=0)
-        )
-    return hit, near
+    return hit
 
 
 def _column_keys(keys: np.ndarray) -> np.ndarray:
@@ -819,32 +759,13 @@ def _sorted_sum(group: np.ndarray, count: int, values: np.ndarray) -> np.ndarray
     return np.bincount(group[o], weights=values[o], minlength=count)
 
 
-def _rises_over(mesh: TriMesh, turns: np.ndarray, tri: np.ndarray, box: np.ndarray, slack: float):
-    """Whether the plane of each triangle ``tri[k]`` rises above the floor of
-    ``box[k]``, less ``slack``, somewhere over the box's xy rectangle; a
-    pair for which it does not has nothing in the box.
-
-    The plane's highest point over the rectangle is at a corner, which the
-    gradient's signs pick axis by axis.  A vertical triangle never rises.
-    """
-    t, sign, _ = _corners(mesh.tri_coords(), tri, turns, mesh._column_grid()._side)
-    b, c, area = t[_TAB_B], t[_TAB_C], t[_TAB_AREA]
-    gx = b[2] * c[1] - c[2] * b[1]  # the height gradient times the doubled area, as in _box_planes
-    gy = c[2] * b[0] - b[2] * c[0]
-    rel = box.T - np.concatenate([t[_TAB_A], t[_TAB_A]])  # the box corners less A
-    rise = np.maximum(gx * rel[0], gx * rel[3]) + np.maximum(gy * rel[1], gy * rel[4])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        top = t[2] + rise / area
-    return (sign != 0) & (top > box[:, 2] - slack)
-
-
-def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarray, margin: float) -> None:
+def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarray) -> None:
     """Fill in the exact part volume of every grey leaf of ``leaves``, in place.
 
     ``leaves`` are the tree's leaf arrays as in :data:`_LEAF_COLUMNS`, in
     Morton order, and grey leaf g's triangles are ``tri_ids[tri_ptr[g]:
-    tri_ptr[g + 1]]``: at least every triangle that meets its box
-    inflated by ``pad`` (:func:`_reach`).  For a grey box R x [z0, z1] with
+    tri_ptr[g + 1]]``: the triangles in contact with its box
+    (:func:`classify_box`).  For a grey box R x [z0, z1] with
     h = z1 - z0, let A(z) be the area of the part's cross-section with R
     just above height z.  By the divergence theorem (:func:`_pair_integrals`)
 
@@ -854,24 +775,24 @@ def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarra
     (one :func:`_column_keys` value, each one's z0 bitwise the z1 of the
     one below) form runs, swept top down: each leaf's A(z1) is the A(z0)
     of the leaf above.  The top of a run reads its A(z1) off the leaf that
-    holds the same-size box above it, black (R's area) or white or outside
-    the root (0), plus the P1 of its own triangles in the slab R x (z1, z1
-    + pad], which covers the shrink of any box above; only triangles whose
-    plane rises into the slab over R (:func:`_rises_over`) are clipped.
-    Each sum adds its terms in sorted order (:func:`_sorted_sum`), and
-    each volume is clamped to [0, box volume].
+    holds the same-size box above it: black (R's area), or white or outside
+    the root (0).  The lists hold every triangle that adds to a box's sums,
+    for any triangle with part of its area in the box meets its interior;
+    a horizontal face on a box plane counts for the box below, in the
+    kernel as in the contact test.  The box above a run top meets no
+    triangle, so its class holds for its whole interior and gives A(z1)
+    exactly.  Each sum adds its terms in sorted order
+    (:func:`_sorted_sum`), and each volume is clamped to [0, box volume].
     """
     key, _, code, lo, hi, volume = leaves
     g = np.flatnonzero(code == _GREY)
     if not len(g):
         return
-    pad = _reach(mesh, margin)
     root_lo, root_hi = lo[0], hi[-1]  # Morton order: the all-lower and the all-upper corner
     lo, hi = lo[g], hi[g]
     size = hi - lo
     pair_leaf = np.repeat(np.arange(len(g)), np.diff(tri_ptr))
-    turns = _turns(mesh)
-    p1, pz = _pair_integrals(mesh, turns, tri_ids, pair_leaf, np.hstack([lo, hi]))
+    p1, pz = _pair_integrals(mesh, _turns(mesh), tri_ids, pair_leaf, np.hstack([lo, hi]))
     sum_p1, sum_pz = _sorted_sum(pair_leaf, len(g), p1), _sorted_sum(pair_leaf, len(g), pz)
 
     columns = _column_keys(key[g])
@@ -880,23 +801,13 @@ def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarra
     top = np.r_[True, (columns[lower] != columns[upper]) | (hi[lower, 2] != lo[upper, 2])]
     heads = np.sort(order[top])  # ascending, as the pairs go
 
-    # A(z1) at the top of each run: the class of the box above, and the slab under it
+    # A(z1) at the top of each run: the class of the box above
     above = 0.5 * (lo[heads] + hi[heads])
     above[:, 2] = hi[heads, 2] + 0.5 * size[heads, 2]
     leaf = _locate(_key_index(key), root_lo, root_hi, above)
     black = (leaf >= 0) & (code[leaf] == _BLACK)
-    head_of = np.full(len(g), -1)
-    head_of[heads] = np.arange(len(heads))
-    slab = np.flatnonzero((head_of[pair_leaf] >= 0) & (mesh.tri_bounds()[1][tri_ids, 2] > hi[pair_leaf, 2]))
-    slab_box = np.hstack([lo[heads], hi[heads]])
-    slab_box[:, 2] = slab_box[:, 5]
-    slab_box[:, 5] += pad
-    slab = slab[_rises_over(mesh, turns, tri_ids[slab], slab_box[head_of[pair_leaf[slab]]], pad)]
-    slab_of = head_of[pair_leaf[slab]]
-    slab_p1, _ = _pair_integrals(mesh, turns, tri_ids[slab], slab_of, slab_box)
     area_top = np.empty(len(g))
     area_top[heads] = np.where(black, size[heads, 0] * size[heads, 1], 0.0)
-    area_top[heads] += _sorted_sum(slab_of, len(heads), slab_p1)
 
     # the sweep: one step down every run at a time
     rank = np.arange(len(g)) - np.maximum.accumulate(np.where(top, np.arange(len(g)), 0))
@@ -957,9 +868,9 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     pair_node = np.repeat(np.arange(len(g)), np.diff(octree.grey_tri_ptr))
     leaves, tri_ptr, tri_ids = _grow(
         mesh, [kept], octree.box_min[g], octree.box_max[g], octree.path_key[g], pair_node,
-        octree.grey_tri_ids, octree.max_depth, new_depth, octree.margin,
+        octree.grey_tri_ids, octree.max_depth, new_depth,
     )
-    _grey_volumes(mesh, leaves, tri_ptr, tri_ids, octree.margin)
+    _grey_volumes(mesh, leaves, tri_ptr, tri_ids)
     columns = dict(zip(_LEAF_COLUMNS, leaves))
     tree = replace(octree, **columns, grey_tri_ptr=tri_ptr, grey_tri_ids=tri_ids, max_depth=new_depth)
     tree.fingerprint()

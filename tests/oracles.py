@@ -85,6 +85,47 @@ def triangle_box_overlap(triangle, box_min, box_max) -> bool:
     return True
 
 
+def displaced_box_contact(triangle, box_min, box_max) -> bool:
+    """Whether a triangle meets the closed box displaced by a symbolic
+    (e, e**2, e**3), e -> 0+, in exact rational arithmetic.
+
+    The separating-axis theorem over the 13 axes (3 box normals, the
+    triangle normal, 9 box normal x edge products), with the exact
+    projections of the 3 vertices and the box's exact extent along each
+    axis, its corners' least and greatest projection, and no filter.
+    The coordinates, exact ratios of integers, are brought to one
+    denominator, so the arithmetic runs on their integer numerators.  The displacement shifts
+    the corners' interval along axis a by a . d, an infinitesimal of the
+    sign of a's first nonzero component.  So axis a separates when the
+    vertices' interval lies below the corners', or above it, or touches it
+    on the side the box moved away from.  A zero axis separates nothing.
+    """
+    ratios = [float(c).as_integer_ratio() for c in (*np.ravel(triangle), *box_min, *box_max)]
+    scale = math.lcm(*(q for _, q in ratios))
+    n = [a * (scale // q) for a, q in ratios]
+    p, lo, hi = (n[0:3], n[3:6], n[6:9]), n[9:12], n[12:15]
+    edges = [[q - r for q, r in zip(p[(i + 1) % 3], p[i])] for i in range(3)]
+
+    def cross(a, b):
+        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+    units = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    axes = units + [cross(edges[0], edges[1])] + [cross(u, e) for u in units for e in edges]
+    for a0, a1, a2 in axes:
+        if not (a0 or a1 or a2):
+            continue
+        shift = a0 or a1 or a2  # of the sign of a . d
+        tri = [a0 * x + a1 * y + a2 * z for x, y, z in p]
+        # a box is a product of intervals: its extent adds up axis by axis
+        ends = [(x * lo[k], x * hi[k]) for k, x in enumerate((a0, a1, a2))]
+        low, high = sum(map(min, ends)), sum(map(max, ends))
+        if max(tri) < low or max(tri) == low and shift > 0:
+            return False
+        if min(tri) > high or min(tri) == high and shift < 0:
+            return False
+    return True
+
+
 def box_clip_integrals(triangle, box_min, box_max) -> tuple[float, float]:
     """The part of a triangle inside a closed box, in exact rational arithmetic.
 

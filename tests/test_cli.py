@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -103,6 +104,27 @@ def test_dump_octree_streams_the_leaf_dump(mesh_files, tmp_path, monkeypatch):
     tree.dump_leaves(buf)
     assert d.read_bytes() == buf.getvalue().encode()
     assert not (tmp_path / "leaves.jsonl.tmp").exists()
+
+
+def test_pocket_plate_at_margin_zero_grades_every_face(mesh_files, tmp_path):
+    """At margin 0 the pocket plate's top, walls, bottom and pocket floor
+    lie on depth-5 split planes.  A face on a plane counts for the boxes
+    on its lower side, so both processes grade the part: grey leaves end at
+    the top face (z = 64), and the leaves hold the part's 246,144 mm^3 to
+    within 1e-12."""
+    pocket = str(mesh_files["pocket"])
+    flags = ["--margin", "0", "--depth", "5", "--workers", "1"]
+    out = tmp_path / "both"
+    assert main(["analyze", pocket, "--process", "both", "--out", str(out), *flags]) == 0
+    assert len(list(out.glob("*.report.json"))) == 2
+    d = tmp_path / "leaves.jsonl"
+    assert main(["analyze", pocket, "--dump-octree", str(d), "--json", str(tmp_path / "r.json"), *flags]) == 0
+    leaves = [json.loads(line) for line in d.read_text().splitlines()]
+    grey = [leaf for leaf in leaves if leaf["class"] == "grey"]
+    assert (len(leaves), len(grey)) == (8429, 3777)
+    assert sum(leaf["box_max"][2] == 64.0 for leaf in grey) == 943
+    total = math.fsum(leaf["part_volume"] for leaf in leaves)
+    assert abs(total - 246144.0) <= 1e-12 * 246144.0
 
 
 def test_analyze_map_index_selection(mesh_files, tmp_path, capsys):

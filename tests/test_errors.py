@@ -1,5 +1,7 @@
 import inspect
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from manumap import errors
@@ -38,9 +40,12 @@ def test_configuration_errors_are_value_errors():
     ids=["tool_flexibility", "build_height", "platform_distance"],
 )
 def test_field_without_grey_leaves_is_an_empty_field(grade):
-    # margin 0: the root box is the part's box and its only (black) leaf
+    # a build always has grey leaves (the surface meets the root box), so the
+    # tree's grey leaves are relabelled black by hand
     mesh = box_mesh((2.0, 2.0, 2.0))
-    tree = build_octree(mesh, max_depth=2, margin=0.0)
+    built = build_octree(mesh, max_depth=2, margin=0.0)
+    tree = replace(built, class_code=np.zeros_like(built.class_code),
+                   grey_tri_ptr=np.zeros(1, dtype=np.intp), grey_tri_ids=np.zeros(0, dtype=np.intp))
     assert len(tree.grey_index) == 0
     with pytest.raises(EmptyFieldError):
         grade(mesh, tree)

@@ -14,12 +14,12 @@ from manumap.mesh_io import (
     classify_points,
     load_mesh,
     point_in_mesh,
-    triangle_box_intersect,
     _weld,
 )
 from manumap.primitives import box_mesh, icosphere, torus_mesh
 
 from oracles import (
+    displaced_box_contact,
     sphere_area,
     sphere_volume,
     triangle_box_overlap,
@@ -324,17 +324,44 @@ def test_classify_points_agrees_with_scalar_api(unit_cube):
 
 
 # ---------------------------------------------------------------------------
-# Triangle-box intersection
+# Triangle-box contact
+
+
+def _contact(tri, box_min, box_max) -> bool:
+    """The contact kernel on one triangle and one box."""
+    tri = np.asarray(tri, dtype=np.float64).reshape(1, 3, 3)
+    lo, hi = (np.asarray(b, dtype=np.float64).reshape(1, 3) for b in (box_min, box_max))
+    return bool(mesh_io._tri_box_overlap(tri, lo, hi)[0])
 
 
 def test_triangle_inside_box():
     tri = [(0.4, 0.4, 0.4), (0.6, 0.4, 0.4), (0.5, 0.6, 0.5)]
-    assert triangle_box_intersect(tri, (0, 0, 0), (1, 1, 1))
+    assert _contact(tri, (0, 0, 0), (1, 1, 1))
 
 
 def test_triangle_beyond_face():
     tri = [(2.0, 0.0, 0.0), (3.0, 0.0, 0.0), (2.5, 1.0, 0.0)]
-    assert not triangle_box_intersect(tri, (0, 0, 0), (1, 1, 1))
+    assert not _contact(tri, (0, 0, 0), (1, 1, 1))
+
+
+def test_face_on_a_box_plane_meets_the_box_below_it():
+    """A face on a split plane meets the box on its lower side only, and a
+    triangle touching a box at its lowest corner does not meet it."""
+    for axis in range(3):
+        tri = np.full((3, 3), 0.5)
+        tri[:, axis] = 1.0
+        tri[1, (axis + 1) % 3] = 0.75
+        tri[2, (axis + 2) % 3] = 0.75
+        lower = np.zeros(3)
+        upper = np.zeros(3)
+        upper[axis] = 1.0
+        assert _contact(tri, lower, lower + 1.0)
+        assert not _contact(tri, upper, upper + 1.0)
+        for box in ((lower, lower + 1.0), (upper, upper + 1.0)):
+            assert _contact(tri, *box) == displaced_box_contact(tri, *box)
+    corner = [(0.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, -1.0, -1.0)]
+    assert not _contact(corner, (0, 0, 0), (1, 1, 1))
+    assert _contact(corner, (-1, -1, -1), (0, 0, 0))
 
 
 def test_triangle_plane_cuts_corner():
@@ -342,7 +369,7 @@ def test_triangle_plane_cuts_corner():
     # corner of the unit box
     tri = [(0.3, 0.0, 0.0), (0.0, 0.3, 0.0), (0.0, 0.0, 0.3)]
     box_min, box_max = (0.0, 0.0, 0.0), (0.2, 0.2, 0.2)
-    assert triangle_box_intersect(tri, box_min, box_max)
+    assert _contact(tri, box_min, box_max)
     assert triangle_box_overlap(tri, box_min, box_max)
     samples = triangle_sample_points(tri)
     inside = np.all((samples >= box_min) & (samples <= box_max), axis=1)
@@ -350,15 +377,16 @@ def test_triangle_plane_cuts_corner():
 
 
 def test_triangle_box_matches_clip_oracle():
+    """Random triangles and boxes meet no tie, so the contact kernel agrees
+    with closed-box clipping and with the exact displaced-box SAT."""
     rng = np.random.default_rng(42)
     agree = 0
     for _ in range(400):
         tri = rng.uniform(-1.5, 1.5, size=(3, 3))
         lo = rng.uniform(-1.0, 0.0, size=3)
         hi = lo + rng.uniform(0.2, 1.5, size=3)
-        got = triangle_box_intersect(tri, lo, hi)
-        want = triangle_box_overlap(tri, lo, hi)
-        assert got == want
+        got = _contact(tri, lo, hi)
+        assert got == triangle_box_overlap(tri, lo, hi) == displaced_box_contact(tri, lo, hi)
         agree += got
     assert 0 < agree < 400  # both outcomes exercised
 
@@ -377,9 +405,7 @@ def test_triangle_box_translation_covariance(shift):
     lo = np.array([0.1, 0.1, 0.1])
     hi = np.array([0.8, 0.8, 0.8])
     d = np.asarray(shift)
-    assert triangle_box_intersect(tri, lo, hi) == triangle_box_intersect(
-        tri + d, lo + d, hi + d
-    )
+    assert _contact(tri, lo, hi) == _contact(tri + d, lo + d, hi + d)
 
 
 def _wide_coordinates():
@@ -395,11 +421,11 @@ def _wide_coordinates():
     slack=st.sampled_from([1.0, 1.0 + 2.0**-52, 1.5]),
 )
 def test_triangle_with_offsets_inside_box_always_overlaps(center, vertices, kind, slack):
-    """Every vertex offset fl(p - c) in [-h, h] on every axis makes the SAT test
-    True, bit for bit, so the octree may count such a triangle as a hit
-    without it.  Each of the 13 projections is rounded from products no
-    larger than the ones its radius is rounded from, summed in the same
-    order.  With slack 1, some vertex sits exactly at -h or h on each axis."""
+    """A triangle whose bounds lie in (lo, hi] on every axis meets the box,
+    so the octree may count it as a hit without the full test.  With slack
+    1, the box's upper corner is the triangle's (a vertex on each upper
+    plane) and its lower corner one ulp below the triangle's; else the box
+    also takes in the cube of half-width ``slack - 1`` around ``center``."""
     c = np.array(center)
     tri = np.array(vertices)
     if kind == "needle":  # one edge a few ulps long
@@ -410,9 +436,12 @@ def test_triangle_with_offsets_inside_box_always_overlaps(center, vertices, kind
         tri[2] = 0.5 * (tri[0] + tri[1])
     elif kind == "one point":
         tri[:] = tri[0]
-    h = np.abs(tri - c).max(axis=0) * slack
-    assert ((tri - c >= -h) & (tri - c <= h)).all()
-    assert mesh_io._tri_box_overlap(tri[None], c[None], h[None])[0]
+    lo, hi = np.nextafter(tri.min(axis=0), -np.inf), tri.max(axis=0)
+    if slack > 1.0:
+        lo, hi = np.minimum(lo, c - (slack - 1.0)), np.maximum(hi, c + (slack - 1.0))
+    assert ((tri > lo) & (tri <= hi)).all()
+    assert mesh_io._tri_box_overlap(tri[None], lo[None], hi[None])[0]
+    assert displaced_box_contact(tri, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +754,7 @@ def _boxes_touching(tc, rng):
 def test_batched_sat_matches_single_box():
     rng = np.random.default_rng(31)
     p = 400
-    # dyadic coordinates keep centers and half-widths exact, so touching is exact
+    # dyadic coordinates keep touching exact
     tc = rng.integers(-8, 9, (p, 3, 3)) / 4.0
     tc[: p // 4, :, 2] = tc[: p // 4, :1, 2]  # some triangles lie in a z plane
     rand_lo = rng.integers(-8, 8, (p, 8, 3)) / 4.0
@@ -733,15 +762,15 @@ def test_batched_sat_matches_single_box():
         (rand_lo, rand_lo + rng.integers(1, 9, (p, 8, 3)) / 4.0),
         _boxes_touching(tc, rng),
     ]
-    for k, (lo, hi) in enumerate(cases):
-        got = mesh_io._tri_box_overlap(tc[:, None], 0.5 * (lo + hi), 0.5 * (hi - lo))
+    for lo, hi in cases:
+        got = mesh_io._tri_box_overlap(tc[:, None], lo, hi)
         assert got.shape == (p, 8)
+        single = np.array(
+            [[_contact(tc[i], lo[i, c], hi[i, c]) for c in range(8)] for i in range(p)]
+        )
+        assert np.array_equal(got, single)
         want = np.array(
-            [[triangle_box_intersect(tc[i], lo[i, c], hi[i, c]) for c in range(8)]
-             for i in range(p)]
+            [[displaced_box_contact(tc[i], lo[i, c], hi[i, c]) for c in range(8)] for i in range(p)]
         )
         assert np.array_equal(got, want)
-        if k == 0:
-            assert 0 < got.sum() < got.size
-        else:
-            assert got.all()  # a closed box touching a vertex intersects the triangle
+        assert 0 < got.sum() < got.size

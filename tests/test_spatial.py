@@ -16,7 +16,7 @@ from manumap.machining import tool_flexibility_field
 from manumap.mesh_io import TriMesh, _points_inside
 from manumap.primitives import box_mesh, icosphere, slab_with_pockets
 from manumap.profiles import default_profiles
-from oracles import box_clip_integrals, ramp_prism_volume, winding_numbers
+from oracles import box_clip_integrals, displaced_box_contact, ramp_prism_volume, winding_numbers
 from manumap.spatial import (
     OctantClass,
     build_octree,
@@ -54,11 +54,14 @@ def test_classify_open_mesh_rejected(unit_cube):
 
 
 def test_face_coincident_boxes_resolve_by_center(unit_cube):
-    """Boxes that only touch the surface are classed by their center.
+    """A face on a box plane counts for the box below, left of or in front
+    of it, and only for that one; the other boxes it touches are classed by
+    their center.
 
-    The unit cube sitting in the lower-left octant of a [0,2] cube: the
-    part's faces lie exactly on octant boundaries, which must not produce
-    an infinite grey shell.
+    The unit cube sitting in the lower-left octant of a [0,2] cube: its
+    faces x, y, z = 1 lie on the upper planes of that octant, which is
+    grey, and on the lower planes of its neighbours, which are white.  Its
+    faces x, y, z = 0 lie on the upper planes of the boxes beyond them.
     """
     octants = []
     for dx in (0, 1):
@@ -66,10 +69,13 @@ def test_face_coincident_boxes_resolve_by_center(unit_cube):
             for dz in (0, 1):
                 lo = np.array([dx, dy, dz], dtype=float)
                 octants.append(classify_box(unit_cube, lo, lo + 1.0))
-    assert octants.count(OctantClass.BLACK) == 1
+    assert octants.count(OctantClass.GREY) == 1
     assert octants.count(OctantClass.WHITE) == 7
-    assert classify_box(unit_cube, (0, 0, 0), (1, 1, 1)) is OctantClass.BLACK
+    assert classify_box(unit_cube, (0, 0, 0), (1, 1, 1)) is OctantClass.GREY
     assert classify_box(unit_cube, (1, 0, 0), (2, 1, 1)) is OctantClass.WHITE
+    assert classify_box(unit_cube, (-1, 0, 0), (0, 1, 1)) is OctantClass.GREY
+    assert classify_box(unit_cube, (0.25, 0.25, 0.25), (0.75, 0.75, 1.0)) is OctantClass.GREY
+    assert classify_box(unit_cube, (0.25, 0.25, 1.0), (0.75, 0.75, 1.5)) is OctantClass.WHITE
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +93,20 @@ def test_sphere_depth1_gives_8_grey(sphere10):
         assert classify_box(sphere10, k.box_min, k.box_max) is OctantClass.GREY
 
 
-def test_box_part_with_zero_margin_is_black_root():
+def test_box_part_with_zero_margin_has_grey_root():
+    """At margin 0 the root box is the cube, whose faces x, y, z = 2 lie on
+    the root's upper planes: the root is grey, and so is every leaf with a
+    face on those planes, down to max_depth.  Those leaves are whole cube,
+    so every leaf holds its whole box."""
     mesh = box_mesh((2.0, 2.0, 2.0))
     tree = build_octree(mesh, max_depth=3, margin=0.0)
-    (root,) = tree.leaves()
-    assert (root.depth, root.path_key) == (0, 1)
-    assert root.octant_class is OctantClass.BLACK
-    assert root.part_volume == pytest.approx(8.0)
+    on_top = (tree.box_max == 2.0).any(axis=1)
+    assert np.array_equal(tree.class_code == spatial._GREY, on_top)
+    assert (tree.class_code[~on_top] == spatial._BLACK).all()
+    assert (tree.depth[on_top] == 3).all() and len(tree.grey_index) == 8**3 - 7**3
+    box = np.prod(tree.box_max - tree.box_min, axis=1)
+    assert np.array_equal(tree.part_volume, box)
+    assert tree.total_part_volume() == 8.0
 
 
 def test_root_is_inflated_cube(pocket_plate):
@@ -276,6 +289,20 @@ def _count_exact_orientations(monkeypatch, active):
     return calls
 
 
+def _count_exact_contacts(monkeypatch):
+    """Record the coordinates of every (triangle, box) entry the contact
+    kernel decides on integers: 9 of the triangle, then lo and hi."""
+    calls = []
+    exact = mesh_io._exact_contacts
+
+    def counted(rows, open_axes):
+        calls.extend(rows)
+        return exact(rows, open_axes)
+
+    monkeypatch.setattr(mesh_io, "_exact_contacts", counted)
+    return calls
+
+
 def _kernel_cases(rng, count=100):
     """Triangles of six kinds against the unit box: random; every coordinate
     on a coarse grid that includes the box planes (vertices, edges and faces
@@ -371,14 +398,10 @@ def test_tilted_top_volumes_exact(margin):
 
     The block's top falls from z = 60, a split plane from depth 3 on at
     margin 0, by x / 2^33, so that it drops 9.3e-9 mm below the plane at
-    x = 80 but stays within the 5e-9 mm shrink of the depth-3 boxes under
-    the pocket wall at x = 34.  The top's triangles then reach below such
-    boxes' shrunk tops while crossing none of them, and must still be kept
-    in the grey leaves' lists.  Every grey leaf holds the exact volume of
+    x = 80: it meets the boxes under the plane and, only at x = 0, none
+    above it.  Every leaf, black, white or grey, holds the exact volume of
     the block inside its box, to within 1e-12 of the box volume, at depths
-    1-6.  A black or white leaf may miss it by the part between its faces
-    and a surface that its own shrink kept from crossing, which lies
-    within 2 _SHRINK root half-widths of those faces.
+    1-6.
     """
     slope = -(2.0**-33)  # 60 + slope * x is exact: every x is a small integer
     mesh, top, floor = _tie_block(0, slope)
@@ -390,40 +413,40 @@ def test_tilted_top_volumes_exact(margin):
             - ramp_prism_volume(lo, hi, (34.0, 34.0, 46.0, 46.0), 10.0, 60.0, slope)
             for lo, hi in zip(tree.box_min, tree.box_max)
         ])
-        size = tree.box_max - tree.box_min
-        box = np.prod(size, axis=1)
-        faces = 2 * (size[:, 0] * size[:, 1] + size[:, 1] * size[:, 2] + size[:, 2] * size[:, 0])
-        err = np.abs(tree.part_volume - want)
-        g = tree.grey_index
-        assert (err[g] <= 1e-12 * box[g]).all(), depth
-        assert (err <= spatial._reach(mesh, margin) * faces).all(), depth
+        box = np.prod(tree.box_max - tree.box_min, axis=1)
+        assert (np.abs(tree.part_volume - want) <= 1e-12 * box).all(), depth
 
 
-def _sat_pairs(mesh, center, half):
-    """The (box, triangle) pairs of every triangle of ``mesh`` and each box
-    ``center`` +- ``half`` (N, 3) that the full SAT test finds meeting: the
-    pairs that no box-normal slab separates, tested in full."""
+def _oracle_contacts(mesh, lo, hi, first=False):
+    """The (box, triangle) contacts of every triangle of ``mesh`` and each box
+    ``lo``/``hi`` (N, 3) by :func:`oracles.displaced_box_contact`, which
+    has no filter.  It runs on the pairs whose triangle meets the box's
+    slabs under the tie rule (``tmax > lo`` and ``tmin <= hi`` on every
+    axis), without which no axis but a box normal is asked.  With
+    ``first``, each box stops at its first contact."""
     tmin, tmax = mesh.tri_bounds()
+    tc = mesh.tri_coords()
     box, tri = [], []
-    for s in range(0, len(center), 1024):
-        c, h = center[s : s + 1024, None], half[s : s + 1024, None]
-        b, t = np.nonzero(((tmin - c <= h) & (tmax - c >= -h)).all(axis=2))
-        meet = mesh_io._tri_box_overlap(mesh.tri_coords()[t], c[b, 0], h[b, 0])
-        box.append(s + b[meet])
-        tri.append(t[meet])
-    return np.concatenate(box), np.concatenate(tri)
+    for s in range(0, len(lo), 1024):
+        b, t = np.nonzero(((tmax > lo[s : s + 1024, None]) & (tmin <= hi[s : s + 1024, None])).all(axis=2))
+        box.append(s + b)
+        tri.append(t)
+    found = np.zeros(len(lo), dtype=bool)
+    pairs = []
+    for b, t in zip(np.concatenate(box).tolist(), np.concatenate(tri).tolist()):
+        if not (first and found[b]) and displaced_box_contact(tc[t], lo[b], hi[b]):
+            found[b] = True
+            pairs.append((b, t))
+    return np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
-def _own_box_classes(mesh, tree):
-    """:func:`classify_box` of every leaf's own box, all leaves at once: grey
-    where a triangle crosses the box shrunk by _SHRINK, else black or white
-    by its center."""
-    center = 0.5 * (tree.box_min + tree.box_max)
-    half = 0.5 * (tree.box_max - tree.box_min) * (1 - spatial._SHRINK)
-    crossed = np.zeros(len(center), dtype=bool)
-    crossed[_sat_pairs(mesh, center, half)[0]] = True
-    inside = _points_inside(mesh, center)
-    return np.where(crossed, spatial._GREY, np.where(inside, spatial._BLACK, spatial._WHITE))
+def _oracle_classes(mesh, tree):
+    """The class of every leaf's own box: grey where the oracle finds a
+    contact, else black or white by its center."""
+    grey = np.zeros(len(tree.box_min), dtype=bool)
+    grey[_oracle_contacts(mesh, tree.box_min, tree.box_max, first=True)[:, 0]] = True
+    inside = _points_inside(mesh, 0.5 * (tree.box_min + tree.box_max))
+    return np.where(grey, spatial._GREY, np.where(inside, spatial._BLACK, spatial._WHITE))
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.01])
@@ -433,19 +456,16 @@ def _own_box_classes(mesh, tree):
     ids=["tilted", "ulps-2", "ulps-1", "ulps0", "ulps1", "ulps2"],
 )
 def test_every_leaf_has_its_own_box_class(ulps, slope, margin):
-    """Every leaf's class is :func:`classify_box`'s on its own box, at depths
-    1-6, on the tilted-top block and the split-plane blocks.  A child is
-    tested against every triangle near its parent, not only those that
-    crossed the parent's shrunk box: the tilted top crosses some depth-5
-    and depth-6 boxes under the pocket wall within the shrink of their
-    ancestors' tops, and those boxes are grey."""
+    """Every leaf's class is the oracle's on its own box, at depths 1-6, on
+    the tilted-top block and the split-plane blocks: grey exactly when a
+    triangle meets the box displaced by (e, e**2, e**3), else black or
+    white by its center.  :func:`classify_box` says the same box by box on
+    the depth-6 leaves under the split plane z = 60 and on 100 others."""
     mesh, _, _ = _tie_block(ulps, slope)
     for depth in range(1, 7):
         tree = build_octree(mesh, max_depth=depth, margin=margin)
-        want = _own_box_classes(mesh, tree)
+        want = _oracle_classes(mesh, tree)
         assert np.array_equal(tree.class_code, want), (depth, int((tree.class_code != want).sum()))
-    # the helper is classify_box: check it box by box on the depth-6 leaves
-    # below the split plane z = 60 and on 100 others
     below = np.flatnonzero((tree.box_max[:, 2] == 60.0) & (tree.box_min[:, 0] < 40.0))
     others = np.random.default_rng(5).choice(len(want), 100, replace=False)
     for i in np.union1d(below[:300], others).tolist():
@@ -454,20 +474,55 @@ def test_every_leaf_has_its_own_box_class(ulps, slope, margin):
 
 @pytest.mark.parametrize("name", ["tilted", "sphere10"])
 def test_grey_lists_hold_every_triangle_in_reach(name, sphere10):
-    """Each grey leaf's list holds every triangle that the full SAT test finds
-    meeting its box inflated by _reach, as the volume kernel needs."""
+    """Each grey leaf's list is exactly the triangles that meet its box
+    displaced by (e, e**2, e**3), by the oracle, at margins 0 and 0.01:
+    the contacts, which are all the volume kernel needs, and no more."""
+    mesh = {"tilted": lambda: _tie_block(0, -(2.0**-33))[0], "sphere10": lambda: sphere10}[name]()
     for margin in (0.0, 0.01):
-        mesh = {"tilted": lambda: _tie_block(0, -(2.0**-33))[0], "sphere10": lambda: sphere10}[name]()
         tree = build_octree(mesh, max_depth=4, margin=margin)
         g = tree.grey_index
-        size = tree.box_max[g] - tree.box_min[g]
-        center = 0.5 * (tree.box_min[g] + tree.box_max[g])
-        leaf, tri = _sat_pairs(mesh, center, 0.5 * size + spatial._reach(mesh, margin))
+        need = _oracle_contacts(mesh, tree.box_min[g], tree.box_max[g])
         listed = np.repeat(np.arange(len(g)), np.diff(tree.grey_tri_ptr))
-        have = set(zip(listed.tolist(), tree.grey_tri_ids.tolist()))
-        need = set(zip(leaf.tolist(), tri.tolist()))
-        assert need <= have
-        assert len(need) > len(g)  # every grey leaf has a triangle crossing it, and more
+        have = np.column_stack([listed, tree.grey_tri_ids])
+        assert np.array_equal(np.unique(have, axis=0), np.unique(need, axis=0))
+        assert len(need) > len(g)  # every grey leaf has a triangle, some more than one
+
+
+# (mesh, depth, margin) -> entries the contact kernel decides on integers, and
+# grey-list pairs.  The blocks' face diagonals run through box corners on the
+# plane x = y, and the spheres' six axis vertices lie on box edges: real ties.
+_EXACT_CONTACTS = {
+    "block-d5": (240, 6958),
+    "half-d5": (216, 4846),
+    "sphere-d6": (150, 51596),
+    "dense-d5": (126, 141656),
+    "tie-block-margin0-d5": (224, 5221),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_CONTACTS))
+def test_exact_contact_entries_pinned(case, split_block, monkeypatch):
+    """How many (triangle, box) entries the float bounds leave to the
+    integer stage, and how many pairs the grey lists hold, on the
+    benchmark meshes at their margin and on the tie block at margin 0.
+    Every entry the integer stage decides gets the oracle's answer.  The
+    one-piece block at margin 0 and depth 5 has 8,814 leaves, 3,897 grey."""
+    mesh, depth, margin = {
+        "block-d5": (split_block, 5, 0.01),
+        "half-d5": (slab_with_pockets((80.0, 80.0, 30.0), [((34.0, 34.0, 46.0, 46.0), 20.0)]), 5, 0.01),
+        "sphere-d6": (icosphere(10.0, 4), 6, 0.01),
+        "dense-d5": (icosphere(10.0, 6), 5, 0.01),
+        "tie-block-margin0-d5": (_tie_block(0)[0], 5, 0.0),
+    }[case]
+    exact = _count_exact_contacts(monkeypatch)
+    tree = build_octree(mesh, max_depth=depth, margin=margin)
+    monkeypatch.undo()
+    assert (len(exact), len(tree.grey_tri_ids)) == _EXACT_CONTACTS[case]
+    every_axis = [[True] * 10] * len(exact)
+    want = [displaced_box_contact(np.reshape(c[:9], (3, 3)), c[9:12], c[12:]) for c in exact]
+    assert mesh_io._exact_contacts(exact, every_axis) == want
+    if case == "tie-block-margin0-d5":
+        assert (len(tree.path_key), len(tree.grey_index)) == (8814, 3897)
 
 
 @pytest.mark.parametrize("name", ["block", "pocket", "sphere10"])
@@ -544,13 +599,11 @@ def test_walled_part_volume_error_bound(pocket_plate):
         assert tree.total_part_volume() == pytest.approx(truth, rel=1e-12)
 
 
-def _child_boxes(lo, hi, shrink=spatial._SHRINK):
-    """(W, 8, 3) child centers and half-widths of nodes (W, 3), as a wave builds them."""
+def _child_boxes(lo, hi):
+    """(W, 8, 3) child boxes (cmin, cmax) of nodes (W, 3), as a wave builds them."""
     bits = spatial._CHILD_BITS
     mid = 0.5 * (lo + hi)
-    cmin = np.where(bits, mid[:, None, :], lo[:, None, :])
-    cmax = np.where(bits, hi[:, None, :], mid[:, None, :])
-    return 0.5 * (cmin + cmax), 0.5 * (cmax - cmin) * (1.0 - shrink)
+    return np.where(bits, mid[:, None, :], lo[:, None, :]), np.where(bits, hi[:, None, :], mid[:, None, :])
 
 
 def _wave_cases(rng, w=30, k=5):
@@ -559,13 +612,14 @@ def _wave_cases(rng, w=30, k=5):
     The kinds: lying in a child split plane; lying in a node face; touching a
     node face from outside; every vertex on slab faces (each coordinate the
     node's lo, mid or hi); needles; random; strictly inside one child; inside
-    one child but for one vertex coordinate at ``c - h`` or ``c + h`` of that
-    child's shrunk box, as the wave computes c and h.  Dyadic numbers keep
-    the node centers, half-widths and touching exact.
+    one child but for one vertex coordinate on a face of that child.
+    Dyadic numbers keep the child boxes' centers, half-widths and touching
+    exact.
     """
     lo = rng.integers(-8, 8, (w, 3)) / 2.0
     hi = lo + 2.0 ** rng.integers(-1, 3, (w, 1))
-    centers, halves = _child_boxes(lo, hi)
+    cmin, cmax = _child_boxes(lo, hi)
+    centers, halves = 0.5 * (cmin + cmax), 0.5 * (cmax - cmin)
     rows = np.arange(k)
     tris = []
     for n in range(w):
@@ -602,102 +656,90 @@ def _wave_cases(rng, w=30, k=5):
 
 @pytest.mark.parametrize("budget", [None, 1, 7])
 def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
-    """The slab prefilter changes no wave hit: the full SAT test runs on
-    exactly the (pair, child) entries that no box-normal axis separates and
-    that do not lie inside the child box, and every entry inside is a hit.
-    The near entries are every entry within reach of the inflated box that
-    is not a hit: those that the shrunk box's slabs separate and the
-    inflated box's do not, and those that the full test rejects and the
-    full test against the inflated box keeps (each rejected entry goes
-    through it once more)."""
+    """The slab prefilter changes no wave hit: the hits are the contact
+    kernel's on every (pair, child) entry one at a time, and the oracle's.
+    The kernel runs on exactly the entries that no box-normal axis
+    separates (``tmax <= lo`` or ``tmin > hi``) and that do not lie in the
+    child box (``tmin > lo`` and ``tmax <= hi``), and every entry inside
+    is a hit.  Entries that touch a closed child box only on its lower
+    planes are in the cases and are no hits, and some that touch it only
+    on its upper planes are hits."""
     rng = np.random.default_rng(43)
     tc, pair_tri, pair_node, lo, hi = _wave_cases(rng)
-    centers, halves = _child_boxes(lo, hi)
-    pad = 2.0**-12  # a dyadic reach, so that the cases' touching stays exact
-    reach = _child_boxes(lo, hi, shrink=0.0)[1] + pad
+    cmin, cmax = _child_boxes(lo, hi)
     if budget is not None:
         monkeypatch.setattr(spatial, "_SAT_PAIR_BUDGET", budget)
     tested = []
-    full_sat = spatial._tri_box_overlap
+    kernel = spatial._tri_box_overlap
 
-    def recording(t, c, h):
+    def recording(t, a, b):
         tested.append(len(t))
-        return full_sat(t, c, h)
+        return kernel(t, a, b)
 
     monkeypatch.setattr(spatial, "_tri_box_overlap", recording)
     bounds = tc.min(axis=1), tc.max(axis=1)
-    got, near = spatial._wave_mask(tc, bounds, pair_tri, pair_node, centers, halves, reach)
+    got = spatial._wave_mask(tc, bounds, pair_tri, pair_node, cmin, cmax)
 
     # unfiltered reference: every pair against all 8 children, one pair at a time
-    def sat(halves):
-        return np.array([
-            full_sat(tc[t][None, None], centers[n][None], halves[n][None])[0]
-            for t, n in zip(pair_tri, pair_node)
-        ])
-
-    want = sat(halves)
+    want = np.array([
+        kernel(tc[t][None, None], cmin[n][None], cmax[n][None])[0]
+        for t, n in zip(pair_tri, pair_node)
+    ])
     assert np.array_equal(got, want)
     assert 0 < want.sum() < want.size
+    oracle = np.array([
+        [displaced_box_contact(tc[t], cmin[n, c], cmax[n, c]) for c in range(8)]
+        for t, n in zip(pair_tri, pair_node)
+    ])
+    assert np.array_equal(got, oracle)
 
-    def offsets(halves):
-        """Per (pair, child, axis): the least and greatest vertex offset, and h."""
-        v = tc[pair_tri][:, None] - centers[pair_node][:, :, None, :]  # (P, 8, vertex, axis)
-        return v.min(axis=2), v.max(axis=2), halves[pair_node]
-
-    def box_axes_separate(halves):
-        vmin, vmax, h = offsets(halves)
-        return ((vmin > h) | (vmax < -h)).any(axis=2)
-
-    vmin, vmax, h = offsets(halves)
-    slab_sep = box_axes_separate(halves)
-    contained = ((vmin >= -h) & (vmax <= h)).all(axis=2)
-    missed = ~slab_sep & ~want
-    assert sum(tested) == int((~slab_sep & ~contained).sum() + missed.sum())
-    assert int((~slab_sep & ~contained).sum()) < int((~slab_sep).sum())
-    assert want[contained].all()
-    # entries inside with a vertex offset exactly -h or h are in the cases
-    assert (contained & ((vmin == -h) | (vmax == h)).any(axis=2)).any()
-    assert missed.any()  # the other 10 axes still decide some entries
-    # entries that only touch a closed child box are in the cases: the shrink separates them
-    assert (slab_sep & ~box_axes_separate(_child_boxes(lo, hi, shrink=0.0)[1])).any()
-    # near entries: within the reach of a child box that the shrunk slabs keep
-    # apart, or rejected by the full test and kept by it on the inflated box
-    close = ~box_axes_separate(reach)
-    inflated = sat(reach)
-    assert np.array_equal(near, slab_sep & close | missed & inflated)
-    assert (slab_sep & close).any() and (missed & inflated).any() and (missed & ~inflated).any()
+    vmin, vmax = bounds[0][pair_tri][:, None], bounds[1][pair_tri][:, None]  # (P, 1, 3)
+    blo, bhi = cmin[pair_node], cmax[pair_node]  # (P, 8, 3)
+    slab_sep = ((vmax <= blo) | (vmin > bhi)).any(axis=2)
+    contained = ((vmin > blo) & (vmax <= bhi)).all(axis=2)
+    assert sum(tested) == int((~slab_sep & ~contained).sum())
+    assert want[contained].all() and not want[slab_sep].any()
+    # entries inside with a vertex on an upper plane of the child
+    assert (contained & (vmax == bhi).any(axis=2)).any()
+    assert (~slab_sep & ~contained & ~want).any()  # the other 10 axes still decide some entries
+    # entries touching a closed child box only on its lower planes, or only on its upper ones
+    closed_sep = ((vmax < blo) | (vmin > bhi)).any(axis=2)
+    assert (slab_sep & ~closed_sep).any()
+    on_upper = ~closed_sep & ((vmin == bhi) | (vmax == blo)).any(axis=2) & ~slab_sep
+    assert (want & on_upper).any()
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.01])
 @pytest.mark.parametrize("name", ["box", "pocket"])
 def test_root_classify_matches_sat_over_all_triangles(name, margin, pocket_plate, monkeypatch):
-    """The root box's hits are the full SAT test's over every triangle.  At a
-    positive margin every triangle lies inside the root box and none takes
-    the full test; at margin 0 the triangles touching the root's faces take
-    it."""
+    """The root box's hits are the contact kernel's over every triangle, and
+    the oracle's.  At a positive margin every triangle lies inside the
+    root box and none takes the kernel; at margin 0 the triangles on the
+    root's faces take it, and those on its lower faces are no hits."""
     mesh = {"box": box_mesh((3.0, 2.0, 1.0)), "pocket": pocket_plate}[name]
     m = mesh.metrics
     center = 0.5 * (np.array(m.bbox_min) + np.array(m.bbox_max))
     half = 0.5 * m.max_dimension * (1.0 + margin)
     lo, hi = (center - half)[None], (center + half)[None]
-    shrunk = 0.5 * (hi - lo) * (1 - spatial._SHRINK)
-    want = np.flatnonzero(
-        mesh_io._tri_box_overlap(mesh.tri_coords(), 0.5 * (lo + hi), shrunk)
-    )
+    want = np.flatnonzero(mesh_io._tri_box_overlap(mesh.tri_coords(), lo, hi))
+    oracle = [i for i, t in enumerate(mesh.tri_coords()) if displaced_box_contact(t, lo[0], hi[0])]
+    assert want.tolist() == oracle
     tested = []
-    full_sat = spatial._tri_box_overlap
+    kernel = spatial._tri_box_overlap
 
-    def recording(t, c, h):
+    def recording(t, a, b):
         tested.append(len(t))
-        return full_sat(t, c, h)
+        return kernel(t, a, b)
 
     monkeypatch.setattr(spatial, "_tri_box_overlap", recording)
     hits, code = spatial._classify(mesh, lo, hi)
     assert np.array_equal(hits, want) and code == spatial._GREY
     if margin:
         assert len(want) == mesh.num_triangles and sum(tested) == 0
-    else:  # the shrink separates the faces lying on the root's faces
-        assert 0 < len(want) < mesh.num_triangles and sum(tested) > 0
+    else:  # the faces on the root's lower faces lie outside the displaced box
+        on_lower = (mesh.tri_bounds()[1] == lo).any(axis=1)
+        assert on_lower.any() and np.array_equal(np.flatnonzero(~on_lower), want)
+        assert sum(tested) > 0
 
 
 def test_grey_shell_volume_shrinks_with_depth(sphere10):
@@ -709,9 +751,9 @@ def test_grey_shell_volume_shrinks_with_depth(sphere10):
 
 
 def test_find_leaf_locates_points(sphere_tree):
-    for p in [(0.0, 0.0, 0.0), (9.5, 0.0, 0.0), (-7.0, 3.0, 2.0)]:
-        leaf = sphere_tree.find_leaf(p)
-        assert leaf in sphere_tree.leaves()
+    points = np.array([(0.0, 0.0, 0.0), (9.5, 0.0, 0.0), (-7.0, 3.0, 2.0)])
+    for p, i in zip(points, sphere_tree.find_leaves(points).tolist()):
+        leaf = sphere_tree.leaves()[i]
         assert np.all(np.asarray(leaf.box_min) <= p)
         assert np.all(p <= np.asarray(leaf.box_max))
 
@@ -767,7 +809,6 @@ def test_find_leaves_matches_scalar_descent(sphere10, sphere_tree, pocket_plate)
         index = {key: i for i, key in enumerate(tree.path_key.tolist())}
         for p, i in zip(points, found.tolist()):
             assert i == _reference_find_leaf(root, index, p)
-            assert tree.find_leaf(p) is (None if i < 0 else tree.leaves()[i])
         assert (found[len(vertices) : len(vertices) + 8] >= 0).all()
         assert (found[len(vertices) + 8 : len(vertices) + 14] == -1).all()
     assert len(slab_tree.find_leaves(np.empty((0, 3)))) == 0
@@ -821,10 +862,13 @@ def test_refine_equals_deeper_build(sphere10):
 
 
 # content_hash of each tree, recorded when grey leaves got their exact
-# volumes from the column sweep; a kernel change must not move a byte
+# volumes from the column sweep; a kernel change must not move a byte.  The
+# pocket's was recorded again when the grey lists became exactly the
+# contacts: 4 boxes with a corner on the x = y diagonal of a face lost the
+# triangle that touches them only there, and with it a 1.2e-14 rounding
 _PINNED_FINGERPRINTS = {
     "sphere10-d5": "e823aecca981e7535ec2318f264f50345468c168393d4fab2dfb9e2eb52a1920",
-    "pocket-d5": "5149da1a7d17400ae27d186bec589078707b5dbb7bec82df408b8df79ef37660",
+    "pocket-d5": "08d353e47a69f33a340f05a3502625e1feb8488cda070fc830732129082043a2",
     "ico20480-d4": "b4923ec99aedd5c729275c029b892c72a8bf9a7da2f022fd037230fccadecd4d",
 }
 
@@ -888,13 +932,16 @@ def test_triangle_order_changes_nothing_but_mesh_hash(case, sphere10, pocket_pla
     assert np.array_equal(height_a, height_b)
 
 
-def test_refine_all_black_tree_is_noop():
+def test_refine_margin_zero_box_equals_deeper_build():
+    """The cube at margin 0, its faces on the root's upper planes, refines
+    to the deeper build bit for bit."""
     mesh = box_mesh((2.0, 2.0, 2.0))
     tree = build_octree(mesh, max_depth=2, margin=0.0)
     out = refine(tree, mesh)
+    direct = build_octree(mesh, max_depth=3, margin=0.0)
     assert out.max_depth == 3
-    assert out.fingerprint()["leaf_count"] == tree.fingerprint()["leaf_count"]
-    assert out.fingerprint()["content_hash"] == tree.fingerprint()["content_hash"]
+    assert out.fingerprint() == direct.fingerprint()
+    assert _dump_text(out) == _dump_text(direct)
 
 
 def test_refine_grey_growth_factor(sphere10):
@@ -912,9 +959,10 @@ def test_refine_rejects_other_mesh(sphere10, unit_cube):
 
 
 def test_refine_depth_ceiling():
-    # margin 0 keeps this cheap: the root itself is the only (black) leaf
+    # a root a million times the part keeps this cheap: below depth 1 each
+    # grey node has one grey child, the one holding its corner of the part
     mesh = box_mesh((2.0, 2.0, 2.0))
-    tree = build_octree(mesh, max_depth=10, margin=0.0)
+    tree = build_octree(mesh, max_depth=10, margin=1e6)
     with pytest.raises(DepthRangeError):
         refine(tree, mesh)
 
@@ -937,14 +985,16 @@ def test_dump_leaves_schema(sphere_tree):
 
 
 # sha256 of each tree's leaf dump, recorded when grey leaves got their exact
-# volumes from the column sweep (the cube's, which has no grey leaf, is
-# older); with margin 0 the cube's root box is the cube, so the root is a
-# black leaf
+# volumes from the column sweep; the pocket's and the cube's again when the
+# grey lists became exactly the contacts.  With margin 0 the cube's root box
+# is the cube, whose faces on the root's upper planes grey 37 of its 57
+# leaves; the pocket's 8 leaves with a corner on a face diagonal moved in
+# the last bits
 _PINNED_DUMPS = {
     "sphere10-d3": "d8166295a1557dbd66f00fbd2a80a8410567b554c805ead5c040a24b8bd714ec",
-    "pocket-d3": "8e6730cfaca8f50c19ceeb0015ae7e8dc2c4b946d41273d6c8abfc93466b0cc8",
+    "pocket-d3": "5e796ba7ef0766aac136886c37fa45e55637e1360fe849000d9aa8c6609f6d65",
     "box-d1": "0ff0fcdf2776279dda786d6ea5a8a798c9b120b3fc85b7fa7b25d7913839c6f9",
-    "cube-root": "6cf09b2ba32518da4a1da40cd0931d58ea315420ee82e5c44beb892a3347c06d",
+    "cube-root": "975d1c9e814ca5b67fdec92af85696bd07abbad48f71e0b2dcbf959cb88ead4e",
 }
 
 
