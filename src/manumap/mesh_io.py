@@ -359,7 +359,11 @@ def _measure(mesh: TriMesh) -> MeshMetrics:
     # fsum: the totals do not depend on the order of the triangles
     cross = np.cross(tc[:, 1] - tc[:, 0], tc[:, 2] - tc[:, 0])
     area = 0.5 * math.fsum(np.linalg.norm(cross, axis=1).tolist())
-    volume = math.fsum(np.linalg.det(tc).tolist()) / 6.0
+    # each signed volume as the triple product a . (b x c), which is exact
+    # where the products are, unlike an LU determinant
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = np.moveaxis(tc, 0, 2)
+    det = ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
+    volume = math.fsum(det.tolist()) / 6.0
     return MeshMetrics(
         bbox_min=tuple(bbox_min),
         bbox_max=tuple(bbox_max),
