@@ -329,6 +329,29 @@ def _kernel_cases(rng, count=100):
     return tc[np.linalg.norm(np.cross(tc[:, 1] - tc[:, 0], tc[:, 2] - tc[:, 0]), axis=1) > 1e-9]
 
 
+def test_contact_kernel_matches_oracle(monkeypatch):
+    """The contact kernel equals the exact oracle on every triangle of
+    :func:`_kernel_cases` against the unit box, and against a box whose
+    planes (multiples of 0.1) are not dyadic, with vertices on those planes
+    or moved 1 ulp off them: exact ties and ties within rounding.  Some of
+    each go to the integer stage."""
+    rng = np.random.default_rng(31)
+    tc = _kernel_cases(rng)
+    lo, hi = np.array([-0.1, -0.3, 0.1]), np.array([0.2, -0.1, 0.2])
+    shape = (600, 3, 3)
+    near = np.where(rng.random(shape) < 0.5, lo, hi)  # every coordinate on a box plane,
+    near += rng.uniform(-0.3, 0.3, shape) * (rng.random(shape) < 0.3)  # some moved off it,
+    off = np.nextafter(near, rng.choice([-np.inf, np.inf], shape))
+    near = np.where(rng.random(shape) < 0.5, near, off)  # and half of them by 1 ulp more
+    for tri, box in ((tc, (np.zeros(3), np.ones(3))), (near, (lo, hi)), (tc * 0.3 - 0.1, (lo, hi))):
+        exact = _count_exact_contacts(monkeypatch)
+        got = mesh_io._tri_box_overlap(tri, box[0][None], box[1][None])
+        monkeypatch.undo()
+        want = np.array([displaced_box_contact(t, *box) for t in tri])
+        assert np.array_equal(got, want)
+        assert 0 < want.sum() < len(want) and len(exact) > 0
+
+
 def test_pair_integrals_match_exact_clipping():
     """The volume kernel's P1 and Pz of each (triangle, box) pair equal the
     exact rational clip of the triangle by the box, to within 1e-12, for
