@@ -421,10 +421,10 @@ def test_tilted_top_volumes_exact(margin):
 
     The block's top falls from z = 60, a split plane from depth 3 on at
     margin 0, by x / 2^33, so that it drops 9.3e-9 mm below the plane at
-    x = 80: it meets the boxes under the plane and, only at x = 0, none
-    above it.  Every leaf, black, white or grey, holds the exact volume of
-    the block inside its box, to within 1e-12 of the box volume, at depths
-    1-6.
+    x = 80: it meets only the boxes under the plane, touching the plane
+    along its edge at x = 0.  Every leaf, black, white or grey, holds the
+    exact volume of the block inside its box, to within 1e-12 of the box
+    volume, at depths 1-6.
     """
     slope = -(2.0**-33)  # 60 + slope * x is exact: every x is a small integer
     mesh, top, floor = _tie_block(0, slope)
@@ -443,9 +443,9 @@ def test_tilted_top_volumes_exact(margin):
 def _oracle_contacts(mesh, lo, hi, first=False):
     """The (box, triangle) contacts of every triangle of ``mesh`` and each box
     ``lo``/``hi`` (N, 3) by :func:`oracles.displaced_box_contact`, which
-    has no filter.  It runs on the pairs whose triangle meets the box's
-    slabs under the tie rule (``tmax > lo`` and ``tmin <= hi`` on every
-    axis), without which no axis but a box normal is asked.  With
+    has no filter.  It runs only on the pairs that no box-normal axis
+    separates under the tie rule (``tmax > lo`` and ``tmin <= hi`` on
+    every axis); it would reject the others on a box normal.  With
     ``first``, each box stops at its first contact."""
     tmin, tmax = mesh.tri_bounds()
     tc = mesh.tri_coords()
