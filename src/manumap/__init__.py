@@ -66,7 +66,6 @@ from .spatial import (
     Octree,
     build_octree,
     classify_box,
-    estimate_part_volume,
     refine,
 )
 
@@ -111,7 +110,6 @@ __all__ = [
     "compare_reports",
     "default_profiles",
     "emit_report",
-    "estimate_part_volume",
     "export_difficulty_map",
     "fit_ratio",
     "hardness_index",

@@ -177,23 +177,14 @@ def _columns_blocked(mesh: TriMesh, xy: np.ndarray, lo: np.ndarray, hi: np.ndarr
     """True where part material occupies any of the open column (lo, hi) at xy.
 
     Each column asks about three heights: just over ``lo``, just under ``hi``
-    and the middle.  Columns at bitwise-equal xy (the probe columns of grey
-    leaves stacked in one column) share a line, and each distinct line is
-    cast once, in one :meth:`~manumap.mesh_io._ColumnGrid.crossings` call,
-    with the heights of every column on it.  The kernel's counts are exact,
-    also on lines that run through an edge or along a wall, so every
-    column is settled by that one cast, and a height's answer does not
-    depend on what else its line or its cast asks.
+    and the middle, in one :meth:`~manumap.mesh_io._ColumnGrid.crossings`
+    call, which casts the columns at bitwise-equal xy (the probe columns of
+    grey leaves stacked in one column) on one line.  The kernel's counts
+    are exact, also on lines that run through an edge or along a wall, so
+    every column is settled by that one cast, and a height's answer does
+    not depend on what else its line or its cast asks.
     """
     eps = _EPS_REL * mesh.metrics.max_dimension
     heights = np.column_stack([lo + eps, hi - eps, 0.5 * (lo + hi)])
-    bits = np.ascontiguousarray(xy).view(np.int64)
-    order = np.lexsort(bits.T)  # the columns, line by line
-    new_line = (np.diff(bits[order], axis=0) != 0).any(axis=1)
-    starts = np.flatnonzero(np.r_[len(xy) > 0, new_line])
-    hptr = 3 * np.r_[starts, len(xy)]
-    counts = mesh._column_grid().crossings(xy[order[starts]], heights[order].ravel(), hptr)
-    n_lo, n_hi, n_mid = counts.reshape(-1, 3).T
-    blocked = np.empty(len(xy), dtype=bool)
-    blocked[order] = (n_lo - n_hi > 0) | (n_mid % 2 == 1)
-    return blocked
+    n_lo, n_hi, n_mid = mesh._column_grid().crossings(xy, heights).T
+    return (n_lo - n_hi > 0) | (n_mid % 2 == 1)

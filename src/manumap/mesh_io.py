@@ -423,21 +423,15 @@ def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
 
 
 def _points_inside(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
-    """Parity-only inside test (no boundary band): :func:`_heights_inside`, one line per point."""
-    return _heights_inside(mesh, pts[:, :2], pts[:, 2], np.arange(len(pts) + 1))
+    """Parity-only inside test (no boundary band) of the (N, 3) ``pts``.
 
-
-def _heights_inside(mesh: TriMesh, xy: np.ndarray, hz: np.ndarray, hptr: np.ndarray) -> np.ndarray:
-    """Inside flags of heights on vertical lines, by parity.  Internal workhorse.
-
-    Line i at ``xy[i]`` carries the heights ``hz[hptr[i]:hptr[i + 1]]``, as
-    in :meth:`_ColumnGrid.crossings`, which casts each line once.  Each
-    answer depends only on (mesh, point), never on batch composition, so
-    any batching of the points gives the same answers.
+    Each answer depends only on (mesh, point), never on batch composition:
+    :meth:`_ColumnGrid.crossings` casts points at bitwise-equal x and y on
+    one line, so a caller may pass stacked points in any order and number.
     """
     if not mesh.metrics.watertight:
         raise NotWatertightError("point containment needs a watertight mesh")
-    return mesh._column_grid().crossings(xy, hz, hptr) % 2 == 1
+    return mesh._column_grid().crossings(pts[:, :2], pts[:, 2:])[:, 0] % 2 == 1
 
 
 def _near_surface(mesh: TriMesh, pts: np.ndarray, eps: float) -> np.ndarray:
@@ -453,20 +447,11 @@ def _near_surface(mesh: TriMesh, pts: np.ndarray, eps: float) -> np.ndarray:
     """
     grid = mesh._column_grid()
     tc, (tmin, tmax) = mesh.tri_coords(), mesh.tri_bounds()
-    band, res = 2.0 * eps, grid._res
+    band = 2.0 * eps
     on = np.zeros(len(pts), dtype=bool)
     for s in range(0, len(pts), _PAIR_BUDGET // 64):
         q = pts[s : s + _PAIR_BUDGET // 64]
-        i0 = np.floor((q[:, :2] - band - grid._lo) / grid._cell).astype(np.int64)
-        i1 = np.floor((q[:, :2] + band - grid._lo) / grid._cell).astype(np.int64)
-        hit = ((i1 >= 0) & (i0 < res)).all(axis=1)
-        i0, i1 = np.clip(i0, 0, res - 1), np.clip(i1, 0, res - 1)
-        # (point, cell) pairs: each point's square of cells, row by row
-        nx, ny = i1[:, 0] - i0[:, 0] + 1, i1[:, 1] - i0[:, 1] + 1
-        per = np.where(hit, nx * ny, 0)
-        point = np.repeat(np.arange(len(q)), per)
-        k = np.arange(len(point)) - np.repeat(np.cumsum(per) - per, per)
-        cell = (i0[point, 0] + k // ny[point]) * res + i0[point, 1] + k % ny[point]
+        point, cell = grid._rect_cells(q[:, :2] - band, q[:, :2] + band)
         # (point, triangle) pairs: each cell's bucket, then the triangles near the point
         size = grid._ptr[cell + 1] - grid._ptr[cell]
         slot = np.repeat(grid._ptr[cell] - (np.cumsum(size) - size), size) + np.arange(int(size.sum()))
@@ -528,9 +513,9 @@ class _ColumnGrid:
     :func:`classify_points` reads the buckets too, and the octree's volume
     kernel reads the exact area signs.  The buckets are stored CSR-style: cell
     ``c`` holds triangles ``tids[ptr[c]:ptr[c + 1]]`` in ascending order.
-    :meth:`crossings` is the one kernel: it casts each line once and
-    answers any number of heights on it, so callers whose points share
-    lines (stacked octree boxes) pass each line once.
+    :meth:`crossings` is the one kernel: callers pass points as (xy,
+    heights) entries, and it casts each distinct xy once, with the heights
+    of every entry there, so stacked octree boxes share one line.
 
     Whether a line crosses a triangle is decided exactly (:meth:`_hits`),
     with ties broken by one symbolic perturbation of the line, so every
@@ -569,14 +554,7 @@ class _ColumnGrid:
         self._res = res = int(np.clip(np.sqrt(8.0 * len(tc)), 4, 128))
         self._cell = np.maximum((hi - self._lo) / res, 1e-12)
 
-        i0 = np.clip(((tmin - self._lo) / self._cell).astype(np.int64), 0, res - 1)
-        i1 = np.clip(((tmax - self._lo) / self._cell).astype(np.int64), 0, res - 1)
-        # one (triangle, cell) entry per cell of each footprint rectangle
-        ny = i1[:, 1] - i0[:, 1] + 1
-        per_tri = (i1[:, 0] - i0[:, 0] + 1) * ny
-        tri = np.repeat(np.arange(len(tc), dtype=np.int64), per_tri)
-        k = np.arange(len(tri)) - np.repeat(np.cumsum(per_tri) - per_tri, per_tri)
-        cells = (i0[tri, 0] + k // ny[tri]) * res + (i0[tri, 1] + k % ny[tri])
+        tri, cells = self._rect_cells(tmin, tmax)
         cells = cells.astype(np.uint16)  # res <= 128: a stable sort of uint16 is a radix sort
         order = np.argsort(cells, kind="stable")
         self._tids = tri[order]
@@ -595,6 +573,21 @@ class _ColumnGrid:
         for i in np.flatnonzero(~(np.abs(area) > _CCW_ERRBOUND * (np.abs(l) + np.abs(r)))):
             det = _exact_det(*B[i], *C[i], *A[i])
             self._side[i] = (det > 0) - (det < 0)
+
+    def _rect_cells(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(item, cell)``: every grid cell that the xy rectangle ``lo[i]``
+        to ``hi[i]`` (N, 2) meets, rectangle by rectangle and row by row.
+        The rectangles are clipped to the grid, and one off it lists none."""
+        res = self._res
+        i0 = np.floor((lo - self._lo) / self._cell).astype(np.int64)
+        i1 = np.floor((hi - self._lo) / self._cell).astype(np.int64)
+        meets = ((i1 >= 0) & (i0 < res)).all(axis=1)
+        i0, i1 = np.clip(i0, 0, res - 1), np.clip(i1, 0, res - 1)
+        ny = i1[:, 1] - i0[:, 1] + 1
+        per = np.where(meets, (i1[:, 0] - i0[:, 0] + 1) * ny, 0)
+        item = np.repeat(np.arange(len(lo)), per)
+        k = np.arange(len(item)) - np.repeat(np.cumsum(per) - per, per)
+        return item, (i0[item, 0] + k // ny[item]) * res + i0[item, 1] + k % ny[item]
 
     def _cells_of(self, xy: np.ndarray) -> np.ndarray:
         ij = np.floor((xy - self._lo) / self._cell).astype(np.int64)
@@ -660,37 +653,46 @@ class _ColumnGrid:
         la, lb, lc = det[:, hit] / denom[hit]
         return hit, la * z0[hit] + lb * z1[hit] + lc * z2[hit]
 
-    def crossings(self, xy: np.ndarray, hz: np.ndarray, hptr: np.ndarray) -> np.ndarray:
-        """Count surface crossings strictly above many heights per vertical line.
+    def crossings(self, xy: np.ndarray, hz: np.ndarray) -> np.ndarray:
+        """Count surface crossings strictly above heights on vertical lines.
 
-        ``xy`` (N, 2) places N lines; line i is asked about the heights
-        ``hz[hptr[i]:hptr[i + 1]]`` (a CSR: one flat array of heights, one
-        offset per line).  Returns the number of crossings above each
-        height, shaped like ``hz``.  A crossing is above a height when its
-        barycentric surface height (:meth:`_hits`) is greater, so a height
-        on the surface counts the crossing there as not above; that point
-        is on the boundary, where either parity is a right answer.
+        Entry i asks about the k heights ``hz[i]`` (N, k) on the vertical
+        line at ``xy[i]`` (N, 2).  Returns the number of crossings above
+        each height, shaped like ``hz``, in input order.  A crossing is
+        above a height when its barycentric surface height (:meth:`_hits`)
+        is greater, so a height on the surface counts the crossing there as
+        not above; that point is on the boundary, where either parity is a
+        right answer.
 
-        Every line is evaluated once against its cell's triangles, in chunks
-        of at most :data:`_COLUMN_PAIR_BUDGET` (line, triangle) pairs, and
-        only the pairs that cross are tested against the line's heights:
-        any other pair adds to no count.  Each (pair, height) test is
-        ``zt > z``, elementwise, so a height's answer does not depend on
-        what else its line or its batch asks.
+        Entries whose x and y are bitwise equal share one line, so each
+        distinct xy is evaluated once against its cell's triangles, in
+        chunks of at most :data:`_COLUMN_PAIR_BUDGET` (line, triangle)
+        pairs, and only the pairs that cross are tested against the heights
+        of every entry on the line: any other pair adds to no count.  Each
+        (pair, height) test is ``zt > z``, elementwise, so a height's answer
+        depends neither on what else its line or its batch asks nor on the
+        order of the entries.
         """
-        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-        px, py = xy.T
+        xy = np.ascontiguousarray(xy, dtype=np.float64).reshape(-1, 2)
         hz = np.asarray(hz, dtype=np.float64)
-        hptr = np.asarray(hptr, dtype=np.int64)
-        n = len(px)
-        counts = np.zeros(len(hz), dtype=np.int64)
-        cells = self._cells_of(xy)
+        n, k = hz.shape
+        bits = xy.view(np.int64)
+        order = np.lexsort(bits.T)  # the entries, line by line
+        new_line = (np.diff(bits[order], axis=0) != 0).any(axis=1)
+        starts = np.flatnonzero(np.r_[n > 0, new_line])
+        # line j carries the heights hz_sorted[hptr[j]:hptr[j + 1]] of its entries
+        hptr = k * np.r_[starts, n]
+        hz_sorted = hz[order].ravel()
+        lines = xy[order[starts]]
+        px, py = lines.T
+        counts = np.zeros(n * k, dtype=np.int64)
+        cells = self._cells_of(lines)
         valid = cells >= 0
         first = np.where(valid, self._ptr[np.maximum(cells, 0)], 0)
         num = np.where(valid, self._ptr[cells + 1] - first, 0)  # outside the grid: none
         ends = np.cumsum(num)
         start = 0
-        while start < n:
+        while start < len(lines):
             done = ends[start - 1] if start else 0  # pairs before this chunk
             stop = int(np.searchsorted(ends, done + _COLUMN_PAIR_BUDGET, side="right"))
             stop = max(stop, start + 1)  # a line with a bigger bucket goes alone
@@ -704,13 +706,15 @@ class _ColumnGrid:
                 hit, zt = self._hits(px[line], py[line], self._tids[slot])
                 line = line[hit]
                 # one (pair, height) entry per height of the pair's line
-                k = hptr[line + 1] - hptr[line]
-                h = np.arange(int(k.sum())) + np.repeat(hptr[line] - (np.cumsum(k) - k), k)
-                above = np.repeat(zt, k) > hz[h]
+                per = hptr[line + 1] - hptr[line]
+                h = np.arange(int(per.sum())) + np.repeat(hptr[line] - (np.cumsum(per) - per), per)
+                above = np.repeat(zt, per) > hz_sorted[h]
                 base, size = hptr[start], hptr[stop] - hptr[start]
                 counts[base : base + size] = np.bincount(h[above] - base, minlength=size)
             start = stop
-        return counts
+        out = np.empty((n, k), dtype=np.int64)
+        out[order] = counts.reshape(n, k)
+        return out
 
 
 def _exact_det(ux, uy, vx, vy, px, py) -> int:

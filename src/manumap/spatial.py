@@ -34,7 +34,6 @@ from .errors import (
 from .mesh_io import (
     _SAT_PAIR_BUDGET,
     TriMesh,
-    _heights_inside,
     _points_inside,
     _tri_box_overlap,
 )
@@ -190,10 +189,6 @@ class Octree:
                 "part_volume": volume,
             }
             yield json.dumps(record, sort_keys=True) + "\n"
-
-    def dump_leaves(self, fh) -> None:
-        """Write the leaf dump (:meth:`dump_lines`) to the text file ``fh``."""
-        fh.writelines(self.dump_lines())
 
     def fingerprint(self) -> dict:
         """Stable identity of the decomposition: depth, leaf count, content hash.
@@ -444,10 +439,10 @@ def _advance_wave(
     triangle of its node's list is in contact with it.  That is
     :func:`classify_box` on the child, because the list holds every
     triangle in contact with the node.  Children that the surface misses
-    are center-classified in one :func:`_heights_inside` call with one
-    line per xy column (one :func:`_column_keys` value), carrying the
-    center heights of every missed child stacked in that column.  A height's answer depends only on
-    the mesh and the point, so sharing lines changes no class.
+    are center-classified in one :func:`_points_inside` call, where the
+    centers stacked in one xy column, whose x and y are bitwise equal,
+    share a line.  A center's answer depends only on the mesh and the
+    point, so sharing lines changes no class.
     """
     mid = 0.5 * (lo + hi)
     cmin = np.where(_CHILD_BITS, mid[:, None, :], lo[:, None, :]).reshape(-1, 3)
@@ -468,16 +463,9 @@ def _advance_wave(
     volume = np.full(len(cmin), np.nan)
     child_keys = (keys[:, None] << 3 | np.arange(8)).ravel()
     miss = np.flatnonzero(np.bincount(group, minlength=len(cmin)) == 0)
-    if len(miss):
-        # the missed centers column by column: stacked centers share x and y bitwise
-        columns = _column_keys(child_keys[miss])
-        by_column = np.argsort(columns, kind="stable")
-        miss = miss[by_column]
-        heads = np.flatnonzero(np.r_[True, np.diff(columns[by_column]) != 0])
-        hptr = np.r_[heads, len(miss)]
-        inside = _heights_inside(mesh, centers[miss[heads], :2], centers[miss, 2], hptr)
-        code[miss] = np.where(inside, _BLACK, _WHITE)
-        volume[miss] = np.where(inside, size[miss, 0] * size[miss, 1] * size[miss, 2], 0.0)
+    inside = _points_inside(mesh, centers[miss])
+    code[miss] = np.where(inside, _BLACK, _WHITE)
+    volume[miss] = np.where(inside, size[miss, 0] * size[miss, 1] * size[miss, 2], 0.0)
     return cmin, cmax, child_keys, code, volume, group[order], pair_tri[pair[order]]
 
 
@@ -543,24 +531,6 @@ def _wave_mask(
             tc.take(tri[entry >> 3], axis=0), cmin.take(box, axis=0), cmax.take(box, axis=0)
         )
     return hit
-
-
-def _column_keys(keys: np.ndarray) -> np.ndarray:
-    """Path keys with the z bit of every level dropped: 1, then 2 bits (x + 2y) per level.
-
-    Boxes of one depth share a column key exactly when they are stacked in
-    one xy column, and then their x and y bounds are bitwise equal, because
-    the subdivision computes each axis from that axis's bits alone.
-    """
-    column = np.zeros_like(keys)
-    shift = np.zeros_like(keys)
-    rest = keys.copy()
-    while (rest > 1).any():
-        level = rest > 1
-        column[level] |= (rest[level] & 3) << shift[level]
-        shift[level] += 2
-        rest[level] >>= 3
-    return column | (1 << shift)
 
 
 #: Rows of :func:`_corners`.
@@ -772,8 +742,8 @@ def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarra
         V = h A(z1) + sum Pz,    A(z0) = A(z1) + sum P1
 
     over the box's triangles.  The grey leaves stacked in one xy column
-    (one :func:`_column_keys` value, each one's z0 bitwise the z1 of the
-    one below) form runs, swept top down: each leaf's A(z1) is the A(z0)
+    (all at one depth, so with bitwise-equal x and y bounds, each one's z0
+    bitwise the z1 of the one below) form runs, swept top down: each leaf's A(z1) is the A(z0)
     of the leaf above.  The top of a run reads its A(z1) off the leaf that
     holds the same-size box above it: black (R's area), or white or outside
     the root (0).  The lists hold every triangle that adds to a box's sums,
@@ -795,10 +765,10 @@ def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarra
     p1, pz = _pair_integrals(mesh, _turns(mesh), tri_ids, pair_leaf, np.hstack([lo, hi]))
     sum_p1, sum_pz = _sorted_sum(pair_leaf, len(g), p1), _sorted_sum(pair_leaf, len(g), pz)
 
-    columns = _column_keys(key[g])
-    order = np.lexsort((-lo[:, 2], columns))  # column by column, top down
+    xy = np.ascontiguousarray(lo[:, :2]).view(np.int64)  # the bits of each column's x and y
+    order = np.lexsort((-lo[:, 2], *xy.T))  # column by column, top down
     upper, lower = order[:-1], order[1:]
-    top = np.r_[True, (columns[lower] != columns[upper]) | (hi[lower, 2] != lo[upper, 2])]
+    top = np.r_[True, (xy[lower] != xy[upper]).any(axis=1) | (hi[lower, 2] != lo[upper, 2])]
     heads = np.sort(order[top])  # ascending, as the pairs go
 
     # A(z1) at the top of each run: the class of the box above
@@ -819,31 +789,6 @@ def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarra
         area_top[below] = area_top[over] + sum_p1[over]
     box = size[:, 0] * size[:, 1] * size[:, 2]
     volume[g] = np.clip(size[:, 2] * area_top + sum_pz, 0.0, box)
-
-
-def estimate_part_volume(mesh: TriMesh, box_min, box_max) -> float:
-    """Solid part volume inside one box.
-
-    Black boxes short-circuit to the full box volume and white boxes to zero;
-    a grey box gets its exact volume by the kernel of :func:`_grey_volumes`,
-    its cross-section at the top from the P1 of every triangle over the
-    prism from the box up to the mesh's top.
-    """
-    cls = classify_box(mesh, box_min, box_max)
-    lo = np.asarray(box_min, dtype=np.float64)
-    hi = np.asarray(box_max, dtype=np.float64)
-    if cls is OctantClass.BLACK:
-        return float(np.prod(hi - lo))
-    if cls is OctantClass.WHITE:
-        return 0.0
-    prism = np.r_[lo[:2], hi[2], hi[:2], max(hi[2], mesh.metrics.bbox_max[2])]
-    tris = np.tile(np.arange(mesh.num_triangles), 2)
-    box_of = np.repeat([0, 1], mesh.num_triangles)  # the prism, then the box
-    p1, pz = _pair_integrals(
-        mesh, _turns(mesh), tris, box_of, np.array([prism, np.r_[lo, hi]])
-    )
-    volume = (hi[2] - lo[2]) * _sorted_sum(box_of, 2, p1)[0] + _sorted_sum(box_of, 2, pz)[1]
-    return float(np.clip(volume, 0.0, np.prod(hi - lo)))
 
 
 # ---------------------------------------------------------------------------

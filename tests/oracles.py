@@ -163,6 +163,31 @@ def box_clip_integrals(triangle, box_min, box_max) -> tuple[float, float]:
     return float(area), float(height)
 
 
+def box_part_volume(mesh, box_min, box_max) -> float:
+    """The part's volume inside one box R x [z0, z1], h = z1 - z0, by the
+    divergence theorem: ``h * A(z1) + sum Pz``.
+
+    ``A(z1)``, the area of the part's cross-section with R just above z1,
+    is the sum of the P1 of :func:`box_clip_integrals` over the prism from
+    the box top up to the mesh top; ``Pz`` is its height integral over the
+    box.  Every term is exact, only the triangles whose bounds meet the
+    closed prism or box are clipped (no other adds a term), and the terms
+    are added with ``fsum``.
+    """
+    lo, hi = np.asarray(box_min, dtype=np.float64), np.asarray(box_max, dtype=np.float64)
+    prism_lo = np.r_[lo[:2], hi[2]]
+    prism_hi = np.r_[hi[:2], max(hi[2], mesh.metrics.bbox_max[2])]
+    tc = mesh.tri_coords()
+    tmin, tmax = tc.min(axis=1), tc.max(axis=1)
+
+    def meeting(a, b):
+        return tc[((tmin <= b) & (tmax >= a)).all(axis=1)]
+
+    area = math.fsum(box_clip_integrals(t, prism_lo, prism_hi)[0] for t in meeting(prism_lo, prism_hi))
+    heights = [box_clip_integrals(t, lo, hi)[1] for t in meeting(lo, hi)]
+    return math.fsum([(hi[2] - lo[2]) * area, *heights])
+
+
 def ramp_prism_volume(box_min, box_max, rect, floor, top, slope) -> float:
     """Volume inside a closed box of the solid over ``rect`` (x0, y0, x1, y1)
     between the heights ``floor`` and ``top + slope * x``, in exact rational

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import subprocess
@@ -93,16 +92,14 @@ def test_analyze_exact_path_flags(mesh_files, tmp_path):
 
 
 def test_dump_octree_streams_the_leaf_dump(mesh_files, tmp_path, monkeypatch):
-    """The streamed CLI dump equals Octree.dump_leaves byte for byte, across write chunks."""
+    """The streamed CLI dump equals Octree.dump_lines byte for byte, across write chunks."""
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
     d = tmp_path / "leaves.jsonl"
     assert main(["analyze", str(mesh_files["pocket"]), "--dump-octree", str(d),
                  "--seed", "3", *FAST]) == 0
     tree = build_octree(load_mesh(mesh_files["pocket"]), max_depth=2)
     assert len(tree.leaves()) > 3 * 5  # several chunks, the last one partial
-    buf = io.StringIO()
-    tree.dump_leaves(buf)
-    assert d.read_bytes() == buf.getvalue().encode()
+    assert d.read_bytes() == "".join(tree.dump_lines()).encode()
     assert not (tmp_path / "leaves.jsonl.tmp").exists()
 
 

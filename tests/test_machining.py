@@ -358,15 +358,7 @@ def test_grazing_column_settles_on_retry(case, xy, lo, hi, blocked, pocket_plate
     one cast gives the true answer, whatever else is in the batch, every
     time."""
     mesh = {"cube": box_mesh((10.0, 10.0, 10.0)), "pocket": pocket_plate}[case]
-    grid_cls = type(mesh._column_grid())
-    original = grid_cls.crossings
-    casts = []  # the lines of every cast
-
-    def spy(self, xy, hz, hptr):
-        casts.append(np.array(xy))
-        return original(self, xy, hz, hptr)
-
-    monkeypatch.setattr(grid_cls, "crossings", spy)
+    casts = _spy_casts(monkeypatch, mesh)
     exact = _count_exact_orientations(monkeypatch)
 
     def run(columns):
@@ -384,11 +376,17 @@ def test_grazing_column_settles_on_retry(case, xy, lo, hi, blocked, pocket_plate
 
 def _unshared_columns_blocked(mesh, xy, lo, hi):
     """Column occupancy as it was computed before columns shared lines: each
-    column cast once, as its own line."""
+    column cast once, as its own line, in casts whose xy are all distinct."""
     eps = machining._EPS_REL * mesh.metrics.max_dimension
     heights = np.column_stack([lo + eps, hi - eps, 0.5 * (lo + hi)])
-    counts = mesh._column_grid().crossings(xy, heights.ravel(), 3 * np.arange(len(xy) + 1))
-    n_lo, n_hi, n_mid = counts.reshape(-1, 3).T
+    bits = np.ascontiguousarray(xy).view(np.int64)
+    counts = np.empty(heights.shape, dtype=np.int64)
+    left = np.arange(len(xy))
+    while len(left):
+        now = left[np.unique(bits[left], axis=0, return_index=True)[1]]
+        counts[now] = mesh._column_grid().crossings(xy[now], heights[now])
+        left = np.setdiff1d(left, now)
+    n_lo, n_hi, n_mid = counts.T
     return (n_lo - n_hi > 0) | (n_mid % 2 == 1)
 
 
@@ -436,16 +434,17 @@ def _wall_part():
 
 
 def _spy_casts(monkeypatch, mesh):
-    """Record the lines of every column cast."""
+    """Record the lines of every column cast: the xy whose grid cells each
+    crossings call looks up, once per call."""
     grid_cls = type(mesh._column_grid())
-    original = grid_cls.crossings
+    original = grid_cls._cells_of
     casts = []
 
-    def spy(self, xy, hz, hptr):
+    def spy(self, xy):
         casts.append(np.array(xy))
-        return original(self, xy, hz, hptr)
+        return original(self, xy)
 
-    monkeypatch.setattr(grid_cls, "crossings", spy)
+    monkeypatch.setattr(grid_cls, "_cells_of", spy)
     return casts
 
 

@@ -496,11 +496,6 @@ def _column_reference(mesh, xy, z):
     return counts
 
 
-def _k_per_line(xy, k):
-    """The crossings offsets of k heights on every line of ``xy``."""
-    return k * np.arange(len(xy) + 1)
-
-
 def _column_queries(grid, rng, n=150):
     """Random lines, lines on grid-cell boundaries, and lines on cell corners."""
     lo, cell, res = grid._lo, grid._cell, grid._res
@@ -523,11 +518,11 @@ def test_column_kernel_matches_brute_force(name, sphere10, pocket_plate, unit_cu
     if name in ("cube", "block"):
         assert np.diff(grid._ptr).sum() > 4 * len(grid._tab)
     xy, z = _column_queries(grid, np.random.default_rng(17))
-    counts = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3)).reshape(z.shape)
+    counts = grid.crossings(xy, z)
     assert np.array_equal(counts, _column_reference(mesh, xy, z))
     assert counts.any() and (counts == 0).any()
     # one height per line gives the same answer as a column of K heights
-    assert np.array_equal(grid.crossings(xy, z[:, 0], _k_per_line(xy, 1)), counts[:, 0])
+    assert np.array_equal(grid.crossings(xy, z[:, :1])[:, 0], counts[:, 0])
 
 
 def test_column_kernel_chunk_seams(sphere10, unit_cube, split_block, monkeypatch):
@@ -541,8 +536,8 @@ def test_column_kernel_chunk_seams(sphere10, unit_cube, split_block, monkeypatch
         assert largest > 2
         for budget in (mesh_io._COLUMN_PAIR_BUDGET, 1, largest - 1):
             monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
-            counts = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
-            assert np.array_equal(counts.reshape(z.shape), want)
+            counts = grid.crossings(xy, z)
+            assert np.array_equal(counts, want)
         monkeypatch.undo()
 
 
@@ -571,13 +566,13 @@ def test_lines_through_vertices_and_edges_cross_evenly(
     grid = mesh._column_grid()
     xy = _lines_through_features(mesh)
     below = mesh.metrics.bbox_min[2] - 1.0
-    total = grid.crossings(xy, np.full(len(xy), below), _k_per_line(xy, 1))
+    total = grid.crossings(xy, np.full((len(xy), 1), below))
     assert (total % 2 == 0).all() and total.any()
 
     rng = np.random.default_rng(seed)
     lo, hi = mesh.metrics.bbox_min[2], mesh.metrics.bbox_max[2]
     z = rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (len(xy), 2))
-    inside = grid.crossings(xy, z.ravel(), _k_per_line(xy, 2)) % 2 == 1
+    inside = grid.crossings(xy, z).ravel() % 2 == 1
     pts = np.column_stack([np.repeat(xy, 2, axis=0), z.ravel()])
     w = winding_numbers(mesh, pts)
     # many of these lines run along a vertical edge or wall, and the points on
@@ -596,18 +591,18 @@ def test_orientation_filter_decides_no_sign(unit_cube, split_block, pocket_plate
         xy, z = _column_queries(grid, np.random.default_rng(29), n=60)
         xy = np.concatenate([xy, _lines_through_features(mesh)[:200]])
         z = np.resize(z, (len(xy), 3))
-        want = grid.crossings(xy, z.ravel(), _k_per_line(xy, 3))
+        want = grid.crossings(xy, z)
         with monkeypatch.context() as m:
             m.setattr(mesh_io, "_CCW_ERRBOUND", 1.0)  # |l - r| <= |l| + |r|: none is sure
             exact = mesh_io._ColumnGrid(
                 mesh.tri_coords(), mesh.tri_bounds(), mesh.metrics.max_dimension
             )
             assert np.array_equal(exact._side, grid._side)
-            assert np.array_equal(exact.crossings(xy, z.ravel(), _k_per_line(xy, 3)), want)
+            assert np.array_equal(exact.crossings(xy, z), want)
 
 
-def _csr_queries(grid, rng):
-    """Lines for the CSR kernel, each with its own number of heights (zero for some).
+def _ragged_queries(grid, rng):
+    """Lines, each with its own number of heights (zero for some).
 
     Random lines and lines outside the grid get random heights; lines on
     triangle vertices and edge midpoints, and random lines through the
@@ -641,31 +636,66 @@ def _csr_queries(grid, rng):
 def test_csr_column_kernel_matches_per_line_calls(
     name, budget, sphere10, pocket_plate, monkeypatch
 ):
-    """crossings(xy, hz, hptr) answers each line's heights as a one-line
-    call does, at any chunk size."""
+    """Ragged lines passed as entries at repeated xy, one height each, get
+    the counts of a one-line call with all of the line's heights, at any
+    chunk size."""
     mesh = {"sphere": sphere10, "pocket": pocket_plate}[name]
     grid = mesh._column_grid()
-    xy, heights = _csr_queries(grid, np.random.default_rng(31))
+    xy, heights = _ragged_queries(grid, np.random.default_rng(31))
     sizes = np.array([len(h) for h in heights])
     assert (sizes == 0).any() and (sizes > 10).any()
-    want = [grid.crossings(xy[i : i + 1], h, [0, len(h)]) for i, h in enumerate(heights)]
+    want = [grid.crossings(xy[i : i + 1], h[None])[0] for i, h in enumerate(heights)]
     if budget is not None:
         monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", budget)
-    hptr = np.concatenate([[0], np.cumsum(sizes)])
-    counts = grid.crossings(xy, np.concatenate(heights), hptr)
-    assert counts.shape == (hptr[-1],)
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    counts = grid.crossings(np.repeat(xy, sizes, axis=0), np.concatenate(heights)[:, None])
+    assert counts.shape == (ptr[-1], 1)
     for i, c in enumerate(want):
-        assert np.array_equal(counts[hptr[i] : hptr[i + 1]], c)
+        assert np.array_equal(counts[ptr[i] : ptr[i + 1], 0], c)
     assert counts.any() and (counts == 0).any()
-    empty = grid.crossings(np.empty((0, 2)), np.empty(0), np.zeros(1, dtype=np.int64))
-    assert empty.shape == (0,)
+    empty = grid.crossings(np.empty((0, 2)), np.empty((0, 1)))
+    assert empty.shape == (0, 1)
+
+
+def test_crossings_share_a_line_among_bitwise_equal_xy(sphere10, monkeypatch):
+    """Entries at bitwise-equal xy share one line: the kernel casts one line
+    per distinct xy bits, each against its cell's whole bucket once, and
+    permuting or duplicating the entries changes no count.  Entries at
+    x = -0.0 and x = 0.0, equal values with different bits, go on two
+    lines and get equal counts."""
+    grid = sphere10._column_grid()
+    rng = np.random.default_rng(41)
+    xy = rng.uniform(-5.0, 5.0, (40, 2))  # every cell under the sphere's middle holds triangles
+    xy[:10, 0], xy[10:20, 0], xy[10:20, 1] = 0.0, -0.0, xy[:10, 1]
+    xy = np.concatenate([xy, xy[rng.integers(0, 40, 30)]])
+    z = rng.uniform(-12.0, 12.0, (len(xy), 2))
+    z[10:20] = z[:10]
+    cast = []
+    hits = mesh_io._ColumnGrid._hits
+
+    def spy(self, px, py, tids):
+        cast.append(np.column_stack([px, py]))
+        return hits(self, px, py, tids)
+
+    with monkeypatch.context() as m:
+        m.setattr(mesh_io._ColumnGrid, "_hits", spy)
+        counts = grid.crossings(xy, z)
+    lines, pairs = np.unique(np.concatenate(cast).view(np.int64), axis=0, return_counts=True)
+    assert len(lines) == len(np.unique(xy.view(np.int64), axis=0)) < len(xy)
+    assert np.array_equal(pairs, np.diff(grid._ptr)[grid._cells_of(lines.view(np.float64))])
+    assert counts.shape == z.shape and counts.any() and (counts % 2).any()
+    assert np.array_equal(counts[:10], counts[10:20])
+    perm = rng.permutation(len(xy))
+    assert np.array_equal(grid.crossings(xy[perm], z[perm]), counts[perm])
+    twice = grid.crossings(np.concatenate([xy, xy[::-1]]), np.concatenate([z, z[::-1]]))
+    assert np.array_equal(twice, np.concatenate([counts, counts[::-1]]))
 
 
 def test_column_kernel_and_classify_points_take_zero_inputs(unit_cube):
     grid = unit_cube._column_grid()
     for k in (1, 3):
-        counts = grid.crossings(np.empty((0, 2)), np.empty(0), _k_per_line([], k))
-        assert counts.shape == (0,)
+        counts = grid.crossings(np.empty((0, 2)), np.empty((0, k)))
+        assert counts.shape == (0, k)
     out = classify_points(unit_cube, np.empty((0, 3)))
     assert out.shape == (0,) and out.dtype == np.int8
 
@@ -687,7 +717,7 @@ def test_column_grid_extent_and_gate_follow_the_vertices(shift, torus):
     assert (grid._cells_of(np.array([lo, hi])) >= 0).all()
     past = np.array([lo - 2 * pad, hi + 2 * pad, [lo[0] - 2 * pad, hi[1]]])
     assert (grid._cells_of(past) == -1).all()
-    assert not grid.crossings(past, np.zeros(3), _k_per_line(past, 1)).any()
+    assert not grid.crossings(past, np.zeros((3, 1))).any()
 
 
 def _vertical_triangles(rng, n, offset):
@@ -738,7 +768,7 @@ def test_vertical_triangles_never_count(offset):
 
     hit, z = grid._hits(pts[:, 0].copy(), pts[:, 1].copy(), tid)
     assert len(hit) == 0 and len(z) == 0
-    assert not grid.crossings(pts, np.full(len(pts), -20.0), _k_per_line(pts, 1)).any()
+    assert not grid.crossings(pts, np.full((len(pts), 1), -20.0)).any()
 
 
 def _boxes_touching(tc, rng):

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import math
 
@@ -16,12 +15,17 @@ from manumap.machining import tool_flexibility_field
 from manumap.mesh_io import TriMesh, _points_inside
 from manumap.primitives import box_mesh, icosphere, slab_with_pockets
 from manumap.profiles import default_profiles
-from oracles import box_clip_integrals, displaced_box_contact, ramp_prism_volume, winding_numbers
+from oracles import (
+    box_clip_integrals,
+    box_part_volume,
+    displaced_box_contact,
+    ramp_prism_volume,
+    winding_numbers,
+)
 from manumap.spatial import (
     OctantClass,
     build_octree,
     classify_box,
-    estimate_part_volume,
     refine,
 )
 
@@ -153,9 +157,7 @@ def test_every_entry_point_checks_build_params(unit_cube, bad):
 
 
 def _dump_text(tree) -> str:
-    buf = io.StringIO()
-    tree.dump_leaves(buf)
-    return buf.getvalue()
+    return "".join(tree.dump_lines())
 
 
 def test_rebuild_is_byte_identical(pocket_plate):
@@ -208,12 +210,13 @@ def test_black_white_leaf_volumes(sphere_tree):
             assert 0.0 <= leaf.part_volume <= leaf.box_volume
 
 
-def test_leaf_volumes_match_per_leaf_reference(sphere10, monkeypatch):
+def test_leaf_volumes_match_per_leaf_reference(sphere10, pocket_plate, monkeypatch):
     """Batched wave and volume arithmetic, at any chunk size, gives the tree
-    of the default sizes.  Each grey leaf's volume is the one
-    estimate_part_volume finds for the leaf's box alone, whose top
+    of the default sizes.  Each grey leaf's volume is the exact one that
+    oracles.box_part_volume finds for the leaf's box alone, whose top
     cross-section comes from the prism above the box instead of the column
-    sweep, to within 1e-12 of the box volume."""
+    sweep, to within 1e-12 of the box volume: on every 4th grey leaf of the
+    sphere, and on every grey leaf of the pocket plate."""
     whole = build_octree(sphere10, max_depth=3)
     # SAT chunks of 7 pairs, volume-kernel chunks of 5 pairs and column-kernel
     # chunks of 5 pairs put seams everywhere
@@ -223,11 +226,13 @@ def test_leaf_volumes_match_per_leaf_reference(sphere10, monkeypatch):
     tree = build_octree(sphere10, max_depth=3)
     monkeypatch.undo()
     assert tree.fingerprint() == whole.fingerprint()
-    columns = spatial._column_keys(tree.path_key[tree.grey_index])
-    assert len(np.unique(columns)) < len(columns)  # stacked leaves share one sweep
-    for leaf in tree.grey_leaves():
-        alone = estimate_part_volume(sphere10, leaf.box_min, leaf.box_max)
-        assert abs(leaf.part_volume - alone) <= 1e-12 * leaf.box_volume
+    columns = tree.box_min[tree.grey_index, :2]
+    assert len(np.unique(columns, axis=0)) < len(columns)  # stacked leaves share one sweep
+    pocket = build_octree(pocket_plate, max_depth=3)
+    for mesh, leaves in ((sphere10, tree.grey_leaves()[::4]), (pocket_plate, pocket.grey_leaves())):
+        for leaf in leaves:
+            alone = box_part_volume(mesh, leaf.box_min, leaf.box_max)
+            assert abs(leaf.part_volume - alone) <= 1e-12 * leaf.box_volume
 
 
 def _exact_cases():
@@ -557,8 +562,9 @@ def test_grouped_center_casts_match_one_point_calls(name, split_block, pocket_pl
     x = y diagonal meet the diagonal edges of its faces inside those
     grouped casts, where the exact stage decides them."""
     mesh = {"block": split_block, "pocket": pocket_plate, "sphere10": sphere10}[name]
-    casts, in_wave = [], []
-    advance, sampler = spatial._advance_wave, spatial._heights_inside
+    casts, lines, in_wave = [], [], []
+    grid_cls = mesh_io._ColumnGrid
+    advance, crossings, cells_of = spatial._advance_wave, grid_cls.crossings, grid_cls._cells_of
 
     def spy_wave(*args):
         in_wave.append(True)
@@ -567,21 +573,29 @@ def test_grouped_center_casts_match_one_point_calls(name, split_block, pocket_pl
         finally:
             in_wave.pop()
 
-    def spy_cast(mesh, xy, hz, hptr):
+    def spy_cast(self, xy, hz):
+        if in_wave:
+            bits = np.ascontiguousarray(xy).view(np.int64)
+            casts.append(np.unique(bits, axis=0, return_counts=True)[1])  # centers per xy
+        return crossings(self, xy, hz)
+
+    def spy_lines(self, xy):
         if in_wave:
             assert len(np.unique(xy, axis=0)) == len(xy)  # one line per column
-            casts.append(np.diff(hptr))
-        return sampler(mesh, xy, hz, hptr)
+            lines.append(len(xy))
+        return cells_of(self, xy)
 
     monkeypatch.setattr(spatial, "_advance_wave", spy_wave)
-    monkeypatch.setattr(spatial, "_heights_inside", spy_cast)
+    monkeypatch.setattr(grid_cls, "crossings", spy_cast)
+    monkeypatch.setattr(grid_cls, "_cells_of", spy_lines)
     exact = _count_exact_orientations(monkeypatch, in_wave)
     tree = build_octree(mesh, max_depth=4)
     monkeypatch.undo()
 
     solid = np.flatnonzero(tree.class_code != spatial._GREY)
     assert sum(int(k.sum()) for k in casts) == len(solid)  # every black or white leaf, once
-    assert max(int(k.max()) for k in casts) > 1  # stacked centers share a line
+    assert [len(k) for k in casts] == lines  # each cast looks up one line per xy
+    assert max(int(k.max(initial=0)) for k in casts) > 1  # stacked centers share a line
     centers = 0.5 * (tree.box_min[solid] + tree.box_max[solid])
     black = tree.class_code[solid] == spatial._BLACK
     assert np.array_equal(black, _points_inside(mesh, centers))
@@ -596,17 +610,15 @@ def test_grouped_center_casts_match_one_point_calls(name, split_block, pocket_pl
     assert build_octree(shuffled, max_depth=4).fingerprint() == tree.fingerprint()
 
 
-def test_column_keys_drop_each_level_z_bit():
-    """A column key drops each level's z bit: 1, then x + 2y per level; the
-    root box is its own column."""
-    assert spatial._column_keys(np.ones(1, dtype=np.int64)).tolist() == [1]
-    assert spatial._column_keys(np.array([8, 9, 15, 71])).tolist() == [4, 5, 7, 19]
-
-
 def test_stacked_leaves_share_their_column_bounds(pocket_plate):
+    """Grey leaves (all at one depth) share a column, their path keys equal
+    but for each level's z bit, exactly when their x and y bounds are
+    bitwise equal: the subdivision computes each axis from that axis's
+    bits alone.  The volume sweep finds its runs by those bits."""
     tree = build_octree(pocket_plate, max_depth=4)
     g = tree.grey_index
-    columns = spatial._column_keys(tree.path_key[g])
+    z_bits = sum(4 << 3 * level for level in range(tree.max_depth))
+    columns = tree.path_key[g] & ~z_bits
     xy = np.hstack([tree.box_min[g, :2], tree.box_max[g, :2]])
     pairs = np.unique(np.column_stack([columns, xy.view(np.int64)]), axis=0)
     assert len(pairs) == len(np.unique(columns)) == len(np.unique(xy, axis=0)) < len(g)
@@ -843,33 +855,6 @@ def test_grey_leaves_built_once(sphere_tree):
     assert greys == [n for n in sphere_tree.leaves() if n.octant_class is OctantClass.GREY]
     with pytest.raises(ValueError):  # records are views of the tree's read-only arrays
         greys[0].box_min[0] = 0.0
-
-
-# ---------------------------------------------------------------------------
-# estimate_part_volume
-
-
-def test_estimate_black_box_short_circuits(unit_cube):
-    v = estimate_part_volume(unit_cube, (0.25, 0.25, 0.25), (0.75, 0.75, 0.75))
-    assert v == pytest.approx(0.5**3)
-
-
-def test_estimate_white_box(unit_cube):
-    assert estimate_part_volume(unit_cube, (5, 5, 5), (6, 6, 6)) == 0.0
-
-
-def test_estimate_half_overlap(unit_cube):
-    # box [0.5, 1.5] x [0,1]^2 overlaps the part in exactly half its volume
-    v = estimate_part_volume(unit_cube, (0.5, 0.0, 0.0), (1.5, 1.0, 1.0))
-    assert v == pytest.approx(0.5, abs=0.05)
-    assert v == pytest.approx(0.5, rel=1e-12)
-
-
-def test_estimate_deterministic(sphere10):
-    box = ((0.0, 0.0, 0.0), (7.0, 7.0, 7.0))
-    a = estimate_part_volume(sphere10, *box)
-    b = estimate_part_volume(sphere10, *box)
-    assert a == b
 
 
 # ---------------------------------------------------------------------------
