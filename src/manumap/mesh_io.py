@@ -319,10 +319,20 @@ def _weld(soup: np.ndarray) -> TriMesh:
     """Merge near-coincident vertices of a triangle soup and drop junk."""
     flat = soup.reshape(-1, 3)
     keys = np.round(flat / WELD_TOLERANCE_MM).astype(np.int64)
-    # rows in lexicographic key order (x first), equal keys in input order:
-    # the order and first occurrences of np.unique(keys, axis=0)
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
+    # rows in lexicographic key order (x first), equal keys in input order, as np.unique(keys,
+    # axis=0) has them; one packed key sorts once where the three key spans fit in 62 bits
+    low, high = (keys.min(axis=0), keys.max(axis=0)) if len(keys) else (np.zeros(3, dtype=np.int64),) * 2
+    bits = [(int(b) - int(a)).bit_length() for a, b in zip(low, high)]
+    if sum(bits) <= 62:
+        packed = keys[:, 0] - low[0]
+        for a in (1, 2):
+            packed <<= bits[a]
+            packed |= keys[:, a] - low[a]
+        order = np.argsort(packed, kind="stable")
+        ranked = packed[order, None]
+    else:
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
     start = np.ones(len(order), dtype=bool)
     start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     vertices = flat[order[start]]

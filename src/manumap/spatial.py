@@ -3,15 +3,16 @@
 The part's bounding box is cubified, inflated by a small margin, and split
 recursively: boxes fully inside the part are black, fully outside are white,
 and boxes the surface meets are grey and subdivided until ``max_depth``.
-A box the surface misses is black or white by the exact parity of its
-center's vertical line.  Grey terminal boxes get their exact solid volume
-by the divergence theorem (:func:`_grey_volumes`): each triangle's part in
-a box is integrated in closed form, and the grey boxes stacked in one xy
-column are swept top down, each passing the part's cross-section area at
-its floor to the box below.  Nothing is sampled and nothing is random, so
-every value is reproducible and independent of how boxes are batched.  The
-tree is linear: it keeps only its leaves, as arrays in Morton (z-curve)
-order.
+The grey boxes are found bottom up, from the triangles' contacts with the
+cells of ``max_depth``: a box is grey when one of its children is.  A box
+the surface misses is black or white by the exact parity of its center's
+vertical line.  Grey terminal boxes get their exact solid volume by the
+divergence theorem (:func:`_grey_volumes`): each triangle's part in a box
+is integrated in closed form, and the grey boxes stacked in one xy column
+are swept top down, each passing the part's cross-section area at its
+floor to the box below.  Nothing is sampled and nothing is random, so every
+value is reproducible and independent of how boxes are batched.  The tree
+is linear: it keeps only its leaves, as arrays in Morton (z-curve) order.
 """
 
 from __future__ import annotations
@@ -95,14 +96,14 @@ class Octree:
 
     Row i of ``path_key``, ``depth``, ``class_code``, ``box_min``,
     ``box_max`` and ``part_volume`` describes leaf i, and the rows are in
-    Morton (z-curve) order.  The boxes are the ones the subdivision computed
-    (``mid = 0.5 * (lo + hi)`` at each level), not re-derived from the key,
-    which would round differently.  ``grey_index`` lists the grey rows;
-    every grey leaf sits at ``max_depth``.  Grey leaf g keeps the triangles
-    in contact with its box, ``grey_tri_ids[grey_tri_ptr[g]:grey_tri_ptr[g +
-    1]]``, in the sense of :func:`classify_box`: exactly those made it grey,
-    and they are all the volume kernel needs.  :func:`refine` starts from
-    these lists.  All arrays are read-only.
+    Morton (z-curve) order.  The boxes are the ones the subdivision computes
+    (``mid = 0.5 * (lo + hi)``, :func:`_split_planes`), not re-derived from
+    the key, which would round differently.  ``grey_index`` lists the grey
+    rows; every grey leaf sits at ``max_depth``.  Grey leaf g keeps the
+    triangles in contact with its box, ``grey_tri_ids[grey_tri_ptr[g]:
+    grey_tri_ptr[g + 1]]``, in the sense of :func:`classify_box`: exactly
+    those made it grey, and they are all the volume kernel needs.
+    :func:`refine` starts from these lists.  All arrays are read-only.
     """
 
     path_key: np.ndarray  # (L,) int64: 1, then 3 bits (x + 2y + 4z) per level
@@ -314,7 +315,8 @@ def build_octree(
     margin:
         Relative inflation of the cubified root box (0.01 = 1%).
 
-    Every grey leaf's ``part_volume`` is its exact solid volume, up to
+    The grey leaves come from the triangles' contacts with the cells of
+    ``max_depth`` (:func:`_grow`), each with its exact solid volume, up to
     rounding (:func:`_grey_volumes`).  An open mesh raises
     ``NotWatertightError``; a closed one whose bounding box has no volume
     (a flat sheet) raises ``DegenerateMeshError``.
@@ -336,7 +338,7 @@ def build_octree(
     hits, code = _classify(mesh, lo, hi)
     if code == _GREY:
         root_of = np.zeros(len(hits), dtype=np.intp)
-        leaves, tri_ptr, tri_ids = _grow(mesh, [], lo, hi, root_key, root_of, hits, 0, max_depth)
+        leaves, tri_ptr, tri_ids = _grow(mesh, [], (lo[0], hi[0]), root_key, root_of, hits, 0, max_depth)
         _grey_volumes(mesh, leaves, tri_ptr, tri_ids)
     else:
         volume = np.array([float(np.prod(hi - lo)) if code == _BLACK else 0.0])
@@ -362,111 +364,179 @@ def build_octree(
 _CHILD_BITS = np.array(
     [[(c >> 0) & 1, (c >> 1) & 1, (c >> 2) & 1] for c in range(8)], dtype=bool
 )
+#: A (node, triangle) pair jumps straight to the max-depth cells in its node
+#: that its slabs keep when there are at most this many: one wave's entries.
+_JUMP_CELLS = 8
+#: Bit b of a cell coordinate moved to bit 3 b: x, y and z of a path key.
+_SPREAD = sum((np.arange(1 << MAX_DEPTH_LIMIT, dtype=np.int64) >> b & 1) << 3 * b
+              for b in range(MAX_DEPTH_LIMIT))
 
 
 def _grow(
     mesh: TriMesh,
     done: list[tuple[np.ndarray, ...]],
-    lo: np.ndarray,
-    hi: np.ndarray,
+    root: tuple[np.ndarray, np.ndarray],
     keys: np.ndarray,
     pair_node: np.ndarray,
     pair_tri: np.ndarray,
     depth: int,
     max_depth: int,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Subdivide grey nodes level by level down to ``max_depth``; the finished leaves.
+    """Subdivide grey nodes down to ``max_depth``; the finished leaves.
 
-    The W nodes at ``depth`` have boxes ``lo``/``hi`` (W, 3) and path keys
-    ``keys``, in Morton order, and triangle ``pair_tri[p]`` is in contact
-    with node ``pair_node[p]``: the pairs hold every triangle in contact
-    with a node's box (:func:`classify_box`), and only those.  A triangle
-    in contact with a child is in contact with its parent, so each child's
-    list is its node's list tested against it.  The leaves of ``done``,
-    tuples of leaf arrays as in :data:`_LEAF_COLUMNS`, are kept as they are.  Returns all
-    leaves in Morton order, grey volumes NaN for :func:`_grey_volumes` to
-    fill, and the grey leaves' triangle lists as a CSR (offsets, triangle
-    ids).  Children of Morton-ordered nodes come out Morton-ordered, so the
-    greys, all made by the last wave, keep their order through the final
-    sort and stay aligned with the CSR.
+    The nodes at ``depth`` of the tree with root box ``root`` have path
+    keys ``keys``, in Morton order, and the pairs hold every triangle in
+    contact with a node's box (:func:`classify_box`), and only those; the
+    leaves of ``done`` (as in :data:`_LEAF_COLUMNS`) are kept.  Returns
+    all leaves in Morton order, grey volumes NaN for :func:`_grey_volumes`
+    to fill, and the grey lists as a CSR (offsets, ascending triangle ids).
+
+    The grey leaves come from the (cell, triangle) contacts at ``max_depth``
+    (:func:`_contacts`).  A box is grey exactly when one of its children
+    is, for they tile it, so each level's grey keys are the next one's
+    shifted by 3 bits.  The other children of grey nodes take their boxes
+    from :func:`_split_planes` and their classes from one cast of their
+    centers (:func:`_points_inside`), each answer independent of the batch.
     """
-    while True:
-        depth += 1
-        lo, hi, keys, code, volume, pair_child, pair_tri = _advance_wave(
-            mesh, lo, hi, keys, pair_node, pair_tri
-        )
-        wave = (keys, np.full(len(keys), depth, dtype=np.int32), code, lo, hi, volume)
-        grey = code == _GREY
-        grey_of = np.cumsum(grey) - 1  # a grey child's index among the grey children
-        on_grey = grey[pair_child]  # only grey children keep their triangles
-        pair_child, pair_tri = pair_child[on_grey], pair_tri[on_grey]
-        if depth == max_depth or not grey.any():
-            break
-        done.append(tuple(column[~grey] for column in wave))
-        lo, hi, keys = lo[grey], hi[grey], keys[grey]
-        pair_node = grey_of[pair_child]
-
-    done.append(wave)
-    key, depth, *rest = (np.concatenate(column) for column in zip(*done))
+    planes = _split_planes(*root, max_depth)
+    coords = np.zeros((3, len(keys)), dtype=np.int32)  # the nodes' cell coordinates, one row per axis
+    for b in range(depth):
+        coords |= ((keys >> 3 * b + np.arange(3)[:, None] & 1) << b).astype(np.int32)
+    found = np.sort(_contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth))
+    cell, tri_ids = found >> 32, found & 0xFFFFFFFF  # by cell, then triangle
+    first = np.r_[True, cell[1:] != cell[:-1]]
+    tri_ptr = np.append(np.flatnonzero(first), len(cell))
+    cell, solid = cell[first], []
+    for level in range(depth + 1, max_depth + 1):
+        up = cell >> 3 * (max_depth - level)
+        grey = up[np.r_[True, up[1:] != up[:-1]]]  # the level's grey keys, ascending
+        slot = 8 * (np.cumsum(np.r_[True, grey[1:] >> 3 != grey[:-1] >> 3]) - 1) + (grey & 7)
+        coords = (2 * coords[:, :, None] + _CHILD_BITS.T[:, None, :]).reshape(3, -1)
+        keys = (keys[:, None] << 3 | np.arange(8)).ravel()
+        miss = np.bincount(slot, minlength=len(keys)) == 0
+        box = _boxes(planes, coords[:, miss], 1 << max_depth - level)
+        solid.append((keys[miss], np.full(len(box[0]), level, dtype=np.int32), *box))
+        coords, keys = coords[:, slot], keys[slot]
+    key, level, lo, hi = (np.concatenate(column) for column in zip(*solid))
+    inside, size = _points_inside(mesh, 0.5 * (lo + hi)), hi - lo
+    code, volume = np.where(inside, _BLACK, _WHITE).astype(np.int8), size[:, 0] * size[:, 1] * size[:, 2]
+    done.append((key, level, code, lo, hi, np.where(inside, volume, 0.0)))
+    n = len(keys)  # the grey leaves
+    done.append((keys, np.full(n, max_depth, dtype=np.int32), np.full(n, _GREY, dtype=np.int8),
+                 *_boxes(planes, coords, 1), np.full(n, np.nan)))
+    key, level, *rest = (np.concatenate(column) for column in zip(*done))
     # left-aligned keys: drop the leading 1 and pad every key to max_depth levels
-    shift = 3 * depth.astype(np.int64)
+    shift = 3 * level.astype(np.int64)
     morton = (key ^ (1 << shift)) << (3 * max_depth - shift)
     order = np.argsort(morton)
-    counts = np.bincount(grey_of[pair_child], minlength=int(grey.sum()))
-    tri_ptr = np.concatenate([[0], np.cumsum(counts)])
-    leaves = tuple(column[order] for column in (key, depth, *rest))
-    return leaves, tri_ptr, pair_tri
+    leaves = tuple(column[order] for column in (key, level, *rest))
+    return leaves, tri_ptr, tri_ids
 
 
-def _advance_wave(
-    mesh: TriMesh,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    keys: np.ndarray,
-    pair_node: np.ndarray,
-    pair_tri: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Split W grey nodes into their 8 children each; returns the 8W children.
+def _split_planes(lo: np.ndarray, hi: np.ndarray, max_depth: int) -> np.ndarray:
+    """(3, 2**max_depth + 1) split planes of the root box ``lo``/``hi``, one row per axis.
 
-    Children come node by node, child c of a node taking the upper half on
-    axis a where bit a of c is set.  Returns their boxes (8W, 3), path keys,
-    class codes, part volumes (NaN on grey children, which
-    :func:`_grey_volumes` fills), and the (child, triangle) contact pairs
-    ordered by child, each child's triangles in its node's order.
-
-    Every (node, triangle) pair of the level is tested against the node's
-    8 children by :func:`_wave_mask`: a child is grey exactly when a
-    triangle of its node's list is in contact with it.  That is
-    :func:`classify_box` on the child, because the list holds every
-    triangle in contact with the node.  Children that the surface misses
-    are center-classified in one :func:`_points_inside` call, where the
-    centers stacked in one xy column, whose x and y are bitwise equal,
-    share a line.  A center's answer depends only on the mesh and the
-    point, so sharing lines changes no class.
+    Each is ``0.5 * (lo + hi)`` of the two around it, as a box splits, so a
+    node at level k and cell i spans planes ``i << max_depth - k`` to ``i +
+    1 << max_depth - k``, bit for bit.
     """
-    mid = 0.5 * (lo + hi)
-    cmin = np.where(_CHILD_BITS, mid[:, None, :], lo[:, None, :]).reshape(-1, 3)
-    cmax = np.where(_CHILD_BITS, hi[:, None, :], mid[:, None, :]).reshape(-1, 3)
-    size = cmax - cmin
-    centers = 0.5 * (cmin + cmax)
-    hit = _wave_mask(
-        mesh.tri_coords(), mesh.tri_bounds(), pair_tri, pair_node,
-        cmin.reshape(-1, 8, 3), cmax.reshape(-1, 8, 3),
-    )
+    planes = np.reshape([lo, hi], (2, 3)).T
+    for _ in range(max_depth):
+        mid = 0.5 * (planes[:, :-1] + planes[:, 1:])
+        planes = np.insert(planes, np.arange(1, planes.shape[1]), mid, axis=1)
+    return planes
 
-    entry = np.flatnonzero(hit)  # 8 * pair + child; faster than a 2-D nonzero
-    pair = entry >> 3
-    group = pair_node[pair] * 8 + (entry & 7)
-    order = np.argsort(group, kind="stable")
 
-    code = np.full(len(cmin), _GREY, dtype=np.int8)
-    volume = np.full(len(cmin), np.nan)
-    child_keys = (keys[:, None] << 3 | np.arange(8)).ravel()
-    miss = np.flatnonzero(np.bincount(group, minlength=len(cmin)) == 0)
-    inside = _points_inside(mesh, centers[miss])
-    code[miss] = np.where(inside, _BLACK, _WHITE)
-    volume[miss] = np.where(inside, size[miss, 0] * size[miss, 1] * size[miss, 2], 0.0)
-    return cmin, cmax, child_keys, code, volume, group[order], pair_tri[pair[order]]
+def _boxes(planes: np.ndarray, cells: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """lo and hi (N, 3) of the boxes ``step`` max-depth cells a side at cell coordinates ``cells`` (3, N)."""
+    at = cells * step + (np.arange(3) * planes.shape[1])[:, None]
+    return planes.take(at).T, planes.take(at + step).T
+
+
+def _cell_ranges(planes: np.ndarray, tmin: np.ndarray, tmax: np.ndarray) -> list[np.ndarray]:
+    """Each triangle's first and last max-depth cell on each axis, (3, M) int32 each.
+
+    They are ``searchsorted(planes[a], t, "left") - 1`` of its ``tmin`` and
+    ``tmax``: cell j's slab keeps it (neither ``tmax <= lo`` nor ``tmin >
+    hi``, the contact kernel's box-normal rule) exactly when ``r0 <= j <=
+    r1``, and contains it exactly when ``r0 == j == r1``.  A floor estimate
+    corrected against the planes is faster than the search.
+    """
+    n = planes.shape[1] - 1
+    base = (np.arange(3) * (n + 3) + 1)[:, None]  # planes[a, j] is padded[base[a] + j]
+    padded = np.hstack([np.full((3, 1), -np.inf), planes, np.full((3, 1), np.inf)]).ravel()
+    with np.errstate(divide="ignore"):
+        scale = np.nan_to_num(n / (planes[:, -1:] - planes[:, :1]), posinf=0.0)
+    ranges = []
+    for t in (tmin, tmax):
+        t = np.ascontiguousarray(t.T)
+        j = np.clip((t - planes[:, :1]) * scale, -1, n).astype(np.int64) + base
+        while (down := padded.take(j) >= t).any():
+            j -= down
+        while (up := padded.take(j + 1) < t).any():
+            j += up
+        ranges.append((j - base).astype(np.int32))
+    return ranges
+
+
+def _contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth) -> np.ndarray:
+    """The (cell, triangle) contacts at ``max_depth`` as ``path key << 32 | triangle``.
+
+    ``coords`` holds the cell coordinates of :func:`_grow`'s nodes.  Level
+    by level, a pair whose triangle's cell ranges (:func:`_cell_ranges`) in
+    its node hold at most :data:`_JUMP_CELLS` cells jumps to them
+    (:func:`_jump`), and the others take one :func:`_wave_mask` step.  A
+    node at ``max_depth - 1`` holds 8 cells, so there every pair jumps (a
+    pair that waves down to ``max_depth`` is its own cell's).
+    """
+    tc, bounds = mesh.tri_coords(), mesh.tri_bounds()
+    r0, r1 = _cell_ranges(planes, *bounds)
+    thin = (r0 == r1).sum(axis=0) >= 2
+    found = []
+    for level in range(depth, max_depth + 1):
+        step = 1 << max_depth - level  # max-depth cells per node and axis
+        start = coords.take(pair_node, axis=1) * step
+        count = np.minimum(r1.take(pair_tri, axis=1), start + (step - 1))
+        start = np.maximum(r0.take(pair_tri, axis=1), start, out=start)
+        count -= start - 1
+        jump = (count.prod(axis=0) <= _JUMP_CELLS) | (level == max_depth)
+        found += _jump(tc, planes, thin, start[:, jump], count[:, jump], pair_tri[jump], max_depth)
+        pair_node, pair_tri = pair_node[~jump], pair_tri[~jump]
+        if not len(pair_tri):
+            break
+        children = (2 * coords[:, :, None] + _CHILD_BITS.T[:, None, :]).reshape(3, -1)
+        cmin, cmax = (box.reshape(-1, 8, 3) for box in _boxes(planes, children, step >> 1))
+        entry = np.flatnonzero(_wave_mask(tc, bounds, pair_tri, pair_node, cmin, cmax))
+        child = pair_node[entry >> 3] * 8 + (entry & 7)  # entry 8 * pair + child
+        live = np.bincount(child, minlength=children.shape[1]) > 0
+        coords, pair_node, pair_tri = children[:, live], (np.cumsum(live) - 1)[child], pair_tri[entry >> 3]
+    return np.concatenate(found)
+
+
+def _jump(tc, planes, thin, start, count, tri, max_depth) -> list[np.ndarray]:
+    """The contacts, as in :func:`_contacts`, of triangle ``tri[p]`` and the
+    max-depth cells from ``start[:, p]`` on, ``count[:, p]`` a side.
+
+    A ``thin`` triangle lies in one cell's slab on two axes or more, so
+    inside those displaced slabs; it is connected and the third slab keeps
+    it, so it meets every such cell.  The other cells go to
+    :func:`_tri_box_overlap`, :data:`_SAT_PAIR_BUDGET` pairs at a time.
+    """
+    found = []
+    for s in range(0, len(tri), _SAT_PAIR_BUDGET):
+        n = count[:, s : s + _SAT_PAIR_BUDGET].prod(axis=0, dtype=np.int32)
+        pair = np.repeat(np.arange(s, s + len(n)), n)
+        rank = np.arange(len(pair), dtype=np.int32) - np.repeat(np.cumsum(n, dtype=np.int32) - n, n)
+        yz, x = np.divmod(rank, count[0].take(pair))  # int32 divmod: several times faster
+        z, y = np.divmod(yz, count[1].take(pair))
+        cells = start.take(pair, axis=1) + np.stack([x, y, z])
+        t = tri.take(pair)
+        hit = thin.take(t)
+        ask = np.flatnonzero(~hit)
+        hit[ask] = _tri_box_overlap(tc.take(t[ask], axis=0), *_boxes(planes, cells[:, ask], 1))
+        key = _SPREAD.take(cells[:, hit])
+        found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | t[hit])
+    return found
 
 
 #: The children a set of six slab flags keeps: flag bit ``3 * s + a`` marks
@@ -798,9 +868,9 @@ def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarra
 def refine(octree: Octree, mesh: TriMesh) -> Octree:
     """One more subdivision level: equivalent to rebuilding at max_depth + 1.
 
-    Black and white leaves are untouched; every grey leaf is replaced by its
-    8 children, classified from its triangle list exactly as a fresh build
-    would, and the new grey leaves get their exact volumes.
+    Black and white leaves are untouched; every grey leaf is replaced by
+    its 8 children, to which its triangles jump as in a fresh build
+    (:func:`_grow`), and the new grey leaves get their exact volumes.
     """
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")
@@ -812,7 +882,7 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     g = octree.grey_index
     pair_node = np.repeat(np.arange(len(g)), np.diff(octree.grey_tri_ptr))
     leaves, tri_ptr, tri_ids = _grow(
-        mesh, [kept], octree.box_min[g], octree.box_max[g], octree.path_key[g], pair_node,
+        mesh, [kept], (octree.box_min[0], octree.box_max[-1]), octree.path_key[g], pair_node,
         octree.grey_tri_ids, octree.max_depth, new_depth,
     )
     _grey_volumes(mesh, leaves, tri_ptr, tri_ids)

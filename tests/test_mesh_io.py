@@ -134,7 +134,11 @@ def _weld_with_unique(soup, tol=mesh_io.WELD_TOLERANCE_MM):
     return TriMesh(vertices[used], remap[triangles])
 
 
-def test_weld_matches_unique_reference():
+def test_weld_matches_unique_reference(monkeypatch):
+    """Both key orders of the weld, one packed key where the three key spans
+    fit in 62 bits and a lexsort of the rows where they do not (a part
+    spanning 1e6 mm), give the vertices and triangles of a weld that groups
+    keys with np.unique(axis=0)."""
     rng = np.random.default_rng(41)
     tol = mesh_io.WELD_TOLERANCE_MM
     # a closed mesh around the origin, its soup permuted, so coordinates are negative
@@ -149,8 +153,21 @@ def test_weld_matches_unique_reference():
     base = rng.uniform(-5.0, 5.0, (200, 1, 3))
     steps = rng.permutation(np.array([[0, 0, 0], [0, 0, 1], [0, 0, -1]] * 200).reshape(200, 3, 3))
     soups["z-steps"] = base + steps * tol + np.array([[0, 0, 0], [0, 0, 0], [1e-2, 0, 0]])
+    # a part spanning 1e6 mm: its keys span about 2**33 on each axis
+    soups["far"] = soups["sphere"] * 2e5 + rng.uniform(-0.4, 0.4, sphere.shape) * tol
+    lexsorts = []
+    lexsort = np.lexsort
+
+    def counted(keys):
+        lexsorts.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", counted)
     for name, soup in soups.items():
-        got, want = _weld(soup.reshape(-1, 3)), _weld_with_unique(soup)
+        before = len(lexsorts)
+        got = _weld(soup.reshape(-1, 3))
+        assert len(lexsorts) - before == (name == "far"), name
+        want = _weld_with_unique(soup)
         assert np.array_equal(got.vertices, want.vertices), name
         assert np.array_equal(got.triangles, want.triangles), name
         assert got.content_hash() == want.content_hash(), name

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -13,7 +14,7 @@ from manumap.analysis import AnalysisParams
 from manumap.errors import ConfigError, DepthRangeError, MeshMismatchError, NotWatertightError
 from manumap.machining import tool_flexibility_field
 from manumap.mesh_io import TriMesh, _points_inside
-from manumap.primitives import box_mesh, icosphere, slab_with_pockets
+from manumap.primitives import box_mesh, icosphere, slab_with_pockets, torus_mesh
 from manumap.profiles import default_profiles
 from oracles import (
     box_clip_integrals,
@@ -519,12 +520,14 @@ def test_grey_lists_hold_every_triangle_in_reach(name, sphere10):
 # (mesh, depth, margin) -> entries the contact kernel decides on integers, and
 # grey-list pairs.  The blocks' face diagonals run through box corners on the
 # plane x = y, and the spheres' six axis vertices lie on box edges: real ties.
+# The kernel sees only the max-depth cells that pairs jump to and the wave
+# entries of larger triangles, and no cell of a triangle thin on two axes.
 _EXACT_CONTACTS = {
-    "block-d5": (240, 6958),
-    "half-d5": (216, 4846),
-    "sphere-d6": (150, 51596),
-    "dense-d5": (126, 141656),
-    "tie-block-margin0-d5": (224, 5221),
+    "block-d5": (236, 6958),
+    "half-d5": (212, 4846),
+    "sphere-d6": (54, 51596),
+    "dense-d5": (24, 141656),
+    "tie-block-margin0-d5": (219, 5221),
 }
 
 
@@ -555,40 +558,41 @@ def test_exact_contact_entries_pinned(case, split_block, monkeypatch):
 
 @pytest.mark.parametrize("name", ["block", "pocket", "sphere10"])
 def test_grouped_center_casts_match_one_point_calls(name, split_block, pocket_plate, sphere10, monkeypatch):
-    """Each wave casts its missed children's centers with one line per xy
-    column.  Every black or white leaf still has the class of a one-point
-    _points_inside call on its center, and the winding-number oracle's, and
-    permuting the triangles changes no byte.  The block's centers on the
+    """The build casts the centers of the children the surface misses, at
+    every level, in one call with one line per xy column.  Every black or
+    white leaf still has the class of a one-point _points_inside call on
+    its center, and the winding-number oracle's, and permuting the
+    triangles changes no byte.  The block's centers on the
     x = y diagonal meet the diagonal edges of its faces inside those
     grouped casts, where the exact stage decides them."""
     mesh = {"block": split_block, "pocket": pocket_plate, "sphere10": sphere10}[name]
-    casts, lines, in_wave = [], [], []
+    casts, lines, in_build = [], [], []
     grid_cls = mesh_io._ColumnGrid
-    advance, crossings, cells_of = spatial._advance_wave, grid_cls.crossings, grid_cls._cells_of
+    points_inside, crossings, cells_of = spatial._points_inside, grid_cls.crossings, grid_cls._cells_of
 
-    def spy_wave(*args):
-        in_wave.append(True)
+    def spy_centers(*args):
+        in_build.append(True)
         try:
-            return advance(*args)
+            return points_inside(*args)
         finally:
-            in_wave.pop()
+            in_build.pop()
 
     def spy_cast(self, xy, hz):
-        if in_wave:
+        if in_build:
             bits = np.ascontiguousarray(xy).view(np.int64)
             casts.append(np.unique(bits, axis=0, return_counts=True)[1])  # centers per xy
         return crossings(self, xy, hz)
 
     def spy_lines(self, xy):
-        if in_wave:
+        if in_build:
             assert len(np.unique(xy, axis=0)) == len(xy)  # one line per column
             lines.append(len(xy))
         return cells_of(self, xy)
 
-    monkeypatch.setattr(spatial, "_advance_wave", spy_wave)
+    monkeypatch.setattr(spatial, "_points_inside", spy_centers)
     monkeypatch.setattr(grid_cls, "crossings", spy_cast)
     monkeypatch.setattr(grid_cls, "_cells_of", spy_lines)
-    exact = _count_exact_orientations(monkeypatch, in_wave)
+    exact = _count_exact_orientations(monkeypatch, in_build)
     tree = build_octree(mesh, max_depth=4)
     monkeypatch.undo()
 
@@ -742,6 +746,97 @@ def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
     assert (slab_sep & ~closed_sep).any()
     on_upper = ~closed_sep & ((vmin == bhi) | (vmax == blo)).any(axis=2) & ~slab_sep
     assert (want & on_upper).any()
+
+
+def test_cell_ranges_match_searchsorted_and_thin_cells_are_contacts():
+    """Per axis, a triangle's first and last max-depth cell are
+    ``searchsorted(planes, t, "left") - 1`` of its bounds, on dyadic nodes
+    whose triangles lie on, touch or straddle the split planes, and on
+    planes that are not dyadic.  A triangle whose range is one cell on two
+    axes or more meets, by the exact oracle, every cell that its slabs keep:
+    the contacts a jump takes without the kernel.  Among them are faces in
+    a split plane, which meet only the cells below it, and slivers in one
+    xy column that cross several cells in z."""
+    rng = np.random.default_rng(47)
+    tc, _, pair_node, lo, hi = _wave_cases(rng)
+    checked = on_plane = 0
+    for n in range(len(lo)):
+        planes = spatial._split_planes(lo[n], hi[n], 2)  # 4 cells a side
+        width = planes[:, 1:] - planes[:, :-1]
+        cell = rng.integers(0, 4, (10, 3))
+        corner, size = planes[[0, 1, 2], cell][:, None], width[[0, 1, 2], cell][:, None]
+        inside = corner + rng.integers(1, 8, (10, 3, 3)) / 8.0 * size  # strictly inside one cell
+        flat = inside[:5].copy()  # in a split plane of their cell: on its lower or upper face
+        axis = rng.integers(0, 3, 5)
+        flat[np.arange(5), :, axis] = planes[axis, cell[np.arange(5), axis] + rng.integers(0, 2, 5)][:, None]
+        tall = inside[5:].copy()  # one xy column, z anywhere in the node and a little past it
+        tall[:, :, 2] = lo[n, 2] + rng.integers(-2, 35, (5, 3)) / 32.0 * (hi[n, 2] - lo[n, 2])
+        t = np.concatenate([tc[pair_node == n], flat, tall])
+        tmin, tmax = t.min(axis=1), t.max(axis=1)
+        for shift in (0.0, 0.1):  # dyadic planes, then planes 0.1 off them
+            moved = spatial._split_planes(lo[n] + shift, hi[n] + shift, 3)
+            r0, r1 = spatial._cell_ranges(moved, tmin + shift, tmax + shift)
+            for a in range(3):
+                assert np.array_equal(r0[a], np.searchsorted(moved[a], tmin[:, a] + shift, "left") - 1)
+                assert np.array_equal(r1[a], np.searchsorted(moved[a], tmax[:, a] + shift, "left") - 1)
+        r0, r1 = spatial._cell_ranges(planes, tmin, tmax)
+        for i in np.flatnonzero((r0 == r1).sum(axis=0) >= 2).tolist():
+            first, last = np.maximum(r0[:, i], 0), np.minimum(r1[:, i], 3)
+            on_plane += bool((tmin[i] == tmax[i]).any() and np.isin(tmin[i], planes).any())
+            for c in itertools.product(*(range(f, l + 1) for f, l in zip(first.tolist(), last.tolist()))):
+                box = planes[[0, 1, 2], c], planes[[0, 1, 2], np.add(c, 1)]
+                assert displaced_box_contact(t[i], *box), (n, i, c)
+                checked += 1
+    assert checked > 500 and on_plane > 100
+
+
+def _jump_limit_cases():
+    """The fixture matrix of the jump-limit test: (name, mesh thunk, margin, depth)."""
+    from conftest import t_slot_part
+
+    meshes = {f"ulps{u}": (lambda u=u: _tie_block(u)[0]) for u in (-2, -1, 0, 1, 2)}
+    meshes["tilted"] = lambda: _tie_block(0, -(2.0**-33))[0]
+    meshes["pocket"] = lambda: slab_with_pockets((64.0, 64.0, 64.0), [((22.0, 22.0, 42.0, 42.0), 40.0)])
+    meshes["torus"] = lambda: torus_mesh(20.0, 8.0, segments_major=24, segments_minor=12)
+    meshes["t_slot"] = t_slot_part
+    meshes["cube"] = lambda: box_mesh((1.0, 1.0, 1.0))
+    meshes["sphere10"] = lambda: icosphere(10.0, 3)
+    cases = [("tilted", meshes["tilted"], 0.0, 6), ("sphere10", meshes["sphere10"], 0.01, 6)]
+    for i, (name, mesh) in enumerate(meshes.items()):
+        for j, margin in enumerate((0.0, 0.01, 0.3)):
+            cases.append((name, mesh, margin, 1 + (2 * i + j) % 5))
+    return cases
+
+
+@pytest.mark.parametrize("limit", [0, 10**9], ids=["waves-only", "jump-from-root"])
+def test_jump_limit_changes_no_byte(limit, monkeypatch):
+    """Waves all the way down (no pair jumps before its node is a cell) and
+    jumps from the root (every pair goes straight to its cells) build the
+    default's trees: equal fingerprints and grey lists, on the tie blocks,
+    the tilted top, the pocket plate, torus, T-slot, cube and sphere at
+    margins 0, 0.01 and 0.3 and depths 1-6; and ``refine`` under the limit
+    equals the deeper default build."""
+    built, waves = {}, []
+    wave_mask = spatial._wave_mask
+
+    def counted(*args):
+        waves.append(len(args[2]))
+        return wave_mask(*args)
+
+    for name, mesh, margin, depth in _jump_limit_cases():
+        mesh = built.setdefault(name, mesh())
+        want = build_octree(mesh, max_depth=depth, margin=margin)
+        with monkeypatch.context() as patch:
+            patch.setattr(spatial, "_JUMP_CELLS", limit)
+            patch.setattr(spatial, "_wave_mask", counted)
+            got = build_octree(mesh, max_depth=depth, margin=margin)
+            if depth > 1:
+                refined = refine(build_octree(mesh, max_depth=depth - 1, margin=margin), mesh)
+        for tree in (got, refined) if depth > 1 else (got,):
+            assert tree.fingerprint() == want.fingerprint(), (name, margin, depth)
+            assert np.array_equal(tree.grey_tri_ptr, want.grey_tri_ptr), (name, margin, depth)
+            assert np.array_equal(tree.grey_tri_ids, want.grey_tri_ids), (name, margin, depth)
+    assert (sum(waves) > 10**5) if limit == 0 else not waves  # (node, triangle) pairs that waved
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.01])
