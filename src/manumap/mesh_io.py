@@ -131,7 +131,7 @@ class TriMesh:
     def tri_coords(self) -> np.ndarray:
         """Per-triangle vertex coordinates, shape (M, 3, 3)."""
         if self._tri_coords is None:
-            tc = self.vertices[self.triangles]
+            tc = self.vertices.take(self.triangles, axis=0)
             tc.setflags(write=False)
             self._tri_coords = tc
         return self._tri_coords
@@ -140,11 +140,11 @@ class TriMesh:
         """Per-triangle bounding boxes ``(tmin, tmax)``, each (M, 3).
 
         Bitwise equal to ``tri_coords().min(axis=1)`` and ``.max(axis=1)``,
-        built from the three vertex slices, which is faster than that
-        strided reduction.
+        built from one contiguous (M, 3) gather of the vertices per corner,
+        which is faster than that strided reduction.
         """
         if self._tri_bounds is None:
-            a, b, c = np.moveaxis(self.tri_coords(), 1, 0)
+            a, b, c = (self.vertices.take(self.triangles[:, k], axis=0) for k in range(3))
             tmin, tmax = np.minimum(a, b), np.maximum(a, b)
             np.minimum(tmin, c, out=tmin)
             np.maximum(tmax, c, out=tmax)
@@ -203,6 +203,7 @@ def load_mesh(path: str | Path) -> TriMesh:
         soup = _parse_stl_ascii(data)
     else:
         soup = _parse_stl_binary(data)
+    del data  # the soup is a copy: free the file's bytes before the weld
     mesh = _weld(soup)
     log.info(
         "loaded %s: %d triangles, %d vertices after weld",
@@ -318,34 +319,39 @@ def _parse_off(data: bytes) -> tuple[np.ndarray, np.ndarray]:
 def _weld(soup: np.ndarray) -> TriMesh:
     """Merge near-coincident vertices of a triangle soup and drop junk."""
     flat = soup.reshape(-1, 3)
-    keys = np.round(flat / WELD_TOLERANCE_MM).astype(np.int64)
-    # rows in lexicographic key order (x first), equal keys in input order, as np.unique(keys,
-    # axis=0) has them; one packed key sorts once where the three key spans fit in 62 bits
-    low, high = (keys.min(axis=0), keys.max(axis=0)) if len(keys) else (np.zeros(3, dtype=np.int64),) * 2
+    n = len(flat)
+    keys = flat.T.copy()  # one row per axis, so every reduction is 1-D; rounded in place below
+    span = max(float(x.max() - x.min()) for x in keys) if n else 0.0  # np.ptp(flat, axis=0).max()
+    keys = np.round(keys / WELD_TOLERANCE_MM, out=keys).astype(np.int64)
+    # rows in lexicographic key order (x first), as np.unique(keys, axis=0) has them; one
+    # packed key sorts once where the three key spans fit in 62 bits
+    low, high = (keys.min(axis=1), keys.max(axis=1)) if n else (np.zeros(3, dtype=np.int64),) * 2
     bits = [(int(b) - int(a)).bit_length() for a, b in zip(low, high)]
+    start = np.ones(n, dtype=bool)
     if sum(bits) <= 62:
-        packed = keys[:, 0] - low[0]
+        packed = keys[0] - low[0]
         for a in (1, 2):
             packed <<= bits[a]
-            packed |= keys[:, a] - low[a]
-        order = np.argsort(packed, kind="stable")
-        ranked = packed[order, None]
+            packed |= keys[a] - low[a]
+        del keys
+        order = np.argsort(packed)
+        ranked = packed[order]
+        start[1:] = ranked[1:] != ranked[:-1]
     else:
-        order = np.lexsort(keys.T[::-1])
-        ranked = keys[order]
-    start = np.ones(len(order), dtype=bool)
-    start[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    vertices = flat[order[start]]
-    inverse = np.empty(len(order), dtype=np.int64)
+        order = np.lexsort(keys[::-1])
+        ranked = keys[:, order]
+        start[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    # each vertex is its run's least input index, the one np.unique and a stable sort
+    # put first, so the order in which the sort leaves ties changes no byte
+    vertices = flat.take(np.minimum.reduceat(order, np.flatnonzero(start)), axis=0)
+    inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.cumsum(start) - 1
     triangles = inverse.reshape(-1, 3)
 
-    a, b, c = triangles[:, 0], triangles[:, 1], triangles[:, 2]
+    a, b, c = triangles.T
     distinct = (a != b) & (b != c) & (c != a)
-    va, vb, vc = vertices[a], vertices[b], vertices[c]
-    area2 = np.linalg.norm(np.cross(vb - va, vc - va), axis=1)
-    # per-axis 1-D reductions: bitwise equal to np.ptp(flat, axis=0).max(), and faster
-    span = max(flat[:, a].max() - flat[:, a].min() for a in range(3)) if len(flat) else 0.0
+    rows = np.ascontiguousarray(vertices.T)
+    area2 = _doubled_areas(*(rows.take(k, axis=1) for k in (a, b, c)))
     keep = distinct & (area2 > 1e-12 * max(span, 1.0) ** 2)
     triangles = triangles[keep]
     if len(triangles) == 0:
@@ -358,20 +364,28 @@ def _weld(soup: np.ndarray) -> TriMesh:
     return TriMesh(vertices[used], remap[triangles])
 
 
+def _doubled_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """|(B - A) x (C - A)| of triangles with corners ``a``, ``b``, ``c``, each (3, M) rows
+    of x, y and z: bitwise ``np.linalg.norm(np.cross(...), axis=1)``, in its operations."""
+    (ux, uy, uz), (vx, vy, vz) = b - a, c - a
+    x, y, z = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return np.sqrt(x * x + y * y + z * z)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 
 
 def _measure(mesh: TriMesh) -> MeshMetrics:
-    tc = mesh.tri_coords()
-    bbox_min = mesh.vertices.min(axis=0)
-    bbox_max = mesh.vertices.max(axis=0)
+    watertight = _is_watertight(mesh)  # first: its temporaries and the corners' never meet
+    rows = np.ascontiguousarray(mesh.vertices.T)  # x, y and z, one row each
+    bbox_min, bbox_max = rows.min(axis=1), rows.max(axis=1)
+    corners = [rows.take(k, axis=1) for k in mesh.triangles.T]  # (3, M) rows each
     # fsum: the totals do not depend on the order of the triangles
-    cross = np.cross(tc[:, 1] - tc[:, 0], tc[:, 2] - tc[:, 0])
-    area = 0.5 * math.fsum(np.linalg.norm(cross, axis=1).tolist())
+    area = 0.5 * math.fsum(_doubled_areas(*corners).tolist())
     # each signed volume as the triple product a . (b x c), which is exact
     # where the products are, unlike an LU determinant
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = np.moveaxis(tc, 0, 2)
+    (ax, ay, az), (bx, by, bz), (cx, cy, cz) = corners
     det = ax * (by * cz - bz * cy) + ay * (bz * cx - bx * cz) + az * (bx * cy - by * cx)
     volume = math.fsum(det.tolist()) / 6.0
     return MeshMetrics(
@@ -380,7 +394,7 @@ def _measure(mesh: TriMesh) -> MeshMetrics:
         max_dimension=float((bbox_max - bbox_min).max()),
         surface_area=float(area),
         volume=float(volume),
-        watertight=_is_watertight(mesh),
+        watertight=watertight,
     )
 
 
@@ -522,7 +536,8 @@ class _ColumnGrid:
     triangles) instead of O(all).  The boundary band of
     :func:`classify_points` reads the buckets too, and the octree's volume
     kernel reads the exact area signs.  The buckets are stored CSR-style: cell
-    ``c`` holds triangles ``tids[ptr[c]:ptr[c + 1]]`` in ascending order.
+    ``c`` holds triangles ``tids[ptr[c]:ptr[c + 1]]`` in ascending order,
+    int32 ids built by int32 arithmetic (:meth:`_rect_cells`).
     :meth:`crossings` is the one kernel: callers pass points as (xy,
     heights) entries, and it casts each distinct xy once, with the heights
     of every entry there, so stacked octree boxes share one line.
@@ -556,48 +571,53 @@ class _ColumnGrid:
     ):
         """Bucket the triangles ``tc`` (M, 3, 3) by the xy part of their
         ``bounds``, the ``(tmin, tmax)`` of :meth:`TriMesh.tri_bounds`."""
-        xy = tc[..., :2]
         tmin, tmax = bounds[0][:, :2], bounds[1][:, :2]
         pad = 1e-9 * max(scale, 1.0)
-        self._lo = tmin.min(axis=0) - pad
-        hi = tmax.max(axis=0) + pad
+        self._lo = np.array([tmin[:, a].min() for a in range(2)]) - pad  # 1-D: faster than axis 0
+        hi = np.array([tmax[:, a].max() for a in range(2)]) + pad
         self._res = res = int(np.clip(np.sqrt(8.0 * len(tc)), 4, 128))
         self._cell = np.maximum((hi - self._lo) / res, 1e-12)
 
         tri, cells = self._rect_cells(tmin, tmax)
         cells = cells.astype(np.uint16)  # res <= 128: a stable sort of uint16 is a radix sort
-        order = np.argsort(cells, kind="stable")
-        self._tids = tri[order]
+        self._tids = tri.take(np.argsort(cells, kind="stable"))
         self._ptr = np.zeros(res * res + 1, dtype=np.int64)
         np.cumsum(np.bincount(cells, minlength=res * res), out=self._ptr[1:])
 
         # Per-triangle setup, one contiguous row per triangle so a gather by
         # triangle id reads one row: A, B, C in xy, doubled signed area, vertex z.
-        A, B, C = xy[:, 0], xy[:, 1], xy[:, 2]
-        u, v = B - A, C - A
-        l, r = u[:, 0] * v[:, 1], u[:, 1] * v[:, 0]
-        area = l - r
-        self._tab = np.column_stack([A, B, C, area, tc[..., 2]])
+        self._tab = tab = np.empty((len(tc), 10))
+        for k in range(3):
+            tab[:, 2 * k : 2 * k + 2] = tc[:, k, :2]
+        tab[:, 7:] = tc[..., 2]
+        l = (tab[:, 2] - tab[:, 0]) * (tab[:, 5] - tab[:, 1])  # (B - A) x (C - A) is l - r
+        r = (tab[:, 3] - tab[:, 1]) * (tab[:, 4] - tab[:, 0])
+        area = tab[:, 6] = l - r
         # the exact sign of each projected area; 0 marks a vertical triangle
         self._side = np.sign(area)
         for i in np.flatnonzero(~(np.abs(area) > _CCW_ERRBOUND * (np.abs(l) + np.abs(r)))):
-            det = _exact_det(*B[i], *C[i], *A[i])
+            det = _exact_det(*tab[i, 2:6], *tab[i, 0:2])
             self._side[i] = (det > 0) - (det < 0)
 
     def _rect_cells(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(item, cell)``: every grid cell that the xy rectangle ``lo[i]``
         to ``hi[i]`` (N, 2) meets, rectangle by rectangle and row by row.
-        The rectangles are clipped to the grid, and one off it lists none."""
-        res = self._res
-        i0 = np.floor((lo - self._lo) / self._cell).astype(np.int64)
-        i1 = np.floor((hi - self._lo) / self._cell).astype(np.int64)
-        meets = ((i1 >= 0) & (i0 < res)).all(axis=1)
-        i0, i1 = np.clip(i0, 0, res - 1), np.clip(i1, 0, res - 1)
-        ny = i1[:, 1] - i0[:, 1] + 1
-        per = np.where(meets, (i1[:, 0] - i0[:, 0] + 1) * ny, 0)
-        item = np.repeat(np.arange(len(lo)), per)
-        k = np.arange(len(item)) - np.repeat(np.cumsum(per) - per, per)
-        return item, (i0[item, 0] + k // ny[item]) * res + i0[item, 1] + k % ny[item]
+        The rectangles are clipped to the grid, and one off it lists none.
+        Both are int32 while the entries fit in it, int64 beyond."""
+        res, o, w = self._res, self._lo, self._cell
+        # floored as floats axis by axis, (2, N) each, then clipped and cast
+        i0, i1 = (np.array([np.floor((x[:, a] - o[a]) / w[a]) for a in range(2)]) for x in (lo, hi))
+        meets = (i1 >= 0).all(axis=0) & (i0 < res).all(axis=0)
+        i0, i1 = (np.clip(f, 0, res - 1).astype(np.int32) for f in (i0, i1))
+        ny = i1[1] - i0[1] + 1
+        per = np.where(meets, (i1[0] - i0[0] + 1) * ny, 0)
+        total = int(per.sum(dtype=np.int64))
+        index = np.int32 if total <= np.iinfo(np.int32).max else np.int64
+        item = np.repeat(np.arange(len(lo), dtype=index), per)
+        k = np.arange(total, dtype=index)
+        k -= np.repeat(np.cumsum(per, dtype=index) - per, per)
+        x, y = np.divmod(k, ny.take(item), out=(k, np.empty_like(k)))  # int32: several times faster
+        return item, (x + i0[0].take(item)) * res + y + i0[1].take(item)
 
     def _cells_of(self, xy: np.ndarray) -> np.ndarray:
         ij = np.floor((xy - self._lo) / self._cell).astype(np.int64)

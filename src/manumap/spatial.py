@@ -129,7 +129,7 @@ class Octree:
         self._leaves: list[OctantNode] | None = None
         self._greys: list[OctantNode] | None = None
         self._fingerprint: dict | None = None
-        self._by_key: tuple[np.ndarray, np.ndarray] | None = None  # see _key_index
+        self._lookup: tuple[np.ndarray, np.ndarray] | None = None  # _locate's planes and keys
 
     def leaves(self) -> list[OctantNode]:
         """A record per leaf, in Morton order; one shared list, built on first use."""
@@ -158,20 +158,22 @@ class Octree:
         return math.fsum(self.part_volume.tolist())
 
     def find_leaves(self, points) -> np.ndarray:
-        """Index of the leaf containing each of the (N, 3) ``points``, -1 outside the root.
+        """Index of the leaf containing each of the (N, 3) ``points``, -1 outside the root or at a NaN.
 
         Boxes are half-open: at every level a point goes to the upper child
         on an axis where ``p >= mid``, with ``mid = 0.5 * (lo + hi)`` of the
         box it is in, so a point on a split plane lands in the box above it
         (where a face on that plane meets the box below, :func:`classify_box`).
         The root box itself is closed, so points on its max faces still find
-        a leaf.  All points descend level by level at once, each stopping
-        when its path key is a leaf's.
+        a leaf.  Each point takes that descent's answer in two searches
+        (:func:`_locate`): for its max-depth cell among the split planes,
+        then for the cell's leaf among the leaves' Morton keys.
         """
-        if self._by_key is None:
-            self._by_key = _key_index(self.path_key)
-        # Morton order starts with the all-lower corner leaf and ends with the all-upper one
-        return _locate(self._by_key, self.box_min[0], self.box_max[-1], points)
+        if self._lookup is None:
+            # Morton order starts with the all-lower corner leaf and ends with the all-upper one
+            planes = _split_planes(self.box_min[0], self.box_max[-1], self.max_depth)
+            self._lookup = planes, _morton_keys(self.path_key, self.depth, self.max_depth)
+        return _locate(*self._lookup, points)
 
     def dump_lines(self):
         """The leaf dump: one JSON object per leaf, in Morton order, one line each."""
@@ -215,32 +217,31 @@ class Octree:
         return self._fingerprint
 
 
-def _key_index(path_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The leaves' path keys sorted, and the leaf of each sorted key: :func:`_locate`'s index."""
-    order = np.argsort(path_key)
-    return path_key[order], order
+def _morton_keys(key: np.ndarray, level: np.ndarray, max_depth: int) -> np.ndarray:
+    """Left-aligned keys of the nodes with path keys ``key`` at depths ``level``:
+    without the leading 1, padded to ``max_depth`` levels, so each is the
+    key of the node's first max-depth cell.  A linear octree's leaves sort by it."""
+    shift = 3 * level.astype(np.int64)
+    return (key ^ (1 << shift)) << (3 * max_depth - shift)
 
 
-def _locate(by_key, lo: np.ndarray, hi: np.ndarray, points) -> np.ndarray:
-    """:meth:`Octree.find_leaves` over the leaves indexed by ``by_key``
-    (:func:`_key_index`), in the root box ``lo``/``hi``."""
-    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    found = np.full(len(p), -1, dtype=np.intp)
-    rows = np.flatnonzero(~((p < lo) | (p > hi)).any(axis=1))
-    lo = np.broadcast_to(lo, (len(rows), 3))
-    hi = np.broadcast_to(hi, (len(rows), 3))
-    key = np.ones(len(rows), dtype=np.int64)
-    sorted_keys, leaf_of = by_key
-    while len(rows):
-        at = np.minimum(np.searchsorted(sorted_keys, key), len(sorted_keys) - 1)
-        leaf = sorted_keys[at] == key
-        found[rows[leaf]] = leaf_of[at[leaf]]
-        rows, key, lo, hi = rows[~leaf], key[~leaf], lo[~leaf], hi[~leaf]
-        mid = 0.5 * (lo + hi)
-        upper = p[rows] >= mid
-        key = key << 3 | (upper[:, 0] + 2 * upper[:, 1] + 4 * upper[:, 2])
-        lo, hi = np.where(upper, mid, lo), np.where(upper, hi, mid)
-    return found
+def _locate(planes: np.ndarray, morton: np.ndarray, points) -> np.ndarray:
+    """:meth:`Octree.find_leaves` over leaves with the ascending keys ``morton``
+    (:func:`_morton_keys`) in the root box split by ``planes`` (:func:`_split_planes`).
+
+    On each axis a point's max-depth cell is the last one whose lower plane
+    is at most the point, clipped to the last cell on the root's upper
+    face: every plane is bitwise the ``mid`` of the boxes around it, so
+    this is the descent's ``p >= mid`` at every level.  The point's leaf is
+    the last one whose key is at most its cell's (Gargantini, 1982).
+    """
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 3).T
+    last = planes.shape[1] - 2  # the last cell on an axis
+    cell = np.zeros(p.shape[1], dtype=np.int64)
+    for a, x in enumerate(p):
+        cell |= _SPREAD.take(np.clip(np.searchsorted(planes[a], x, "right") - 1, 0, last)) << a
+    inside = ((planes[:, :1] <= p) & (p <= planes[:, -1:])).all(axis=0)
+    return np.where(inside, np.searchsorted(morton, cell, "right") - 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +426,7 @@ def _grow(
     done.append((keys, np.full(n, max_depth, dtype=np.int32), np.full(n, _GREY, dtype=np.int8),
                  *_boxes(planes, coords, 1), np.full(n, np.nan)))
     key, level, *rest = (np.concatenate(column) for column in zip(*done))
-    # left-aligned keys: drop the leading 1 and pad every key to max_depth levels
-    shift = 3 * level.astype(np.int64)
-    morton = (key ^ (1 << shift)) << (3 * max_depth - shift)
-    order = np.argsort(morton)
+    order = np.argsort(_morton_keys(key, level, max_depth))
     leaves = tuple(column[order] for column in (key, level, *rest))
     return leaves, tri_ptr, tri_ids
 
@@ -824,11 +822,12 @@ def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarra
     exactly.  Each sum adds its terms in sorted order
     (:func:`_sorted_sum`), and each volume is clamped to [0, box volume].
     """
-    key, _, code, lo, hi, volume = leaves
+    key, level, code, lo, hi, volume = leaves
     g = np.flatnonzero(code == _GREY)
     if not len(g):
         return
-    root_lo, root_hi = lo[0], hi[-1]  # Morton order: the all-lower and the all-upper corner
+    max_depth = int(level[g[0]])  # every grey leaf sits at max_depth
+    planes = _split_planes(lo[0], hi[-1], max_depth)  # Morton order: the root's lo first, hi last
     lo, hi = lo[g], hi[g]
     size = hi - lo
     pair_leaf = np.repeat(np.arange(len(g)), np.diff(tri_ptr))
@@ -844,7 +843,7 @@ def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarra
     # A(z1) at the top of each run: the class of the box above
     above = 0.5 * (lo[heads] + hi[heads])
     above[:, 2] = hi[heads, 2] + 0.5 * size[heads, 2]
-    leaf = _locate(_key_index(key), root_lo, root_hi, above)
+    leaf = _locate(planes, _morton_keys(key, level, max_depth), above)
     black = (leaf >= 0) & (code[leaf] == _BLACK)
     area_top = np.empty(len(g))
     area_top[heads] = np.where(black, size[heads, 0] * size[heads, 1], 0.0)

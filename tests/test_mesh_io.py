@@ -1,3 +1,5 @@
+import itertools
+import math
 import struct
 from fractions import Fraction
 
@@ -134,12 +136,8 @@ def _weld_with_unique(soup, tol=mesh_io.WELD_TOLERANCE_MM):
     return TriMesh(vertices[used], remap[triangles])
 
 
-def test_weld_matches_unique_reference(monkeypatch):
-    """Both key orders of the weld, one packed key where the three key spans
-    fit in 62 bits and a lexsort of the rows where they do not (a part
-    spanning 1e6 mm), give the vertices and triangles of a weld that groups
-    keys with np.unique(axis=0)."""
-    rng = np.random.default_rng(41)
+def _weld_soups(rng):
+    """Triangle soups, (M, 3, 3) each, that the weld tests run on."""
     tol = mesh_io.WELD_TOLERANCE_MM
     # a closed mesh around the origin, its soup permuted, so coordinates are negative
     # and every vertex is shared by several triangles (exact duplicates)
@@ -153,8 +151,30 @@ def test_weld_matches_unique_reference(monkeypatch):
     base = rng.uniform(-5.0, 5.0, (200, 1, 3))
     steps = rng.permutation(np.array([[0, 0, 0], [0, 0, 1], [0, 0, -1]] * 200).reshape(200, 3, 3))
     soups["z-steps"] = base + steps * tol + np.array([[0, 0, 0], [0, 0, 0], [1e-2, 0, 0]])
+    # long runs of one key, each point in its own float bits, at shuffled
+    # positions: where an unstable sort reorders ties, only the least input
+    # index of a run keeps the first occurrence's coordinates
+    runs = np.repeat(rng.integers(-500, 500, (200, 3)) * tol, 60, axis=0)
+    runs += rng.uniform(-0.4, 0.4, runs.shape) * tol
+    soups["runs"] = runs[rng.permutation(len(runs))].reshape(-1, 3, 3)
+    # every triangle the same three keys: three runs as long as the soup
+    corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    soups["all-equal"] = corners + rng.uniform(-0.4, 0.4, (2000, 3, 3)) * tol
     # a part spanning 1e6 mm: its keys span about 2**33 on each axis
     soups["far"] = soups["sphere"] * 2e5 + rng.uniform(-0.4, 0.4, sphere.shape) * tol
+    return soups
+
+
+def test_weld_matches_unique_reference(monkeypatch):
+    """Both key orders of the weld, one packed key where the three key spans
+    fit in 62 bits and a lexsort of the rows where they do not (a part
+    spanning 1e6 mm), give the vertices and triangles of a weld that groups
+    keys with np.unique(axis=0), however the sort orders equal keys: long
+    runs of one key in distinct float bits, and a soup of one key, where
+    every triangle is degenerate."""
+    rng = np.random.default_rng(41)
+    tol = mesh_io.WELD_TOLERANCE_MM
+    soups = _weld_soups(rng)
     lexsorts = []
     lexsort = np.lexsort
 
@@ -172,6 +192,27 @@ def test_weld_matches_unique_reference(monkeypatch):
         assert np.array_equal(got.triangles, want.triangles), name
         assert got.content_hash() == want.content_hash(), name
     assert len(_weld(soups["grid"].reshape(-1, 3)).vertices) < 7**3
+    assert len(_weld(soups["runs"].reshape(-1, 3)).vertices) == 200
+    assert _weld(soups["all-equal"].reshape(-1, 3)).num_vertices == 3
+    one_key = rng.uniform(-0.4, 0.4, (300, 3, 3)) * tol
+    for weld in (_weld, _weld_with_unique):
+        with pytest.raises(EmptyMeshError):
+            weld(one_key.reshape(-1, 3))
+
+
+@pytest.mark.parametrize("name", ["cube", "block", "pocket", "torus", "sphere", "soups"])
+def test_doubled_areas_equal_norm_of_cross(name, unit_cube, split_block, pocket_plate, torus, sphere10):
+    """The weld's and the metrics' doubled areas are bitwise those of
+    np.linalg.norm(np.cross(...)), on the fixtures and the weld test soups."""
+    if name == "soups":
+        tc = np.concatenate(list(_weld_soups(np.random.default_rng(41)).values()))
+    else:
+        shape = {"cube": unit_cube, "block": split_block, "pocket": pocket_plate,
+                 "torus": torus, "sphere": sphere10}[name]
+        tc = shape.tri_coords()
+    want = np.linalg.norm(np.cross(tc[:, 1] - tc[:, 0], tc[:, 2] - tc[:, 0]), axis=1)
+    got = mesh_io._doubled_areas(*np.ascontiguousarray(tc.transpose(1, 2, 0)))
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +581,28 @@ def test_column_kernel_matches_brute_force(name, sphere10, pocket_plate, unit_cu
     assert counts.any() and (counts == 0).any()
     # one height per line gives the same answer as a column of K heights
     assert np.array_equal(grid.crossings(xy, z[:, :1])[:, 0], counts[:, 0])
+
+
+@pytest.mark.parametrize("name", ["sphere", "pocket", "cube", "block", "torus"])
+def test_column_grid_buckets_match_brute_force(name, sphere10, pocket_plate, unit_cube, split_block, torus):
+    """Cell c's bucket, ``_tids[_ptr[c]:_ptr[c + 1]]``, lists in ascending
+    order exactly the triangles whose floored xy bounds, clipped to the
+    grid, cover c; the ids are int32 and the offsets int64."""
+    mesh = {"sphere": sphere10, "pocket": pocket_plate, "cube": unit_cube, "block": split_block,
+            "torus": torus}[name]
+    grid = mesh._column_grid()
+    res, (lx, ly), (wx, wy) = grid._res, grid._lo.tolist(), grid._cell.tolist()
+    buckets = [[] for _ in range(res * res)]
+    for t, ((x0, y0, _), (x1, y1, _)) in enumerate(zip(*(b.tolist() for b in mesh.tri_bounds()))):
+        i0, j0 = math.floor((x0 - lx) / wx), math.floor((y0 - ly) / wy)
+        i1, j1 = math.floor((x1 - lx) / wx), math.floor((y1 - ly) / wy)
+        for i in range(max(i0, 0), min(i1, res - 1) + 1):
+            for j in range(max(j0, 0), min(j1, res - 1) + 1):
+                buckets[i * res + j].append(t)
+    assert grid._tids.dtype == np.int32 and grid._ptr.dtype == np.int64
+    assert grid._ptr.tolist() == [0, *itertools.accumulate(map(len, buckets))]
+    assert grid._tids.tolist() == [t for bucket in buckets for t in bucket]
+    assert max(map(len, buckets)) > 1
 
 
 def test_column_kernel_chunk_seams(sphere10, unit_cube, split_block, monkeypatch):

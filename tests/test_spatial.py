@@ -20,6 +20,7 @@ from oracles import (
     box_clip_integrals,
     box_part_volume,
     displaced_box_contact,
+    find_leaf,
     ramp_prism_volume,
     winding_numbers,
 )
@@ -888,25 +889,6 @@ def test_find_leaf_locates_points(sphere_tree):
         assert np.all(p <= np.asarray(leaf.box_max))
 
 
-def _reference_find_leaf(root, index, point):
-    """One point, one box per level: the scalar descent; the leaf's index or -1.
-
-    ``root`` is the root box (lo, hi) and ``index`` maps each leaf's path key
-    to its index.
-    """
-    p = np.asarray(point, dtype=np.float64)
-    lo, hi = root
-    if (p < lo).any() or (p > hi).any():
-        return -1
-    key = 1
-    while key not in index:
-        mid = 0.5 * (lo + hi)
-        upper = p >= mid
-        lo, hi = np.where(upper, mid, lo), np.where(upper, hi, mid)
-        key = key << 3 | int(upper[0]) | int(upper[1]) << 1 | int(upper[2]) << 2
-    return index[key]
-
-
 def _root_probes(tree):
     """Every root corner (p == box_max included) and points one ulp outside each face."""
     lo, hi = _root_box(tree)
@@ -920,28 +902,29 @@ def _root_probes(tree):
     return corners, np.array(outside)
 
 
-def test_find_leaves_matches_scalar_descent(sphere10, sphere_tree, pocket_plate):
-    plate_tree = build_octree(pocket_plate, max_depth=3)
+def test_find_leaves_matches_scalar_descent(sphere10, pocket_plate):
+    """find_leaves equals the scalar descent (oracles.find_leaf) on the
+    sphere, the pocket plate and a slab at depths 1-6 and margins 0 and
+    0.01, and on a refined tree: at every vertex, root corner, leaf corner
+    and leaf center, and one ulp outside each root face."""
     slab = box_mesh((2.0, 2.0, 1.0))  # unmargined: its faces lie on split planes and root faces
-    slab_tree = build_octree(slab, max_depth=3, margin=0.0)
-    cases = [
-        (sphere_tree, sphere10.vertices),
-        (plate_tree, pocket_plate.vertices),
-        (slab_tree, slab.vertices),
-    ]
-    for tree, vertices in cases:
+    cases = [(build_octree(mesh, max_depth=depth, margin=margin), mesh)
+             for depth in range(1, 7) for margin in (0.0, 0.01) for mesh in (sphere10, pocket_plate, slab)]
+    cases += [(refine(build_octree(mesh, max_depth=2, margin=0.0), mesh), mesh) for mesh in (pocket_plate, slab)]
+    for tree, mesh in cases:
+        vertices = mesh.vertices
         corners, outside = _root_probes(tree)
-        leaf_corners = np.array([c for n in tree.leaves() for c in (n.box_min, n.box_max)])
-        points = np.concatenate([vertices, corners, outside, leaf_corners])
+        centers = 0.5 * (tree.box_min + tree.box_max)
+        points = np.concatenate([vertices, corners, outside, tree.box_min, tree.box_max, centers])
         found = tree.find_leaves(points)
         assert len(found) == len(points)
         root = _root_box(tree)
         index = {key: i for i, key in enumerate(tree.path_key.tolist())}
-        for p, i in zip(points, found.tolist()):
-            assert i == _reference_find_leaf(root, index, p)
+        assert found.tolist() == [find_leaf(root, index, p) for p in points.tolist()]
         assert (found[len(vertices) : len(vertices) + 8] >= 0).all()
         assert (found[len(vertices) + 8 : len(vertices) + 14] == -1).all()
-    assert len(slab_tree.find_leaves(np.empty((0, 3)))) == 0
+        assert (found[-len(centers) :] == np.arange(len(centers))).all()
+        assert len(tree.find_leaves(np.empty((0, 3)))) == 0
 
 
 def test_grey_leaves_built_once(sphere_tree):
