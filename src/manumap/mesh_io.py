@@ -38,7 +38,6 @@ _COLUMN_PAIR_BUDGET = 16_384  # (vertical line, bucket triangle) pairs per chunk
 #: this times ``|l| + |r|``.  It is a proven bound, not a tolerance: it only
 #: picks which signs :func:`_exact_det` decides, never a sign.
 _CCW_ERRBOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
-_SAT_PAIR_BUDGET = 4_096  # (triangle, box group) pairs per SAT chunk
 
 
 class PointClass(enum.IntEnum):

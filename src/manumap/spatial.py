@@ -4,7 +4,10 @@ The part's bounding box is cubified, inflated by a small margin, and split
 recursively: boxes fully inside the part are black, fully outside are white,
 and boxes the surface meets are grey and subdivided until ``max_depth``.
 The grey boxes are found bottom up, from the triangles' contacts with the
-cells of ``max_depth``: a box is grey when one of its children is.  A box
+cells of ``max_depth``: a box is grey when one of its children is.  The
+contacts come from one pass that lists each triangle's candidate cells
+column by column along the axis of its normal's largest component, so
+their number follows the contacts, not the triangles' bounding boxes.  A box
 the surface misses is black or white by the exact parity of its center's
 vertical line.  Grey terminal boxes get their exact solid volume by the
 divergence theorem (:func:`_grey_volumes`): each triangle's part in a box
@@ -32,18 +35,14 @@ from .errors import (
     NotWatertightError,
     ParameterError,
 )
-from .mesh_io import (
-    _SAT_PAIR_BUDGET,
-    TriMesh,
-    _points_inside,
-    _tri_box_overlap,
-)
+from .mesh_io import TriMesh, _points_inside, _tri_box_overlap
 
 DEFAULT_MAX_DEPTH = 5
 DEFAULT_MARGIN = 0.01
 #: Deepest octree a build or refine may ask for.
 MAX_DEPTH_LIMIT = 10
 
+_SAT_PAIR_BUDGET = 16_384  # columns and (cell, triangle) entries per window of the contact pass
 _CLIP_PAIR_BUDGET = 16_384  # (triangle, box) pairs per chunk of the volume kernel
 _CLIP_ENTRY_BUDGET = 65_536  # (constraint, line, pair) entries per call of _clipped_fans
 
@@ -365,12 +364,15 @@ def build_octree(
 _CHILD_BITS = np.array(
     [[(c >> 0) & 1, (c >> 1) & 1, (c >> 2) & 1] for c in range(8)], dtype=bool
 )
-#: A (node, triangle) pair jumps straight to the max-depth cells in its node
-#: that its slabs keep when there are at most this many: one wave's entries.
-_JUMP_CELLS = 8
 #: Bit b of a cell coordinate moved to bit 3 b: x, y and z of a path key.
 _SPREAD = sum((np.arange(1 << MAX_DEPTH_LIMIT, dtype=np.int64) >> b & 1) << 3 * b
               for b in range(MAX_DEPTH_LIMIT))
+#: A triangle's computed normal n = (B - A) x (C - A) is within 8 eps E**2
+#: (1 + O(eps)) of the exact one, a quarter of this bound times E**2, for
+#: eps = 2**-53 and E the largest component of the computed edges: each is
+#: exact up to a factor 1 + eps, each component of n two rounded products
+#: and a rounded difference.  It decides nothing; it widens :func:`_column_spans`.
+_NORMAL_SPAN_ERRBOUND = 2.0**-47  # 64 eps
 
 
 def _grow(
@@ -451,154 +453,152 @@ def _boxes(planes: np.ndarray, cells: np.ndarray, step: int) -> tuple[np.ndarray
     return planes.take(at).T, planes.take(at + step).T
 
 
-def _cell_ranges(planes: np.ndarray, tmin: np.ndarray, tmax: np.ndarray) -> list[np.ndarray]:
-    """Each triangle's first and last max-depth cell on each axis, (3, M) int32 each.
-
-    They are ``searchsorted(planes[a], t, "left") - 1`` of its ``tmin`` and
-    ``tmax``: cell j's slab keeps it (neither ``tmax <= lo`` nor ``tmin >
-    hi``, the contact kernel's box-normal rule) exactly when ``r0 <= j <=
-    r1``, and contains it exactly when ``r0 == j == r1``.  A floor estimate
-    corrected against the planes is faster than the search.
-    """
+def _cells_below(planes: np.ndarray, t: np.ndarray, axis=np.arange(3)[:, None]) -> np.ndarray:
+    """``searchsorted(planes[axis], t, "left") - 1`` elementwise, ``t`` and
+    ``axis`` broadcast (by default a row of t per axis).  Of a triangle's
+    bounds these are its cell range r0 to r1: cell j's slab keeps it (not
+    ``tmax <= lo`` nor ``tmin > hi``, the contact kernel's box-normal rule)
+    exactly when r0 <= j <= r1, and contains it exactly when r0 == j == r1.
+    A floor estimate corrected against the planes (and a NaN below them,
+    which no t passes) is faster than the search."""
     n = planes.shape[1] - 1
-    base = (np.arange(3) * (n + 3) + 1)[:, None]  # planes[a, j] is padded[base[a] + j]
-    padded = np.hstack([np.full((3, 1), -np.inf), planes, np.full((3, 1), np.inf)]).ravel()
+    padded = np.hstack([np.full((3, 1), np.nan), planes, np.full((3, 1), np.inf)]).ravel()
+    base = axis * (n + 3) + 1  # planes[a, j] is padded[base + j]
     with np.errstate(divide="ignore"):
-        scale = np.nan_to_num(n / (planes[:, -1:] - planes[:, :1]), posinf=0.0)
-    ranges = []
-    for t in (tmin, tmax):
-        t = np.ascontiguousarray(t.T)
-        j = np.clip((t - planes[:, :1]) * scale, -1, n).astype(np.int64) + base
-        while (down := padded.take(j) >= t).any():
-            j -= down
-        while (up := padded.take(j + 1) < t).any():
-            j += up
-        ranges.append((j - base).astype(np.int32))
-    return ranges
+        scale = np.nan_to_num(n / (planes[:, -1] - planes[:, 0]), posinf=0.0)
+    j = np.clip((t - planes[axis, 0]) * scale[axis], -1, n).astype(np.int64) + base
+    while (down := padded.take(j) >= t).any():
+        j -= down
+    while (up := padded.take(j + 1) < t).any():
+        j += up
+    return j - base
 
 
 def _contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth) -> np.ndarray:
     """The (cell, triangle) contacts at ``max_depth`` as ``path key << 32 | triangle``.
 
-    ``coords`` holds the cell coordinates of :func:`_grow`'s nodes.  Level
-    by level, a pair whose triangle's cell ranges (:func:`_cell_ranges`) in
-    its node hold at most :data:`_JUMP_CELLS` cells jumps to them
-    (:func:`_jump`), and the others take one :func:`_wave_mask` step.  A
-    node at ``max_depth - 1`` holds 8 cells, so there every pair jumps (a
-    pair that waves down to ``max_depth`` is its own cell's).
+    ``coords`` holds the cell coordinates of :func:`_grow`'s nodes at
+    ``depth``.  Every (node, triangle) pair goes straight to the cells of
+    its node in its triangle's cell ranges (:func:`_cells_below`) that the
+    triangle's plane reaches, column by column (:func:`_jump`).
     """
-    tc, bounds = mesh.tri_coords(), mesh.tri_bounds()
-    r0, r1 = _cell_ranges(planes, *bounds)
+    r0, r1 = (_cells_below(planes, np.ascontiguousarray(t.T)).astype(np.int32) for t in mesh.tri_bounds())
+    step = 1 << max_depth - depth  # max-depth cells per node and axis
+    first = coords.take(pair_node, axis=1) * step
+    last = np.minimum(r1.take(pair_tri, axis=1), first + (step - 1))
+    first = np.maximum(r0.take(pair_tri, axis=1), first, out=first)
     thin = (r0 == r1).sum(axis=0) >= 2
-    found = []
-    for level in range(depth, max_depth + 1):
-        step = 1 << max_depth - level  # max-depth cells per node and axis
-        start = coords.take(pair_node, axis=1) * step
-        count = np.minimum(r1.take(pair_tri, axis=1), start + (step - 1))
-        start = np.maximum(r0.take(pair_tri, axis=1), start, out=start)
-        count -= start - 1
-        jump = (count.prod(axis=0) <= _JUMP_CELLS) | (level == max_depth)
-        found += _jump(tc, planes, thin, start[:, jump], count[:, jump], pair_tri[jump], max_depth)
-        pair_node, pair_tri = pair_node[~jump], pair_tri[~jump]
-        if not len(pair_tri):
-            break
-        children = (2 * coords[:, :, None] + _CHILD_BITS.T[:, None, :]).reshape(3, -1)
-        cmin, cmax = (box.reshape(-1, 8, 3) for box in _boxes(planes, children, step >> 1))
-        entry = np.flatnonzero(_wave_mask(tc, bounds, pair_tri, pair_node, cmin, cmax))
-        child = pair_node[entry >> 3] * 8 + (entry & 7)  # entry 8 * pair + child
-        live = np.bincount(child, minlength=children.shape[1]) > 0
-        coords, pair_node, pair_tri = children[:, live], (np.cumsum(live) - 1)[child], pair_tri[entry >> 3]
-    return np.concatenate(found)
+    return np.concatenate(_jump(mesh.tri_coords(), planes, thin, first, last, pair_tri, max_depth))
 
 
-def _jump(tc, planes, thin, start, count, tri, max_depth) -> list[np.ndarray]:
+def _normals(tc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The computed normals (B - A) x (C - A), (3, N), of the triangles ABC
+    of ``tc`` (N, 3, 3), and the largest component E of their edges, (N,)."""
+    x = [[tc[:, k, a] for a in range(3)] for k in range(3)]  # vertex k, axis a: 1-D, faster than (N, 3)
+    e1, e2 = ([x[k][a] - x[0][a] for a in range(3)] for k in (1, 2))
+    e = np.maximum.reduce([np.abs(c) for c in (*e1, *e2)])
+    return np.stack([e1[p] * e2[q] - e1[q] * e2[p] for p, q in ((1, 2), (2, 0), (0, 1))]), e
+
+
+def _column_spans(tc: np.ndarray, planes: np.ndarray, i: np.ndarray, j: np.ndarray, d: int) -> np.ndarray:
+    """(2, N): the least and greatest d of the plane of triangle ``tc[k]``
+    (N, 3, 3) over max-depth column (``i[k]``, ``j[k]``) on the axes u, v
+    after d, widened; d is the axis of the computed normal n's largest
+    component.  Over the column's rectangle, clamped to the triangle's
+    bounds, the plane rises from A_d (A the first vertex) by s_u X + s_v Y,
+    X = x - A_u, Y = y - A_v, s = (-n_u / n_d, -n_v / n_d); at the corners.
+
+    Let b = :data:`_NORMAL_SPAN_ERRBOUND` E**2.  Where |n_d| > b, the exact
+    normal has |N_d| > 3 |n_d| / 4, so the triangle lies on the graph of
+    its plane, and the slopes (at most 1 in size) are within eps + 2 b /
+    (3 |n_d|) of the exact ones.  |X| and |Y| are at most the triangle's
+    extent, 2 E (1 + O(eps)), so a computed (s_u X + s_v Y) + A_d is within
+    eps |A_d| + 4 E (5 eps + 2 b / (3 |n_d|)) (1 + O(eps)) of the exact
+    height, and widening it by w rounds by at most eps (|A_d| + 4 E + w)
+    more.  As computed, w = 2**-51 |A_d| + E (2**-48 + 4 b / |n_d|)
+    exceeds the sum, b / |n_d| being below 1: the widened span strictly
+    holds the exact one.  A zero-area or needle triangle, |n_d| <= b, takes
+    an infinite w, its whole range; no step divides by 0.
+    """
+    u, v = (d + 1) % 3, (d + 2) % 3
+    n, e = _normals(tc)
+    b = _NORMAL_SPAN_ERRBOUND * e * e
+    nd = n[d]
+    flat = ~(np.abs(nd) > b)
+    nd[flat] = 1.0
+    a = tc[:, 0]
+    w = 2.0**-51 * np.abs(a[:, d]) + e * (2.0**-48 + 4 * (b / np.abs(nd)))
+    w[flat] = np.inf
+    ends = []
+    for k, c in ((i, u), (j, v)):  # the rise's least and greatest term along u, then v
+        x = [tc[:, 0, c], tc[:, 1, c], tc[:, 2, c]]
+        x0 = np.maximum(planes[c].take(k), np.minimum(np.minimum(*x[:2]), x[2])) - a[:, c]
+        x1 = np.minimum(planes[c].take(k + 1), np.maximum(np.maximum(*x[:2]), x[2])) - a[:, c]
+        s = -n[c] / nd
+        x0 *= s
+        x1 *= s
+        ends.append((np.minimum(x0, x1), np.maximum(x0, x1)))
+    (ulo, uhi), (vlo, vhi) = ends
+    return np.stack([ulo + vlo + a[:, d] - w, uhi + vhi + a[:, d] + w])
+
+
+def _windows(n: np.ndarray, budget: int):
+    """Each entry's item and rank in it (int32), in windows of at most
+    ``budget`` entries, of items that hold ``n[i]`` entries each, in turn."""
+    end = np.cumsum(n)
+    for s in range(0, int(end[-1]) if len(end) else 0, budget):
+        e = min(s + budget, int(end[-1]))
+        i0, i1 = np.searchsorted(end, [s, e - 1], "right").tolist()
+        start = end[i0 : i1 + 1] - n[i0 : i1 + 1]
+        per = np.minimum(end[i0 : i1 + 1], e) - np.maximum(start, s)
+        shift = (np.cumsum(per) - per - np.maximum(s - start, 0)).astype(np.int32)
+        yield np.repeat(np.arange(i0, i1 + 1), per), np.arange(e - s, dtype=np.int32) - np.repeat(shift, per)
+
+
+def _jump(tc, planes, thin, first, last, tri, max_depth) -> list[np.ndarray]:
     """The contacts, as in :func:`_contacts`, of triangle ``tri[p]`` and the
-    max-depth cells from ``start[:, p]`` on, ``count[:, p]`` a side.
+    max-depth cells from ``first[:, p]`` to ``last[:, p]`` on each axis.
 
-    A ``thin`` triangle lies in one cell's slab on two axes or more, so
-    inside those displaced slabs; it is connected and the third slab keeps
-    it, so it meets every such cell.  The other cells go to
-    :func:`_tri_box_overlap`, :data:`_SAT_PAIR_BUDGET` pairs at a time.
+    The candidates go column by column, as in conservative voxelization
+    along the dominant axis (Schwarz and Seidel, "Fast parallel surface and
+    solid voxelization on GPUs", 2010): each (u, v) column of the pair's
+    cells keeps those on d that the triangle's plane reaches over it
+    (:func:`_column_spans`), clamped to ``first`` and ``last``.  A contact's
+    point lies in the closed cell, on the plane over the column, so every
+    contact is a candidate.  A ``thin`` triangle lies in one cell's slab on
+    two axes or more, so inside those displaced slabs; it is connected and
+    the third slab keeps it, so it meets every candidate.  The others go
+    to :func:`_tri_box_overlap`.  Pairs go by axis d, and their columns and
+    candidates in windows of :data:`_SAT_PAIR_BUDGET`, so no triangle's are
+    held whole.
     """
+    axis = np.empty(len(tc), dtype=np.int8)
+    for s in range(0, len(tc), _SAT_PAIR_BUDGET):
+        n = np.abs(_normals(tc[s : s + _SAT_PAIR_BUDGET])[0])
+        axis[s : s + _SAT_PAIR_BUDGET] = np.where(n[2] > np.maximum(n[0], n[1]), 2, n[1] > n[0])  # argmax, faster
+    axis = axis.take(tri)
     found = []
-    for s in range(0, len(tri), _SAT_PAIR_BUDGET):
-        n = count[:, s : s + _SAT_PAIR_BUDGET].prod(axis=0, dtype=np.int32)
-        pair = np.repeat(np.arange(s, s + len(n)), n)
-        rank = np.arange(len(pair), dtype=np.int32) - np.repeat(np.cumsum(n, dtype=np.int32) - n, n)
-        yz, x = np.divmod(rank, count[0].take(pair))  # int32 divmod: several times faster
-        z, y = np.divmod(yz, count[1].take(pair))
-        cells = start.take(pair, axis=1) + np.stack([x, y, z])
-        t = tri.take(pair)
-        hit = thin.take(t)
-        ask = np.flatnonzero(~hit)
-        hit[ask] = _tri_box_overlap(tc.take(t[ask], axis=0), *_boxes(planes, cells[:, ask], 1))
-        key = _SPREAD.take(cells[:, hit])
-        found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | t[hit])
+    for d in range(3):
+        u, v = (d + 1) % 3, (d + 2) % 3
+        sel = np.flatnonzero(axis == d)
+        lo, hi, tri_d = first.take(sel, axis=1), last.take(sel, axis=1), tri.take(sel)
+        rows = hi[v] - lo[v] + 1  # int32, as the ranks: int32 divmod is several times faster
+        for pair, rank in _windows((hi[u] - lo[u] + 1) * rows, _SAT_PAIR_BUDGET):
+            i, j = (x + lo[c].take(pair) for x, c in zip(np.divmod(rank, rows.take(pair)), (u, v)))
+            t = tri_d.take(pair)
+            z = _cells_below(planes, _column_spans(tc.take(t, axis=0), planes, i, j, d), d)
+            z0 = np.maximum(z[0], lo[d].take(pair))
+            count = np.minimum(z[1], hi[d].take(pair)) - z0 + 1
+            for col, r in _windows(np.maximum(count, 0), _SAT_PAIR_BUDGET):
+                cells = np.empty((3, len(col)), dtype=np.int64)
+                cells[u], cells[v], cells[d] = i.take(col), j.take(col), z0.take(col) + r
+                tt = t.take(col)
+                hit = thin.take(tt)
+                ask = np.flatnonzero(~hit)
+                hit[ask] = _tri_box_overlap(tc.take(tt[ask], axis=0), *_boxes(planes, cells[:, ask], 1))
+                key = _SPREAD.take(cells[:, hit])
+                found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | tt[hit])
     return found
-
-
-#: The children a set of six slab flags keeps: flag bit ``3 * s + a`` marks
-#: slab s (0 lower, 1 upper) on axis a, and bit c of ``_SLAB_CHILDREN[flags]``
-#: is set when all three of child c's slabs are marked (child c takes the
-#: upper slab on axis a where bit a of c is set).
-_SLAB_CHILDREN = np.array(
-    [sum(1 << c for c in range(8) if all(flags >> (3 * (c >> a & 1) + a) & 1 for a in range(3)))
-     for flags in range(64)],
-    dtype=np.uint8,
-)
-_FLAG_BITS = np.uint8(1) << np.arange(6, dtype=np.uint8)  # the weight of flag 3 * s + a
-
-
-def _wave_mask(
-    tc: np.ndarray,
-    bounds: tuple[np.ndarray, np.ndarray],
-    pair_tri: np.ndarray,
-    pair_node: np.ndarray,
-    cmin: np.ndarray,
-    cmax: np.ndarray,
-) -> np.ndarray:
-    """(P, 8) contacts of triangle ``pair_tri[p]`` and child c of node ``pair_node[p]``.
-
-    ``tc`` holds the triangles' vertices and ``bounds`` their ``(tmin,
-    tmax)`` as in :meth:`TriMesh.tri_bounds`; ``cmin`` and ``cmax`` are the
-    (W, 8, 3) child boxes of the W nodes.  An entry is a contact when
-    :func:`_tri_box_overlap` says so.
-
-    The box-normal axes run first, per pair rather than per child: along
-    an axis the 8 children share two slabs, the lower one of child 0 and
-    the upper one of child 7 (child c takes the upper slab where bit a of c
-    is set).  A slab ``[lo, hi]`` keeps a triangle unless ``tmax <= lo`` or
-    ``tmin > hi``, exactly the kernel's box-normal test, and contains it
-    when ``tmin > lo`` and ``tmax <= hi``, where the kernel would find
-    contact.  The six flags of a pair index :data:`_SLAB_CHILDREN`, which
-    ANDs each child's three slabs.  Only the entries that every slab keeps
-    and that are not contained gather their vertices and go through the
-    kernel.  Pairs run in chunks of :data:`_SAT_PAIR_BUDGET`, and a chunk's
-    remaining entries (at most 8 per pair) are tested together.
-    """
-    tmin, tmax = bounds
-    slab_lo, slab_hi = cmin[:, [0, 7]], cmax[:, [0, 7]]  # (W, lower/upper, 3)
-    cmin, cmax = cmin.reshape(-1, 3), cmax.reshape(-1, 3)  # child 8 * node + c
-    hit = np.zeros((len(pair_tri), 8), dtype=bool)
-    hits = hit.reshape(-1)  # entry 8 * p + c is pair p, child c
-    # Row gathers use take(axis=0), and bit masks unpack to flat entries: both
-    # several times faster than fancy indexing, 2-D unpackbits and 2-D nonzero.
-    for s in range(0, len(pair_tri), _SAT_PAIR_BUDGET):
-        tri = pair_tri[s : s + _SAT_PAIR_BUDGET]
-        node_of = pair_node[s : s + _SAT_PAIR_BUDGET]
-        lo, hi = slab_lo.take(node_of, axis=0), slab_hi.take(node_of, axis=0)  # (P, 2, 3)
-        bot, top = tmin.take(tri, axis=0)[:, None], tmax.take(tri, axis=0)[:, None]
-        keep, contained = (
-            _SLAB_CHILDREN.take(flag.reshape(-1, 6).view(np.uint8) @ _FLAG_BITS)
-            for flag in ((top > lo) & (bot <= hi), (bot > lo) & (top <= hi))
-        )
-        hits[8 * s : 8 * (s + len(tri))] = np.unpackbits(contained, bitorder="little")
-        entry = np.flatnonzero(np.unpackbits(keep & ~contained, bitorder="little"))
-        box = node_of[entry >> 3] * 8 + (entry & 7)
-        hits[8 * s + entry] = _tri_box_overlap(
-            tc.take(tri[entry >> 3], axis=0), cmin.take(box, axis=0), cmax.take(box, axis=0)
-        )
-    return hit
 
 
 #: Rows of :func:`_corners`.

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from manumap.mesh_io import TriMesh
 from manumap.primitives import (
     box_mesh,
     extrude_polygon,
@@ -83,6 +84,18 @@ def t_slot_part():
 @pytest.fixture(scope="session")
 def undercut_part():
     return t_slot_part()
+
+
+def rotated_box():
+    """A 40 x 30 x 20 mm box turned 35 degrees about z, then 25 degrees about
+    x: large faces tilted off every axis, so each triangle's box of octree
+    cells holds many times the cells it meets."""
+    c, s = np.cos(np.radians(35.0)), np.sin(np.radians(35.0))
+    about_z = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    c, s = np.cos(np.radians(25.0)), np.sin(np.radians(25.0))
+    about_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    box = box_mesh((40.0, 30.0, 20.0))
+    return TriMesh(box.vertices @ (about_x @ about_z).T, box.triangles)
 
 
 def die_plate():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,15 +214,15 @@ def test_black_white_leaf_volumes(sphere_tree):
 
 
 def test_leaf_volumes_match_per_leaf_reference(sphere10, pocket_plate, monkeypatch):
-    """Batched wave and volume arithmetic, at any chunk size, gives the tree
+    """Batched contact and volume arithmetic, at any chunk size, gives the tree
     of the default sizes.  Each grey leaf's volume is the exact one that
     oracles.box_part_volume finds for the leaf's box alone, whose top
     cross-section comes from the prism above the box instead of the column
     sweep, to within 1e-12 of the box volume: on every 4th grey leaf of the
     sphere, and on every grey leaf of the pocket plate."""
     whole = build_octree(sphere10, max_depth=3)
-    # SAT chunks of 7 pairs, volume-kernel chunks of 5 pairs and column-kernel
-    # chunks of 5 pairs put seams everywhere
+    # contact windows of 7 columns or entries, volume-kernel chunks of 5 pairs
+    # and column-kernel chunks of 5 pairs put seams everywhere
     monkeypatch.setattr(spatial, "_SAT_PAIR_BUDGET", 7)
     monkeypatch.setattr(spatial, "_CLIP_PAIR_BUDGET", 5)
     monkeypatch.setattr(mesh_io, "_COLUMN_PAIR_BUDGET", 5)
@@ -521,14 +522,14 @@ def test_grey_lists_hold_every_triangle_in_reach(name, sphere10):
 # (mesh, depth, margin) -> entries the contact kernel decides on integers, and
 # grey-list pairs.  The blocks' face diagonals run through box corners on the
 # plane x = y, and the spheres' six axis vertices lie on box edges: real ties.
-# The kernel sees only the max-depth cells that pairs jump to and the wave
-# entries of larger triangles, and no cell of a triangle thin on two axes.
+# The kernel sees only the candidate cells that each triangle's plane reaches
+# column by column (spatial._jump), and no cell of a triangle thin on two axes.
 _EXACT_CONTACTS = {
-    "block-d5": (236, 6958),
-    "half-d5": (212, 4846),
-    "sphere-d6": (54, 51596),
+    "block-d5": (164, 6958),
+    "half-d5": (148, 4846),
+    "sphere-d6": (30, 51596),
     "dense-d5": (24, 141656),
-    "tie-block-margin0-d5": (219, 5221),
+    "tie-block-margin0-d5": (154, 5221),
 }
 
 
@@ -640,13 +641,13 @@ def test_walled_part_volume_error_bound(pocket_plate):
 
 
 def _child_boxes(lo, hi):
-    """(W, 8, 3) child boxes (cmin, cmax) of nodes (W, 3), as a wave builds them."""
+    """(W, 8, 3) child boxes (cmin, cmax) of nodes (W, 3)."""
     bits = spatial._CHILD_BITS
     mid = 0.5 * (lo + hi)
     return np.where(bits, mid[:, None, :], lo[:, None, :]), np.where(bits, hi[:, None, :], mid[:, None, :])
 
 
-def _wave_cases(rng, w=30, k=5):
+def _node_cases(rng, w=30, k=5):
     """Dyadic nodes, each paired with k triangles of eight kinds.
 
     The kinds: lying in a child split plane; lying in a node face; touching a
@@ -691,62 +692,12 @@ def _wave_cases(rng, w=30, k=5):
                     t[rows, rng.integers(0, 3, k), a] = c[rows, 0, a] + face
             tris.append(t)
     tc = np.concatenate(tris)
-    return tc, np.arange(len(tc)), np.repeat(np.arange(w), 8 * k), lo, hi
+    return tc, np.repeat(np.arange(w), 8 * k), lo, hi
 
 
-@pytest.mark.parametrize("budget", [None, 1, 7])
-def test_wave_prefilter_matches_unfiltered_sat(budget, monkeypatch):
-    """The slab prefilter changes no wave hit: the hits are the contact
-    kernel's on every (pair, child) entry one at a time, and the oracle's.
-    The kernel runs on exactly the entries that no box-normal axis
-    separates (``tmax <= lo`` or ``tmin > hi``) and that do not lie in the
-    child box (``tmin > lo`` and ``tmax <= hi``), and every entry inside
-    is a hit.  Entries that touch a closed child box only on its lower
-    planes are in the cases and are no hits, and some that touch it only
-    on its upper planes are hits."""
-    rng = np.random.default_rng(43)
-    tc, pair_tri, pair_node, lo, hi = _wave_cases(rng)
-    cmin, cmax = _child_boxes(lo, hi)
-    if budget is not None:
-        monkeypatch.setattr(spatial, "_SAT_PAIR_BUDGET", budget)
-    tested = []
-    kernel = spatial._tri_box_overlap
-
-    def recording(t, a, b):
-        tested.append(len(t))
-        return kernel(t, a, b)
-
-    monkeypatch.setattr(spatial, "_tri_box_overlap", recording)
-    bounds = tc.min(axis=1), tc.max(axis=1)
-    got = spatial._wave_mask(tc, bounds, pair_tri, pair_node, cmin, cmax)
-
-    # unfiltered reference: every pair against all 8 children, one pair at a time
-    want = np.array([
-        kernel(tc[t][None, None], cmin[n][None], cmax[n][None])[0]
-        for t, n in zip(pair_tri, pair_node)
-    ])
-    assert np.array_equal(got, want)
-    assert 0 < want.sum() < want.size
-    oracle = np.array([
-        [displaced_box_contact(tc[t], cmin[n, c], cmax[n, c]) for c in range(8)]
-        for t, n in zip(pair_tri, pair_node)
-    ])
-    assert np.array_equal(got, oracle)
-
-    vmin, vmax = bounds[0][pair_tri][:, None], bounds[1][pair_tri][:, None]  # (P, 1, 3)
-    blo, bhi = cmin[pair_node], cmax[pair_node]  # (P, 8, 3)
-    slab_sep = ((vmax <= blo) | (vmin > bhi)).any(axis=2)
-    contained = ((vmin > blo) & (vmax <= bhi)).all(axis=2)
-    assert sum(tested) == int((~slab_sep & ~contained).sum())
-    assert want[contained].all() and not want[slab_sep].any()
-    # entries inside with a vertex on an upper plane of the child
-    assert (contained & (vmax == bhi).any(axis=2)).any()
-    assert (~slab_sep & ~contained & ~want).any()  # the other 10 axes still decide some entries
-    # entries touching a closed child box only on its lower planes, or only on its upper ones
-    closed_sep = ((vmax < blo) | (vmin > bhi)).any(axis=2)
-    assert (slab_sep & ~closed_sep).any()
-    on_upper = ~closed_sep & ((vmin == bhi) | (vmax == blo)).any(axis=2) & ~slab_sep
-    assert (want & on_upper).any()
+def _cell_ranges(planes, tmin, tmax):
+    """Each triangle's first and last max-depth cell on each axis, (3, M) each."""
+    return [spatial._cells_below(planes, np.ascontiguousarray(t.T)) for t in (tmin, tmax)]
 
 
 def test_cell_ranges_match_searchsorted_and_thin_cells_are_contacts():
@@ -759,7 +710,7 @@ def test_cell_ranges_match_searchsorted_and_thin_cells_are_contacts():
     a split plane, which meet only the cells below it, and slivers in one
     xy column that cross several cells in z."""
     rng = np.random.default_rng(47)
-    tc, _, pair_node, lo, hi = _wave_cases(rng)
+    tc, pair_node, lo, hi = _node_cases(rng)
     checked = on_plane = 0
     for n in range(len(lo)):
         planes = spatial._split_planes(lo[n], hi[n], 2)  # 4 cells a side
@@ -776,11 +727,11 @@ def test_cell_ranges_match_searchsorted_and_thin_cells_are_contacts():
         tmin, tmax = t.min(axis=1), t.max(axis=1)
         for shift in (0.0, 0.1):  # dyadic planes, then planes 0.1 off them
             moved = spatial._split_planes(lo[n] + shift, hi[n] + shift, 3)
-            r0, r1 = spatial._cell_ranges(moved, tmin + shift, tmax + shift)
+            r0, r1 = _cell_ranges(moved, tmin + shift, tmax + shift)
             for a in range(3):
                 assert np.array_equal(r0[a], np.searchsorted(moved[a], tmin[:, a] + shift, "left") - 1)
                 assert np.array_equal(r1[a], np.searchsorted(moved[a], tmax[:, a] + shift, "left") - 1)
-        r0, r1 = spatial._cell_ranges(planes, tmin, tmax)
+        r0, r1 = _cell_ranges(planes, tmin, tmax)
         for i in np.flatnonzero((r0 == r1).sum(axis=0) >= 2).tolist():
             first, last = np.maximum(r0[:, i], 0), np.minimum(r1[:, i], 3)
             on_plane += bool((tmin[i] == tmax[i]).any() and np.isin(tmin[i], planes).any())
@@ -791,8 +742,8 @@ def test_cell_ranges_match_searchsorted_and_thin_cells_are_contacts():
     assert checked > 500 and on_plane > 100
 
 
-def _jump_limit_cases():
-    """The fixture matrix of the jump-limit test: (name, mesh thunk, margin, depth)."""
+def _contact_cases():
+    """The fixture matrix of the contact tests: (name, mesh thunk, margin, depth)."""
     from conftest import t_slot_part
 
     meshes = {f"ulps{u}": (lambda u=u: _tie_block(u)[0]) for u in (-2, -1, 0, 1, 2)}
@@ -809,35 +760,117 @@ def _jump_limit_cases():
     return cases
 
 
-@pytest.mark.parametrize("limit", [0, 10**9], ids=["waves-only", "jump-from-root"])
-def test_jump_limit_changes_no_byte(limit, monkeypatch):
-    """Waves all the way down (no pair jumps before its node is a cell) and
-    jumps from the root (every pair goes straight to its cells) build the
-    default's trees: equal fingerprints and grey lists, on the tie blocks,
+def _bounding_box_jump(tc, planes, thin, first, last, tri, max_depth):
+    """``spatial._jump`` with neither its candidate filter nor its thin rule:
+    every cell of each pair's box of cells goes through the contact kernel,
+    in chunks of 32,768 cells."""
+    count = (last - first + 1).astype(np.int64)
+    n = count.prod(axis=0)
+    pair = np.repeat(np.arange(len(tri)), n)
+    rank = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
+    found = []
+    for s in range(0, len(pair), 1 << 15):
+        p, r = pair[s : s + (1 << 15)], rank[s : s + (1 << 15)]
+        yz, x = np.divmod(r, count[0, p])
+        z, y = np.divmod(yz, count[1, p])
+        cells = first[:, p] + np.stack([x, y, z])
+        hit = mesh_io._tri_box_overlap(tc[tri[p]], *spatial._boxes(planes, cells, 1))
+        key = spatial._SPREAD[cells[:, hit]]
+        found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | tri[p][hit])
+    return found
+
+
+def test_contacts_match_every_bounding_box_cell(monkeypatch):
+    """The column-by-column candidates lose no contact.  On the tie blocks,
     the tilted top, the pocket plate, torus, T-slot, cube and sphere at
-    margins 0, 0.01 and 0.3 and depths 1-6; and ``refine`` under the limit
-    equals the deeper default build."""
-    built, waves = {}, []
-    wave_mask = spatial._wave_mask
+    margins 0, 0.01 and 0.3 and depths 1-6, and on the rotated box at depth
+    6, the build equals a reference that sends every cell of each pair's box
+    of cells through the contact kernel, with no thin-triangle rule: equal
+    fingerprints and grey lists.  ``refine`` of the tree one level
+    shallower equals it too."""
+    from conftest import rotated_box
 
-    def counted(*args):
-        waves.append(len(args[2]))
-        return wave_mask(*args)
-
-    for name, mesh, margin, depth in _jump_limit_cases():
+    built = {}
+    for name, mesh, margin, depth in [*_contact_cases(), ("rotated", rotated_box, 0.01, 6)]:
         mesh = built.setdefault(name, mesh())
-        want = build_octree(mesh, max_depth=depth, margin=margin)
+        trees = [build_octree(mesh, max_depth=depth, margin=margin)]
+        if depth > 1:
+            trees.append(refine(build_octree(mesh, max_depth=depth - 1, margin=margin), mesh))
         with monkeypatch.context() as patch:
-            patch.setattr(spatial, "_JUMP_CELLS", limit)
-            patch.setattr(spatial, "_wave_mask", counted)
-            got = build_octree(mesh, max_depth=depth, margin=margin)
-            if depth > 1:
-                refined = refine(build_octree(mesh, max_depth=depth - 1, margin=margin), mesh)
-        for tree in (got, refined) if depth > 1 else (got,):
+            patch.setattr(spatial, "_jump", _bounding_box_jump)
+            want = build_octree(mesh, max_depth=depth, margin=margin)
+        for tree in trees:
             assert tree.fingerprint() == want.fingerprint(), (name, margin, depth)
             assert np.array_equal(tree.grey_tri_ptr, want.grey_tri_ptr), (name, margin, depth)
             assert np.array_equal(tree.grey_tri_ids, want.grey_tri_ids), (name, margin, depth)
-    assert (sum(waves) > 10**5) if limit == 0 else not waves  # (node, triangle) pairs that waved
+
+
+@pytest.mark.parametrize("budget", [None, 100])
+def test_jump_holds_every_contact_of_degenerate_triangles(budget, monkeypatch):
+    """On dyadic nodes split into 8 cells a side, ``spatial._jump`` finds
+    the contacts that the kernel finds on every cell of each triangle's box
+    of cells, in windows of any size and with no warning: for triangles in
+    split planes, on node and slab faces, needles, triangles inside one
+    cell, and zero-area ones (a point; corners on one line), which take
+    their whole range along the axis of their computed normal."""
+    rng = np.random.default_rng(53)
+    tc, node, lo, hi = _node_cases(rng)
+    if budget is not None:
+        monkeypatch.setattr(spatial, "_SAT_PAIR_BUDGET", budget)
+    flat = 0
+    for n in range(len(lo)):
+        a, b = lo[n] + rng.integers(0, 9, (2, 4, 3)) / 8.0 * (hi[n] - lo[n])
+        line = np.stack([a, b, 0.5 * (a + b)], axis=1)  # C the midpoint of AB, exactly
+        point = np.repeat(a[:, None], 3, axis=1)
+        t = np.concatenate([tc[node == n], line, point])
+        planes = spatial._split_planes(lo[n], hi[n], 3)
+        r0, r1 = _cell_ranges(planes, t.min(axis=1), t.max(axis=1))
+        tri = np.flatnonzero(((r1 >= 0) & (r0 <= 7)).all(axis=0))  # the slabs keep the node
+        first, last = np.clip(r0[:, tri], 0, 7), np.clip(r1[:, tri], 0, 7)
+        thin = (r0 == r1).sum(axis=0) >= 2
+        got, want = (np.sort(np.concatenate(f(t, planes, thin, first, last, tri, 3)))
+                     for f in (spatial._jump, _bounding_box_jump))
+        assert np.array_equal(got, want), n
+        flat += int(np.isin(want & 0xFFFFFFFF, np.arange(len(t) - 8, len(t))).sum())
+    assert flat > 100  # contacts of zero-area triangles
+
+
+@pytest.mark.parametrize("depth, contacts", [(6, 12898), (7, 49308)])
+def test_candidates_follow_the_contacts(depth, contacts, monkeypatch):
+    """On the rotated box, whose triangles' boxes of cells hold more than 30
+    times their contacts at depth 6 and 60 times at depth 7, the candidate
+    cells (contact-kernel entries, plus the contacts of thin triangles)
+    stay within 3 times the contacts.  The depth-7 build's traced peak
+    stays under 64 MiB."""
+    from conftest import rotated_box
+
+    mesh = rotated_box()
+    entries, hits = [], []
+    kernel = spatial._tri_box_overlap
+
+    def counted(t, lo, hi):
+        hit = kernel(t, lo, hi)
+        entries.append(len(hit))
+        hits.append(int(hit.sum()))
+        return hit
+
+    monkeypatch.setattr(spatial, "_tri_box_overlap", counted)
+    tree = build_octree(mesh, max_depth=depth)
+    monkeypatch.undo()
+    assert len(tree.grey_tri_ids) == contacts
+    planes = spatial._split_planes(tree.box_min[0], tree.box_max[-1], depth)
+    r0, r1 = (np.clip(r, 0, (1 << depth) - 1) for r in _cell_ranges(planes, *mesh.tri_bounds()))
+    assert (r1 - r0 + 1).prod(axis=0).sum() > 30 * 2 ** (depth - 6) * contacts
+    candidates = sum(entries) + contacts - sum(hits)
+    assert contacts < candidates <= 3 * contacts
+    if depth == 7:
+        tracemalloc.start()
+        try:
+            build_octree(mesh, max_depth=depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.01])
