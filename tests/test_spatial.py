@@ -780,29 +780,54 @@ def _bounding_box_jump(tc, planes, thin, first, last, tri, max_depth):
     return found
 
 
-def test_contacts_match_every_bounding_box_cell(monkeypatch):
-    """The column-by-column candidates lose no contact.  On the tie blocks,
-    the tilted top, the pocket plate, torus, T-slot, cube and sphere at
-    margins 0, 0.01 and 0.3 and depths 1-6, and on the rotated box at depth
-    6, the build equals a reference that sends every cell of each pair's box
-    of cells through the contact kernel, with no thin-triangle rule: equal
-    fingerprints and grey lists.  ``refine`` of the tree one level
-    shallower equals it too."""
+_REFERENCE_TREES = {}
+
+
+def _reference_tree(name, mesh, margin, depth):
+    """The build of :func:`_bounding_box_jump`, cached per case: its
+    fingerprint and grey CSR."""
+    key = name, margin, depth
+    if key not in _REFERENCE_TREES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spatial, "_jump", _bounding_box_jump)
+            tree = build_octree(mesh, max_depth=depth, margin=margin)
+        _REFERENCE_TREES[key] = tree.fingerprint(), tree.grey_tri_ptr, tree.grey_tri_ids
+    return _REFERENCE_TREES[key]
+
+
+@pytest.mark.parametrize("levels", [1, None], ids=["waves-only", "jump-from-root"])
+def test_jump_limit_changes_no_byte(levels):
+    """How many levels a (node, triangle) pair jumps at once changes no
+    byte, and the column-by-column candidates lose no contact.  Waves only:
+    the tree is built at depth 1 and refined one level at a time, so every
+    pair jumps from a node to its 8 children.  Jump from the root: the
+    build at the full depth, where every pair jumps from the root to its
+    max-depth cells, and ``refine`` of the build one level shallower.  On
+    the tie blocks, the tilted top, the pocket plate, torus, T-slot, cube
+    and sphere at margins 0, 0.01 and 0.3 and depths 1-6, and on the
+    rotated box at depth 6, each tree equals a reference that sends every
+    cell of each pair's box of cells through the contact kernel, with no
+    thin-triangle rule: equal fingerprints and grey lists."""
     from conftest import rotated_box
 
     built = {}
     for name, mesh, margin, depth in [*_contact_cases(), ("rotated", rotated_box, 0.01, 6)]:
         mesh = built.setdefault(name, mesh())
-        trees = [build_octree(mesh, max_depth=depth, margin=margin)]
-        if depth > 1:
-            trees.append(refine(build_octree(mesh, max_depth=depth - 1, margin=margin), mesh))
-        with monkeypatch.context() as patch:
-            patch.setattr(spatial, "_jump", _bounding_box_jump)
-            want = build_octree(mesh, max_depth=depth, margin=margin)
+        if levels == 1:
+            tree = build_octree(mesh, max_depth=1, margin=margin)
+            while tree.max_depth < depth:
+                tree = refine(tree, mesh)
+            trees = [tree]
+        else:
+            trees = [build_octree(mesh, max_depth=depth, margin=margin)]
+            if depth > 1:
+                trees.append(refine(build_octree(mesh, max_depth=depth - 1, margin=margin), mesh))
+        fingerprint, ptr, ids = _reference_tree(name, mesh, margin, depth)
         for tree in trees:
-            assert tree.fingerprint() == want.fingerprint(), (name, margin, depth)
-            assert np.array_equal(tree.grey_tri_ptr, want.grey_tri_ptr), (name, margin, depth)
-            assert np.array_equal(tree.grey_tri_ids, want.grey_tri_ids), (name, margin, depth)
+            assert tree.max_depth == depth, (name, margin, depth)
+            assert tree.fingerprint() == fingerprint, (name, margin, depth)
+            assert np.array_equal(tree.grey_tri_ptr, ptr), (name, margin, depth)
+            assert np.array_equal(tree.grey_tri_ids, ids), (name, margin, depth)
 
 
 @pytest.mark.parametrize("budget", [None, 100])
