@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import AssemblyReport, ComparisonReport, IndexReport
-from .errors import FieldMismatchError, ParameterError, ReportIOError, SchemaMismatchError
+from .errors import FieldMismatchError, MeshMismatchError, ParameterError, ReportIOError, SchemaMismatchError
 from .fields import LocalIndexField
 from .mesh_io import TriMesh
 from .spatial import _GREY, _WHITE, Octree
@@ -108,31 +108,35 @@ def _atomic_write_chunks(path, chunks: Iterable[str]) -> Path:
 _CHUNK_ROWS = 4096
 
 
+def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct float64 values of ``values``, told apart by their bits, and
+    in the shape of ``values`` each element's index among them."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    bits, which = np.unique(v.view(np.int64), return_inverse=True)
+    return bits.view(np.float64), which.reshape(v.shape)
+
+
 def _spell(fmt: str, values) -> tuple[np.ndarray, np.ndarray]:
     """``fmt % v`` for each float64 ``v`` of ``values``, formatted once per distinct value.
 
     Returns the object array of distinct spellings and, in the shape of
     ``values``, each element's index into it, so ``words[which]`` spells
-    ``values``.  Values are told apart by their bits: -0.0 and 0.0 keep their
-    own spellings, and so does every NaN payload.
+    ``values``.  Values are told apart by their bits (:func:`_distinct`):
+    -0.0 and 0.0 keep their own spellings, and so does every NaN payload.
     """
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    bits, which = np.unique(v.view(np.int64), return_inverse=True)
-    words = np.array([fmt % x for x in bits.view(np.float64).tolist()], dtype=object)
-    return words, which.reshape(v.shape)
+    distinct, which = _distinct(values)
+    return np.array([fmt % x for x in distinct.tolist()], dtype=object), which
 
 
-def _rows(fmt: str, *tables) -> Iterator[str]:
-    """``%``-style ``fmt`` filled from each row of the side-by-side 2-D ``tables``.
+def _rows(fmt: str, table) -> Iterator[str]:
+    """``%``-style ``fmt`` filled from each row of the 2-D ``table``.
 
     Each chunk of rows is one ``%`` operation on ``fmt`` repeated once per
-    row.  Several tables are joined as object arrays, so a uint8 table beside
-    a float one still fills its ``%d`` fields with Python ints.  The map
-    writers pass floats already spelled by :func:`_spell`, to ``%s`` fields.
+    row.  The map writers pass floats already spelled by :func:`_spell`, to
+    ``%s`` fields.
     """
-    for s in range(0, len(tables[0]), _CHUNK_ROWS):
-        parts = [t[s : s + _CHUNK_ROWS] for t in tables]
-        rows = parts[0] if len(parts) == 1 else np.hstack([p.astype(object) for p in parts])
+    for s in range(0, len(table), _CHUNK_ROWS):
+        rows = table[s : s + _CHUNK_ROWS]
         yield (fmt * len(rows)) % tuple(rows.ravel().tolist())
 
 
@@ -185,34 +189,21 @@ def export_difficulty_map(
     return _atomic_write_chunks(out, chunks)
 
 
-#: Most (vertex, grey box) distances the PLY nearest-grey fallback holds at once.
-_NEAREST_PAIR_BUDGET = 1 << 18
-
-
 def _ply_chunks(
     mesh: TriMesh, octree: Octree, index_field: LocalIndexField, scale: ColorScale | None
 ) -> Iterator[str]:
     _check_field(octree, index_field)
+    if mesh.content_hash() != octree.mesh_hash:
+        raise MeshMismatchError("octree was built from a different mesh")
     scale = scale or ColorScale.auto(index_field.values)
-    g = octree.grey_index
 
-    # each vertex's leaf as a rank among the greys: -1 off them, and through
-    # the extra last slot also for vertices outside the root (leaf index -1)
-    grey_rank = np.full(len(octree.path_key) + 1, -1)
-    grey_rank[g] = np.arange(len(g))
-    rank = grey_rank[octree.find_leaves(mesh.vertices)]
-    values = index_field.values[rank]
-    misses = np.flatnonzero(rank < 0)
-    if len(misses):
-        # surface vertices can sit exactly on box faces and descend into a
-        # white/black neighbor; grade those by the nearest grey box instead
-        grey_centers = 0.5 * (octree.box_min[g] + octree.box_max[g])
-        step = max(1, _NEAREST_PAIR_BUDGET // len(g))
-        for s in range(0, len(misses), step):
-            rows = misses[s : s + step]
-            pts = mesh.vertices[rows]
-            d2 = ((pts[:, None, :] - grey_centers[None, :, :]) ** 2).sum(axis=2)
-            values[rows] = index_field.values[np.argmin(d2, axis=1)]
+    # each vertex takes its leaf's value: a grey leaf's field value, the low
+    # end elsewhere (as black boxes in the VTK map), and so off the root too
+    values = np.full(len(octree.path_key), float(scale.lo))
+    values[octree.grey_index] = index_field.values
+    leaf = octree.find_leaves(mesh.vertices)
+    shades, shade = _distinct(np.where(leaf >= 0, values[leaf], scale.lo))
+    colors = np.array(["%d %d %d" % tuple(c) for c in scale.rgb(shades).tolist()], dtype=object)
 
     header = (
         "ply\n"
@@ -229,7 +220,7 @@ def _ply_chunks(
     words, which = _spell("%.9g", mesh.vertices)
     return itertools.chain(
         [header],
-        _rows("%s %s %s %d %d %d\n", words[which], scale.rgb(values)),
+        _rows("%s %s %s %s\n", np.column_stack([words[which], colors[shade]])),
         _rows("3 %d %d %d\n", mesh.triangles),
     )
 

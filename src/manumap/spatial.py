@@ -159,14 +159,15 @@ class Octree:
     def find_leaves(self, points) -> np.ndarray:
         """Index of the leaf containing each of the (N, 3) ``points``, -1 outside the root or at a NaN.
 
-        Boxes are half-open: at every level a point goes to the upper child
-        on an axis where ``p >= mid``, with ``mid = 0.5 * (lo + hi)`` of the
-        box it is in, so a point on a split plane lands in the box above it
-        (where a face on that plane meets the box below, :func:`classify_box`).
-        The root box itself is closed, so points on its max faces still find
-        a leaf.  Each point takes that descent's answer in two searches
-        (:func:`_locate`): for its max-depth cell among the split planes,
-        then for the cell's leaf among the leaves' Morton keys.
+        Boxes are half-open, (lo, hi], by the tie rule of contact
+        (:func:`classify_box`): at every level a point goes to the upper
+        child on an axis where ``p > mid``, with ``mid = 0.5 * (lo + hi)`` of
+        the box it is in, so a point on a split plane lands in the box below
+        it, the one a face on that plane meets.  The root box itself is
+        closed, so points on its min faces still find a leaf.  Each point
+        takes that descent's answer in two searches (:func:`_locate`): for
+        its max-depth cell among the split planes, then for the cell's leaf
+        among the leaves' Morton keys.
         """
         if self._lookup is None:
             # Morton order starts with the all-lower corner leaf and ends with the all-upper one
@@ -228,18 +229,18 @@ def _locate(planes: np.ndarray, morton: np.ndarray, points) -> np.ndarray:
     """:meth:`Octree.find_leaves` over leaves with the ascending keys ``morton``
     (:func:`_morton_keys`) in the root box split by ``planes`` (:func:`_split_planes`).
 
-    On each axis a point's max-depth cell is the last one whose lower plane
-    is at most the point, clipped to the last cell on the root's upper
-    face: every plane is bitwise the ``mid`` of the boxes around it, so
-    this is the descent's ``p >= mid`` at every level.  The point's leaf is
-    the last one whose key is at most its cell's (Gargantini, 1982).
+    On each axis a point's max-depth cell is the one of the contact rule,
+    (lo, hi] (:func:`_cells_below`), clipped to the first cell on the
+    root's lower face: every plane is bitwise the ``mid`` of the boxes
+    around it, so this is the descent's ``p > mid`` at every level.  The
+    point's leaf is the last one whose key is at most its cell's
+    (Gargantini, 1982).  Points outside the root or with a NaN search from
+    the root's lower corner, and get -1.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3).T
-    last = planes.shape[1] - 2  # the last cell on an axis
-    cell = np.zeros(p.shape[1], dtype=np.int64)
-    for a, x in enumerate(p):
-        cell |= _SPREAD.take(np.clip(np.searchsorted(planes[a], x, "right") - 1, 0, last)) << a
     inside = ((planes[:, :1] <= p) & (p <= planes[:, -1:])).all(axis=0)
+    axes = np.clip(_cells_below(planes, np.where(inside, p, planes[:, :1])), 0, planes.shape[1] - 2)
+    cell = _SPREAD.take(axes[0]) | _SPREAD.take(axes[1]) << 1 | _SPREAD.take(axes[2]) << 2
     return np.where(inside, np.searchsorted(morton, cell, "right") - 1, -1)
 
 

@@ -222,20 +222,22 @@ def find_leaf(root, index, point) -> int:
     """One point, one box per level: the scalar descent; the leaf's index or -1.
 
     ``root`` is the root box (lo, hi) and ``index`` maps each leaf's path key
-    to its index.  Outside the closed root box a point has no leaf.  At
-    every level it goes to the upper child on each axis where ``p >= mid``,
-    with ``mid = 0.5 * (lo + hi)`` of the box it is in, in Python floats.
+    to its index.  Outside the closed root box, or at a NaN, a point has no
+    leaf.  At every level it goes to the upper child on each axis where
+    ``p > mid``, with ``mid = 0.5 * (lo + hi)`` of the box it is in, in
+    Python floats: boxes are (lo, hi], as a face on a split plane meets
+    only the box below.
     """
     p = [float(c) for c in point]
     lo, hi = [float(c) for c in root[0]], [float(c) for c in root[1]]
-    if any(c < a or c > b for c, a, b in zip(p, lo, hi)):
+    if not all(a <= c <= b for c, a, b in zip(p, lo, hi)):  # NaN included
         return -1
     key = 1
     while key not in index:
         child = 0
         for axis in range(3):
             mid = 0.5 * (lo[axis] + hi[axis])
-            if p[axis] >= mid:
+            if p[axis] > mid:
                 lo[axis], child = mid, child | 1 << axis
             else:
                 hi[axis] = mid

@@ -15,6 +15,7 @@ from manumap.aggregation import IndexReport, build_assembly_report, compare_repo
 from manumap.cli import main
 from manumap.errors import (
     FieldMismatchError,
+    MeshMismatchError,
     ParameterError,
     ReportIOError,
     SchemaMismatchError,
@@ -33,7 +34,7 @@ from manumap.reporting import (
     export_difficulty_map,
     load_report,
 )
-from manumap.spatial import _GREY, _WHITE, OctantClass, build_octree
+from manumap.spatial import _BLACK, _GREY, _WHITE, OctantClass, build_octree
 
 BLUE = (40, 70, 190)
 RED = (250, 40, 40)
@@ -403,27 +404,34 @@ def test_vtk_maps_of_one_octree_share_geometry(pocket_plate, tmp_path, monkeypat
     assert len(reporting._VTK_GEOMETRY) == 0
 
 
-def test_nearest_grey_fallback_chunks_match_full_argmin(cube_tree, tmp_path, monkeypatch):
-    # a small ball inside the cube's black core: every vertex misses the greys
+def test_ply_map_of_another_mesh_raises(cube_tree, tmp_path):
+    # a small ball inside the cube's black core, a mesh the octree was not built from
     ball = icosphere(0.2, subdivisions=2, center=(0.5, 0.5, 0.5))
-    found = cube_tree.find_leaves(ball.vertices)
-    assert all(cube_tree.leaves()[i].octant_class is OctantClass.BLACK for i in found)
-    greys = cube_tree.grey_leaves()
-    values = np.random.default_rng(7).random(len(greys))
-    f = aligned_field(cube_tree, values)
+    f = aligned_field(cube_tree, np.zeros(len(cube_tree.grey_index)))
+    with pytest.raises(MeshMismatchError):
+        export_difficulty_map(ball, cube_tree, f, tmp_path / "ball.ply")
+    assert not list(tmp_path.iterdir())
+
+
+def test_ply_vertices_in_black_leaves_take_the_low_color(pocket_plate, tmp_path):
+    """At margin 0 no box meets the root's lower faces, so the pocket plate's
+    9 bottom vertices whose faces all lie there sit in black leaves: they
+    take the color of the scale's low end, as black boxes do in the VTK map.
+    Every other vertex takes the value of its grey leaf."""
+    tree = build_octree(pocket_plate, max_depth=5, margin=0.0)
+    values = np.linspace(0.5, 1.0, len(tree.grey_index))
     scale = ColorScale(0.0, 1.0)
-
-    centers = np.array([n.center for n in greys])
-    d2 = ((ball.vertices[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    want = scale.rgb(values[np.argmin(d2, axis=1)])
-
-    maps = []
-    for budget in (1, 3 * len(greys) - 1, len(ball.vertices) * len(greys)):
-        monkeypatch.setattr(reporting, "_NEAREST_PAIR_BUDGET", budget)
-        out = export_difficulty_map(ball, cube_tree, f, tmp_path / f"b{budget}.ply", scale=scale)
-        maps.append(out.read_bytes())
-        np.testing.assert_array_equal(parse_ply_vertices(out.read_text())[:, 3:], want)
-    assert maps[0] == maps[1] == maps[2]
+    out = export_difficulty_map(pocket_plate, tree, aligned_field(tree, values), tmp_path / "m.ply", scale=scale)
+    rows = parse_ply_vertices(out.read_text())
+    v = pocket_plate.vertices
+    np.testing.assert_array_equal(rows[:, :3], v)
+    bottom = (v[:, 2] == 0) & (v[:, 0] < 64) & (v[:, 1] < 64)
+    leaf = tree.find_leaves(v)
+    assert bottom.sum() == 9 and (tree.class_code[leaf[bottom]] == _BLACK).all()
+    np.testing.assert_array_equal(rows[bottom, 3:], np.tile(BLUE, (9, 1)))
+    rank = np.searchsorted(tree.grey_index, leaf[~bottom])
+    assert np.array_equal(tree.grey_index[rank], leaf[~bottom])
+    np.testing.assert_array_equal(rows[~bottom, 3:], scale.rgb(values[rank]))
 
 
 def test_maps_span_several_write_chunks(unit_cube, cube_tree, tmp_path, monkeypatch):
@@ -468,16 +476,16 @@ def row_tables(draw):
 def test_rows_percent_format_matches_str_format(tables):
     xyz, rgb, ints = tables
     calls = [
-        ("%.9g %.9g %.9g\n", "{:.9g} {:.9g} {:.9g}\n", (xyz,)),
-        ("%.9g\n", "{:.9g}\n", (xyz[:, :1],)),
-        ("3 %d %d %d\n", "3 {} {} {}\n", (ints,)),
-        ("%.9g %.9g %.9g %d %d %d\n", "{:.9g} {:.9g} {:.9g} {} {} {}\n", (xyz, rgb)),
+        ("%.9g %.9g %.9g\n", "{:.9g} {:.9g} {:.9g}\n", xyz),
+        ("%.9g\n", "{:.9g}\n", xyz[:, :1]),
+        ("3 %d %d %d\n", "3 {} {} {}\n", ints),
+        ("%d %d %d\n", "{} {} {}\n", rgb),
     ]
     for chunk_rows in (1, 5, reporting._CHUNK_ROWS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
-            for percent, brace, args in calls:
-                assert "".join(_rows(percent, *args)) == "".join(format_rows(brace, *args))
+            for percent, brace, table in calls:
+                assert "".join(_rows(percent, table)) == "".join(format_rows(brace, table))
 
 
 def bits_to_float(bits):
@@ -496,19 +504,20 @@ SPELLING_CASES = [
 @settings(max_examples=60, deadline=None)
 @given(tables=row_tables(), order=st.permutations(range(len(SPELLING_CASES))))
 def test_spelled_rows_match_str_format(tables, order):
-    """The map writers' rows, floats spelled once per distinct value, equal
-    ``str.format`` of every value."""
+    """The map writers' rows, floats spelled once per distinct value and PLY
+    colors as one ``"r g b"`` column, equal ``str.format`` of every value."""
     xyz, rgb, _ = tables
     cases = np.array(SPELLING_CASES)[list(order)]
     xyz = np.vstack([xyz, cases.reshape(-1, 3)])
     rgb = np.vstack([rgb, np.arange(len(cases), dtype=np.uint8).reshape(-1, 3)])
     words, which = reporting._spell("%.9g", xyz)
+    colors = np.array(["%d %d %d" % tuple(c) for c in rgb.tolist()], dtype=object)
     assert which.shape == xyz.shape
     assert len(words) == len(np.unique(xyz.view(np.int64)))
     for chunk_rows in (1, 5, reporting._CHUNK_ROWS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
-            ply = _rows("%s %s %s %d %d %d\n", words[which], rgb)
+            ply = _rows("%s %s %s %s\n", np.column_stack([words[which], colors]))
             want = format_rows("{:.9g} {:.9g} {:.9g} {} {} {}\n", xyz, rgb)
             assert "".join(ply) == "".join(want)
             cell_data = _rows("%s\n", words[which].reshape(-1, 1))

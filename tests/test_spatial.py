@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -964,7 +965,9 @@ def test_find_leaves_matches_scalar_descent(sphere10, pocket_plate):
     """find_leaves equals the scalar descent (oracles.find_leaf) on the
     sphere, the pocket plate and a slab at depths 1-6 and margins 0 and
     0.01, and on a refined tree: at every vertex, root corner, leaf corner
-    and leaf center, and one ulp outside each root face."""
+    and leaf center, one ulp outside each root face, and at a NaN, +inf or
+    -inf on each axis of the root's center, which find no leaf and warn
+    of nothing."""
     slab = box_mesh((2.0, 2.0, 1.0))  # unmargined: its faces lie on split planes and root faces
     cases = [(build_octree(mesh, max_depth=depth, margin=margin), mesh)
              for depth in range(1, 7) for margin in (0.0, 0.01) for mesh in (sphere10, pocket_plate, slab)]
@@ -973,16 +976,55 @@ def test_find_leaves_matches_scalar_descent(sphere10, pocket_plate):
         vertices = mesh.vertices
         corners, outside = _root_probes(tree)
         centers = 0.5 * (tree.box_min + tree.box_max)
+        unbounded = np.repeat(0.5 * (tree.box_min[:1] + tree.box_max[-1:]), 9, axis=0)
+        unbounded[np.arange(9), np.arange(9) % 3] = np.repeat([np.nan, np.inf, -np.inf], 3)
+        outside = np.concatenate([outside, unbounded])
         points = np.concatenate([vertices, corners, outside, tree.box_min, tree.box_max, centers])
-        found = tree.find_leaves(points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = tree.find_leaves(points)
         assert len(found) == len(points)
         root = _root_box(tree)
         index = {key: i for i, key in enumerate(tree.path_key.tolist())}
         assert found.tolist() == [find_leaf(root, index, p) for p in points.tolist()]
         assert (found[len(vertices) : len(vertices) + 8] >= 0).all()
-        assert (found[len(vertices) + 8 : len(vertices) + 14] == -1).all()
+        assert (found[len(vertices) + 8 : len(vertices) + 8 + len(outside)] == -1).all()
         assert (found[-len(centers) :] == np.arange(len(centers))).all()
         assert len(tree.find_leaves(np.empty((0, 3)))) == 0
+
+
+#: At margin 0, the vertices each of whose triangles lies on one of the root's lower faces.
+_ROOT_FACE_VERTICES = {"pocket_plate": 9, "unit_cube": 1, "cube100": 1}
+
+
+@pytest.mark.parametrize("name", sorted({*_exact_cases(), "slab"} - {"ico81920"}))
+def test_vertices_land_in_boxes_their_triangles_meet(name, request):
+    """Points and faces share one tie rule.  At margins 0 and 0.01 and depths
+    1-6, each vertex with a triangle off the root's lower faces lands in a
+    grey leaf whose grey list holds one of its triangles.  The others, whose
+    faces no box meets (9 on the pocket plate and 1 on each cube, all at
+    margin 0), land in black leaves from depth 2 on."""
+    mesh = box_mesh((2.0, 2.0, 1.0)) if name == "slab" else _exact_cases()[name](request)
+    n_tri, n_vert = len(mesh.triangles), len(mesh.vertices)
+    pair_vertex, pair_tri = mesh.triangles.ravel(), np.repeat(np.arange(n_tri), 3)
+    for margin in (0.0, 0.01):
+        for depth in range(1, 7):
+            tree = build_octree(mesh, max_depth=depth, margin=margin)
+            on_root = (mesh.vertices[mesh.triangles] == tree.box_min[0]).all(axis=1).any(axis=1)
+            free = np.zeros(n_vert, dtype=bool)
+            np.logical_or.at(free, pair_vertex, ~on_root[pair_tri])
+            leaf = tree.find_leaves(mesh.vertices)
+            assert (leaf >= 0).all()
+            rank = np.searchsorted(tree.grey_index, leaf)
+            grey = tree.class_code[leaf] == spatial._GREY
+            held = np.repeat(np.arange(len(tree.grey_index)), np.diff(tree.grey_tri_ptr)) * n_tri
+            pair_held = grey[pair_vertex] & np.isin(rank[pair_vertex] * n_tri + pair_tri, held + tree.grey_tri_ids)
+            meets = np.zeros(n_vert, dtype=bool)
+            np.logical_or.at(meets, pair_vertex, pair_held)
+            assert meets[free].all(), (margin, depth)
+            assert (~free).sum() == (_ROOT_FACE_VERTICES.get(name, 0) if margin == 0 else 0), (margin, depth)
+            if depth >= 2:
+                assert (tree.class_code[leaf[~free]] == spatial._BLACK).all(), (margin, depth)
 
 
 def test_grey_leaves_built_once(sphere_tree):
