@@ -76,7 +76,7 @@ class NotWatertightError(MeshError):
 
 
 class DegenerateMeshError(MeshError):
-    """Mesh is closed but flat: its bounding box encloses no volume."""
+    """Mesh is closed but flat, or all its faces lie on the octree root box's lower faces."""
 
 
 class MeshMismatchError(AnalysisError):

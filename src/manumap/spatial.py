@@ -1,21 +1,23 @@
 """Adaptive octree decomposition of a part.
 
-The part's bounding box is cubified, inflated by a small margin, and split
-recursively: boxes fully inside the part are black, fully outside are white,
-and boxes the surface meets are grey and subdivided until ``max_depth``.
-The grey boxes are found bottom up, from the triangles' contacts with the
-cells of ``max_depth``: a box is grey when one of its children is.  The
-contacts come from one pass that lists each triangle's candidate cells
-column by column along the axis of its normal's largest component, so
-their number follows the contacts, not the triangles' bounding boxes.  A box
-the surface misses is black or white by the exact parity of its center's
-vertical line.  Grey terminal boxes get their exact solid volume by the
-divergence theorem (:func:`_grey_volumes`): each triangle's part in a box
-is integrated in closed form, and the grey boxes stacked in one xy column
-are swept top down, each passing the part's cross-section area at its
-floor to the box below.  Nothing is sampled and nothing is random, so every
-value is reproducible and independent of how boxes are batched.  The tree
-is linear: it keeps only its leaves, as arrays in Morton (z-curve) order.
+The part's bounding box is cubified, inflated by a small margin and widened
+where the cube rounds inside it, so that the root box holds the part, and
+split recursively: boxes fully inside the part are black, fully outside are
+white, and boxes the surface meets are grey and subdivided until
+``max_depth``.  The grey boxes are found bottom up, from the triangles'
+contacts with the cells of ``max_depth``: a box is grey when one of its
+children is.  The contacts come from one pass, which also classifies a lone
+box (:func:`classify_box`): it lists each triangle's candidate cells column
+by column along the axis of its normal's largest component, so their number
+follows the contacts, not the triangles' bounding boxes.  A box the surface
+misses is black or white by the exact parity of its center's vertical line.
+Grey terminal boxes get their exact solid volume by the divergence theorem
+(:func:`_grey_volumes`): each triangle's part in a box is integrated in
+closed form, and the grey boxes stacked in one xy column are swept top
+down, each passing the part's cross-section area at its floor to the box
+below.  Nothing is sampled and nothing is random, so every value is
+reproducible and independent of how boxes are batched.  The tree is linear:
+it keeps only its leaves, as arrays in Morton (z-curve) order.
 """
 
 from __future__ import annotations
@@ -251,12 +253,12 @@ def _locate(planes: np.ndarray, morton: np.ndarray, points) -> np.ndarray:
 def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
     """Classify one axis-aligned box against a watertight mesh.
 
-    Grey means a triangle is in contact with the box displaced by a
-    symbolic (e, e**2, e**3), e -> 0+ (:func:`_tri_box_overlap`): a face on
-    one of the box's planes counts for the box below, left of or in front
-    of that plane, never for both.  A box the surface misses is black or
-    white by its center point, whose answer then holds for the whole open
-    box.
+    Grey means a triangle is in contact with the box displaced by a symbolic
+    (e, e**2, e**3), e -> 0+ (:func:`_tri_box_overlap`), as the octree's
+    contact pass (:func:`_contacts`) decides it: a face on one of the box's
+    planes counts for the box below, left of or in front of that plane,
+    never for both.  A box the surface misses is black or white by its
+    center point, whose answer then holds for the whole open box.
     """
     if not mesh.metrics.watertight:
         raise NotWatertightError("box classification needs a watertight mesh")
@@ -264,26 +266,11 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
     hi = np.asarray(box_max, dtype=np.float64)
     if (hi <= lo).any():
         raise ParameterError("box_max must exceed box_min on every axis")
-    return _CLASSES[_classify(mesh, lo[None], hi[None])[1]]
-
-
-def _classify(mesh: TriMesh, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
-    """The triangles in contact with the (1, 3) box ``lo``/``hi`` and the box's class code.
-
-    A box no triangle meets is black or white by the exact parity of its
-    center.  A triangle whose bounds (:meth:`TriMesh.tri_bounds`) lie in
-    ``(lo, hi]`` on every axis is a hit without the full test
-    (:func:`_tri_box_overlap`), which would say the same; for an octree's
-    root at a positive margin, that is every triangle.
-    """
-    tmin, tmax = mesh.tri_bounds()
-    hit = ((tmin > lo) & (tmax <= hi)).all(axis=1)
-    rest = np.flatnonzero(~hit)
-    hit[rest] = _tri_box_overlap(mesh.tri_coords()[rest], lo, hi)
-    hits = np.flatnonzero(hit)
-    if len(hits):
-        return hits, _GREY
-    return hits, _BLACK if _points_inside(mesh, 0.5 * (lo + hi))[0] else _WHITE
+    m = mesh.num_triangles
+    if len(_contacts(mesh, np.column_stack([lo, hi]), np.zeros((3, 1), np.int32), np.zeros(m, np.intp),
+                     np.arange(m), 0, 0)):
+        return OctantClass.GREY
+    return OctantClass.BLACK if _points_inside(mesh, 0.5 * (lo + hi)[None])[0] else OctantClass.WHITE
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +303,14 @@ def build_octree(
     margin:
         Relative inflation of the cubified root box (0.01 = 1%).
 
-    The grey leaves come from the triangles' contacts with the cells of
-    ``max_depth`` (:func:`_grow`), each with its exact solid volume, up to
-    rounding (:func:`_grey_volumes`).  An open mesh raises
+    The root box is the cubified bounding box, inflated by ``margin`` and
+    widened where it rounds inside the bounding box, so it holds the part.
+    The leaves come from every triangle's contacts with the cells of
+    ``max_depth`` (:func:`_grow`), grey ones with their exact solid volumes,
+    up to rounding (:func:`_grey_volumes`).  An open mesh raises
     ``NotWatertightError``; a closed one whose bounding box has no volume
-    (a flat sheet) raises ``DegenerateMeshError``.
+    (a flat sheet), or whose faces all lie on the root box's lower faces,
+    raises ``DegenerateMeshError``.
     """
     metrics = mesh.metrics
     if not metrics.watertight:
@@ -333,19 +323,11 @@ def build_octree(
     bbox_max = np.array(metrics.bbox_max)
     center = 0.5 * (bbox_min + bbox_max)
     half = 0.5 * metrics.max_dimension * (1.0 + margin)
-    lo, hi = (center - half)[None, :], (center + half)[None, :]
-    root_key = np.ones(1, dtype=np.int64)
-
-    hits, code = _classify(mesh, lo, hi)
-    if code == _GREY:
-        root_of = np.zeros(len(hits), dtype=np.intp)
-        leaves, tri_ptr, tri_ids = _grow(mesh, [], (lo[0], hi[0]), root_key, root_of, hits, 0, max_depth)
-        _grey_volumes(mesh, leaves, tri_ptr, tri_ids)
-    else:
-        volume = np.array([float(np.prod(hi - lo)) if code == _BLACK else 0.0])
-        code = np.array([code], dtype=np.int8)
-        leaves = (root_key, np.zeros(1, dtype=np.int32), code, lo, hi, volume)
-        tri_ptr, tri_ids = np.zeros(1, dtype=np.intp), hits
+    lo, hi = np.minimum(center - half, bbox_min), np.maximum(center + half, bbox_max)
+    m = mesh.num_triangles
+    leaves, tri_ptr, tri_ids = _grow(
+        mesh, (), (lo, hi), np.ones(1, dtype=np.int64), np.zeros(m, dtype=np.intp), np.arange(m), 0, max_depth
+    )
 
     tree = Octree(
         *leaves,
@@ -378,7 +360,7 @@ _NORMAL_SPAN_ERRBOUND = 2.0**-47  # 64 eps
 
 def _grow(
     mesh: TriMesh,
-    done: list[tuple[np.ndarray, ...]],
+    done: tuple[tuple[np.ndarray, ...], ...],
     root: tuple[np.ndarray, np.ndarray],
     keys: np.ndarray,
     pair_node: np.ndarray,
@@ -390,27 +372,44 @@ def _grow(
 
     The nodes at ``depth`` of the tree with root box ``root`` have path
     keys ``keys``, in Morton order, and the pairs hold every triangle in
-    contact with a node's box (:func:`classify_box`), and only those; the
-    leaves of ``done`` (as in :data:`_LEAF_COLUMNS`) are kept.  Returns
-    all leaves in Morton order, grey volumes NaN for :func:`_grey_volumes`
-    to fill, and the grey lists as a CSR (offsets, ascending triangle ids).
+    contact with a node's box (:func:`classify_box`), and maybe others (a
+    build pairs the root with every triangle); the leaves of ``done`` (as
+    in :data:`_LEAF_COLUMNS`) are kept.  Returns all leaves in Morton
+    order, with their part volumes, and the grey lists as a CSR (offsets,
+    ascending triangle ids).
 
     The grey leaves come from the (cell, triangle) contacts at ``max_depth``
-    (:func:`_contacts`).  A box is grey exactly when one of its children
-    is, for they tile it, so each level's grey keys are the next one's
-    shifted by 3 bits.  The other children of grey nodes take their boxes
-    from :func:`_split_planes` and their classes from one cast of their
-    centers (:func:`_points_inside`), each answer independent of the batch.
+    (:func:`_contacts`); with none, no box meets the surface, and
+    ``DegenerateMeshError`` is raised.  A box is grey exactly when one of
+    its children is, for they tile it (:func:`_subdivide`).  The grey
+    leaves take their volumes from :func:`_grey_volumes`.
     """
     planes = _split_planes(*root, max_depth)
     coords = np.zeros((3, len(keys)), dtype=np.int32)  # the nodes' cell coordinates, one row per axis
     for b in range(depth):
         coords |= ((keys >> 3 * b + np.arange(3)[:, None] & 1) << b).astype(np.int32)
-    found = np.sort(_contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth))
-    cell, tri_ids = found >> 32, found & 0xFFFFFFFF  # by cell, then triangle
-    first = np.r_[True, cell[1:] != cell[:-1]]
-    tri_ptr = np.append(np.flatnonzero(first), len(cell))
-    cell, solid = cell[first], []
+    cell = np.sort(_contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth))
+    if not len(cell):
+        raise DegenerateMeshError("no box meets the surface: its faces all lie on the root box's lower faces")
+    tri_ids = cell & 0xFFFFFFFF
+    cell >>= 32  # by cell, then triangle
+    first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    tri_ptr = np.append(first, len(cell))
+    cell = cell[first]  # the grey cells' path keys
+    leaves = _subdivide(mesh, planes, done, coords, keys, cell, depth, max_depth)
+    _grey_volumes(mesh, planes, leaves, tri_ptr, tri_ids)
+    return leaves, tri_ptr, tri_ids
+
+
+def _subdivide(mesh, planes, done, coords, keys, cell, depth, max_depth) -> tuple[np.ndarray, ...]:
+    """:func:`_grow`'s leaves in Morton order, grey volumes NaN: those of
+    ``done``, then each level's grey keys, the next one's shifted by 3 bits,
+    down to the grey cells' path keys ``cell``.  The other children of grey
+    nodes take their boxes from :func:`_split_planes` and their classes from
+    one cast of their centers (:func:`_points_inside`), each answer
+    independent of the batch.  A function of its own, so that its copies of
+    the leaves are freed before the volume stage."""
+    solid = []
     for level in range(depth + 1, max_depth + 1):
         up = cell >> 3 * (max_depth - level)
         grey = up[np.r_[True, up[1:] != up[:-1]]]  # the level's grey keys, ascending
@@ -424,14 +423,13 @@ def _grow(
     key, level, lo, hi = (np.concatenate(column) for column in zip(*solid))
     inside, size = _points_inside(mesh, 0.5 * (lo + hi)), hi - lo
     code, volume = np.where(inside, _BLACK, _WHITE).astype(np.int8), size[:, 0] * size[:, 1] * size[:, 2]
-    done.append((key, level, code, lo, hi, np.where(inside, volume, 0.0)))
     n = len(keys)  # the grey leaves
-    done.append((keys, np.full(n, max_depth, dtype=np.int32), np.full(n, _GREY, dtype=np.int8),
-                 *_boxes(planes, coords, 1), np.full(n, np.nan)))
-    key, level, *rest = (np.concatenate(column) for column in zip(*done))
+    grey = (keys, np.full(n, max_depth, dtype=np.int32), np.full(n, _GREY, dtype=np.int8),
+            *_boxes(planes, coords, 1), np.full(n, np.nan))
+    black_white = (key, level, code, lo, hi, np.where(inside, volume, 0.0))
+    key, level, *rest = (np.concatenate(column) for column in zip(*done, black_white, grey))
     order = np.argsort(_morton_keys(key, level, max_depth))
-    leaves = tuple(column[order] for column in (key, level, *rest))
-    return leaves, tri_ptr, tri_ids
+    return tuple(column[order] for column in (key, level, *rest))
 
 
 def _split_planes(lo: np.ndarray, hi: np.ndarray, max_depth: int) -> np.ndarray:
@@ -476,12 +474,15 @@ def _cells_below(planes: np.ndarray, t: np.ndarray, axis=np.arange(3)[:, None]) 
 
 
 def _contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth) -> np.ndarray:
-    """The (cell, triangle) contacts at ``max_depth`` as ``path key << 32 | triangle``.
+    """The (cell, triangle) contacts at ``max_depth`` as ``path key << 32 | triangle``, int64.
 
     ``coords`` holds the cell coordinates of :func:`_grow`'s nodes at
-    ``depth``.  Every (node, triangle) pair goes straight to the cells of
-    its node in its triangle's cell ranges (:func:`_cells_below`) that the
-    triangle's plane reaches, column by column (:func:`_jump`).
+    ``depth`` in the root box split by ``planes``.  Every (node, triangle)
+    pair goes straight to the cells of its node in its triangle's cell
+    ranges (:func:`_cells_below`) that the triangle's plane reaches, column
+    by column (:func:`_jump`).  The root may pair with any triangle (its
+    clamped ranges are at worst empty), a node below it only with those in
+    contact with it.  :func:`classify_box` takes its box as the root.
     """
     r0, r1 = (_cells_below(planes, np.ascontiguousarray(t.T)).astype(np.int32) for t in mesh.tri_bounds())
     step = 1 << max_depth - depth  # max-depth cells per node and axis
@@ -489,7 +490,8 @@ def _contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth) -> np
     last = np.minimum(r1.take(pair_tri, axis=1), first + (step - 1))
     first = np.maximum(r0.take(pair_tri, axis=1), first, out=first)
     thin = (r0 == r1).sum(axis=0) >= 2
-    return np.concatenate(_jump(mesh.tri_coords(), planes, thin, first, last, pair_tri, max_depth))
+    found = _jump(mesh.tri_coords(), planes, thin, first, last, pair_tri, max_depth)
+    return np.concatenate([np.zeros(0, dtype=np.int64), *found])
 
 
 def _normals(tc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -798,15 +800,16 @@ def _sorted_sum(group: np.ndarray, count: int, values: np.ndarray) -> np.ndarray
     return np.bincount(group[o], weights=values[o], minlength=count)
 
 
-def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarray) -> None:
+def _grey_volumes(mesh: TriMesh, planes: np.ndarray, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarray) -> None:
     """Fill in the exact part volume of every grey leaf of ``leaves``, in place.
 
-    ``leaves`` are the tree's leaf arrays as in :data:`_LEAF_COLUMNS`, in
-    Morton order, and grey leaf g's triangles are ``tri_ids[tri_ptr[g]:
-    tri_ptr[g + 1]]``: the triangles in contact with its box
-    (:func:`classify_box`).  For a grey box R x [z0, z1] with
-    h = z1 - z0, let A(z) be the area of the part's cross-section with R
-    just above height z.  By the divergence theorem (:func:`_pair_integrals`)
+    ``leaves`` are :func:`_grow`'s leaf arrays as in :data:`_LEAF_COLUMNS`,
+    in Morton order, in the root box split by ``planes``, and grey leaf g's
+    triangles are ``tri_ids[tri_ptr[g]: tri_ptr[g + 1]]``: the triangles in
+    contact with its box (:func:`classify_box`).  For a grey box
+    R x [z0, z1] with h = z1 - z0, let A(z) be the area of the part's
+    cross-section with R just above height z.  By the divergence theorem
+    (:func:`_pair_integrals`)
 
         V = h A(z1) + sum Pz,    A(z0) = A(z1) + sum P1
 
@@ -825,10 +828,7 @@ def _grey_volumes(mesh: TriMesh, leaves, tri_ptr: np.ndarray, tri_ids: np.ndarra
     """
     key, level, code, lo, hi, volume = leaves
     g = np.flatnonzero(code == _GREY)
-    if not len(g):
-        return
     max_depth = int(level[g[0]])  # every grey leaf sits at max_depth
-    planes = _split_planes(lo[0], hi[-1], max_depth)  # Morton order: the root's lo first, hi last
     lo, hi = lo[g], hi[g]
     size = hi - lo
     pair_leaf = np.repeat(np.arange(len(g)), np.diff(tri_ptr))
@@ -869,8 +869,8 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     """One more subdivision level: equivalent to rebuilding at max_depth + 1.
 
     Black and white leaves are untouched; every grey leaf is replaced by
-    its 8 children, to which its triangles jump as in a fresh build
-    (:func:`_grow`), and the new grey leaves get their exact volumes.
+    its 8 children, to which its triangles jump as in a fresh build, and
+    the new grey leaves get their exact volumes (:func:`_grow`).
     """
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")
@@ -882,10 +882,9 @@ def refine(octree: Octree, mesh: TriMesh) -> Octree:
     g = octree.grey_index
     pair_node = np.repeat(np.arange(len(g)), np.diff(octree.grey_tri_ptr))
     leaves, tri_ptr, tri_ids = _grow(
-        mesh, [kept], (octree.box_min[0], octree.box_max[-1]), octree.path_key[g], pair_node,
+        mesh, (kept,), (octree.box_min[0], octree.box_max[-1]), octree.path_key[g], pair_node,
         octree.grey_tri_ids, octree.max_depth, new_depth,
     )
-    _grey_volumes(mesh, leaves, tri_ptr, tri_ids)
     columns = dict(zip(_LEAF_COLUMNS, leaves))
     tree = replace(octree, **columns, grey_tri_ptr=tri_ptr, grey_tri_ids=tri_ids, max_depth=new_depth)
     tree.fingerprint()

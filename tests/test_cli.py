@@ -194,9 +194,18 @@ FLAT_STL = (
     "endloop\nendfacet\n"
     "endsolid flat\n"
 )
+# A closed mesh of volume 0 whose bounding box is the unit cube: two doubled
+# triangles, on z = 0 and x = 0, the lower faces of its root box at margin 0.
+ROOT_FACES_OFF = (
+    "OFF\n6 4 0\n"
+    "0.6 0.6 0\n1 0.6 0\n1 1 0\n0 0 0.6\n0 0.4 0.6\n0 0 1\n"
+    "3 0 1 2\n3 0 2 1\n3 3 4 5\n3 3 5 4\n"
+)
 # Preludes that change the inputs in the child, where argv[2] is the mesh path:
-# overwrite the box with the flat sheet, or add a profile holding a NaN.
+# overwrite the box with the flat sheet, grade the root-faces mesh in its place,
+# or add a profile holding a NaN.
 _FLAT_MESH = f"import sys; open(sys.argv[2], 'w').write({FLAT_STL!r}); "
+_ROOT_FACES_MESH = f"import sys; sys.argv[2] += '.off'; open(sys.argv[2], 'w').write({ROOT_FACES_OFF!r}); "
 _NAN_PROFILE = (
     "import sys; cfg = sys.argv[2] + '.cfg'; "
     "open(cfg, 'w').write('[machining]\\nmax_aspect = nan\\n'); "
@@ -227,11 +236,12 @@ def test_help_exits_0(capsys):
         ([], _NAN_PROFILE, 2),
         ([], _FLAT_MESH, 3),
         (["--process", "additive"], _FLAT_MESH, 3),
+        (["--margin", "0"], _ROOT_FACES_MESH, 3),
     ],
     ids=[
         "samples-flag", "depth-x", "unknown-flag", "format-obj", "margin-neg", "seed-neg",
         "workers-0", "workers-neg", "margin-inf", "required-ra-nan", "scale-inf",
-        "profile-nan", "flat-mesh", "flat-mesh-additive",
+        "profile-nan", "flat-mesh", "flat-mesh-additive", "root-faces-mesh",
     ],
 )
 def test_failures_exit_with_code_and_no_traceback(tmp_path, flags, prelude, code):

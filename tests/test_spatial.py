@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from manumap import mesh_io, spatial
 from manumap.additive import build_height_field
 from manumap.analysis import AnalysisParams
-from manumap.errors import ConfigError, DepthRangeError, MeshMismatchError, NotWatertightError
+from manumap.errors import (
+    ConfigError,
+    DegenerateMeshError,
+    DepthRangeError,
+    MeshMismatchError,
+    NotWatertightError,
+)
 from manumap.machining import tool_flexibility_field
 from manumap.mesh_io import TriMesh, _points_inside
 from manumap.primitives import box_mesh, icosphere, slab_with_pockets, torus_mesh
@@ -125,6 +131,52 @@ def test_root_is_inflated_cube(pocket_plate):
     assert ext[0] == pytest.approx(64.0 * 1.01)
     assert np.all(lo <= tree.mesh_bbox_min)
     assert np.all(hi >= tree.mesh_bbox_max)
+
+
+def test_root_holds_the_part():
+    """At margin 0 the cube ``center ± half`` can round inside the part's
+    bounding box by an ulp, as it does on the first box here; the root box
+    is widened to hold it, or the part's faces outside it would be lost.
+    On that box at depths 1-6, and on 50 random boxes at depths 1 and 4
+    (11 of whose cubes round inside), the root holds the bounding box, the
+    leaves add up to the mesh volume and every vertex finds a leaf."""
+    lo = np.array([0.9616571936637868, 0.7247899407735336, 0.5412268555474342])
+    hi = np.array([1.2385483977091576, 0.8854419495486605, 1.5111522687635668])
+    cases = [(box_mesh(hi - lo, lo), range(1, 7))]
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        origin = rng.uniform(0, 1, 3)
+        cases.append((box_mesh(rng.uniform(0.05, 1, 3), origin), (1, 4)))
+    rounded = 0
+    for mesh, depths in cases:
+        m = mesh.metrics
+        center, half = 0.5 * (np.array(m.bbox_min) + m.bbox_max), 0.5 * m.max_dimension
+        rounded += bool((center - half > m.bbox_min).any() or (center + half < m.bbox_max).any())
+        for depth in depths:
+            tree = build_octree(mesh, max_depth=depth, margin=0.0)
+            root_lo, root_hi = _root_box(tree)
+            assert (root_lo <= m.bbox_min).all() and (root_hi >= m.bbox_max).all()
+            assert tree.total_part_volume() == pytest.approx(m.volume, rel=1e-12, abs=0)
+            assert (tree.find_leaves(mesh.vertices) >= 0).all()
+    assert rounded == 12
+
+
+#: A watertight mesh of volume 0 whose bounding box is the unit cube: two
+#: doubled triangles, one on z = 0 and one on x = 0, the lower faces of its
+#: root box at margin 0.
+_ROOT_FACES_MESH = TriMesh(
+    np.array([[0.6, 0.6, 0], [1, 0.6, 0], [1, 1, 0], [0, 0, 0.6], [0, 0.4, 0.6], [0, 0, 1]], dtype=float),
+    np.array([[0, 1, 2], [0, 2, 1], [3, 4, 5], [3, 5, 4]]),
+)
+
+
+def test_mesh_the_root_box_does_not_meet_raises():
+    """A face on one of the root box's lower faces meets no box of the
+    tree, so a mesh made only of such faces has no grey leaf to grade."""
+    assert _ROOT_FACES_MESH.metrics.watertight
+    with pytest.raises(DegenerateMeshError, match="no box meets the surface"):
+        build_octree(_ROOT_FACES_MESH, max_depth=2, margin=0.0)
+    assert len(build_octree(_ROOT_FACES_MESH, max_depth=2, margin=0.01).grey_index)
 
 
 def test_depth_out_of_range(unit_cube):
@@ -901,35 +953,48 @@ def test_candidates_follow_the_contacts(depth, contacts, monkeypatch):
 
 @pytest.mark.parametrize("margin", [0.0, 0.01])
 @pytest.mark.parametrize("name", ["box", "pocket"])
-def test_root_classify_matches_sat_over_all_triangles(name, margin, pocket_plate, monkeypatch):
-    """The root box's hits are the contact kernel's over every triangle, and
-    the oracle's.  At a positive margin every triangle lies inside the
-    root box and none takes the kernel; at margin 0 the triangles on the
-    root's faces take it, and those on its lower faces are no hits."""
+def test_root_classify_matches_sat_over_all_triangles(name, margin, pocket_plate, sphere10):
+    """The root box's contacts, the triangles in the grey lists of the
+    depth-1 tree, are the contact kernel's over every triangle against the
+    root box, and the oracle's; at margin 0 the faces on the root's lower
+    faces lie outside the displaced box and are in no grey list.  And
+    :func:`classify_box`, the contact pass on one box, agrees with the
+    oracle's contacts and the center's winding number on 12 random
+    non-dyadic boxes each of the tie block and of sphere10 per case, plus
+    one box outside each mesh and one inside, which no triangle reaches."""
     mesh = {"box": box_mesh((3.0, 2.0, 1.0)), "pocket": pocket_plate}[name]
-    m = mesh.metrics
-    center = 0.5 * (np.array(m.bbox_min) + np.array(m.bbox_max))
-    half = 0.5 * m.max_dimension * (1.0 + margin)
-    lo, hi = (center - half)[None], (center + half)[None]
-    want = np.flatnonzero(mesh_io._tri_box_overlap(mesh.tri_coords(), lo, hi))
-    oracle = [i for i, t in enumerate(mesh.tri_coords()) if displaced_box_contact(t, lo[0], hi[0])]
+    tree = build_octree(mesh, max_depth=1, margin=margin)
+    lo, hi = _root_box(tree)
+    want = np.flatnonzero(mesh_io._tri_box_overlap(mesh.tri_coords(), lo[None], hi[None]))
+    oracle = [i for i, t in enumerate(mesh.tri_coords()) if displaced_box_contact(t, lo, hi)]
     assert want.tolist() == oracle
-    tested = []
-    kernel = spatial._tri_box_overlap
-
-    def recording(t, a, b):
-        tested.append(len(t))
-        return kernel(t, a, b)
-
-    monkeypatch.setattr(spatial, "_tri_box_overlap", recording)
-    hits, code = spatial._classify(mesh, lo, hi)
-    assert np.array_equal(hits, want) and code == spatial._GREY
+    assert np.array_equal(np.unique(tree.grey_tri_ids), want)
     if margin:
-        assert len(want) == mesh.num_triangles and sum(tested) == 0
-    else:  # the faces on the root's lower faces lie outside the displaced box
+        assert len(want) == mesh.num_triangles
+    else:
         on_lower = (mesh.tri_bounds()[1] == lo).any(axis=1)
         assert on_lower.any() and np.array_equal(np.flatnonzero(~on_lower), want)
-        assert sum(tested) > 0
+
+    rng = np.random.default_rng([len(name), int(100 * margin)])
+    classes = []
+    for part, inner in ((_tie_block(0)[0], (2.0, 2.0, 1.0)), (sphere10, (-1.0, -1.0, -1.0))):
+        m = part.metrics
+        bmin, size = np.array(m.bbox_min), np.array(m.bbox_max) - m.bbox_min
+        box_lo = bmin - 0.2 * size + rng.uniform(0, 1.2, (12, 3)) * size
+        box_lo = np.vstack([box_lo, bmin - size, inner])
+        box_hi = box_lo + rng.uniform(0.03, 0.5, (14, 3)) * size
+        box_hi[-2], box_hi[-1] = box_lo[-2] + 0.5 * size, box_lo[-1] + 2.0
+        tc = part.tri_coords()
+        tmin, tmax = part.tri_bounds()
+        centers = winding_numbers(part, 0.5 * (box_lo + box_hi)) > 0.5
+        for b_lo, b_hi, inside in zip(box_lo, box_hi, centers):
+            near = np.flatnonzero(((tmax >= b_lo) & (tmin <= b_hi)).all(axis=1))
+            grey = any(displaced_box_contact(tc[i], b_lo, b_hi) for i in near)
+            want = OctantClass.GREY if grey else OctantClass.BLACK if inside else OctantClass.WHITE
+            assert classify_box(part, b_lo, b_hi) is want, (b_lo, b_hi)
+            classes.append((want, len(near)))
+    assert {c for c, _ in classes} == set(OctantClass)
+    assert sum(n == 0 for _, n in classes) >= 4  # no triangle reaches these boxes
 
 
 def test_grey_shell_volume_shrinks_with_depth(sphere10):
