@@ -24,8 +24,8 @@ log = logging.getLogger(__name__)
 #: Vertices closer than this (mm) are merged into one during load.
 WELD_TOLERANCE_MM = 1e-4
 
-#: Points within ``BOUNDARY_EPS_REL * max_dimension`` of the surface classify
-#: as on-boundary.
+#: A point is on the boundary when the surface touches the cube of half-width
+#: ``BOUNDARY_EPS_REL * max_dimension`` around it: that cube's box class.
 BOUNDARY_EPS_REL = 1e-6
 
 _PAIR_BUDGET = 500_000  # (point, triangle) pairs per chunk of the boundary band
@@ -417,9 +417,12 @@ def _is_watertight(mesh: TriMesh) -> bool:
 def point_in_mesh(mesh: TriMesh, point) -> PointClass:
     """Classify one point as inside, outside, or on the surface of ``mesh``.
 
-    The mesh must be watertight.  Parity is decided by the exact vertical-ray
-    kernel of :class:`_ColumnGrid`, so the result is deterministic.  Points
-    within ``BOUNDARY_EPS_REL * max_dimension`` of the surface are on it.
+    The mesh must be watertight.  A point's class is that of the cube of
+    half-width ``eps = BOUNDARY_EPS_REL * max_dimension`` around it,
+    ``p - eps`` to ``p + eps``, as :func:`spatial.classify_box` gives it:
+    on the boundary where that box is grey, else inside or outside where
+    it is black or white.  Both are decided exactly, so the result is
+    deterministic.
     """
     res = classify_points(mesh, np.asarray(point, dtype=np.float64).reshape(1, 3))
     return PointClass(int(res[0]))
@@ -428,9 +431,13 @@ def point_in_mesh(mesh: TriMesh, point) -> PointClass:
 def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
     """Vectorized :func:`point_in_mesh` over an (N, 3) array.
 
-    Returns an int8 array of :class:`PointClass` values.  Off the boundary
-    band, a point is inside when its vertical line crosses the surface an
-    odd number of times above it (:meth:`_ColumnGrid.crossings`).
+    Returns an int8 array of :class:`PointClass` values.  A point is on the
+    boundary when some triangle is in contact with its cube
+    (:func:`_near_surface`, the contact rule of :func:`_tri_box_overlap`).
+    Otherwise no triangle meets the cube, so its every point, ``p`` among
+    them, is on one side, and ``p`` is inside when its vertical line
+    crosses the surface an odd number of times above it
+    (:meth:`_ColumnGrid.crossings`).
     """
     metrics = mesh.metrics
     if not metrics.watertight:
@@ -458,72 +465,33 @@ def _points_inside(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
 
 
 def _near_surface(mesh: TriMesh, pts: np.ndarray, eps: float) -> np.ndarray:
-    """Whether each of the (N, 3) ``pts`` lies within ``eps`` of some triangle.
+    """Whether the cube of half-width ``eps`` around each of the (N, 3)
+    ``pts``, ``p - eps`` to ``p + eps``, is in contact with some triangle
+    (:func:`_tri_box_overlap`), so that :func:`spatial.classify_box` calls it grey.
 
-    Only a triangle whose bounds come within ``eps`` of a point can be that
-    close, so each point meets only the triangles of the column grid's
-    cells under its ``2 eps`` square whose bounds lie within ``2 eps`` of
-    it (the margin absorbs the distance's rounding), and each such pair
-    takes :func:`_point_triangle_distance`.  That is the distance the pair
-    would have against every triangle, so the answer is the brute force's.
-    Points go in chunks of ``_PAIR_BUDGET // 64``, a few bucket entries each.
+    Only a triangle that no box normal separates from the cube can touch
+    it, so each point meets only the triangles of the column grid's cells
+    under its cube whose bounds pass that rule (not ``tmax <= lo`` and not
+    ``tmin > hi`` on every axis), and each such pair takes the contact
+    kernel.  That is the answer the pair would give against every
+    triangle, so the result is the brute force's.  Points go in chunks of
+    ``_PAIR_BUDGET // 64``, a few bucket entries each.
     """
     grid = mesh._column_grid()
     tc, (tmin, tmax) = mesh.tri_coords(), mesh.tri_bounds()
-    band = 2.0 * eps
     on = np.zeros(len(pts), dtype=bool)
     for s in range(0, len(pts), _PAIR_BUDGET // 64):
         q = pts[s : s + _PAIR_BUDGET // 64]
-        point, cell = grid._rect_cells(q[:, :2] - band, q[:, :2] + band)
-        # (point, triangle) pairs: each cell's bucket, then the triangles near the point
+        lo, hi = q - eps, q + eps
+        point, cell = grid._rect_cells(lo[:, :2], hi[:, :2])
+        # (point, triangle) pairs: each cell's bucket, then the triangles the box normals keep
         size = grid._ptr[cell + 1] - grid._ptr[cell]
         slot = np.repeat(grid._ptr[cell] - (np.cumsum(size) - size), size) + np.arange(int(size.sum()))
         point, tri = np.repeat(point, size), grid._tids[slot]
-        near = ((tmin[tri] - band <= q[point]) & (q[point] <= tmax[tri] + band)).all(axis=1)
+        near = ((tmax[tri] > lo[point]) & (tmin[tri] <= hi[point])).all(axis=1)
         point, tri = point[near], tri[near]
-        on[s + point[_point_triangle_distance(tc[tri], q[point]) <= eps]] = True
+        on[s + point[_tri_box_overlap(tc[tri], lo[point], hi[point])]] = True
     return on
-
-
-def _point_triangle_distance(tc: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Distance from each point ``p`` (K, 3) to its triangle ``tc`` (K, 3, 3) (Ericson's method)."""
-    a, b, c = tc[:, 0], tc[:, 1], tc[:, 2]
-    ab = b - a
-    ac = c - a
-    bc = c - b
-    ap = p - a
-    bp = p - b
-    cp = p - c
-    d1 = (ab * ap).sum(axis=1)
-    d2 = (ac * ap).sum(axis=1)
-    d3 = (ab * bp).sum(axis=1)
-    d4 = (ac * bp).sum(axis=1)
-    d5 = (ab * cp).sum(axis=1)
-    d6 = (ac * cp).sum(axis=1)
-
-    va = d3 * d6 - d5 * d4
-    vb = d5 * d2 - d1 * d6
-    vc = d1 * d4 - d3 * d2
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_ab = np.nan_to_num(d1 / (d1 - d3))
-        t_ac = np.nan_to_num(d2 / (d2 - d6))
-        t_bc = np.nan_to_num((d4 - d3) / ((d4 - d3) + (d5 - d6)))
-        denom = va + vb + vc
-        v_in = np.where(denom != 0.0, vb / denom, 0.0)
-        w_in = np.where(denom != 0.0, vc / denom, 0.0)
-
-    closest = a + v_in[..., None] * ab + w_in[..., None] * ac
-    on_bc = (vc <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-    closest = np.where(on_bc[..., None], b + np.clip(t_bc, 0, 1)[..., None] * bc, closest)
-    on_ac = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    closest = np.where(on_ac[..., None], a + np.clip(t_ac, 0, 1)[..., None] * ac, closest)
-    on_ab = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    closest = np.where(on_ab[..., None], a + np.clip(t_ab, 0, 1)[..., None] * ab, closest)
-    closest = np.where(((d6 >= 0) & (d5 <= d6))[..., None], c, closest)
-    closest = np.where(((d3 >= 0) & (d4 <= d3))[..., None], b, closest)
-    closest = np.where(((d1 <= 0) & (d2 <= 0))[..., None], a, closest)
-    return np.linalg.norm(p - closest, axis=1)
 
 
 class _ColumnGrid:
@@ -583,19 +551,16 @@ class _ColumnGrid:
         self._ptr = np.zeros(res * res + 1, dtype=np.int64)
         np.cumsum(np.bincount(cells, minlength=res * res), out=self._ptr[1:])
 
-        # Per-triangle setup, one contiguous row per triangle so a gather by
-        # triangle id reads one row: A, B, C in xy, doubled signed area, vertex z.
-        self._tab = tab = np.empty((len(tc), 10))
-        for k in range(3):
-            tab[:, 2 * k : 2 * k + 2] = tc[:, k, :2]
-        tab[:, 7:] = tc[..., 2]
-        l = (tab[:, 2] - tab[:, 0]) * (tab[:, 5] - tab[:, 1])  # (B - A) x (C - A) is l - r
-        r = (tab[:, 3] - tab[:, 1]) * (tab[:, 4] - tab[:, 0])
-        area = tab[:, 6] = l - r
+        # one row of the corners per triangle, a view of tc, so a gather by
+        # triangle id reads one row: vertex k at columns 3 k, 3 k + 1 and 3 k + 2
+        self._rows = rows = tc.reshape(-1, 9)
+        l = (rows[:, 3] - rows[:, 0]) * (rows[:, 7] - rows[:, 1])  # (B - A) x (C - A) is l - r
+        r = (rows[:, 4] - rows[:, 1]) * (rows[:, 6] - rows[:, 0])
+        self._area = area = l - r  # the doubled signed area in xy
         # the exact sign of each projected area; 0 marks a vertical triangle
         self._side = np.sign(area)
         for i in np.flatnonzero(~(np.abs(area) > _CCW_ERRBOUND * (np.abs(l) + np.abs(r)))):
-            det = _exact_det(*tab[i, 2:6], *tab[i, 0:2])
+            det = _exact_det(*rows[i, [3, 4, 6, 7, 0, 1]])
             self._side[i] = (det > 0) - (det < 0)
 
     def _rect_cells(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -646,11 +611,11 @@ class _ColumnGrid:
         (:func:`_exact_det`).  Returns ``(hit, z)``: the indices of the
         crossing pairs and the barycentric surface height of each.
         """
-        t = self._tab.take(tids, axis=0).T.copy()  # (10, N), one row per quantity
-        # offsets from the line, in place: t's rows 0-5 become A-P, B-P, C-P
-        t[0:6:2] -= px
-        t[1:6:2] -= py
-        ax, ay, bx, by, cx, cy, denom, z0, z1, z2 = t
+        t = self._rows.take(tids, axis=0).T.copy()  # (9, N), one row per coordinate
+        # offsets from the line, in place: t's x and y rows become A-P, B-P, C-P
+        t[0:9:3] -= px
+        t[1:9:3] -= py
+        ax, ay, z0, bx, by, z1, cx, cy, z2 = t
         # orientation k = l[k] - r[k], for the edges BC, CA, AB
         l, r = np.empty((3, len(tids))), np.empty((3, len(tids)))
         edges = ((bx, by, cx, cy), (cx, cy, ax, ay), (ax, ay, bx, by))
@@ -667,11 +632,11 @@ class _ColumnGrid:
         np.negative(bound, out=bound)
         out = (agree[0] < bound[0]) | (agree[1] < bound[1]) | (agree[2] < bound[2]) | (side == 0)
         for i in np.flatnonzero(~(hit | out)):
-            row = self._tab[tids[i]]
+            row = self._rows[tids[i]]
             for k in range(3):
                 if agree[k, i] > -bound[k, i]:
                     continue  # this orientation is sure
-                u, v = 2 * ((k + 1) % 3), 2 * ((k + 2) % 3)  # edge k: BC, CA, AB
+                u, v = 3 * ((k + 1) % 3), 3 * ((k + 2) % 3)  # edge k: BC, CA, AB
                 ux, uy, vx, vy = row[u], row[u + 1], row[v], row[v + 1]
                 d = _exact_det(ux, uy, vx, vy, px[i], py[i]) or uy - vy or vx - ux
                 if (d > 0) != (side[i] > 0):
@@ -679,7 +644,7 @@ class _ColumnGrid:
             else:
                 hit[i] = True
         hit = np.flatnonzero(hit)
-        la, lb, lc = det[:, hit] / denom[hit]
+        la, lb, lc = det[:, hit] / self._area.take(tids.take(hit))
         return hit, la * z0[hit] + lb * z1[hit] + lc * z2[hit]
 
     def crossings(self, xy: np.ndarray, hz: np.ndarray) -> np.ndarray:

@@ -264,8 +264,8 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
         raise NotWatertightError("box classification needs a watertight mesh")
     lo = np.asarray(box_min, dtype=np.float64)
     hi = np.asarray(box_max, dtype=np.float64)
-    if (hi <= lo).any():
-        raise ParameterError("box_max must exceed box_min on every axis")
+    if not ((-np.inf < lo) & (lo < hi) & (hi < np.inf)).all():  # NaN fails every test
+        raise ParameterError("box bounds must be finite, with box_max above box_min on every axis")
     m = mesh.num_triangles
     if len(_contacts(mesh, np.column_stack([lo, hi]), np.zeros((3, 1), np.int32), np.zeros(m, np.intp),
                      np.arange(m), 0, 0)):
@@ -573,13 +573,21 @@ def _jump(tc, planes, thin, first, last, tri, max_depth) -> list[np.ndarray]:
     the third slab keeps it, so it meets every candidate.  The others go
     to :func:`_tri_box_overlap`.  Pairs go by axis d, and their columns and
     candidates in windows of :data:`_SAT_PAIR_BUDGET`, so no triangle's are
-    held whole.
+    held whole.  A pair whose range is empty on some axis has no cell and
+    joins no group, and d is computed only for the other pairs' triangles,
+    so one box (:func:`classify_box`) takes the normals of the triangles
+    near it, not of the whole mesh.
     """
+    live = (first <= last).all(axis=0)  # a pair with an empty range on some axis has no cell
+    used = np.zeros(len(tc), dtype=bool)
+    used[tri[live]] = True
+    ids = np.flatnonzero(used)  # the live pairs' triangles, each once
+    own = tc if len(ids) == len(tc) else tc.take(ids, axis=0)  # a build pairs every triangle: no copy
     axis = np.empty(len(tc), dtype=np.int8)
-    for s in range(0, len(tc), _SAT_PAIR_BUDGET):
-        n = np.abs(_normals(tc[s : s + _SAT_PAIR_BUDGET])[0])
-        axis[s : s + _SAT_PAIR_BUDGET] = np.where(n[2] > np.maximum(n[0], n[1]), 2, n[1] > n[0])  # argmax, faster
-    axis = axis.take(tri)
+    for s in range(0, len(ids), _SAT_PAIR_BUDGET):
+        n = np.abs(_normals(own[s : s + _SAT_PAIR_BUDGET])[0])
+        axis[ids[s : s + _SAT_PAIR_BUDGET]] = np.where(n[2] > np.maximum(n[0], n[1]), 2, n[1] > n[0])  # argmax
+    axis = np.where(live, axis.take(tri), -1)  # a dead pair joins no axis group
     found = []
     for d in range(3):
         u, v = (d + 1) % 3, (d + 2) % 3

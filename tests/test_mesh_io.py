@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from manumap.mesh_io import (
     _weld,
 )
 from manumap.primitives import box_mesh, icosphere, torus_mesh
+from manumap.spatial import OctantClass, classify_box
 
 from oracles import (
     displaced_box_contact,
@@ -293,11 +295,22 @@ def test_volume_additive_under_planar_split():
 # Point containment
 
 
-def test_boundary_band_matches_brute_force():
-    """classify_points meets only the triangles whose bounds lie near a
-    point, and finds on-boundary exactly where the distance to every
-    triangle does: at vertices, on edges, on faces, within and beyond the
-    band on either side of the surface, and outside the column grid."""
+def test_boundary_band_matches_brute_force(unit_cube):
+    """classify_points meets only the triangles whose bounds pass the box
+    normals of a point's cube of half-width eps, and finds on-boundary
+    exactly where the exact contact oracle does on every triangle whose
+    bounds meet the closed cube: at vertices, on edges, on faces, within
+    and beyond the band on either side of the surface, and outside the
+    column grid.  On the unit cube, a point 0.8 eps past an edge on both of
+    its faces' axes is on the boundary (its cube holds the edge, 1.13 eps
+    away), and a point 1.2 eps past a face is not."""
+
+    def brute_force(mesh, pts, eps):
+        tc, (tmin, tmax) = mesh.tri_coords(), mesh.tri_bounds()
+        lo, hi = pts - eps, pts + eps
+        meets = [np.flatnonzero(((tmin <= h) & (tmax >= l)).all(axis=1)) for l, h in zip(lo, hi)]
+        return np.array([any(displaced_box_contact(tc[t], l, h) for t in ts) for ts, l, h in zip(meets, lo, hi)])
+
     mesh = icosphere(10.0, 6)
     eps = mesh_io.BOUNDARY_EPS_REL * mesh.metrics.max_dimension
     rng = np.random.default_rng(5)
@@ -309,18 +322,21 @@ def test_boundary_band_matches_brute_force():
     top = np.array(mesh.metrics.bbox_max)
     beyond = top * np.array([[1, 0, 0], [0, 1, 0]]) + np.array([[0.5, 0, 0], [0, 3.0, 0]]) * eps
     pts = np.concatenate([tc[:, 0], 0.5 * (tc[:, 0] + tc[:, 1]), centroid, *offsets, beyond])
-    pairs = np.stack(np.meshgrid(np.arange(len(pts)), np.arange(mesh.num_triangles), indexing="ij"), -1)
-    pairs = pairs.reshape(-1, 2)
-    dist = np.concatenate([
-        mesh_io._point_triangle_distance(mesh.tri_coords()[chunk[:, 1]], pts[chunk[:, 0]])
-        for chunk in np.array_split(pairs, 64)
-    ])
-    want = dist.reshape(len(pts), -1).min(axis=1) <= eps
+    want = brute_force(mesh, pts, eps)
     assert np.array_equal(mesh_io._near_surface(mesh, pts, eps), want)
-    # on: corners, edge midpoints, centroids, |s| < 1 and the point 0.5 eps past (10, 0, 0)
-    assert want[:12].all() and want.sum() == 12 + 8 + 1
+    # on: corners, edge midpoints, centroids, |s| < 1, and |s| = 1.5 where the
+    # cube reaches the face's plane, |n|_1 > 1.5; and the point 0.5 eps past (10, 0, 0)
+    reach = np.abs(normal).sum(axis=1) > 1.5
+    assert want[:12].all() and not want[12:16].any() and want[20:28].all() and not want[32:36].any()
+    assert np.array_equal(want[16:20], reach) and np.array_equal(want[28:32], reach)
+    assert want[36] and not want[37]
     got = classify_points(mesh, pts)
     assert np.array_equal(got == PointClass.ON_BOUNDARY, want)
+
+    eps = mesh_io.BOUNDARY_EPS_REL * unit_cube.metrics.max_dimension
+    pts = np.array([[1 + 0.8 * eps, 1 + 0.8 * eps, 0.5], [1 + 1.2 * eps, 0.5, 0.5]])
+    assert brute_force(unit_cube, pts, eps).tolist() == [True, False]
+    assert classify_points(unit_cube, pts).tolist() == [PointClass.ON_BOUNDARY, PointClass.OUTSIDE]
 
 
 def test_point_in_cube(unit_cube):
@@ -330,6 +346,39 @@ def test_point_in_cube(unit_cube):
 
 def test_point_on_face_is_boundary(unit_cube):
     assert point_in_mesh(unit_cube, (1.0, 0.5, 0.5)) is PointClass.ON_BOUNDARY
+
+
+def test_point_past_an_edge_in_a_face_plane_is_outside():
+    """(1.5, 1.5, 0) lies in the plane of the tetrahedron's bottom face, but
+    past its edge from (2, 0, 0) to (0, 2, 0), 1 / sqrt(3) from the slanted
+    face: outside, not on the boundary."""
+    tet = TriMesh([[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
+    assert tet.metrics.watertight and tet.metrics.volume > 0
+    assert point_in_mesh(tet, (1.5, 1.5, 0.0)) is PointClass.OUTSIDE
+    assert point_in_mesh(tet, (1.0, 0.5, 0.0)) is PointClass.ON_BOUNDARY
+
+
+@pytest.mark.parametrize("name", ["cube", "torus", "pocket"])
+def test_point_class_is_its_cube_box_class(name, unit_cube, torus, pocket_plate):
+    """A point's class is classify_box's class of the cube of half-width eps
+    around it: grey on the boundary, black inside, white outside.  150
+    points lie 0.5 to 1.5 eps in the max norm from random surface points,
+    and 50 are uniform in the bounding box."""
+    mesh = {"cube": unit_cube, "torus": torus, "pocket": pocket_plate}[name]
+    eps = mesh_io.BOUNDARY_EPS_REL * mesh.metrics.max_dimension
+    rng = np.random.default_rng(7)
+    tc = mesh.tri_coords()[rng.integers(0, mesh.num_triangles, 150)]
+    surface = np.einsum("nk,nka->na", rng.dirichlet((1.0, 1.0, 1.0), 150), tc)
+    step = rng.uniform(-1.0, 1.0, (150, 3))
+    step *= (rng.uniform(0.5, 1.5, 150) * eps / np.abs(step).max(axis=1))[:, None]
+    lo, hi = np.asarray(mesh.metrics.bbox_min), np.asarray(mesh.metrics.bbox_max)
+    pts = np.concatenate([surface + step, rng.uniform(lo, hi, (50, 3))])
+    box = {OctantClass.GREY: PointClass.ON_BOUNDARY, OctantClass.BLACK: PointClass.INSIDE,
+           OctantClass.WHITE: PointClass.OUTSIDE}
+    want = [box[classify_box(mesh, p - eps, p + eps)] for p in pts]
+    got = classify_points(mesh, pts)
+    assert got.tolist() == want
+    assert {PointClass.ON_BOUNDARY, PointClass.OUTSIDE} <= set(want)
 
 
 def test_point_in_open_mesh_rejected(unit_cube):
@@ -574,7 +623,7 @@ def test_column_kernel_matches_brute_force(name, sphere10, pocket_plate, unit_cu
     mesh = {"sphere": sphere10, "pocket": pocket_plate, "cube": unit_cube, "block": split_block}[name]
     grid = mesh._column_grid()
     if name in ("cube", "block"):
-        assert np.diff(grid._ptr).sum() > 4 * len(grid._tab)
+        assert np.diff(grid._ptr).sum() > 4 * mesh.num_triangles
     xy, z = _column_queries(grid, np.random.default_rng(17))
     counts = grid.crossings(xy, z)
     assert np.array_equal(counts, _column_reference(mesh, xy, z))
@@ -603,6 +652,22 @@ def test_column_grid_buckets_match_brute_force(name, sphere10, pocket_plate, uni
     assert grid._ptr.tolist() == [0, *itertools.accumulate(map(len, buckets))]
     assert grid._tids.tolist() == [t for bucket in buckets for t in bucket]
     assert max(map(len, buckets)) > 1
+
+
+def test_column_grid_keeps_no_copy_of_the_corners():
+    """The grid of an 81,920-triangle sphere keeps at most 48 bytes a
+    triangle beyond the mesh's cached corners and bounds: its buckets and
+    each triangle's projected area and sign, read with the corners."""
+    mesh = icosphere(10.0, 6)
+    mesh.tri_coords(), mesh.tri_bounds(), mesh.metrics
+    tracemalloc.start()
+    try:
+        grid = mesh._column_grid()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grid._tids.size > 3 * mesh.num_triangles
+    assert kept <= 48 * mesh.num_triangles
 
 
 def test_column_kernel_chunk_seams(sphere10, unit_cube, split_block, monkeypatch):
@@ -689,7 +754,7 @@ def _ragged_queries(grid, rng):
     footprint, get heights on their crossings and a few ulps or 1e-9
     relative from them.
     """
-    tri_xy = grid._tab[:, :6].reshape(-1, 3, 2)
+    tri_xy = grid._rows.reshape(-1, 3, 3)[..., :2]
     pick = rng.integers(0, len(tri_xy), 40)
     on_edges = np.concatenate(
         [tri_xy[pick[:20], 0], 0.5 * (tri_xy[pick[20:], 0] + tri_xy[pick[20:], 1])]
@@ -698,7 +763,7 @@ def _ragged_queries(grid, rng):
     inside = lo + rng.random((60, 2)) * span
     outside = lo + span * np.array([[-0.5, 0.5], [0.5, 1.5], [2.0, 2.0], [-1.0, -1.0]])
     xy = np.concatenate([inside, on_edges, outside])
-    m = len(grid._tab)
+    m = len(grid._area)
     heights = []
     for x, y in xy:
         _, zt = grid._hits(np.full(m, x), np.full(m, y), np.arange(m))

@@ -19,6 +19,7 @@ from manumap.errors import (
     DepthRangeError,
     MeshMismatchError,
     NotWatertightError,
+    ParameterError,
 )
 from manumap.machining import tool_flexibility_field
 from manumap.mesh_io import TriMesh, _points_inside
@@ -65,6 +66,15 @@ def test_classify_open_mesh_rejected(unit_cube):
     open_mesh = TriMesh(unit_cube.vertices, unit_cube.triangles[:-2])
     with pytest.raises(NotWatertightError):
         classify_box(open_mesh, (0, 0, 0), (1, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("corner", ["box_min", "box_max"])
+def test_classify_box_rejects_non_finite_bounds(unit_cube, bad, corner):
+    bounds = {"box_min": [0.0, 0.0, 0.0], "box_max": [1.0, 1.0, 1.0]}
+    bounds[corner][1] = bad
+    with pytest.raises(ParameterError):
+        classify_box(unit_cube, **bounds)
 
 
 def test_face_coincident_boxes_resolve_by_center(unit_cube):
