@@ -419,10 +419,10 @@ def point_in_mesh(mesh: TriMesh, point) -> PointClass:
 
     The mesh must be watertight.  A point's class is that of the cube of
     half-width ``eps = BOUNDARY_EPS_REL * max_dimension`` around it,
-    ``p - eps`` to ``p + eps``, as :func:`spatial.classify_box` gives it:
-    on the boundary where that box is grey, else inside or outside where
-    it is black or white.  Both are decided exactly, so the result is
-    deterministic.
+    ``p - eps`` to ``p + eps``, by the box query and center cast of
+    :func:`spatial.classify_box`: on the boundary where that box is grey,
+    else inside or outside where it is black or white.  Both are decided
+    exactly, so the result is deterministic.
     """
     res = classify_points(mesh, np.asarray(point, dtype=np.float64).reshape(1, 3))
     return PointClass(int(res[0]))
@@ -432,8 +432,8 @@ def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
     """Vectorized :func:`point_in_mesh` over an (N, 3) array.
 
     Returns an int8 array of :class:`PointClass` values.  A point is on the
-    boundary when some triangle is in contact with its cube
-    (:func:`_near_surface`, the contact rule of :func:`_tri_box_overlap`).
+    boundary when some triangle is in contact with its cube (the box query
+    :func:`_boxes_touch`, as in :func:`spatial.classify_box`).
     Otherwise no triangle meets the cube, so its every point, ``p`` among
     them, is on one side, and ``p`` is inside when its vertical line
     crosses the surface an odd number of times above it
@@ -444,7 +444,8 @@ def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
         raise NotWatertightError("point containment needs a watertight mesh")
     pts = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
 
-    on = _near_surface(mesh, pts, BOUNDARY_EPS_REL * metrics.max_dimension)
+    eps = BOUNDARY_EPS_REL * metrics.max_dimension
+    on = _boxes_touch(mesh, pts - eps, pts + eps)
 
     inside = _points_inside(mesh, pts)
     out = np.where(inside, np.int8(PointClass.INSIDE), np.int8(PointClass.OUTSIDE))
@@ -464,33 +465,34 @@ def _points_inside(mesh: TriMesh, pts: np.ndarray) -> np.ndarray:
     return mesh._column_grid().crossings(pts[:, :2], pts[:, 2:])[:, 0] % 2 == 1
 
 
-def _near_surface(mesh: TriMesh, pts: np.ndarray, eps: float) -> np.ndarray:
-    """Whether the cube of half-width ``eps`` around each of the (N, 3)
-    ``pts``, ``p - eps`` to ``p + eps``, is in contact with some triangle
-    (:func:`_tri_box_overlap`), so that :func:`spatial.classify_box` calls it grey.
+def _boxes_touch(mesh: TriMesh, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each box ``lo[i]`` to ``hi[i]`` (N, 3) is in contact with some
+    triangle (:func:`_tri_box_overlap`): the one box query, grey in the
+    sense of :func:`spatial.classify_box`.
 
-    Only a triangle that no box normal separates from the cube can touch
-    it, so each point meets only the triangles of the column grid's cells
-    under its cube whose bounds pass that rule (not ``tmax <= lo`` and not
+    Only a triangle that no box normal separates from the box can touch
+    it, so each box meets only the triangles of the column grid's cells
+    under it whose bounds pass that rule (not ``tmax <= lo`` and not
     ``tmin > hi`` on every axis), and each such pair takes the contact
     kernel.  That is the answer the pair would give against every
-    triangle, so the result is the brute force's.  Points go in chunks of
-    ``_PAIR_BUDGET // 64``, a few bucket entries each.
+    triangle, so the result is the brute force's.  Boxes go in chunks of
+    ``_PAIR_BUDGET // 64``; a box wider than a grid cell lists every bucket
+    entry under it, so a triangle in several of those buckets goes once
+    for each.
     """
     grid = mesh._column_grid()
     tc, (tmin, tmax) = mesh.tri_coords(), mesh.tri_bounds()
-    on = np.zeros(len(pts), dtype=bool)
-    for s in range(0, len(pts), _PAIR_BUDGET // 64):
-        q = pts[s : s + _PAIR_BUDGET // 64]
-        lo, hi = q - eps, q + eps
-        point, cell = grid._rect_cells(lo[:, :2], hi[:, :2])
-        # (point, triangle) pairs: each cell's bucket, then the triangles the box normals keep
+    on = np.zeros(len(lo), dtype=bool)
+    for s in range(0, len(lo), _PAIR_BUDGET // 64):
+        l, h = lo[s : s + _PAIR_BUDGET // 64], hi[s : s + _PAIR_BUDGET // 64]
+        box, cell = grid._rect_cells(l[:, :2], h[:, :2])
+        # (box, triangle) pairs: each cell's bucket, then the triangles the box normals keep
         size = grid._ptr[cell + 1] - grid._ptr[cell]
         slot = np.repeat(grid._ptr[cell] - (np.cumsum(size) - size), size) + np.arange(int(size.sum()))
-        point, tri = np.repeat(point, size), grid._tids[slot]
-        near = ((tmax[tri] > lo[point]) & (tmin[tri] <= hi[point])).all(axis=1)
-        point, tri = point[near], tri[near]
-        on[s + point[_tri_box_overlap(tc[tri], lo[point], hi[point])]] = True
+        box, tri = np.repeat(box, size), grid._tids[slot]
+        near = ((tmax[tri] > l[box]) & (tmin[tri] <= h[box])).all(axis=1)
+        box, tri = box[near], tri[near]
+        on[s + box[_tri_box_overlap(tc[tri], l[box], h[box])]] = True
     return on
 
 
@@ -558,7 +560,7 @@ class _ColumnGrid:
         r = (rows[:, 4] - rows[:, 1]) * (rows[:, 6] - rows[:, 0])
         self._area = area = l - r  # the doubled signed area in xy
         # the exact sign of each projected area; 0 marks a vertical triangle
-        self._side = np.sign(area)
+        self._side = (area > 0).astype(np.int8) - (area < 0)
         for i in np.flatnonzero(~(np.abs(area) > _CCW_ERRBOUND * (np.abs(l) + np.abs(r)))):
             det = _exact_det(*rows[i, [3, 4, 6, 7, 0, 1]])
             self._side[i] = (det > 0) - (det < 0)

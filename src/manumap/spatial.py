@@ -6,11 +6,12 @@ split recursively: boxes fully inside the part are black, fully outside are
 white, and boxes the surface meets are grey and subdivided until
 ``max_depth``.  The grey boxes are found bottom up, from the triangles'
 contacts with the cells of ``max_depth``: a box is grey when one of its
-children is.  The contacts come from one pass, which also classifies a lone
-box (:func:`classify_box`): it lists each triangle's candidate cells column
-by column along the axis of its normal's largest component, so their number
-follows the contacts, not the triangles' bounding boxes.  A box the surface
-misses is black or white by the exact parity of its center's vertical line.
+children is.  The contacts come from one pass: it lists each triangle's
+candidate cells column by column along the axis of its normal's largest
+component, so their number follows the contacts, not the triangles'
+bounding boxes.  A lone box (:func:`classify_box`) takes the column grid's
+box query.  A box the surface misses is black or white by the exact parity
+of its center's vertical line.
 Grey terminal boxes get their exact solid volume by the divergence theorem
 (:func:`_grey_volumes`): each triangle's part in a box is integrated in
 closed form, and the grey boxes stacked in one xy column are swept top
@@ -37,7 +38,7 @@ from .errors import (
     NotWatertightError,
     ParameterError,
 )
-from .mesh_io import TriMesh, _points_inside, _tri_box_overlap
+from .mesh_io import TriMesh, _boxes_touch, _points_inside, _tri_box_overlap
 
 DEFAULT_MAX_DEPTH = 5
 DEFAULT_MARGIN = 0.01
@@ -255,10 +256,11 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
 
     Grey means a triangle is in contact with the box displaced by a symbolic
     (e, e**2, e**3), e -> 0+ (:func:`_tri_box_overlap`), as the octree's
-    contact pass (:func:`_contacts`) decides it: a face on one of the box's
-    planes counts for the box below, left of or in front of that plane,
-    never for both.  A box the surface misses is black or white by its
-    center point, whose answer then holds for the whole open box.
+    contact pass decides it: a face on one of the box's planes counts for
+    the box below, left of or in front of that plane, never for both; the
+    boundary band's box query (:func:`mesh_io._boxes_touch`) decides it.  A
+    box the surface misses is black or white by its center point, whose
+    answer then holds for the whole open box.
     """
     if not mesh.metrics.watertight:
         raise NotWatertightError("box classification needs a watertight mesh")
@@ -266,9 +268,7 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
     hi = np.asarray(box_max, dtype=np.float64)
     if not ((-np.inf < lo) & (lo < hi) & (hi < np.inf)).all():  # NaN fails every test
         raise ParameterError("box bounds must be finite, with box_max above box_min on every axis")
-    m = mesh.num_triangles
-    if len(_contacts(mesh, np.column_stack([lo, hi]), np.zeros((3, 1), np.int32), np.zeros(m, np.intp),
-                     np.arange(m), 0, 0)):
+    if _boxes_touch(mesh, lo[None], hi[None])[0]:
         return OctantClass.GREY
     return OctantClass.BLACK if _points_inside(mesh, 0.5 * (lo + hi)[None])[0] else OctantClass.WHITE
 
@@ -372,8 +372,8 @@ def _grow(
 
     The nodes at ``depth`` of the tree with root box ``root`` have path
     keys ``keys``, in Morton order, and the pairs hold every triangle in
-    contact with a node's box (:func:`classify_box`), and maybe others (a
-    build pairs the root with every triangle); the leaves of ``done`` (as
+    contact with a node's box (:func:`_tri_box_overlap`), and maybe others
+    (a build pairs the root with every triangle); the leaves of ``done`` (as
     in :data:`_LEAF_COLUMNS`) are kept.  Returns all leaves in Morton
     order, with their part volumes, and the grey lists as a CSR (offsets,
     ascending triangle ids).
@@ -481,8 +481,8 @@ def _contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth) -> np
     pair goes straight to the cells of its node in its triangle's cell
     ranges (:func:`_cells_below`) that the triangle's plane reaches, column
     by column (:func:`_jump`).  The root may pair with any triangle (its
-    clamped ranges are at worst empty), a node below it only with those in
-    contact with it.  :func:`classify_box` takes its box as the root.
+    clamped ranges are at worst empty, ``last = first - 1``), a node below
+    it only with those in contact with it: no range is ever negative.
     """
     r0, r1 = (_cells_below(planes, np.ascontiguousarray(t.T)).astype(np.int32) for t in mesh.tri_bounds())
     step = 1 << max_depth - depth  # max-depth cells per node and axis
@@ -573,21 +573,16 @@ def _jump(tc, planes, thin, first, last, tri, max_depth) -> list[np.ndarray]:
     the third slab keeps it, so it meets every candidate.  The others go
     to :func:`_tri_box_overlap`.  Pairs go by axis d, and their columns and
     candidates in windows of :data:`_SAT_PAIR_BUDGET`, so no triangle's are
-    held whole.  A pair whose range is empty on some axis has no cell and
-    joins no group, and d is computed only for the other pairs' triangles,
-    so one box (:func:`classify_box`) takes the normals of the triangles
-    near it, not of the whole mesh.
+    held whole.  d is computed for every triangle, since a build pairs
+    each one with the root; a pair whose range is empty on some axis lists
+    no column, or no cell in its columns.
     """
-    live = (first <= last).all(axis=0)  # a pair with an empty range on some axis has no cell
-    used = np.zeros(len(tc), dtype=bool)
-    used[tri[live]] = True
-    ids = np.flatnonzero(used)  # the live pairs' triangles, each once
-    own = tc if len(ids) == len(tc) else tc.take(ids, axis=0)  # a build pairs every triangle: no copy
     axis = np.empty(len(tc), dtype=np.int8)
-    for s in range(0, len(ids), _SAT_PAIR_BUDGET):
-        n = np.abs(_normals(own[s : s + _SAT_PAIR_BUDGET])[0])
-        axis[ids[s : s + _SAT_PAIR_BUDGET]] = np.where(n[2] > np.maximum(n[0], n[1]), 2, n[1] > n[0])  # argmax
-    axis = np.where(live, axis.take(tri), -1)  # a dead pair joins no axis group
+    for s in range(0, len(tc), _SAT_PAIR_BUDGET):
+        n = np.abs(_normals(tc[s : s + _SAT_PAIR_BUDGET])[0])
+        axis[s : s + _SAT_PAIR_BUDGET] = np.where(n[2] > np.maximum(n[0], n[1]), 2, n[1] > n[0])  # argmax
+    # every pair joins a group: no width is negative (_contacts), two would multiply to a positive count
+    axis = axis.take(tri)
     found = []
     for d in range(3):
         u, v = (d + 1) % 3, (d + 2) % 3
@@ -655,7 +650,7 @@ def _corners(tc: np.ndarray, ids: np.ndarray, turns: np.ndarray, side: np.ndarra
     b -= a
     c -= a
     t[_TAB_AREA] = t[3] * t[7] - t[4] * t[6]
-    return t, np.where(t[_TAB_AREA] > 0, side.take(ids), 0.0), bounds
+    return t, np.where(t[_TAB_AREA] > 0, side.take(ids), 0), bounds
 
 
 def _pair_integrals(

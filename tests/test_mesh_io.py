@@ -295,6 +295,16 @@ def test_volume_additive_under_planar_split():
 # Point containment
 
 
+def brute_force(mesh, pts, eps):
+    """Whether the exact contact oracle finds, among the triangles whose
+    bounds meet each point's closed cube of half-width ``eps``, one in
+    contact with the cube."""
+    tc, (tmin, tmax) = mesh.tri_coords(), mesh.tri_bounds()
+    lo, hi = pts - eps, pts + eps
+    meets = [np.flatnonzero(((tmin <= h) & (tmax >= l)).all(axis=1)) for l, h in zip(lo, hi)]
+    return np.array([any(displaced_box_contact(tc[t], l, h) for t in ts) for ts, l, h in zip(meets, lo, hi)])
+
+
 def test_boundary_band_matches_brute_force(unit_cube):
     """classify_points meets only the triangles whose bounds pass the box
     normals of a point's cube of half-width eps, and finds on-boundary
@@ -304,13 +314,6 @@ def test_boundary_band_matches_brute_force(unit_cube):
     column grid.  On the unit cube, a point 0.8 eps past an edge on both of
     its faces' axes is on the boundary (its cube holds the edge, 1.13 eps
     away), and a point 1.2 eps past a face is not."""
-
-    def brute_force(mesh, pts, eps):
-        tc, (tmin, tmax) = mesh.tri_coords(), mesh.tri_bounds()
-        lo, hi = pts - eps, pts + eps
-        meets = [np.flatnonzero(((tmin <= h) & (tmax >= l)).all(axis=1)) for l, h in zip(lo, hi)]
-        return np.array([any(displaced_box_contact(tc[t], l, h) for t in ts) for ts, l, h in zip(meets, lo, hi)])
-
     mesh = icosphere(10.0, 6)
     eps = mesh_io.BOUNDARY_EPS_REL * mesh.metrics.max_dimension
     rng = np.random.default_rng(5)
@@ -323,7 +326,7 @@ def test_boundary_band_matches_brute_force(unit_cube):
     beyond = top * np.array([[1, 0, 0], [0, 1, 0]]) + np.array([[0.5, 0, 0], [0, 3.0, 0]]) * eps
     pts = np.concatenate([tc[:, 0], 0.5 * (tc[:, 0] + tc[:, 1]), centroid, *offsets, beyond])
     want = brute_force(mesh, pts, eps)
-    assert np.array_equal(mesh_io._near_surface(mesh, pts, eps), want)
+    assert np.array_equal(mesh_io._boxes_touch(mesh, pts - eps, pts + eps), want)
     # on: corners, edge midpoints, centroids, |s| < 1, and |s| = 1.5 where the
     # cube reaches the face's plane, |n|_1 > 1.5; and the point 0.5 eps past (10, 0, 0)
     reach = np.abs(normal).sum(axis=1) > 1.5
@@ -361,9 +364,10 @@ def test_point_past_an_edge_in_a_face_plane_is_outside():
 @pytest.mark.parametrize("name", ["cube", "torus", "pocket"])
 def test_point_class_is_its_cube_box_class(name, unit_cube, torus, pocket_plate):
     """A point's class is classify_box's class of the cube of half-width eps
-    around it: grey on the boundary, black inside, white outside.  150
-    points lie 0.5 to 1.5 eps in the max norm from random surface points,
-    and 50 are uniform in the bounding box."""
+    around it: grey on the boundary, black inside, white outside.  Both ask
+    one box query, so the cubes' greyness is also the exact contact
+    oracle's.  150 points lie 0.5 to 1.5 eps in the max norm from random
+    surface points, and 50 are uniform in the bounding box."""
     mesh = {"cube": unit_cube, "torus": torus, "pocket": pocket_plate}[name]
     eps = mesh_io.BOUNDARY_EPS_REL * mesh.metrics.max_dimension
     rng = np.random.default_rng(7)
@@ -379,6 +383,7 @@ def test_point_class_is_its_cube_box_class(name, unit_cube, torus, pocket_plate)
     got = classify_points(mesh, pts)
     assert got.tolist() == want
     assert {PointClass.ON_BOUNDARY, PointClass.OUTSIDE} <= set(want)
+    assert np.array_equal(got == PointClass.ON_BOUNDARY, brute_force(mesh, pts, eps))
 
 
 def test_point_in_open_mesh_rejected(unit_cube):
@@ -655,9 +660,9 @@ def test_column_grid_buckets_match_brute_force(name, sphere10, pocket_plate, uni
 
 
 def test_column_grid_keeps_no_copy_of_the_corners():
-    """The grid of an 81,920-triangle sphere keeps at most 48 bytes a
+    """The grid of an 81,920-triangle sphere keeps at most 28 bytes a
     triangle beyond the mesh's cached corners and bounds: its buckets and
-    each triangle's projected area and sign, read with the corners."""
+    each triangle's projected area and sign (int8), read with the corners."""
     mesh = icosphere(10.0, 6)
     mesh.tri_coords(), mesh.tri_bounds(), mesh.metrics
     tracemalloc.start()
@@ -667,7 +672,7 @@ def test_column_grid_keeps_no_copy_of_the_corners():
     finally:
         tracemalloc.stop()
     assert grid._tids.size > 3 * mesh.num_triangles
-    assert kept <= 48 * mesh.num_triangles
+    assert kept <= 28 * mesh.num_triangles
 
 
 def test_column_kernel_chunk_seams(sphere10, unit_cube, split_block, monkeypatch):

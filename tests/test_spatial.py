@@ -968,10 +968,13 @@ def test_root_classify_matches_sat_over_all_triangles(name, margin, pocket_plate
     depth-1 tree, are the contact kernel's over every triangle against the
     root box, and the oracle's; at margin 0 the faces on the root's lower
     faces lie outside the displaced box and are in no grey list.  And
-    :func:`classify_box`, the contact pass on one box, agrees with the
-    oracle's contacts and the center's winding number on 12 random
+    :func:`classify_box`, the column grid's box query on one box, agrees
+    with the oracle's contacts and the center's winding number on 12 random
     non-dyadic boxes each of the tie block and of sphere10 per case, plus
-    one box outside each mesh and one inside, which no triangle reaches."""
+    one box outside each mesh and one inside, which no triangle reaches,
+    and two boxes over every grid bucket, where a triangle arrives from
+    many cells: one around the whole bounding box and the depth-1 tree's
+    root box."""
     mesh = {"box": box_mesh((3.0, 2.0, 1.0)), "pocket": pocket_plate}[name]
     tree = build_octree(mesh, max_depth=1, margin=margin)
     lo, hi = _root_box(tree)
@@ -994,6 +997,9 @@ def test_root_classify_matches_sat_over_all_triangles(name, margin, pocket_plate
         box_lo = np.vstack([box_lo, bmin - size, inner])
         box_hi = box_lo + rng.uniform(0.03, 0.5, (14, 3)) * size
         box_hi[-2], box_hi[-1] = box_lo[-2] + 0.5 * size, box_lo[-1] + 2.0
+        root = _root_box(build_octree(part, max_depth=1, margin=margin))
+        box_lo = np.vstack([box_lo, bmin - 0.1 * size, root[0]])
+        box_hi = np.vstack([box_hi, bmin + 1.1 * size, root[1]])
         tc = part.tri_coords()
         tmin, tmax = part.tri_bounds()
         centers = winding_numbers(part, 0.5 * (box_lo + box_hi)) > 0.5
