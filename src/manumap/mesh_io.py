@@ -447,9 +447,11 @@ def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
     eps = BOUNDARY_EPS_REL * metrics.max_dimension
     on = _boxes_touch(mesh, pts - eps, pts + eps)
 
-    inside = _points_inside(mesh, pts)
-    out = np.where(inside, np.int8(PointClass.INSIDE), np.int8(PointClass.OUTSIDE))
-    out[on] = np.int8(PointClass.ON_BOUNDARY)
+    out = np.full(len(pts), np.int8(PointClass.ON_BOUNDARY))
+    off = ~on
+    out[off] = np.where(
+        _points_inside(mesh, pts[off]), np.int8(PointClass.INSIDE), np.int8(PointClass.OUTSIDE)
+    )
     return out
 
 

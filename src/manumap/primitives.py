@@ -16,10 +16,14 @@ from .mesh_io import TriMesh
 
 
 def _oriented(vertices: np.ndarray, triangles) -> TriMesh:
-    """Build a TriMesh, flipping winding if the signed volume came out negative."""
+    """Build a TriMesh, flipping winding if the signed volume came out negative.
+
+    The sign is that of the summed triple products ``a . (b x c)``, six
+    times the signed volume of the solid.
+    """
     tris = np.asarray(triangles, dtype=np.int32)
     tc = vertices[tris]
-    if np.linalg.det(tc).sum() < 0:
+    if np.einsum("ij,ij->", tc[:, 0], np.cross(tc[:, 1], tc[:, 2])) < 0:
         tris = tris[:, [0, 2, 1]]
     return TriMesh(vertices, tris)
 
@@ -55,8 +59,8 @@ def box_mesh(extents, origin=(0.0, 0.0, 0.0)) -> TriMesh:
 def icosphere(radius: float, subdivisions: int = 3, center=(0.0, 0.0, 0.0)) -> TriMesh:
     """Sphere approximated by a subdivided icosahedron.
 
-    Triangle count is ``20 * 4**subdivisions``; all vertices lie exactly on
-    the sphere of the given radius.
+    Triangle count is ``20 * 4**subdivisions``; all vertices lie on the
+    sphere of the given radius, to rounding.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -74,31 +78,25 @@ def icosphere(radius: float, subdivisions: int = 3, center=(0.0, 0.0, 0.0)) -> T
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ]
-    verts = [np.array(v, dtype=np.float64) for v in verts]
-
-    def _push(v) -> int:
-        verts.append(v)
-        return len(verts) - 1
-
-    midpoint: dict[tuple[int, int], int] = {}
-
-    def _mid(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        if key not in midpoint:
-            midpoint[key] = _push((verts[i] + verts[j]) / 2.0)
-        return midpoint[key]
-
+    v = np.array(verts, dtype=np.float64)
+    f = np.array(faces, dtype=np.int64)
     for _ in range(subdivisions):
-        nxt = []
-        for a, b, c in faces:
-            ab, bc, ca = _mid(a, b), _mid(b, c), _mid(c, a)
-            nxt += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = nxt
+        # Each face's edges ab, bc, ca, face by face; a midpoint is numbered
+        # in the order of its edge's first use and taken from that use's ends.
+        p, q = f.ravel(), f[:, [1, 2, 0]].ravel()
+        key = np.minimum(p, q) * len(v) + np.maximum(p, q)
+        _, first, edge = np.unique(key, return_index=True, return_inverse=True)
+        new = np.zeros(len(key), dtype=bool)
+        new[first] = True
+        number = np.cumsum(new) + (len(v) - 1)
+        v = np.concatenate([v, (v[p[new]] + v[q[new]]) / 2.0])
+        a, b, c = f.T
+        ab, bc, ca = number[first[edge]].reshape(-1, 3).T
+        f = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
 
-    v = np.array(verts)
     v *= radius / np.linalg.norm(v, axis=1, keepdims=True)
     v += np.asarray(center, dtype=np.float64)
-    return _oriented(v, faces)
+    return _oriented(v, f)
 
 
 def torus_mesh(

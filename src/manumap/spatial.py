@@ -48,6 +48,7 @@ MAX_DEPTH_LIMIT = 10
 _SAT_PAIR_BUDGET = 16_384  # columns and (cell, triangle) entries per window of the contact pass
 _CLIP_PAIR_BUDGET = 16_384  # (triangle, box) pairs per chunk of the volume kernel
 _CLIP_ENTRY_BUDGET = 65_536  # (constraint, line, pair) entries per call of _clipped_fans
+_FINGERPRINT_ROW_BUDGET = 4_096  # leaf records per chunk of the fingerprint's hash input
 
 
 class OctantClass(enum.Enum):
@@ -201,21 +202,30 @@ class Octree:
 
         The hash runs over one record per leaf in Morton order: depth as
         int32, box_min and box_max as float64, the class name in ASCII and
-        the part volume as float64.
+        the part volume as float64.  The records are built and hashed
+        ``_FINGERPRINT_ROW_BUDGET`` leaves at a time, so the memory it takes
+        does not grow with the tree.
         """
         if self._fingerprint is None:
-            rec = np.empty(len(self.path_key), dtype=_FINGERPRINT_RECORD)
-            rec["depth"] = self.depth
-            rec["box"] = np.hstack([self.box_min, self.box_max])
-            rec["class"] = _CLASS_NAMES[self.class_code]
-            rec["volume"] = self.part_volume
-            raw = rec.view(np.uint8).reshape(len(rec), -1)
-            keep = np.ones(raw.shape, dtype=bool)
-            keep[self.grey_index, _FINGERPRINT_RECORD.fields["class"][1] + 4] = False
+            n = len(self.path_key)
+            digest = hashlib.sha256()
+            blank = _FINGERPRINT_RECORD.fields["class"][1] + 4  # the pad byte of "grey"
+            for start in range(0, n, _FINGERPRINT_ROW_BUDGET):
+                rows = slice(start, min(start + _FINGERPRINT_ROW_BUDGET, n))
+                rec = np.empty(rows.stop - start, dtype=_FINGERPRINT_RECORD)
+                rec["depth"] = self.depth[rows]
+                rec["box"][:, :3] = self.box_min[rows]
+                rec["box"][:, 3:] = self.box_max[rows]
+                rec["class"] = _CLASS_NAMES[self.class_code[rows]]
+                rec["volume"] = self.part_volume[rows]
+                raw = rec.view(np.uint8).reshape(len(rec), -1)
+                keep = np.ones(raw.shape, dtype=bool)
+                keep[self.class_code[rows] == _GREY, blank] = False
+                digest.update(raw[keep])
             self._fingerprint = {
                 "max_depth": self.max_depth,
-                "leaf_count": len(rec),
-                "content_hash": hashlib.sha256(raw[keep].tobytes()).hexdigest(),
+                "leaf_count": n,
+                "content_hash": digest.hexdigest(),
             }
         return self._fingerprint
 

@@ -267,3 +267,59 @@ def sphere_area(radius: float) -> float:
 
 def torus_volume(major_radius: float, minor_radius: float) -> float:
     return 2.0 * math.pi**2 * major_radius * minor_radius**2
+
+
+def det_flip(vertices, triangles) -> bool:
+    """Whether the triangles wind inward: the summed determinants of their
+    corner matrices, one LU each, are negative."""
+    return bool(np.linalg.det(np.asarray(vertices)[np.asarray(triangles)]).sum() < 0)
+
+
+def icosphere_arrays(radius: float, subdivisions: int, center=(0.0, 0.0, 0.0)):
+    """A subdivided icosahedron, one face and one edge midpoint at a time:
+    its vertices (V, 3) float64 and outward triangles (T, 3) int32.
+
+    Each face (a, b, c) takes the midpoints ab, bc, ca of a dict keyed by
+    the sorted edge, which numbers a midpoint when the edge is first met,
+    and becomes (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca).  The
+    vertices are then scaled onto the sphere, and the winding is flipped
+    where :func:`det_flip` says so.
+    """
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    verts = [
+        np.array(v, dtype=np.float64)
+        for v in [
+            (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
+            (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
+            (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
+        ]
+    ]
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    midpoint: dict[tuple[int, int], int] = {}
+
+    def mid(i: int, j: int) -> int:
+        key = (i, j) if i < j else (j, i)
+        if key not in midpoint:
+            verts.append((verts[i] + verts[j]) / 2.0)
+            midpoint[key] = len(verts) - 1
+        return midpoint[key]
+
+    for _ in range(subdivisions):
+        nxt = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            nxt += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = nxt
+
+    v = np.array(verts)
+    v *= radius / np.linalg.norm(v, axis=1, keepdims=True)
+    v += np.asarray(center, dtype=np.float64)
+    tris = np.asarray(faces, dtype=np.int32)
+    if det_flip(v, tris):
+        tris = tris[:, [0, 2, 1]]
+    return v, tris

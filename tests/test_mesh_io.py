@@ -435,6 +435,33 @@ def test_classify_points_agrees_with_scalar_api(unit_cube):
     assert list(batch) == singles
 
 
+def test_classify_points_casts_only_the_points_off_the_band(unit_cube, monkeypatch):
+    """Of 12k points, 6k on the unit cube's faces and 6k uniform around it,
+    only those whose cube no triangle touches have their vertical lines
+    cast, and the classes equal those of casting every point, then marking
+    the band's points on the boundary."""
+    rng = np.random.default_rng(31)
+    faces = rng.uniform(0.0, 1.0, (6000, 3))
+    faces[np.arange(6000), rng.integers(0, 3, 6000)] = rng.integers(0, 2, 6000)
+    pts = np.concatenate([faces, rng.uniform(-0.5, 1.5, (6000, 3))])
+    eps = mesh_io.BOUNDARY_EPS_REL * unit_cube.metrics.max_dimension
+    on = mesh_io._boxes_touch(unit_cube, pts - eps, pts + eps)
+    every = np.where(mesh_io._points_inside(unit_cube, pts), PointClass.INSIDE, PointClass.OUTSIDE)
+    want = np.where(on, PointClass.ON_BOUNDARY, every)
+    cast = []
+    points_inside = mesh_io._points_inside
+
+    def counted(mesh, p):
+        cast.append(len(p))
+        return points_inside(mesh, p)
+
+    monkeypatch.setattr(mesh_io, "_points_inside", counted)
+    got = classify_points(unit_cube, pts)
+    assert np.array_equal(got, want)
+    assert on[:6000].all() and cast == [int((~on).sum())]
+    assert {PointClass.INSIDE, PointClass.OUTSIDE} <= set(got[6000:].tolist())
+
+
 # ---------------------------------------------------------------------------
 # Triangle-box contact
 

@@ -1156,6 +1156,37 @@ def test_octree_fingerprint_pinned(case, depth, sphere10, pocket_plate):
     assert tree.fingerprint()["content_hash"] == _PINNED_FINGERPRINTS[case]
 
 
+def test_fingerprint_hashes_in_chunks_of_fixed_size(sphere10):
+    """fingerprint() hashes its leaf records _FINGERPRINT_ROW_BUDGET rows at
+    a time, so its traced peak stays under 256 bytes a chunk row however
+    many leaves there are (43,296 at d6, about 10 MiB at once), and its
+    digest is that of the whole record array: depth, both box corners, the
+    class name with grey's pad byte left out, and the volume, leaf by leaf."""
+    for depth in (4, 6):
+        tree = build_octree(sphere10, max_depth=depth)
+        rec = np.empty(len(tree.path_key), dtype=spatial._FINGERPRINT_RECORD)
+        rec["depth"] = tree.depth
+        rec["box"] = np.hstack([tree.box_min, tree.box_max])
+        rec["class"] = [spatial._CLASSES[c].value.encode() for c in tree.class_code]
+        rec["volume"] = tree.part_volume
+        pad = spatial._FINGERPRINT_RECORD.fields["class"][1] + 4
+        rows = [r.tobytes() for r in rec]
+        want = b"".join(
+            r[:pad] + r[pad + 1 :] if c == spatial._GREY else r
+            for r, c in zip(rows, tree.class_code.tolist())
+        )
+        tree._fingerprint = None
+        tracemalloc.start()
+        try:
+            got = tree.fingerprint()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got["content_hash"] == hashlib.sha256(want).hexdigest()
+        assert peak < 256 * spatial._FINGERPRINT_ROW_BUDGET, depth
+    assert len(tree.path_key) > 10 * spatial._FINGERPRINT_ROW_BUDGET
+
+
 @pytest.mark.parametrize("case", ["pocket-d5", "sphere10-d5"])
 def test_refine_fingerprint_pinned(case, sphere10, pocket_plate):
     mesh = {"pocket-d5": pocket_plate, "sphere10-d5": sphere10}[case]
