@@ -9,7 +9,8 @@ contacts with the cells of ``max_depth``: a box is grey when one of its
 children is.  The contacts come from one pass: it lists each triangle's
 candidate cells column by column along the axis of its normal's largest
 component, so their number follows the contacts, not the triangles'
-bounding boxes.  A lone box (:func:`classify_box`) takes the column grid's
+bounding boxes; a triangle within one cell's slab on two axes takes every
+cell of its range.  A lone box (:func:`classify_box`) takes the column grid's
 box query.  A box the surface misses is black or white by the exact parity
 of its center's vertical line.
 Grey terminal boxes get their exact solid volume by the divergence theorem
@@ -45,7 +46,7 @@ DEFAULT_MARGIN = 0.01
 #: Deepest octree a build or refine may ask for.
 MAX_DEPTH_LIMIT = 10
 
-_SAT_PAIR_BUDGET = 16_384  # columns and (cell, triangle) entries per window of the contact pass
+_SAT_PAIR_BUDGET = 8_192  # columns and (cell, triangle) entries per window of the contact pass
 _CLIP_PAIR_BUDGET = 16_384  # (triangle, box) pairs per chunk of the volume kernel
 _CLIP_ENTRY_BUDGET = 65_536  # (constraint, line, pair) entries per call of _clipped_fans
 _FINGERPRINT_ROW_BUDGET = 4_096  # leaf records per chunk of the fingerprint's hash input
@@ -243,17 +244,20 @@ def _locate(planes: np.ndarray, morton: np.ndarray, points) -> np.ndarray:
     (:func:`_morton_keys`) in the root box split by ``planes`` (:func:`_split_planes`).
 
     On each axis a point's max-depth cell is the one of the contact rule,
-    (lo, hi] (:func:`_cells_below`), clipped to the first cell on the
-    root's lower face: every plane is bitwise the ``mid`` of the boxes
-    around it, so this is the descent's ``p > mid`` at every level.  The
-    point's leaf is the last one whose key is at most its cell's
-    (Gargantini, 1982).  Points outside the root or with a NaN search from
-    the root's lower corner, and get -1.
+    (lo, hi], ``searchsorted(planes[a], p, "left") - 1`` as
+    :func:`_cells_below` gives it for a triangle's bounds, clipped to the
+    first cell on the root's lower face: every plane is bitwise the
+    ``mid`` of the boxes around it, so this is the descent's ``p > mid``
+    at every level.  The point's leaf is the last one whose key is at most
+    its cell's (Gargantini, 1982).  Points outside the root or with a NaN
+    search from the root's lower corner, and get -1.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3).T
     inside = ((planes[:, :1] <= p) & (p <= planes[:, -1:])).all(axis=0)
-    axes = np.clip(_cells_below(planes, np.where(inside, p, planes[:, :1])), 0, planes.shape[1] - 2)
-    cell = _SPREAD.take(axes[0]) | _SPREAD.take(axes[1]) << 1 | _SPREAD.take(axes[2]) << 2
+    p = np.where(inside, p, planes[:, :1])
+    cell = 0
+    for a in range(3):
+        cell |= _SPREAD.take(np.clip(np.searchsorted(planes[a], p[a], "left") - 1, 0, planes.shape[1] - 2)) << a
     return np.where(inside, np.searchsorted(morton, cell, "right") - 1, -1)
 
 
@@ -490,16 +494,18 @@ def _contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth) -> np
     ``depth`` in the root box split by ``planes``.  Every (node, triangle)
     pair goes straight to the cells of its node in its triangle's cell
     ranges (:func:`_cells_below`) that the triangle's plane reaches, column
-    by column (:func:`_jump`).  The root may pair with any triangle (its
-    clamped ranges are at worst empty, ``last = first - 1``), a node below
-    it only with those in contact with it: no range is ever negative.
+    by column, or to all of them if the triangle is thin (:func:`_jump`).
+    The root may pair with any triangle (its clamped ranges are at worst
+    empty, ``last = first - 1``), a node below it only with those in
+    contact with it: no range is ever negative.
     """
     r0, r1 = (_cells_below(planes, np.ascontiguousarray(t.T)).astype(np.int32) for t in mesh.tri_bounds())
+    thin = (r0 == r1).sum(axis=0) >= 2
     step = 1 << max_depth - depth  # max-depth cells per node and axis
     first = coords.take(pair_node, axis=1) * step
     last = np.minimum(r1.take(pair_tri, axis=1), first + (step - 1))
     first = np.maximum(r0.take(pair_tri, axis=1), first, out=first)
-    thin = (r0 == r1).sum(axis=0) >= 2
+    del r0, r1  # the pairs' copies are clamped: free the triangles' ranges before the jump
     found = _jump(mesh.tri_coords(), planes, thin, first, last, pair_tri, max_depth)
     return np.concatenate([np.zeros(0, dtype=np.int64), *found])
 
@@ -572,28 +578,32 @@ def _jump(tc, planes, thin, first, last, tri, max_depth) -> list[np.ndarray]:
     """The contacts, as in :func:`_contacts`, of triangle ``tri[p]`` and the
     max-depth cells from ``first[:, p]`` to ``last[:, p]`` on each axis.
 
-    The candidates go column by column, as in conservative voxelization
-    along the dominant axis (Schwarz and Seidel, "Fast parallel surface and
+    A ``thin`` triangle lies in one cell's slab on two axes or more, so
+    inside those displaced slabs; it is connected and the third slab keeps
+    it on every cell of its range, so it meets every cell of the pair's
+    range box, and takes them all without a test.  The other pairs'
+    candidates go column by column, as in conservative voxelization along
+    the dominant axis (Schwarz and Seidel, "Fast parallel surface and
     solid voxelization on GPUs", 2010): each (u, v) column of the pair's
     cells keeps those on d that the triangle's plane reaches over it
     (:func:`_column_spans`), clamped to ``first`` and ``last``.  A contact's
     point lies in the closed cell, on the plane over the column, so every
-    contact is a candidate.  A ``thin`` triangle lies in one cell's slab on
-    two axes or more, so inside those displaced slabs; it is connected and
-    the third slab keeps it, so it meets every candidate.  The others go
-    to :func:`_tri_box_overlap`.  Pairs go by axis d, and their columns and
-    candidates in windows of :data:`_SAT_PAIR_BUDGET`, so no triangle's are
-    held whole.  d is computed for every triangle, since a build pairs
-    each one with the root; a pair whose range is empty on some axis lists
-    no column, or no cell in its columns.
+    contact is a candidate, and each candidate goes to
+    :func:`_tri_box_overlap`.  Thin pairs are picked and their cells listed
+    in windows of :data:`_SAT_PAIR_BUDGET`; the others go by axis d, and
+    their columns and candidates in windows too, so no triangle's are held
+    whole.  d is computed for every triangle, since a build pairs each one
+    with the root; a pair whose range is empty on some axis lists no cell,
+    or no column, or no cell in its columns.
     """
+    found = []
+    thin = thin.take(tri)
     axis = np.empty(len(tc), dtype=np.int8)
     for s in range(0, len(tc), _SAT_PAIR_BUDGET):
         n = np.abs(_normals(tc[s : s + _SAT_PAIR_BUDGET])[0])
         axis[s : s + _SAT_PAIR_BUDGET] = np.where(n[2] > np.maximum(n[0], n[1]), 2, n[1] > n[0])  # argmax
-    # every pair joins a group: no width is negative (_contacts), two would multiply to a positive count
-    axis = axis.take(tri)
-    found = []
+    # a thin pair joins no group, every other pair one: no width is negative (_contacts)
+    axis = np.where(thin, -1, axis.take(tri))
     for d in range(3):
         u, v = (d + 1) % 3, (d + 2) % 3
         sel = np.flatnonzero(axis == d)
@@ -609,11 +619,18 @@ def _jump(tc, planes, thin, first, last, tri, max_depth) -> list[np.ndarray]:
                 cells = np.empty((3, len(col)), dtype=np.int64)
                 cells[u], cells[v], cells[d] = i.take(col), j.take(col), z0.take(col) + r
                 tt = t.take(col)
-                hit = thin.take(tt)
-                ask = np.flatnonzero(~hit)
-                hit[ask] = _tri_box_overlap(tc.take(tt[ask], axis=0), *_boxes(planes, cells[:, ask], 1))
+                hit = _tri_box_overlap(tc.take(tt, axis=0), *_boxes(planes, cells, 1))
                 key = _SPREAD.take(cells[:, hit])
                 found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | tt[hit])
+    for s in range(0, len(tri), _SAT_PAIR_BUDGET):
+        sel = s + np.flatnonzero(thin[s : s + _SAT_PAIR_BUDGET])
+        lo = first.take(sel, axis=1)
+        width = last.take(sel, axis=1) - lo + 1
+        for pair, rank in _windows(width.prod(axis=0), _SAT_PAIR_BUDGET):
+            yz, x = np.divmod(rank, width[0].take(pair))
+            z, y = np.divmod(yz, width[1].take(pair))
+            key = _SPREAD.take(lo.take(pair, axis=1) + np.stack([x, y, z]))
+            found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | tri.take(sel[pair]))
     return found
 
 
@@ -680,40 +697,56 @@ def _pair_integrals(
     closed form; the others go to :func:`_clipped_fans` in groups with
     equal numbers of cutting planes.  Only a plane strictly inside the
     triangle's bounds cuts it, so no cutting plane holds an edge of it.
-    Pairs run in chunks of :data:`_CLIP_PAIR_BUDGET`, and a group in calls
-    of at most :data:`_CLIP_ENTRY_BUDGET` entries.
+    Pairs run in chunks of :data:`_CLIP_PAIR_BUDGET`, each reordered once
+    by a stable sort on its number of cutting planes, so that each group
+    is a slice of it, and a group in calls of at most
+    :data:`_CLIP_ENTRY_BUDGET` entries.  Every value is a pair's own, so
+    the order changes no bit.
     """
     tc, side = mesh.tri_coords(), mesh._column_grid()._side
     p1, pz = np.zeros(len(tri)), np.zeros(len(tri))
     for s in range(0, len(tri), _CLIP_PAIR_BUDGET):
         ids = tri[s : s + _CLIP_PAIR_BUDGET]
-        t, sign, (bmin, bmax) = _corners(tc, ids, turns, side)
-        box = boxes.take(box_of[s : s + _CLIP_PAIR_BUDGET], axis=0).T.copy()
-        blo, bhi = box[:3], box[3:]
-        gone = (bmax[:2] <= blo[:2]).any(axis=0) | (bmin[:2] >= bhi[:2]).any(axis=0)
-        gone |= (sign == 0) | (bmax[2] <= blo[2])
-        gone |= np.where(bmin[2] == bmax[2], bmax[2] > bhi[2], bmin[2] >= bhi[2])
-        # the planes x0, x1, y0, y1, z0, z1 that cut each triangle's bounds
-        cuts = np.empty((6, len(ids)), dtype=bool)
-        cuts[0::2] = (bmin < blo) & (blo < bmax)
-        cuts[1::2] = (bmin < bhi) & (bhi < bmax)
-        count = np.where(gone, -1, cuts.sum(axis=0))
-
-        floor = t[2] - blo[2]  # the height of A above the box floor
-        flags = cuts.T.astype(np.uint8) @ _CUT_BITS
-        whole = np.flatnonzero(count == 0)
+        box = boxes.take(box_of[s : s + _CLIP_PAIR_BUDGET], axis=0)
+        t, sign, box, count, flags = _cut_groups(tc, ids, turns, side, box)
+        order = np.argsort(count, kind="stable")
+        t, sign, box, count, flags = t[:, order], sign[order], box[:, order], count[order], flags[order]
+        floor = t[2] - box[2]  # the height of A above the box floor
+        q1, qz = np.zeros(len(ids)), np.zeros(len(ids))
+        start = np.searchsorted(count, np.arange(max(count[-1], 0) + 2)).tolist()  # group n: start[n]:start[n + 1]
+        whole = slice(start[0], start[1])
         area = t[_TAB_AREA, whole]
-        p1[s + whole] = 0.5 * area
-        pz[s + whole] = 0.5 * area * (floor[whole] + (t[5, whole] + t[8, whole]) / 3.0)
-        for n in np.unique(count[count > 0]).tolist():
-            group = np.flatnonzero(count == n)
+        q1[whole] = 0.5 * area
+        qz[whole] = 0.5 * area * (floor[whole] + (t[5, whole] + t[8, whole]) / 3.0)
+        for n in range(1, len(start) - 1):
             step = _CLIP_ENTRY_BUDGET // ((n + 1) * (n + 3))  # _clipped_fans' entries per pair
-            for rows in np.split(group, range(step, len(group), step)):
-                planes = _box_planes(t[:, rows], box[:, rows], _CUT_PLANES.take(flags[rows], axis=0)[:, :n].T)
-                p1[s + rows], pz[s + rows] = _clipped_fans(t[:, rows], floor[rows], planes)
-        p1[s : s + len(ids)] *= sign
-        pz[s : s + len(ids)] *= sign
+            for r in range(start[n], start[n + 1], step):
+                rows = slice(r, min(r + step, start[n + 1]))
+                q = _CUT_PLANES.take(flags[rows], axis=0)[:, :n].T
+                planes = _box_planes(t[:, rows], box[:, rows], q)
+                q1[rows], qz[rows] = _clipped_fans(t[:, rows], floor[rows], planes, q >> 1)
+        p1[s + order] = q1 * sign
+        pz[s + order] = qz * sign
     return p1, pz
+
+
+def _cut_groups(tc, ids, turns, side, box):
+    """The rows of :func:`_corners` of the triangles ``ids``, their n_z
+    signs, their boxes (P, 6) as (6, P) rows, and each pair's number of
+    cutting planes (int8, which sorts by radix), -1 where the pair adds
+    nothing, with its cut flags (:data:`_CUT_BITS`).  A function of its
+    own, so that the triangles' bounds are freed before the kernel runs."""
+    t, sign, (bmin, bmax) = _corners(tc, ids, turns, side)
+    box = box.T
+    blo, bhi = box[:3], box[3:]
+    gone = (bmax[:2] <= blo[:2]).any(axis=0) | (bmin[:2] >= bhi[:2]).any(axis=0)
+    gone |= (sign == 0) | (bmax[2] <= blo[2])
+    gone |= np.where(bmin[2] == bmax[2], bmax[2] > bhi[2], bmin[2] >= bhi[2])
+    # the planes x0, x1, y0, y1, z0, z1 that cut each triangle's bounds
+    cuts = np.empty((6, len(ids)), dtype=bool)
+    cuts[0::2] = (bmin < blo) & (blo < bmax)
+    cuts[1::2] = (bmin < bhi) & (bhi < bmax)
+    return t, sign, box, np.where(gone, -1, cuts.sum(axis=0, dtype=np.int8)), cuts.T.astype(np.uint8) @ _CUT_BITS
 
 
 def _box_planes(t: np.ndarray, box: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -740,21 +773,41 @@ _CUT_BITS = np.uint8(1) << np.arange(6, dtype=np.uint8)
 _CUT_PLANES = np.array([([q for q in range(6) if flags >> q & 1] + [0] * 6)[:6] for flags in range(64)])
 
 
-def _clipped_fans(t: np.ndarray, floor: np.ndarray, planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _clipped_fans(
+    t: np.ndarray, floor: np.ndarray, planes: np.ndarray, axis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Unsigned ``(P1, Pz)`` of P pairs whose triangles are cut by n box planes each.
 
     ``t`` holds the triangles' rows of :func:`_corners`, ``floor`` A's
-    height above the box floor, and ``planes`` the (3, n, P) cutting
-    planes of :func:`_box_planes`.  By Green's theorem the projected
-    area is a sum of fan triangles (A, p, q), one per outline segment pq;
-    segments on edges AB and CA run through A and add nothing.  So only
-    edge BC and the n cutting planes are outline lines, each clipped
-    (Liang-Barsky) by the other n + 2 half-planes.  A line's segment from
-    ``p0 + t0 u`` to ``p0 + t1 u``, with ``p0`` the line's foot from A and
-    ``u = (n_y, -n_x)``, spans the fan area ``d (t1 - t0) / 2``.  Of two
-    parallel constraints facing one way, only the tighter one can carry a
-    segment, the lower index when they coincide; two coincident ones
-    facing opposite ways both carry it, so their fans cancel.
+    height above the box floor, ``planes`` the (3, n, P) cutting planes of
+    :func:`_box_planes`, and ``axis`` (n, P) the axis of each.  By Green's
+    theorem the projected area is a sum of fan triangles (A, p, q), one
+    per outline segment pq; segments on edges AB and CA run through A and
+    add nothing.  So only edge BC and the n cutting planes are outline
+    lines, each clipped (Liang-Barsky) by the other n + 2 half-planes.  A
+    line's segment from ``p0 + t0 u`` to ``p0 + t1 u``, with ``p0`` the
+    line's foot from A and ``u = (n_y, -n_x)``, spans the fan area
+    ``d (t1 - t0) / 2``.  Of two parallel constraints facing one way, only
+    the tighter one can carry a segment, the lower index when they
+    coincide; two coincident ones facing opposite ways both carry it, so
+    their fans cancel.
+
+    No line is shut by itself, nor by its twin, the other plane of its
+    axis, so neither takes the parallel test.  Twins face opposite ways,
+    and their offsets add up to at least 0: ``fl(A - lo)`` is at least
+    ``fl(A - hi)``, for lo < hi and rounding is monotone, and a z plane's
+    offset is that difference times the positive doubled area, over the
+    norm of its normal, both shared by the twins (:func:`_box_planes`), so
+    monotone in it too.  Each bound is picked without a branch: constraint
+    j bounds t from below by ``min(cut_t, inf)`` where det < 0, and from
+    above by ``max(cut_t, -inf)`` where det > 0, one ``bound =
+    copysign(inf, -det)`` serving both; where det is 0, cut_t is set to
+    ``-bound``, so both are neutral.  ``max`` and ``min`` only select, so
+    t0 and t1 are the greatest lower and least upper bound, as a select of
+    each side's bounds gives them, but where a NaN cut_t reaches the other
+    one: a NaN upper bound makes t1 NaN in both, a lower one t0, so the
+    segment's span and midpoint are 0 in both.  Coordinates below 1e60 in
+    size keep every product here finite, det's included.
     """
     b, c, area = t[_TAB_B], t[_TAB_C], t[_TAB_AREA]
     n = planes.shape[1]
@@ -777,14 +830,26 @@ def _clipped_fans(t: np.ndarray, floor: np.ndarray, planes: np.ndarray) -> tuple
     # where n_i x n_j < 0 and from above where it is > 0.
     cx, cy, cd = nx[:, None], ny[:, None], d[:, None]
     det = lx * cy - ly * cx
+    cut_t, other = cd * ly, ld * cx  # in place from here: each op rounds as in one expression
+    cut_t -= ld * cy
+    other -= cd * lx
     with np.errstate(divide="ignore", invalid="ignore"):
-        cut_t = (cd * ly - ld * cy) / det * ux
-        cut_t += (ld * cx - cd * lx) / det * uy
+        cut_t /= det
+        other /= det
+        cut_t *= ux
+        other *= uy
+        cut_t += other
     cut_t /= norm
+    bound = np.copysign(np.inf, det, out=other)
+    np.negative(bound, out=bound)
     parallel = det == 0
-    parallel[lines, np.arange(n + 1)] = False  # a line never clips itself
-    out = np.zeros(det.shape[1:], dtype=bool)
-    j, i, p = np.nonzero(parallel)
+    np.negative(bound, out=cut_t, where=parallel)
+    parallel[lines, np.arange(n + 1)] = False  # a line never clips itself,
+    for k in range(n - 1):  # nor its twin
+        twin = axis[k] == axis[k + 1]
+        parallel[3 + k, k + 2] &= ~twin
+        parallel[4 + k, k + 1] &= ~twin
+    j, i, p = np.unravel_index(np.flatnonzero(parallel), parallel.shape)
     # Parallel constraints, by their offsets d / |n|: of two facing one way,
     # the one with the greater offset is redundant, and of two equal ones
     # the higher index; two facing opposite ways leave an empty strip when
@@ -794,9 +859,10 @@ def _clipped_fans(t: np.ndarray, floor: np.ndarray, planes: np.ndarray) -> tuple
     off_i = ld[i, p] / np.hypot(lx[i, p], ly[i, p])
     same = nx[j, p] * lx[i, p] + ny[j, p] * ly[i, p] > 0
     shut = np.where(same, (off_j < off_i) | (off_j == off_i) & (j < lines[i]), off_i + off_j < 0)
+    out = np.zeros(det.shape[1:], dtype=bool)
     out[i[shut], p[shut]] = True
-    t0 = np.where(det < 0, cut_t, -np.inf).max(axis=0)
-    t1 = np.where(det > 0, cut_t, np.inf).min(axis=0)
+    t0 = np.minimum(cut_t, bound).max(axis=0)
+    t1 = np.maximum(cut_t, bound, out=bound).min(axis=0)
     span = np.where(out | ~(t1 > t0), 0.0, t1 - t0)
     fan = 0.5 * ld * span
     mid = np.where(span > 0, t0 + t1, 0.0)  # twice the midpoint parameter

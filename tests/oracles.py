@@ -323,3 +323,124 @@ def icosphere_arrays(radius: float, subdivisions: int, center=(0.0, 0.0, 0.0)):
     if det_flip(v, tris):
         tris = tris[:, [0, 2, 1]]
     return v, tris
+
+
+# The volume kernel as it was before each group became a slice of its
+# chunk: every group is gathered by fancy indexing, every parallel
+# constraint takes the offset test (twins included), and the bounds on t are
+# picked by np.where.  Its rows of a triangle, corners in canonical order,
+# are A, B - A, C - A and the doubled projected area.
+_TURNS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2], [2, 1, 0]])
+_CUT_BITS = np.uint8(1) << np.arange(6, dtype=np.uint8)
+_CUT_PLANES = np.array([([q for q in range(6) if flags >> q & 1] + [0] * 6)[:6] for flags in range(64)])
+
+
+def reference_pair_integrals(mesh, turns, tri, box_of, boxes, pair_budget=16_384, entry_budget=65_536):
+    """``(P1, Pz)`` of each pair of triangle ``tri[k]`` and box ``box_of[k]``,
+    as the engine's ``spatial._pair_integrals`` took them when each group
+    of pairs with equal numbers of cutting planes was gathered from its
+    chunk: the whole triangle in closed form where no plane cuts it, else
+    :func:`reference_clipped_fans`; ``turns`` is ``spatial._turns`` of the
+    mesh."""
+    tc, side = mesh.tri_coords(), mesh._column_grid()._side
+    p1, pz = np.zeros(len(tri)), np.zeros(len(tri))
+    for s in range(0, len(tri), pair_budget):
+        ids = tri[s : s + pair_budget]
+        corner = _TURNS.take(turns.take(ids), axis=0) + 3 * ids[:, None]
+        t = np.empty((10, len(ids)))
+        t[:9] = tc.reshape(-1, 3).take(corner, axis=0).reshape(-1, 9).T
+        a, b, c = t[0:3], t[3:6], t[6:9]
+        bmin, bmax = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+        b -= a
+        c -= a
+        t[9] = t[3] * t[7] - t[4] * t[6]
+        sign = np.where(t[9] > 0, side.take(ids), 0)
+        box = boxes.take(box_of[s : s + pair_budget], axis=0).T.copy()
+        blo, bhi = box[:3], box[3:]
+        gone = (bmax[:2] <= blo[:2]).any(axis=0) | (bmin[:2] >= bhi[:2]).any(axis=0)
+        gone |= (sign == 0) | (bmax[2] <= blo[2])
+        gone |= np.where(bmin[2] == bmax[2], bmax[2] > bhi[2], bmin[2] >= bhi[2])
+        cuts = np.empty((6, len(ids)), dtype=bool)
+        cuts[0::2] = (bmin < blo) & (blo < bmax)
+        cuts[1::2] = (bmin < bhi) & (bhi < bmax)
+        count = np.where(gone, -1, cuts.sum(axis=0))
+        floor = t[2] - blo[2]
+        flags = cuts.T.astype(np.uint8) @ _CUT_BITS
+        whole = np.flatnonzero(count == 0)
+        area = t[9, whole]
+        p1[s + whole] = 0.5 * area
+        pz[s + whole] = 0.5 * area * (floor[whole] + (t[5, whole] + t[8, whole]) / 3.0)
+        for n in np.unique(count[count > 0]).tolist():
+            group = np.flatnonzero(count == n)
+            step = entry_budget // ((n + 1) * (n + 3))
+            for rows in np.split(group, range(step, len(group), step)):
+                planes = reference_box_planes(t[:, rows], box[:, rows], _CUT_PLANES.take(flags[rows], axis=0)[:, :n].T)
+                p1[s + rows], pz[s + rows] = reference_clipped_fans(t[:, rows], floor[rows], planes)
+        p1[s : s + len(ids)] *= sign
+        pz[s : s + len(ids)] *= sign
+    return p1, pz
+
+
+def reference_box_planes(t, box, q):
+    """(3, n, P) half-planes ``nx x + ny y + d >= 0``, in A's frame, of the
+    box planes ``q`` (n, P) of each pair, numbered x0, x1, y0, y1, z0, z1;
+    a z plane's normal is the height gradient times the doubled area."""
+    b, c, area = t[3:6], t[6:9], t[9]
+    axis, upper = q >> 1, q & 1
+    sign = 1.0 - 2.0 * upper
+    col = np.arange(q.shape[1])
+    d = sign * (t[axis, col] - box[axis + 3 * upper, col])
+    z = axis == 2
+    nx = np.where(z, sign * (b[2] * c[1] - c[2] * b[1]), np.where(axis == 0, sign, 0.0))
+    ny = np.where(z, sign * (c[2] * b[0] - b[2] * c[0]), np.where(axis == 1, sign, 0.0))
+    return np.array([nx, ny, np.where(z, d * area, d)])
+
+
+def reference_offsets_shut(d_j, n_j, d_i, n_i, j_below):
+    """The parallel test of :func:`reference_clipped_fans` on constraint j
+    (offset term ``d_j``, normal ``n_j`` (2, K)) against line i: whether j
+    shuts i, with ``j_below`` where j's index is the lower one."""
+    off_j = d_j / np.hypot(n_j[0], n_j[1])
+    off_i = d_i / np.hypot(n_i[0], n_i[1])
+    same = n_j[0] * n_i[0] + n_j[1] * n_i[1] > 0
+    return np.where(same, (off_j < off_i) | (off_j == off_i) & j_below, off_i + off_j < 0)
+
+
+def reference_clipped_fans(t, floor, planes):
+    """Unsigned ``(P1, Pz)`` of P pairs cut by n planes each: edge BC and
+    the planes as outline lines, each clipped by the other n + 2
+    half-planes, its fan from A summed; every parallel constraint takes
+    :func:`reference_offsets_shut`, and the bounds on t are ``np.where``
+    selects."""
+    b, c, area = t[3:6], t[6:9], t[9]
+    n = planes.shape[1]
+    gx, gy = b[2] * c[1] - c[2] * b[1], c[2] * b[0] - b[2] * c[0]
+    zero = np.zeros(t.shape[1])
+    nx = np.concatenate([[-b[1], b[1] - c[1], c[1]], planes[0]])
+    ny = np.concatenate([[b[0], c[0] - b[0], -c[0]], planes[1]])
+    d = np.concatenate([[zero, area, zero], planes[2]])
+    lines = np.r_[1, 3 : 3 + n]
+    lx, ly, ld = nx[lines], ny[lines], d[lines]
+    norm = lx * lx + ly * ly
+    foot = -ld / norm
+    px, py = foot * lx, foot * ly
+    ux, uy = ly, -lx
+    cx, cy, cd = nx[:, None], ny[:, None], d[:, None]
+    det = lx * cy - ly * cx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut_t = (cd * ly - ld * cy) / det * ux
+        cut_t += (ld * cx - cd * lx) / det * uy
+    cut_t /= norm
+    parallel = det == 0
+    parallel[lines, np.arange(n + 1)] = False
+    out = np.zeros(det.shape[1:], dtype=bool)
+    j, i, p = np.nonzero(parallel)
+    shut = reference_offsets_shut(d[j, p], (nx[j, p], ny[j, p]), ld[i, p], (lx[i, p], ly[i, p]), j < lines[i])
+    out[i[shut], p[shut]] = True
+    t0 = np.where(det < 0, cut_t, -np.inf).max(axis=0)
+    t1 = np.where(det > 0, cut_t, np.inf).min(axis=0)
+    span = np.where(out | ~(t1 > t0), 0.0, t1 - t0)
+    fan = 0.5 * ld * span
+    mid = np.where(span > 0, t0 + t1, 0.0)
+    rise = (gx * (2.0 * px + mid * ux) + gy * (2.0 * py + mid * uy)) / area
+    return fan.sum(axis=0), (fan * (floor + rise / 3.0)).sum(axis=0)

@@ -25,6 +25,7 @@ from manumap.machining import tool_flexibility_field
 from manumap.mesh_io import TriMesh, _points_inside
 from manumap.primitives import box_mesh, icosphere, slab_with_pockets, torus_mesh
 from manumap.profiles import default_profiles
+import oracles
 from oracles import (
     box_clip_integrals,
     box_part_volume,
@@ -437,6 +438,101 @@ def test_pair_integrals_match_exact_clipping():
     scale = np.maximum(1.0, np.abs(want))
     assert (np.abs(np.column_stack([p1, pz]) - want) <= 1e-12 * scale).all()
     assert (want[:, 0] != 0).sum() > len(tc) // 2
+
+
+def _kernel_pairs(tree):
+    """The volume kernel's pairs of a tree: triangle ids, grey-leaf rank and
+    the grey boxes as (lo, hi) rows."""
+    g = tree.grey_index
+    pair_leaf = np.repeat(np.arange(len(g)), np.diff(tree.grey_tri_ptr))
+    return tree.grey_tri_ids, pair_leaf, np.hstack([tree.box_min[g], tree.box_max[g]])
+
+
+#: Twin entries (a plane against the other plane of its axis) and the
+#: other parallel (constraint, line) entries that the gathered kernel tests.
+_KERNEL_PARALLELS = {"sphere-d6": (108944, 7176), "pocket-margin0": (3952, 6585), "pocket-margin0.01": (8960, 14826)}
+
+
+@pytest.mark.parametrize(
+    "case", ["sphere-d6", "dense-d5", "pocket-margin0", "pocket-margin0.01", *(f"ulps{u}" for u in range(-2, 3))]
+)
+def test_volume_kernel_equals_the_gathered_reference(case, pocket_plate, monkeypatch):
+    """(P1, Pz) of every pair of these builds equal, bit for bit, those of
+    :func:`oracles.reference_pair_integrals`, the kernel that gathered
+    each group of pairs from its chunk, sent every parallel constraint to
+    the offset test and picked its bounds on t by ``np.where``: on sphere
+    d6 and dense d5, the pocket plate at d5 and margins 0 and 0.01, and
+    the tie blocks at d5 and margin 0, their faces on split planes and 1
+    and 2 ulps off them.  The sphere's pairs hold twin planes; the pocket
+    plate's axis-parallel edges give parallel constraints that are not
+    twins."""
+    mesh, depth, margin = {
+        "sphere-d6": lambda: (icosphere(10.0, 4), 6, 0.01),
+        "dense-d5": lambda: (icosphere(10.0, 6), 5, 0.01),
+        "pocket-margin0": lambda: (pocket_plate, 5, 0.0),
+        "pocket-margin0.01": lambda: (pocket_plate, 5, 0.01),
+    }.get(case, lambda: (_tie_block(int(case[4:]))[0], 5, 0.0))()
+    tri, pair_leaf, boxes = _kernel_pairs(build_octree(mesh, max_depth=depth, margin=margin))
+    twins, parallel = [], []
+    fans, shut = spatial._clipped_fans, oracles.reference_offsets_shut
+
+    def count_twins(t, floor, planes, axis):
+        twins.append(2 * int((axis[:-1] == axis[1:]).sum()))
+        return fans(t, floor, planes, axis)
+
+    def count_parallel(*args):
+        parallel.append(len(args[0]))
+        return shut(*args)
+
+    monkeypatch.setattr(spatial, "_clipped_fans", count_twins)
+    monkeypatch.setattr(oracles, "reference_offsets_shut", count_parallel)
+    turns = spatial._turns(mesh)
+    got = spatial._pair_integrals(mesh, turns, tri, pair_leaf, boxes)
+    want = oracles.reference_pair_integrals(mesh, turns, tri, pair_leaf, boxes)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    assert (got[0] != 0).any()
+    if case in _KERNEL_PARALLELS:
+        assert (sum(twins), sum(parallel) - sum(twins)) == _KERNEL_PARALLELS[case]
+
+
+def test_offset_test_never_shuts_a_twin():
+    """The gathered kernel's parallel test never shuts a line by its twin,
+    the other plane of its axis, nor the twin by the line: their offsets
+    add up to at least 0, for rounding is monotone.  Over random triangles
+    at scales 1e-3 to 1e3, slivers and near-horizontal ones among them, and
+    boxes whose two planes on an axis are far apart, 1 ulp apart, or one
+    of them through the corner A."""
+    rng = np.random.default_rng(61)
+    n = 6000
+    tc = rng.uniform(-1.0, 1.0, (n, 3, 3)) * 10.0 ** rng.integers(-3, 4, (n, 1, 1))
+    tc += rng.uniform(-100.0, 100.0, (n, 1, 3))
+    tc[: n // 4, 2] = tc[: n // 4, 1] + 1e-9 * rng.uniform(-1.0, 1.0, (n // 4, 3))  # slivers
+    tc[n // 4 : n // 2, :, 2] = tc[n // 4 : n // 2, :1, 2] + 1e-12 * rng.uniform(size=(n // 4, 3))  # nearly flat
+    a, b, c = tc[:, 0], tc[:, 1] - tc[:, 0], tc[:, 2] - tc[:, 0]
+    area = b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0]
+    b, c = np.where(area[:, None] > 0, b, c), np.where(area[:, None] > 0, c, b)  # counterclockwise in xy
+    t = np.vstack([a.T, b.T, c.T, np.abs(area)])
+    tmin, tmax = tc.min(axis=1).T, tc.max(axis=1).T
+    checked = 0
+    for axis in range(3):
+        lo = tmin[axis] + rng.uniform(0.0, 1.0, n) * (tmax[axis] - tmin[axis])
+        hi = lo + rng.uniform(0.0, 1.0, n) * (tmax[axis] - lo)
+        kind = rng.integers(0, 3, n)
+        hi = np.where(kind == 1, np.nextafter(lo, np.inf), hi)
+        lo = np.where(kind == 2, a[:, axis], lo)
+        hi = np.where(kind == 2, np.maximum(hi, np.nextafter(lo, np.inf)), hi)
+        box = np.vstack([np.full((3, n), -1e9), np.full((3, n), 1e9)])
+        box[axis], box[3 + axis] = lo, hi
+        keep = (t[9] > 0) & (lo < hi)
+        q = np.array([[2 * axis], [2 * axis + 1]]).repeat(n, axis=1)
+        planes = oracles.reference_box_planes(t, box, q)[:, :, keep]
+        for j, i in ((0, 1), (1, 0)):
+            with np.errstate(divide="ignore", invalid="ignore"):  # a flat triangle's z planes have no normal
+                shut = oracles.reference_offsets_shut(planes[2, j], planes[:2, j], planes[2, i], planes[:2, i], j < i)
+            assert not shut.any(), axis
+        checked += int(keep.sum())
+    assert checked > 2 * n
 
 
 def _tie_block(ulps, slope=0.0):
@@ -959,6 +1055,69 @@ def test_candidates_follow_the_contacts(depth, contacts, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+# (mesh, depth) at margin 0.01 -> contact-kernel entries, and contacts that
+# thin triangles take from their range boxes without the kernel
+_CONTACT_PASS_COUNTS = {
+    "block-d5": (12112, 0),
+    "half-d5": (8272, 0),
+    "sphere-d6": (70898, 0),
+    "dense-d5": (42924, 103850),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONTACT_PASS_COUNTS))
+def test_contact_pass_counts_pinned(case, split_block, monkeypatch):
+    """How many (cell, triangle) entries the contact pass sends to the
+    kernel, and how many contacts come from thin triangles' range boxes,
+    on the benchmark meshes: the range boxes take 73 % of the dense
+    sphere's contacts, and the kernel sees every other candidate."""
+    mesh, depth = {
+        "block-d5": lambda: (split_block, 5),
+        "half-d5": lambda: (slab_with_pockets((80.0, 80.0, 30.0), [((34.0, 34.0, 46.0, 46.0), 20.0)]), 5),
+        "sphere-d6": lambda: (icosphere(10.0, 4), 6),
+        "dense-d5": lambda: (icosphere(10.0, 6), 5),
+    }[case]()
+    entries, hits = [], []
+    kernel = spatial._tri_box_overlap
+
+    def counted(t, lo, hi):
+        hit = kernel(t, lo, hi)
+        entries.append(len(hit))
+        hits.append(int(hit.sum()))
+        return hit
+
+    monkeypatch.setattr(spatial, "_tri_box_overlap", counted)
+    tree = build_octree(mesh, max_depth=depth)
+    monkeypatch.undo()
+    assert (sum(entries), len(tree.grey_tri_ids) - sum(hits)) == _CONTACT_PASS_COUNTS[case]
+
+
+#: build_octree's traced peak, in MiB, on a mesh whose caches are filled:
+#: the peaks of the build that sent thin triangles' cells column by column
+#: and gathered each volume-kernel group, rounded up.
+_BUILD_PEAKS_MIB = {"dense-d5": 14.87, "sphere-d6": 14.28, "block-d5": 6.76}
+
+
+@pytest.mark.parametrize("case", sorted(_BUILD_PEAKS_MIB))
+def test_build_traced_peak_bounded(case, split_block):
+    """Taking thin triangles' range boxes whole and reordering each volume
+    chunk once raise no build's traced peak: windows of thin pairs are
+    picked one at a time, and a chunk keeps only its sorted rows."""
+    mesh, depth = {
+        "dense-d5": lambda: (icosphere(10.0, 6), 5),
+        "sphere-d6": lambda: (icosphere(10.0, 4), 6),
+        "block-d5": lambda: (split_block, 5),
+    }[case]()
+    build_octree(mesh, max_depth=depth)  # fill the mesh's caches
+    tracemalloc.start()
+    try:
+        build_octree(mesh, max_depth=depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _BUILD_PEAKS_MIB[case] * 2**20, peak
 
 
 @pytest.mark.parametrize("margin", [0.0, 0.01])
