@@ -128,14 +128,21 @@ def _numbers(data: dict, key: str) -> dict[str, float]:
     return out
 
 
-def _field_from_dict(data: dict) -> LocalIndexField:
-    return LocalIndexField(
+def _field_from_dict(key: str, data: dict) -> LocalIndexField:
+    """The saved local field ``key``; one with no leaves or a zero total
+    volume, which no analysis writes, has no mean, so it is malformed."""
+    if not len(data["values"]):
+        raise ValueError(f"local_fields[{key!r}] has no values")
+    f = LocalIndexField(
         index_id=data["index_id"],
         values=np.array(data["values"], dtype=np.float64),
         volumes=np.array(data["volumes"], dtype=np.float64),
         octree_hash=data.get("octree_hash", ""),
         path_keys=tuple(data.get("path_keys", ())),
     )
+    if not f.volumes.sum() > 0.0:
+        raise ValueError(f"local_fields[{key!r}] has zero total volume")
+    return f
 
 
 @dataclass(frozen=True)
@@ -205,7 +212,7 @@ class IndexReport:
             process=data["process"],
             global_indexes=_numbers(data, "global_indexes"),
             local_fields={
-                k: _field_from_dict(v)
+                k: _field_from_dict(k, v)
                 for k, v in _obj(data, "local_fields", optional=True).items()
             },
             mesh_hash=data.get("mesh_hash", ""),

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMeshError, NotWatertightError, ParseError
+from .errors import EmptyMeshError, NotWatertightError, ParameterError, ParseError
 
 log = logging.getLogger(__name__)
 
@@ -431,7 +431,8 @@ def point_in_mesh(mesh: TriMesh, point) -> PointClass:
 def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
     """Vectorized :func:`point_in_mesh` over an (N, 3) array.
 
-    Returns an int8 array of :class:`PointClass` values.  A point is on the
+    Returns an int8 array of :class:`PointClass` values; a NaN or infinite
+    coordinate raises :class:`ParameterError`.  A point is on the
     boundary when some triangle is in contact with its cube (the box query
     :func:`_boxes_touch`, as in :func:`spatial.classify_box`).
     Otherwise no triangle meets the cube, so its every point, ``p`` among
@@ -443,6 +444,8 @@ def classify_points(mesh: TriMesh, points: np.ndarray) -> np.ndarray:
     if not metrics.watertight:
         raise NotWatertightError("point containment needs a watertight mesh")
     pts = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(pts).all():
+        raise ParameterError("point coordinates must be finite")
 
     eps = BOUNDARY_EPS_REL * metrics.max_dimension
     on = _boxes_touch(mesh, pts - eps, pts + eps)
@@ -573,8 +576,10 @@ class _ColumnGrid:
         The rectangles are clipped to the grid, and one off it lists none.
         Both are int32 while the entries fit in it, int64 beyond."""
         res, o, w = self._res, self._lo, self._cell
-        # floored as floats axis by axis, (2, N) each, then clipped and cast
-        i0, i1 = (np.array([np.floor((x[:, a] - o[a]) / w[a]) for a in range(2)]) for x in (lo, hi))
+        # floored as floats axis by axis, (2, N) each, then clipped and cast; a
+        # far rectangle's quotient may overflow to inf, which the clip takes
+        with np.errstate(over="ignore"):
+            i0, i1 = (np.array([np.floor((x[:, a] - o[a]) / w[a]) for a in range(2)]) for x in (lo, hi))
         meets = (i1 >= 0).all(axis=0) & (i0 < res).all(axis=0)
         i0, i1 = (np.clip(f, 0, res - 1).astype(np.int32) for f in (i0, i1))
         ny = i1[1] - i0[1] + 1
@@ -588,10 +593,14 @@ class _ColumnGrid:
         return item, (x + i0[0].take(item)) * res + y + i0[1].take(item)
 
     def _cells_of(self, xy: np.ndarray) -> np.ndarray:
-        ij = np.floor((xy - self._lo) / self._cell).astype(np.int64)
-        valid = (ij >= 0).all(axis=1) & (ij < self._res).all(axis=1)
-        cell = np.where(valid, ij[:, 0] * self._res + ij[:, 1], -1)
-        return cell
+        """The grid cell under each (N, 2) point ``xy``, -1 off the grid.  The
+        range is checked on the floats, so a far point, whose quotient
+        may overflow to inf, is off the grid before any cast."""
+        with np.errstate(over="ignore"):
+            f = np.floor((xy - self._lo) / self._cell)
+        valid = ((f >= 0) & (f < self._res)).all(axis=1)
+        ij = np.where(valid[:, None], f, 0.0).astype(np.int64)
+        return np.where(valid, ij[:, 0] * self._res + ij[:, 1], -1)
 
     def _hits(
         self, px: np.ndarray, py: np.ndarray, tids: np.ndarray

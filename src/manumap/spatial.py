@@ -634,7 +634,7 @@ def _jump(tc, planes, thin, first, last, tri, max_depth) -> list[np.ndarray]:
     return found
 
 
-#: Rows of :func:`_corners`.
+#: Rows of the volume kernel's corner table (:func:`_pair_integrals`).
 _TAB_A = slice(0, 3)  # the first vertex, A, in canonical rotation
 _TAB_B, _TAB_C = slice(3, 6), slice(6, 9)  # B - A and C - A, ABC turning counterclockwise in xy
 _TAB_AREA = 9  # (B - A) x (C - A) in xy
@@ -661,54 +661,60 @@ def _turns(mesh: TriMesh) -> np.ndarray:
     return (first + 3 * (mesh._column_grid()._side < 0)).astype(np.int8)
 
 
-def _corners(tc: np.ndarray, ids: np.ndarray, turns: np.ndarray, side: np.ndarray):
-    """Rows A, B - A, C - A and the doubled projected area of the triangles
-    ``ids``, corners in canonical order (:func:`_turns`), their n_z signs,
-    and their bounds, the bits of :meth:`TriMesh.tri_bounds`, as (3, P) rows.
-
-    A sign is the exact one of the column grid, ``side``, but 0 where the
-    rounded area is not positive, as on a vertical triangle.
-    """
-    corner = _TURNS.take(turns.take(ids), axis=0) + 3 * ids[:, None]
-    t = np.empty((10, len(ids)))
-    t[:9] = tc.reshape(-1, 3).take(corner, axis=0).reshape(-1, 9).T
-    a, b, c = t[_TAB_A], t[_TAB_B], t[_TAB_C]
-    bounds = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
-    b -= a
-    c -= a
-    t[_TAB_AREA] = t[3] * t[7] - t[4] * t[6]
-    return t, np.where(t[_TAB_AREA] > 0, side.take(ids), 0), bounds
-
-
 def _pair_integrals(
-    mesh: TriMesh, turns: np.ndarray, tri: np.ndarray, box_of: np.ndarray, boxes: np.ndarray
+    mesh: TriMesh, tri: np.ndarray, box_of: np.ndarray, boxes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(P1, Pz)`` of each pair of triangle ``tri[k]`` and box ``box_of[k]``.
 
-    ``turns`` is :func:`_turns` of the mesh, and ``boxes`` holds the
-    boxes' (lo, hi) corners, one row of 6 per box.  Over the xy projection
-    of the part of the triangle inside the box, ``P1`` integrates 1 and
-    ``Pz`` the triangle's height above the box floor, both signed by the
-    triangle's n_z (positive facing up).  A vertical triangle adds 0.  A
-    horizontal one counts only at a height in ``(z0, z1]``: one on a box
-    plane belongs to the box below it.
+    ``boxes`` holds the boxes' (lo, hi) corners, one row of 6 per box.
+    Over the xy projection of the part of the triangle inside the box,
+    ``P1`` integrates 1 and ``Pz`` the triangle's height above the box
+    floor, both signed by the triangle's n_z (positive facing up): the
+    exact sign of the column grid, but 0 where the rounded projected area
+    is not positive, so a vertical triangle adds 0.  A horizontal one
+    counts only at a height in ``(z0, z1]``: one on a box plane belongs to
+    the box below it.
 
-    A pair whose triangle no box plane cuts takes the whole triangle in
-    closed form; the others go to :func:`_clipped_fans` in groups with
-    equal numbers of cutting planes.  Only a plane strictly inside the
-    triangle's bounds cuts it, so no cutting plane holds an edge of it.
-    Pairs run in chunks of :data:`_CLIP_PAIR_BUDGET`, each reordered once
-    by a stable sort on its number of cutting planes, so that each group
-    is a slice of it, and a group in calls of at most
-    :data:`_CLIP_ENTRY_BUDGET` entries.  Every value is a pair's own, so
-    the order changes no bit.
+    Each chunk gathers its triangles' rows A, B - A, C - A and the doubled
+    projected area (:data:`_TAB_A` and on), corners in canonical order
+    (:func:`_turns`), and their bounds, the bits of
+    :meth:`TriMesh.tri_bounds`.  A pair whose triangle no box plane cuts
+    takes the whole triangle in closed form; the others go to
+    :func:`_clipped_fans` in groups with equal numbers of cutting planes.
+    Only a plane strictly inside the triangle's bounds cuts it, so no
+    cutting plane holds an edge of it.  Pairs run in chunks of
+    :data:`_CLIP_PAIR_BUDGET`, each reordered once by a stable sort on its
+    number of cutting planes, so that each group is a slice of it, and a
+    group in calls of at most :data:`_CLIP_ENTRY_BUDGET` entries.  Every
+    value is a pair's own, so the order changes no bit.
     """
-    tc, side = mesh.tri_coords(), mesh._column_grid()._side
+    tc, side, turns = mesh.tri_coords(), mesh._column_grid()._side, _turns(mesh)
     p1, pz = np.zeros(len(tri)), np.zeros(len(tri))
     for s in range(0, len(tri), _CLIP_PAIR_BUDGET):
         ids = tri[s : s + _CLIP_PAIR_BUDGET]
-        box = boxes.take(box_of[s : s + _CLIP_PAIR_BUDGET], axis=0)
-        t, sign, box, count, flags = _cut_groups(tc, ids, turns, side, box)
+        box = boxes.take(box_of[s : s + _CLIP_PAIR_BUDGET], axis=0).T
+        corner = _TURNS.take(turns.take(ids), axis=0) + 3 * ids[:, None]
+        t = np.empty((10, len(ids)))
+        t[:9] = tc.reshape(-1, 3).take(corner, axis=0).reshape(-1, 9).T
+        a, b, c = t[_TAB_A], t[_TAB_B], t[_TAB_C]
+        bmin, bmax = np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+        b -= a
+        c -= a
+        t[_TAB_AREA] = t[3] * t[7] - t[4] * t[6]
+        sign = np.where(t[_TAB_AREA] > 0, side.take(ids), 0)
+        blo, bhi = box[:3], box[3:]
+        gone = (bmax[:2] <= blo[:2]).any(axis=0) | (bmin[:2] >= bhi[:2]).any(axis=0)
+        gone |= (sign == 0) | (bmax[2] <= blo[2])
+        gone |= np.where(bmin[2] == bmax[2], bmax[2] > bhi[2], bmin[2] >= bhi[2])
+        # the planes x0, x1, y0, y1, z0, z1 that cut each triangle's bounds
+        cuts = np.empty((6, len(ids)), dtype=bool)
+        cuts[0::2] = (bmin < blo) & (blo < bmax)
+        cuts[1::2] = (bmin < bhi) & (bhi < bmax)
+        # each pair's number of cutting planes (int8, which sorts by radix), -1
+        # where the pair adds nothing, and its cut flags (_CUT_BITS)
+        count = np.where(gone, -1, cuts.sum(axis=0, dtype=np.int8))
+        flags = cuts.T.astype(np.uint8) @ _CUT_BITS
+        del corner, a, b, c, bmin, bmax, blo, bhi, gone, cuts  # the unsorted rows go with their views
         order = np.argsort(count, kind="stable")
         t, sign, box, count, flags = t[:, order], sign[order], box[:, order], count[order], flags[order]
         floor = t[2] - box[2]  # the height of A above the box floor
@@ -723,48 +729,10 @@ def _pair_integrals(
             for r in range(start[n], start[n + 1], step):
                 rows = slice(r, min(r + step, start[n + 1]))
                 q = _CUT_PLANES.take(flags[rows], axis=0)[:, :n].T
-                planes = _box_planes(t[:, rows], box[:, rows], q)
-                q1[rows], qz[rows] = _clipped_fans(t[:, rows], floor[rows], planes, q >> 1)
+                q1[rows], qz[rows] = _clipped_fans(t[:, rows], floor[rows], box[:, rows], q)
         p1[s + order] = q1 * sign
         pz[s + order] = qz * sign
     return p1, pz
-
-
-def _cut_groups(tc, ids, turns, side, box):
-    """The rows of :func:`_corners` of the triangles ``ids``, their n_z
-    signs, their boxes (P, 6) as (6, P) rows, and each pair's number of
-    cutting planes (int8, which sorts by radix), -1 where the pair adds
-    nothing, with its cut flags (:data:`_CUT_BITS`).  A function of its
-    own, so that the triangles' bounds are freed before the kernel runs."""
-    t, sign, (bmin, bmax) = _corners(tc, ids, turns, side)
-    box = box.T
-    blo, bhi = box[:3], box[3:]
-    gone = (bmax[:2] <= blo[:2]).any(axis=0) | (bmin[:2] >= bhi[:2]).any(axis=0)
-    gone |= (sign == 0) | (bmax[2] <= blo[2])
-    gone |= np.where(bmin[2] == bmax[2], bmax[2] > bhi[2], bmin[2] >= bhi[2])
-    # the planes x0, x1, y0, y1, z0, z1 that cut each triangle's bounds
-    cuts = np.empty((6, len(ids)), dtype=bool)
-    cuts[0::2] = (bmin < blo) & (blo < bmax)
-    cuts[1::2] = (bmin < bhi) & (bhi < bmax)
-    return t, sign, box, np.where(gone, -1, cuts.sum(axis=0, dtype=np.int8)), cuts.T.astype(np.uint8) @ _CUT_BITS
-
-
-def _box_planes(t: np.ndarray, box: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(3, n, P) half-planes ``nx x + ny y + d >= 0``, in A's frame, of the
-    box planes ``q`` (n, P) of each pair, numbered x0, x1, y0, y1, z0, z1.
-
-    A z plane is ``z0 <= z`` or ``z <= z1`` on the triangle's plane, times
-    the doubled area: its normal is the height gradient times that area.
-    """
-    b, c, area = t[_TAB_B], t[_TAB_C], t[_TAB_AREA]
-    axis, upper = q >> 1, q & 1
-    sign = 1.0 - 2.0 * upper  # +1 on a lower plane, -1 on an upper one
-    col = np.arange(q.shape[1])
-    d = sign * (t[axis, col] - box[axis + 3 * upper, col])  # t's rows 0-2 are A
-    z = axis == 2
-    nx = np.where(z, sign * (b[2] * c[1] - c[2] * b[1]), np.where(axis == 0, sign, 0.0))
-    ny = np.where(z, sign * (c[2] * b[0] - b[2] * c[0]), np.where(axis == 1, sign, 0.0))
-    return np.array([nx, ny, np.where(z, d * area, d)])
 
 
 #: The planes that a set of cut flags names: flag bit q marks plane q of x0,
@@ -774,49 +742,58 @@ _CUT_PLANES = np.array([([q for q in range(6) if flags >> q & 1] + [0] * 6)[:6] 
 
 
 def _clipped_fans(
-    t: np.ndarray, floor: np.ndarray, planes: np.ndarray, axis: np.ndarray
+    t: np.ndarray, floor: np.ndarray, box: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unsigned ``(P1, Pz)`` of P pairs whose triangles are cut by n box planes each.
 
-    ``t`` holds the triangles' rows of :func:`_corners`, ``floor`` A's
-    height above the box floor, ``planes`` the (3, n, P) cutting planes of
-    :func:`_box_planes`, and ``axis`` (n, P) the axis of each.  By Green's
-    theorem the projected area is a sum of fan triangles (A, p, q), one
-    per outline segment pq; segments on edges AB and CA run through A and
-    add nothing.  So only edge BC and the n cutting planes are outline
-    lines, each clipped (Liang-Barsky) by the other n + 2 half-planes.  A
-    line's segment from ``p0 + t0 u`` to ``p0 + t1 u``, with ``p0`` the
-    line's foot from A and ``u = (n_y, -n_x)``, spans the fan area
-    ``d (t1 - t0) / 2``.  Of two parallel constraints facing one way, only
-    the tighter one can carry a segment, the lower index when they
-    coincide; two coincident ones facing opposite ways both carry it, so
-    their fans cancel.
+    ``t`` holds the triangles' rows of :data:`_TAB_A` and on, ``floor``
+    A's height above the box floor, ``box`` the boxes' (6, P) rows, and
+    ``q`` (n, P) the cutting planes of each pair, numbered x0, x1, y0, y1,
+    z0, z1.  Each is the half-plane ``nx x + ny y + d >= 0`` in A's frame:
+    a z plane is ``z0 <= z`` or ``z <= z1`` on the triangle's plane, times
+    the doubled area, so its normal is the height gradient times that
+    area.  By Green's theorem the projected area is a sum of fan triangles
+    (A, p, q), one per outline segment pq; segments on edges AB and CA run
+    through A and add nothing.  So only edge BC and the n cutting planes
+    are outline lines, each clipped (Liang-Barsky) by the other n + 2
+    half-planes.  A line's segment from ``p0 + t0 u`` to ``p0 + t1 u``,
+    with ``p0`` the line's foot from A and ``u = (n_y, -n_x)``, spans the
+    fan area ``d (t1 - t0) / 2``.  Of two parallel constraints facing one
+    way, only the tighter one can carry a segment, the lower index when
+    they coincide; two coincident ones facing opposite ways both carry it,
+    so their fans cancel.
 
     No line is shut by itself, nor by its twin, the other plane of its
     axis, so neither takes the parallel test.  Twins face opposite ways,
     and their offsets add up to at least 0: ``fl(A - lo)`` is at least
     ``fl(A - hi)``, for lo < hi and rounding is monotone, and a z plane's
     offset is that difference times the positive doubled area, over the
-    norm of its normal, both shared by the twins (:func:`_box_planes`), so
-    monotone in it too.  Each bound is picked without a branch: constraint
-    j bounds t from below by ``min(cut_t, inf)`` where det < 0, and from
-    above by ``max(cut_t, -inf)`` where det > 0, one ``bound =
-    copysign(inf, -det)`` serving both; where det is 0, cut_t is set to
-    ``-bound``, so both are neutral.  ``max`` and ``min`` only select, so
-    t0 and t1 are the greatest lower and least upper bound, as a select of
-    each side's bounds gives them, but where a NaN cut_t reaches the other
-    one: a NaN upper bound makes t1 NaN in both, a lower one t0, so the
-    segment's span and midpoint are 0 in both.  Coordinates below 1e60 in
-    size keep every product here finite, det's included.
+    norm of its normal, both shared by the twins, so monotone in it too.
+    Each bound is picked without a branch: constraint j bounds t from below
+    by ``min(cut_t, inf)`` where det < 0, and from above by ``max(cut_t,
+    -inf)`` where det > 0, one ``bound = copysign(inf, -det)`` serving
+    both; where det is 0, cut_t is set to ``-bound``, so both are neutral.
+    ``max`` and ``min`` only select, so t0 and t1 are the greatest lower
+    and least upper bound, as a select of each side's bounds gives them,
+    but where a NaN cut_t reaches the other one: a NaN upper bound makes t1
+    NaN in both, a lower one t0, so the segment's span and midpoint are 0
+    in both.  Coordinates below 1e60 in size keep every product here
+    finite, det's included.
     """
     b, c, area = t[_TAB_B], t[_TAB_C], t[_TAB_AREA]
-    n = planes.shape[1]
-    gx, gy = b[2] * c[1] - c[2] * b[1], c[2] * b[0] - b[2] * c[0]  # as in _box_planes
-    zero = np.zeros(t.shape[1])
+    n = len(q)
+    axis, upper = q >> 1, q & 1
+    sign = 1.0 - 2.0 * upper  # +1 on a lower plane, -1 on an upper one
+    gx, gy = b[2] * c[1] - c[2] * b[1], c[2] * b[0] - b[2] * c[0]  # the height gradient times the doubled area
+    z = axis == 2
+    col = np.arange(len(floor))
+    off = sign * (t[axis, col] - box[axis + 3 * upper, col])  # t's rows 0-2 are A
+    zero = np.zeros(len(floor))
     # constraint rows: edges AB, BC and CA, then the cutting planes
-    nx = np.concatenate([[-b[1], b[1] - c[1], c[1]], planes[0]])
-    ny = np.concatenate([[b[0], c[0] - b[0], -c[0]], planes[1]])
-    d = np.concatenate([[zero, area, zero], planes[2]])
+    nx = np.concatenate([[-b[1], b[1] - c[1], c[1]], np.where(z, sign * gx, np.where(axis == 0, sign, 0.0))])
+    ny = np.concatenate([[b[0], c[0] - b[0], -c[0]], np.where(z, sign * gy, np.where(axis == 1, sign, 0.0))])
+    d = np.concatenate([[zero, area, zero], np.where(z, off * area, off)])
+    del upper, sign, z, off  # freed before the (constraint, line, pair) entries
     lines = np.r_[1, 3 : 3 + n]  # the outline lines: BC and the planes
     lx, ly, ld = nx[lines], ny[lines], d[lines]
     norm = lx * lx + ly * ly
@@ -911,7 +888,7 @@ def _grey_volumes(mesh: TriMesh, planes: np.ndarray, leaves, tri_ptr: np.ndarray
     lo, hi = lo[g], hi[g]
     size = hi - lo
     pair_leaf = np.repeat(np.arange(len(g)), np.diff(tri_ptr))
-    p1, pz = _pair_integrals(mesh, _turns(mesh), tri_ids, pair_leaf, np.hstack([lo, hi]))
+    p1, pz = _pair_integrals(mesh, tri_ids, pair_leaf, np.hstack([lo, hi]))
     sum_p1, sum_pz = _sorted_sum(pair_leaf, len(g), p1), _sorted_sum(pair_leaf, len(g), pz)
 
     xy = np.ascontiguousarray(lo[:, :2]).view(np.int64)  # the bits of each column's x and y

@@ -448,8 +448,10 @@ def test_compare_schema_mismatch_exits_5(tmp_path, capsys):
         ("local_fields", [0.5]),
         ("octree_fingerprint", [0.5]),
         ("global_indexes", {"reach": float("nan")}),
+        ("local_fields", {"reach": {"index_id": "reach", "values": [], "volumes": []}}),
+        ("local_fields", {"reach": {"index_id": "reach", "values": [0.5, 1.0], "volumes": [0.0, 0.0]}}),
     ],
-    ids=["global-list", "fields-list", "fingerprint-list", "global-nan"],
+    ids=["global-list", "fields-list", "fingerprint-list", "global-nan", "field-empty", "field-zero-volume"],
 )
 def test_compare_malformed_body_exits_5(tmp_path, capsys, key, value):
     good = saved_report(tmp_path, "a", "machining", {"reach": 0.5})

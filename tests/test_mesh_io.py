@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manumap import mesh_io
-from manumap.errors import EmptyMeshError, NotWatertightError, ParseError
+from manumap.errors import EmptyMeshError, NotWatertightError, ParameterError, ParseError
 from manumap.mesh_io import (
     PointClass,
     TriMesh,
@@ -433,6 +433,26 @@ def test_classify_points_agrees_with_scalar_api(unit_cube):
     batch = classify_points(unit_cube, pts)
     singles = [point_in_mesh(unit_cube, p) for p in pts]
     assert list(batch) == singles
+
+
+def test_far_points_are_outside_and_non_finite_points_refused(unit_cube):
+    """A finite point however far off, up to the largest float on any axis,
+    is outside, and no cast or quotient warns on the way (a RuntimeWarning
+    fails the suite); a NaN or infinite coordinate raises ParameterError,
+    as a non-finite box bound does in :func:`classify_box`."""
+    big = np.finfo(np.float64).max
+    far = np.full((12, 3), 0.5)
+    far[np.arange(12), np.arange(12) // 4] = [1e300, -1e300, big, -big] * 3
+    assert (classify_points(unit_cube, far) == PointClass.OUTSIDE).all()
+    assert point_in_mesh(unit_cube, [1e300, 0.5, 0.5]) == PointClass.OUTSIDE
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in range(3):
+            p = np.full(3, 0.5)
+            p[k] = bad
+            with pytest.raises(ParameterError, match="finite"):
+                point_in_mesh(unit_cube, p)
+            with pytest.raises(ParameterError, match="finite"):
+                classify_points(unit_cube, np.array([[0.5, 0.5, 0.5], p]))
 
 
 def test_classify_points_casts_only_the_points_off_the_band(unit_cube, monkeypatch):

@@ -433,7 +433,7 @@ def test_pair_integrals_match_exact_clipping():
     mesh = TriMesh(tc.reshape(-1, 3), np.arange(3 * len(tc)).reshape(-1, 3))
     tri = np.arange(len(tc))
     box = np.array([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]])
-    p1, pz = spatial._pair_integrals(mesh, spatial._turns(mesh), tri, np.zeros_like(tri), box)
+    p1, pz = spatial._pair_integrals(mesh, tri, np.zeros_like(tri), box)
     want = np.array([box_clip_integrals(t, box[0, :3], box[0, 3:]) for t in tc])
     scale = np.maximum(1.0, np.abs(want))
     assert (np.abs(np.column_stack([p1, pz]) - want) <= 1e-12 * scale).all()
@@ -476,9 +476,10 @@ def test_volume_kernel_equals_the_gathered_reference(case, pocket_plate, monkeyp
     twins, parallel = [], []
     fans, shut = spatial._clipped_fans, oracles.reference_offsets_shut
 
-    def count_twins(t, floor, planes, axis):
+    def count_twins(t, floor, box, q):
+        axis = q >> 1
         twins.append(2 * int((axis[:-1] == axis[1:]).sum()))
-        return fans(t, floor, planes, axis)
+        return fans(t, floor, box, q)
 
     def count_parallel(*args):
         parallel.append(len(args[0]))
@@ -486,9 +487,8 @@ def test_volume_kernel_equals_the_gathered_reference(case, pocket_plate, monkeyp
 
     monkeypatch.setattr(spatial, "_clipped_fans", count_twins)
     monkeypatch.setattr(oracles, "reference_offsets_shut", count_parallel)
-    turns = spatial._turns(mesh)
-    got = spatial._pair_integrals(mesh, turns, tri, pair_leaf, boxes)
-    want = oracles.reference_pair_integrals(mesh, turns, tri, pair_leaf, boxes)
+    got = spatial._pair_integrals(mesh, tri, pair_leaf, boxes)
+    want = oracles.reference_pair_integrals(mesh, spatial._turns(mesh), tri, pair_leaf, boxes)
     for g, w in zip(got, want):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
     assert (got[0] != 0).any()
