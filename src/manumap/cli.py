@@ -213,7 +213,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             # streamed, _CHUNK_ROWS leaves per write
             lines, n = result.octree.dump_lines(), len(result.octree.path_key)
             chunks = (
-                "".join(next(lines) for _ in range(min(_CHUNK_ROWS, n - s)))
+                "".join(next(lines) for _ in range(min(_CHUNK_ROWS, n - s))).encode()
                 for s in range(0, n, _CHUNK_ROWS)
             )
             _atomic_write_chunks(Path(args.dump_octree), chunks)
@@ -276,7 +276,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     profiles = _load_profiles(args.profile_file)
     text = _json.dumps(profiles.to_dict(), sort_keys=True, indent=2)
     if args.json:
-        _atomic_write_chunks(Path(args.json), [text + "\n"])
+        _atomic_write_chunks(Path(args.json), [(text + "\n").encode()])
     print(text)
     return EXIT_OK
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -85,13 +86,24 @@ class LocalIndexField:
         return float(self.values.max())
 
 
+#: Each octree's grey-leaf columns, its grey leaves' part volumes and path
+#: keys, handed to every field of that octree (:func:`grey_field`), so the
+#: report writer spells them once per octree.  The keys are weak, so an
+#: entry dies with its octree.
+_GREY_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def grey_field(index_id: str, octree, values) -> LocalIndexField:
     """A field of ``values`` over ``octree``'s grey leaves, tied to that octree."""
-    g = octree.grey_index
+    columns = _GREY_COLUMNS.get(octree)
+    if columns is None:
+        g = octree.grey_index
+        columns = _GREY_COLUMNS[octree] = octree.part_volume[g], tuple(octree.path_key[g].tolist())
+    volumes, path_keys = columns
     return LocalIndexField(
         index_id=index_id,
         values=values,
-        volumes=octree.part_volume[g],
+        volumes=volumes,
         octree_hash=octree.fingerprint()["content_hash"],
-        path_keys=tuple(octree.path_key[g].tolist()),
+        path_keys=path_keys,
     )

@@ -6,6 +6,10 @@ reruns can be diffed and interrupted runs never leave half-written files.
 Outputs hold few distinct numbers among many, so the writers spell each
 distinct float once (:func:`_spell`) and gather the spellings: report JSON
 keeps the bytes of the stdlib encoder, and maps keep their ``%.9g`` text.
+Map rows are assembled as bytes in numpy from tables of spellings
+(:func:`_rows`), the VTK geometry is spelled from the tree's split planes,
+and the grey-leaf columns a report shares with the other fields of its
+octree, ``volumes`` and ``path_keys``, are spelled once per octree.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .aggregation import AssemblyReport, ComparisonReport, IndexReport
 from .errors import FieldMismatchError, MeshMismatchError, ParameterError, ReportIOError, SchemaMismatchError
 from .fields import LocalIndexField
 from .mesh_io import TriMesh
-from .spatial import _GREY, _WHITE, Octree
+from .spatial import _GREY, _WHITE, Octree, _split_planes
 
 SCHEMA_VERSION = 1
 
@@ -75,11 +79,11 @@ class ColorScale:
 
 
 # ---------------------------------------------------------------------------
-# Atomic text output
+# Atomic output
 
 
-def _atomic_write_chunks(path, chunks: Iterable[str]) -> Path:
-    """Write the text pieces to ``path`` via a temporary file, replaced in at the end.
+def _atomic_write_chunks(path, chunks: Iterable[bytes]) -> Path:
+    """Write the byte pieces to ``path`` via a temporary file, replaced in at the end.
 
     Nothing is left behind when writing fails, whether the file system or
     the code producing ``chunks`` raises.
@@ -88,7 +92,7 @@ def _atomic_write_chunks(path, chunks: Iterable[str]) -> Path:
     tmp = out.with_name(out.name + ".tmp")
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, out)
@@ -103,8 +107,8 @@ def _atomic_write_chunks(path, chunks: Iterable[str]) -> Path:
     return out
 
 
-#: Rows formatted and joined per write, so no section is held in memory whole;
-#: only each octree's VTK geometry is kept, formatted, in :data:`_VTK_GEOMETRY`.
+#: Rows assembled and written per chunk, so no section is held in memory whole;
+#: only each octree's VTK geometry is kept, assembled, in :data:`_VTK_GEOMETRY`.
 _CHUNK_ROWS = 4096
 
 
@@ -128,16 +132,63 @@ def _spell(fmt: str, values) -> tuple[np.ndarray, np.ndarray]:
     return np.array([fmt % x for x in distinct.tolist()], dtype=object), which
 
 
-def _rows(fmt: str, table) -> Iterator[str]:
-    """``%``-style ``fmt`` filled from each row of the 2-D ``table``.
+def _indexes(n: int) -> np.ndarray:
+    """The :func:`_rows` table of the spellings of 0 to n - 1, built by array
+    ops: digit column j runs through each digit 10**(width - 1 - j) times
+    over, and its first 10**(width - 1 - j) rows, leading zeros, are padding."""
+    width = len(str(max(n - 1, 0)))
+    table = np.empty((n, width), dtype=np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for j in range(width):
+        run = 10 ** (width - 1 - j)
+        table[:, j] = np.tile(np.repeat(digits, run), -(-n // (10 * run)))[:n]
+        if j < width - 1:
+            table[:run, j] = 0
+    return table.view(f"S{width}").ravel()
 
-    Each chunk of rows is one ``%`` operation on ``fmt`` repeated once per
-    row.  The map writers pass floats already spelled by :func:`_spell`, to
-    ``%s`` fields.
+
+def _spaced(table: np.ndarray) -> np.ndarray:
+    """The :func:`_rows` table ``table`` with a space before each spelling."""
+    width = table.dtype.itemsize
+    out = np.empty((len(table), 1 + width), dtype=np.uint8)
+    out[:, 0] = ord(" ")
+    out[:, 1:] = table.view(np.uint8).reshape(len(table), width)
+    return out.view(f"S{1 + width}").ravel()
+
+
+def _rows(*columns: tuple[np.ndarray, np.ndarray], lead: bytes = b"") -> Iterator[bytes]:
+    """Text rows assembled as bytes, ``_CHUNK_ROWS`` rows to a chunk: ``lead``,
+    then the row's spellings separated by spaces, then a newline.
+
+    A column is a pair (table, index): ``table`` holds the column's distinct
+    spellings as NUL-padded byte strings of one width (an ``S`` array, as
+    ``np.array(words, dtype=bytes)`` or :func:`_indexes` gives), and each
+    row of the (N,) or (N, k) ``index`` picks that row's k spellings.  A
+    chunk is its fields side by side, gathered with ``take`` into one uint8
+    array, which one boolean index compacts: the padding goes, and each row
+    is its spellings in order.
     """
-    for s in range(0, len(table), _CHUNK_ROWS):
-        rows = table[s : s + _CHUNK_ROWS]
-        yield (fmt * len(rows)) % tuple(rows.ravel().tolist())
+    n = len(columns[0][1])
+    fields = []  # (table, (N, k) index), the first spelling of a row without a space before it
+    for table, index in columns:
+        index = index[:, None] if index.ndim == 1 else index
+        if not fields:
+            fields.append((table, index[:, 0]))
+            index = index[:, 1:]
+        if index.shape[1]:
+            fields.append((_spaced(table), index))
+    lead, end = np.frombuffer(lead, dtype=np.uint8), np.frombuffer(b"\n", dtype=np.uint8)
+    for s in range(0, n, _CHUNK_ROWS):
+        r = min(_CHUNK_ROWS, n - s)
+        chunk = np.concatenate(
+            [
+                np.broadcast_to(lead, (r, len(lead))),
+                *(table.take(index[s : s + r]).view(np.uint8).reshape(r, -1) for table, index in fields),
+                np.broadcast_to(end, (r, 1)),
+            ],
+            axis=1,
+        )
+        yield chunk[chunk != 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +242,7 @@ def export_difficulty_map(
 
 def _ply_chunks(
     mesh: TriMesh, octree: Octree, index_field: LocalIndexField, scale: ColorScale | None
-) -> Iterator[str]:
+) -> Iterator[bytes]:
     _check_field(octree, index_field)
     if mesh.content_hash() != octree.mesh_hash:
         raise MeshMismatchError("octree was built from a different mesh")
@@ -203,7 +254,7 @@ def _ply_chunks(
     values[octree.grey_index] = index_field.values
     leaf = octree.find_leaves(mesh.vertices)
     shades, shade = _distinct(np.where(leaf >= 0, values[leaf], scale.lo))
-    colors = np.array(["%d %d %d" % tuple(c) for c in scale.rgb(shades).tolist()], dtype=object)
+    colors = np.array(["%d %d %d" % tuple(c) for c in scale.rgb(shades).tolist()], dtype=bytes)
 
     header = (
         "ply\n"
@@ -219,9 +270,9 @@ def _ply_chunks(
     )
     words, which = _spell("%.9g", mesh.vertices)
     return itertools.chain(
-        [header],
-        _rows("%s %s %s %s\n", np.column_stack([words[which], colors[shade]])),
-        _rows("3 %d %d %d\n", mesh.triangles),
+        [header.encode()],
+        _rows((np.array(words, dtype=bytes), which), (colors, shade)),
+        _rows((_indexes(len(mesh.vertices)), mesh.triangles), lead=b"3 "),
     )
 
 
@@ -238,21 +289,28 @@ _HEX_CORNERS = np.array(
 _VTK_GEOMETRY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _vtk_geometry(octree: Octree) -> tuple[np.ndarray, tuple[str, ...]]:
+def _vtk_geometry(octree: Octree) -> tuple[np.ndarray, tuple[bytes, ...]]:
     """The grey mask of the non-white boxes, and the text from ``POINTS`` through
     the ``CELL_TYPES`` rows, in write-sized chunks.
 
-    Each distinct box coordinate is spelled once, and the distinct spellings
-    are ranked; each corner is keyed by the ranks of its three spellings, so
-    boxes sharing a corner share one point line, listed in key order.
+    Box bounds are the tree's split planes (:func:`spatial._split_planes`),
+    so only the planes are spelled, and the distinct spellings ranked; a
+    box's bounds are found among the planes, and each corner is keyed by
+    the ranks of its three spellings, so boxes sharing a corner share one
+    point line, listed in key order.
     """
     cells = np.flatnonzero(octree.class_code != _WHITE)
     n_cells = len(cells)
-    words, which = _spell("%.9g", np.stack([octree.box_min[cells], octree.box_max[cells]], axis=1))
+    planes = _split_planes(octree.box_min[0], octree.box_max[-1], octree.max_depth)
+    words, which = _spell("%.9g", planes)
     words, rank = np.unique(words, return_inverse=True)
-    end_rank = rank[which]  # (C, 2, 3)
-    del which
+    plane_rank = rank[which]  # (3, 2**max_depth + 1)
     k = len(words)
+    # keys below k**3, in 32 bits where they fit: their np.unique sets the peak
+    end_rank = np.empty((n_cells, 2, 3), dtype=np.int32 if k**3 <= np.iinfo(np.int32).max else np.int64)
+    for end, bound in enumerate((octree.box_min, octree.box_max)):
+        for a in range(3):
+            end_rank[:, end, a] = plane_rank[a].take(np.searchsorted(planes[a], bound[cells, a]))
     key = end_rank[:, _HEX_CORNERS[:, 0], 0]  # (C, 8)
     for a in (1, 2):
         key *= k
@@ -260,21 +318,21 @@ def _vtk_geometry(octree: Octree) -> tuple[np.ndarray, tuple[str, ...]]:
     del end_rank
     keys, corner_point = np.unique(key.ravel(), return_inverse=True)
     del key
-    points = words[np.stack([keys // (k * k), keys // k % k, keys % k], axis=1)]
+    points = np.stack([keys // (k * k), keys // k % k, keys % k], axis=1)
     text = (
-        f"POINTS {len(points)} float\n",
-        *_rows("%s %s %s\n", points),
-        f"CELLS {n_cells} {9 * n_cells}\n",
-        *_rows("8" + " %d" * 8 + "\n", corner_point.reshape(n_cells, 8)),
-        f"CELL_TYPES {n_cells}\n",
-        *("12\n" * min(_CHUNK_ROWS, n_cells - s) for s in range(0, n_cells, _CHUNK_ROWS)),
+        f"POINTS {len(points)} float\n".encode(),
+        *_rows((np.array(words, dtype=bytes), points)),
+        f"CELLS {n_cells} {9 * n_cells}\n".encode(),
+        *_rows((_indexes(len(points)), corner_point.reshape(n_cells, 8)), lead=b"8 "),
+        f"CELL_TYPES {n_cells}\n".encode(),
+        *(b"12\n" * min(_CHUNK_ROWS, n_cells - s) for s in range(0, n_cells, _CHUNK_ROWS)),
     )
     return octree.class_code[cells] == _GREY, text
 
 
 def _vtk_chunks(
     octree: Octree, index_field: LocalIndexField, scale: ColorScale | None
-) -> Iterator[str]:
+) -> Iterator[bytes]:
     _check_field(octree, index_field)
     scale = scale or ColorScale.auto(index_field.values)
     geometry = _VTK_GEOMETRY.get(octree)
@@ -294,11 +352,12 @@ def _vtk_chunks(
         "ASCII\n"
         "DATASET UNSTRUCTURED_GRID\n"
     )
+    cell_data = f"CELL_DATA {n_cells}\nSCALARS difficulty float 1\nLOOKUP_TABLE default\n"
     return itertools.chain(
-        [header],
+        [header.encode()],
         text,
-        [f"CELL_DATA {n_cells}\n", "SCALARS difficulty float 1\n", "LOOKUP_TABLE default\n"],
-        _rows("%s\n", words[which][:, None]),
+        [cell_data.encode()],
+        _rows((np.array(words, dtype=bytes), which)),
     )
 
 
@@ -309,6 +368,10 @@ def _vtk_chunks(
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+class _Json(str):
+    """Text already encoded, which :func:`_json_parts` writes as it is."""
+
+
 def _json_parts(obj, out: list[str]) -> None:
     """Append to ``out`` the text ``_encode(obj)`` gives.
 
@@ -316,6 +379,9 @@ def _json_parts(obj, out: list[str]) -> None:
     spelled with ``repr``, as the encoder writes them, one spelling per
     distinct value; everything else goes to the encoder itself.
     """
+    if type(obj) is _Json:
+        out.append(obj)
+        return
     if type(obj) is dict and all(type(k) is str for k in obj):
         sep = "{"
         for key in sorted(obj):
@@ -327,17 +393,59 @@ def _json_parts(obj, out: list[str]) -> None:
     if type(obj) is list and set(map(type, obj)) == {float}:
         values = np.array(obj, dtype=np.float64)
         if np.isfinite(values).all():
-            words, which = _spell("%r", values)
-            out.append("[" + ",".join(words[which].tolist()) + "]")
+            out.append(_float_list(values))
             return
     out.append(_encode(obj))
 
 
+def _float_list(values: np.ndarray) -> _Json:
+    """The JSON list of the finite float64 ``values``, one ``repr`` per distinct value."""
+    words, which = _spell("%r", values)
+    return _Json("[" + ",".join(words[which].tolist()) + "]")
+
+
+#: The JSON text of the ``path_keys`` and ``volumes`` of the fields of one
+#: octree, which share those objects (:func:`fields.grey_field`), keyed by the
+#: identity of the ``volumes`` array: an entry dies with that array, which is
+#: read-only, so the text cannot go stale.
+_COLUMN_TEXT: dict[int, tuple[tuple[int, ...], _Json, _Json]] = {}
+
+
+def _grey_columns(f: LocalIndexField) -> tuple[_Json, _Json]:
+    """The JSON text of ``f.path_keys`` and ``f.volumes``, spelled once for
+    all the fields that share both objects."""
+    key = id(f.volumes)
+    hit = _COLUMN_TEXT.get(key)
+    if hit is not None and hit[0] is f.path_keys:
+        return hit[1], hit[2]
+    text = _Json(_encode(list(f.path_keys))), _float_list(f.volumes)
+    if hit is None:
+        _COLUMN_TEXT[key] = (f.path_keys, *text)
+        weakref.finalize(f.volumes, _COLUMN_TEXT.pop, key, None)
+    return text
+
+
+def _field_docs(report, doc: dict) -> Iterator[tuple[LocalIndexField, dict]]:
+    """Each local field of ``report``, with its dict in ``doc``, the report's ``to_dict()``."""
+    if isinstance(report, AssemblyReport):
+        for name, module in report.module_reports.items():
+            yield from _field_docs(module, doc["module_reports"][name])
+    elif isinstance(report, IndexReport):
+        for name, f in report.local_fields.items():
+            yield f, doc["local_fields"][name]
+
+
 def _report_json(report) -> str:
     """The report as compact JSON with sorted keys, the bytes of
-    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, and a newline."""
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, and a newline.
+    Each field's float columns are spelled from its arrays, its grey-leaf
+    columns once for all fields that share them (:func:`_grey_columns`)."""
+    doc = report.to_dict()
+    for f, d in _field_docs(report, doc):
+        d["values"] = _float_list(f.values)
+        d["path_keys"], d["volumes"] = _grey_columns(f)
     out: list[str] = []
-    _json_parts({"schema_version": SCHEMA_VERSION, "report": report.to_dict()}, out)
+    _json_parts({"schema_version": SCHEMA_VERSION, "report": doc}, out)
     out.append("\n")
     return "".join(out)
 
@@ -382,9 +490,9 @@ def emit_report(report, path, fmt: str | None = None) -> Path:
     out = Path(path)
     kind = (fmt or out.suffix.lstrip(".")).lower()
     if kind == "json":
-        return _atomic_write_chunks(out, [_report_json(report)])
+        return _atomic_write_chunks(out, [_report_json(report).encode()])
     if kind == "csv":
-        return _atomic_write_chunks(out, [_report_csv(report)])
+        return _atomic_write_chunks(out, [_report_csv(report).encode()])
     raise ParameterError(f"unsupported report format {kind!r} (use json or csv)")
 
 

@@ -274,7 +274,10 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
     the box below, left of or in front of that plane, never for both; the
     boundary band's box query (:func:`mesh_io._boxes_touch`) decides it.  A
     box the surface misses is black or white by its center point, whose
-    answer then holds for the whole open box.
+    answer then holds for the whole open box.  The center is ``0.5 * lo +
+    0.5 * hi``, which no finite bounds overflow; it has the bits of ``0.5 *
+    (lo + hi)`` wherever that sum does not overflow and no half is
+    subnormal, for halving is then exact.
     """
     if not mesh.metrics.watertight:
         raise NotWatertightError("box classification needs a watertight mesh")
@@ -284,7 +287,7 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
         raise ParameterError("box bounds must be finite, with box_max above box_min on every axis")
     if _boxes_touch(mesh, lo[None], hi[None])[0]:
         return OctantClass.GREY
-    return OctantClass.BLACK if _points_inside(mesh, 0.5 * (lo + hi)[None])[0] else OctantClass.WHITE
+    return OctantClass.BLACK if _points_inside(mesh, (0.5 * lo + 0.5 * hi)[None])[0] else OctantClass.WHITE
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@ Each oracle answers a question the engine also answers, by a different
 route: point containment via generalized winding numbers instead of ray
 parity, triangle-box overlap via half-space polygon clipping instead of
 separating axes, volumes via closed forms.  Nothing here imports engine
-geometry code beyond the mesh container.
+geometry code beyond the mesh container.  The output writers at the end,
+as they were before map rows were assembled as bytes, read an octree's
+arrays and a field's, and only its leaf lookup and class codes from the
+engine.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -444,3 +448,130 @@ def reference_clipped_fans(t, floor, planes):
     mid = np.where(span > 0, t0 + t1, 0.0)
     rise = (gx * (2.0 * px + mid * ux) + gy * (2.0 * py + mid * uy)) / area
     return fan.sum(axis=0), (fan * (floor + rise / 3.0)).sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# The output writers as they were before map rows were assembled as bytes and
+# grey-leaf columns spelled once per octree: every row is ``%``-formatted,
+# the VTK writer spells every coordinate of every non-white box, and the
+# report writer spells every float list of every field on its own.
+
+_CHUNK_ROWS = 4096
+_HEX_CORNERS = np.array(
+    ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
+)
+
+
+def reference_spell(fmt, values):
+    """``fmt % v`` once per distinct float64 bit pattern of ``values``, and
+    each element's index among the spellings."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
+    bits, which = np.unique(v.view(np.int64), return_inverse=True)
+    words = np.array([fmt % x for x in bits.view(np.float64).tolist()], dtype=object)
+    return words, which.reshape(v.shape)
+
+
+def reference_rows(fmt, table):
+    """``%``-style ``fmt`` filled from each row of the 2-D ``table``, one ``%``
+    operation per ``_CHUNK_ROWS`` rows."""
+    for s in range(0, len(table), _CHUNK_ROWS):
+        rows = table[s : s + _CHUNK_ROWS]
+        yield (fmt * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def reference_vtk_map(octree, field, scale) -> bytes:
+    """The VTK map of ``field`` on ``octree`` under the color scale ``scale``."""
+    from manumap.spatial import _GREY, _WHITE
+
+    cells = np.flatnonzero(octree.class_code != _WHITE)
+    n_cells = len(cells)
+    words, which = reference_spell("%.9g", np.stack([octree.box_min[cells], octree.box_max[cells]], axis=1))
+    words, rank = np.unique(words, return_inverse=True)
+    end_rank = rank[which]  # (C, 2, 3)
+    k = len(words)
+    key = end_rank[:, _HEX_CORNERS[:, 0], 0]
+    for a in (1, 2):
+        key = key * k + end_rank[:, _HEX_CORNERS[:, a], a]
+    keys, corner_point = np.unique(key.ravel(), return_inverse=True)
+    points = words[np.stack([keys // (k * k), keys // k % k, keys % k], axis=1)]
+    values = np.full(n_cells, float(scale.lo))
+    values[octree.class_code[cells] == _GREY] = field.values
+    value_words, value_which = reference_spell("%.9g", values)
+    return "".join(
+        [
+            "# vtk DataFile Version 3.0\n",
+            f"difficulty map {field.index_id}\n",
+            "ASCII\n",
+            "DATASET UNSTRUCTURED_GRID\n",
+            f"POINTS {len(points)} float\n",
+            *reference_rows("%s %s %s\n", points),
+            f"CELLS {n_cells} {9 * n_cells}\n",
+            *reference_rows("8" + " %d" * 8 + "\n", corner_point.reshape(n_cells, 8)),
+            f"CELL_TYPES {n_cells}\n",
+            "12\n" * n_cells,
+            f"CELL_DATA {n_cells}\n",
+            "SCALARS difficulty float 1\n",
+            "LOOKUP_TABLE default\n",
+            *reference_rows("%s\n", value_words[value_which][:, None]),
+        ]
+    ).encode()
+
+
+def reference_ply_map(mesh, octree, field, scale) -> bytes:
+    """The PLY map of ``field`` on ``octree`` over ``mesh`` under the color scale ``scale``."""
+    values = np.full(len(octree.path_key), float(scale.lo))
+    values[octree.grey_index] = field.values
+    leaf = octree.find_leaves(mesh.vertices)
+    shades = np.where(leaf >= 0, values[leaf], scale.lo)
+    colors = np.array(["%d %d %d" % tuple(c) for c in scale.rgb(shades).tolist()], dtype=object)
+    words, which = reference_spell("%.9g", mesh.vertices)
+    header = (
+        "ply\n"
+        "format ascii 1.0\n"
+        f"comment difficulty map {field.index_id}\n"
+        f"comment scale {scale.lo!r} {scale.hi!r}\n"
+        f"element vertex {len(mesh.vertices)}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+        f"element face {len(mesh.triangles)}\n"
+        "property list uchar int vertex_indices\n"
+        "end_header\n"
+    )
+    return "".join(
+        [
+            header,
+            *reference_rows("%s %s %s %s\n", np.column_stack([words[which], colors])),
+            *reference_rows("3 %d %d %d\n", mesh.triangles),
+        ]
+    ).encode()
+
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def reference_json_parts(obj, out):
+    """Append to ``out`` the text ``_encode(obj)`` gives, spelling each list of
+    finite floats with ``repr`` once per distinct value, wherever it is."""
+    if type(obj) is dict and all(type(k) is str for k in obj):
+        sep = "{"
+        for key in sorted(obj):
+            out.append(sep + _encode(key) + ":")
+            reference_json_parts(obj[key], out)
+            sep = ","
+        out.append("}" if obj else "{}")
+        return
+    if type(obj) is list and set(map(type, obj)) == {float}:
+        values = np.array(obj, dtype=np.float64)
+        if np.isfinite(values).all():
+            words, which = reference_spell("%r", values)
+            out.append("[" + ",".join(words[which].tolist()) + "]")
+            return
+    out.append(_encode(obj))
+
+
+def reference_report_json(report, schema_version) -> str:
+    """The report file's text: every field's every column spelled from ``to_dict()``."""
+    out = []
+    reference_json_parts({"schema_version": schema_version, "report": report.to_dict()}, out)
+    out.append("\n")
+    return "".join(out)

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from manumap.errors import (
 from manumap.fields import LocalIndexField, grey_field
 from manumap.machining import SubtractiveProfile, tool_flexibility_field
 from manumap import aggregation, reporting
+from manumap.mesh_io import TriMesh
 from manumap.primitives import box_mesh, icosphere
 from manumap.profiles import MachineProfiles
 from manumap.reporting import (
@@ -34,7 +36,7 @@ from manumap.reporting import (
     export_difficulty_map,
     load_report,
 )
-from manumap.spatial import _BLACK, _GREY, _WHITE, OctantClass, build_octree
+from manumap.spatial import _BLACK, _GREY, _WHITE, OctantClass, _split_planes, build_octree
 
 BLUE = (40, 70, 190)
 RED = (250, 40, 40)
@@ -322,15 +324,22 @@ def per_cell_vtk(octree, field, scale):
     )
 
 
+def origin_box():
+    """A 2 mm box at the origin whose vertices on x = 0 hold -0.0: at margin 0
+    the root's lower x plane is -0.0 (``np.minimum`` keeps the bounding
+    box's -0.0 over the cube's 0.0), and its lower y and z planes are 0.0."""
+    box = box_mesh((2.0, 2.0, 2.0))
+    v = box.vertices.copy()
+    v[v[:, 0] == 0.0, 0] = -0.0
+    return TriMesh(v, box.triangles)
+
+
 def origin_part_with_signed_zeros():
-    """A box centred on the origin, its tree's 0.0 box bounds made -0.0 on every
-    other leaf: the writer keys coordinates by their bits, and the two zeros
-    print as "0" and "-0"."""
-    tree = build_octree(box_mesh((2.0, 2.0, 2.0), origin=(-1.0, -1.0, -1.0)), max_depth=3)
-    odd = (np.arange(len(tree.path_key)) % 2 == 1)[:, None]
-    box_min = np.where(odd & (tree.box_min == 0.0), -0.0, tree.box_min)
-    box_max = np.where(~odd & (tree.box_max == 0.0), -0.0, tree.box_max)
-    return dataclasses.replace(tree, box_min=box_min, box_max=box_max)
+    """The origin box's tree, whose maps spell box bounds and vertex
+    coordinates as both "0" and "-0": the writer keys them by their bits."""
+    tree = build_octree(origin_box(), max_depth=3, margin=0.0)
+    assert np.signbit(tree.box_min[0]).tolist() == [True, False, False]
+    return tree
 
 
 @pytest.mark.parametrize("part", ["cube", "plate", "sphere", "origin"])
@@ -366,6 +375,19 @@ def test_vtk_shares_corners_matches_per_cell_reference(part, cube_tree, plate_re
     if part == "origin":
         words = {w for line in points for w in line.split()}
         assert {"0", "-0"} <= words
+
+
+def test_vtk_geometry_keys_past_32_bits():
+    """Corner keys below k**3 for k distinct plane spellings: past 2**31 they
+    are 64-bit.  A box tree read as if it were split to depth 10 spells
+    3 x 1,025 planes, and lists the same geometry as the tree itself."""
+    tree = build_octree(box_mesh((1.0, 2.0, 3.0)), max_depth=3)
+    deep = dataclasses.replace(tree, max_depth=10)
+    planes = _split_planes(deep.box_min[0], deep.box_max[-1], deep.max_depth)
+    k = len({f"{v:.9g}" for v in planes.ravel().tolist()})
+    assert k**3 > np.iinfo(np.int32).max
+    (grey, text), (deep_grey, deep_text) = reporting._vtk_geometry(tree), reporting._vtk_geometry(deep)
+    assert np.array_equal(grey, deep_grey) and b"".join(text) == b"".join(deep_text)
 
 
 def test_vtk_maps_of_one_octree_share_geometry(pocket_plate, tmp_path, monkeypatch):
@@ -447,6 +469,57 @@ def test_maps_span_several_write_chunks(unit_cube, cube_tree, tmp_path, monkeypa
         assert out.read_bytes() == whole[fmt]
 
 
+def percent_writer_cases(plate):
+    """(name, mesh, tree, fields) of the maps the ``%``-formatting writers
+    (``oracles``) are compared with."""
+    from conftest import rotated_box
+
+    tree = build_octree(plate, max_depth=5, margin=0.0)
+    params = AnalysisParams(max_depth=5, margin=0.0)
+    fields = [
+        f
+        for process in ("machining", "additive")
+        for f in analyze_mesh(plate, process, MachineProfiles(), params, octree=tree).report.local_fields.values()
+    ]
+    yield "plate-margin0", plate, tree, fields
+    box = rotated_box()
+    tree = build_octree(box, max_depth=5)
+    yield "rotated", box, tree, [build_height_field(tree, AdditiveProfile())]
+    box = origin_box()
+    tree = origin_part_with_signed_zeros()
+    values = np.linspace(0.0, 1.0, len(tree.grey_index))
+    values[::3] = -0.0
+    yield "origin", box, tree, [grey_field("signed", tree, values)]
+    sphere = icosphere(1.0, 5)
+    tree = build_octree(sphere, max_depth=5)
+    yield "sphere", sphere, tree, [grey_field("synthetic", tree, np.linspace(0.0, 1.0, len(tree.grey_index)))]
+
+
+def test_maps_equal_the_percent_writers(pocket_plate, tmp_path):
+    """Rows assembled as bytes, and VTK geometry spelled from the split
+    planes, give the bytes of the ``%``-formatting writers they replaced:
+    on the pocket plate at margin 0 under both processes, the rotated box,
+    the origin box whose maps spell both "0" and "-0", and a sphere whose
+    10,242 vertex indexes, and its VTK point indexes, cross digit widths."""
+    seen = set()
+    for name, mesh, tree, fields in percent_writer_cases(pocket_plate):
+        for f in fields:
+            scale = ColorScale.auto(f.values)
+            vtk = export_difficulty_map(mesh, tree, f, tmp_path / "m.vtk").read_bytes()
+            assert vtk == oracles.reference_vtk_map(tree, f, scale), (name, f.index_id)
+            ply = export_difficulty_map(mesh, tree, f, tmp_path / "m.ply").read_bytes()
+            assert ply == oracles.reference_ply_map(mesh, tree, f, scale), (name, f.index_id)
+            seen.add((name, f.index_id))
+            if name == "origin":
+                for text in (vtk, ply):
+                    words = set(text.split())
+                    assert {b"0", b"-0"} <= words
+            if name == "sphere":
+                n_points = int(vtk.split(b"POINTS ")[1].split()[0])
+                assert n_points > 10_000 and len(mesh.vertices) == 10_242
+    assert len(seen) == 6
+
+
 def format_rows(fmt, *tables):
     """``_rows`` as first written, with ``str.format`` per row; the reference."""
     for s in range(0, len(tables[0]), reporting._CHUNK_ROWS):
@@ -471,21 +544,49 @@ def row_tables(draw):
     )
 
 
+def joined(chunks):
+    """The bytes of ``_rows``' chunks, each checked to be bytes."""
+    chunks = list(chunks)
+    assert all(type(c) is bytes for c in chunks)
+    return b"".join(chunks)
+
+
+def spelled(values):
+    """A :func:`_rows` table of the distinct ``str`` spellings of ``values``, and each one's index."""
+    words, which = np.unique(np.asarray(values).astype(str), return_inverse=True)
+    return np.array(words.tolist(), dtype=bytes), which.reshape(np.shape(values))
+
+
 @settings(max_examples=60, deadline=None)
-@given(tables=row_tables())
-def test_rows_percent_format_matches_str_format(tables):
+@given(tables=row_tables(), n=st.integers(1, 12_000), data=st.data())
+def test_rows_percent_format_matches_str_format(tables, n, data):
+    """Rows assembled as bytes equal ``str.format`` of every value: floats
+    spelled once per distinct value, indexes 0 to n - 1 from their digit
+    table, and other ints, negative ones too, from a table of their spellings."""
     xyz, rgb, ints = tables
+    index = data.draw(arrays(np.int64, (len(xyz), 3), elements=st.integers(0, n - 1)))
+    words, which = reporting._spell("%.9g", xyz)
+    floats = np.array(words.tolist(), dtype=bytes)
     calls = [
-        ("%.9g %.9g %.9g\n", "{:.9g} {:.9g} {:.9g}\n", xyz),
-        ("%.9g\n", "{:.9g}\n", xyz[:, :1]),
-        ("3 %d %d %d\n", "3 {} {} {}\n", ints),
-        ("%d %d %d\n", "{} {} {}\n", rgb),
+        (((floats, which),), b"", "{:.9g} {:.9g} {:.9g}\n", (xyz,)),
+        (((floats, which[:, 0]),), b"", "{:.9g}\n", (xyz[:, :1],)),
+        (((reporting._indexes(n), index),), b"3 ", "3 {} {} {}\n", (index,)),
+        ((spelled(ints),), b"", "{} {} {}\n", (ints,)),
+        (((reporting._indexes(256), rgb),), b"", "{} {} {}\n", (rgb,)),
+        (((floats, which[:, :2]), spelled(ints[:, 2])), b"8 ", "8 {:.9g} {:.9g} {}\n", (xyz[:, :2], ints[:, 2:])),
     ]
     for chunk_rows in (1, 5, reporting._CHUNK_ROWS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
-            for percent, brace, table in calls:
-                assert "".join(_rows(percent, table)) == "".join(format_rows(brace, table))
+            for columns, lead, brace, reference in calls:
+                want = "".join(format_rows(brace, *reference)).encode()
+                assert joined(_rows(*columns, lead=lead)) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 10_241, 10_242, 100_001])
+def test_index_table_spells_every_index(n):
+    table = reporting._indexes(n)
+    assert [t.lstrip(b"\0") for t in table.tolist()] == [str(i).encode() for i in range(n)]
 
 
 def bits_to_float(bits):
@@ -511,22 +612,23 @@ def test_spelled_rows_match_str_format(tables, order):
     xyz = np.vstack([xyz, cases.reshape(-1, 3)])
     rgb = np.vstack([rgb, np.arange(len(cases), dtype=np.uint8).reshape(-1, 3)])
     words, which = reporting._spell("%.9g", xyz)
-    colors = np.array(["%d %d %d" % tuple(c) for c in rgb.tolist()], dtype=object)
+    floats = np.array(words.tolist(), dtype=bytes)
+    colors = np.array(["%d %d %d" % tuple(c) for c in rgb.tolist()], dtype=bytes)
     assert which.shape == xyz.shape
     assert len(words) == len(np.unique(xyz.view(np.int64)))
     for chunk_rows in (1, 5, reporting._CHUNK_ROWS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reporting, "_CHUNK_ROWS", chunk_rows)
-            ply = _rows("%s %s %s %s\n", np.column_stack([words[which], colors]))
+            ply = _rows((floats, which), (colors, np.arange(len(rgb))))
             want = format_rows("{:.9g} {:.9g} {:.9g} {} {} {}\n", xyz, rgb)
-            assert "".join(ply) == "".join(want)
-            cell_data = _rows("%s\n", words[which].reshape(-1, 1))
-            assert "".join(cell_data) == "".join(format_rows("{:.9g}\n", xyz.reshape(-1, 1)))
+            assert joined(ply) == "".join(want).encode()
+            cell_data = _rows((floats, which.ravel()))
+            assert joined(cell_data) == "".join(format_rows("{:.9g}\n", xyz.reshape(-1, 1))).encode()
 
 
 def test_failed_chunk_leaves_no_partial_file(tmp_path):
     def chunks():
-        yield "ply\n"
+        yield b"ply\n"
         raise RuntimeError("producer failed")
 
     with pytest.raises(RuntimeError):
@@ -735,6 +837,72 @@ def test_every_report_kind_written_as_json_dumps(pocket_plate, tmp_path):
         doc = {"schema_version": SCHEMA_VERSION, "report": rep.to_dict()}
         text = emit_report(rep, tmp_path / "r.json").read_text()
         assert text == reporting._report_json(rep) == dumps(doc) + "\n"
+
+
+def test_reports_of_one_octree_written_as_json_dumps_in_either_order(pocket_plate, tmp_path):
+    """The machining and additive reports of one octree share its grey-leaf
+    columns, spelled once, and written in either order each report holds
+    the encoder's text, as the per-field writer spelled it."""
+    params = AnalysisParams(max_depth=3)
+    for order in (("machining", "additive"), ("additive", "machining")):
+        tree = build_octree(pocket_plate, max_depth=3)
+        reports = {
+            p: analyze_mesh(pocket_plate, p, MachineProfiles(), params, octree=tree).report for p in order
+        }
+        fields = [f for rep in reports.values() for f in rep.local_fields.values()]
+        assert len(fields) == 3
+        assert all(f.volumes is fields[0].volumes and f.path_keys is fields[0].path_keys for f in fields)
+        for p in order:
+            text = emit_report(reports[p], tmp_path / f"{p}.json").read_text()
+            doc = {"schema_version": SCHEMA_VERSION, "report": reports[p].to_dict()}
+            assert text == dumps(doc) + "\n" == oracles.reference_report_json(reports[p], SCHEMA_VERSION)
+
+
+def test_field_columns_keep_their_own_spelling(tmp_path):
+    """Fields share spelled columns only when they share the objects: a
+    field whose volumes hold -0.0 where its neighbours' hold 0.0, or whose
+    path keys differ, keeps its own spelling."""
+    zero = LocalIndexField("a", np.array([0.5, 0.25, 1.0]), np.array([0.0, 1.5, 2.0]), "h", (8, 9, 10))
+    fields = {
+        "a": zero,
+        "b": dataclasses.replace(zero, index_id="b", volumes=np.array([-0.0, 1.5, 2.0])),
+        "c": dataclasses.replace(zero, index_id="c", values=np.array([1.0, 0.0, 0.5])),
+        "d": dataclasses.replace(zero, index_id="d", path_keys=(9, 10, 11)),
+    }
+    assert fields["c"].volumes is zero.volumes and fields["d"].volumes is zero.volumes
+    rep = dataclasses.replace(part_report(), local_fields=fields)
+    for _ in range(2):
+        text = emit_report(rep, tmp_path / "r.json").read_text()
+        assert text == dumps({"schema_version": SCHEMA_VERSION, "report": rep.to_dict()}) + "\n"
+        assert text.count('"volumes":[0.0,1.5,2.0]') == 3 and text.count('"volumes":[-0.0,1.5,2.0]') == 1
+        assert text.count('"path_keys":[8,9,10]') == 3 and text.count('"path_keys":[9,10,11]') == 1
+    assert load_report(tmp_path / "r.json") == rep
+
+
+def test_grey_column_text_goes_with_its_octree(pocket_plate, tmp_path, monkeypatch):
+    """Fields of one octree share its grey-leaf columns, and the report
+    writer spells them once; both caches go with the octree."""
+    from manumap import fields as fields_module
+
+    monkeypatch.setattr(fields_module, "_GREY_COLUMNS", type(fields_module._GREY_COLUMNS)())
+    monkeypatch.setattr(reporting, "_COLUMN_TEXT", {})
+    spelled = []
+    float_list = reporting._float_list
+    monkeypatch.setattr(reporting, "_float_list", lambda v: spelled.append(len(v)) or float_list(v))
+    tree = build_octree(pocket_plate, max_depth=3)
+    fields = [
+        tool_flexibility_field(pocket_plate, tree, SubtractiveProfile()),
+        build_height_field(tree, AdditiveProfile()),
+    ]
+    n = len(tree.grey_index)
+    reports = [dataclasses.replace(part_report(), local_fields={f.index_id: f}) for f in fields]
+    for i, rep in enumerate(reports):
+        emit_report(rep, tmp_path / f"{i}.json")
+    assert spelled == [n, n, n]  # values, volumes, values
+    assert len(reporting._COLUMN_TEXT) == len(fields_module._GREY_COLUMNS) == 1
+    del tree, fields, reports, rep
+    gc.collect()
+    assert len(reporting._COLUMN_TEXT) == len(fields_module._GREY_COLUMNS) == 0
 
 
 def write_indented(report, path):

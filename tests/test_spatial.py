@@ -78,6 +78,25 @@ def test_classify_box_rejects_non_finite_bounds(unit_cube, bad, corner):
         classify_box(unit_cube, **bounds)
 
 
+def test_classify_box_far_out_does_not_overflow():
+    """Finite bounds near the largest float: the center of halves does not
+    overflow, and the box, far from the part, is white."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = classify_box(box_mesh((1.0, 1.0, 1.0)), [1e308, 0.0, 0.0], [1.7e308, 1.0, 1.0])
+    assert got is OctantClass.WHITE
+
+
+@pytest.mark.parametrize("case", ["block-d5", "sphere-d6"])
+def test_classify_box_centers_keep_their_bits(case, split_block):
+    """On every leaf box of these trees, ``0.5 * lo + 0.5 * hi`` has the bits
+    of the ``0.5 * (lo + hi)`` it replaced."""
+    mesh, depth = {"block-d5": (split_block, 5), "sphere-d6": (icosphere(10.0, 4), 6)}[case]
+    tree = build_octree(mesh, max_depth=depth)
+    lo, hi = tree.box_min, tree.box_max
+    assert np.array_equal((0.5 * lo + 0.5 * hi).view(np.int64), (0.5 * (lo + hi)).view(np.int64))
+
+
 def test_face_coincident_boxes_resolve_by_center(unit_cube):
     """A face on a box plane counts for the box below, left of or in front
     of it, and only for that one; the other boxes it touches are classed by
