@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import (
     BadWeightsError,
+    EmptyFieldError,
     EmptyInputError,
+    FieldValueError,
     LengthMismatchError,
     NonPositiveVolumeError,
     NoSharedIndexesError,
@@ -131,15 +133,19 @@ def _numbers(data: dict, key: str) -> dict[str, float]:
 def _field_from_dict(key: str, data: dict) -> LocalIndexField:
     """The saved local field ``key``; one with no leaves or a zero total
     volume, which no analysis writes, has no mean, so it is malformed."""
-    if not len(data["values"]):
-        raise ValueError(f"local_fields[{key!r}] has no values")
-    f = LocalIndexField(
-        index_id=data["index_id"],
-        values=np.array(data["values"], dtype=np.float64),
-        volumes=np.array(data["volumes"], dtype=np.float64),
-        octree_hash=data.get("octree_hash", ""),
-        path_keys=tuple(data.get("path_keys", ())),
-    )
+    path_keys = tuple(data.get("path_keys", ()))
+    if not set(map(type, path_keys)) <= {int}:  # JSON true, a bool, is no key
+        raise ValueError(f"local_fields[{key!r}] path_keys must be integers")
+    try:
+        f = LocalIndexField(
+            index_id=data["index_id"],
+            values=np.array(data["values"], dtype=np.float64),
+            volumes=np.array(data["volumes"], dtype=np.float64),
+            octree_hash=data.get("octree_hash", ""),
+            path_keys=path_keys,
+        )
+    except (EmptyFieldError, FieldValueError) as exc:
+        raise ValueError(f"local_fields[{key!r}]: {exc}") from exc
     if not f.volumes.sum() > 0.0:
         raise ValueError(f"local_fields[{key!r}] has zero total volume")
     return f
@@ -188,12 +194,15 @@ class IndexReport:
         return out
 
     def to_dict(self) -> dict:
+        return self._to_dict(_field_to_dict)
+
+    def _to_dict(self, field_doc) -> dict:
         return {
             "kind": "part",
             "design_id": self.design_id,
             "process": self.process,
             "global_indexes": dict(sorted(self.global_indexes.items())),
-            "local_fields": {k: _field_to_dict(f) for k, f in sorted(self.local_fields.items())},
+            "local_fields": {k: field_doc(f) for k, f in sorted(self.local_fields.items())},
             "local_summaries": {
                 k: v.to_dict() for k, v in sorted(self.local_summaries.items())
             },
@@ -257,11 +266,14 @@ class AssemblyReport:
         return out
 
     def to_dict(self) -> dict:
+        return self._to_dict(_field_to_dict)
+
+    def _to_dict(self, field_doc) -> dict:
         return {
             "kind": "assembly",
             "design_id": self.design_id,
             "module_reports": {
-                k: v.to_dict() for k, v in sorted(self.module_reports.items())
+                k: v._to_dict(field_doc) for k, v in sorted(self.module_reports.items())
             },
             "weights": dict(sorted(self.weights.items())),
             "totals": None if self.totals is None else dict(sorted(self.totals.items())),

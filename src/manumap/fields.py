@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -73,6 +72,8 @@ class LocalIndexField:
             raise FieldValueError(f"field {self.index_id!r} values must lie in [0, 1]")
         if not ((vols >= 0) & (vols < np.inf)).all():
             raise FieldValueError(f"field {self.index_id!r} volumes must be finite and >= 0")
+        if self.path_keys and len(self.path_keys) != len(vals):
+            raise FieldValueError(f"field {self.index_id!r} path keys and values differ in length")
         vals.setflags(write=False)
         vols.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -86,20 +87,9 @@ class LocalIndexField:
         return float(self.values.max())
 
 
-#: Each octree's grey-leaf columns, its grey leaves' part volumes and path
-#: keys, handed to every field of that octree (:func:`grey_field`), so the
-#: report writer spells them once per octree.  The keys are weak, so an
-#: entry dies with its octree.
-_GREY_COLUMNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def grey_field(index_id: str, octree, values) -> LocalIndexField:
-    """A field of ``values`` over ``octree``'s grey leaves, tied to that octree."""
-    columns = _GREY_COLUMNS.get(octree)
-    if columns is None:
-        g = octree.grey_index
-        columns = _GREY_COLUMNS[octree] = octree.part_volume[g], tuple(octree.path_key[g].tolist())
-    volumes, path_keys = columns
+    """A field of ``values`` over ``octree``'s grey leaves, holding the octree's grey-leaf columns."""
+    volumes, path_keys = octree._grey_columns()
     return LocalIndexField(
         index_id=index_id,
         values=values,

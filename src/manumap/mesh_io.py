@@ -525,16 +525,15 @@ class _ColumnGrid:
     [4, 128] (128 keeps a cell id in a uint16).  A line evaluates every
     triangle of its cell, and most of them cannot cross it; finer cells
     cut those pairs, while buckets grow only where triangles span several
-    cells.  Measured on octree builds of the benchmark fixtures (run 101,
-    one line per box center), ``sqrt(M / 2)`` -> ``sqrt(8 M)`` cells per
-    axis, when grey leaves were still volume-sampled on vertical lines:
+    cells.  Measured as the (line, triangle) pairs :meth:`_hits` evaluates
+    in an octree build's center casts and its tool-reach probes (default
+    margin and tools), ``sqrt(M / 2)`` -> ``sqrt(8 M)`` cells per axis:
 
-    - the 68-triangle split-redesign block at depth 5, res 5 -> 23:
-      center casts 56,640 -> 31,216 pairs, grey sampling 166,942 ->
-      83,202; of these, the same 43,918 cross or graze, so the share of
-      wasted pairs fell from 80 % to 62 %;
-    - ``icosphere(10, 4)`` at depth 6, res 50 -> 128 (29,588 -> 106,960
-      bucket entries): 369,400 -> 193,560 and 742,098 -> 416,291.
+    - the 68-triangle split-redesign block at depth 5, res 5 -> 23: center
+      casts 12,240 -> 5,712 pairs and tool reach 16,224 -> 6,752, of which
+      the same 2,320 and 2,400 cross: 81 -> 59 % and 85 -> 64 % wasted;
+    - ``icosphere(10, 4)`` at depth 6, res 50 -> 128: 59,914 -> 32,872
+      (7,872 cross) and 401,172 -> 221,842 (54,192), 87 -> 76 % and 86 -> 76 %.
 
     The cell count decides only which pairs a line evaluates, never what
     an evaluated pair answers.

@@ -197,21 +197,14 @@ def _rows(*columns: tuple[np.ndarray, np.ndarray], lead: bytes = b"") -> Iterato
 
 def _check_field(octree: Octree, index_field: LocalIndexField) -> None:
     """Check that the field was computed on the octree's grey leaves."""
-    fp = octree.fingerprint()["content_hash"]
-    if index_field.octree_hash and index_field.octree_hash != fp:
-        raise FieldMismatchError(
-            f"field {index_field.index_id!r} was computed on a different octree"
-        )
-    g = octree.grey_index
-    if len(g) != len(index_field):
-        raise FieldMismatchError(
-            f"field {index_field.index_id!r} has {len(index_field)} values "
-            f"for {len(g)} grey leaves"
-        )
-    if index_field.path_keys and tuple(octree.path_key[g].tolist()) != index_field.path_keys:
-        raise FieldMismatchError(
-            f"field {index_field.index_id!r} leaf order does not match the octree"
-        )
+    name, n = index_field.index_id, len(octree.grey_index)
+    if index_field.octree_hash and index_field.octree_hash != octree.fingerprint()["content_hash"]:
+        raise FieldMismatchError(f"field {name!r} was computed on a different octree")
+    if len(index_field) != n:
+        raise FieldMismatchError(f"field {name!r} has {len(index_field)} values for {n} grey leaves")
+    # the octree's own tuple: for a field of grey_field, the same key objects
+    if index_field.path_keys and index_field.path_keys != octree._grey_columns()[1]:
+        raise FieldMismatchError(f"field {name!r} leaf order does not match the octree")
 
 
 def export_difficulty_map(
@@ -425,25 +418,20 @@ def _grey_columns(f: LocalIndexField) -> tuple[_Json, _Json]:
     return text
 
 
-def _field_docs(report, doc: dict) -> Iterator[tuple[LocalIndexField, dict]]:
-    """Each local field of ``report``, with its dict in ``doc``, the report's ``to_dict()``."""
-    if isinstance(report, AssemblyReport):
-        for name, module in report.module_reports.items():
-            yield from _field_docs(module, doc["module_reports"][name])
-    elif isinstance(report, IndexReport):
-        for name, f in report.local_fields.items():
-            yield f, doc["local_fields"][name]
+def _field_json(f: LocalIndexField) -> dict:
+    """``aggregation._field_to_dict(f)`` with its columns as text, the grey-leaf ones shared."""
+    path_keys, volumes = _grey_columns(f)
+    values = _float_list(f.values)
+    return dict(
+        index_id=f.index_id, octree_hash=f.octree_hash, path_keys=path_keys, values=values, volumes=volumes
+    )
 
 
 def _report_json(report) -> str:
     """The report as compact JSON with sorted keys, the bytes of
-    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, and a newline.
-    Each field's float columns are spelled from its arrays, its grey-leaf
-    columns once for all fields that share them (:func:`_grey_columns`)."""
-    doc = report.to_dict()
-    for f, d in _field_docs(report, doc):
-        d["values"] = _float_list(f.values)
-        d["path_keys"], d["volumes"] = _grey_columns(f)
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, and a newline;
+    a part or assembly report's fields are spelled by :func:`_field_json`."""
+    doc = report.to_dict() if isinstance(report, ComparisonReport) else report._to_dict(_field_json)
     out: list[str] = []
     _json_parts({"schema_version": SCHEMA_VERSION, "report": doc}, out)
     out.append("\n")

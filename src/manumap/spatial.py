@@ -133,6 +133,7 @@ class Octree:
         self._leaves: list[OctantNode] | None = None
         self._greys: list[OctantNode] | None = None
         self._fingerprint: dict | None = None
+        self._grey_columns_memo: tuple[np.ndarray, tuple[int, ...]] | None = None
         self._lookup: tuple[np.ndarray, np.ndarray] | None = None  # _locate's planes and keys
 
     def leaves(self) -> list[OctantNode]:
@@ -157,6 +158,15 @@ class Octree:
             leaves = self.leaves()
             self._greys = [leaves[i] for i in self.grey_index.tolist()]
         return self._greys
+
+    def _grey_columns(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The grey leaves' part volumes, read-only, and path-key tuple: one
+        pair, built on first use, that every field of the octree holds."""
+        if self._grey_columns_memo is None:
+            volumes = self.part_volume[self.grey_index]
+            volumes.setflags(write=False)
+            self._grey_columns_memo = volumes, tuple(self.path_key[self.grey_index].tolist())
+        return self._grey_columns_memo
 
     def total_part_volume(self) -> float:
         return math.fsum(self.part_volume.tolist())

@@ -222,31 +222,38 @@ def ramp_prism_volume(box_min, box_max, rect, floor, top, slope) -> float:
     return float(area * (y1 - y0))
 
 
-def find_leaf(root, index, point) -> int:
-    """One point, one box per level: the scalar descent; the leaf's index or -1.
+def find_leaves(root, path_keys, points) -> np.ndarray:
+    """Each point's leaf, its row in ``path_keys``, or -1: the descent, every
+    point a level at a time.
 
-    ``root`` is the root box (lo, hi) and ``index`` maps each leaf's path key
-    to its index.  Outside the closed root box, or at a NaN, a point has no
-    leaf.  At every level it goes to the upper child on each axis where
-    ``p > mid``, with ``mid = 0.5 * (lo + hi)`` of the box it is in, in
-    Python floats: boxes are (lo, hi], as a face on a split plane meets
-    only the box below.
+    ``root`` is the root box (lo, hi) and ``path_keys`` the leaves' path
+    keys, row by row.  Outside the closed root box, or at a NaN, a point has
+    no leaf.  At every level each point not yet at a leaf goes to the upper
+    child on each axis where ``p > mid``, with ``mid = 0.5 * (lo + hi)`` of
+    the box it is in, in float64: boxes are (lo, hi], as a face on a split
+    plane meets only the box below.  A point stops once its path key is a
+    leaf's (``np.isin``).  No split plane or Morton key is read.
     """
-    p = [float(c) for c in point]
-    lo, hi = [float(c) for c in root[0]], [float(c) for c in root[1]]
-    if not all(a <= c <= b for c, a, b in zip(p, lo, hi)):  # NaN included
-        return -1
-    key = 1
-    while key not in index:
-        child = 0
-        for axis in range(3):
-            mid = 0.5 * (lo[axis] + hi[axis])
-            if p[axis] > mid:
-                lo[axis], child = mid, child | 1 << axis
-            else:
-                hi[axis] = mid
-        key = key << 3 | child
-    return index[key]
+    p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    keys = np.asarray(path_keys, dtype=np.int64)
+    lo = np.tile(np.asarray(root[0], dtype=np.float64), (len(p), 1))
+    hi = np.tile(np.asarray(root[1], dtype=np.float64), (len(p), 1))
+    inside = ((lo <= p) & (p <= hi)).all(axis=1)  # NaN included
+    key = np.ones(len(p), dtype=np.int64)
+    moving = inside & ~np.isin(key, keys)
+    for _ in range(max(int(k).bit_length() for k in keys.tolist()) // 3):
+        a = np.flatnonzero(moving)
+        mid = 0.5 * (lo[a] + hi[a])
+        up = p[a] > mid
+        lo[a] = np.where(up, mid, lo[a])
+        hi[a] = np.where(up, hi[a], mid)
+        key[a] = key[a] << 3 | (up * np.array([1, 2, 4])).sum(axis=1)
+        moving[a] = ~np.isin(key[a], keys)
+    assert not moving.any(), "a point descended below the deepest leaf"
+    order = np.argsort(keys)
+    found = np.full(len(p), -1, dtype=np.int64)
+    found[inside] = order[np.searchsorted(keys, key[inside], sorter=order)]
+    return found
 
 
 def triangle_sample_points(triangle, per_edge: int = 40) -> np.ndarray:

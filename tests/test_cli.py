@@ -441,6 +441,10 @@ def test_compare_schema_mismatch_exits_5(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+#: A saved local field that loads, but for what a malformed case puts in it.
+SAVED_FIELD = {"index_id": "reach", "values": [0.5, 1.0], "volumes": [1.0, 1.0]}
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -450,8 +454,14 @@ def test_compare_schema_mismatch_exits_5(tmp_path, capsys):
         ("global_indexes", {"reach": float("nan")}),
         ("local_fields", {"reach": {"index_id": "reach", "values": [], "volumes": []}}),
         ("local_fields", {"reach": {"index_id": "reach", "values": [0.5, 1.0], "volumes": [0.0, 0.0]}}),
+        ("local_fields", {"reach": {**SAVED_FIELD, "path_keys": [8]}}),
+        ("local_fields", {"reach": {**SAVED_FIELD, "path_keys": [8, True]}}),
+        ("local_fields", {"reach": {**SAVED_FIELD, "path_keys": ["x", "x"]}}),
     ],
-    ids=["global-list", "fields-list", "fingerprint-list", "global-nan", "field-empty", "field-zero-volume"],
+    ids=[
+        "global-list", "fields-list", "fingerprint-list", "global-nan", "field-empty", "field-zero-volume",
+        "path-keys-short", "path-keys-bool", "path-keys-not-int",
+    ],
 )
 def test_compare_malformed_body_exits_5(tmp_path, capsys, key, value):
     good = saved_report(tmp_path, "a", "machining", {"reach": 0.5})

@@ -227,6 +227,12 @@ def test_map_rejects_foreign_field(unit_cube, cube_tree, tmp_path):
     )
     with pytest.raises(FieldMismatchError):
         export_difficulty_map(unit_cube, cube_tree, foreign, tmp_path / "x.ply")
+    # keys equal to the octree's, not its objects, pass; the same keys in another order do not
+    assert good.path_keys is not cube_tree._grey_columns()[1]
+    export_difficulty_map(unit_cube, cube_tree, good, tmp_path / "x.ply")
+    reordered = dataclasses.replace(good, path_keys=good.path_keys[::-1])
+    with pytest.raises(FieldMismatchError, match="leaf order"):
+        export_difficulty_map(unit_cube, cube_tree, reordered, tmp_path / "x.ply")
 
 
 @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)])
@@ -880,11 +886,8 @@ def test_field_columns_keep_their_own_spelling(tmp_path):
 
 
 def test_grey_column_text_goes_with_its_octree(pocket_plate, tmp_path, monkeypatch):
-    """Fields of one octree share its grey-leaf columns, and the report
-    writer spells them once; both caches go with the octree."""
-    from manumap import fields as fields_module
-
-    monkeypatch.setattr(fields_module, "_GREY_COLUMNS", type(fields_module._GREY_COLUMNS)())
+    """Fields of one octree hold the grey-leaf columns of the octree's memo,
+    and the report writer spells them once; the text goes with the octree."""
     monkeypatch.setattr(reporting, "_COLUMN_TEXT", {})
     spelled = []
     float_list = reporting._float_list
@@ -894,15 +897,43 @@ def test_grey_column_text_goes_with_its_octree(pocket_plate, tmp_path, monkeypat
         tool_flexibility_field(pocket_plate, tree, SubtractiveProfile()),
         build_height_field(tree, AdditiveProfile()),
     ]
+    volumes, path_keys = tree._grey_columns()
+    assert all(f.volumes is volumes and f.path_keys is path_keys for f in fields)
     n = len(tree.grey_index)
     reports = [dataclasses.replace(part_report(), local_fields={f.index_id: f}) for f in fields]
     for i, rep in enumerate(reports):
         emit_report(rep, tmp_path / f"{i}.json")
-    assert spelled == [n, n, n]  # values, volumes, values
-    assert len(reporting._COLUMN_TEXT) == len(fields_module._GREY_COLUMNS) == 1
-    del tree, fields, reports, rep
+    assert spelled == [n, n, n]  # volumes once, then each field's values
+    assert len(reporting._COLUMN_TEXT) == 1
+    del tree, fields, reports, rep, volumes, path_keys
     gc.collect()
-    assert len(reporting._COLUMN_TEXT) == len(fields_module._GREY_COLUMNS) == 0
+    assert len(reporting._COLUMN_TEXT) == 0
+
+
+def test_report_json_builds_no_field_lists(pocket_plate, tmp_path, monkeypatch):
+    """A part report holding two fields of one octree, and an assembly
+    report, are written as JSON without ``aggregation._field_to_dict``, so
+    no field's columns are built as lists, and hold the reference text.
+    Every field of the octree holds the very columns of its memo."""
+    tree = build_octree(pocket_plate, max_depth=3)
+    params = AnalysisParams(max_depth=3)
+    part, other = (
+        analyze_mesh(pocket_plate, p, MachineProfiles(), params, octree=tree).report
+        for p in ("additive", "machining")
+    )
+    asm = build_assembly_report("asm", {"a": part, "b": other}, {"a": 2.0, "b": 1.0})
+    volumes, path_keys = tree._grey_columns()
+    fields = [*part.local_fields.values(), *other.local_fields.values()]
+    assert len(part.local_fields) == 2 and len(fields) == 3
+    assert all(f.volumes is volumes and f.path_keys is path_keys for f in fields)
+    expected = [(rep, oracles.reference_report_json(rep, SCHEMA_VERSION).encode()) for rep in (part, asm)]
+
+    def refuse(f):
+        raise AssertionError(f"field {f.index_id!r} built as lists")
+
+    monkeypatch.setattr(aggregation, "_field_to_dict", refuse)
+    for i, (rep, text) in enumerate(expected):
+        assert emit_report(rep, tmp_path / f"{i}.report", fmt="json").read_bytes() == text
 
 
 def write_indented(report, path):

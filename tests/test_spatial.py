@@ -30,7 +30,7 @@ from oracles import (
     box_clip_integrals,
     box_part_volume,
     displaced_box_contact,
-    find_leaf,
+    find_leaves,
     ramp_prism_volume,
     winding_numbers,
 )
@@ -1221,7 +1221,7 @@ def _root_probes(tree):
 
 
 def test_find_leaves_matches_scalar_descent(sphere10, pocket_plate):
-    """find_leaves equals the scalar descent (oracles.find_leaf) on the
+    """find_leaves equals the descent (oracles.find_leaves) on the
     sphere, the pocket plate and a slab at depths 1-6 and margins 0 and
     0.01, and on a refined tree: at every vertex, root corner, leaf corner
     and leaf center, one ulp outside each root face, and at a NaN, +inf or
@@ -1243,9 +1243,7 @@ def test_find_leaves_matches_scalar_descent(sphere10, pocket_plate):
             warnings.simplefilter("error")
             found = tree.find_leaves(points)
         assert len(found) == len(points)
-        root = _root_box(tree)
-        index = {key: i for i, key in enumerate(tree.path_key.tolist())}
-        assert found.tolist() == [find_leaf(root, index, p) for p in points.tolist()]
+        assert found.tolist() == find_leaves(_root_box(tree), tree.path_key, points).tolist()
         assert (found[len(vertices) : len(vertices) + 8] >= 0).all()
         assert (found[len(vertices) + 8 : len(vertices) + 8 + len(outside)] == -1).all()
         assert (found[-len(centers) :] == np.arange(len(centers))).all()
