@@ -32,6 +32,8 @@ class AnalysisParams:
 
     Of the octree settings only ``max_depth`` and ``margin`` exist: nothing
     in a build is sampled or random, so no other setting could change it.
+    They are kept as the Python ``int`` and ``float`` that the build's check
+    returns, so a report writes them as JSON numbers.
     """
 
     max_depth: int = DEFAULT_MAX_DEPTH
@@ -41,7 +43,9 @@ class AnalysisParams:
     height_reference: str = "top"
 
     def __post_init__(self):
-        _check_build_params(**self.octree_params())
+        depth, margin = _check_build_params(**self.octree_params())
+        object.__setattr__(self, "max_depth", depth)
+        object.__setattr__(self, "margin", margin)
 
     def octree_params(self) -> dict:
         """The build_octree keyword arguments these params ask for."""

@@ -368,9 +368,8 @@ class _Json(str):
 def _json_parts(obj, out: list[str]) -> None:
     """Append to ``out`` the text ``_encode(obj)`` gives.
 
-    Dicts with ``str`` keys are walked here, and lists of finite floats are
-    spelled with ``repr``, as the encoder writes them, one spelling per
-    distinct value; everything else goes to the encoder itself.
+    Dicts with ``str`` keys are walked here and :class:`_Json` text is
+    written as it is; everything else goes to the encoder itself.
     """
     if type(obj) is _Json:
         out.append(obj)
@@ -383,11 +382,6 @@ def _json_parts(obj, out: list[str]) -> None:
             sep = ","
         out.append("}" if obj else "{}")
         return
-    if type(obj) is list and set(map(type, obj)) == {float}:
-        values = np.array(obj, dtype=np.float64)
-        if np.isfinite(values).all():
-            out.append(_float_list(values))
-            return
     out.append(_encode(obj))
 
 

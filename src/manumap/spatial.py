@@ -19,7 +19,8 @@ closed form, and the grey boxes stacked in one xy column are swept top
 down, each passing the part's cross-section area at its floor to the box
 below.  Nothing is sampled and nothing is random, so every value is
 reproducible and independent of how boxes are batched.  The tree is linear:
-it keeps only its leaves, as arrays in Morton (z-curve) order.
+it keeps only its leaves, as arrays in Morton (z-curve) order (Gargantini,
+1982), and :func:`refine` is the build one level deeper.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .mesh_io import TriMesh, _boxes_touch, _points_inside, _tri_box_overlap
 
 DEFAULT_MAX_DEPTH = 5
 DEFAULT_MARGIN = 0.01
-#: Deepest octree a build or refine may ask for.
+#: Deepest octree a build may ask for (refine is the build one level deeper).
 MAX_DEPTH_LIMIT = 10
 
 _SAT_PAIR_BUDGET = 8_192  # columns and (cell, triangle) entries per window of the contact pass
@@ -103,11 +106,9 @@ class Octree:
     Morton (z-curve) order.  The boxes are the ones the subdivision computes
     (``mid = 0.5 * (lo + hi)``, :func:`_split_planes`), not re-derived from
     the key, which would round differently.  ``grey_index`` lists the grey
-    rows; every grey leaf sits at ``max_depth``.  Grey leaf g keeps the
-    triangles in contact with its box, ``grey_tri_ids[grey_tri_ptr[g]:
-    grey_tri_ptr[g + 1]]``, in the sense of :func:`classify_box`: exactly
-    those made it grey, and they are all the volume kernel needs.
-    :func:`refine` starts from these lists.  All arrays are read-only.
+    rows; every grey leaf sits at ``max_depth``.  The triangles that meet
+    each grey box live only inside the build (:func:`_grow`).  All arrays
+    are read-only.
     """
 
     path_key: np.ndarray  # (L,) int64: 1, then 3 bits (x + 2y + 4z) per level
@@ -116,8 +117,6 @@ class Octree:
     box_min: np.ndarray  # (L, 3) float64
     box_max: np.ndarray  # (L, 3) float64
     part_volume: np.ndarray  # (L,) float64
-    grey_tri_ptr: np.ndarray  # (G + 1,) offsets into grey_tri_ids
-    grey_tri_ids: np.ndarray
     max_depth: int
     margin: float
     mesh_hash: str
@@ -126,7 +125,7 @@ class Octree:
     mesh_volume: float
 
     def __post_init__(self):
-        for name in (*_LEAF_COLUMNS, "grey_tri_ptr", "grey_tri_ids"):
+        for name in _LEAF_COLUMNS:
             getattr(self, name).setflags(write=False)
         self.grey_index = np.flatnonzero(self.class_code == _GREY)
         self.grey_index.setflags(write=False)
@@ -254,20 +253,18 @@ def _locate(planes: np.ndarray, morton: np.ndarray, points) -> np.ndarray:
     (:func:`_morton_keys`) in the root box split by ``planes`` (:func:`_split_planes`).
 
     On each axis a point's max-depth cell is the one of the contact rule,
-    (lo, hi], ``searchsorted(planes[a], p, "left") - 1`` as
-    :func:`_cells_below` gives it for a triangle's bounds, clipped to the
-    first cell on the root's lower face: every plane is bitwise the
-    ``mid`` of the boxes around it, so this is the descent's ``p > mid``
-    at every level.  The point's leaf is the last one whose key is at most
-    its cell's (Gargantini, 1982).  Points outside the root or with a NaN
-    search from the root's lower corner, and get -1.
+    (lo, hi], as :func:`_cells_below` gives it for a triangle's bounds,
+    clipped to the root's first and last cell, so the root's lower faces
+    stay closed: every plane is bitwise the ``mid`` of the boxes around
+    it, so this is the descent's ``p > mid`` at every level.  The point's
+    leaf is the last one whose key is at most its cell's (Gargantini,
+    1982).  Points outside the root or with a NaN search from the root's
+    lower corner, and get -1.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3).T
     inside = ((planes[:, :1] <= p) & (p <= planes[:, -1:])).all(axis=0)
-    p = np.where(inside, p, planes[:, :1])
-    cell = 0
-    for a in range(3):
-        cell |= _SPREAD.take(np.clip(np.searchsorted(planes[a], p[a], "left") - 1, 0, planes.shape[1] - 2)) << a
+    cell = _SPREAD.take(np.clip(_cells_below(planes, np.where(inside, p, planes[:, :1])), 0, planes.shape[1] - 2))
+    cell = cell[0] | cell[1] << 1 | cell[2] << 2
     return np.where(inside, np.searchsorted(morton, cell, "right") - 1, -1)
 
 
@@ -304,16 +301,22 @@ def classify_box(mesh: TriMesh, box_min, box_max) -> OctantClass:
 # Construction
 
 
-def _check_build_params(max_depth: int, margin: float = DEFAULT_MARGIN) -> None:
-    """Reject octree build parameters out of range; NaN fails every test.
+def _check_build_params(max_depth: int, margin: float = DEFAULT_MARGIN) -> tuple[int, float]:
+    """The octree build parameters as a Python ``int`` and ``float``.
 
-    The one check behind build_octree, refine and AnalysisParams, so the CLI
-    rejects a bad flag before it loads a mesh.
+    The depth must be an integer in range and the margin a finite,
+    non-negative real number, neither of them a bool (NaN fails every
+    test); else ``DepthRangeError`` or ``ParameterError``.  The one check
+    behind build_octree (so refine) and AnalysisParams, which keep the
+    values it returns, so the CLI rejects a bad flag before it loads a
+    mesh and a report writes plain JSON numbers.
     """
-    if not 1 <= max_depth <= MAX_DEPTH_LIMIT:
-        raise DepthRangeError(f"max_depth must be in [1, {MAX_DEPTH_LIMIT}], got {max_depth!r}")
-    if not 0 <= margin < np.inf:
-        raise ParameterError(f"margin must be finite and non-negative, got {margin!r}")
+    integer = isinstance(max_depth, numbers.Integral) and not isinstance(max_depth, bool)
+    if not (integer and 1 <= max_depth <= MAX_DEPTH_LIMIT):
+        raise DepthRangeError(f"max_depth must be an integer in [1, {MAX_DEPTH_LIMIT}], got {max_depth!r}")
+    if not (isinstance(margin, numbers.Real) and not isinstance(margin, bool) and 0 <= margin < np.inf):
+        raise ParameterError(f"margin must be a finite, non-negative real number, got {margin!r}")
+    return operator.index(max_depth), float(margin)
 
 
 def build_octree(
@@ -326,7 +329,7 @@ def build_octree(
     Parameters
     ----------
     max_depth:
-        Subdivision levels below the root, in [1, 10].
+        Subdivision levels below the root, an integer in [1, 10].
     margin:
         Relative inflation of the cubified root box (0.01 = 1%).
 
@@ -344,22 +347,15 @@ def build_octree(
         raise NotWatertightError("octree decomposition needs a watertight mesh")
     if metrics.bbox_volume <= 0:
         raise DegenerateMeshError("flat bounding box: the mesh encloses no volume to decompose")
-    _check_build_params(max_depth, margin)
+    max_depth, margin = _check_build_params(max_depth, margin)
 
     bbox_min = np.array(metrics.bbox_min)
     bbox_max = np.array(metrics.bbox_max)
     center = 0.5 * (bbox_min + bbox_max)
     half = 0.5 * metrics.max_dimension * (1.0 + margin)
     lo, hi = np.minimum(center - half, bbox_min), np.maximum(center + half, bbox_max)
-    m = mesh.num_triangles
-    leaves, tri_ptr, tri_ids = _grow(
-        mesh, (), (lo, hi), np.ones(1, dtype=np.int64), np.zeros(m, dtype=np.intp), np.arange(m), 0, max_depth
-    )
-
     tree = Octree(
-        *leaves,
-        grey_tri_ptr=tri_ptr,
-        grey_tri_ids=tri_ids,
+        *_grow(mesh, (lo, hi), max_depth),
         max_depth=max_depth,
         margin=margin,
         mesh_hash=mesh.content_hash(),
@@ -369,6 +365,16 @@ def build_octree(
     )
     tree.fingerprint()  # every report carries it: hash the leaves as part of the build
     return tree
+
+
+def refine(octree: Octree, mesh: TriMesh) -> Octree:
+    """One more subdivision level: the build at ``max_depth + 1`` with the
+    octree's margin, which costs what it does.  ``mesh`` must be the one
+    the octree was built from (``MeshMismatchError`` otherwise).
+    """
+    if mesh.content_hash() != octree.mesh_hash:
+        raise MeshMismatchError("octree was built from a different mesh")
+    return build_octree(mesh, octree.max_depth + 1, octree.margin)
 
 
 _CHILD_BITS = np.array(
@@ -385,37 +391,19 @@ _SPREAD = sum((np.arange(1 << MAX_DEPTH_LIMIT, dtype=np.int64) >> b & 1) << 3 * 
 _NORMAL_SPAN_ERRBOUND = 2.0**-47  # 64 eps
 
 
-def _grow(
-    mesh: TriMesh,
-    done: tuple[tuple[np.ndarray, ...], ...],
-    root: tuple[np.ndarray, np.ndarray],
-    keys: np.ndarray,
-    pair_node: np.ndarray,
-    pair_tri: np.ndarray,
-    depth: int,
-    max_depth: int,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Subdivide grey nodes down to ``max_depth``; the finished leaves.
-
-    The nodes at ``depth`` of the tree with root box ``root`` have path
-    keys ``keys``, in Morton order, and the pairs hold every triangle in
-    contact with a node's box (:func:`_tri_box_overlap`), and maybe others
-    (a build pairs the root with every triangle); the leaves of ``done`` (as
-    in :data:`_LEAF_COLUMNS`) are kept.  Returns all leaves in Morton
-    order, with their part volumes, and the grey lists as a CSR (offsets,
-    ascending triangle ids).
+def _grow(mesh: TriMesh, root: tuple[np.ndarray, np.ndarray], max_depth: int) -> tuple[np.ndarray, ...]:
+    """The leaves, as in :data:`_LEAF_COLUMNS`, in Morton order, of the
+    octree of ``mesh`` in the root box ``root`` down to ``max_depth``.
 
     The grey leaves come from the (cell, triangle) contacts at ``max_depth``
     (:func:`_contacts`); with none, no box meets the surface, and
     ``DegenerateMeshError`` is raised.  A box is grey exactly when one of
-    its children is, for they tile it (:func:`_subdivide`).  The grey
-    leaves take their volumes from :func:`_grey_volumes`.
+    its children is, for they tile it (:func:`_subdivide`).  The contacts,
+    grouped by cell as a CSR (offsets, ascending triangle ids), are the
+    grey leaves' triangles, which only :func:`_grey_volumes` reads.
     """
     planes = _split_planes(*root, max_depth)
-    coords = np.zeros((3, len(keys)), dtype=np.int32)  # the nodes' cell coordinates, one row per axis
-    for b in range(depth):
-        coords |= ((keys >> 3 * b + np.arange(3)[:, None] & 1) << b).astype(np.int32)
-    cell = np.sort(_contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth))
+    cell = np.sort(_contacts(mesh, planes, max_depth))
     if not len(cell):
         raise DegenerateMeshError("no box meets the surface: its faces all lie on the root box's lower faces")
     tri_ids = cell & 0xFFFFFFFF
@@ -423,21 +411,23 @@ def _grow(
     first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
     tri_ptr = np.append(first, len(cell))
     cell = cell[first]  # the grey cells' path keys
-    leaves = _subdivide(mesh, planes, done, coords, keys, cell, depth, max_depth)
+    leaves = _subdivide(mesh, planes, cell, max_depth)
     _grey_volumes(mesh, planes, leaves, tri_ptr, tri_ids)
-    return leaves, tri_ptr, tri_ids
+    return leaves
 
 
-def _subdivide(mesh, planes, done, coords, keys, cell, depth, max_depth) -> tuple[np.ndarray, ...]:
-    """:func:`_grow`'s leaves in Morton order, grey volumes NaN: those of
-    ``done``, then each level's grey keys, the next one's shifted by 3 bits,
-    down to the grey cells' path keys ``cell``.  The other children of grey
+def _subdivide(mesh, planes, cell, max_depth) -> tuple[np.ndarray, ...]:
+    """:func:`_grow`'s leaves in Morton order, grey volumes NaN: each
+    level's grey keys from the root down, the next one's shifted by 3 bits,
+    to the grey cells' path keys ``cell``.  The other children of grey
     nodes take their boxes from :func:`_split_planes` and their classes from
     one cast of their centers (:func:`_points_inside`), each answer
     independent of the batch.  A function of its own, so that its copies of
     the leaves are freed before the volume stage."""
     solid = []
-    for level in range(depth + 1, max_depth + 1):
+    coords = np.zeros((3, 1), dtype=np.int32)  # the grey nodes' cell coordinates, one row per axis
+    keys = np.ones(1, dtype=np.int64)
+    for level in range(1, max_depth + 1):
         up = cell >> 3 * (max_depth - level)
         grey = up[np.r_[True, up[1:] != up[:-1]]]  # the level's grey keys, ascending
         slot = 8 * (np.cumsum(np.r_[True, grey[1:] >> 3 != grey[:-1] >> 3]) - 1) + (grey & 7)
@@ -454,7 +444,7 @@ def _subdivide(mesh, planes, done, coords, keys, cell, depth, max_depth) -> tupl
     grey = (keys, np.full(n, max_depth, dtype=np.int32), np.full(n, _GREY, dtype=np.int8),
             *_boxes(planes, coords, 1), np.full(n, np.nan))
     black_white = (key, level, code, lo, hi, np.where(inside, volume, 0.0))
-    key, level, *rest = (np.concatenate(column) for column in zip(*done, black_white, grey))
+    key, level, *rest = (np.concatenate(column) for column in zip(black_white, grey))
     order = np.argsort(_morton_keys(key, level, max_depth))
     return tuple(column[order] for column in (key, level, *rest))
 
@@ -500,26 +490,20 @@ def _cells_below(planes: np.ndarray, t: np.ndarray, axis=np.arange(3)[:, None]) 
     return j - base
 
 
-def _contacts(mesh, planes, coords, pair_node, pair_tri, depth, max_depth) -> np.ndarray:
+def _contacts(mesh, planes, max_depth) -> np.ndarray:
     """The (cell, triangle) contacts at ``max_depth`` as ``path key << 32 | triangle``, int64.
 
-    ``coords`` holds the cell coordinates of :func:`_grow`'s nodes at
-    ``depth`` in the root box split by ``planes``.  Every (node, triangle)
-    pair goes straight to the cells of its node in its triangle's cell
-    ranges (:func:`_cells_below`) that the triangle's plane reaches, column
-    by column, or to all of them if the triangle is thin (:func:`_jump`).
-    The root may pair with any triangle (its clamped ranges are at worst
-    empty, ``last = first - 1``), a node below it only with those in
-    contact with it: no range is ever negative.
+    Every triangle goes straight to the max-depth cells of the root box
+    split by ``planes`` in its cell ranges (:func:`_cells_below`), clamped
+    to the root's cells, that its plane reaches, column by column, or to
+    all of them if it is thin (:func:`_jump`).  A clamped range is at worst
+    empty, ``last = first - 1``: no range is ever negative.
     """
-    r0, r1 = (_cells_below(planes, np.ascontiguousarray(t.T)).astype(np.int32) for t in mesh.tri_bounds())
-    thin = (r0 == r1).sum(axis=0) >= 2
-    step = 1 << max_depth - depth  # max-depth cells per node and axis
-    first = coords.take(pair_node, axis=1) * step
-    last = np.minimum(r1.take(pair_tri, axis=1), first + (step - 1))
-    first = np.maximum(r0.take(pair_tri, axis=1), first, out=first)
-    del r0, r1  # the pairs' copies are clamped: free the triangles' ranges before the jump
-    found = _jump(mesh.tri_coords(), planes, thin, first, last, pair_tri, max_depth)
+    first, last = (_cells_below(planes, np.ascontiguousarray(t.T)).astype(np.int32) for t in mesh.tri_bounds())
+    thin = (first == last).sum(axis=0) >= 2
+    np.maximum(first, 0, out=first)
+    np.minimum(last, planes.shape[1] - 2, out=last)
+    found = _jump(mesh.tri_coords(), planes, thin, first, last, max_depth)
     return np.concatenate([np.zeros(0, dtype=np.int64), *found])
 
 
@@ -587,8 +571,8 @@ def _windows(n: np.ndarray, budget: int):
         yield np.repeat(np.arange(i0, i1 + 1), per), np.arange(e - s, dtype=np.int32) - np.repeat(shift, per)
 
 
-def _jump(tc, planes, thin, first, last, tri, max_depth) -> list[np.ndarray]:
-    """The contacts, as in :func:`_contacts`, of triangle ``tri[p]`` and the
+def _jump(tc, planes, thin, first, last, max_depth) -> list[np.ndarray]:
+    """The contacts, as in :func:`_contacts`, of triangle ``tc[p]`` and the
     max-depth cells from ``first[:, p]`` to ``last[:, p]`` on each axis.
 
     A ``thin`` triangle lies in one cell's slab on two axes or more, so
@@ -605,26 +589,24 @@ def _jump(tc, planes, thin, first, last, tri, max_depth) -> list[np.ndarray]:
     :func:`_tri_box_overlap`.  Thin pairs are picked and their cells listed
     in windows of :data:`_SAT_PAIR_BUDGET`; the others go by axis d, and
     their columns and candidates in windows too, so no triangle's are held
-    whole.  d is computed for every triangle, since a build pairs each one
-    with the root; a pair whose range is empty on some axis lists no cell,
-    or no column, or no cell in its columns.
+    whole.  A pair whose range is empty on some axis lists no cell, or no
+    column, or no cell in its columns.
     """
     found = []
-    thin = thin.take(tri)
     axis = np.empty(len(tc), dtype=np.int8)
     for s in range(0, len(tc), _SAT_PAIR_BUDGET):
         n = np.abs(_normals(tc[s : s + _SAT_PAIR_BUDGET])[0])
         axis[s : s + _SAT_PAIR_BUDGET] = np.where(n[2] > np.maximum(n[0], n[1]), 2, n[1] > n[0])  # argmax
     # a thin pair joins no group, every other pair one: no width is negative (_contacts)
-    axis = np.where(thin, -1, axis.take(tri))
+    axis[thin] = -1
     for d in range(3):
         u, v = (d + 1) % 3, (d + 2) % 3
         sel = np.flatnonzero(axis == d)
-        lo, hi, tri_d = first.take(sel, axis=1), last.take(sel, axis=1), tri.take(sel)
+        lo, hi = first.take(sel, axis=1), last.take(sel, axis=1)
         rows = hi[v] - lo[v] + 1  # int32, as the ranks: int32 divmod is several times faster
         for pair, rank in _windows((hi[u] - lo[u] + 1) * rows, _SAT_PAIR_BUDGET):
             i, j = (x + lo[c].take(pair) for x, c in zip(np.divmod(rank, rows.take(pair)), (u, v)))
-            t = tri_d.take(pair)
+            t = sel.take(pair)
             z = _cells_below(planes, _column_spans(tc.take(t, axis=0), planes, i, j, d), d)
             z0 = np.maximum(z[0], lo[d].take(pair))
             count = np.minimum(z[1], hi[d].take(pair)) - z0 + 1
@@ -635,7 +617,7 @@ def _jump(tc, planes, thin, first, last, tri, max_depth) -> list[np.ndarray]:
                 hit = _tri_box_overlap(tc.take(tt, axis=0), *_boxes(planes, cells, 1))
                 key = _SPREAD.take(cells[:, hit])
                 found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | tt[hit])
-    for s in range(0, len(tri), _SAT_PAIR_BUDGET):
+    for s in range(0, len(tc), _SAT_PAIR_BUDGET):
         sel = s + np.flatnonzero(thin[s : s + _SAT_PAIR_BUDGET])
         lo = first.take(sel, axis=1)
         width = last.take(sel, axis=1) - lo + 1
@@ -643,7 +625,7 @@ def _jump(tc, planes, thin, first, last, tri, max_depth) -> list[np.ndarray]:
             yz, x = np.divmod(rank, width[0].take(pair))
             z, y = np.divmod(yz, width[1].take(pair))
             key = _SPREAD.take(lo.take(pair, axis=1) + np.stack([x, y, z]))
-            found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | tri.take(sel[pair]))
+            found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | sel.take(pair))
     return found
 
 
@@ -874,9 +856,9 @@ def _grey_volumes(mesh: TriMesh, planes: np.ndarray, leaves, tri_ptr: np.ndarray
 
     ``leaves`` are :func:`_grow`'s leaf arrays as in :data:`_LEAF_COLUMNS`,
     in Morton order, in the root box split by ``planes``, and grey leaf g's
-    triangles are ``tri_ids[tri_ptr[g]: tri_ptr[g + 1]]``: the triangles in
-    contact with its box (:func:`classify_box`).  For a grey box
-    R x [z0, z1] with h = z1 - z0, let A(z) be the area of the part's
+    triangles are ``tri_ids[tri_ptr[g]: tri_ptr[g + 1]]`` of the build's
+    contacts: those in contact with its box (:func:`classify_box`).  For a
+    grey box R x [z0, z1] with h = z1 - z0, let A(z) be the area of the part's
     cross-section with R just above height z.  By the divergence theorem
     (:func:`_pair_integrals`)
 
@@ -928,33 +910,3 @@ def _grey_volumes(mesh: TriMesh, planes: np.ndarray, leaves, tri_ptr: np.ndarray
         area_top[below] = area_top[over] + sum_p1[over]
     box = size[:, 0] * size[:, 1] * size[:, 2]
     volume[g] = np.clip(size[:, 2] * area_top + sum_pz, 0.0, box)
-
-
-# ---------------------------------------------------------------------------
-# Refinement
-
-
-def refine(octree: Octree, mesh: TriMesh) -> Octree:
-    """One more subdivision level: equivalent to rebuilding at max_depth + 1.
-
-    Black and white leaves are untouched; every grey leaf is replaced by
-    its 8 children, to which its triangles jump as in a fresh build, and
-    the new grey leaves get their exact volumes (:func:`_grow`).
-    """
-    if mesh.content_hash() != octree.mesh_hash:
-        raise MeshMismatchError("octree was built from a different mesh")
-    new_depth = octree.max_depth + 1
-    _check_build_params(new_depth)  # the margin was checked by the build
-
-    rest = octree.class_code != _GREY
-    kept = tuple(getattr(octree, name)[rest] for name in _LEAF_COLUMNS)
-    g = octree.grey_index
-    pair_node = np.repeat(np.arange(len(g)), np.diff(octree.grey_tri_ptr))
-    leaves, tri_ptr, tri_ids = _grow(
-        mesh, (kept,), (octree.box_min[0], octree.box_max[-1]), octree.path_key[g], pair_node,
-        octree.grey_tri_ids, octree.max_depth, new_depth,
-    )
-    columns = dict(zip(_LEAF_COLUMNS, leaves))
-    tree = replace(octree, **columns, grey_tri_ptr=tri_ptr, grey_tri_ids=tri_ids, max_depth=new_depth)
-    tree.fingerprint()
-    return tree

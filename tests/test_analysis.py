@@ -6,10 +6,11 @@ import pytest
 
 from manumap import analysis, machining
 from manumap.analysis import AnalysisParams, ModuleSpec, analyze_assembly, analyze_mesh
-from manumap.errors import MeshMismatchError, ParameterError
+from manumap.errors import DepthRangeError, MeshMismatchError, ParameterError
 from manumap.mesh_io import TriMesh
 from manumap.primitives import box_mesh, icosphere, slab_with_pockets
 from manumap.profiles import default_profiles
+from manumap.reporting import emit_report
 from manumap.spatial import build_octree
 
 PARAMS = AnalysisParams(max_depth=3)
@@ -54,6 +55,38 @@ def test_report_params_list_every_field_that_is_set():
     }
     full = AnalysisParams(material="steel-c45", required_ra_um=1.6)
     assert set(full.to_dict()) == {f.name for f in dataclasses.fields(AnalysisParams)}
+
+
+@pytest.mark.parametrize(
+    "settings, error",
+    [
+        ({"max_depth": 2.5}, DepthRangeError),
+        ({"max_depth": True}, DepthRangeError),
+        ({"max_depth": np.float64(3.0)}, DepthRangeError),
+        ({"max_depth": "3"}, DepthRangeError),
+        ({"margin": True}, ParameterError),
+        ({"margin": "0.1"}, ParameterError),
+        ({"max_depth": np.int64(3)}, None),
+    ],
+    ids=["depth-2.5", "depth-True", "depth-float64", "depth-str", "margin-True", "margin-str", "depth-int64"],
+)
+def test_build_params_of_another_type_are_refused(settings, error, sphere, tmp_path):
+    """A depth that is not an integer, or a margin that is not a real
+    number, is refused by AnalysisParams and build_octree alike, a bool
+    being neither; a numpy integer depth is kept as a Python int, so a
+    report graded at it writes plain JSON numbers."""
+    if error is not None:
+        with pytest.raises(error):
+            AnalysisParams(**settings)
+        with pytest.raises(error):
+            build_octree(sphere, **settings)
+        return
+    params = AnalysisParams(**settings)
+    assert (type(params.max_depth), type(params.margin)) == (int, float)
+    result = analyze_mesh(sphere, "machining", default_profiles(), params=params)
+    assert type(result.octree.max_depth) is int
+    text = emit_report(result.report, tmp_path / "part.json").read_text()
+    assert text.count('"max_depth":3') == 2  # the params and the octree fingerprint
 
 
 def test_assembly_grades_each_distinct_module_once(sphere, monkeypatch):

@@ -44,8 +44,7 @@ def test_field_without_grey_leaves_is_an_empty_field(grade):
     # tree's grey leaves are relabelled black by hand
     mesh = box_mesh((2.0, 2.0, 2.0))
     built = build_octree(mesh, max_depth=2, margin=0.0)
-    tree = replace(built, class_code=np.zeros_like(built.class_code),
-                   grey_tri_ptr=np.zeros(1, dtype=np.intp), grey_tri_ids=np.zeros(0, dtype=np.intp))
+    tree = replace(built, class_code=np.zeros_like(built.class_code))
     assert len(tree.grey_index) == 0
     with pytest.raises(EmptyFieldError):
         grade(mesh, tree)

@@ -459,12 +459,26 @@ def test_pair_integrals_match_exact_clipping():
     assert (want[:, 0] != 0).sum() > len(tc) // 2
 
 
-def _kernel_pairs(tree):
+def _grey_lists(mesh, tree):
+    """The contact CSR ``(ptr, ids)`` of a tree of ``mesh``: grey leaf g's
+    triangles are ``ids[ptr[g]:ptr[g + 1]]``.  It runs ``spatial._contacts``
+    on the tree's split planes and groups the contacts by cell as
+    ``spatial._grow`` does; the cells are the tree's grey leaves."""
+    planes = spatial._split_planes(tree.box_min[0], tree.box_max[-1], tree.max_depth)
+    found = np.sort(spatial._contacts(mesh, planes, tree.max_depth))
+    cell = found >> 32
+    ptr = np.append(np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]]), len(cell))
+    assert np.array_equal(cell[ptr[:-1]], tree.path_key[tree.grey_index])
+    return ptr, found & 0xFFFFFFFF
+
+
+def _kernel_pairs(mesh, tree):
     """The volume kernel's pairs of a tree: triangle ids, grey-leaf rank and
     the grey boxes as (lo, hi) rows."""
     g = tree.grey_index
-    pair_leaf = np.repeat(np.arange(len(g)), np.diff(tree.grey_tri_ptr))
-    return tree.grey_tri_ids, pair_leaf, np.hstack([tree.box_min[g], tree.box_max[g]])
+    ptr, ids = _grey_lists(mesh, tree)
+    pair_leaf = np.repeat(np.arange(len(g)), np.diff(ptr))
+    return ids, pair_leaf, np.hstack([tree.box_min[g], tree.box_max[g]])
 
 
 #: Twin entries (a plane against the other plane of its axis) and the
@@ -491,7 +505,7 @@ def test_volume_kernel_equals_the_gathered_reference(case, pocket_plate, monkeyp
         "pocket-margin0": lambda: (pocket_plate, 5, 0.0),
         "pocket-margin0.01": lambda: (pocket_plate, 5, 0.01),
     }.get(case, lambda: (_tie_block(int(case[4:]))[0], 5, 0.0))()
-    tri, pair_leaf, boxes = _kernel_pairs(build_octree(mesh, max_depth=depth, margin=margin))
+    tri, pair_leaf, boxes = _kernel_pairs(mesh, build_octree(mesh, max_depth=depth, margin=margin))
     twins, parallel = [], []
     fans, shut = spatial._clipped_fans, oracles.reference_offsets_shut
 
@@ -691,8 +705,8 @@ def test_grey_lists_hold_every_triangle_in_reach(name, sphere10):
         tree = build_octree(mesh, max_depth=4, margin=margin)
         g = tree.grey_index
         need = _oracle_contacts(mesh, tree.box_min[g], tree.box_max[g])
-        listed = np.repeat(np.arange(len(g)), np.diff(tree.grey_tri_ptr))
-        have = np.column_stack([listed, tree.grey_tri_ids])
+        ptr, ids = _grey_lists(mesh, tree)
+        have = np.column_stack([np.repeat(np.arange(len(g)), np.diff(ptr)), ids])
         assert np.array_equal(np.unique(have, axis=0), np.unique(need, axis=0))
         assert len(need) > len(g)  # every grey leaf has a triangle, some more than one
 
@@ -728,7 +742,7 @@ def test_exact_contact_entries_pinned(case, split_block, monkeypatch):
     exact = _count_exact_contacts(monkeypatch)
     tree = build_octree(mesh, max_depth=depth, margin=margin)
     monkeypatch.undo()
-    assert (len(exact), len(tree.grey_tri_ids)) == _EXACT_CONTACTS[case]
+    assert (len(exact), len(_grey_lists(mesh, tree)[1])) == _EXACT_CONTACTS[case]
     every_axis = [[True] * 10] * len(exact)
     want = [displaced_box_contact(np.reshape(c[:9], (3, 3)), c[9:12], c[12:]) for c in exact]
     assert mesh_io._exact_contacts(exact, every_axis) == want
@@ -938,13 +952,13 @@ def _contact_cases():
     return cases
 
 
-def _bounding_box_jump(tc, planes, thin, first, last, tri, max_depth):
+def _bounding_box_jump(tc, planes, thin, first, last, max_depth):
     """``spatial._jump`` with neither its candidate filter nor its thin rule:
-    every cell of each pair's box of cells goes through the contact kernel,
-    in chunks of 32,768 cells."""
+    every cell of each triangle's box of cells goes through the contact
+    kernel, in chunks of 32,768 cells."""
     count = (last - first + 1).astype(np.int64)
     n = count.prod(axis=0)
-    pair = np.repeat(np.arange(len(tri)), n)
+    pair = np.repeat(np.arange(len(tc)), n)
     rank = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
     found = []
     for s in range(0, len(pair), 1 << 15):
@@ -952,9 +966,9 @@ def _bounding_box_jump(tc, planes, thin, first, last, tri, max_depth):
         yz, x = np.divmod(r, count[0, p])
         z, y = np.divmod(yz, count[1, p])
         cells = first[:, p] + np.stack([x, y, z])
-        hit = mesh_io._tri_box_overlap(tc[tri[p]], *spatial._boxes(planes, cells, 1))
+        hit = mesh_io._tri_box_overlap(tc[p], *spatial._boxes(planes, cells, 1))
         key = spatial._SPREAD[cells[:, hit]]
-        found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | tri[p][hit])
+        found.append((key[0] | key[1] << 1 | key[2] << 2 | 1 << 3 * max_depth) << 32 | p[hit])
     return found
 
 
@@ -963,49 +977,41 @@ _REFERENCE_TREES = {}
 
 def _reference_tree(name, mesh, margin, depth):
     """The build of :func:`_bounding_box_jump`, cached per case: its
-    fingerprint and grey CSR."""
+    fingerprint and grey CSR, collected under the same patch."""
     key = name, margin, depth
     if key not in _REFERENCE_TREES:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spatial, "_jump", _bounding_box_jump)
             tree = build_octree(mesh, max_depth=depth, margin=margin)
-        _REFERENCE_TREES[key] = tree.fingerprint(), tree.grey_tri_ptr, tree.grey_tri_ids
+            _REFERENCE_TREES[key] = tree.fingerprint(), *_grey_lists(mesh, tree)
     return _REFERENCE_TREES[key]
 
 
-@pytest.mark.parametrize("levels", [1, None], ids=["waves-only", "jump-from-root"])
-def test_jump_limit_changes_no_byte(levels):
-    """How many levels a (node, triangle) pair jumps at once changes no
-    byte, and the column-by-column candidates lose no contact.  Waves only:
-    the tree is built at depth 1 and refined one level at a time, so every
-    pair jumps from a node to its 8 children.  Jump from the root: the
-    build at the full depth, where every pair jumps from the root to its
-    max-depth cells, and ``refine`` of the build one level shallower.  On
-    the tie blocks, the tilted top, the pocket plate, torus, T-slot, cube
-    and sphere at margins 0, 0.01 and 0.3 and depths 1-6, and on the
-    rotated box at depth 6, each tree equals a reference that sends every
-    cell of each pair's box of cells through the contact kernel, with no
+@pytest.mark.parametrize("case", ["jump-from-root"])
+def test_jump_limit_changes_no_byte(case):
+    """Every triangle jumps from the root to its max-depth cells, and the
+    column-by-column candidates lose no contact: the build at the full
+    depth, and ``refine`` of the build one level shallower.  On the tie
+    blocks, the tilted top, the pocket plate, torus, T-slot, cube and
+    sphere at margins 0, 0.01 and 0.3 and depths 1-6, and on the rotated
+    box at depth 6, each tree equals a reference that sends every cell of
+    each triangle's box of cells through the contact kernel, with no
     thin-triangle rule: equal fingerprints and grey lists."""
     from conftest import rotated_box
 
     built = {}
     for name, mesh, margin, depth in [*_contact_cases(), ("rotated", rotated_box, 0.01, 6)]:
         mesh = built.setdefault(name, mesh())
-        if levels == 1:
-            tree = build_octree(mesh, max_depth=1, margin=margin)
-            while tree.max_depth < depth:
-                tree = refine(tree, mesh)
-            trees = [tree]
-        else:
-            trees = [build_octree(mesh, max_depth=depth, margin=margin)]
-            if depth > 1:
-                trees.append(refine(build_octree(mesh, max_depth=depth - 1, margin=margin), mesh))
+        trees = [build_octree(mesh, max_depth=depth, margin=margin)]
+        if depth > 1:
+            trees.append(refine(build_octree(mesh, max_depth=depth - 1, margin=margin), mesh))
         fingerprint, ptr, ids = _reference_tree(name, mesh, margin, depth)
         for tree in trees:
             assert tree.max_depth == depth, (name, margin, depth)
             assert tree.fingerprint() == fingerprint, (name, margin, depth)
-            assert np.array_equal(tree.grey_tri_ptr, ptr), (name, margin, depth)
-            assert np.array_equal(tree.grey_tri_ids, ids), (name, margin, depth)
+            have_ptr, have_ids = _grey_lists(mesh, tree)
+            assert np.array_equal(have_ptr, ptr), (name, margin, depth)
+            assert np.array_equal(have_ids, ids), (name, margin, depth)
 
 
 @pytest.mark.parametrize("budget", [None, 100])
@@ -1031,8 +1037,10 @@ def test_jump_holds_every_contact_of_degenerate_triangles(budget, monkeypatch):
         tri = np.flatnonzero(((r1 >= 0) & (r0 <= 7)).all(axis=0))  # the slabs keep the node
         first, last = np.clip(r0[:, tri], 0, 7), np.clip(r1[:, tri], 0, 7)
         thin = (r0 == r1).sum(axis=0) >= 2
-        got, want = (np.sort(np.concatenate(f(t, planes, thin, first, last, tri, 3)))
+        # the subset's corners go in, and its contacts' ids are mapped back to t's
+        got, want = (np.sort(np.concatenate(f(t[tri], planes, thin[tri], first, last, 3)))
                      for f in (spatial._jump, _bounding_box_jump))
+        got, want = (found >> 32 << 32 | tri[found & 0xFFFFFFFF] for found in (got, want))
         assert np.array_equal(got, want), n
         flat += int(np.isin(want & 0xFFFFFFFF, np.arange(len(t) - 8, len(t))).sum())
     assert flat > 100  # contacts of zero-area triangles
@@ -1060,7 +1068,7 @@ def test_candidates_follow_the_contacts(depth, contacts, monkeypatch):
     monkeypatch.setattr(spatial, "_tri_box_overlap", counted)
     tree = build_octree(mesh, max_depth=depth)
     monkeypatch.undo()
-    assert len(tree.grey_tri_ids) == contacts
+    assert len(_grey_lists(mesh, tree)[1]) == contacts
     planes = spatial._split_planes(tree.box_min[0], tree.box_max[-1], depth)
     r0, r1 = (np.clip(r, 0, (1 << depth) - 1) for r in _cell_ranges(planes, *mesh.tri_bounds()))
     assert (r1 - r0 + 1).prod(axis=0).sum() > 30 * 2 ** (depth - 6) * contacts
@@ -1110,7 +1118,7 @@ def test_contact_pass_counts_pinned(case, split_block, monkeypatch):
     monkeypatch.setattr(spatial, "_tri_box_overlap", counted)
     tree = build_octree(mesh, max_depth=depth)
     monkeypatch.undo()
-    assert (sum(entries), len(tree.grey_tri_ids) - sum(hits)) == _CONTACT_PASS_COUNTS[case]
+    assert (sum(entries), len(_grey_lists(mesh, tree)[1]) - sum(hits)) == _CONTACT_PASS_COUNTS[case]
 
 
 #: build_octree's traced peak, in MiB, on a mesh whose caches are filled:
@@ -1159,7 +1167,7 @@ def test_root_classify_matches_sat_over_all_triangles(name, margin, pocket_plate
     want = np.flatnonzero(mesh_io._tri_box_overlap(mesh.tri_coords(), lo[None], hi[None]))
     oracle = [i for i, t in enumerate(mesh.tri_coords()) if displaced_box_contact(t, lo, hi)]
     assert want.tolist() == oracle
-    assert np.array_equal(np.unique(tree.grey_tri_ids), want)
+    assert np.array_equal(np.unique(_grey_lists(mesh, tree)[1]), want)
     if margin:
         assert len(want) == mesh.num_triangles
     else:
@@ -1274,8 +1282,9 @@ def test_vertices_land_in_boxes_their_triangles_meet(name, request):
             assert (leaf >= 0).all()
             rank = np.searchsorted(tree.grey_index, leaf)
             grey = tree.class_code[leaf] == spatial._GREY
-            held = np.repeat(np.arange(len(tree.grey_index)), np.diff(tree.grey_tri_ptr)) * n_tri
-            pair_held = grey[pair_vertex] & np.isin(rank[pair_vertex] * n_tri + pair_tri, held + tree.grey_tri_ids)
+            ptr, ids = _grey_lists(mesh, tree)
+            held = np.repeat(np.arange(len(tree.grey_index)), np.diff(ptr)) * n_tri
+            pair_held = grey[pair_vertex] & np.isin(rank[pair_vertex] * n_tri + pair_tri, held + ids)
             meets = np.zeros(n_vert, dtype=bool)
             np.logical_or.at(meets, pair_vertex, pair_held)
             assert meets[free].all(), (margin, depth)
